@@ -3,9 +3,6 @@ double-well potentials in a trace-optimized oscillator basis."""
 
 from .basis import (
     BasisSpec,
-    HamiltonianMatrix,
-    Representation,
-    assemble_momentum,
     assemble_position,
     optimal_sigma,
 )
@@ -53,9 +50,9 @@ from .spectrum import (
     ConvergenceFailure,
     SolverError,
     Spectrum,
+    certified_states,
     quasi_degenerate_pairs,
     solve,
-    solve_energies,
 )
 from .wavefunction import (
     GridFunction,

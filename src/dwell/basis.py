@@ -1,13 +1,21 @@
-"""Scaled oscillator basis and Hamiltonian matrices for quartic potentials.
+"""Scaled oscillator basis and banded Hamiltonian for quartic potentials.
 
 Basis convention: phi_l(x; sigma) = (2 sigma/pi)^(1/4) (2^l l!)^(-1/2)
 H_l(sqrt(2 sigma) x) exp(-sigma x^2), so <0|x^2|0> = 1/(4 sigma).  With
-x = (a + a^dag)/(2 sqrt(sigma)) and -d^2/dx^2 = sigma(2 N + 1) - sigma(a^2 +
-a^dag^2), every matrix element of H = -d^2/dx^2 + V(x) is a finite ladder
-product.  Operators are built on a space padded by the polynomial degree and
-truncated back, which makes the retained N x N block equal to the exact
-infinite-dimensional matrix elements (paths out of the block never return
-within four steps).
+x = s (a + a^dag), s = 1/(2 sqrt(sigma)), and -d^2/dx^2 = sigma(2 N + 1) -
+sigma(a^2 + a^dag^2), every matrix element of H = -d^2/dx^2 + V(x) is a
+closed-form ladder product.  With r_d(l) = sqrt((l+1)(l+2)...(l+d)) the
+nonzero upper elements <l|.|l+d> are
+
+    x     d=1: s r_1
+    x^2   d=0: s^2 (2l+1)            d=2: s^2 r_2
+    x^3   d=1: 3 s^3 (l+1) r_1       d=3: s^3 r_3
+    x^4   d=0: s^4 (6l^2+6l+3)       d=2: s^4 (4l+6) r_2     d=4: s^4 r_4
+    p^2   d=0: sigma (2l+1)          d=2: -sigma r_2
+
+These are the exact infinite-dimensional elements, so the retained N x N
+block is exact.  The Hamiltonian has bandwidth 4 and is returned in LAPACK
+upper band storage: band[4 - d, j] = h[j - d, j].
 
 The basis scale sigma is fixed by minimizing the trace of the position-space
 matrix over sigma, which reduces to one cubic equation:
@@ -21,7 +29,6 @@ quartic polynomial.  For c4 > 0 it has exactly one positive root.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -32,18 +39,15 @@ from .potential import QuarticPotential
 
 __all__ = [
     "BasisSpec",
-    "Representation",
-    "HamiltonianMatrix",
     "optimal_sigma",
     "assemble_position",
-    "assemble_momentum",
-    "lowering_operator",
+    "band_matvec",
     "position_matrix",
     "position_squared_matrix",
     "momentum_squared_matrix",
 ]
 
-_PAD = 4  # quartic term couples l to l +/- 4
+BANDWIDTH = 4  # the quartic term couples l to l +/- 4
 
 
 @dataclass(frozen=True)
@@ -58,35 +62,6 @@ class BasisSpec:
             raise ValueError("n_basis must be at least 4 (quartic bandwidth)")
         if not self.sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-
-
-class Representation(enum.Enum):
-    POSITION = "position"
-    MOMENTUM = "momentum"
-
-
-@dataclass(frozen=True)
-class HamiltonianMatrix:
-    """Dense banded Hamiltonian in the oscillator basis (bandwidth 4)."""
-
-    matrix: np.ndarray
-    basis: BasisSpec
-    representation: Representation
-
-    def __post_init__(self) -> None:
-        self.matrix.setflags(write=False)
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-
-def lowering_operator(n: int) -> np.ndarray:
-    """Matrix of a on the first n oscillator states: a|m> = sqrt(m)|m-1>."""
-    a = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    a[idx, idx + 1] = np.sqrt(idx + 1.0)
-    return a
 
 
 def _trace_sums(n_basis: int) -> tuple[float, float]:
@@ -108,68 +83,74 @@ def optimal_sigma(pot: QuarticPotential, n_basis: int) -> float:
     return float(positive[-1])
 
 
-def _padded_position_hamiltonian(pot: QuarticPotential, n: int, sigma: float) -> np.ndarray:
-    m = n + _PAD
-    a = lowering_operator(m)
-    ad = a.T
-    x = (a + ad) / (2.0 * math.sqrt(sigma))
-    x2 = x @ x
-    kinetic = sigma * np.diag(2.0 * np.arange(m) + 1.0) - sigma * (a @ a + ad @ ad)
-    h = kinetic + pot.c4 * (x2 @ x2) + pot.c3 * (x2 @ x) + pot.c2 * x2
-    h += pot.c1 * x + pot.c0 * np.eye(m)
-    return h[:n, :n]
+def _band(
+    basis: BasisSpec,
+    c4: float = 0.0,
+    c3: float = 0.0,
+    c2: float = 0.0,
+    c1: float = 0.0,
+    c0: float = 0.0,
+    kinetic: float = 0.0,
+) -> np.ndarray:
+    """Upper band (5 x N) of kinetic p^2 + c4 x^4 + c3 x^3 + c2 x^2 + c1 x + c0."""
+    n, sigma = basis.n_basis, basis.sigma
+    q = 4.0 * sigma  # s^2 = 1/q; dividing per element keeps rounding unbiased
+    l = np.arange(n, dtype=float)
+    r1 = np.sqrt(l + 1.0)
+    r2 = r1 * np.sqrt(l + 2.0)
+    r3 = r2 * np.sqrt(l + 3.0)
+    r4 = r3 * np.sqrt(l + 4.0)
+    k = kinetic * sigma
+    diagonals = (
+        c0 + k * (2.0 * l + 1.0) + c2 * (2.0 * l + 1.0) / q
+        + c4 * (6.0 * l * l + 6.0 * l + 3.0) / (q * q),
+        (c1 + 3.0 * c3 * (l + 1.0) / q) * r1 / math.sqrt(q),
+        (c2 + c4 * (4.0 * l + 6.0) / q) * r2 / q - k * r2,
+        c3 * r3 / (q * math.sqrt(q)),
+        c4 * r4 / (q * q),
+    )
+    band = np.zeros((BANDWIDTH + 1, n))
+    for d, values in enumerate(diagonals):
+        band[BANDWIDTH - d, d:] = values[: n - d]
+    return band
 
 
-def assemble_position(pot: QuarticPotential, basis: BasisSpec) -> HamiltonianMatrix:
-    """Real symmetric Hamiltonian matrix h_lm = <l|H|m> in position space."""
-    h = _padded_position_hamiltonian(pot, basis.n_basis, basis.sigma)
-    h = 0.5 * (h + h.T)  # symmetrize away last-bit product asymmetry
-    return HamiltonianMatrix(h, basis, Representation.POSITION)
+def _dense(band: np.ndarray) -> np.ndarray:
+    """Full symmetric matrix of an upper band."""
+    u = band.shape[0] - 1
+    mat = np.diag(band[u])
+    for d in range(1, u + 1):
+        off = np.diag(band[u - d, d:], d)
+        mat += off + off.T
+    return mat
 
 
-def assemble_momentum(pot: QuarticPotential, basis: BasisSpec) -> HamiltonianMatrix:
-    """Complex Hermitian matrix of the momentum-space Hamiltonian.
+def band_matvec(band: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """h @ v for the symmetric matrix h stored as an upper band; v is N x k."""
+    u = band.shape[0] - 1
+    out = band[u][:, None] * v
+    for d in range(1, u + 1):
+        off = band[u - d, d:][:, None]
+        out[:-d] += off * v[d:]
+        out[d:] += off * v[:-d]
+    return out
 
-    Under psi_tilde(p) = (2 pi)^(-1/2) integral psi(x) exp(-i p x) dx the
-    operator is p^2 + V(i d/dp), expanded in phi_l(p; sigma_t) with the dual
-    scale sigma_t = 1/(4 sigma).  Equal to D h D^dag with D = diag((-i)^l),
-    hence isospectral to the position representation.
-    """
-    n = basis.n_basis
-    sigma_t = 1.0 / (4.0 * basis.sigma)
-    m = n + _PAD
-    b = lowering_operator(m)
-    bd = b.T
-    p = (b + bd) / (2.0 * math.sqrt(sigma_t))
-    d1 = math.sqrt(sigma_t) * (b - bd)  # d/dp
-    d2 = d1 @ d1
-    # x maps to i d/dp, so c_k x^k maps to c_k (i d/dp)^k
-    g = (p @ p + pot.c4 * (d2 @ d2) - pot.c2 * d2 + pot.c0 * np.eye(m)).astype(complex)
-    g += (-1j * pot.c3) * (d2 @ d1)
-    g += (1j * pot.c1) * d1
-    g = g[:n, :n]
-    g = 0.5 * (g + g.conj().T)
-    return HamiltonianMatrix(g, basis, Representation.MOMENTUM)
+
+def assemble_position(pot: QuarticPotential, basis: BasisSpec) -> np.ndarray:
+    """Position-space Hamiltonian h_lm = <l|H|m> in LAPACK upper band form (5 x N)."""
+    return _band(basis, pot.c4, pot.c3, pot.c2, pot.c1, pot.c0, kinetic=1.0)
 
 
 def position_matrix(basis: BasisSpec) -> np.ndarray:
     """Exact <l|x|m> (tridiagonal)."""
-    a = lowering_operator(basis.n_basis)
-    return (a + a.T) / (2.0 * math.sqrt(basis.sigma))
+    return _dense(_band(basis, c1=1.0))
 
 
 def position_squared_matrix(basis: BasisSpec) -> np.ndarray:
-    """Exact <l|x^2|m> (pentadiagonal, padded product)."""
-    a = lowering_operator(basis.n_basis + 2)
-    x = (a + a.T) / (2.0 * math.sqrt(basis.sigma))
-    return (x @ x)[: basis.n_basis, : basis.n_basis]
+    """Exact <l|x^2|m> (pentadiagonal)."""
+    return _dense(_band(basis, c2=1.0))
 
 
 def momentum_squared_matrix(basis: BasisSpec) -> np.ndarray:
     """Exact <l|p^2|m> = <l|-d^2/dx^2|m> (pentadiagonal)."""
-    n = basis.n_basis
-    a = lowering_operator(n + 2)
-    ad = a.T
-    p2 = basis.sigma * np.diag(2.0 * np.arange(n + 2) + 1.0)
-    p2 -= basis.sigma * (a @ a + ad @ ad)
-    return p2[:n, :n]
+    return _dense(_band(basis, kinetic=1.0))

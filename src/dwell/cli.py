@@ -4,8 +4,9 @@ and phase-space export, with byte-deterministic output and an on-disk cache.
 Output rows use a fixed column order and 17-significant-digit float
 formatting so that identical configurations produce identical bytes.  Sweep
 points are cached one file per point, keyed by a content hash of the exact
-coefficients and solver settings; each cache file carries a checksum line
-and is recomputed when it does not verify.
+coefficients, the point settings and the solver revision; each cache file
+is written atomically, carries a checksum line and is recomputed when it
+does not verify.
 """
 
 from __future__ import annotations
@@ -16,18 +17,21 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .phasespace import area
 from .potential import QuarticPotential, critical_points
 from .report import StateReport, state_reports
 from .rules import estimate_delta_gamma, validate_rules
-from .spectrum import SolverError, solve
+from .spectrum import SolverError, certified_states, solve
 
 __all__ = ["main", "JobConfig", "ConfigError", "SCHEMA_VERSION", "CSV_COLUMNS"]
 
 SCHEMA_VERSION = "dwell-result-v1"
+# part of every cache key: bump when the solver's arithmetic changes, so that
+# cached records computed by an older solver are not served
+SOLVER_REVISION = "banded-1"
 CACHE_DIR_ENV = "DWELL_CACHE_DIR"
 
 CSV_COLUMNS = [
@@ -58,6 +62,20 @@ def fmt_float(x: float) -> str:
 # ---------------------------------------------------------------- config
 
 
+@dataclass(frozen=True)
+class PointSettings:
+    """Every setting besides the potential that changes a point's records.
+
+    `point_records` reads its settings from here only and the cache key
+    hashes every field, so a setting added here is keyed automatically.
+    """
+
+    n_basis: int
+    n_states: int
+    grid_points: int
+    rho_floor: float
+
+
 @dataclass
 class JobConfig:
     alpha: float = 1.0
@@ -75,16 +93,21 @@ class JobConfig:
     workers: int = 0  # 0 = auto
     no_cache: bool = False
     cache_dir: Path | None = None
+    gammas_given: bool = False  # gamma set by a flag or the config file
+
+    @property
+    def point_settings(self) -> PointSettings:
+        return PointSettings(self.n_basis, self.n_states, self.grid_points, self.rho_floor)
 
     def validate(self) -> None:
         if not self.betas or not self.gammas:
             raise ConfigError("beta/gamma ranges must be non-empty")
         if self.n_states < 1:
             raise ConfigError("states must be positive")
-        if self.n_states > self.n_basis // 3:
+        if self.n_states > certified_states(self.n_basis):
             raise ConfigError(
-                f"states={self.n_states} exceeds n_basis/3={self.n_basis // 3} "
-                "(higher states are not certified converged)"
+                f"states={self.n_states} exceeds the {certified_states(self.n_basis)} "
+                f"states certified converged at n_basis={self.n_basis}"
             )
         if self.grid_points < 512:
             raise ConfigError("grid-points must be at least 512")
@@ -146,6 +169,7 @@ def build_config(args: argparse.Namespace) -> JobConfig:
     cfg.alpha = pick("alpha", "alpha", float, cfg.alpha)
     cfg.betas = pick("beta", "beta", parse_values, cfg.betas)
     cfg.gammas = pick("gamma", "gamma", parse_values, cfg.gammas)
+    cfg.gammas_given = getattr(args, "gamma", None) is not None or "gamma" in file_entries
     if getattr(args, "poly", None) is not None:
         coeffs = tuple(float(p) for p in args.poly.split(","))
         if len(coeffs) != 5:
@@ -249,47 +273,39 @@ def point_records(
     alpha: float,
     beta: float,
     gamma: float,
-    v0: str,
-    n_basis: int,
-    n_states: int,
-    grid_points: int,
-    rho_floor: float,
-    poly: tuple[float, ...] | None = None,
+    pot: QuarticPotential,
+    settings: PointSettings,
 ) -> list[dict[str, str]]:
     """All per-state records of one parameter point (raises on failure)."""
-    if poly is not None:
-        pot = QuarticPotential(*poly)
-    else:
-        pot = resolve_potential(alpha, beta, gamma, v0)
     reports = state_reports(
-        pot, n_basis=n_basis, n_states=n_states, grid_points=grid_points,
-        rho_floor=rho_floor,
+        pot, n_basis=settings.n_basis, n_states=settings.n_states,
+        grid_points=settings.grid_points, rho_floor=settings.rho_floor,
     )
     return [record_from_report(alpha, beta, gamma, rep) for rep in reports]
 
 
-def _sweep_worker(payload: tuple) -> tuple[float, float, list[dict[str, str]] | None, str]:
-    alpha, beta, gamma, v0, n_basis, n_states, grid_points, rho_floor = payload
+def _sweep_worker(payload: tuple) -> tuple[list[dict[str, str]] | None, str]:
     try:
-        recs = point_records(
-            alpha, beta, gamma, v0, n_basis, n_states, grid_points, rho_floor
-        )
-        return beta, gamma, recs, ""
+        return point_records(*payload), ""
     except (SolverError, ValueError) as exc:
-        return beta, gamma, None, str(exc)
+        return None, str(exc)
 
 
 # ---------------------------------------------------------------- cache
 
 
-def cache_key(pot: QuarticPotential, n_basis: int, n_states: int, grid_points: int) -> str:
+def cache_key(pot: QuarticPotential, settings: PointSettings) -> str:
+    """Content hash of everything a point's records depend on."""
+    fields = {
+        name: value.hex() if isinstance(value, float) else value
+        for name, value in asdict(settings).items()
+    }
     payload = json.dumps(
         {
             "schema": SCHEMA_VERSION,
+            "solver": SOLVER_REVISION,
             "coeffs": [c.hex() for c in (pot.c4, pot.c3, pot.c2, pot.c1, pot.c0)],
-            "n_basis": n_basis,
-            "n_states": n_states,
-            "grid_points": grid_points,
+            **fields,
         },
         sort_keys=True,
     )
@@ -315,12 +331,17 @@ def cache_load(cache_dir: Path, key: str) -> list[dict[str, str]] | None:
 
 
 def cache_store(cache_dir: Path, key: str, records: list[dict[str, str]]) -> None:
+    """Write via a per-process temp file and an atomic rename, so that a
+    concurrent reader sees either the old file or the complete new one."""
     cache_dir.mkdir(parents=True, exist_ok=True)
     body = json.dumps({"schema": SCHEMA_VERSION, "records": records}, sort_keys=True)
     digest = hashlib.sha256(body.encode()).hexdigest()
-    (cache_dir / f"{key}.json").write_text(
-        f"{body}\nsha256:{digest}", encoding="utf-8"
-    )
+    tmp = cache_dir / f".{key}.{os.getpid()}.tmp"
+    try:
+        tmp.write_text(f"{body}\nsha256:{digest}", encoding="utf-8")
+        os.replace(tmp, cache_dir / f"{key}.json")
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------- writers
@@ -378,10 +399,11 @@ def cmd_solve(cfg: JobConfig) -> int:
     beta = cfg.betas[0]
     gamma = cfg.gammas[0]
     try:
-        records = point_records(
-            cfg.alpha, beta, gamma, cfg.v0, cfg.n_basis, cfg.n_states,
-            cfg.grid_points, cfg.rho_floor, poly=cfg.poly,
-        )
+        if cfg.poly is not None:
+            pot = QuarticPotential(*cfg.poly)
+        else:
+            pot = resolve_potential(cfg.alpha, beta, gamma, cfg.v0)
+        records = point_records(cfg.alpha, beta, gamma, pot, cfg.point_settings)
     except (SolverError, ValueError) as exc:
         print(f"error: solve failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -394,6 +416,7 @@ def cmd_solve(cfg: JobConfig) -> int:
 def cmd_sweep(cfg: JobConfig) -> int:
     points = [(b, g) for b in cfg.betas for g in cfg.gammas]
     cache_dir = cfg.cache_dir if cfg.cache_dir is not None else cfg.outdir / "cache"
+    settings = cfg.point_settings
     results: dict[tuple[float, float], list[dict[str, str]]] = {}
     failures = 0
     pending = []
@@ -404,18 +427,14 @@ def cmd_sweep(cfg: JobConfig) -> int:
             results[(beta, gamma)] = [error_record(cfg.alpha, beta, gamma, str(exc))]
             failures += 1
             continue
-        key = cache_key(pot, cfg.n_basis, cfg.n_states, cfg.grid_points)
+        key = cache_key(pot, settings)
         cached = None if cfg.no_cache else cache_load(cache_dir, key)
         if cached is not None:
             results[(beta, gamma)] = cached
         else:
-            pending.append((beta, gamma, key))
+            pending.append((beta, gamma, pot, key))
 
-    payloads = [
-        (cfg.alpha, beta, gamma, cfg.v0, cfg.n_basis, cfg.n_states,
-         cfg.grid_points, cfg.rho_floor)
-        for beta, gamma, _ in pending
-    ]
+    payloads = [(cfg.alpha, beta, gamma, pot, settings) for beta, gamma, pot, _ in pending]
     workers = cfg.workers if cfg.workers > 0 else min(len(pending) or 1, os.cpu_count() or 1)
     if workers > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -423,7 +442,7 @@ def cmd_sweep(cfg: JobConfig) -> int:
     else:
         outcomes = [_sweep_worker(p) for p in payloads]
 
-    for (beta, gamma, key), (_, _, recs, err) in zip(pending, outcomes):
+    for (beta, gamma, _, key), (recs, err) in zip(pending, outcomes):
         if recs is None:
             results[(beta, gamma)] = [error_record(cfg.alpha, beta, gamma, err)]
             failures += 1
@@ -444,8 +463,7 @@ def cmd_sweep(cfg: JobConfig) -> int:
     return EXIT_OK
 
 
-def cmd_validate_rules(cfg: JobConfig, alphas: tuple[float, ...],
-                       gammas_given: bool) -> int:
+def cmd_validate_rules(cfg: JobConfig, alphas: tuple[float, ...]) -> int:
     blocks = []
     for alpha in alphas:
         est = estimate_delta_gamma(alpha, n_basis=cfg.n_basis)
@@ -456,7 +474,7 @@ def cmd_validate_rules(cfg: JobConfig, alphas: tuple[float, ...],
             "transitions": [fmt_float(t) for t in est.transitions],
             "beta_used": fmt_float(est.beta_used),
         }
-        if gammas_given:
+        if cfg.gammas_given:
             report = validate_rules(
                 alpha, cfg.betas[0], cfg.gammas, n_max=cfg.n_states - 1,
                 delta_gamma=est.delta_gamma, n_basis=cfg.n_basis,
@@ -664,7 +682,7 @@ def main(argv: list[str] | None = None) -> int:
                 parse_values(args.alphas) if getattr(args, "alphas", None)
                 else (cfg.alpha,)
             )
-            return cmd_validate_rules(cfg, alphas, gammas_given=args.gamma is not None)
+            return cmd_validate_rules(cfg, alphas)
         if args.command == "table":
             return cmd_table(cfg, args.number)
         if args.command == "phase-space":

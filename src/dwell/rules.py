@@ -28,7 +28,7 @@ from scipy.optimize import minimize_scalar
 
 from .measures import Occupancy, well_occupancy
 from .potential import QuarticPotential, critical_points
-from .spectrum import quasi_degenerate_pairs, solve, solve_energies
+from .spectrum import certified_states, quasi_degenerate_pairs, solve
 from .wavefunction import build_grid, position_functions, GridFunction
 
 __all__ = [
@@ -157,25 +157,21 @@ def estimate_delta_gamma(
     is refined by bounded scalar minimization before the sharpness test.
     """
     beta = beta_probe if beta_probe is not None else 16.0 * math.sqrt(alpha)
+
+    def energies_at(g: float) -> np.ndarray:
+        pot = QuarticPotential.from_well_params(alpha, beta, g)
+        return solve(pot, n_basis, 6).energies
+
     for attempt in range(4):
         if gamma_range is not None:
             lo, hi = gamma_range
         else:
             lo, hi = 0.05, 8.8 * math.sqrt(alpha) * (1.3 ** attempt)
         gammas = np.linspace(lo, hi, n_scan)
-        table = np.array(
-            [
-                solve_energies(
-                    QuarticPotential.from_well_params(alpha, beta, g), n_basis
-                )[:6]
-                for g in gammas
-            ]
-        )
+        table = np.array([energies_at(g) for g in gammas])
 
         def gap_at(g: float, pair: int) -> float:
-            e = solve_energies(
-                QuarticPotential.from_well_params(alpha, beta, g), n_basis
-            )
+            e = energies_at(g)
             return float(e[pair + 1] - e[pair])
 
         found: list[float] = []
@@ -299,14 +295,14 @@ def measured_occupancies(
     resolution, so pair membership itself marks a state as transitional
     (classified BOTH) regardless of the measured split.
     """
-    spec = solve(pot, n_basis=n_basis, n_states=min(n_max + 2, n_basis // 2))
+    spec = solve(pot, n_basis=n_basis, n_states=min(n_max + 2, certified_states(n_basis)))
     geometry = critical_points(pot)
     pairs = tuple(
         (a, b)
         for a, b, _ in quasi_degenerate_pairs(spec, rel_tol=rel_tol, n_max=n_max + 1)
     )
     paired = {i for ab in pairs for i in ab}
-    grid = build_grid(pot, spec.energy(min(n_max + 1, spec.n_verified - 1)), grid_points)
+    grid = build_grid(pot, spec.energy(spec.n_verified - 1), grid_points)
     psi, _ = position_functions(spec, grid, n_max + 1)
     occs = []
     at_transition = []

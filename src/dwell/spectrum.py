@@ -1,21 +1,23 @@
-"""Eigenvalues and eigenvectors of the quartic-potential Hamiltonian.
+"""Lowest eigenpairs of the quartic-potential Hamiltonian.
 
-Solving is a thin pipeline: optimal sigma -> position-space matrix -> dense
-symmetric eigendecomposition (LAPACK via scipy).  For exactly symmetric
-potentials (c1 = c3 = 0) the matrix decouples into even/odd oscillator-index
-blocks which are diagonalized separately; the merged eigenvectors then carry
-exact parity, which keeps near-degenerate tunneling doublets from coming out
-as arbitrary left/right mixtures.
+Solving is a thin pipeline: optimal sigma -> position-space band (bandwidth
+4) -> selective symmetric band eigensolver (LAPACK dsbevx via scipy's
+`eig_banded`), which computes only the requested states.  For exactly
+symmetric potentials (c1 = c3 = 0) the band decouples into even/odd
+oscillator-index blocks of bandwidth 2 which are diagonalized separately;
+the merged eigenvectors then carry exact parity, which keeps
+near-degenerate tunneling doublets from coming out as arbitrary left/right
+mixtures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh
+from scipy.linalg import eig_banded
 
-from .basis import BasisSpec, assemble_position, optimal_sigma
+from .basis import BasisSpec, assemble_position, band_matvec, optimal_sigma
 from .potential import QuarticPotential
 
 __all__ = [
@@ -23,13 +25,21 @@ __all__ = [
     "SolverError",
     "ConvergenceFailure",
     "BasisTooSmall",
+    "certified_states",
     "solve",
-    "solve_energies",
     "quasi_degenerate_pairs",
 ]
 
 RESIDUAL_TOL = 1e-10
 DEGENERACY_REL_TOL = 1e-6
+
+
+def certified_states(n_basis: int) -> int:
+    """Number of lowest states an n_basis basis certifies: n <= n_basis // 3.
+
+    Higher states are variationally corrupted by basis truncation.
+    """
+    return n_basis // 3 + 1
 
 
 class SolverError(Exception):
@@ -46,18 +56,17 @@ class BasisTooSmall(SolverError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Ascending eigenvalues with orthonormal coefficient vectors.
+    """The lowest eigenvalues, ascending, with orthonormal coefficient vectors.
 
     `coefficients[:, n]` expands state n in the sigma-scaled oscillator
-    basis (position representation; real).  Only the lowest ~n_basis/3
-    states are certified converged; higher ones are variationally corrupted.
+    basis (position representation; real).  Only the requested states are
+    computed, and each of them is residual-checked.
     """
 
     potential: QuarticPotential
     basis: BasisSpec
     energies: np.ndarray
     coefficients: np.ndarray
-    n_verified: int = field(default=0)
 
     def __post_init__(self) -> None:
         self.energies.setflags(write=False)
@@ -70,7 +79,11 @@ class Spectrum:
         return self.coefficients[:, n]
 
     def converged(self, n: int) -> bool:
-        return n <= self.basis.n_basis // 3
+        return n < certified_states(self.n_basis)
+
+    @property
+    def n_verified(self) -> int:
+        return len(self.energies)
 
     @property
     def n_basis(self) -> int:
@@ -85,53 +98,41 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 _PARITY_TIE_TOL = 1e-12
+_MIRROR = np.array([1.0, -1.0, 1.0, -1.0, 1.0])  # band row 4 - d gets (-1)^d
 
 
-def _eigh_parity_blocks(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize even and odd oscillator-index blocks separately.
+def _lowest(band: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    return eig_banded(band, select="i", select_range=(0, k - 1))
 
-    Valid whenever the +/-1 and +/-3 bands vanish identically.  Doublets
+
+def _parity_blocks(band: np.ndarray, n_states: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest n_states of the even and odd oscillator-index blocks, merged.
+
+    Valid whenever the +/-1 and +/-3 bands vanish identically; each block is
+    then a bandwidth-2 band made of rows 0, 2, 4 of the full band.  Doublets
     whose splitting is below solver resolution come out in noise order, so
     within each tied run the eigenvectors are relabeled even-parity first
     (the true ordering of tunneling doublets); energies stay as sorted.
     """
-    n = h.shape[0]
-    energies = np.empty(n)
-    vectors = np.zeros((n, n))
-    parities = np.empty(n, dtype=int)
-    pieces = []
+    n = band.shape[1]
+    energies, vectors, parities = [], [], []
     for parity in (0, 1):
-        idx = np.arange(parity, n, 2)
-        w, v = eigh(h[np.ix_(idx, idx)])
-        pieces.append((idx, w, v))
-    all_w = np.concatenate([w for _, w, _ in pieces])
-    owners = np.concatenate(
-        [np.full(w.size, k) for k, (_, w, _) in enumerate(pieces)]
-    )
-    inner = np.concatenate([np.arange(w.size) for _, w, _ in pieces])
-    order = np.argsort(all_w, kind="stable")
-    for out_col, j in enumerate(order):
-        idx, w, v = pieces[owners[j]]
-        energies[out_col] = w[inner[j]]
-        vectors[idx, out_col] = v[:, inner[j]]
-        parities[out_col] = owners[j]
+        block = band[::2, parity::2]
+        w, v = _lowest(block, min(n_states, block.shape[1]))
+        full = np.zeros((n, w.size))
+        full[parity::2] = v
+        energies.append(w)
+        vectors.append(full)
+        parities.append(np.full(w.size, parity))
+    order = np.argsort(np.concatenate(energies), kind="stable")
+    energies = np.concatenate(energies)[order]
+    vectors = np.hstack(vectors)[:, order]
+    parities = np.concatenate(parities)[order]
     # even-before-odd inside runs of numerically equal energies
-    start = 0
-    while start < n:
-        stop = start + 1
-        while (
-            stop < n
-            and energies[stop] - energies[stop - 1]
-            <= _PARITY_TIE_TOL * (1.0 + abs(energies[stop - 1]))
-        ):
-            stop += 1
-        if stop - start > 1:
-            cols = np.arange(start, stop)
-            resorted = cols[np.argsort(parities[cols], kind="stable")]
-            vectors[:, cols] = vectors[:, resorted]
-            parities[cols] = parities[resorted]
-        start = stop
-    return energies, vectors
+    steps = np.diff(energies) > _PARITY_TIE_TOL * (1.0 + np.abs(energies[:-1]))
+    runs = np.concatenate([[0], np.cumsum(steps)])
+    vectors = vectors[:, np.lexsort((parities, runs))]
+    return energies[:n_states], vectors[:, :n_states]
 
 
 def solve(
@@ -140,48 +141,46 @@ def solve(
     n_states: int = 8,
     sigma: float | None = None,
 ) -> Spectrum:
-    """Diagonalize the potential in its trace-optimal oscillator basis.
+    """The lowest `n_states` eigenpairs in the trace-optimal oscillator basis.
 
-    The first `n_states` states are residual-checked; requesting a state
-    index at or beyond n_basis/2 raises BasisTooSmall.  `sigma` overrides
-    the trace-optimal basis scale (robustness experiments only).
+    Every returned state is residual-checked; requesting states beyond the
+    certified band (see `certified_states`) raises BasisTooSmall.  `sigma`
+    overrides the trace-optimal basis scale (robustness experiments only).
     """
     if n_states < 1 or n_states > n_basis:
         raise ValueError("n_states must be in [1, n_basis]")
-    if n_states - 1 >= n_basis / 2:
+    if n_states > certified_states(n_basis):
         raise BasisTooSmall(
-            f"state {n_states - 1} requested with only {n_basis} basis functions"
+            f"state {n_states - 1} requested with only {n_basis} basis functions "
+            f"(certified up to state {certified_states(n_basis) - 1})"
         )
     if sigma is None:
         sigma = optimal_sigma(pot, n_basis)
     basis = BasisSpec(n_basis=n_basis, sigma=sigma)
-    h = assemble_position(pot, basis).matrix
+    band = assemble_position(pot, basis)
     try:
         if pot.c1 == 0.0 and pot.c3 == 0.0:
-            energies, vectors = _eigh_parity_blocks(h)
+            energies, vectors = _parity_blocks(band, n_states)
+        elif pot.c3 < 0.0 or (pot.c3 == 0.0 and pot.c1 < 0.0):
+            # solve the mirror image x -> -x (odd bands negated) and map back,
+            # so that mirror images get mirrored vectors to the last bit even
+            # where a doublet leaves them ill-conditioned
+            energies, vectors = _lowest(band * _MIRROR[:, None], n_states)
+            vectors[1::2] *= -1.0
         else:
-            energies, vectors = eigh(h)
+            energies, vectors = _lowest(band, n_states)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK hiccup
         raise ConvergenceFailure(str(exc)) from exc
     vectors = _fix_signs(vectors)
-    residual = h @ vectors[:, :n_states] - vectors[:, :n_states] * energies[:n_states]
-    res_norms = np.linalg.norm(residual, axis=0)
-    bounds = RESIDUAL_TOL * np.maximum(1.0, np.abs(energies[:n_states]))
+    res_norms = np.linalg.norm(band_matvec(band, vectors) - vectors * energies, axis=0)
+    bounds = RESIDUAL_TOL * np.maximum(1.0, np.abs(energies))
     if np.any(res_norms > bounds):
         worst = int(np.argmax(res_norms / bounds))
         raise ConvergenceFailure(
             f"residual {res_norms[worst]:.3e} for state {worst} exceeds "
             f"{bounds[worst]:.3e}"
         )
-    return Spectrum(pot, basis, energies, vectors, n_verified=n_states)
-
-
-def solve_energies(pot: QuarticPotential, n_basis: int = 100) -> np.ndarray:
-    """Eigenvalues only (no vectors); fast path for parameter sweeps."""
-    sigma = optimal_sigma(pot, n_basis)
-    basis = BasisSpec(n_basis=n_basis, sigma=sigma)
-    h = assemble_position(pot, basis).matrix
-    return eigvalsh(h)
+    return Spectrum(pot, basis, energies, vectors)
 
 
 def quasi_degenerate_pairs(

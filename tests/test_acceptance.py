@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import well_solve
+from conftest import assemble_momentum, dense_band, well_solve
 from dwell import (
     FISHER_PRODUCT_BOUND,
     ONICESCU_PRODUCT_BOUND,
@@ -23,7 +23,6 @@ from dwell import (
     Occupancy,
     QuarticPotential,
     area,
-    assemble_momentum,
     assemble_position,
     build_grid,
     build_momentum_grid,
@@ -252,8 +251,8 @@ def test_criterion_07_representation_equivalence():
     pot = QuarticPotential.from_well_params(1.0, 20.0, 3.0)
     sigma = optimal_sigma(pot, 100)
     basis = BasisSpec(100, sigma)
-    e_pos = eigvalsh(assemble_position(pot, basis).matrix)
-    e_mom = eigvalsh(assemble_momentum(pot, basis).matrix)
+    e_pos = eigvalsh(dense_band(assemble_position(pot, basis)))
+    e_mom = eigvalsh(assemble_momentum(pot, basis))
     rel = np.abs(e_pos[:33] - e_mom[:33]) / np.maximum(1.0, np.abs(e_pos[:33]))
     ok_spec = rel.max() <= 1e-10
 

@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import assemble_momentum, dense_band, ladder_hamiltonian
 from dwell import QuarticPotential
 from dwell.basis import (
     BasisSpec,
-    Representation,
-    assemble_momentum,
     assemble_position,
+    band_matvec,
     momentum_squared_matrix,
     optimal_sigma,
     position_matrix,
     position_squared_matrix,
 )
+
+
+def position_hamiltonian(pot, basis):
+    return dense_band(assemble_position(pot, basis))
 
 
 def closed_form_position_matrix(alpha, beta, gamma, sigma, n):
@@ -97,7 +101,7 @@ def test_optimal_sigma_is_local_minimum_of_trace(alpha, beta):
     basis = BasisSpec(60, sigma)
 
     def tr(s):
-        return np.trace(assemble_position(pot, BasisSpec(60, s)).matrix)
+        return np.trace(position_hamiltonian(pot, BasisSpec(60, s)))
 
     t0 = tr(sigma)
     assert t0 <= tr(sigma * 0.99) + 1e-10 * abs(t0)
@@ -116,7 +120,7 @@ def test_optimal_sigma_is_local_minimum_of_trace(alpha, beta):
 )
 def test_assembler_reproduces_closed_form(alpha, beta, gamma, sigma):
     pot = QuarticPotential.from_well_params(alpha, beta, gamma)
-    h = assemble_position(pot, BasisSpec(40, sigma)).matrix
+    h = position_hamiltonian(pot, BasisSpec(40, sigma))
     ref = closed_form_position_matrix(alpha, beta, gamma, sigma, 40)
     scale = np.abs(ref).max()
     assert np.abs(h - ref).max() <= 1e-13 * scale
@@ -125,7 +129,7 @@ def test_assembler_reproduces_closed_form(alpha, beta, gamma, sigma):
 def test_linear_band_element_value():
     # gamma sqrt((l+1)/(4 sigma)) with l = 0, gamma = 3, sigma = 1
     pot = QuarticPotential.from_well_params(1.0, 20.0, 3.0)
-    h = assemble_position(pot, BasisSpec(6, 1.0)).matrix
+    h = position_hamiltonian(pot, BasisSpec(6, 1.0))
     assert h[0, 1] == pytest.approx(1.5, abs=1e-14)
     assert h[1, 0] == pytest.approx(1.5, abs=1e-14)
 
@@ -135,7 +139,7 @@ def test_harmonic_limit_is_diagonal():
     # off-diagonals cancel, eigenvalues 2 sigma (2l + 1)
     sigma = 0.7
     pot = QuarticPotential(c4=1e-300, c2=4.0 * sigma**2)
-    h = assemble_position(pot, BasisSpec(12, sigma)).matrix
+    h = position_hamiltonian(pot, BasisSpec(12, sigma))
     off = h - np.diag(np.diag(h))
     assert np.abs(off).max() <= 1e-13 * np.abs(h).max()
     assert np.allclose(np.diag(h), 2.0 * sigma * (2.0 * np.arange(12) + 1.0), rtol=1e-14)
@@ -143,16 +147,16 @@ def test_harmonic_limit_is_diagonal():
 
 def test_bandedness_exact_zeros():
     pot = QuarticPotential(0.8, -0.4, -5.0, 2.0, 1.0)
-    h = assemble_position(pot, BasisSpec(30, 1.3)).matrix
+    h = position_hamiltonian(pot, BasisSpec(30, 1.3))
     l = np.arange(30)
     outside = np.abs(l[:, None] - l[None, :]) > 4
     assert np.all(h[outside] == 0.0)
     # the |l-m|=3 band is populated only through the cubic term
     band3 = np.abs(l[:, None] - l[None, :]) == 3
     assert np.any(h[band3] != 0.0)
-    h_nocubic = assemble_position(
+    h_nocubic = position_hamiltonian(
         QuarticPotential(0.8, 0.0, -5.0, 2.0, 1.0), BasisSpec(30, 1.3)
-    ).matrix
+    )
     assert np.all(h_nocubic[band3] == 0.0)
 
 
@@ -162,7 +166,7 @@ def test_matrix_elements_match_quadrature_oracle():
         (QuarticPotential(0.01, -0.0075, -0.0025, 0.0, 0.0), 0.63),
     ]
     for pot, sigma in pots:
-        h = assemble_position(pot, BasisSpec(31, sigma)).matrix
+        h = position_hamiltonian(pot, BasisSpec(31, sigma))
         scale = np.abs(h).max()
         for l in range(0, 31, 5):
             for m in range(l, 31, 5):
@@ -173,8 +177,8 @@ def test_matrix_elements_match_quadrature_oracle():
 def test_momentum_matrix_is_phase_conjugation_of_position():
     pot = QuarticPotential.from_well_params(1.0, 20.0, 3.0)
     basis = BasisSpec(50, 1.7)
-    h = assemble_position(pot, basis).matrix
-    g = assemble_momentum(pot, basis).matrix
+    h = position_hamiltonian(pot, basis)
+    g = assemble_momentum(pot, basis)
     d = np.diag((-1j) ** np.arange(50))
     ref = d @ h @ d.conj().T
     assert np.abs(g - ref).max() <= 1e-14 * np.abs(h).max()
@@ -186,7 +190,7 @@ def test_momentum_linear_band_phases():
     # with gamma = 3, sigma = 1: |g_10| = 1.5 on the first subdiagonal and the
     # phases follow g_lm = (-i)^(l-m) h_lm
     pot = QuarticPotential.from_well_params(1.0, 20.0, 3.0)
-    g = assemble_momentum(pot, BasisSpec(6, 1.0)).matrix
+    g = assemble_momentum(pot, BasisSpec(6, 1.0))
     assert g[1, 0] == pytest.approx(-1.5j, abs=1e-14)
     assert g[0, 1] == pytest.approx(+1.5j, abs=1e-14)
 
@@ -194,8 +198,8 @@ def test_momentum_linear_band_phases():
 def test_momentum_symmetric_case_is_real_with_flipped_band():
     pot = QuarticPotential.from_well_params(1.0, 12.0, 0.0)
     basis = BasisSpec(24, 1.1)
-    h = assemble_position(pot, basis).matrix
-    g = assemble_momentum(pot, basis).matrix
+    h = position_hamiltonian(pot, basis)
+    g = assemble_momentum(pot, basis)
     assert np.abs(g.imag).max() == 0.0
     l = np.arange(24)
     band2 = np.abs(l[:, None] - l[None, :]) == 2
@@ -208,8 +212,8 @@ def test_momentum_representation_with_cubic_term():
     # the |l-m| = 3 band (cubic term) picks up phases (-i)^(l-m) = -+i too
     pot = QuarticPotential(0.01, -0.0075, -0.0025, 0.0, 0.0)
     basis = BasisSpec(60, 0.63)
-    h = assemble_position(pot, basis).matrix
-    g = assemble_momentum(pot, basis).matrix
+    h = position_hamiltonian(pot, basis)
+    g = assemble_momentum(pot, basis)
     d = np.diag((-1j) ** np.arange(60))
     assert np.abs(g - d @ h @ d.conj().T).max() <= 1e-14 * np.abs(h).max()
     from scipy.linalg import eigvalsh
@@ -219,11 +223,25 @@ def test_momentum_representation_with_cubic_term():
     assert np.allclose(e_h, e_g, rtol=1e-10, atol=1e-12)
 
 
-def test_representation_labels():
-    pot = QuarticPotential.from_well_params(1.0, 5.0, 1.0)
-    basis = BasisSpec(10, 1.0)
-    assert assemble_position(pot, basis).representation is Representation.POSITION
-    assert assemble_momentum(pot, basis).representation is Representation.MOMENTUM
+def test_band_layout_and_padding():
+    # LAPACK upper storage: band[4 - d, j] = h[j - d, j]; the d leading
+    # entries of row 4 - d lie outside the matrix and stay zero
+    pot = QuarticPotential(0.8, -0.4, -5.0, 2.0, 1.0)
+    band = assemble_position(pot, BasisSpec(12, 1.3))
+    assert band.shape == (5, 12)
+    for d in range(1, 5):
+        assert np.all(band[4 - d, :d] == 0.0)
+    ref = ladder_hamiltonian(pot, BasisSpec(12, 1.3))
+    for d in range(5):
+        assert np.allclose(band[4 - d, d:], np.diag(ref, d), rtol=1e-14, atol=1e-14)
+
+
+def test_band_matvec_matches_dense_product(rng):
+    pot = QuarticPotential(0.8, -0.4, -5.0, 2.0, 1.0)
+    band = assemble_position(pot, BasisSpec(30, 1.3))
+    v = rng.standard_normal((30, 3))
+    h = dense_band(band)
+    assert np.abs(band_matvec(band, v) - h @ v).max() <= 1e-13 * np.abs(h).max()
 
 
 def test_operator_matrices_consistent_with_hamiltonian():
@@ -239,7 +257,7 @@ def test_operator_matrices_consistent_with_hamiltonian():
     a[idx, idx + 1] = np.sqrt(idx + 1.0)
     x_pad = (a + a.T) / (2.0 * math.sqrt(0.9))
     assert np.allclose(x2, (x_pad @ x_pad)[:20, :20], atol=1e-15)
-    h = assemble_position(pot, basis).matrix
+    h = position_hamiltonian(pot, basis)
     rebuilt = p2 + 0.5 * (x_pad @ x_pad @ x_pad @ x_pad)[:20, :20] - 3.0 * x2
     rebuilt += 1.0 * x + 0.25 * np.eye(20)
     assert np.abs(h - rebuilt).max() <= 1e-13 * np.abs(h).max()

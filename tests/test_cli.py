@@ -1,11 +1,21 @@
 import csv
+import dataclasses
 import json
 import os
 from pathlib import Path
 
 import pytest
 
-from dwell.cli import SCHEMA_VERSION, CSV_COLUMNS, main, parse_values, ConfigError
+from dwell import QuarticPotential, cli
+from dwell.cli import (
+    SCHEMA_VERSION,
+    CSV_COLUMNS,
+    ConfigError,
+    PointSettings,
+    cache_key,
+    main,
+    parse_values,
+)
 
 
 def read_rows(path: Path):
@@ -132,6 +142,65 @@ def test_sweep_corrupted_cache_recomputed(tmp_path):
     assert "enemgy" not in fresh
 
 
+def test_sweep_truncated_cache_recomputed(tmp_path):
+    args = [
+        "sweep", "--alpha", "1", "--beta", "12", "--gamma", "0.5",
+        "--states", "3", "--grid-points", "512",
+        "--outdir", str(tmp_path), "--workers", "1",
+    ]
+    assert main(args) == 0
+    first = (tmp_path / "sweep.csv").read_bytes()
+    (cache_file,) = (tmp_path / "cache").glob("*.json")
+    whole = cache_file.read_bytes()
+    cache_file.write_bytes(whole[: len(whole) // 2])  # a torn write
+    assert main(args) == 0
+    assert (tmp_path / "sweep.csv").read_bytes() == first
+    assert cache_file.read_bytes() == whole
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [cache_file.name]
+
+
+def test_cache_store_leaves_no_temp_file(tmp_path):
+    records = [{"n": "0", "energy": "1.5"}]
+    cli.cache_store(tmp_path, "abc", records)
+    cli.cache_store(tmp_path, "abc", records)  # overwrite in place
+    assert [p.name for p in tmp_path.iterdir()] == ["abc.json"]
+    assert cli.cache_load(tmp_path, "abc") == records
+
+
+def test_sweep_cache_key_includes_rho_floor(tmp_path):
+    # the floor changes effective_nodes, so a cached answer computed with
+    # the default floor must not be served for another floor
+    args = [
+        "sweep", "--alpha", "1", "--beta", "10", "--gamma", "0.5",
+        "--states", "6", "--grid-points", "1024", "--workers", "1",
+        "--outdir", str(tmp_path),
+    ]
+    assert main(args) == 0
+    default_floor = read_rows(tmp_path / "sweep.csv")
+    assert main(args + ["--rho-floor", "0.6"]) == 0
+    cached = (tmp_path / "sweep.csv").read_bytes()
+    assert main(args + ["--rho-floor", "0.6", "--no-cache"]) == 0
+    assert (tmp_path / "sweep.csv").read_bytes() == cached
+    high_floor = read_rows(tmp_path / "sweep.csv")
+    assert default_floor[5]["effective_nodes"] == "5"
+    assert high_floor[5]["effective_nodes"] == "2"
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 2
+
+
+def test_cache_key_covers_every_point_setting(monkeypatch):
+    pot = QuarticPotential.from_well_params(1.0, 10.0, 0.5)
+    base = PointSettings(n_basis=100, n_states=6, grid_points=1024, rho_floor=0.01)
+    keys = {cache_key(pot, base)}
+    for f in dataclasses.fields(PointSettings):
+        value = getattr(base, f.name)
+        keys.add(cache_key(pot, dataclasses.replace(base, **{f.name: value * 2})))
+    keys.add(cache_key(pot.shifted(1.0), base))
+    assert len(keys) == len(dataclasses.fields(PointSettings)) + 2
+    # records written by another solver revision are not served
+    monkeypatch.setattr(cli, "SOLVER_REVISION", "another-solver")
+    assert cache_key(pot, base) not in keys
+
+
 def test_cache_dir_env_override(tmp_path, monkeypatch):
     cache_dir = tmp_path / "elsewhere"
     monkeypatch.setenv("DWELL_CACHE_DIR", str(cache_dir))
@@ -234,6 +303,21 @@ def test_validate_rules_report(tmp_path):
     assert float(block["delta_gamma"]) == pytest.approx(2.0, abs=0.05)
     assert float(block["occupancy_agreement"]) == 1.0
     assert len(block["points"]) == 2
+
+
+def test_validate_rules_reads_gammas_from_config(tmp_path):
+    cfg = tmp_path / "rules.cfg"
+    cfg.write_text("beta = 20\ngamma = 1,3\nstates = 4\ngrid_points = 1024\n",
+                   encoding="utf-8")
+    rc = main([
+        "validate-rules", "--alphas", "1", "--config", str(cfg),
+        "--outdir", str(tmp_path),
+    ])
+    assert rc == 0
+    doc = json.loads((tmp_path / "validate_rules.json").read_text(encoding="utf-8"))
+    (block,) = doc["results"]
+    assert [float(p["gamma"]) for p in block["points"]] == [1.0, 3.0]
+    assert block["beta"] == "20"
 
 
 def test_table_5_occupancy(tmp_path):

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import well_solve
+from conftest import ladder_hamiltonian, well_solve
 from dwell import (
     BasisTooSmall,
     QuarticPotential,
+    certified_states,
     mirror,
     quasi_degenerate_pairs,
     solve,
 )
-from dwell.basis import assemble_position
-from dwell.spectrum import solve_energies
 
 BENCHMARK_QUARTIC = QuarticPotential(0.01, -0.0075, -0.0025, 0.0, 0.0)
 # independent high-accuracy eigenvalues for the benchmark quartic potential
@@ -89,12 +88,14 @@ def test_pairs_are_greedy_non_overlapping():
 def test_spectrum_invariants():
     for args in [(1.0, 20.0, 3.0), (1.0, 5.0, 0.0), (0.5, 12.0, 1.0)]:
         spec = well_solve(*args, n_states=8)
+        assert spec.energies.shape == (8,)
+        assert spec.coefficients.shape == (spec.n_basis, 8)
         assert np.all(np.diff(spec.energies) >= 0.0)
         gram = spec.coefficients.T @ spec.coefficients
-        assert np.abs(gram - np.eye(spec.n_basis)).max() <= 1e-12
+        assert np.abs(gram - np.eye(8)).max() <= 1e-12
         pot = QuarticPotential.from_well_params(*args)
-        h = assemble_position(pot, spec.basis).matrix
-        res = h @ spec.coefficients[:, :8] - spec.coefficients[:, :8] * spec.energies[:8]
+        h = ladder_hamiltonian(pot, spec.basis)
+        res = h @ spec.coefficients - spec.coefficients * spec.energies
         bound = 1e-10 * np.maximum(1.0, np.abs(spec.energies[:8]))
         assert np.all(np.linalg.norm(res, axis=0) <= bound)
 
@@ -126,8 +127,8 @@ def test_basis_size_robustness_across_parameter_grid():
     for beta in (5.0, 10.0, 15.0, 20.0, 25.0, 30.0):
         for gamma in range(8):
             pot = QuarticPotential.from_well_params(1.0, beta, float(gamma))
-            e75 = solve_energies(pot, 75)[:11]
-            e100 = solve_energies(pot, 100)[:11]
+            e75 = solve(pot, 75, 11).energies
+            e100 = solve(pot, 100, 11).energies
             rel = np.abs(e75 - e100) / np.maximum(1.0, np.abs(e100))
             assert rel[:7].max() <= 1e-10
             assert rel.max() <= 1e-8
@@ -147,10 +148,14 @@ def test_sigma_robustness():
 def test_basis_too_small_error():
     pot = QuarticPotential.from_well_params(1.0, 10.0, 0.0)
     with pytest.raises(BasisTooSmall):
-        solve(pot, n_basis=20, n_states=11)  # state 10 >= n_basis/2
+        solve(pot, n_basis=20, n_states=11)  # state 10 > n_basis // 3
+    with pytest.raises(BasisTooSmall):
+        solve(pot, n_basis=30, n_states=12)  # first state past the band
+    assert solve(pot, n_basis=30, n_states=11).n_verified == 11
 
 
 def test_convergence_certification_flag():
     spec = well_solve(1.0, 10.0, 0.0, n_basis=100, n_states=8)
     assert spec.converged(33)
     assert not spec.converged(34)
+    assert certified_states(100) == 34
