@@ -60,11 +60,10 @@ from .wavefunction import (
     build_grid,
     build_momentum_grid,
     count_nodes,
-    eval_momentum,
-    eval_momentum_derivative,
     eval_position,
-    eval_position_derivative,
     grid_integral,
+    momentum_functions,
+    position_functions,
 )
 
 __version__ = "0.1.0"

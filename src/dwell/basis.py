@@ -42,9 +42,9 @@ __all__ = [
     "optimal_sigma",
     "assemble_position",
     "band_matvec",
-    "position_matrix",
-    "position_squared_matrix",
-    "momentum_squared_matrix",
+    "position_band",
+    "position_squared_band",
+    "momentum_squared_band",
 ]
 
 BANDWIDTH = 4  # the quartic term couples l to l +/- 4
@@ -115,16 +115,6 @@ def _band(
     return band
 
 
-def _dense(band: np.ndarray) -> np.ndarray:
-    """Full symmetric matrix of an upper band."""
-    u = band.shape[0] - 1
-    mat = np.diag(band[u])
-    for d in range(1, u + 1):
-        off = np.diag(band[u - d, d:], d)
-        mat += off + off.T
-    return mat
-
-
 def band_matvec(band: np.ndarray, v: np.ndarray) -> np.ndarray:
     """h @ v for the symmetric matrix h stored as an upper band; v is N x k."""
     u = band.shape[0] - 1
@@ -141,16 +131,16 @@ def assemble_position(pot: QuarticPotential, basis: BasisSpec) -> np.ndarray:
     return _band(basis, pot.c4, pot.c3, pot.c2, pot.c1, pot.c0, kinetic=1.0)
 
 
-def position_matrix(basis: BasisSpec) -> np.ndarray:
-    """Exact <l|x|m> (tridiagonal)."""
-    return _dense(_band(basis, c1=1.0))
+def position_band(basis: BasisSpec) -> np.ndarray:
+    """Exact <l|x|m> as an upper band (tridiagonal)."""
+    return _band(basis, c1=1.0)
 
 
-def position_squared_matrix(basis: BasisSpec) -> np.ndarray:
-    """Exact <l|x^2|m> (pentadiagonal)."""
-    return _dense(_band(basis, c2=1.0))
+def position_squared_band(basis: BasisSpec) -> np.ndarray:
+    """Exact <l|x^2|m> as an upper band (pentadiagonal)."""
+    return _band(basis, c2=1.0)
 
 
-def momentum_squared_matrix(basis: BasisSpec) -> np.ndarray:
-    """Exact <l|p^2|m> = <l|-d^2/dx^2|m> (pentadiagonal)."""
-    return _dense(_band(basis, kinetic=1.0))
+def momentum_squared_band(basis: BasisSpec) -> np.ndarray:
+    """Exact <l|p^2|m> = <l|-d^2/dx^2|m> as an upper band (pentadiagonal)."""
+    return _band(basis, kinetic=1.0)

@@ -4,7 +4,7 @@ and phase-space export, with byte-deterministic output and an on-disk cache.
 Output rows use a fixed column order and 17-significant-digit float
 formatting so that identical configurations produce identical bytes.  Sweep
 points are cached one file per point, keyed by a content hash of the exact
-coefficients, the point settings and the solver revision; each cache file
+coefficients, the point settings and the record revision; each cache file
 is written atomically, carries a checksum line and is recomputed when it
 does not verify.
 """
@@ -29,9 +29,10 @@ from .spectrum import SolverError, certified_states, solve
 __all__ = ["main", "JobConfig", "ConfigError", "SCHEMA_VERSION", "CSV_COLUMNS"]
 
 SCHEMA_VERSION = "dwell-result-v1"
-# part of every cache key: bump when the solver's arithmetic changes, so that
-# cached records computed by an older solver are not served
-SOLVER_REVISION = "banded-1"
+# part of every cache key: bump whenever the arithmetic behind a cached record
+# changes (solver or per-state layer), so that records computed by older code
+# are not served
+RECORD_REVISION = "batched-2"
 CACHE_DIR_ENV = "DWELL_CACHE_DIR"
 
 CSV_COLUMNS = [
@@ -303,7 +304,7 @@ def cache_key(pot: QuarticPotential, settings: PointSettings) -> str:
     payload = json.dumps(
         {
             "schema": SCHEMA_VERSION,
-            "solver": SOLVER_REVISION,
+            "revision": RECORD_REVISION,
             "coeffs": [c.hex() for c in (pot.c4, pot.c3, pot.c2, pot.c1, pot.c0)],
             **fields,
         },

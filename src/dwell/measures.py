@@ -1,9 +1,10 @@
-"""Uncertainties, well occupancies and information measures of a state.
+"""Uncertainties, well occupancies and information measures of states.
 
-Moments of x and p are computed algebraically from ladder-operator matrices
-(quadrature-free); the entropic functionals are Simpson integrals of sampled
-densities, with density derivatives taken from the analytic Hermite
-derivative rather than finite differences.
+Moments of x and p are band quadratic forms of the coefficient vectors
+(quadrature-free), computed for all states at once; the entropic functionals
+are Simpson integrals of sampled densities, with density derivatives taken
+from the analytic Hermite derivative rather than finite differences, and
+are evaluated for all states of a grid at once.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
-    momentum_squared_matrix,
-    position_matrix,
-    position_squared_matrix,
+    band_matvec,
+    momentum_squared_band,
+    position_band,
+    position_squared_band,
 )
 from .potential import WellGeometry, WellSide
 from .spectrum import Spectrum
@@ -27,6 +29,7 @@ from .wavefunction import (
     eval_position,
     grid_integral,
     probability_below,
+    simpson,
 )
 
 __all__ = [
@@ -133,26 +136,32 @@ class InfoMeasures:
         return os_measure(self.s_total, self.e_product)
 
 
-def uncertainties(spec: Spectrum, n: int) -> UncertaintyReport:
-    """Exact first and second moments of x and p for state n.
+def uncertainties(spec: Spectrum, n_states: int | None = None) -> list[UncertaintyReport]:
+    """Exact first and second moments of x and p for states 0..n_states-1.
 
-    Eigenvectors are real, so <p> vanishes identically for stationary
-    states; it is reported as 0.
+    All states (default: every computed one) share one band product per
+    operator.  Eigenvectors are real, so <p> vanishes identically for
+    stationary states; it is reported as 0.
     """
-    c = spec.vector(n)
-    x_mat = position_matrix(spec.basis)
-    x2_mat = position_squared_matrix(spec.basis)
-    p2_mat = momentum_squared_matrix(spec.basis)
-    mean_x = float(c @ (x_mat @ c))
-    mean_x2 = float(c @ (x2_mat @ c))
-    mean_p2 = float(c @ (p2_mat @ c))
-    var_x = max(mean_x2 - mean_x * mean_x, 0.0)
-    return UncertaintyReport(
-        mean_x=mean_x,
-        mean_p=0.0,
-        delta_x=math.sqrt(var_x),
-        delta_p=math.sqrt(max(mean_p2, 0.0)),
-    )
+    c = spec.coefficients[:, :n_states]
+
+    def expectation(band: np.ndarray) -> np.ndarray:
+        return np.sum(c * band_matvec(band, c), axis=0)
+
+    mean_x = expectation(position_band(spec.basis))
+    mean_x2 = expectation(position_squared_band(spec.basis))
+    mean_p2 = expectation(momentum_squared_band(spec.basis))
+    delta_x = np.sqrt(np.maximum(mean_x2 - mean_x * mean_x, 0.0))
+    delta_p = np.sqrt(np.maximum(mean_p2, 0.0))
+    return [
+        UncertaintyReport(
+            mean_x=float(mean_x[n]),
+            mean_p=0.0,
+            delta_x=float(delta_x[n]),
+            delta_p=float(delta_p[n]),
+        )
+        for n in range(c.shape[1])
+    ]
 
 
 def classify_occupancy(p_well_I: float) -> Occupancy:
@@ -192,34 +201,60 @@ def well_occupancy(
     return WellOccupancy(p_i, p_ii, x_b, classify_occupancy(p_i))
 
 
-def _check_density(rho: GridFunction) -> np.ndarray:
-    vals = np.real(rho.values)
-    total = grid_integral(rho)
-    if abs(total - 1.0) > NORMALIZATION_TOL:
-        raise NotNormalized(f"density integrates to {total:.8f}")
-    return vals
+def _rows(values: np.ndarray) -> np.ndarray:
+    """Samples of one or more states as a C-contiguous (states, samples) array."""
+    values = np.asarray(values)
+    return np.ascontiguousarray(values.reshape(len(values), -1).T)
+
+
+def _check_density(rho: np.ndarray, dx: float) -> None:
+    """Raise unless every row of rho integrates to 1 within tolerance."""
+    totals = np.atleast_1d(simpson(rho, dx))
+    bad = np.abs(totals - 1.0) > NORMALIZATION_TOL
+    if np.any(bad):
+        raise NotNormalized(f"density integrates to {totals[np.argmax(bad)]:.8f}")
+
+
+def _shannon(rho: np.ndarray, dx: float):
+    integrand = np.where(rho > 0.0, -rho * np.log(np.maximum(rho, RHO_TINY)), 0.0)
+    return simpson(integrand, dx)
+
+
+def _fisher(rho: np.ndarray, drho: np.ndarray, dx: float):
+    integrand = np.where(rho > RHO_TINY, drho * drho / np.maximum(rho, RHO_TINY), 0.0)
+    return simpson(integrand, dx)
+
+
+def _onicescu(rho: np.ndarray, dx: float):
+    return simpson(rho * rho, dx)
+
+
+def _density_and_slope(
+    psi: np.ndarray, dpsi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """rho = |psi|^2 and rho' = 2 Re(psi* psi')."""
+    return np.abs(psi) ** 2, 2.0 * np.real(np.conj(psi) * dpsi)
 
 
 def shannon(rho: GridFunction) -> float:
     """S = -int rho ln rho, with 0 ln 0 = 0."""
-    vals = _check_density(rho)
-    integrand = np.where(vals > 0.0, -vals * np.log(np.maximum(vals, RHO_TINY)), 0.0)
-    return grid_integral(GridFunction(rho.x0, rho.dx, integrand))
+    vals = np.real(rho.values)
+    _check_density(vals, rho.dx)
+    return float(_shannon(vals, rho.dx))
 
 
 def fisher(psi: GridFunction, dpsi: GridFunction) -> float:
     """I = int rho'^2 / rho with rho = |psi|^2, rho' = 2 Re(psi* psi')."""
-    rho = np.abs(psi.values) ** 2
-    drho = 2.0 * np.real(np.conj(psi.values) * dpsi.values)
-    _check_density(GridFunction(psi.x0, psi.dx, rho))
-    integrand = np.where(rho > RHO_TINY, drho * drho / np.maximum(rho, RHO_TINY), 0.0)
-    return grid_integral(GridFunction(psi.x0, psi.dx, integrand))
+    rho, drho = _density_and_slope(psi.values, dpsi.values)
+    _check_density(rho, psi.dx)
+    return float(_fisher(rho, drho, psi.dx))
 
 
 def onicescu(rho: GridFunction) -> float:
     """E = int rho^2 (disequilibrium)."""
-    vals = _check_density(rho)
-    return grid_integral(GridFunction(rho.x0, rho.dx, vals * vals))
+    vals = np.real(rho.values)
+    _check_density(vals, rho.dx)
+    return float(_onicescu(vals, rho.dx))
 
 
 def os_measure(s: float, e: float) -> float:
@@ -232,15 +267,33 @@ def info_measures(
     dpsi_x: GridFunction,
     psi_p: GridFunction,
     dpsi_p: GridFunction,
-) -> InfoMeasures:
-    """All position/momentum measures of one state from sampled functions."""
-    rho_x = psi_x.density()
-    rho_p = psi_p.density()
-    return InfoMeasures(
-        s_x=shannon(rho_x),
-        s_p=shannon(rho_p),
-        i_x=fisher(psi_x, dpsi_x),
-        i_p=fisher(psi_p, dpsi_p),
-        e_x=onicescu(rho_x),
-        e_p=onicescu(rho_p),
-    )
+) -> list[InfoMeasures]:
+    """Position/momentum measures of every sampled state, one per column.
+
+    The values are (samples,) for one state or (samples, states); all
+    states are integrated together, along the contiguous sample axis of a
+    (states, samples) copy, so each equals its single-state value.
+    """
+    per_space = []
+    for psi, dpsi in ((psi_x, dpsi_x), (psi_p, dpsi_p)):
+        rho, drho = _density_and_slope(_rows(psi.values), _rows(dpsi.values))
+        _check_density(rho, psi.dx)
+        per_space.append(
+            (
+                _shannon(rho, psi.dx),
+                _fisher(rho, drho, psi.dx),
+                _onicescu(rho, psi.dx),
+            )
+        )
+    (s_x, i_x, e_x), (s_p, i_p, e_p) = per_space
+    return [
+        InfoMeasures(
+            s_x=float(s_x[n]),
+            s_p=float(s_p[n]),
+            i_x=float(i_x[n]),
+            i_p=float(i_p[n]),
+            e_x=float(e_x[n]),
+            e_p=float(e_p[n]),
+        )
+        for n in range(len(s_x))
+    ]

@@ -12,6 +12,7 @@ spectrally.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,27 +46,41 @@ class PhaseSpaceResult:
         return len(self.lobes)
 
 
+@functools.lru_cache(maxsize=None)
+def _mapped_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule on theta in [-pi/2, pi/2] as (w, sin theta, cos theta).
+
+    Built once per node count: leggauss costs about 2 ms per call.
+    """
+    theta, w = np.polynomial.legendre.leggauss(nodes)
+    theta = 0.5 * np.pi * theta
+    rule = (0.5 * np.pi * w, np.sin(theta), np.cos(theta))
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def _sqrt_interval(
     pot: QuarticPotential, energy: float, a: float, b: float, sign: float, nodes: int
 ) -> float:
     """int_a^b sqrt(sign * (E - V)) dx with turning points at both ends."""
     if b <= a:
         return 0.0
-    theta, w = np.polynomial.legendre.leggauss(nodes)
-    theta = 0.5 * np.pi * theta
-    w = 0.5 * np.pi * w
+    w, sin_theta, cos_theta = _mapped_rule(nodes)
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    x = mid + half * np.sin(theta)
+    x = mid + half * sin_theta
     f = np.maximum(sign * (energy - pot(x)), 0.0)
-    return float(np.sum(w * np.sqrt(f) * half * np.cos(theta)))
+    return float(np.sum(w * np.sqrt(f) * half * cos_theta))
 
 
 def _allowed_segments(
-    pot: QuarticPotential, energy: float
+    pot: QuarticPotential, energy: float, turning: np.ndarray | None = None
 ) -> list[tuple[float, float, bool]]:
     """Partition of [t_first, t_last] into (lo, hi, classically_allowed)."""
-    tps = [float(t) for t in turning_points(pot, energy)]
+    if turning is None:
+        turning = turning_points(pot, energy)
+    tps = [float(t) for t in turning]
     segments = []
     for lo, hi in zip(tps[:-1], tps[1:]):
         if hi - lo <= 0.0:
@@ -80,9 +95,14 @@ def area(
     energy: float,
     nodes: int = DEFAULT_QUAD_NODES,
     lobe_samples: int = LOBE_SAMPLES,
+    turning: np.ndarray | None = None,
 ) -> PhaseSpaceResult:
-    """Barrier and allowed actions plus the lobe decomposition at one energy."""
-    segments = _allowed_segments(pot, energy)
+    """Barrier and allowed actions plus the lobe decomposition at one energy.
+
+    `turning` (the turning points at `energy`) may be passed in when the
+    caller already has them.
+    """
+    segments = _allowed_segments(pot, energy, turning)
     if not any(allowed for *_, allowed in segments):
         raise ValueError("energy lies below the potential minimum")
     barrier = 0.0

@@ -18,19 +18,29 @@ __all__ = ["cubic_real_roots", "quartic_real_roots", "polish_root"]
 _EPS = np.finfo(float).eps
 
 
+def _horner(coeffs: list[float], x: float) -> float:
+    y = 0.0
+    for c in coeffs:
+        y = y * x + c
+    return y
+
+
 def polish_root(coeffs: np.ndarray, x: float, steps: int = 2) -> float:
     """Newton-polish a root of the polynomial with highest-degree-first coeffs.
 
     Skips updates when the derivative is too small relative to the local
     coefficient scale (multiple roots), where Newton would amplify noise.
+    Horner runs on Python floats: the operations of np.polyval, without
+    its per-call array overhead.
     """
-    c = np.asarray(coeffs, dtype=float)
-    dc = np.polyder(c)
-    scale = max(np.max(np.abs(c)), 1.0)
+    c = [float(v) for v in coeffs]
+    degree = len(c) - 1
+    dc = [v * (degree - i) for i, v in enumerate(c[:-1])]
+    scale = max(max(abs(v) for v in c), 1.0)
     for _ in range(steps):
-        f = np.polyval(c, x)
-        df = np.polyval(dc, x)
-        if abs(df) <= 1e3 * _EPS * scale * (1.0 + abs(x)) ** (len(c) - 2):
+        f = _horner(c, x)
+        df = _horner(dc, x)
+        if abs(df) <= 1e3 * _EPS * scale * np.float64(1.0 + abs(x)) ** (degree - 1):
             break
         step = f / df
         if not math.isfinite(step):

@@ -92,15 +92,6 @@ class WellGeometry:
     def global_minimum(self) -> tuple[float, float]:
         return min(self.minima, key=lambda m: m[1])
 
-    def deeper_minimum(self) -> tuple[float, float]:
-        return self.global_minimum
-
-    def well_of(self, x: float) -> WellSide:
-        """Which side of the barrier a point falls on (LEFT for single well)."""
-        if self.barrier is None:
-            return WellSide.LEFT
-        return WellSide.LEFT if x < self.barrier[0] else WellSide.RIGHT
-
 
 def critical_points(pot: QuarticPotential) -> WellGeometry:
     """Classify the real roots of V' into minima and the barrier maximum.

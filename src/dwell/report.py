@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .measures import InfoMeasures, Occupancy, info_measures, uncertainties, well_occupancy
 from .phasespace import area
-from .potential import QuarticPotential, critical_points
+from .potential import QuarticPotential, critical_points, turning_points
 from .spectrum import Spectrum, solve
 from .wavefunction import (
     DEFAULT_GRID_POINTS,
@@ -53,8 +53,10 @@ def state_reports(
 ) -> list[StateReport]:
     """Solve and evaluate states 0..n_states-1 of one potential.
 
-    Grids are shared across states (built at the highest reported energy),
-    so the heavy Hermite-matrix work happens once per potential.
+    Grids are shared across states (built at the highest reported energy);
+    wavefunctions, moments and information measures are computed for all
+    states at once, and the turning points of each state are found once
+    and shared by the node count and the phase-space integrals.
     """
     spec = spectrum if spectrum is not None else solve(pot, n_basis, n_states)
     geometry = critical_points(pot)
@@ -63,24 +65,28 @@ def state_reports(
     pgrid = build_momentum_grid(pot, e_top, grid_points)
     psi_x, dpsi_x = position_functions(spec, xgrid, n_states)
     psi_p, dpsi_p = momentum_functions(spec, pgrid, n_states)
+    moments = uncertainties(spec, n_states)
+    measures = info_measures(
+        GridFunction.on(xgrid, psi_x),
+        GridFunction.on(xgrid, dpsi_x),
+        GridFunction.on(pgrid, psi_p),
+        GridFunction.on(pgrid, dpsi_p),
+    )
 
     reports = []
-    for n in range(n_states):
+    for n, (unc, meas) in enumerate(zip(moments, measures)):
+        energy = spec.energy(n)
         psi = GridFunction.on(xgrid, psi_x[:, n])
-        dpsi = GridFunction.on(xgrid, dpsi_x[:, n])
-        psi_t = GridFunction.on(pgrid, psi_p[:, n])
-        dpsi_t = GridFunction.on(pgrid, dpsi_p[:, n])
-        unc = uncertainties(spec, n)
         occ = well_occupancy(spec, n, geometry, xgrid, psi=psi)
+        turning = turning_points(pot, energy)
         total_nodes, effective_nodes = count_nodes(
-            psi, pot, spec.energy(n), rho_floor=rho_floor
+            psi, pot, energy, rho_floor=rho_floor, turning=turning, geometry=geometry
         )
-        meas = info_measures(psi, dpsi, psi_t, dpsi_t)
-        ps = area(pot, spec.energy(n))
+        ps = area(pot, energy, turning=turning)
         reports.append(
             StateReport(
                 n=n,
-                energy=spec.energy(n),
+                energy=energy,
                 mean_x=unc.mean_x,
                 delta_x=unc.delta_x,
                 delta_p=unc.delta_p,

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .measures import Occupancy, well_occupancy
 from .potential import QuarticPotential, critical_points
@@ -156,6 +155,8 @@ def estimate_delta_gamma(
     automatically when the sweep shows no transitions.  Each coarse minimum
     is refined by bounded scalar minimization before the sharpness test.
     """
+    from scipy.optimize import minimize_scalar  # costly import, needed here only
+
     beta = beta_probe if beta_probe is not None else 16.0 * math.sqrt(alpha)
 
     def energies_at(g: float) -> np.ndarray:

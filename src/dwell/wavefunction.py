@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .potential import QuarticPotential, critical_points, turning_points
+from .potential import QuarticPotential, WellGeometry, critical_points, turning_points
 from .spectrum import Spectrum
 
 __all__ = [
@@ -26,12 +25,10 @@ __all__ = [
     "build_momentum_grid",
     "hermite_functions",
     "eval_position",
-    "eval_position_derivative",
-    "eval_momentum",
-    "eval_momentum_derivative",
     "position_functions",
     "momentum_functions",
     "count_nodes",
+    "simpson",
     "grid_integral",
     "probability_below",
 ]
@@ -62,7 +59,11 @@ class UniformGrid:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Sampled function on a uniform grid; values may be real or complex."""
+    """Sampled function on a uniform grid; values may be real or complex.
+
+    Values are (samples,) for one function or (samples, states) for several
+    on the same grid; `grid_integral` and `probability_below` take one.
+    """
 
     x0: float
     dx: float
@@ -83,9 +84,41 @@ class GridFunction:
         return grid_integral(self.density())
 
 
+def _basic_simpson(y: np.ndarray, stop: int, dx: float):
+    total = np.sum(
+        y[..., 0:stop:2] + 4.0 * y[..., 1 : stop + 1 : 2] + y[..., 2 : stop + 2 : 2],
+        axis=-1,
+    )
+    total *= dx / 3.0
+    return total
+
+
+def simpson(y: np.ndarray, dx: float):
+    """Composite Simpson integral of uniform samples along the last axis.
+
+    The arithmetic of scipy.integrate.simpson(y, dx=dx), operation for
+    operation: an even sample count integrates all but the last interval by
+    Simpson and adds Cartwright's correction for the last one.  Summing
+    along the contiguous last axis makes a batched row equal its 1-D sum.
+    """
+    y = np.asarray(y)
+    n = y.shape[-1]
+    if n % 2:
+        return _basic_simpson(y, n - 2, dx)
+    if n == 2:
+        return 0.5 * dx * (y[..., -1] + y[..., -2]) + 0.0
+    h = np.float64(dx)
+    alpha = (2 * h**2 + 3 * h * h) / (6 * (h + h))
+    beta = (h**2 + 3.0 * h * h) / (6 * h)
+    eta = (1 * h**3) / (6 * h * (h + h))
+    total = _basic_simpson(y, n - 3, dx)
+    total += alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]
+    return total
+
+
 def grid_integral(gf: GridFunction) -> float:
     """Composite Simpson integral over the full grid."""
-    return float(simpson(np.real(gf.values), dx=gf.dx))
+    return float(simpson(np.real(gf.values), gf.dx))
 
 
 def probability_below(gf: GridFunction, x_split: float) -> float:
@@ -101,7 +134,7 @@ def probability_below(gf: GridFunction, x_split: float) -> float:
     if x_split >= x[-1]:
         return grid_integral(gf)
     k = int(np.searchsorted(x, x_split, side="right") - 1)
-    total = float(simpson(vals[: k + 1], dx=gf.dx)) if k >= 1 else 0.0
+    total = float(simpson(vals[: k + 1], gf.dx)) if k >= 1 else 0.0
     frac = (x_split - x[k]) / gf.dx
     if frac > 0.0:
         v_split = vals[k] + frac * (vals[k + 1] - vals[k])
@@ -167,83 +200,56 @@ def build_momentum_grid(
     return UniformGrid(x0=-p_max, dx=2.0 * p_max / points, n_points=points)
 
 
+def _hermite_rows(xt: np.ndarray, n: int) -> np.ndarray:
+    """h_0..h_{n-1} at the points xt as an (n, points) array, one row per l."""
+    out = np.empty((n, xt.size))
+    out[0] = math.pi ** -0.25 * np.exp(-0.5 * xt * xt)
+    if n > 1:
+        out[1] = math.sqrt(2.0) * xt * out[0]
+    tmp = np.empty_like(xt)
+    for l in range(1, n - 1):
+        row = out[l + 1]
+        np.multiply(math.sqrt(2.0 / (l + 1)), xt, out=row)
+        row *= out[l]
+        np.multiply(math.sqrt(l / (l + 1.0)), out[l - 1], out=tmp)
+        row -= tmp
+    return out
+
+
 def hermite_functions(xt: np.ndarray, n: int) -> np.ndarray:
     """Orthonormal Hermite functions h_0..h_{n-1} at dimensionless points.
 
     h_l(t) = (2^l l! sqrt(pi))^(-1/2) H_l(t) exp(-t^2/2); columns are l.
     """
-    xt = np.asarray(xt, dtype=float)
-    out = np.empty((xt.size, n))
-    out[:, 0] = math.pi ** -0.25 * np.exp(-0.5 * xt * xt)
-    if n > 1:
-        out[:, 1] = math.sqrt(2.0) * xt * out[:, 0]
-    for l in range(1, n - 1):
-        out[:, l + 1] = math.sqrt(2.0 / (l + 1)) * xt * out[:, l] - math.sqrt(
-            l / (l + 1.0)
-        ) * out[:, l - 1]
-    return out
+    return _hermite_rows(np.asarray(xt, dtype=float).ravel(), n).T
 
 
-def hermite_function_derivatives(
-    xt: np.ndarray, phi: np.ndarray
-) -> np.ndarray:
-    """d h_l / dt from the downward relation h_l' = sqrt(2l) h_{l-1} - t h_l."""
-    n = phi.shape[1]
-    dphi = np.empty_like(phi)
-    dphi[:, 0] = -xt * phi[:, 0]
-    for l in range(1, n):
-        dphi[:, l] = math.sqrt(2.0 * l) * phi[:, l - 1] - xt * phi[:, l]
-    return dphi
+def _expand(
+    sigma: float, x: np.ndarray, coef: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """sum_l coef[l, j] phi_l(x; sigma) and its d/dx, as (columns, points) rows.
 
-
-def _basis_matrices(
-    sigma: float, x: np.ndarray, n: int, derivatives: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """phi_l(x; sigma) sampled on x, optionally with d/dx."""
+    One Hermite build serves both.  The derivative is taken in coefficient
+    space: with t = s x, s = sqrt(2 sigma), h_l' = sqrt(2l) h_{l-1} - t h_l
+    gives d/dx sum_l c_l phi_l = s (Phi(D c) - t Phi c), (D c)_{l-1} =
+    sqrt(2l) c_l.
+    """
+    n, m = coef.shape
     scale = math.sqrt(2.0 * sigma)
     xt = scale * x
     amp = (2.0 * sigma) ** 0.25
-    phi_t = hermite_functions(xt, n)
-    phi = amp * phi_t
-    if not derivatives:
-        return phi, None
-    dphi = amp * scale * hermite_function_derivatives(xt, phi_t)
-    return phi, dphi
+    dcoef = np.zeros_like(coef)
+    dcoef[:-1] = np.sqrt(2.0 * np.arange(1, n))[:, None] * coef[1:]
+    both = np.hstack([coef, dcoef]).T @ _hermite_rows(xt, n)
+    values = amp * both[:m]
+    derivs = (amp * scale) * (both[m:] - xt * both[:m])
+    return values, derivs
 
 
 def eval_position(spec: Spectrum, n: int, grid: UniformGrid) -> GridFunction:
     """psi_n(x) on the grid (real)."""
-    phi, _ = _basis_matrices(spec.basis.sigma, grid.x, spec.n_basis, False)
-    return GridFunction.on(grid, phi @ spec.vector(n))
-
-
-def eval_position_derivative(
-    spec: Spectrum, n: int, grid: UniformGrid
-) -> GridFunction:
-    """d psi_n / dx on the grid, from the analytic Hermite derivative."""
-    _, dphi = _basis_matrices(spec.basis.sigma, grid.x, spec.n_basis, True)
-    return GridFunction.on(grid, dphi @ spec.vector(n))
-
-
-def _momentum_coefficients(spec: Spectrum, n: int) -> np.ndarray:
-    phases = (-1j) ** np.arange(spec.n_basis)
-    return phases * spec.vector(n)
-
-
-def eval_momentum(spec: Spectrum, n: int, grid: UniformGrid) -> GridFunction:
-    """psi_tilde_n(p) on the grid (complex)."""
-    sigma_t = 1.0 / (4.0 * spec.basis.sigma)
-    phi, _ = _basis_matrices(sigma_t, grid.x, spec.n_basis, False)
-    return GridFunction.on(grid, phi @ _momentum_coefficients(spec, n))
-
-
-def eval_momentum_derivative(
-    spec: Spectrum, n: int, grid: UniformGrid
-) -> GridFunction:
-    """d psi_tilde_n / dp on the grid (complex)."""
-    sigma_t = 1.0 / (4.0 * spec.basis.sigma)
-    _, dphi = _basis_matrices(sigma_t, grid.x, spec.n_basis, True)
-    return GridFunction.on(grid, dphi @ _momentum_coefficients(spec, n))
+    values, _ = _expand(spec.basis.sigma, grid.x, spec.coefficients[:, n : n + 1])
+    return GridFunction.on(grid, values[0])
 
 
 def position_functions(
@@ -251,23 +257,30 @@ def position_functions(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(psi, dpsi) for states 0..n_states-1 as (samples, n_states) arrays.
 
-    Shares one Hermite-matrix build across states; the batch equivalent of
-    eval_position / eval_position_derivative.
+    One Hermite build serves all states and both arrays; each column is
+    contiguous in memory.
     """
-    phi, dphi = _basis_matrices(spec.basis.sigma, grid.x, spec.n_basis, True)
-    c = spec.coefficients[:, :n_states]
-    return phi @ c, dphi @ c
+    values, derivs = _expand(
+        spec.basis.sigma, grid.x, spec.coefficients[:, :n_states]
+    )
+    return values.T, derivs.T
 
 
 def momentum_functions(
     spec: Spectrum, grid: UniformGrid, n_states: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(psi_tilde, dpsi_tilde) for states 0..n_states-1 (complex arrays)."""
-    sigma_t = 1.0 / (4.0 * spec.basis.sigma)
-    phi, dphi = _basis_matrices(sigma_t, grid.x, spec.n_basis, True)
+    """(psi_tilde, dpsi_tilde) for states 0..n_states-1 (complex arrays).
+
+    The momentum coefficients (-i)^l c_l are real for even l and imaginary
+    for odd l, so both parts are expanded in real arithmetic with one
+    Hermite build at the dual scale 1 / (4 sigma).
+    """
+    c = spec.coefficients[:, :n_states]
     phases = (-1j) ** np.arange(spec.n_basis)
-    c = phases[:, None] * spec.coefficients[:, :n_states]
-    return phi @ c, dphi @ c
+    parts = np.hstack([phases.real[:, None] * c, phases.imag[:, None] * c])
+    values, derivs = _expand(1.0 / (4.0 * spec.basis.sigma), grid.x, parts)
+    k = c.shape[1]
+    return (values[:k] + 1j * values[k:]).T, (derivs[:k] + 1j * derivs[k:]).T
 
 
 def count_nodes(
@@ -275,6 +288,8 @@ def count_nodes(
     pot: QuarticPotential,
     energy: float,
     rho_floor: float = 0.01,
+    turning: np.ndarray | None = None,
+    geometry: WellGeometry | None = None,
 ) -> tuple[int, int]:
     """(total, effective) sign changes of psi between outer turning points.
 
@@ -282,10 +297,12 @@ def count_nodes(
     `rho_floor` of the probability; nodes in a negligible well are the ones
     the ladder-of-states picture ignores.  Sign changes below the amplitude
     floor are skipped entirely (not resolvable in double precision).
+    `turning` (the turning points at `energy`) and `geometry` may be passed
+    in when the caller already has them.
     """
     if np.iscomplexobj(psi.values):
         raise ValueError("count_nodes expects a real wavefunction")
-    tps = turning_points(pot, energy)
+    tps = turning_points(pot, energy) if turning is None else turning
     if tps.size < 2:
         return (0, 0)
     t_lo, t_hi = float(tps[0]), float(tps[-1])
@@ -302,7 +319,8 @@ def count_nodes(
     )
     total = int(flips.size)
 
-    geometry = critical_points(pot)
+    if geometry is None:
+        geometry = critical_points(pot)
     if not geometry.is_double_well:
         return (total, total)
     x_b = geometry.barrier[0]

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, settings, strategies as st
 
 from dwell import QuarticPotential, critical_points, solve
 
@@ -34,6 +34,19 @@ def well_solve(alpha, beta, gamma, n_basis=100, n_states=8, shift_min_to_zero=Fa
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@st.composite
+def confining_quartics(draw, symmetric=False):
+    """Random c4 > 0 quartics; c3 != 0 unless symmetric (then c1 = c3 = 0)."""
+    c4 = draw(st.floats(0.1, 2.0))
+    c2 = draw(st.floats(-20.0, 4.0))
+    c0 = draw(st.floats(-1.0, 1.0))
+    if symmetric:
+        return QuarticPotential(c4, 0.0, c2, 0.0, c0)
+    c3 = draw(st.floats(-2.0, 2.0).filter(lambda c: c != 0.0))
+    c1 = draw(st.floats(-5.0, 5.0))
+    return QuarticPotential(c4, c3, c2, c1, c0)
 
 
 # ---------------------------------------------------------------- oracles
@@ -78,6 +91,17 @@ def ladder_hamiltonian(pot, basis):
     h += pot.c1 * x + pot.c0 * np.eye(m)
     h = h[:n, :n]
     return 0.5 * (h + h.T)
+
+
+def ladder_moments(basis):
+    """Dense <l|x|m>, <l|x^2|m> and <l|p^2|m> from padded ladder operators."""
+    n, sigma = basis.n_basis, basis.sigma
+    m = n + _PAD
+    a = lowering_operator(m)
+    ad = a.T
+    x = (a + ad) / (2.0 * math.sqrt(sigma))
+    p2 = sigma * np.diag(2.0 * np.arange(m) + 1.0) - sigma * (a @ a + ad @ ad)
+    return x[:n, :n], (x @ x)[:n, :n], p2[:n, :n]
 
 
 def assemble_momentum(pot, basis):

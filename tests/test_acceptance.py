@@ -31,9 +31,9 @@ from dwell import (
     build_momentum_grid,
     critical_points,
     estimate_delta_gamma,
-    eval_momentum,
     eval_position,
     mirror,
+    momentum_functions,
     predict_degeneracy,
     predict_occupancy,
     quasi_degenerate_pairs,
@@ -45,6 +45,7 @@ from dwell import (
 from dwell.basis import BasisSpec, optimal_sigma
 from dwell.cli import main as cli_main
 from dwell.rules import AsymmetryIndex
+from dwell.wavefunction import GridFunction
 from scipy.linalg import eigvalsh
 
 V2 = QuarticPotential(0.01, -0.0075, -0.0025, 0.0, 0.0)
@@ -294,10 +295,10 @@ def test_criterion_06_symmetry_suite():
     grid = build_grid(pot, spec.energy(6), 4096)
     from dwell import well_occupancy
 
-    for n in range(6):
+    for n, unc in enumerate(uncertainties(spec, 6)):
         occ = well_occupancy(spec, n, geo, grid)
         checks.append(abs(occ.p_well_I - 0.5) <= 1e-6)
-        checks.append(abs(uncertainties(spec, n).mean_x) <= 1e-10)
+        checks.append(abs(unc.mean_x) <= 1e-10)
     pot_a = QuarticPotential.from_well_params(1.0, 20.0, 3.0)
     spec_a = solve(pot_a, 100, 7)
     spec_m = solve(mirror(pot_a), 100, 7)
@@ -305,11 +306,8 @@ def test_criterion_06_symmetry_suite():
         1.0, np.abs(spec_a.energies[:7])
     )
     checks.append(rel.max() <= 1e-10)
-    for n in range(6):
-        checks.append(
-            abs(uncertainties(spec_a, n).mean_x + uncertainties(spec_m, n).mean_x)
-            <= 1e-10
-        )
+    for unc_a, unc_m in zip(uncertainties(spec_a, 6), uncertainties(spec_m, 6)):
+        checks.append(abs(unc_a.mean_x + unc_m.mean_x) <= 1e-10)
     ok = report("6", all(checks), "parity split 0.5, <x>=0, mirror spectra agree")
     assert ok
 
@@ -334,10 +332,11 @@ def test_criterion_07_representation_equivalence():
     kernel = np.exp(-1j * np.outer(p_sub, x))
     ft_dev = 0.0
     parseval_dev = 0.0
+    psi_p, _ = momentum_functions(spec, pgrid, 4)
     for n in range(4):
         psi = eval_position(spec, n, grid).values
         oracle = kernel @ (w * psi) / math.sqrt(2.0 * math.pi)
-        psi_t = eval_momentum(spec, n, pgrid)
+        psi_t = GridFunction.on(pgrid, psi_p[:, n])
         ft_dev = max(ft_dev, float(np.abs(psi_t.values[::16] - oracle).max()))
         parseval_dev = max(parseval_dev, abs(psi_t.norm_squared() - 1.0))
     ok = report(
@@ -350,11 +349,7 @@ def test_criterion_07_representation_equivalence():
 
 
 def test_criterion_08_scaling_invariance():
-    from dwell import (
-        eval_momentum_derivative,
-        eval_position_derivative,
-        info_measures,
-    )
+    from dwell import info_measures, position_functions
 
     lam = 1.3
     base = QuarticPotential.from_well_params(1.0, 20.0, 3.0)
@@ -366,16 +361,15 @@ def test_criterion_08_scaling_invariance():
         spec = solve(pot, 100, 5)
         grid = build_grid(pot, spec.energy(4), 4096)
         pgrid = build_momentum_grid(pot, spec.energy(4), 4096)
+        psi_x, dpsi_x = position_functions(spec, grid, 4)
+        psi_p, dpsi_p = momentum_functions(spec, pgrid, 4)
         measures.append(
-            [
-                info_measures(
-                    eval_position(spec, n, grid),
-                    eval_position_derivative(spec, n, grid),
-                    eval_momentum(spec, n, pgrid),
-                    eval_momentum_derivative(spec, n, pgrid),
-                )
-                for n in range(4)
-            ]
+            info_measures(
+                GridFunction.on(grid, psi_x),
+                GridFunction.on(grid, dpsi_x),
+                GridFunction.on(pgrid, psi_p),
+                GridFunction.on(pgrid, dpsi_p),
+            )
         )
     dev_total = max(
         abs(a.s_total - b.s_total) for a, b in zip(measures[0], measures[1])

@@ -10,10 +10,10 @@ from dwell.basis import (
     BasisSpec,
     assemble_position,
     band_matvec,
-    momentum_squared_matrix,
+    momentum_squared_band,
     optimal_sigma,
-    position_matrix,
-    position_squared_matrix,
+    position_band,
+    position_squared_band,
 )
 
 
@@ -248,9 +248,9 @@ def test_operator_matrices_consistent_with_hamiltonian():
     # h = p^2 + c4 x^4 + ... : check with the x and p^2 building blocks
     pot = QuarticPotential(0.5, 0.0, -3.0, 1.0, 0.25)
     basis = BasisSpec(20, 0.9)
-    x = position_matrix(basis)
-    x2 = position_squared_matrix(basis)
-    p2 = momentum_squared_matrix(basis)
+    x = dense_band(position_band(basis))
+    x2 = dense_band(position_squared_band(basis))
+    p2 = dense_band(momentum_squared_band(basis))
     # x2 equals the padded product, not the truncated square
     a = np.zeros((22, 22))
     idx = np.arange(21)

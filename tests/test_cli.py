@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -196,9 +198,45 @@ def test_cache_key_covers_every_point_setting(monkeypatch):
         keys.add(cache_key(pot, dataclasses.replace(base, **{f.name: value * 2})))
     keys.add(cache_key(pot.shifted(1.0), base))
     assert len(keys) == len(dataclasses.fields(PointSettings)) + 2
-    # records written by another solver revision are not served
-    monkeypatch.setattr(cli, "SOLVER_REVISION", "another-solver")
+    # records written under another record revision are not served
+    monkeypatch.setattr(cli, "RECORD_REVISION", "another-revision")
     assert cache_key(pot, base) not in keys
+
+
+def test_cache_written_under_old_revision_is_recomputed(tmp_path, monkeypatch):
+    args = [
+        "sweep", "--alpha", "1", "--beta", "10", "--gamma", "0.5",
+        "--states", "3", "--grid-points", "512", "--workers", "1",
+        "--outdir", str(tmp_path),
+    ]
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setattr(cli, "RECORD_REVISION", "banded-1")
+    assert main(args) == 0
+    (old_file,) = cache_dir.glob("*.json")
+    stale = cli.cache_load(cache_dir, old_file.stem)
+    for rec in stale:
+        rec["s_x"] = "0"  # an answer the current code would not give
+    cli.cache_store(cache_dir, old_file.stem, stale)
+    monkeypatch.undo()
+    assert main(args) == 0
+    assert all(row["s_x"] != "0" for row in read_rows(tmp_path / "sweep.csv"))
+    assert len(list(cache_dir.glob("*.json"))) == 2
+
+
+def test_cli_import_loads_neither_scipy_integrate_nor_optimize():
+    code = (
+        "import sys, dwell.cli; print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.integrate', 'scipy.optimize'))))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_cache_dir_env_override(tmp_path, monkeypatch):

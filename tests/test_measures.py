@@ -15,16 +15,14 @@ from dwell import (
     build_grid,
     build_momentum_grid,
     critical_points,
-    eval_momentum,
-    eval_momentum_derivative,
-    eval_position,
-    eval_position_derivative,
     fisher,
     grid_integral,
     info_measures,
     mirror,
+    momentum_functions,
     onicescu,
     os_measure,
+    position_functions,
     shannon,
     solve,
     uncertainties,
@@ -107,17 +105,15 @@ def test_zero_density_regions_are_harmless():
 
 def test_mean_x_vanishes_for_symmetric_wells():
     spec = well_solve(1.0, 20.0, 0.0)
-    for n in range(6):
-        assert abs(uncertainties(spec, n).mean_x) <= 1e-10
+    for u in uncertainties(spec, 6):
+        assert abs(u.mean_x) <= 1e-10
 
 
 def test_mirror_flips_mean_x_only():
     pot = QuarticPotential.from_well_params(1.0, 14.0, 2.0)
     spec = solve(pot, 100, 6)
     spec_m = solve(mirror(pot), 100, 6)
-    for n in range(6):
-        u = uncertainties(spec, n)
-        um = uncertainties(spec_m, n)
+    for u, um in zip(uncertainties(spec, 6), uncertainties(spec_m, 6)):
         assert um.mean_x == pytest.approx(-u.mean_x, abs=1e-10)
         assert um.delta_x == pytest.approx(u.delta_x, rel=1e-10)
         assert um.delta_p == pytest.approx(u.delta_p, rel=1e-10)
@@ -128,17 +124,16 @@ def test_algebraic_moments_match_grid_quadrature():
     spec = solve(pot, 100, 4)
     grid = build_grid(pot, spec.energy(3), 4096)
     x = grid.x
-    for n in range(2):
-        u = uncertainties(spec, n)
-        rho = eval_position(spec, n, grid).density()
-        mean = grid_integral(GridFunction.on(grid, x * rho.values))
-        mean2 = grid_integral(GridFunction.on(grid, x * x * rho.values))
+    psi, dpsi = position_functions(spec, grid, 2)
+    for n, u in enumerate(uncertainties(spec, 2)):
+        rho = psi[:, n] ** 2
+        mean = grid_integral(GridFunction.on(grid, x * rho))
+        mean2 = grid_integral(GridFunction.on(grid, x * x * rho))
         assert u.mean_x == pytest.approx(mean, abs=1e-8)
         assert u.delta_x == pytest.approx(
             math.sqrt(mean2 - mean * mean), abs=1e-8
         )
-        dpsi = eval_position_derivative(spec, n, grid)
-        p2 = grid_integral(GridFunction.on(grid, dpsi.values**2))
+        p2 = grid_integral(GridFunction.on(grid, dpsi[:, n] ** 2))
         assert u.delta_p == pytest.approx(math.sqrt(p2), abs=1e-8)
 
 
@@ -183,10 +178,12 @@ def test_fisher_analytic_matches_finite_differences():
     spec = solve(pot, 100, 4)
     grid = build_grid(pot, spec.energy(3), 4096)
     pgrid = build_momentum_grid(pot, spec.energy(3), 4096)
+    psi_x, dpsi_x = position_functions(spec, grid, 3)
+    psi_p, dpsi_p = momentum_functions(spec, pgrid, 3)
     for n in range(3):
         for psi, dpsi, g in (
-            (eval_position(spec, n, grid), eval_position_derivative(spec, n, grid), grid),
-            (eval_momentum(spec, n, pgrid), eval_momentum_derivative(spec, n, pgrid), pgrid),
+            (GridFunction.on(grid, psi_x[:, n]), GridFunction.on(grid, dpsi_x[:, n]), grid),
+            (GridFunction.on(pgrid, psi_p[:, n]), GridFunction.on(pgrid, dpsi_p[:, n]), pgrid),
         ):
             analytic = fisher(psi, dpsi)
             rho = np.abs(psi.values) ** 2
@@ -210,14 +207,15 @@ def test_bound_suite_at_localized_point():
     spec = solve(pot, 100, 5)
     grid = build_grid(pot, spec.energy(4), 4096)
     pgrid = build_momentum_grid(pot, spec.energy(4), 4096)
-    for n in range(4):
-        meas = info_measures(
-            eval_position(spec, n, grid),
-            eval_position_derivative(spec, n, grid),
-            eval_momentum(spec, n, pgrid),
-            eval_momentum_derivative(spec, n, pgrid),
-        )
-        unc = uncertainties(spec, n)
+    psi_x, dpsi_x = position_functions(spec, grid, 4)
+    psi_p, dpsi_p = momentum_functions(spec, pgrid, 4)
+    all_meas = info_measures(
+        GridFunction.on(grid, psi_x),
+        GridFunction.on(grid, dpsi_x),
+        GridFunction.on(pgrid, psi_p),
+        GridFunction.on(pgrid, dpsi_p),
+    )
+    for n, (meas, unc) in enumerate(zip(all_meas, uncertainties(spec, 4))):
         assert unc.product >= 0.5 - 1e-9
         assert meas.s_total >= SHANNON_TOTAL_BOUND - 1e-6
         assert meas.i_product >= FISHER_PRODUCT_BOUND - 1e-6
@@ -254,16 +252,15 @@ def test_scaling_invariance_of_total_shannon():
         spec = solve(pot, 100, 3)
         grid = build_grid(pot, spec.energy(2), 4096)
         pgrid = build_momentum_grid(pot, spec.energy(2), 4096)
+        psi_x, dpsi_x = position_functions(spec, grid, 2)
+        psi_p, dpsi_p = momentum_functions(spec, pgrid, 2)
         results.append(
-            [
-                info_measures(
-                    eval_position(spec, n, grid),
-                    eval_position_derivative(spec, n, grid),
-                    eval_momentum(spec, n, pgrid),
-                    eval_momentum_derivative(spec, n, pgrid),
-                )
-                for n in range(2)
-            ]
+            info_measures(
+                GridFunction.on(grid, psi_x),
+                GridFunction.on(grid, dpsi_x),
+                GridFunction.on(pgrid, psi_p),
+                GridFunction.on(pgrid, dpsi_p),
+            )
         )
     for m_base, m_scaled in zip(*results):
         assert m_scaled.s_total == pytest.approx(m_base.s_total, abs=1e-6)

@@ -10,23 +10,11 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import eigh, eigvalsh
 
-from conftest import assemble_momentum, ladder_hamiltonian
+from conftest import assemble_momentum, confining_quartics, ladder_hamiltonian
 from dwell import QuarticPotential, mirror, solve
 
 ENERGY_TOL = 1e-11
 RESIDUAL_TOL = 1e-10
-
-
-@st.composite
-def confining_quartics(draw, symmetric=False):
-    c4 = draw(st.floats(0.1, 2.0))
-    c2 = draw(st.floats(-20.0, 4.0))
-    c0 = draw(st.floats(-1.0, 1.0))
-    if symmetric:
-        return QuarticPotential(c4, 0.0, c2, 0.0, c0)
-    c3 = draw(st.floats(-2.0, 2.0).filter(lambda c: c != 0.0))
-    c1 = draw(st.floats(-5.0, 5.0))
-    return QuarticPotential(c4, c3, c2, c1, c0)
 
 
 def check_against_oracle(pot, n_basis, n_states):

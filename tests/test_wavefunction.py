@@ -11,14 +11,14 @@ from dwell import (
     build_grid,
     build_momentum_grid,
     count_nodes,
-    eval_momentum,
     eval_position,
-    eval_position_derivative,
     grid_integral,
+    momentum_functions,
+    position_functions,
     solve,
     turning_points,
 )
-from dwell.wavefunction import GridFunction, hermite_functions
+from dwell.wavefunction import GridFunction, hermite_functions, simpson
 
 DATA = Path(__file__).parent / "data"
 
@@ -95,9 +95,8 @@ def test_energy_functional_on_grid():
     pot = QuarticPotential(0.01, -0.0075, -0.0025, 0.0, 0.0)
     spec = solve(pot, 100, 4)
     grid = build_grid(pot, spec.energy(3), 4096)
-    psi = eval_position(spec, 0, grid)
-    dpsi = eval_position_derivative(spec, 0, grid)
-    integrand = dpsi.values**2 + pot(grid.x) * psi.values**2
+    psi, dpsi = position_functions(spec, grid, 1)
+    integrand = dpsi[:, 0] ** 2 + pot(grid.x) * psi[:, 0] ** 2
     e0 = grid_integral(GridFunction.on(grid, integrand))
     assert e0 == pytest.approx(0.220496934, abs=1e-7)
 
@@ -106,8 +105,9 @@ def test_parseval_and_momentum_parity():
     spec = well_solve(1.0, 12.0, 0.0, n_states=7)
     pot = QuarticPotential.from_well_params(1.0, 12.0, 0.0)
     pgrid = build_momentum_grid(pot, spec.energy(6), 4096)
+    psi_p, _ = momentum_functions(spec, pgrid, 6)
     for n in range(6):
-        psi_t = eval_momentum(spec, n, pgrid)
+        psi_t = GridFunction.on(pgrid, psi_p[:, n])
         assert abs(psi_t.norm_squared() - 1.0) <= 1e-6
         mags = np.abs(psi_t.values)
         assert np.abs(mags - mags[::-1]).max() <= 1e-10
@@ -125,10 +125,11 @@ def test_momentum_matches_fourier_quadrature_oracle():
     w *= grid.dx / 3.0
     p_sub = pgrid.x[::16]
     kernel = np.exp(-1j * np.outer(p_sub, x))
+    psi_p, _ = momentum_functions(spec, pgrid, 4)
     for n in range(4):
         psi = eval_position(spec, n, grid).values
         oracle = kernel @ (w * psi) / math.sqrt(2.0 * math.pi)
-        mine = eval_momentum(spec, n, pgrid).values[::16]
+        mine = psi_p[::16, n]
         assert np.abs(mine - oracle).max() <= 1e-7
 
 
@@ -195,3 +196,16 @@ def test_grid_point_minimum_enforced():
         build_grid(pot, 10.0, 100)
     with pytest.raises(ValueError):
         build_momentum_grid(pot, 10.0, 100)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 100, 101, 4096, 4097])
+def test_simpson_reproduces_scipy_bit_for_bit(rng, n):
+    from scipy.integrate import simpson as scipy_simpson
+
+    for _ in range(20):
+        y = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8)
+        dx = float(rng.uniform(1e-3, 2.0))
+        assert simpson(y, dx) == scipy_simpson(y, dx=dx)
+    rows = rng.standard_normal((5, n))
+    batched = simpson(rows, 0.37)
+    assert [float(v) for v in batched] == [scipy_simpson(r, dx=0.37) for r in rows]
