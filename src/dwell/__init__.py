@@ -24,7 +24,7 @@ from .measures import (
     uncertainties,
     well_occupancy,
 )
-from .phasespace import Lobe, PhaseSpaceResult, area, lobe_structure
+from .phasespace import Lobe, PhaseSpaceResult, area
 from .potential import (
     QuarticPotential,
     WellGeometry,

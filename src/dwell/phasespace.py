@@ -19,7 +19,7 @@ import numpy as np
 
 from .potential import QuarticPotential, turning_points
 
-__all__ = ["Lobe", "PhaseSpaceResult", "area", "lobe_structure"]
+__all__ = ["Lobe", "PhaseSpaceResult", "area"]
 
 DEFAULT_QUAD_NODES = 96
 LOBE_SAMPLES = 512
@@ -117,10 +117,3 @@ def area(
         else:
             barrier += _sqrt_interval(pot, energy, lo, hi, -1.0, nodes)
     return PhaseSpaceResult(barrier, allowed, tuple(lobes))
-
-
-def lobe_structure(
-    pot: QuarticPotential, energy: float, lobe_samples: int = LOBE_SAMPLES
-) -> tuple[Lobe, ...]:
-    """Just the classically allowed lobes (contours sampled for export)."""
-    return area(pot, energy, lobe_samples=lobe_samples).lobes

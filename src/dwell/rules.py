@@ -21,6 +21,7 @@ spacings.  The rule engine itself is a pure function of (k, n).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,6 +135,93 @@ def _candidate_minima(gaps: np.ndarray) -> list[int]:
     ]
 
 
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+_MAX_EVALUATIONS = 500
+
+
+def _unit_sign(v: float) -> float:
+    """sign(v) + (v == 0): -1 for negative v, else +1."""
+    return -1.0 if v < 0.0 else 1.0
+
+
+def _bounded_minimum(
+    func: Callable[[float], float], lo: float, hi: float, xatol: float
+) -> tuple[float, float]:
+    """Brent's bounded scalar minimization of func on [lo, hi]; (x, func(x)).
+
+    The method of scipy's fminbound (minimize_scalar with method="bounded"),
+    operation for operation: the same constants, the same parabolic/golden
+    branching and the same evaluation cap.  Bounds and objective values are
+    coerced with float(), which is exact for np.float64, so every evaluation
+    point and the result carry the same bits as scipy's.
+    """
+    a, b = float(lo), float(hi)
+    fulc = a + _GOLDEN_MEAN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = float(func(xf))
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _unit_sign(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN_MEAN * e
+
+        x = xf + _unit_sign(rat) * max(abs(rat), tol1)
+        fu = float(func(x))
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAX_EVALUATIONS:
+            break
+    return xf, fx
+
+
 def estimate_delta_gamma(
     alpha: float,
     beta_probe: float | None = None,
@@ -155,8 +243,6 @@ def estimate_delta_gamma(
     automatically when the sweep shows no transitions.  Each coarse minimum
     is refined by bounded scalar minimization before the sharpness test.
     """
-    from scipy.optimize import minimize_scalar  # costly import, needed here only
-
     beta = beta_probe if beta_probe is not None else 16.0 * math.sqrt(alpha)
 
     def energies_at(g: float) -> np.ndarray:
@@ -179,15 +265,11 @@ def estimate_delta_gamma(
         for m in (1, 2, 3):
             gap = table[:, m + 1] - table[:, m]
             for i in _candidate_minima(gap):
-                res = minimize_scalar(
-                    gap_at,
-                    args=(m,),
-                    bounds=(gammas[i - 1], gammas[i + 1]),
-                    method="bounded",
-                    options={"xatol": 1e-8},
+                x, gap_min = _bounded_minimum(
+                    lambda g: gap_at(g, m), gammas[i - 1], gammas[i + 1], 1e-8
                 )
-                if res.fun <= SHARP_GAP_TOL * (1.0 + abs(table[i, m])):
-                    found.append(float(res.x))
+                if gap_min <= SHARP_GAP_TOL * (1.0 + abs(table[i, m])):
+                    found.append(x)
         # merge the same transition seen through different gap curves
         found.sort()
         merge_tol = 1e-3 * (hi - lo)
@@ -335,7 +417,7 @@ def validate_rules(
     asserted.
     """
     if delta_gamma is None:
-        delta_gamma = estimate_delta_gamma(alpha).delta_gamma
+        delta_gamma = estimate_delta_gamma(alpha, n_basis=n_basis).delta_gamma
     points = []
     for gamma in gamma_grid:
         pot = QuarticPotential.from_well_params(alpha, beta, float(gamma))

@@ -103,13 +103,16 @@ def test_optimal_sigma_is_local_minimum_of_trace(alpha, beta):
     def tr(s):
         return np.trace(position_hamiltonian(pot, BasisSpec(60, s)))
 
-    t0 = tr(sigma)
+    diagonal = np.diag(position_hamiltonian(pot, basis))
+    t0 = np.sum(diagonal)
     assert t0 <= tr(sigma * 0.99) + 1e-10 * abs(t0)
     assert t0 <= tr(sigma * 1.01) + 1e-10 * abs(t0)
-    # stationarity by central finite difference
+    # stationarity by central finite difference; the diagonal terms cancel
+    # (the trace crosses zero near beta 29 at alpha 1), so the rounding error
+    # of the difference scales with their magnitude, not with the trace
     eps = 1e-6 * sigma
     deriv = (tr(sigma + eps) - tr(sigma - eps)) / (2 * eps)
-    assert abs(deriv) <= 1e-8 * abs(t0)
+    assert abs(sigma * deriv) <= 1e-8 * np.sum(np.abs(diagonal))
 
 
 @given(

@@ -223,10 +223,20 @@ def test_cache_written_under_old_revision_is_recomputed(tmp_path, monkeypatch):
     assert len(list(cache_dir.glob("*.json"))) == 2
 
 
-def test_cli_import_loads_neither_scipy_integrate_nor_optimize():
+def test_cli_import_loads_neither_scipy_integrate_nor_optimize(tmp_path):
+    # checked after the import and again after a validate-rules run, which
+    # estimates delta_gamma with bounded minimizations
+    argv = [
+        "validate-rules", "--alphas", "1", "--beta", "20", "--gamma", "1:2:0.5",
+        "--states", "6", "--outdir", str(tmp_path),
+    ]
     code = (
-        "import sys, dwell.cli; print(sorted(m for m in sys.modules "
-        "if m.startswith(('scipy.integrate', 'scipy.optimize'))))"
+        "import sys, dwell.cli\n"
+        "def loaded(): return sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.integrate', 'scipy.optimize')))\n"
+        "print(loaded())\n"
+        f"assert dwell.cli.main({argv!r}) == 0\n"
+        "print(loaded())\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -236,7 +246,9 @@ def test_cli_import_loads_neither_scipy_integrate_nor_optimize():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True, timeout=120,
     )
-    assert out.stdout.strip() == "[]"
+    lines = out.stdout.splitlines()  # the command prints its output path between
+    assert (lines[0], lines[-1]) == ("[]", "[]")
+    assert (tmp_path / "validate_rules.json").exists()
 
 
 def test_cache_dir_env_override(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import well_solve
-from dwell import QuarticPotential, area, lobe_structure, mirror, solve
+from dwell import QuarticPotential, area, mirror, solve
 
 # section lobe-count expectations: columns (gamma, beta), rows n = 0..3
 LOBE_TABLE = {
@@ -81,14 +81,14 @@ def test_lobe_counts_for_narrative_parameter_sets():
 def test_ground_state_lobe_sits_in_deeper_well():
     spec = well_solve(1.0, 8.0, 2.0, n_states=4)
     pot = QuarticPotential.from_well_params(1.0, 8.0, 2.0)
-    lobes = lobe_structure(pot, spec.energy(0))
+    lobes = area(pot, spec.energy(0)).lobes
     assert len(lobes) == 1
     assert lobes[0].x_hi < 0.0  # deeper well is on the left for gamma > 0
 
 
 def test_lobe_contour_sampling():
     pot = QuarticPotential.from_well_params(1.0, 10.0, 3.0)
-    lobes = lobe_structure(pot, -10.0, lobe_samples=512)
+    lobes = area(pot, -10.0, lobe_samples=512).lobes
     for lobe in lobes:
         assert lobe.x.size == 512 and lobe.p.size == 512
         assert lobe.p[0] == pytest.approx(0.0, abs=1e-7)

@@ -1,7 +1,12 @@
+import math
+
+import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from dwell import (
     AsymmetryIndex,
+    DeltaGammaEstimate,
     NoTransitionsFound,
     Occupancy,
     estimate_delta_gamma,
@@ -9,6 +14,7 @@ from dwell import (
     predict_occupancy,
     validate_rules,
 )
+from dwell import rules
 
 I, II, BOTH = Occupancy.WELL_I, Occupancy.WELL_II, Occupancy.BOTH
 
@@ -147,3 +153,66 @@ def test_rule_validation_detects_pairs_at_moderate_beta():
 def test_no_transitions_raises():
     with pytest.raises(NoTransitionsFound):
         estimate_delta_gamma(1.0, beta_probe=0.5, gamma_range=(0.05, 1.0))
+
+
+def oracle_objective(rng, kind):
+    """A random objective: polynomial, |sin| or quadratic, some np.float64."""
+    if kind == 0:
+        coeffs = rng.normal(size=int(rng.integers(3, 8)))
+        return lambda x: np.polyval(coeffs, x)  # np.float64
+    if kind == 1:
+        w, phase = rng.uniform(0.5, 5.0), rng.uniform(0.0, 2.0 * math.pi)
+        return lambda x: abs(math.sin(w * x + phase))
+    centre, scale = rng.normal(), rng.uniform(0.1, 10.0)
+    return lambda x: np.float64(scale * (x - centre) ** 2)
+
+
+def recorded(func, points):
+    def wrapped(x):
+        points.append(float(x).hex())
+        return func(x)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("xatol", [1e-5, 1e-8, 1e-12])
+def test_bounded_minimum_matches_scipy_bit_for_bit(xatol):
+    rng = np.random.default_rng(5)
+    for case in range(300):
+        func = oracle_objective(rng, case % 3)
+        lo = np.float64(rng.uniform(-5.0, 5.0))
+        hi = lo + np.float64(rng.uniform(1e-3, 8.0))
+        want_points, got_points = [], []
+        res = minimize_scalar(
+            recorded(func, want_points), bounds=(lo, hi), method="bounded",
+            options={"xatol": xatol},
+        )
+        x, fun = rules._bounded_minimum(recorded(func, got_points), lo, hi, xatol)
+        assert got_points == want_points, case
+        assert x.hex() == float(res.x).hex(), case
+        assert fun.hex() == float(res.fun).hex(), case
+
+
+def scipy_bounded_minimum(func, lo, hi, xatol):
+    res = minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+    return float(res.x), float(res.fun)
+
+
+@pytest.mark.parametrize("beta_probe", [None, 6.0])  # 6.0 takes the retry path
+def test_delta_gamma_unchanged_under_scipy_minimizer(monkeypatch, beta_probe):
+    est = estimate_delta_gamma(1.0, beta_probe=beta_probe)
+    monkeypatch.setattr(rules, "_bounded_minimum", scipy_bounded_minimum)
+    assert estimate_delta_gamma(1.0, beta_probe=beta_probe) == est
+
+
+def test_validate_rules_estimates_delta_gamma_with_its_basis(monkeypatch):
+    calls = []
+
+    def fake_estimate(alpha, **kwargs):
+        calls.append((alpha, kwargs))
+        return DeltaGammaEstimate(2.0, 0.0, (2.0, 4.0), 16.0)
+
+    monkeypatch.setattr(rules, "estimate_delta_gamma", fake_estimate)
+    report = validate_rules(1.0, 20.0, [3.0], n_max=2, n_basis=60)
+    assert calls == [(1.0, {"n_basis": 60})]
+    assert report.delta_gamma == 2.0

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from scipy.linalg import eigh, eigvalsh
 
 from conftest import assemble_momentum, confining_quartics, ladder_hamiltonian
-from dwell import QuarticPotential, mirror, solve
+from dwell import QuarticPotential, mirror, quasi_degenerate_pairs, solve, uncertainties
 
 ENERGY_TOL = 1e-11
 RESIDUAL_TOL = 1e-10
@@ -87,3 +87,33 @@ def test_mirror_images_give_mirrored_eigenpairs_exactly(pot, n_states):
         c, cm = spec.vector(n), spec_m.vector(n)
         assert np.array_equal(np.abs(c), np.abs(cm))
         assert np.array_equal(flip * c, cm) or np.array_equal(flip * c, -cm)
+
+
+@given(
+    alpha=st.floats(0.5, 2.0),
+    beta=st.floats(2.0, 30.0),
+    gamma=st.floats(-7.0, 7.0),
+    lam=st.floats(0.7, 1.5),
+)
+def test_scaling_law(alpha, beta, gamma, lam):
+    # x -> x / lam maps p^2 + V(alpha, beta, gamma) onto lam^-2 times
+    # p^2 + V(lam^6 alpha, lam^4 beta, lam^3 gamma), and the trace-optimal
+    # sigma scales as lam^2, so both solves see the same scaled band
+    spec = solve(QuarticPotential.from_well_params(alpha, beta, gamma), 100, 6)
+    scaled = solve(
+        QuarticPotential.from_well_params(lam**6 * alpha, lam**4 * beta, lam**3 * gamma),
+        100, 6,
+    )
+    e = spec.energies
+    assert np.all(
+        np.abs(scaled.energies - lam**2 * e) <= 1e-12 * np.maximum(1.0, np.abs(e))
+    )
+    # doublet vectors are arbitrary rotations within their pair
+    paired = {n for a, b, _ in quasi_degenerate_pairs(spec, 1e-6) for n in (a, b)}
+    for n, (u, v) in enumerate(zip(uncertainties(spec), uncertainties(scaled))):
+        if n in paired:
+            continue
+        assert lam * v.mean_x == pytest.approx(u.mean_x, rel=1e-11, abs=1e-11 * u.delta_x)
+        assert lam * v.delta_x == pytest.approx(u.delta_x, rel=1e-11)
+        assert v.delta_p / lam == pytest.approx(u.delta_p, rel=1e-11)
+        assert v.delta_x * v.delta_p == pytest.approx(u.delta_x * u.delta_p, rel=1e-11)
