@@ -131,7 +131,8 @@ def quartic_real_roots(
     q = d1 - 2.0 * c1 * shift + 8.0 * shift**3
     r = e1 - d1 * shift + c1 * shift * shift - 3.0 * shift**4
 
-    scale = max(abs(p), abs(q) ** (2.0 / 3.0), abs(r) ** 0.5, 1.0)
+    natural = max(abs(p), abs(q) ** (2.0 / 3.0), abs(r) ** 0.5)
+    scale = max(natural, 1.0)
     if abs(q) <= 1e-14 * scale**1.5:
         # biquadratic: y^2 solves z^2 + p z + r = 0
         ys: list[float] = []
@@ -142,9 +143,16 @@ def quartic_real_roots(
                 ys.extend([0.0, 0.0])
     else:
         # resolvent cubic u^3 + 2p u^2 + (p^2 - 4r) u - q^2 = 0; largest root
-        # is >= 0 and gives y^4+py^2+qy+r = (y^2+s y+B1)(y^2-s y+B2), s=sqrt(u)
-        res = cubic_real_roots(1.0, 2.0 * p, p * p - 4.0 * r, -q * q)
-        u = max(0.0, float(res[-1]))
+        # is >= 0 and gives y^4+py^2+qy+r = (y^2+s y+B1)(y^2-s y+B2), s=sqrt(u).
+        # The cubic's tolerances are absolute, so a quartic whose roots are
+        # all far below 1 has its resolvent solved for u/k, with k a power
+        # of two near the natural scale (exact rescaling); otherwise a root
+        # u of order q^(2/3) reads as a triple root at 0
+        k = 2.0 ** round(math.log2(natural)) if 0.0 < natural < 1.0 else 1.0
+        res = cubic_real_roots(
+            1.0, 2.0 * p / k, (p * p - 4.0 * r) / (k * k), -q * q / k**3
+        )
+        u = max(0.0, float(res[-1]) * k)
         s = math.sqrt(u)
         if s == 0.0:
             s = math.sqrt(abs(u) + _EPS)

@@ -119,3 +119,14 @@ def test_quartic_close_root_pair_stays_put():
     _assert_roots_genuine(coeffs, roots, 1e-12)
     assert len(roots) == 4
     assert np.all(np.abs(roots[2:] + 5e-7) <= 1e-6)
+
+
+def test_quartic_tiny_root_scale():
+    # 0.125 x^4 + d x with d = 4.3e-12: roots 0 and -(8 d)^(1/3) = -3.26e-4.
+    # The resolvent's root u ~ 1e-7 must not read as a triple root at 0,
+    # which turned the factorization into roots at +-0.034
+    d = 4.3471402465057776e-12
+    coeffs = [0.125, 0.0, 0.0, d, 0.0]
+    roots = quartic_real_roots(*coeffs)
+    _assert_roots_genuine(coeffs, roots, 1e-14)
+    assert np.allclose(roots, [-np.cbrt(8.0 * d), 0.0], rtol=1e-12, atol=1e-15)
