@@ -29,10 +29,7 @@ def polish_root(coeffs: np.ndarray, x: float, steps: int = 2) -> float:
     """Newton-polish a root of the polynomial with highest-degree-first coeffs.
 
     Skips updates when the derivative is too small relative to the local
-    coefficient scale (multiple roots), where Newton would amplify noise,
-    and rejects a step that raises the residual above both its old value
-    and the rounding level: between two nearly coincident roots the
-    derivative nearly vanishes and a step can land far from either root.
+    coefficient scale (multiple roots), where Newton would amplify noise.
     Horner runs on Python floats: the operations of np.polyval, without
     its per-call array overhead.
     """
@@ -40,21 +37,15 @@ def polish_root(coeffs: np.ndarray, x: float, steps: int = 2) -> float:
     degree = len(c) - 1
     dc = [v * (degree - i) for i, v in enumerate(c[:-1])]
     scale = max(max(abs(v) for v in c), 1.0)
-    f = _horner(c, x)
     for _ in range(steps):
+        f = _horner(c, x)
         df = _horner(dc, x)
         if abs(df) <= 1e3 * _EPS * scale * np.float64(1.0 + abs(x)) ** (degree - 1):
             break
         step = f / df
         if not math.isfinite(step):
             break
-        x_new = x - step
-        f_new = _horner(c, x_new)
-        if abs(f_new) > abs(f) and (
-            abs(f_new) > 1e3 * _EPS * scale * np.float64(1.0 + abs(x_new)) ** degree
-        ):
-            break
-        x, f = x_new, f_new
+        x -= step
     return x
 
 
@@ -131,8 +122,7 @@ def quartic_real_roots(
     q = d1 - 2.0 * c1 * shift + 8.0 * shift**3
     r = e1 - d1 * shift + c1 * shift * shift - 3.0 * shift**4
 
-    natural = max(abs(p), abs(q) ** (2.0 / 3.0), abs(r) ** 0.5)
-    scale = max(natural, 1.0)
+    scale = max(abs(p), abs(q) ** (2.0 / 3.0), abs(r) ** 0.5, 1.0)
     if abs(q) <= 1e-14 * scale**1.5:
         # biquadratic: y^2 solves z^2 + p z + r = 0
         ys: list[float] = []
@@ -143,16 +133,9 @@ def quartic_real_roots(
                 ys.extend([0.0, 0.0])
     else:
         # resolvent cubic u^3 + 2p u^2 + (p^2 - 4r) u - q^2 = 0; largest root
-        # is >= 0 and gives y^4+py^2+qy+r = (y^2+s y+B1)(y^2-s y+B2), s=sqrt(u).
-        # The cubic's tolerances are absolute, so a quartic whose roots are
-        # all far below 1 has its resolvent solved for u/k, with k a power
-        # of two near the natural scale (exact rescaling); otherwise a root
-        # u of order q^(2/3) reads as a triple root at 0
-        k = 2.0 ** round(math.log2(natural)) if 0.0 < natural < 1.0 else 1.0
-        res = cubic_real_roots(
-            1.0, 2.0 * p / k, (p * p - 4.0 * r) / (k * k), -q * q / k**3
-        )
-        u = max(0.0, float(res[-1]) * k)
+        # is >= 0 and gives y^4+py^2+qy+r = (y^2+s y+B1)(y^2-s y+B2), s=sqrt(u)
+        res = cubic_real_roots(1.0, 2.0 * p, p * p - 4.0 * r, -q * q)
+        u = max(0.0, float(res[-1]))
         s = math.sqrt(u)
         if s == 0.0:
             s = math.sqrt(abs(u) + _EPS)

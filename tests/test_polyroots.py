@@ -107,26 +107,3 @@ def test_quartic_small_coefficient_scale():
     ref = [-2.025776972849171, 2.416351410222441]
     assert len(roots) == 2
     assert np.allclose(roots, ref, rtol=1e-10)
-
-
-def test_quartic_close_root_pair_stays_put():
-    # x (0.0546875 x^3 + 3 x^2 + x + 1e-6): roots 0 and -1e-6 lie 1e-6
-    # apart after a shift of 13.7, so the closed form returns their midpoint,
-    # where the derivative nearly vanishes; an unguarded Newton step from
-    # there lands at 0.025, far from any root
-    coeffs = [0.0546875, 3.0, 1.0, 1e-6, 0.0]
-    roots = quartic_real_roots(*coeffs)
-    _assert_roots_genuine(coeffs, roots, 1e-12)
-    assert len(roots) == 4
-    assert np.all(np.abs(roots[2:] + 5e-7) <= 1e-6)
-
-
-def test_quartic_tiny_root_scale():
-    # 0.125 x^4 + d x with d = 4.3e-12: roots 0 and -(8 d)^(1/3) = -3.26e-4.
-    # The resolvent's root u ~ 1e-7 must not read as a triple root at 0,
-    # which turned the factorization into roots at +-0.034
-    d = 4.3471402465057776e-12
-    coeffs = [0.125, 0.0, 0.0, d, 0.0]
-    roots = quartic_real_roots(*coeffs)
-    _assert_roots_genuine(coeffs, roots, 1e-14)
-    assert np.allclose(roots, [-np.cbrt(8.0 * d), 0.0], rtol=1e-12, atol=1e-15)

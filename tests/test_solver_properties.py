@@ -108,12 +108,16 @@ def test_scaling_law(alpha, beta, gamma, lam):
     assert np.all(
         np.abs(scaled.energies - lam**2 * e) <= 1e-12 * np.maximum(1.0, np.abs(e))
     )
-    # doublet vectors are arbitrary rotations within their pair
+    # doublet vectors are arbitrary rotations within their pair; any other
+    # vector is fixed to about eps ||H|| / gap (Davis-Kahan), so the moments
+    # of a state a small gap away from its neighbour get a wider tolerance
     paired = {n for a, b, _ in quasi_degenerate_pairs(spec, 1e-6) for n in (a, b)}
     for n, (u, v) in enumerate(zip(uncertainties(spec), uncertainties(scaled))):
         if n in paired:
             continue
-        assert lam * v.mean_x == pytest.approx(u.mean_x, rel=1e-11, abs=1e-11 * u.delta_x)
-        assert lam * v.delta_x == pytest.approx(u.delta_x, rel=1e-11)
-        assert v.delta_p / lam == pytest.approx(u.delta_p, rel=1e-11)
-        assert v.delta_x * v.delta_p == pytest.approx(u.delta_x * u.delta_p, rel=1e-11)
+        gap = np.min(np.abs(np.delete(e, n) - e[n]))
+        rel = 1e-11 * max(1.0, 1.0 / gap)
+        assert lam * v.mean_x == pytest.approx(u.mean_x, rel=rel, abs=rel * u.delta_x)
+        assert lam * v.delta_x == pytest.approx(u.delta_x, rel=rel)
+        assert v.delta_p / lam == pytest.approx(u.delta_p, rel=rel)
+        assert v.delta_x * v.delta_p == pytest.approx(u.delta_x * u.delta_p, rel=rel)
