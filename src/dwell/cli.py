@@ -6,27 +6,32 @@ formatting so that identical configurations produce identical bytes.  Sweep
 points are cached one file per point, keyed by a content hash of the exact
 coefficients, the point settings and the record revision; each cache file
 is written atomically, carries a checksum line and is recomputed when it
-does not verify.
+does not verify.  Each command's flags and config-file keys are built from
+`SETTINGS`, so a command takes exactly the settings it reads.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import enum
 import hashlib
+import io
 import json
 import os
 import sys
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .phasespace import area
 from .potential import QuarticPotential, critical_points
 from .report import StateReport, state_reports
-from .rules import estimate_delta_gamma, validate_rules
+from .rules import NoTransitionsFound, estimate_delta_gamma, validate_rules
 from .spectrum import SolverError, certified_states, solve
 
-__all__ = ["main", "JobConfig", "ConfigError", "SCHEMA_VERSION", "CSV_COLUMNS"]
+__all__ = ["main", "SETTINGS", "ConfigError", "SCHEMA_VERSION", "CSV_COLUMNS"]
 
 SCHEMA_VERSION = "dwell-result-v1"
 # part of every cache key: bump whenever the arithmetic behind a cached record
@@ -44,23 +49,184 @@ CSV_COLUMNS = [
     "barrier_action", "allowed_action", "lobe_count", "converged_flag",
     "error",
 ]
-_STR_COLUMNS = {"occupancy", "error"}
-_BOOL_COLUMNS = {"converged_flag"}  # remaining columns are numeric tokens
+_STR_COLUMNS = {"occupancy", "error"}  # JSON strings; every other token is a JSON literal
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
+
+# a computation that raises one of these failed on its inputs: the command
+# exits 3, and a sweep records the message in the point's error row
+FAILURES = (SolverError, NoTransitionsFound, ValueError)
 
 
 class ConfigError(ValueError):
     """Invalid configuration (bad flag values, empty ranges, ...)."""
 
 
-def fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
+def _token(value: object) -> str:
+    """The text of one output value, the same in every CSV and JSON file."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, int):
+        return str(value)
+    return format(float(value), ".17g")
 
 
-# ---------------------------------------------------------------- config
+# ---------------------------------------------------------------- settings
+
+
+def parse_values(text: str) -> tuple[float, ...]:
+    """Parse '3', '1,3,5' or 'start:stop:step' (inclusive of stop)."""
+    text = text.strip()
+    if not text:
+        raise ConfigError("expected at least one value")
+    if ":" in text:
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ConfigError(f"range must be start:stop:step, got {text!r}")
+        start, stop, step = (float(p) for p in parts)
+        if step <= 0 or stop < start:
+            raise ConfigError(f"bad range {text!r}")
+        count = int((stop - start) / step + 1e-9) + 1
+        return tuple(start + i * step for i in range(count))
+    return tuple(float(p) for p in text.split(","))
+
+
+def _parse_poly(text: str) -> tuple[float, ...]:
+    coeffs = tuple(float(p) for p in text.split(","))
+    if len(coeffs) != 5:
+        raise ConfigError("expected 5 comma-separated values c4,c3,c2,c1,c0")
+    return coeffs
+
+
+def _parse_v0(text: str) -> str:
+    if text not in ("auto", "none"):
+        float(text)  # anything else must be a number
+    return text
+
+
+def _one_of(options: dict[str, object]) -> Callable[[str], object]:
+    def convert(text: str) -> object:
+        if text not in options:
+            raise ConfigError(f"expected one of {', '.join(options)}, got {text!r}")
+        return options[text]
+
+    return convert
+
+
+def _int_at_least(low: int) -> Callable[[str], int]:
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ConfigError(f"must be at least {low}, got {value}")
+        return value
+
+    return convert
+
+
+# a _BOOL setting is a flag without a value; a config file says true or false
+_BOOL = _one_of({"true": True, "false": False})
+COMMANDS = SOLVE, SWEEP, RULES, TABLE, PHASE = (
+    "solve", "sweep", "validate-rules", "table", "phase-space")
+_VALUES = "value, comma list or start:stop:step"
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One setting: flag `--name` (with '-' for '_'), config-file key `name`."""
+
+    convert: Callable[[str], object]
+    default: object
+    commands: tuple[str, ...]
+    help: str | None = None
+    in_file: bool = True  # may be set in a config file
+
+
+SETTINGS: dict[str, Setting] = {
+    "alpha": Setting(float, 1.0, (SOLVE, SWEEP, PHASE)),
+    "beta": Setting(parse_values, (20.0,), (SOLVE, SWEEP, RULES, PHASE), _VALUES),
+    "gamma": Setting(parse_values, (0.0,), (SOLVE, SWEEP, RULES, PHASE), _VALUES),
+    "v0": Setting(_parse_v0, "auto", (SOLVE, SWEEP, PHASE),
+                  "'auto' (shift minimum to zero), 'none' or number"),
+    "n_basis": Setting(int, 100, COMMANDS),
+    "states": Setting(_int_at_least(1), 8, (SOLVE, SWEEP, RULES, PHASE)),
+    "grid_points": Setting(_int_at_least(512), 4096, (SOLVE, SWEEP, RULES, TABLE)),
+    "rel_tol": Setting(float, 1e-6, (RULES,)),
+    "rho_floor": Setting(float, 0.01, (SOLVE, SWEEP)),
+    "outdir": Setting(Path, Path("."), COMMANDS),
+    "format": Setting(_one_of({"csv": "csv", "json": "json"}), "csv", (SOLVE, SWEEP),
+                      "csv or json"),
+    "poly": Setting(_parse_poly, None, (SOLVE,), "explicit coefficients c4,c3,c2,c1,c0"),
+    "workers": Setting(int, 0, (SWEEP,), "worker processes (0: one per CPU)"),
+    "no_cache": Setting(_BOOL, False, (SWEEP,)),
+    "cache_dir": Setting(str, None, (SWEEP,)),
+    "alphas": Setting(parse_values, (1.0,), (RULES,), "comma list of alpha values",
+                      in_file=False),
+    "contours": Setting(_BOOL, False, (PHASE,), "also export sampled lobe contours",
+                        in_file=False),
+}
+
+
+def read_config_file(path: Path, command: str) -> dict[str, tuple[str, str]]:
+    """Flat key=value lines; '#' starts a comment.  Returns each key's
+    source (file, line and key) and text; a key that is no setting of
+    `command` is an error."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    entries: dict[str, tuple[str, str]] = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        if "=" not in line:
+            raise ConfigError(f"{where}: expected key=value, got {raw!r}")
+        key, value = line.split("=", 1)
+        key = key.strip().replace("-", "_")
+        setting = SETTINGS.get(key)
+        if setting is None or not setting.in_file:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        if command not in setting.commands:
+            raise ConfigError(f"{where}: {command} does not read {key!r}")
+        entries[key] = (f"{where}: {key}", value.strip())
+    return entries
+
+
+def build_config(args: argparse.Namespace) -> argparse.Namespace:
+    """The settings that `args.command` reads: defaults, then the config
+    file, then flags (flags win).  `given` names those set by either."""
+    names = [name for name, s in SETTINGS.items() if args.command in s.commands]
+    texts = read_config_file(Path(args.config), args.command) if args.config else {}
+    for name in names:
+        if getattr(args, name) is not None:
+            texts[name] = ("--" + name.replace("_", "-"), getattr(args, name))
+    cfg = argparse.Namespace(**vars(args), given=frozenset(texts))
+    for name in names:
+        setattr(cfg, name, SETTINGS[name].default)
+    for name, (source, text) in texts.items():
+        try:
+            setattr(cfg, name, SETTINGS[name].convert(text))
+        except ValueError as exc:  # malformed numbers in flags/config files
+            raise ConfigError(f"{source}: {exc}") from exc
+    if "states" in names and cfg.states > certified_states(cfg.n_basis):
+        raise ConfigError(f"states={cfg.states} exceeds the {certified_states(cfg.n_basis)} "
+                          f"states certified converged at n_basis={cfg.n_basis}")
+    return cfg
+
+
+def single(cfg: argparse.Namespace, name: str) -> float:
+    """The value of a beta or gamma setting of a command that takes one point."""
+    values = getattr(cfg, name)
+    if len(values) != 1:
+        raise ConfigError(f"{cfg.command} takes a single {name} value, got {len(values)}")
+    return values[0]
 
 
 @dataclass(frozen=True)
@@ -77,135 +243,10 @@ class PointSettings:
     rho_floor: float
 
 
-@dataclass
-class JobConfig:
-    alpha: float = 1.0
-    betas: tuple[float, ...] = (20.0,)
-    gammas: tuple[float, ...] = (0.0,)
-    poly: tuple[float, float, float, float, float] | None = None
-    v0: str = "auto"  # "auto" | "none" | numeric string
-    n_basis: int = 100
-    n_states: int = 8
-    grid_points: int = 4096
-    rel_tol: float = 1e-6
-    rho_floor: float = 0.01
-    outdir: Path = field(default_factory=lambda: Path("."))
-    fmt: str = "csv"
-    workers: int = 0  # 0 = auto
-    no_cache: bool = False
-    cache_dir: Path | None = None
-    gammas_given: bool = False  # gamma set by a flag or the config file
-
-    @property
-    def point_settings(self) -> PointSettings:
-        return PointSettings(self.n_basis, self.n_states, self.grid_points, self.rho_floor)
-
-    def validate(self) -> None:
-        if not self.betas or not self.gammas:
-            raise ConfigError("beta/gamma ranges must be non-empty")
-        if self.n_states < 1:
-            raise ConfigError("states must be positive")
-        if self.n_states > certified_states(self.n_basis):
-            raise ConfigError(
-                f"states={self.n_states} exceeds the {certified_states(self.n_basis)} "
-                f"states certified converged at n_basis={self.n_basis}"
-            )
-        if self.grid_points < 512:
-            raise ConfigError("grid-points must be at least 512")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"unknown output format {self.fmt!r}")
-        if self.v0 not in ("auto", "none"):
-            try:
-                float(self.v0)
-            except ValueError:
-                raise ConfigError(f"v0 must be 'auto', 'none' or a number, got {self.v0!r}")
-
-
-def parse_values(text: str) -> tuple[float, ...]:
-    """Parse '3', '1,3,5' or 'start:stop:step' (inclusive of stop)."""
-    text = text.strip()
-    if not text:
-        return ()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ConfigError(f"bad range {text!r}")
-        count = int((stop - start) / step + 1e-9) + 1
-        return tuple(start + i * step for i in range(count))
-    return tuple(float(p) for p in text.split(","))
-
-
-def read_config_file(path: Path) -> dict[str, str]:
-    """Flat key=value lines; '#' starts a comment."""
-    entries: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        entries[key.strip().replace("-", "_")] = value.strip()
-    return entries
-
-
-def build_config(args: argparse.Namespace) -> JobConfig:
-    """Merge defaults, config file, then explicit flags (flags win)."""
-    cfg = JobConfig()
-    file_entries: dict[str, str] = {}
-    if getattr(args, "config", None):
-        file_entries = read_config_file(Path(args.config))
-
-    def pick(flag_name: str, file_key: str, convert, default):
-        flag = getattr(args, flag_name, None)
-        if flag is not None:
-            return convert(flag) if isinstance(flag, str) else flag
-        if file_key in file_entries:
-            return convert(file_entries[file_key])
-        return default
-
-    cfg.alpha = pick("alpha", "alpha", float, cfg.alpha)
-    cfg.betas = pick("beta", "beta", parse_values, cfg.betas)
-    cfg.gammas = pick("gamma", "gamma", parse_values, cfg.gammas)
-    cfg.gammas_given = getattr(args, "gamma", None) is not None or "gamma" in file_entries
-    if getattr(args, "poly", None) is not None:
-        coeffs = tuple(float(p) for p in args.poly.split(","))
-        if len(coeffs) != 5:
-            raise ConfigError("--poly expects 5 comma-separated values c4,c3,c2,c1,c0")
-        cfg.poly = coeffs
-    elif "poly" in file_entries:
-        coeffs = tuple(float(p) for p in file_entries["poly"].split(","))
-        if len(coeffs) != 5:
-            raise ConfigError("poly expects 5 comma-separated values c4,c3,c2,c1,c0")
-        cfg.poly = coeffs
-    cfg.v0 = str(pick("v0", "v0", str, cfg.v0))
-    cfg.n_basis = pick("n_basis", "n_basis", int, cfg.n_basis)
-    cfg.n_states = pick("states", "states", int, cfg.n_states)
-    cfg.grid_points = pick("grid_points", "grid_points", int, cfg.grid_points)
-    cfg.rel_tol = pick("rel_tol", "rel_tol", float, cfg.rel_tol)
-    cfg.rho_floor = pick("rho_floor", "rho_floor", float, cfg.rho_floor)
-    cfg.outdir = Path(pick("outdir", "outdir", str, str(cfg.outdir)))
-    cfg.fmt = pick("fmt", "format", str, cfg.fmt)
-    cfg.workers = pick("workers", "workers", int, cfg.workers)
-    if getattr(args, "no_cache", False) or file_entries.get("no_cache") == "true":
-        cfg.no_cache = True
-    cache_dir = pick("cache_dir", "cache_dir", str, None)
-    if cache_dir is None:
-        cache_dir = os.environ.get(CACHE_DIR_ENV)
-    cfg.cache_dir = Path(cache_dir) if cache_dir else None
-    cfg.validate()
-    return cfg
-
-
 # ---------------------------------------------------------------- records
 
 
-def resolve_potential(
-    alpha: float, beta: float, gamma: float, v0: str
-) -> QuarticPotential:
+def resolve_potential(alpha: float, beta: float, gamma: float, v0: str) -> QuarticPotential:
     """Well-parameter potential with the requested zero-point convention.
 
     v0='auto' shifts the global minimum to zero (the convention under which
@@ -222,60 +263,24 @@ def resolve_potential(
 def record_from_report(
     alpha: float, beta: float, gamma: float, rep: StateReport
 ) -> dict[str, str]:
-    m = rep.measures
-    values = {
-        "alpha": fmt_float(alpha),
-        "beta": fmt_float(beta),
-        "gamma": fmt_float(gamma),
-        "n": str(rep.n),
-        "energy": fmt_float(rep.energy),
-        "mean_x": fmt_float(rep.mean_x),
-        "delta_x": fmt_float(rep.delta_x),
-        "delta_p": fmt_float(rep.delta_p),
-        "uncertainty_product": fmt_float(rep.uncertainty_product),
-        "p_well_I": fmt_float(rep.p_well_I),
-        "p_well_II": fmt_float(rep.p_well_II),
-        "occupancy": rep.occupancy.value,
-        "total_nodes": str(rep.total_nodes),
-        "effective_nodes": str(rep.effective_nodes),
-        "s_x": fmt_float(m.s_x),
-        "s_p": fmt_float(m.s_p),
-        "s_total": fmt_float(m.s_total),
-        "i_x": fmt_float(m.i_x),
-        "i_p": fmt_float(m.i_p),
-        "i_product": fmt_float(m.i_product),
-        "e_x": fmt_float(m.e_x),
-        "e_p": fmt_float(m.e_p),
-        "e_product": fmt_float(m.e_product),
-        "os_x": fmt_float(m.os_x),
-        "os_p": fmt_float(m.os_p),
-        "os_total": fmt_float(m.os_total),
-        "barrier_action": fmt_float(rep.barrier_action),
-        "allowed_action": fmt_float(rep.allowed_action),
-        "lobe_count": str(rep.lobe_count),
-        "converged_flag": "true" if rep.converged else "false",
-        "error": "",
+    """One row; other columns are attributes of the report or its measures."""
+    point = {"alpha": alpha, "beta": beta, "gamma": gamma,
+             "converged_flag": rep.converged, "error": ""}
+    return {
+        col: _token(point[col] if col in point
+                    else getattr(rep, col) if hasattr(rep, col)
+                    else getattr(rep.measures, col))
+        for col in CSV_COLUMNS
     }
-    return values
 
 
 def error_record(alpha: float, beta: float, gamma: float, message: str) -> dict[str, str]:
-    rec = {col: "" for col in CSV_COLUMNS}
-    rec.update(
-        alpha=fmt_float(alpha),
-        beta=fmt_float(beta),
-        gamma=fmt_float(gamma),
-        error=message.replace("\n", " "),
-    )
-    return rec
+    point = {"alpha": alpha, "beta": beta, "gamma": gamma, "error": message.replace("\n", " ")}
+    return {col: _token(point.get(col, "")) for col in CSV_COLUMNS}
 
 
 def point_records(
-    alpha: float,
-    beta: float,
-    gamma: float,
-    pot: QuarticPotential,
-    settings: PointSettings,
+    alpha: float, beta: float, gamma: float, pot: QuarticPotential, settings: PointSettings
 ) -> list[dict[str, str]]:
     """All per-state records of one parameter point (raises on failure)."""
     reports = state_reports(
@@ -285,11 +290,12 @@ def point_records(
     return [record_from_report(alpha, beta, gamma, rep) for rep in reports]
 
 
-def _sweep_worker(payload: tuple) -> tuple[list[dict[str, str]] | None, str]:
+def _sweep_worker(payload: tuple) -> tuple[list[dict[str, str]], bool]:
+    """A point's records and True, or its error row and False."""
     try:
-        return point_records(*payload), ""
-    except (SolverError, ValueError) as exc:
-        return None, str(exc)
+        return point_records(*payload), True
+    except FAILURES as exc:
+        return [error_record(*payload[:3], str(exc))], False
 
 
 # ---------------------------------------------------------------- cache
@@ -348,85 +354,68 @@ def cache_store(cache_dir: Path, key: str, records: list[dict[str, str]]) -> Non
 # ---------------------------------------------------------------- writers
 
 
-def _csv_cell(value: str) -> str:
-    if "," in value or '"' in value or "\n" in value:
-        return '"' + value.replace('"', '""') + '"'
-    return value
-
-
-def records_to_csv(records: list[dict[str, str]]) -> str:
-    lines = [f"# schema {SCHEMA_VERSION}", ",".join(CSV_COLUMNS)]
-    for rec in records:
-        lines.append(",".join(_csv_cell(rec.get(col, "")) for col in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
-
-
-def _json_cell(col: str, value: str) -> str:
-    if value == "" and col not in _STR_COLUMNS:
-        return "null"
-    if col in _STR_COLUMNS:
-        return json.dumps(value)
-    if col in _BOOL_COLUMNS:
-        return value
-    return value  # int/float tokens are already valid JSON
-
-
-def records_to_json(records: list[dict[str, str]]) -> str:
-    rows = []
-    for rec in records:
-        cells = ", ".join(
-            f"\"{col}\": {_json_cell(col, rec.get(col, ''))}" for col in CSV_COLUMNS
-        )
-        rows.append("{" + cells + "}")
-    body = ",\n".join(rows)
-    return (
-        "{\n\"schema\": \"%s\",\n\"records\": [\n%s\n]\n}\n" % (SCHEMA_VERSION, body)
-    )
-
-
-def write_records(path: Path, records: list[dict[str, str]], fmt: str) -> None:
-    text = records_to_csv(records) if fmt == "csv" else records_to_json(records)
+def _write_text(path: Path, text: str) -> None:
+    """Write one output file and print its path."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
+    print(path)
+
+
+def write_csv(path: Path, rows: Iterable[Iterable[object]]) -> None:
+    """The one CSV writer: the schema line, then a line of tokens per row (header first)."""
+    out = io.StringIO()
+    out.write(f"# schema {SCHEMA_VERSION}\n")
+    csv.writer(out, lineterminator="\n").writerows([_token(v) for v in row] for row in rows)
+    _write_text(path, out.getvalue())
+
+
+def _json_cell(col: str, token: str) -> str:
+    if col in _STR_COLUMNS:
+        return json.dumps(token)
+    return token or "null"  # int/float/bool tokens are already valid JSON
+
+
+def write_records(path: Path, records: list[dict[str, str]], fmt: str) -> None:
+    if fmt == "csv":
+        write_csv(path, [CSV_COLUMNS, *([rec[col] for col in CSV_COLUMNS] for rec in records)])
+        return
+    rows = ",\n".join(
+        "{" + ", ".join(f'"{col}": {_json_cell(col, rec[col])}' for col in CSV_COLUMNS) + "}"
+        for rec in records
+    )
+    _write_text(path, '{\n"schema": "%s",\n"records": [\n%s\n]\n}\n' % (SCHEMA_VERSION, rows))
 
 
 # ---------------------------------------------------------------- commands
 
 
-def cmd_solve(cfg: JobConfig) -> int:
-    if cfg.poly is None and (len(cfg.betas) != 1 or len(cfg.gammas) != 1):
-        raise ConfigError("solve expects single beta and gamma values (use sweep)")
-    beta = cfg.betas[0]
-    gamma = cfg.gammas[0]
-    try:
-        if cfg.poly is not None:
-            pot = QuarticPotential(*cfg.poly)
-        else:
-            pot = resolve_potential(cfg.alpha, beta, gamma, cfg.v0)
-        records = point_records(cfg.alpha, beta, gamma, pot, cfg.point_settings)
-    except (SolverError, ValueError) as exc:
-        print(f"error: solve failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    out = cfg.outdir / f"solve.{cfg.fmt}"
-    write_records(out, records, cfg.fmt)
-    print(out)
+def cmd_solve(cfg: argparse.Namespace) -> int:
+    """single potential, full per-state report"""
+    beta, gamma = single(cfg, "beta"), single(cfg, "gamma")
+    if cfg.poly is not None:
+        pot = QuarticPotential(*cfg.poly)
+    else:
+        pot = resolve_potential(cfg.alpha, beta, gamma, cfg.v0)
+    settings = PointSettings(cfg.n_basis, cfg.states, cfg.grid_points, cfg.rho_floor)
+    records = point_records(cfg.alpha, beta, gamma, pot, settings)
+    write_records(cfg.outdir / f"solve.{cfg.format}", records, cfg.format)
     return EXIT_OK
 
 
-def cmd_sweep(cfg: JobConfig) -> int:
-    points = [(b, g) for b in cfg.betas for g in cfg.gammas]
-    cache_dir = cfg.cache_dir if cfg.cache_dir is not None else cfg.outdir / "cache"
-    settings = cfg.point_settings
+def cmd_sweep(cfg: argparse.Namespace) -> int:
+    """cartesian (beta, gamma) sweep with cache"""
+    points = [(b, g) for b in cfg.beta for g in cfg.gamma]
+    cache_dir = cfg.cache_dir if cfg.cache_dir is not None else os.environ.get(CACHE_DIR_ENV)
+    cache_dir = Path(cache_dir) if cache_dir else cfg.outdir / "cache"
+    settings = PointSettings(cfg.n_basis, cfg.states, cfg.grid_points, cfg.rho_floor)
     results: dict[tuple[float, float], list[dict[str, str]]] = {}
-    failures = 0
     pending = []
     for beta, gamma in points:
         try:
             pot = resolve_potential(cfg.alpha, beta, gamma, cfg.v0)
-        except (SolverError, ValueError) as exc:
+        except FAILURES as exc:
             results[(beta, gamma)] = [error_record(cfg.alpha, beta, gamma, str(exc))]
-            failures += 1
             continue
         key = cache_key(pot, settings)
         cached = None if cfg.no_cache else cache_load(cache_dir, key)
@@ -443,226 +432,150 @@ def cmd_sweep(cfg: JobConfig) -> int:
     else:
         outcomes = [_sweep_worker(p) for p in payloads]
 
-    for (beta, gamma, _, key), (recs, err) in zip(pending, outcomes):
-        if recs is None:
-            results[(beta, gamma)] = [error_record(cfg.alpha, beta, gamma, err)]
-            failures += 1
-        else:
-            results[(beta, gamma)] = recs
-            if not cfg.no_cache:
-                cache_store(cache_dir, key, recs)
+    for (beta, gamma, _, key), (recs, solved) in zip(pending, outcomes):
+        results[(beta, gamma)] = recs
+        if solved and not cfg.no_cache:
+            cache_store(cache_dir, key, recs)
 
-    ordered: list[dict[str, str]] = []
-    for beta, gamma in sorted(points):
-        ordered.extend(results[(beta, gamma)])
-    out = cfg.outdir / f"sweep.{cfg.fmt}"
-    write_records(out, ordered, cfg.fmt)
-    print(out)
-    if failures == len(points):
-        print("error: all sweep points failed", file=sys.stderr)
-        return EXIT_SOLVER
+    ordered = [rec for point in sorted(points) for rec in results[point]]
+    write_records(cfg.outdir / f"sweep.{cfg.format}", ordered, cfg.format)
+    if all(results[point][0]["error"] for point in points):
+        raise SolverError("every point failed (see the error column)")
     return EXIT_OK
 
 
-def cmd_validate_rules(cfg: JobConfig, alphas: tuple[float, ...]) -> int:
+def cmd_validate_rules(cfg: argparse.Namespace) -> int:
+    """estimate delta-gamma per alpha and check the k-rules"""
+    beta = single(cfg, "beta")
     blocks = []
-    for alpha in alphas:
+    for alpha in cfg.alphas:
         est = estimate_delta_gamma(alpha, n_basis=cfg.n_basis)
         block = {
-            "alpha": fmt_float(alpha),
-            "delta_gamma": fmt_float(est.delta_gamma),
-            "uncertainty": fmt_float(est.uncertainty),
-            "transitions": [fmt_float(t) for t in est.transitions],
-            "beta_used": fmt_float(est.beta_used),
+            "alpha": _token(alpha),
+            "delta_gamma": _token(est.delta_gamma),
+            "uncertainty": _token(est.uncertainty),
+            "transitions": [_token(t) for t in est.transitions],
+            "beta_used": _token(est.beta_used),
         }
-        if cfg.gammas_given:
+        if "gamma" in cfg.given:
             report = validate_rules(
-                alpha, cfg.betas[0], cfg.gammas, n_max=cfg.n_states - 1,
+                alpha, beta, cfg.gamma, n_max=cfg.states - 1,
                 delta_gamma=est.delta_gamma, n_basis=cfg.n_basis,
                 grid_points=cfg.grid_points, rel_tol=cfg.rel_tol,
             )
-            block["beta"] = fmt_float(cfg.betas[0])
-            block["occupancy_agreement"] = fmt_float(report.occupancy_agreement)
-            block["pairs_agreement"] = fmt_float(report.pairs_agreement)
+            block["beta"] = _token(beta)
+            block["occupancy_agreement"] = _token(report.occupancy_agreement)
+            block["pairs_agreement"] = _token(report.pairs_agreement)
             block["points"] = [
                 {
-                    "gamma": fmt_float(p.gamma),
-                    "k": fmt_float(p.k),
+                    "gamma": _token(p.gamma),
+                    "k": _token(p.k),
                     "participates": p.participates,
                     "pairs_match": p.pairs_match,
-                    "occupancy_agreement": fmt_float(p.occupancy_agreement),
+                    "occupancy_agreement": _token(p.occupancy_agreement),
                     "predicted_pairs": [list(q) for q in p.predicted_pairs],
                     "detected_pairs": [list(q) for q in p.detected_pairs],
-                    "occupancy_predicted": [o.value for o in p.occupancy_predicted],
-                    "occupancy_measured": [o.value for o in p.occupancy_measured],
+                    "occupancy_predicted": [_token(o) for o in p.occupancy_predicted],
+                    "occupancy_measured": [_token(o) for o in p.occupancy_measured],
                 }
                 for p in report.points
             ]
         blocks.append(block)
-    out = cfg.outdir / "validate_rules.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    doc = {"schema": "dwell-rules-v1", "results": blocks}
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(out)
+    doc = json.dumps({"schema": "dwell-rules-v1", "results": blocks}, indent=1, sort_keys=True)
+    _write_text(cfg.outdir / "validate_rules.json", doc + "\n")
     return EXIT_OK
 
 
-def _table_records(table: int, cfg: JobConfig) -> tuple[list[str], list[list[str]]]:
+def _table_rows(table: int, cfg: argparse.Namespace) -> Iterator[list[object]]:
+    """The header, then the rows of one benchmark table."""
     if table == 1:
+        yield ["n_basis", "e0", "e1", "e2", "e3"]
         v2 = QuarticPotential(0.01, -0.0075, -0.0025, 0.0, 0.0)
-        header = ["n_basis", "e0", "e1", "e2", "e3"]
-        rows = []
         for n_basis in (25, 50, 75, 100):
             spec = solve(v2, n_basis=n_basis, n_states=4)
-            rows.append([str(n_basis)] + [fmt_float(spec.energy(i)) for i in range(4)])
-        return header, rows
-    if table == 2:
-        header = ["pair", "gamma", "beta", "gap"]
-        rows = []
+            yield [n_basis, *(spec.energy(i) for i in range(4))]
+    elif table == 2:
+        yield ["pair", "gamma", "beta", "gap"]
         for gamma, (lo, hi) in ((2.0, (1, 2)), (4.0, (2, 3)), (6.0, (3, 4)), (8.0, (4, 5))):
             for beta in (5.0, 10.0, 15.0, 20.0, 25.0, 30.0):
                 pot = QuarticPotential.from_well_params(1.0, beta, gamma)
                 spec = solve(pot, n_basis=cfg.n_basis, n_states=hi + 1)
-                gap = abs(spec.energy(hi) - spec.energy(lo))
-                rows.append([f"{lo}-{hi}", fmt_float(gamma), fmt_float(beta), fmt_float(gap)])
-        return header, rows
-    if table == 3:
-        header = ["gamma", "n", "energy"]
-        rows = []
+                yield [f"{lo}-{hi}", gamma, beta, abs(spec.energy(hi) - spec.energy(lo))]
+    elif table == 3:
+        yield ["gamma", "n", "energy"]
         for gamma in (0.0, 2.0, 4.0, 6.0, 8.0):
             pot = resolve_potential(1.0, 30.0, gamma, "auto")
             spec = solve(pot, n_basis=cfg.n_basis, n_states=11)
             for n in range(11):
-                rows.append([fmt_float(gamma), str(n), fmt_float(spec.energy(n))])
-        return header, rows
-    if table == 4:
-        header = ["beta", "gamma", "n", "energy"]
-        rows = []
+                yield [gamma, n, spec.energy(n)]
+    elif table == 4:
+        yield ["beta", "gamma", "n", "energy"]
         for beta, gamma in ((11.0, 2.0), (15.0, 8.0), (12.0, 6.0), (14.0, 10.0), (20.0, 12.0)):
             pot = resolve_potential(1.0, beta, gamma, "auto")
             spec = solve(pot, n_basis=cfg.n_basis, n_states=8)
             for n in range(8):
-                rows.append([fmt_float(beta), fmt_float(gamma), str(n), fmt_float(spec.energy(n))])
-        return header, rows
-    if table == 5:
-        header = ["k", "n", "well", "effective_nodes"]
-        rows = []
+                yield [beta, gamma, n, spec.energy(n)]
+    else:
+        yield ["k", "n", "well", "effective_nodes"]
         for gamma in (1.0, 3.0, 5.0, 7.0):
             pot = resolve_potential(1.0, 20.0, gamma, "auto")
-            reports = state_reports(pot, n_basis=cfg.n_basis, n_states=6,
-                                    grid_points=cfg.grid_points)
-            for rep in reports:
-                rows.append([
-                    fmt_float(gamma / 2.0), str(rep.n), rep.occupancy.value,
-                    str(rep.effective_nodes),
-                ])
-        return header, rows
-    raise ConfigError(f"unknown table {table} (valid: 1-5)")
+            for rep in state_reports(pot, n_basis=cfg.n_basis, n_states=6,
+                                     grid_points=cfg.grid_points):
+                yield [gamma / 2.0, rep.n, rep.occupancy, rep.effective_nodes]
 
 
-def cmd_table(cfg: JobConfig, table: int) -> int:
-    header, rows = _table_records(table, cfg)
-    lines = [f"# schema {SCHEMA_VERSION}", ",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    out = cfg.outdir / f"table{table}.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(out)
+def cmd_table(cfg: argparse.Namespace) -> int:
+    """reproduce a benchmark table (1-5)"""
+    write_csv(cfg.outdir / f"table{cfg.number}.csv", _table_rows(cfg.number, cfg))
     return EXIT_OK
 
 
-def cmd_phase_space(cfg: JobConfig, contours: bool) -> int:
-    beta = cfg.betas[0]
-    gamma = cfg.gammas[0]
-    pot = resolve_potential(cfg.alpha, beta, gamma, cfg.v0)
-    try:
-        spec = solve(pot, n_basis=cfg.n_basis, n_states=cfg.n_states)
-    except SolverError as exc:
-        print(f"error: solve failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    lines = [f"# schema {SCHEMA_VERSION}",
-             "n,energy,barrier_action,allowed_action,lobe_count,lobe,x_lo,x_hi"]
-    contour_lines = [f"# schema {SCHEMA_VERSION}", "n,lobe,x,p"]
-    for n in range(cfg.n_states):
+def cmd_phase_space(cfg: argparse.Namespace) -> int:
+    """actions and lobes per state"""
+    pot = resolve_potential(cfg.alpha, single(cfg, "beta"), single(cfg, "gamma"), cfg.v0)
+    spec = solve(pot, n_basis=cfg.n_basis, n_states=cfg.states)
+    lobes = [["n", "energy", "barrier_action", "allowed_action", "lobe_count", "lobe",
+              "x_lo", "x_hi"]]
+    contours = [["n", "lobe", "x", "p"]]
+    for n in range(cfg.states):
         res = area(pot, spec.energy(n))
         for j, lobe in enumerate(res.lobes):
-            lines.append(",".join([
-                str(n), fmt_float(spec.energy(n)), fmt_float(res.barrier_action),
-                fmt_float(res.allowed_action), str(res.lobe_count), str(j),
-                fmt_float(lobe.x_lo), fmt_float(lobe.x_hi),
-            ]))
-            if contours:
-                for xv, pv in zip(lobe.x, lobe.p):
-                    contour_lines.append(
-                        ",".join([str(n), str(j), fmt_float(xv), fmt_float(pv)])
-                    )
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    out = cfg.outdir / "phase_space.csv"
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(out)
-    if contours:
-        cout = cfg.outdir / "phase_space_contours.csv"
-        with open(cout, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(contour_lines) + "\n")
-        print(cout)
+            lobes.append([n, spec.energy(n), res.barrier_action, res.allowed_action,
+                          res.lobe_count, j, lobe.x_lo, lobe.x_hi])
+            if cfg.contours:
+                contours.extend([n, j, xv, pv] for xv, pv in zip(lobe.x, lobe.p))
+    write_csv(cfg.outdir / "phase_space.csv", lobes)
+    if cfg.contours:
+        write_csv(cfg.outdir / "phase_space_contours.csv", contours)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- parser
 
-
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="flat key=value config file (flags win)")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--beta", help="value, comma list or start:stop:step")
-    sp.add_argument("--gamma", help="value, comma list or start:stop:step")
-    sp.add_argument("--v0", help="'auto' (shift minimum to zero), 'none' or number")
-    sp.add_argument("--n-basis", dest="n_basis", type=int)
-    sp.add_argument("--states", type=int)
-    sp.add_argument("--grid-points", dest="grid_points", type=int)
-    sp.add_argument("--rel-tol", dest="rel_tol", type=float)
-    sp.add_argument("--rho-floor", dest="rho_floor", type=float)
-    sp.add_argument("--outdir")
-    sp.add_argument("--format", dest="fmt", choices=("csv", "json"))
+RUN = {SOLVE: cmd_solve, SWEEP: cmd_sweep, RULES: cmd_validate_rules,
+       TABLE: cmd_table, PHASE: cmd_phase_space}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, with a flag for each setting it reads.
+
+    Flags keep their text; `build_config` converts it, so a malformed flag
+    and a malformed config-file line fail the same way."""
     parser = argparse.ArgumentParser(
         prog="dwell",
         description="Quartic double-well spectra, information measures and "
         "phase-space analysis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="single potential, full per-state report")
-    _add_common(p_solve)
-    p_solve.add_argument("--poly", help="explicit coefficients c4,c3,c2,c1,c0")
-
-    p_sweep = sub.add_parser("sweep", help="cartesian (beta, gamma) sweep with cache")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--workers", type=int)
-    p_sweep.add_argument("--no-cache", action="store_true")
-    p_sweep.add_argument("--cache-dir", dest="cache_dir")
-
-    p_rules = sub.add_parser(
-        "validate-rules",
-        help="estimate delta-gamma per alpha and check the k-rules",
-    )
-    _add_common(p_rules)
-    p_rules.add_argument("--alphas", help="comma list of alpha values")
-
-    p_table = sub.add_parser("table", help="reproduce a benchmark table (1-5)")
-    _add_common(p_table)
-    p_table.add_argument("number", type=int, choices=(1, 2, 3, 4, 5))
-
-    p_ps = sub.add_parser("phase-space", help="actions and lobes per state")
-    _add_common(p_ps)
-    p_ps.add_argument("--contours", action="store_true",
-                      help="also export sampled lobe contours")
+    for command in COMMANDS:
+        sp = sub.add_parser(command, help=RUN[command].__doc__)
+        if command == TABLE:
+            sp.add_argument("number", type=int, choices=(1, 2, 3, 4, 5))
+        sp.add_argument("--config", help="flat key=value config file (flags win)")
+        for name, s in SETTINGS.items():
+            if command in s.commands:
+                switch = {"action": "store_const", "const": "true"} if s.convert is _BOOL else {}
+                sp.add_argument("--" + name.replace("_", "-"), help=s.help, **switch)
     return parser
 
 
@@ -670,29 +583,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        try:
-            cfg = build_config(args)
-        except ValueError as exc:  # malformed numbers in flags/config files
-            raise ConfigError(str(exc)) from exc
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "validate-rules":
-            alphas = (
-                parse_values(args.alphas) if getattr(args, "alphas", None)
-                else (cfg.alpha,)
-            )
-            return cmd_validate_rules(cfg, alphas)
-        if args.command == "table":
-            return cmd_table(cfg, args.number)
-        if args.command == "phase-space":
-            return cmd_phase_space(cfg, args.contours)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return RUN[args.command](build_config(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage(), file=sys.stderr, end="")
         return EXIT_CONFIG
+    except FAILURES as exc:
+        print(f"error: {args.command} failed: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -395,3 +395,113 @@ def test_phase_space_export(tmp_path):
     assert counts == {0: 1, 1: 2, 2: 2, 3: 2}
     contours = read_rows(tmp_path / "phase_space_contours.csv")
     assert len(contours) == 512 * len(rows)  # 512 samples per lobe row
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["validate-rules", "--alphas", "-1"], "validate-rules"),
+    (["validate-rules", "--alphas", "1", "--n-basis", "12", "--states", "2"], "validate-rules"),
+    (["phase-space", "--alpha", "-1"], "phase-space"),
+])
+def test_solver_and_potential_failures_exit_3(tmp_path, capsys, argv, command):
+    # a negative alpha, and a basis too small for the delta-gamma probe,
+    # end in one error line instead of a traceback
+    assert main(argv + ["--outdir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {command} failed: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase-space", "--beta", "10,20"],
+    ["phase-space", "--gamma", "1,2"],
+    ["validate-rules", "--alphas", "1", "--beta", "10,20"],
+    ["solve", "--beta", "10,20"],
+    ["solve", "--poly", "1,0,-10,0.5,0", "--beta", "10,20"],
+])
+def test_single_point_commands_reject_value_lists(tmp_path, capsys, argv):
+    assert main(argv + ["--states", "2", "--outdir", str(tmp_path)]) == 2
+    assert "takes a single" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("solve", "state = 3", "unknown key 'state'"),
+    ("sweep", "poly = 1,0,-10,0.5,0", "sweep does not read 'poly'"),
+    ("solve", "workers = 2", "solve does not read 'workers'"),
+    ("validate-rules", "alpha = 2", "validate-rules does not read 'alpha'"),
+    ("phase-space", "contours = true", "unknown key 'contours'"),
+])
+def test_config_key_a_command_does_not_read_exits_2(tmp_path, capsys, command, line, message):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(f"states = 2\n# a comment\n{line}\n", encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
+    assert f"error: {cfg}:3: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_table_ignores_settings_it_does_not_read(tmp_path):
+    # table 1 fixes its own basis sizes, so --n-basis 12 (which certifies
+    # fewer than the default 8 states) neither fails nor changes a byte
+    assert main(["table", "1", "--outdir", str(tmp_path / "a")]) == 0
+    assert main(["table", "1", "--n-basis", "12", "--outdir", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "table1.csv").read_bytes() == (tmp_path / "b" / "table1.csv").read_bytes()
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    flags = {
+        command: sorted({o for a in parser._actions for o in a.option_strings} - {"-h", "--help"})
+        for command, parser in sub.choices.items()
+    }
+    point = ["--alpha", "--beta", "--config", "--gamma", "--n-basis", "--outdir", "--states",
+             "--v0"]
+    assert flags == {
+        "solve": sorted(point + ["--format", "--grid-points", "--poly", "--rho-floor"]),
+        "sweep": sorted(point + ["--cache-dir", "--format", "--grid-points", "--no-cache",
+                                 "--rho-floor", "--workers"]),
+        "validate-rules": ["--alphas", "--beta", "--config", "--gamma", "--grid-points",
+                           "--n-basis", "--outdir", "--rel-tol", "--states"],
+        "table": ["--config", "--grid-points", "--n-basis", "--outdir"],
+        "phase-space": sorted(point + ["--contours"]),
+    }
+    assert sum(map(len, flags.values())) == 48
+
+
+def _csv_and_json_cells(outdir: Path):
+    rows = read_rows(outdir / "sweep.csv")
+    doc = json.loads(
+        (outdir / "sweep.json").read_text(encoding="utf-8"),
+        parse_float=str, parse_int=str,  # keep every number's token as written
+    )
+    assert doc["schema"] == SCHEMA_VERSION
+    assert len(rows) == len(doc["records"])
+    for row, rec in zip(rows, doc["records"]):
+        assert list(row) == list(rec) == CSV_COLUMNS
+        for col in CSV_COLUMNS:
+            yield col, row[col], rec[col]
+
+
+@pytest.mark.parametrize("alpha, rc", [("1", 0), ("-1", 3)])
+def test_csv_and_json_writers_carry_the_same_tokens(tmp_path, alpha, rc):
+    base = [
+        "sweep", "--alpha", alpha, "--beta", "10", "--gamma", "0,1",
+        "--states", "3", "--grid-points", "512", "--workers", "1", "--no-cache",
+        "--outdir", str(tmp_path),
+    ]
+    assert main(base) == rc
+    assert main(base + ["--format", "json"]) == rc
+    seen = set()
+    for col, cell, value in _csv_and_json_cells(tmp_path):
+        if col in ("occupancy", "error"):
+            assert value == cell  # strings, commas included
+            assert rc == 0 or col != "error" or "positive, got -1" in value
+        elif cell == "":
+            assert value is None
+        elif cell in ("true", "false"):
+            assert value is (cell == "true")
+        else:
+            assert value == cell  # the same int or float token
+        seen.add((col, cell == ""))
+    if rc == 3:
+        assert ("error", False) in seen and ("energy", True) in seen
+    else:
+        assert ("converged_flag", False) in seen and ("error", True) in seen
