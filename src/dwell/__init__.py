@@ -60,7 +60,6 @@ from .wavefunction import (
     build_grid,
     build_momentum_grid,
     count_nodes,
-    eval_position,
     grid_integral,
     momentum_functions,
     position_functions,

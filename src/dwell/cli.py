@@ -261,9 +261,12 @@ def resolve_potential(alpha: float, beta: float, gamma: float, v0: str) -> Quart
 
 
 def record_from_report(
-    alpha: float, beta: float, gamma: float, rep: StateReport
+    alpha: float | str, beta: float | str, gamma: float | str, rep: StateReport
 ) -> dict[str, str]:
-    """One row; other columns are attributes of the report or its measures."""
+    """One row; other columns are attributes of the report or its measures.
+
+    A point parameter given as "" (a polynomial potential) is a blank cell.
+    """
     point = {"alpha": alpha, "beta": beta, "gamma": gamma,
              "converged_flag": rep.converged, "error": ""}
     return {
@@ -280,7 +283,8 @@ def error_record(alpha: float, beta: float, gamma: float, message: str) -> dict[
 
 
 def point_records(
-    alpha: float, beta: float, gamma: float, pot: QuarticPotential, settings: PointSettings
+    alpha: float | str, beta: float | str, gamma: float | str, pot: QuarticPotential,
+    settings: PointSettings,
 ) -> list[dict[str, str]]:
     """All per-state records of one parameter point (raises on failure)."""
     reports = state_reports(
@@ -392,20 +396,24 @@ def write_records(path: Path, records: list[dict[str, str]], fmt: str) -> None:
 
 def cmd_solve(cfg: argparse.Namespace) -> int:
     """single potential, full per-state report"""
-    beta, gamma = single(cfg, "beta"), single(cfg, "gamma")
-    if cfg.poly is not None:
-        pot = QuarticPotential(*cfg.poly)
+    point = (cfg.alpha, single(cfg, "beta"), single(cfg, "gamma"))
+    if cfg.poly is None:
+        pot = resolve_potential(*point, cfg.v0)
     else:
-        pot = resolve_potential(cfg.alpha, beta, gamma, cfg.v0)
+        clash = [name for name in ("alpha", "beta", "gamma", "v0") if name in cfg.given]
+        if clash:
+            raise ConfigError(f"poly sets the potential itself; drop {', '.join(clash)}")
+        pot = QuarticPotential(*cfg.poly)
+        point = ("", "", "")  # no well parameters: blank cells
     settings = PointSettings(cfg.n_basis, cfg.states, cfg.grid_points, cfg.rho_floor)
-    records = point_records(cfg.alpha, beta, gamma, pot, settings)
+    records = point_records(*point, pot, settings)
     write_records(cfg.outdir / f"solve.{cfg.format}", records, cfg.format)
     return EXIT_OK
 
 
 def cmd_sweep(cfg: argparse.Namespace) -> int:
     """cartesian (beta, gamma) sweep with cache"""
-    points = [(b, g) for b in cfg.beta for g in cfg.gamma]
+    points = sorted({(b, g) for b in cfg.beta for g in cfg.gamma})
     cache_dir = cfg.cache_dir if cfg.cache_dir is not None else os.environ.get(CACHE_DIR_ENV)
     cache_dir = Path(cache_dir) if cache_dir else cfg.outdir / "cache"
     settings = PointSettings(cfg.n_basis, cfg.states, cfg.grid_points, cfg.rho_floor)
@@ -437,7 +445,7 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
         if solved and not cfg.no_cache:
             cache_store(cache_dir, key, recs)
 
-    ordered = [rec for point in sorted(points) for rec in results[point]]
+    ordered = [rec for point in points for rec in results[point]]
     write_records(cfg.outdir / f"sweep.{cfg.format}", ordered, cfg.format)
     if all(results[point][0]["error"] for point in points):
         raise SolverError("every point failed (see the error column)")

@@ -23,14 +23,7 @@ from .basis import (
 )
 from .potential import WellGeometry, WellSide
 from .spectrum import Spectrum
-from .wavefunction import (
-    GridFunction,
-    UniformGrid,
-    eval_position,
-    grid_integral,
-    probability_below,
-    simpson,
-)
+from .wavefunction import GridFunction, probability_below, simpson
 
 __all__ = [
     "UncertaintyReport",
@@ -83,7 +76,6 @@ class Occupancy(enum.Enum):
 @dataclass(frozen=True)
 class UncertaintyReport:
     mean_x: float
-    mean_p: float
     delta_x: float
     delta_p: float
 
@@ -94,12 +86,17 @@ class UncertaintyReport:
 
 @dataclass(frozen=True)
 class WellOccupancy:
-    """Probability split across the barrier; well I is the deeper well."""
+    """Probability split across the barrier; well I is the deeper well.
+
+    `mass_left` and `mass_right` are the unnormalized integrals of |psi|^2
+    on either side of the barrier (nan for a single well).
+    """
 
     p_well_I: float
     p_well_II: float
-    barrier_x: float
     classification: Occupancy
+    mass_left: float
+    mass_right: float
 
 
 @dataclass(frozen=True)
@@ -141,7 +138,7 @@ def uncertainties(spec: Spectrum, n_states: int | None = None) -> list[Uncertain
 
     All states (default: every computed one) share one band product per
     operator.  Eigenvectors are real, so <p> vanishes identically for
-    stationary states; it is reported as 0.
+    stationary states and delta_p is sqrt(<p^2>).
     """
     c = spec.coefficients[:, :n_states]
 
@@ -156,7 +153,6 @@ def uncertainties(spec: Spectrum, n_states: int | None = None) -> list[Uncertain
     return [
         UncertaintyReport(
             mean_x=float(mean_x[n]),
-            mean_p=0.0,
             delta_x=float(delta_x[n]),
             delta_p=float(delta_p[n]),
         )
@@ -172,33 +168,37 @@ def classify_occupancy(p_well_I: float) -> Occupancy:
     return Occupancy.BOTH
 
 
-def well_occupancy(
-    spec: Spectrum,
-    n: int,
-    geometry: WellGeometry,
-    grid: UniformGrid,
-    psi: GridFunction | None = None,
-) -> WellOccupancy:
-    """Probability of finding state n on the deeper-well side of the barrier.
+def well_occupancy(psi: GridFunction, geometry: WellGeometry) -> list[WellOccupancy]:
+    """Barrier split of every sampled state, one record per column of psi.
 
+    The probability on the deeper-well side is the density integral below
+    the barrier over the full integral, for all states at once along the
+    contiguous sample axis, so each equals its single-state value.
     Single-well geometries classify as well I with probability 1.  For an
     exactly symmetric double well the deeper side is taken as the left one
     (either choice integrates to 1/2).
     """
-    if psi is None:
-        psi = eval_position(spec, n, grid)
-    rho = psi.density()
+    rho = np.abs(_rows(psi.values)) ** 2
     if not geometry.is_double_well:
-        return WellOccupancy(1.0, 0.0, math.nan, Occupancy.WELL_I)
-    x_b = geometry.barrier[0]
-    total = grid_integral(rho)
-    p_left = probability_below(rho, x_b) / total
+        return [WellOccupancy(1.0, 0.0, Occupancy.WELL_I, math.nan, math.nan)] * len(rho)
+    below = probability_below(rho, psi.x0, psi.dx, geometry.barrier[0])
+    total = simpson(rho, psi.dx)
+    p_left = below / total
     p_right = 1.0 - p_left
     if geometry.deeper_well_side is WellSide.RIGHT:
         p_i, p_ii = p_right, p_left
     else:
         p_i, p_ii = p_left, p_right
-    return WellOccupancy(p_i, p_ii, x_b, classify_occupancy(p_i))
+    return [
+        WellOccupancy(
+            p_well_I=float(p_i[n]),
+            p_well_II=float(p_ii[n]),
+            classification=classify_occupancy(float(p_i[n])),
+            mass_left=float(below[n]),
+            mass_right=float(total[n] - below[n]),
+        )
+        for n in range(len(rho))
+    ]
 
 
 def _rows(values: np.ndarray) -> np.ndarray:

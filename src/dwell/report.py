@@ -54,9 +54,10 @@ def state_reports(
     """Solve and evaluate states 0..n_states-1 of one potential.
 
     Grids are shared across states (built at the highest reported energy);
-    wavefunctions, moments and information measures are computed for all
-    states at once, and the turning points of each state are found once
-    and shared by the node count and the phase-space integrals.
+    wavefunctions, moments, barrier splits and information measures are
+    computed for all states at once, and the turning points of each state
+    are found once and shared by the node count and the phase-space
+    integrals.
     """
     spec = spectrum if spectrum is not None else solve(pot, n_basis, n_states)
     geometry = critical_points(pot)
@@ -72,15 +73,14 @@ def state_reports(
         GridFunction.on(pgrid, psi_p),
         GridFunction.on(pgrid, dpsi_p),
     )
+    occupancies = well_occupancy(GridFunction.on(xgrid, psi_x), geometry)
 
     reports = []
-    for n, (unc, meas) in enumerate(zip(moments, measures)):
+    for n, (unc, meas, occ) in enumerate(zip(moments, measures, occupancies)):
         energy = spec.energy(n)
-        psi = GridFunction.on(xgrid, psi_x[:, n])
-        occ = well_occupancy(spec, n, geometry, xgrid, psi=psi)
         turning = turning_points(pot, energy)
         total_nodes, effective_nodes = count_nodes(
-            psi, pot, energy, rho_floor=rho_floor, turning=turning, geometry=geometry
+            GridFunction.on(xgrid, psi_x[:, n]), turning, geometry, occ, rho_floor
         )
         ps = area(pot, energy, turning=turning)
         reports.append(

@@ -29,7 +29,7 @@ import numpy as np
 from .measures import Occupancy, well_occupancy
 from .potential import QuarticPotential, critical_points
 from .spectrum import certified_states, quasi_degenerate_pairs, solve
-from .wavefunction import build_grid, position_functions, GridFunction
+from .wavefunction import GridFunction, build_grid, position_functions
 
 __all__ = [
     "AsymmetryIndex",
@@ -46,6 +46,7 @@ __all__ = [
 
 K_TOL = 0.02  # |k - round(k)| below this counts as integer k
 SHARP_GAP_TOL = 1e-3  # a gap minimum this small (relative) marks a transition
+GAMMA_SCAN_POINTS = 141  # coarse gamma samples per delta-gamma probe sweep
 
 
 class NoTransitionsFound(RuntimeError):
@@ -227,7 +228,6 @@ def estimate_delta_gamma(
     beta_probe: float | None = None,
     gamma_range: tuple[float, float] | None = None,
     n_basis: int = 100,
-    n_scan: int = 141,
 ) -> DeltaGammaEstimate:
     """Estimate the characteristic transition interval from gap minima.
 
@@ -254,7 +254,7 @@ def estimate_delta_gamma(
             lo, hi = gamma_range
         else:
             lo, hi = 0.05, 8.8 * math.sqrt(alpha) * (1.3 ** attempt)
-        gammas = np.linspace(lo, hi, n_scan)
+        gammas = np.linspace(lo, hi, GAMMA_SCAN_POINTS)
         table = np.array([energies_at(g) for g in gammas])
 
         def gap_at(g: float, pair: int) -> float:
@@ -379,7 +379,6 @@ def measured_occupancies(
     (classified BOTH) regardless of the measured split.
     """
     spec = solve(pot, n_basis=n_basis, n_states=min(n_max + 2, certified_states(n_basis)))
-    geometry = critical_points(pot)
     pairs = tuple(
         (a, b)
         for a, b, _ in quasi_degenerate_pairs(spec, rel_tol=rel_tol, n_max=n_max + 1)
@@ -387,16 +386,18 @@ def measured_occupancies(
     paired = {i for ab in pairs for i in ab}
     grid = build_grid(pot, spec.energy(spec.n_verified - 1), grid_points)
     psi, _ = position_functions(spec, grid, n_max + 1)
-    occs = []
-    at_transition = []
-    for n in range(n_max + 1):
-        occ = well_occupancy(
-            spec, n, geometry, grid, psi=GridFunction.on(grid, psi[:, n])
-        )
-        transitional = n in paired or occ.classification is Occupancy.BOTH
-        occs.append(Occupancy.BOTH if transitional else occ.classification)
-        at_transition.append(transitional)
-    return tuple(occs), tuple(at_transition), pairs
+    measured = [
+        occ.classification
+        for occ in well_occupancy(GridFunction.on(grid, psi), critical_points(pot))
+    ]
+    at_transition = tuple(
+        n in paired or occ is Occupancy.BOTH for n, occ in enumerate(measured)
+    )
+    occs = tuple(
+        Occupancy.BOTH if transitional else occ
+        for occ, transitional in zip(measured, at_transition)
+    )
+    return occs, at_transition, pairs
 
 
 def validate_rules(

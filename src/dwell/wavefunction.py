@@ -12,11 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .potential import QuarticPotential, WellGeometry, critical_points, turning_points
 from .spectrum import Spectrum
+
+if TYPE_CHECKING:
+    from .measures import WellOccupancy
 
 __all__ = [
     "UniformGrid",
@@ -24,7 +28,6 @@ __all__ = [
     "build_grid",
     "build_momentum_grid",
     "hermite_functions",
-    "eval_position",
     "position_functions",
     "momentum_functions",
     "count_nodes",
@@ -62,7 +65,7 @@ class GridFunction:
     """Sampled function on a uniform grid; values may be real or complex.
 
     Values are (samples,) for one function or (samples, states) for several
-    on the same grid; `grid_integral` and `probability_below` take one.
+    on the same grid; `grid_integral` takes one.
     """
 
     x0: float
@@ -121,24 +124,23 @@ def grid_integral(gf: GridFunction) -> float:
     return float(simpson(np.real(gf.values), gf.dx))
 
 
-def probability_below(gf: GridFunction, x_split: float) -> float:
-    """Integral of a sampled density over x <= x_split.
+def probability_below(rho: np.ndarray, x0: float, dx: float, x_split: float):
+    """Integral over x <= x_split of densities sampled from x0 in steps dx.
 
-    Simpson up to the last sample below the split plus a trapezoid sliver
-    with a linearly interpolated endpoint.
+    Along the last axis, like `simpson`: Simpson up to the last sample below
+    the split plus a trapezoid sliver with a linearly interpolated endpoint.
     """
-    x = gf.x
-    vals = np.real(gf.values)
+    x = x0 + dx * np.arange(rho.shape[-1])
     if x_split <= x[0]:
-        return 0.0
+        return np.zeros(rho.shape[:-1])
     if x_split >= x[-1]:
-        return grid_integral(gf)
+        return simpson(rho, dx)
     k = int(np.searchsorted(x, x_split, side="right") - 1)
-    total = float(simpson(vals[: k + 1], gf.dx)) if k >= 1 else 0.0
-    frac = (x_split - x[k]) / gf.dx
+    total = simpson(rho[..., : k + 1], dx) if k >= 1 else 0.0
+    frac = (x_split - x[k]) / dx
     if frac > 0.0:
-        v_split = vals[k] + frac * (vals[k + 1] - vals[k])
-        total += 0.5 * (vals[k] + v_split) * (x_split - x[k])
+        v_split = rho[..., k] + frac * (rho[..., k + 1] - rho[..., k])
+        total = total + 0.5 * (rho[..., k] + v_split) * (x_split - x[k])
     return total
 
 
@@ -246,12 +248,6 @@ def _expand(
     return values, derivs
 
 
-def eval_position(spec: Spectrum, n: int, grid: UniformGrid) -> GridFunction:
-    """psi_n(x) on the grid (real)."""
-    values, _ = _expand(spec.basis.sigma, grid.x, spec.coefficients[:, n : n + 1])
-    return GridFunction.on(grid, values[0])
-
-
 def position_functions(
     spec: Spectrum, grid: UniformGrid, n_states: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -285,27 +281,25 @@ def momentum_functions(
 
 def count_nodes(
     psi: GridFunction,
-    pot: QuarticPotential,
-    energy: float,
+    turning: np.ndarray,
+    geometry: WellGeometry,
+    split: WellOccupancy,
     rho_floor: float = 0.01,
-    turning: np.ndarray | None = None,
-    geometry: WellGeometry | None = None,
 ) -> tuple[int, int]:
     """(total, effective) sign changes of psi between outer turning points.
 
-    Effective nodes are those sitting in a well that carries at least
-    `rho_floor` of the probability; nodes in a negligible well are the ones
-    the ladder-of-states picture ignores.  Sign changes below the amplitude
-    floor are skipped entirely (not resolvable in double precision).
-    `turning` (the turning points at `energy`) and `geometry` may be passed
-    in when the caller already has them.
+    `turning` holds the turning points at the state's energy and `split` its
+    barrier split from `measures.well_occupancy`.  Effective nodes are those
+    sitting in a well that carries at least `rho_floor` of the probability;
+    nodes in a negligible well are the ones the ladder-of-states picture
+    ignores.  Sign changes below the amplitude floor are skipped entirely
+    (not resolvable in double precision).
     """
     if np.iscomplexobj(psi.values):
         raise ValueError("count_nodes expects a real wavefunction")
-    tps = turning_points(pot, energy) if turning is None else turning
-    if tps.size < 2:
+    if turning.size < 2:
         return (0, 0)
-    t_lo, t_hi = float(tps[0]), float(tps[-1])
+    t_lo, t_hi = float(turning[0]), float(turning[-1])
     x = psi.x
     vals = np.real(psi.values)
     floor = NODE_AMPLITUDE_FLOOR * float(np.max(np.abs(vals)))
@@ -318,18 +312,11 @@ def count_nodes(
         vs[flips] - vs[flips + 1]
     )
     total = int(flips.size)
-
-    if geometry is None:
-        geometry = critical_points(pot)
     if not geometry.is_double_well:
         return (total, total)
-    x_b = geometry.barrier[0]
-    rho = psi.density()
-    p_left = probability_below(rho, x_b)
-    p_right = grid_integral(rho) - p_left
-    keep_left = p_left >= rho_floor
-    keep_right = p_right >= rho_floor
+    keep_left = split.mass_left >= rho_floor
+    keep_right = split.mass_right >= rho_floor
     effective = int(
-        np.sum(np.where(node_x < x_b, keep_left, keep_right))
+        np.sum(np.where(node_x < geometry.barrier[0], keep_left, keep_right))
     )
     return (total, effective)

@@ -31,9 +31,9 @@ from dwell import (
     build_momentum_grid,
     critical_points,
     estimate_delta_gamma,
-    eval_position,
     mirror,
     momentum_functions,
+    position_functions,
     predict_degeneracy,
     predict_occupancy,
     quasi_degenerate_pairs,
@@ -41,6 +41,7 @@ from dwell import (
     state_reports,
     uncertainties,
     validate_rules,
+    well_occupancy,
 )
 from dwell.basis import BasisSpec, optimal_sigma
 from dwell.cli import main as cli_main
@@ -293,10 +294,10 @@ def test_criterion_06_symmetry_suite():
     pot = QuarticPotential.from_well_params(1.0, 20.0, 0.0)
     geo = critical_points(pot)
     grid = build_grid(pot, spec.energy(6), 4096)
-    from dwell import well_occupancy
+    psi, _ = position_functions(spec, grid, 6)
+    occs = well_occupancy(GridFunction.on(grid, psi), geo)
 
-    for n, unc in enumerate(uncertainties(spec, 6)):
-        occ = well_occupancy(spec, n, geo, grid)
+    for occ, unc in zip(occs, uncertainties(spec, 6), strict=True):
         checks.append(abs(occ.p_well_I - 0.5) <= 1e-6)
         checks.append(abs(unc.mean_x) <= 1e-10)
     pot_a = QuarticPotential.from_well_params(1.0, 20.0, 3.0)
@@ -332,9 +333,10 @@ def test_criterion_07_representation_equivalence():
     kernel = np.exp(-1j * np.outer(p_sub, x))
     ft_dev = 0.0
     parseval_dev = 0.0
+    psi_x, _ = position_functions(spec, grid, 4)
     psi_p, _ = momentum_functions(spec, pgrid, 4)
     for n in range(4):
-        psi = eval_position(spec, n, grid).values
+        psi = psi_x[:, n]
         oracle = kernel @ (w * psi) / math.sqrt(2.0 * math.pi)
         psi_t = GridFunction.on(pgrid, psi_p[:, n])
         ft_dev = max(ft_dev, float(np.abs(psi_t.values[::16] - oracle).max()))

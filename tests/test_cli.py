@@ -423,6 +423,48 @@ def test_single_point_commands_reject_value_lists(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("given", [
+    ["--alpha", "2"], ["--beta", "10"], ["--gamma", "1"], ["--v0", "none"],
+])
+def test_poly_rejects_well_parameters(tmp_path, capsys, given):
+    argv = ["solve", "--poly", "1,0,-10,0.5,0", *given, "--states", "2"]
+    assert main(argv + ["--outdir", str(tmp_path)]) == 2
+    assert "poly sets the potential" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_poly_rows_leave_well_parameters_blank(tmp_path):
+    # x^4 - 10 x^2 + 0.5 x has no alpha, beta or gamma to report
+    argv = ["solve", "--poly", "1,0,-10,0.5,0", "--states", "2", "--grid-points", "512",
+            "--outdir", str(tmp_path)]
+    assert main(argv) == 0
+    assert main(argv + ["--format", "json"]) == 0
+    rows = read_rows(tmp_path / "solve.csv")
+    records = json.loads((tmp_path / "solve.json").read_text(encoding="utf-8"))["records"]
+    assert len(rows) == len(records) == 2
+    for row, rec in zip(rows, records):
+        for col in ("alpha", "beta", "gamma"):
+            assert row[col] == "" and rec[col] is None
+        assert float(row["energy"]) == rec["energy"]
+
+
+def test_sweep_solves_a_repeated_point_once(tmp_path, monkeypatch):
+    solved = []
+    point_records = cli.point_records
+
+    def counting(alpha, beta, gamma, pot, settings):
+        solved.append((beta, gamma))
+        return point_records(alpha, beta, gamma, pot, settings)
+
+    monkeypatch.setattr(cli, "point_records", counting)
+    assert main([
+        "sweep", "--beta", "10,10", "--gamma", "1,1", "--states", "2", "--grid-points", "512",
+        "--workers", "1", "--no-cache", "--outdir", str(tmp_path),
+    ]) == 0
+    assert solved == [(10.0, 1.0)]
+    assert [row["n"] for row in read_rows(tmp_path / "sweep.csv")] == ["0", "1"]
+
+
 @pytest.mark.parametrize("command, line, message", [
     ("solve", "state = 3", "unknown key 'state'"),
     ("sweep", "poly = 1,0,-10,0.5,0", "sweep does not read 'poly'"),

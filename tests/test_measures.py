@@ -137,13 +137,19 @@ def test_algebraic_moments_match_grid_quadrature():
         assert u.delta_p == pytest.approx(math.sqrt(p2), abs=1e-8)
 
 
+def barrier_split(pot, spec, n_states, points):
+    """well_occupancy of states 0..n_states-1 on a grid up to the top one."""
+    grid = build_grid(pot, spec.energy(n_states - 1), points)
+    psi, _ = position_functions(spec, grid, n_states)
+    return well_occupancy(GridFunction.on(grid, psi), critical_points(pot))
+
+
 def test_well_occupancy_symmetric_split():
     spec = well_solve(1.0, 20.0, 0.0)
     pot = QuarticPotential.from_well_params(1.0, 20.0, 0.0)
-    geo = critical_points(pot)
-    grid = build_grid(pot, spec.energy(5), 4096)
-    for n in range(6):
-        occ = well_occupancy(spec, n, geo, grid)
+    occs = barrier_split(pot, spec, 6, 4096)
+    assert len(occs) == 6
+    for occ in occs:
         assert occ.p_well_I == pytest.approx(0.5, abs=1e-6)
         assert occ.p_well_I + occ.p_well_II == pytest.approx(1.0, abs=1e-8)
         assert occ.classification is Occupancy.BOTH
@@ -152,23 +158,18 @@ def test_well_occupancy_symmetric_split():
 def test_well_occupancy_localized_states():
     pot = QuarticPotential.from_well_params(1.0, 20.0, 1.0)
     spec = solve(pot, 100, 6)
-    geo = critical_points(pot)
-    grid = build_grid(pot, spec.energy(5), 4096)
-    assert well_occupancy(spec, 1, geo, grid).classification is Occupancy.WELL_II
-    assert well_occupancy(spec, 0, geo, grid).classification is Occupancy.WELL_I
+    occs = barrier_split(pot, spec, 6, 4096)
+    assert occs[1].classification is Occupancy.WELL_II
+    assert occs[0].classification is Occupancy.WELL_I
     pot3 = QuarticPotential.from_well_params(1.0, 20.0, 3.0)
     spec3 = solve(pot3, 100, 6)
-    geo3 = critical_points(pot3)
-    grid3 = build_grid(pot3, spec3.energy(5), 4096)
-    assert well_occupancy(spec3, 3, geo3, grid3).classification is Occupancy.WELL_I
+    assert barrier_split(pot3, spec3, 6, 4096)[3].classification is Occupancy.WELL_I
 
 
 def test_single_well_occupancy():
     pot = QuarticPotential.from_well_params(1.0, 1.0, 10.0)
     spec = solve(pot, 100, 4)
-    geo = critical_points(pot)
-    grid = build_grid(pot, spec.energy(3), 2048)
-    occ = well_occupancy(spec, 0, geo, grid)
+    occ = barrier_split(pot, spec, 4, 2048)[0]
     assert occ.p_well_I == 1.0
     assert occ.classification is Occupancy.WELL_I
 

@@ -8,12 +8,16 @@ from hypothesis import given
 from conftest import confining_quartics, ladder_moments
 from dwell import (
     NotNormalized,
+    Occupancy,
     QuarticPotential,
+    WellOccupancy,
+    WellSide,
     build_grid,
     build_momentum_grid,
     count_nodes,
     critical_points,
     fisher,
+    grid_integral,
     mirror,
     momentum_functions,
     onicescu,
@@ -22,10 +26,10 @@ from dwell import (
     solve,
     state_reports,
     turning_points,
-    well_occupancy,
 )
+from dwell.measures import classify_occupancy
 from dwell.phasespace import DEFAULT_QUAD_NODES
-from dwell.wavefunction import GridFunction, hermite_functions
+from dwell.wavefunction import GridFunction, hermite_functions, probability_below
 
 
 def test_reports_accept_precomputed_spectrum():
@@ -89,6 +93,20 @@ def fresh_rule_actions(pot, energy, nodes=DEFAULT_QUAD_NODES):
     return barrier, allowed, lobes
 
 
+def reference_split(psi, geometry):
+    """The barrier split of one state from probability_below and grid_integral."""
+    if not geometry.is_double_well:
+        return WellOccupancy(1.0, 0.0, Occupancy.WELL_I, math.nan, math.nan)
+    rho = psi.density()
+    below = probability_below(rho.values, rho.x0, rho.dx, geometry.barrier[0])
+    total = grid_integral(rho)
+    p_left = below / total
+    p_i, p_ii = p_left, 1.0 - p_left
+    if geometry.deeper_well_side is WellSide.RIGHT:
+        p_i, p_ii = p_ii, p_i
+    return WellOccupancy(p_i, p_ii, classify_occupancy(p_i), below, total - below)
+
+
 def per_state_reference(pot, spec, n_states, grid_points):
     """Every numeric StateReport field, one state at a time."""
     geometry = critical_points(pot)
@@ -108,8 +126,10 @@ def per_state_reference(pot, spec, n_states, grid_points):
         dpsi = GridFunction.on(xgrid, dpsi_x[:, n].copy())
         psi_t = GridFunction.on(pgrid, psi_p[:, n].copy())
         dpsi_t = GridFunction.on(pgrid, dpsi_p[:, n].copy())
-        occ = well_occupancy(spec, n, geometry, xgrid, psi=psi)
-        total, effective = count_nodes(psi, pot, spec.energy(n))
+        occ = reference_split(psi, geometry)
+        total, effective = count_nodes(
+            psi, turning_points(pot, spec.energy(n)), geometry, occ
+        )
         barrier, allowed, lobes = fresh_rule_actions(pot, spec.energy(n))
         rows.append({
             "energy": spec.energy(n),

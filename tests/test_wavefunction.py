@@ -11,12 +11,13 @@ from dwell import (
     build_grid,
     build_momentum_grid,
     count_nodes,
-    eval_position,
+    critical_points,
     grid_integral,
     momentum_functions,
     position_functions,
     solve,
     turning_points,
+    well_occupancy,
 )
 from dwell.wavefunction import GridFunction, hermite_functions, simpson
 
@@ -58,7 +59,8 @@ def test_ground_state_normalized_to_1e8():
     grid = build_grid(pot, 50.0, 4096)
     fine = build_grid(pot, 50.0, 8192)
     for g in (grid, fine):
-        rho = eval_position(spec, 0, g).density()
+        psi, _ = position_functions(spec, g, 1)
+        rho = GridFunction.on(g, psi[:, 0]).density()
         assert abs(grid_integral(rho) - 1.0) <= 1e-8
 
 
@@ -85,8 +87,9 @@ def test_position_parity_of_symmetric_states():
     spec = well_solve(1.0, 12.0, 0.0)
     pot = QuarticPotential.from_well_params(1.0, 12.0, 0.0)
     grid = build_grid(pot, spec.energy(5), 2048)
+    psi, _ = position_functions(spec, grid, 4)
     for n, sign in ((0, +1.0), (1, -1.0), (2, +1.0), (3, -1.0)):
-        vals = eval_position(spec, n, grid).values
+        vals = psi[:, n]
         assert np.abs(vals - sign * vals[::-1]).max() <= 1e-10
 
 
@@ -125,9 +128,10 @@ def test_momentum_matches_fourier_quadrature_oracle():
     w *= grid.dx / 3.0
     p_sub = pgrid.x[::16]
     kernel = np.exp(-1j * np.outer(p_sub, x))
+    psi_x, _ = position_functions(spec, grid, 4)
     psi_p, _ = momentum_functions(spec, pgrid, 4)
     for n in range(4):
-        psi = eval_position(spec, n, grid).values
+        psi = psi_x[:, n]
         oracle = kernel @ (w * psi) / math.sqrt(2.0 * math.pi)
         mine = psi_p[::16, n]
         assert np.abs(mine - oracle).max() <= 1e-7
@@ -137,11 +141,29 @@ def test_grid_orthogonality():
     spec = well_solve(1.0, 20.0, 3.0, n_states=7)
     pot = QuarticPotential.from_well_params(1.0, 20.0, 3.0)
     grid = build_grid(pot, spec.energy(6), 4096)
-    psis = [eval_position(spec, n, grid).values for n in range(7)]
+    psi, _ = position_functions(spec, grid, 7)
+    psis = [psi[:, n] for n in range(7)]
     for m in range(7):
         for n in range(m + 1, 7):
             overlap = grid_integral(GridFunction.on(grid, psis[m] * psis[n]))
             assert abs(overlap) <= 1e-6
+
+
+def node_counts(pot, spec, n_states, points):
+    """count_nodes of states 0..n_states-1 on a grid up to the top one."""
+    grid = build_grid(pot, spec.energy(n_states - 1), points)
+    psi, _ = position_functions(spec, grid, n_states)
+    geometry = critical_points(pot)
+    splits = well_occupancy(GridFunction.on(grid, psi), geometry)
+    return [
+        count_nodes(
+            GridFunction.on(grid, psi[:, n]),
+            turning_points(pot, spec.energy(n)),
+            geometry,
+            split,
+        )
+        for n, split in enumerate(splits)
+    ]
 
 
 def test_effective_nodes_localized_ladder():
@@ -149,11 +171,10 @@ def test_effective_nodes_localized_ladder():
     # nodes follow each well's own ladder
     pot = QuarticPotential.from_well_params(1.0, 20.0, 1.0)
     spec = solve(pot, 100, 7)
-    grid = build_grid(pot, spec.energy(6), 4096)
+    counts = node_counts(pot, spec, 7, 4096)
     expected = [0, 0, 1, 1, 2, 2]
     for n, want in enumerate(expected):
-        psi = eval_position(spec, n, grid)
-        _, effective = count_nodes(psi, pot, spec.energy(n))
+        _, effective = counts[n]
         assert effective == want
 
 
@@ -161,19 +182,14 @@ def test_effective_nodes_shallow_well_ground():
     # beta = 20, gamma = 7 (k = 3.5): n = 4 is the shallow well's ground state
     pot = QuarticPotential.from_well_params(1.0, 20.0, 7.0)
     spec = solve(pot, 100, 7)
-    grid = build_grid(pot, spec.energy(6), 4096)
-    psi = eval_position(spec, 4, grid)
-    _, effective = count_nodes(psi, pot, spec.energy(4))
+    _, effective = node_counts(pot, spec, 7, 4096)[4]
     assert effective == 0
 
 
 def test_total_nodes_equal_state_index_symmetric():
     pot = QuarticPotential.from_well_params(1.0, 8.0, 0.0)
     spec = solve(pot, 100, 9)
-    grid = build_grid(pot, spec.energy(8), 4096)
-    for n in range(9):
-        psi = eval_position(spec, n, grid)
-        total, _ = count_nodes(psi, pot, spec.energy(n))
+    for n, (total, _) in enumerate(node_counts(pot, spec, 9, 4096)):
         assert total == n
 
 
@@ -183,10 +199,8 @@ def test_total_nodes_random_potentials(rng):
             rng.uniform(0.3, 2.0), rng.uniform(0.0, 9.0), rng.uniform(-2.5, 2.5)
         )
         spec = solve(pot, 100, 9)
-        grid = build_grid(pot, spec.energy(8), 2048)
         n = int(rng.integers(0, 9))
-        psi = eval_position(spec, n, grid)
-        total, _ = count_nodes(psi, pot, spec.energy(n))
+        total, _ = node_counts(pot, spec, 9, 2048)[n]
         assert total == n
 
 
