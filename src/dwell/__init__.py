@@ -16,11 +16,8 @@ from .measures import (
     Occupancy,
     UncertaintyReport,
     WellOccupancy,
-    fisher,
     info_measures,
-    onicescu,
     os_measure,
-    shannon,
     uncertainties,
     well_occupancy,
 )
@@ -55,12 +52,10 @@ from .spectrum import (
     solve,
 )
 from .wavefunction import (
-    GridFunction,
     UniformGrid,
     build_grid,
     build_momentum_grid,
     count_nodes,
-    grid_integral,
     momentum_functions,
     position_functions,
 )

@@ -18,6 +18,7 @@ import enum
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
@@ -80,6 +81,24 @@ def _token(value: object) -> str:
 # ---------------------------------------------------------------- settings
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text.strip()!r}")
+    return value
+
+
+def _checked(parse: Callable[[str], float], ok: Callable[[float], bool],
+             what: str) -> Callable[[str], float]:
+    def convert(text: str) -> float:
+        value = parse(text)
+        if not ok(value):
+            raise ConfigError(f"must be {what}, got {value!r}")
+        return value
+
+    return convert
+
+
 def parse_values(text: str) -> tuple[float, ...]:
     """Parse '3', '1,3,5' or 'start:stop:step' (inclusive of stop)."""
     text = text.strip()
@@ -89,16 +108,16 @@ def parse_values(text: str) -> tuple[float, ...]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (_finite(p) for p in parts)
         if step <= 0 or stop < start:
             raise ConfigError(f"bad range {text!r}")
         count = int((stop - start) / step + 1e-9) + 1
         return tuple(start + i * step for i in range(count))
-    return tuple(float(p) for p in text.split(","))
+    return tuple(_finite(p) for p in text.split(","))
 
 
 def _parse_poly(text: str) -> tuple[float, ...]:
-    coeffs = tuple(float(p) for p in text.split(","))
+    coeffs = tuple(_finite(p) for p in text.split(","))
     if len(coeffs) != 5:
         raise ConfigError("expected 5 comma-separated values c4,c3,c2,c1,c0")
     return coeffs
@@ -106,7 +125,7 @@ def _parse_poly(text: str) -> tuple[float, ...]:
 
 def _parse_v0(text: str) -> str:
     if text not in ("auto", "none"):
-        float(text)  # anything else must be a number
+        _finite(text)  # anything else must be a finite number
     return text
 
 
@@ -120,13 +139,7 @@ def _one_of(options: dict[str, object]) -> Callable[[str], object]:
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:
-    def convert(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise ConfigError(f"must be at least {low}, got {value}")
-        return value
-
-    return convert
+    return _checked(int, lambda value: value >= low, f"at least {low}")
 
 
 # a _BOOL setting is a flag without a value; a config file says true or false
@@ -148,7 +161,7 @@ class Setting:
 
 
 SETTINGS: dict[str, Setting] = {
-    "alpha": Setting(float, 1.0, (SOLVE, SWEEP, PHASE)),
+    "alpha": Setting(_finite, 1.0, (SOLVE, SWEEP, PHASE)),
     "beta": Setting(parse_values, (20.0,), (SOLVE, SWEEP, RULES, PHASE), _VALUES),
     "gamma": Setting(parse_values, (0.0,), (SOLVE, SWEEP, RULES, PHASE), _VALUES),
     "v0": Setting(_parse_v0, "auto", (SOLVE, SWEEP, PHASE),
@@ -156,13 +169,14 @@ SETTINGS: dict[str, Setting] = {
     "n_basis": Setting(int, 100, COMMANDS),
     "states": Setting(_int_at_least(1), 8, (SOLVE, SWEEP, RULES, PHASE)),
     "grid_points": Setting(_int_at_least(512), 4096, (SOLVE, SWEEP, RULES, TABLE)),
-    "rel_tol": Setting(float, 1e-6, (RULES,)),
-    "rho_floor": Setting(float, 0.01, (SOLVE, SWEEP)),
+    "rel_tol": Setting(_checked(_finite, lambda v: v > 0.0, "positive"), 1e-6, (RULES,)),
+    "rho_floor": Setting(_checked(_finite, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"), 0.01,
+                         (SOLVE, SWEEP)),
     "outdir": Setting(Path, Path("."), COMMANDS),
     "format": Setting(_one_of({"csv": "csv", "json": "json"}), "csv", (SOLVE, SWEEP),
                       "csv or json"),
     "poly": Setting(_parse_poly, None, (SOLVE,), "explicit coefficients c4,c3,c2,c1,c0"),
-    "workers": Setting(int, 0, (SWEEP,), "worker processes (0: one per CPU)"),
+    "workers": Setting(_int_at_least(0), 0, (SWEEP,), "worker processes (0: one per CPU)"),
     "no_cache": Setting(_BOOL, False, (SWEEP,)),
     "cache_dir": Setting(str, None, (SWEEP,)),
     "alphas": Setting(parse_values, (1.0,), (RULES,), "comma list of alpha values",

@@ -23,7 +23,7 @@ from .basis import (
 )
 from .potential import WellGeometry, WellSide
 from .spectrum import Spectrum
-from .wavefunction import GridFunction, probability_below, simpson
+from .wavefunction import UniformGrid, probability_below, simpson
 
 __all__ = [
     "UncertaintyReport",
@@ -34,9 +34,6 @@ __all__ = [
     "uncertainties",
     "well_occupancy",
     "classify_occupancy",
-    "shannon",
-    "fisher",
-    "onicescu",
     "os_measure",
     "info_measures",
     "SHANNON_TOTAL_BOUND",
@@ -168,8 +165,10 @@ def classify_occupancy(p_well_I: float) -> Occupancy:
     return Occupancy.BOTH
 
 
-def well_occupancy(psi: GridFunction, geometry: WellGeometry) -> list[WellOccupancy]:
-    """Barrier split of every sampled state, one record per column of psi.
+def well_occupancy(
+    grid: UniformGrid, psi: np.ndarray, geometry: WellGeometry
+) -> list[WellOccupancy]:
+    """Barrier split of every state in the (states, samples) rows psi.
 
     The probability on the deeper-well side is the density integral below
     the barrier over the full integral, for all states at once along the
@@ -178,11 +177,11 @@ def well_occupancy(psi: GridFunction, geometry: WellGeometry) -> list[WellOccupa
     exactly symmetric double well the deeper side is taken as the left one
     (either choice integrates to 1/2).
     """
-    rho = np.abs(_rows(psi.values)) ** 2
+    rho = np.abs(psi) ** 2
     if not geometry.is_double_well:
         return [WellOccupancy(1.0, 0.0, Occupancy.WELL_I, math.nan, math.nan)] * len(rho)
-    below = probability_below(rho, psi.x0, psi.dx, geometry.barrier[0])
-    total = simpson(rho, psi.dx)
+    below = probability_below(grid, rho, geometry.barrier[0])
+    total = simpson(rho, grid.dx)
     p_left = below / total
     p_right = 1.0 - p_left
     if geometry.deeper_well_side is WellSide.RIGHT:
@@ -201,60 +200,12 @@ def well_occupancy(psi: GridFunction, geometry: WellGeometry) -> list[WellOccupa
     ]
 
 
-def _rows(values: np.ndarray) -> np.ndarray:
-    """Samples of one or more states as a C-contiguous (states, samples) array."""
-    values = np.asarray(values)
-    return np.ascontiguousarray(values.reshape(len(values), -1).T)
-
-
 def _check_density(rho: np.ndarray, dx: float) -> None:
     """Raise unless every row of rho integrates to 1 within tolerance."""
-    totals = np.atleast_1d(simpson(rho, dx))
+    totals = simpson(rho, dx)
     bad = np.abs(totals - 1.0) > NORMALIZATION_TOL
     if np.any(bad):
         raise NotNormalized(f"density integrates to {totals[np.argmax(bad)]:.8f}")
-
-
-def _shannon(rho: np.ndarray, dx: float):
-    integrand = np.where(rho > 0.0, -rho * np.log(np.maximum(rho, RHO_TINY)), 0.0)
-    return simpson(integrand, dx)
-
-
-def _fisher(rho: np.ndarray, drho: np.ndarray, dx: float):
-    integrand = np.where(rho > RHO_TINY, drho * drho / np.maximum(rho, RHO_TINY), 0.0)
-    return simpson(integrand, dx)
-
-
-def _onicescu(rho: np.ndarray, dx: float):
-    return simpson(rho * rho, dx)
-
-
-def _density_and_slope(
-    psi: np.ndarray, dpsi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """rho = |psi|^2 and rho' = 2 Re(psi* psi')."""
-    return np.abs(psi) ** 2, 2.0 * np.real(np.conj(psi) * dpsi)
-
-
-def shannon(rho: GridFunction) -> float:
-    """S = -int rho ln rho, with 0 ln 0 = 0."""
-    vals = np.real(rho.values)
-    _check_density(vals, rho.dx)
-    return float(_shannon(vals, rho.dx))
-
-
-def fisher(psi: GridFunction, dpsi: GridFunction) -> float:
-    """I = int rho'^2 / rho with rho = |psi|^2, rho' = 2 Re(psi* psi')."""
-    rho, drho = _density_and_slope(psi.values, dpsi.values)
-    _check_density(rho, psi.dx)
-    return float(_fisher(rho, drho, psi.dx))
-
-
-def onicescu(rho: GridFunction) -> float:
-    """E = int rho^2 (disequilibrium)."""
-    vals = np.real(rho.values)
-    _check_density(vals, rho.dx)
-    return float(_onicescu(vals, rho.dx))
 
 
 def os_measure(s: float, e: float) -> float:
@@ -263,28 +214,28 @@ def os_measure(s: float, e: float) -> float:
 
 
 def info_measures(
-    psi_x: GridFunction,
-    dpsi_x: GridFunction,
-    psi_p: GridFunction,
-    dpsi_p: GridFunction,
+    xgrid: UniformGrid,
+    psi_x: np.ndarray,
+    dpsi_x: np.ndarray,
+    pgrid: UniformGrid,
+    psi_p: np.ndarray,
+    dpsi_p: np.ndarray,
 ) -> list[InfoMeasures]:
-    """Position/momentum measures of every sampled state, one per column.
+    """Position/momentum measures of every state, one per row.
 
-    The values are (samples,) for one state or (samples, states); all
-    states are integrated together, along the contiguous sample axis of a
-    (states, samples) copy, so each equals its single-state value.
+    psi and dpsi are (states, samples) rows on their grid; all states are
+    integrated together along the contiguous sample axis, so each equals
+    its single-state value.  S = -int rho ln rho (0 ln 0 = 0), I = int
+    rho'^2 / rho with rho' = 2 Re(psi* psi'), and E = int rho^2.
     """
     per_space = []
-    for psi, dpsi in ((psi_x, dpsi_x), (psi_p, dpsi_p)):
-        rho, drho = _density_and_slope(_rows(psi.values), _rows(dpsi.values))
-        _check_density(rho, psi.dx)
-        per_space.append(
-            (
-                _shannon(rho, psi.dx),
-                _fisher(rho, drho, psi.dx),
-                _onicescu(rho, psi.dx),
-            )
-        )
+    for grid, psi, dpsi in ((xgrid, psi_x, dpsi_x), (pgrid, psi_p, dpsi_p)):
+        rho, drho = np.abs(psi) ** 2, 2.0 * np.real(np.conj(psi) * dpsi)
+        _check_density(rho, grid.dx)
+        rho_safe = np.maximum(rho, RHO_TINY)
+        shannon = np.where(rho > 0.0, -rho * np.log(rho_safe), 0.0)
+        fisher = np.where(rho > RHO_TINY, drho * drho / rho_safe, 0.0)
+        per_space.append(tuple(simpson(f, grid.dx) for f in (shannon, fisher, rho * rho)))
     (s_x, i_x, e_x), (s_p, i_p, e_p) = per_space
     return [
         InfoMeasures(

@@ -29,7 +29,9 @@ def polish_root(coeffs: np.ndarray, x: float, steps: int = 2) -> float:
     """Newton-polish a root of the polynomial with highest-degree-first coeffs.
 
     Skips updates when the derivative is too small relative to the local
-    coefficient scale (multiple roots), where Newton would amplify noise.
+    coefficient scale (multiple roots), where Newton would amplify noise,
+    and rejects a step that raises |P| above both its old value and the
+    rounding level (a step off the midpoint of a close root pair).
     Horner runs on Python floats: the operations of np.polyval, without
     its per-call array overhead.
     """
@@ -37,15 +39,20 @@ def polish_root(coeffs: np.ndarray, x: float, steps: int = 2) -> float:
     degree = len(c) - 1
     dc = [v * (degree - i) for i, v in enumerate(c[:-1])]
     scale = max(max(abs(v) for v in c), 1.0)
+    f = _horner(c, x)
     for _ in range(steps):
-        f = _horner(c, x)
         df = _horner(dc, x)
         if abs(df) <= 1e3 * _EPS * scale * np.float64(1.0 + abs(x)) ** (degree - 1):
             break
         step = f / df
         if not math.isfinite(step):
             break
-        x -= step
+        x_new = x - step
+        f_new = _horner(c, x_new)
+        rounding = 1e3 * _EPS * scale * np.float64(1.0 + abs(x_new)) ** degree
+        if abs(f_new) > abs(f) and abs(f_new) > rounding:
+            break
+        x, f = x_new, f_new
     return x
 
 

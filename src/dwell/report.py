@@ -10,7 +10,6 @@ from .potential import QuarticPotential, critical_points, turning_points
 from .spectrum import Spectrum, solve
 from .wavefunction import (
     DEFAULT_GRID_POINTS,
-    GridFunction,
     build_grid,
     build_momentum_grid,
     count_nodes,
@@ -67,20 +66,15 @@ def state_reports(
     psi_x, dpsi_x = position_functions(spec, xgrid, n_states)
     psi_p, dpsi_p = momentum_functions(spec, pgrid, n_states)
     moments = uncertainties(spec, n_states)
-    measures = info_measures(
-        GridFunction.on(xgrid, psi_x),
-        GridFunction.on(xgrid, dpsi_x),
-        GridFunction.on(pgrid, psi_p),
-        GridFunction.on(pgrid, dpsi_p),
-    )
-    occupancies = well_occupancy(GridFunction.on(xgrid, psi_x), geometry)
+    measures = info_measures(xgrid, psi_x, dpsi_x, pgrid, psi_p, dpsi_p)
+    occupancies = well_occupancy(xgrid, psi_x, geometry)
 
     reports = []
     for n, (unc, meas, occ) in enumerate(zip(moments, measures, occupancies)):
         energy = spec.energy(n)
         turning = turning_points(pot, energy)
         total_nodes, effective_nodes = count_nodes(
-            GridFunction.on(xgrid, psi_x[:, n]), turning, geometry, occ, rho_floor
+            xgrid, psi_x[n], turning, geometry, occ, rho_floor
         )
         ps = area(pot, energy, turning=turning)
         reports.append(

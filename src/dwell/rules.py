@@ -29,7 +29,7 @@ import numpy as np
 from .measures import Occupancy, well_occupancy
 from .potential import QuarticPotential, critical_points
 from .spectrum import certified_states, quasi_degenerate_pairs, solve
-from .wavefunction import GridFunction, build_grid, position_functions
+from .wavefunction import build_grid, position_functions
 
 __all__ = [
     "AsymmetryIndex",
@@ -55,23 +55,20 @@ class NoTransitionsFound(RuntimeError):
 
 @dataclass(frozen=True)
 class AsymmetryIndex:
-    """k = gamma / delta_gamma with integer detection tolerance."""
+    """k = gamma / delta_gamma; integer within K_TOL."""
 
     delta_gamma: float
     k: float
-    k_tol: float = K_TOL
 
     @classmethod
-    def from_gamma(
-        cls, gamma: float, delta_gamma: float, k_tol: float = K_TOL
-    ) -> "AsymmetryIndex":
+    def from_gamma(cls, gamma: float, delta_gamma: float) -> "AsymmetryIndex":
         if delta_gamma <= 0.0:
             raise ValueError("delta_gamma must be positive")
-        return cls(delta_gamma=delta_gamma, k=gamma / delta_gamma, k_tol=k_tol)
+        return cls(delta_gamma=delta_gamma, k=gamma / delta_gamma)
 
     @property
     def is_integer(self) -> bool:
-        return abs(self.k - round(self.k)) <= self.k_tol
+        return abs(self.k - round(self.k)) <= K_TOL
 
     @property
     def k_integer(self) -> int | None:
@@ -387,8 +384,7 @@ def measured_occupancies(
     grid = build_grid(pot, spec.energy(spec.n_verified - 1), grid_points)
     psi, _ = position_functions(spec, grid, n_max + 1)
     measured = [
-        occ.classification
-        for occ in well_occupancy(GridFunction.on(grid, psi), critical_points(pot))
+        occ.classification for occ in well_occupancy(grid, psi, critical_points(pot))
     ]
     at_transition = tuple(
         n in paired or occ is Occupancy.BOTH for n, occ in enumerate(measured)

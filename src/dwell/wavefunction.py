@@ -24,7 +24,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "UniformGrid",
-    "GridFunction",
     "build_grid",
     "build_momentum_grid",
     "hermite_functions",
@@ -32,7 +31,6 @@ __all__ = [
     "momentum_functions",
     "count_nodes",
     "simpson",
-    "grid_integral",
     "probability_below",
 ]
 
@@ -58,33 +56,6 @@ class UniformGrid:
     @property
     def x_max(self) -> float:
         return self.x0 + self.dx * self.n_points
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Sampled function on a uniform grid; values may be real or complex.
-
-    Values are (samples,) for one function or (samples, states) for several
-    on the same grid; `grid_integral` takes one.
-    """
-
-    x0: float
-    dx: float
-    values: np.ndarray
-
-    @classmethod
-    def on(cls, grid: UniformGrid, values: np.ndarray) -> "GridFunction":
-        return cls(grid.x0, grid.dx, values)
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(len(self.values))
-
-    def density(self) -> "GridFunction":
-        return GridFunction(self.x0, self.dx, np.abs(self.values) ** 2)
-
-    def norm_squared(self) -> float:
-        return grid_integral(self.density())
 
 
 def _basic_simpson(y: np.ndarray, stop: int, dx: float):
@@ -119,18 +90,13 @@ def simpson(y: np.ndarray, dx: float):
     return total
 
 
-def grid_integral(gf: GridFunction) -> float:
-    """Composite Simpson integral over the full grid."""
-    return float(simpson(np.real(gf.values), gf.dx))
-
-
-def probability_below(rho: np.ndarray, x0: float, dx: float, x_split: float):
-    """Integral over x <= x_split of densities sampled from x0 in steps dx.
+def probability_below(grid: UniformGrid, rho: np.ndarray, x_split: float):
+    """Integral over x <= x_split of the densities rho sampled on grid.
 
     Along the last axis, like `simpson`: Simpson up to the last sample below
     the split plus a trapezoid sliver with a linearly interpolated endpoint.
     """
-    x = x0 + dx * np.arange(rho.shape[-1])
+    x, dx = grid.x, grid.dx
     if x_split <= x[0]:
         return np.zeros(rho.shape[:-1])
     if x_split >= x[-1]:
@@ -202,8 +168,12 @@ def build_momentum_grid(
     return UniformGrid(x0=-p_max, dx=2.0 * p_max / points, n_points=points)
 
 
-def _hermite_rows(xt: np.ndarray, n: int) -> np.ndarray:
-    """h_0..h_{n-1} at the points xt as an (n, points) array, one row per l."""
+def hermite_functions(xt: np.ndarray, n: int) -> np.ndarray:
+    """Orthonormal Hermite functions h_0..h_{n-1} at the 1-D points xt.
+
+    h_l(t) = (2^l l! sqrt(pi))^(-1/2) H_l(t) exp(-t^2/2), as an (n, points)
+    array with one row per l.
+    """
     out = np.empty((n, xt.size))
     out[0] = math.pi ** -0.25 * np.exp(-0.5 * xt * xt)
     if n > 1:
@@ -218,18 +188,10 @@ def _hermite_rows(xt: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def hermite_functions(xt: np.ndarray, n: int) -> np.ndarray:
-    """Orthonormal Hermite functions h_0..h_{n-1} at dimensionless points.
-
-    h_l(t) = (2^l l! sqrt(pi))^(-1/2) H_l(t) exp(-t^2/2); columns are l.
-    """
-    return _hermite_rows(np.asarray(xt, dtype=float).ravel(), n).T
-
-
 def _expand(
     sigma: float, x: np.ndarray, coef: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """sum_l coef[l, j] phi_l(x; sigma) and its d/dx, as (columns, points) rows.
+    """sum_l coef[l, j] phi_l(x; sigma) and its d/dx, one row per column j.
 
     One Hermite build serves both.  The derivative is taken in coefficient
     space: with t = s x, s = sqrt(2 sigma), h_l' = sqrt(2l) h_{l-1} - t h_l
@@ -242,7 +204,7 @@ def _expand(
     amp = (2.0 * sigma) ** 0.25
     dcoef = np.zeros_like(coef)
     dcoef[:-1] = np.sqrt(2.0 * np.arange(1, n))[:, None] * coef[1:]
-    both = np.hstack([coef, dcoef]).T @ _hermite_rows(xt, n)
+    both = np.hstack([coef, dcoef]).T @ hermite_functions(xt, n)
     values = amp * both[:m]
     derivs = (amp * scale) * (both[m:] - xt * both[:m])
     return values, derivs
@@ -251,21 +213,19 @@ def _expand(
 def position_functions(
     spec: Spectrum, grid: UniformGrid, n_states: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(psi, dpsi) for states 0..n_states-1 as (samples, n_states) arrays.
+    """(psi, dpsi) for states 0..n_states-1 as (n_states, samples) rows.
 
-    One Hermite build serves all states and both arrays; each column is
-    contiguous in memory.
+    One Hermite build serves all states and both arrays; each row is one
+    state, contiguous in memory.
     """
-    values, derivs = _expand(
-        spec.basis.sigma, grid.x, spec.coefficients[:, :n_states]
-    )
-    return values.T, derivs.T
+    return _expand(spec.basis.sigma, grid.x, spec.coefficients[:, :n_states])
 
 
 def momentum_functions(
     spec: Spectrum, grid: UniformGrid, n_states: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(psi_tilde, dpsi_tilde) for states 0..n_states-1 (complex arrays).
+    """(psi_tilde, dpsi_tilde) for states 0..n_states-1 as complex
+    (n_states, samples) rows.
 
     The momentum coefficients (-i)^l c_l are real for even l and imaginary
     for odd l, so both parts are expanded in real arithmetic with one
@@ -276,17 +236,19 @@ def momentum_functions(
     parts = np.hstack([phases.real[:, None] * c, phases.imag[:, None] * c])
     values, derivs = _expand(1.0 / (4.0 * spec.basis.sigma), grid.x, parts)
     k = c.shape[1]
-    return (values[:k] + 1j * values[k:]).T, (derivs[:k] + 1j * derivs[k:]).T
+    return values[:k] + 1j * values[k:], derivs[:k] + 1j * derivs[k:]
 
 
 def count_nodes(
-    psi: GridFunction,
+    grid: UniformGrid,
+    psi: np.ndarray,
     turning: np.ndarray,
     geometry: WellGeometry,
     split: WellOccupancy,
     rho_floor: float = 0.01,
 ) -> tuple[int, int]:
-    """(total, effective) sign changes of psi between outer turning points.
+    """(total, effective) sign changes of one state's row psi, sampled on
+    grid, between the outer turning points.
 
     `turning` holds the turning points at the state's energy and `split` its
     barrier split from `measures.well_occupancy`.  Effective nodes are those
@@ -295,16 +257,15 @@ def count_nodes(
     ignores.  Sign changes below the amplitude floor are skipped entirely
     (not resolvable in double precision).
     """
-    if np.iscomplexobj(psi.values):
+    if np.iscomplexobj(psi):
         raise ValueError("count_nodes expects a real wavefunction")
     if turning.size < 2:
         return (0, 0)
     t_lo, t_hi = float(turning[0]), float(turning[-1])
-    x = psi.x
-    vals = np.real(psi.values)
-    floor = NODE_AMPLITUDE_FLOOR * float(np.max(np.abs(vals)))
-    keep = (x > t_lo) & (x < t_hi) & (np.abs(vals) > floor)
-    xs, vs = x[keep], vals[keep]
+    x = grid.x
+    floor = NODE_AMPLITUDE_FLOOR * float(np.max(np.abs(psi)))
+    keep = (x > t_lo) & (x < t_hi) & (np.abs(psi) > floor)
+    xs, vs = x[keep], psi[keep]
     if xs.size < 2:
         return (0, 0)
     flips = np.nonzero(vs[:-1] * vs[1:] < 0.0)[0]

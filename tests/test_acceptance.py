@@ -46,7 +46,7 @@ from dwell import (
 from dwell.basis import BasisSpec, optimal_sigma
 from dwell.cli import main as cli_main
 from dwell.rules import AsymmetryIndex
-from dwell.wavefunction import GridFunction
+from dwell.wavefunction import simpson
 from scipy.linalg import eigvalsh
 
 V2 = QuarticPotential(0.01, -0.0075, -0.0025, 0.0, 0.0)
@@ -295,7 +295,7 @@ def test_criterion_06_symmetry_suite():
     geo = critical_points(pot)
     grid = build_grid(pot, spec.energy(6), 4096)
     psi, _ = position_functions(spec, grid, 6)
-    occs = well_occupancy(GridFunction.on(grid, psi), geo)
+    occs = well_occupancy(grid, psi, geo)
 
     for occ, unc in zip(occs, uncertainties(spec, 6), strict=True):
         checks.append(abs(occ.p_well_I - 0.5) <= 1e-6)
@@ -335,12 +335,10 @@ def test_criterion_07_representation_equivalence():
     parseval_dev = 0.0
     psi_x, _ = position_functions(spec, grid, 4)
     psi_p, _ = momentum_functions(spec, pgrid, 4)
-    for n in range(4):
-        psi = psi_x[:, n]
+    for psi, psi_t in zip(psi_x, psi_p, strict=True):
         oracle = kernel @ (w * psi) / math.sqrt(2.0 * math.pi)
-        psi_t = GridFunction.on(pgrid, psi_p[:, n])
-        ft_dev = max(ft_dev, float(np.abs(psi_t.values[::16] - oracle).max()))
-        parseval_dev = max(parseval_dev, abs(psi_t.norm_squared() - 1.0))
+        ft_dev = max(ft_dev, float(np.abs(psi_t[::16] - oracle).max()))
+        parseval_dev = max(parseval_dev, abs(simpson(np.abs(psi_t) ** 2, pgrid.dx) - 1.0))
     ok = report(
         "7",
         ok_spec and ft_dev <= 1e-7 and parseval_dev <= 1e-6,
@@ -365,14 +363,7 @@ def test_criterion_08_scaling_invariance():
         pgrid = build_momentum_grid(pot, spec.energy(4), 4096)
         psi_x, dpsi_x = position_functions(spec, grid, 4)
         psi_p, dpsi_p = momentum_functions(spec, pgrid, 4)
-        measures.append(
-            info_measures(
-                GridFunction.on(grid, psi_x),
-                GridFunction.on(grid, dpsi_x),
-                GridFunction.on(pgrid, psi_p),
-                GridFunction.on(pgrid, dpsi_p),
-            )
-        )
+        measures.append(info_measures(grid, psi_x, dpsi_x, pgrid, psi_p, dpsi_p))
     dev_total = max(
         abs(a.s_total - b.s_total) for a, b in zip(measures[0], measures[1])
     )

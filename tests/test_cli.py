@@ -410,6 +410,29 @@ def test_solver_and_potential_failures_exit_3(tmp_path, capsys, argv, command):
     assert len(err) == 1 and err[0].startswith(f"error: {command} failed: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--gamma", "0:inf:1", "--no-cache"], "--gamma: expected a finite number, got 'inf'"),
+    (["sweep", "--gamma", "nan:1:0.5", "--no-cache"], "--gamma: expected a finite number"),
+    (["solve", "--gamma", "nan"], "--gamma: expected a finite number, got 'nan'"),
+    (["solve", "--beta", "10,inf"], "--beta: expected a finite number, got 'inf'"),
+    (["solve", "--alpha", "inf"], "--alpha: expected a finite number, got 'inf'"),
+    (["phase-space", "--alpha", "nan"], "--alpha: expected a finite number, got 'nan'"),
+    (["solve", "--v0", "nan"], "--v0: expected a finite number, got 'nan'"),
+    (["solve", "--poly", "1,0,-inf,0,0"], "--poly: expected a finite number, got '-inf'"),
+    (["validate-rules", "--alphas", "nan"], "--alphas: expected a finite number, got 'nan'"),
+    (["solve", "--rho-floor", "5"], "--rho-floor: must be in [0, 1], got 5.0"),
+    (["solve", "--rho-floor", "nan"], "--rho-floor: expected a finite number, got 'nan'"),
+    (["sweep", "--rho-floor", "-0.1", "--no-cache"], "--rho-floor: must be in [0, 1], got -0.1"),
+    (["validate-rules", "--rel-tol", "nan"], "--rel-tol: expected a finite number, got 'nan'"),
+    (["validate-rules", "--rel-tol", "0"], "--rel-tol: must be positive, got 0.0"),
+    (["sweep", "--workers", "-3", "--no-cache"], "--workers: must be at least 0, got -3"),
+])
+def test_non_finite_and_out_of_range_settings_exit_2(tmp_path, capsys, argv, message):
+    assert main(argv + ["--states", "2", "--outdir", str(tmp_path)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ["phase-space", "--beta", "10,20"],
     ["phase-space", "--gamma", "1,2"],

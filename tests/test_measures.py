@@ -14,93 +14,83 @@ from dwell import (
     QuarticPotential,
     build_grid,
     build_momentum_grid,
+    UniformGrid,
     critical_points,
-    fisher,
-    grid_integral,
     info_measures,
     mirror,
     momentum_functions,
-    onicescu,
-    os_measure,
     position_functions,
-    shannon,
     solve,
     uncertainties,
     well_occupancy,
 )
-from dwell.wavefunction import GridFunction
+from dwell.wavefunction import simpson
 
 
-def gaussian_density(sigma, points=4096, half_width=9.0):
-    """|phi_0(x; sigma)|^2 sampled symmetrically."""
+def gaussian_row(sigma, points=4096, half_width=9.0):
+    """(grid, psi, dpsi) of phi_0(x; sigma) sampled symmetrically, one row."""
     width = half_width / math.sqrt(2.0 * sigma)
-    x = np.linspace(-width, width, points + 1)
-    rho = math.sqrt(2.0 * sigma / math.pi) * np.exp(-2.0 * sigma * x * x)
-    return GridFunction(x[0], x[1] - x[0], rho)
-
-
-def gaussian_state(sigma, points=4096, half_width=9.0):
-    width = half_width / math.sqrt(2.0 * sigma)
-    x = np.linspace(-width, width, points + 1)
+    grid = UniformGrid(-width, 2.0 * width / points, points)
+    x = grid.x
     psi = (2.0 * sigma / math.pi) ** 0.25 * np.exp(-sigma * x * x)
-    dpsi = -2.0 * sigma * x * psi
-    dx = x[1] - x[0]
-    return GridFunction(x[0], dx, psi), GridFunction(x[0], dx, dpsi)
+    return grid, psi[None], (-2.0 * sigma * x * psi)[None]
+
+
+def gaussian_measures(sigma):
+    """Measures of the oscillator ground state of position scale sigma; its
+    momentum wavefunction is phi_0(p; 1/(4 sigma))."""
+    (meas,) = info_measures(*gaussian_row(sigma), *gaussian_row(1.0 / (4.0 * sigma)))
+    return meas
 
 
 def test_gaussian_shannon_closed_form():
-    # S = 0.5 ln(pi e / (2 sigma)); sigma = 0.5 gives 0.5 ln(pi e)
-    s = shannon(gaussian_density(0.5))
-    assert s == pytest.approx(0.5 * math.log(math.pi * math.e), abs=1e-9)
+    # S = 0.5 ln(pi e / (2 sigma)); sigma = 0.5 gives 0.5 ln(pi e) in both spaces
+    meas = gaussian_measures(0.5)
+    assert meas.s_x == pytest.approx(0.5 * math.log(math.pi * math.e), abs=1e-9)
+    assert meas.s_p == pytest.approx(0.5 * math.log(math.pi * math.e), abs=1e-9)
 
 
 def test_gaussian_fisher_closed_form():
     for sigma in (0.3, 0.5, 1.7):
-        psi, dpsi = gaussian_state(sigma)
-        assert fisher(psi, dpsi) == pytest.approx(4.0 * sigma, rel=1e-9)
+        meas = gaussian_measures(sigma)
+        assert meas.i_x == pytest.approx(4.0 * sigma, rel=1e-9)
+        assert meas.i_p == pytest.approx(1.0 / sigma, rel=1e-9)
 
 
 def test_gaussian_onicescu_closed_form():
     # int rho^2 = sqrt(sigma / pi) for rho = sqrt(2 sigma / pi) e^{-2 sigma x^2}
     for sigma in (0.4, 1.0):
-        e = onicescu(gaussian_density(sigma))
-        assert e == pytest.approx(math.sqrt(sigma / math.pi), rel=1e-9)
+        meas = gaussian_measures(sigma)
+        assert meas.e_x == pytest.approx(math.sqrt(sigma / math.pi), rel=1e-9)
+        assert meas.e_p == pytest.approx(math.sqrt(0.25 / (sigma * math.pi)), rel=1e-9)
 
 
 def test_oscillator_ground_state_saturates_bounds():
     # position scale sigma and momentum scale 1/(4 sigma) saturate all four
-    sigma = 0.8
-    s_x = shannon(gaussian_density(sigma))
-    s_p = shannon(gaussian_density(1.0 / (4.0 * sigma)))
-    assert s_x + s_p == pytest.approx(SHANNON_TOTAL_BOUND, abs=1e-7)
-    psi_x, dpsi_x = gaussian_state(sigma)
-    psi_p, dpsi_p = gaussian_state(1.0 / (4.0 * sigma))
-    assert fisher(psi_x, dpsi_x) * fisher(psi_p, dpsi_p) == pytest.approx(
-        FISHER_PRODUCT_BOUND, rel=1e-9
-    )
-    e_x = onicescu(gaussian_density(sigma))
-    e_p = onicescu(gaussian_density(1.0 / (4.0 * sigma)))
-    assert e_x * e_p == pytest.approx(ONICESCU_PRODUCT_BOUND, rel=1e-9)
-    os_total = os_measure(s_x + s_p, e_x * e_p)
-    assert os_total == pytest.approx(OS_TOTAL_BOUND, rel=1e-7)
+    meas = gaussian_measures(0.8)
+    assert meas.s_total == pytest.approx(SHANNON_TOTAL_BOUND, abs=1e-7)
+    assert meas.i_product == pytest.approx(FISHER_PRODUCT_BOUND, rel=1e-9)
+    assert meas.e_product == pytest.approx(ONICESCU_PRODUCT_BOUND, rel=1e-9)
+    assert meas.os_total == pytest.approx(OS_TOTAL_BOUND, rel=1e-7)
 
 
 def test_not_normalized_raises():
-    rho = gaussian_density(0.5)
-    bad = GridFunction(rho.x0, rho.dx, 1.01 * rho.values)
+    grid, psi, dpsi = gaussian_row(0.5)
+    bad = (grid, 1.01**0.5 * psi, 1.01**0.5 * dpsi)
     with pytest.raises(NotNormalized):
-        shannon(bad)
+        info_measures(*bad, grid, psi, dpsi)
     with pytest.raises(NotNormalized):
-        onicescu(bad)
+        info_measures(grid, psi, dpsi, *bad)
 
 
 def test_zero_density_regions_are_harmless():
-    rho = gaussian_density(0.5)
-    vals = rho.values.copy()
-    vals[:10] = 0.0
-    vals[-10:] = 0.0
-    s = shannon(GridFunction(rho.x0, rho.dx, vals))
-    assert math.isfinite(s)
+    grid, psi, dpsi = gaussian_row(0.5)
+    for rows in (psi, dpsi):
+        rows[:, :10] = 0.0
+        rows[:, -10:] = 0.0
+    (meas,) = info_measures(grid, psi, dpsi, grid, psi, dpsi)
+    assert math.isfinite(meas.s_x)
+    assert math.isfinite(meas.i_x)
 
 
 def test_mean_x_vanishes_for_symmetric_wells():
@@ -126,14 +116,14 @@ def test_algebraic_moments_match_grid_quadrature():
     x = grid.x
     psi, dpsi = position_functions(spec, grid, 2)
     for n, u in enumerate(uncertainties(spec, 2)):
-        rho = psi[:, n] ** 2
-        mean = grid_integral(GridFunction.on(grid, x * rho))
-        mean2 = grid_integral(GridFunction.on(grid, x * x * rho))
+        rho = psi[n] ** 2
+        mean = simpson(x * rho, grid.dx)
+        mean2 = simpson(x * x * rho, grid.dx)
         assert u.mean_x == pytest.approx(mean, abs=1e-8)
         assert u.delta_x == pytest.approx(
             math.sqrt(mean2 - mean * mean), abs=1e-8
         )
-        p2 = grid_integral(GridFunction.on(grid, dpsi[:, n] ** 2))
+        p2 = simpson(dpsi[n] ** 2, grid.dx)
         assert u.delta_p == pytest.approx(math.sqrt(p2), abs=1e-8)
 
 
@@ -141,7 +131,7 @@ def barrier_split(pot, spec, n_states, points):
     """well_occupancy of states 0..n_states-1 on a grid up to the top one."""
     grid = build_grid(pot, spec.energy(n_states - 1), points)
     psi, _ = position_functions(spec, grid, n_states)
-    return well_occupancy(GridFunction.on(grid, psi), critical_points(pot))
+    return well_occupancy(grid, psi, critical_points(pot))
 
 
 def test_well_occupancy_symmetric_split():
@@ -181,20 +171,17 @@ def test_fisher_analytic_matches_finite_differences():
     pgrid = build_momentum_grid(pot, spec.energy(3), 4096)
     psi_x, dpsi_x = position_functions(spec, grid, 3)
     psi_p, dpsi_p = momentum_functions(spec, pgrid, 3)
-    for n in range(3):
-        for psi, dpsi, g in (
-            (GridFunction.on(grid, psi_x[:, n]), GridFunction.on(grid, dpsi_x[:, n]), grid),
-            (GridFunction.on(pgrid, psi_p[:, n]), GridFunction.on(pgrid, dpsi_p[:, n]), pgrid),
-        ):
-            analytic = fisher(psi, dpsi)
-            rho = np.abs(psi.values) ** 2
+    all_meas = info_measures(grid, psi_x, dpsi_x, pgrid, psi_p, dpsi_p)
+    for n, meas in enumerate(all_meas):
+        for psi, analytic, g in ((psi_x[n], meas.i_x, grid), (psi_p[n], meas.i_p, pgrid)):
+            rho = np.abs(psi) ** 2
             # 5-point central stencil for rho'
             drho = np.zeros_like(rho)
             drho[2:-2] = (
                 rho[:-4] - 8.0 * rho[1:-3] + 8.0 * rho[3:-1] - rho[4:]
             ) / (12.0 * g.dx)
             integrand = np.where(rho > 1e-300, drho**2 / np.maximum(rho, 1e-300), 0.0)
-            fd = grid_integral(GridFunction.on(g, integrand))
+            fd = simpson(integrand, g.dx)
             assert analytic == pytest.approx(fd, rel=1e-5)
 
 
@@ -210,12 +197,7 @@ def test_bound_suite_at_localized_point():
     pgrid = build_momentum_grid(pot, spec.energy(4), 4096)
     psi_x, dpsi_x = position_functions(spec, grid, 4)
     psi_p, dpsi_p = momentum_functions(spec, pgrid, 4)
-    all_meas = info_measures(
-        GridFunction.on(grid, psi_x),
-        GridFunction.on(grid, dpsi_x),
-        GridFunction.on(pgrid, psi_p),
-        GridFunction.on(pgrid, dpsi_p),
-    )
+    all_meas = info_measures(grid, psi_x, dpsi_x, pgrid, psi_p, dpsi_p)
     for n, (meas, unc) in enumerate(zip(all_meas, uncertainties(spec, 4))):
         assert unc.product >= 0.5 - 1e-9
         assert meas.s_total >= SHANNON_TOTAL_BOUND - 1e-6
@@ -231,17 +213,18 @@ def test_excited_oscillator_state_breaks_quadratic_density_bounds():
     both."""
     sigma = 0.5
     width = 12.0
-    x = np.linspace(-width, width, 8193)
-    dx = x[1] - x[0]
-    psi = (2.0 * sigma / math.pi) ** 0.25 * math.sqrt(2.0 * sigma) * x * np.exp(
-        -sigma * x * x
-    ) * math.sqrt(2.0)
-    rho = GridFunction(x[0], dx, psi**2)
-    assert grid_integral(rho) == pytest.approx(1.0, abs=1e-10)
-    e1 = onicescu(rho)
-    assert e1 * e1 == pytest.approx((9.0 / 16.0) / (2.0 * math.pi), rel=1e-8)
-    s1 = shannon(rho)
-    assert os_measure(2.0 * s1, e1 * e1) < OS_TOTAL_BOUND
+    grid = UniformGrid(-width, 2.0 * width / 8192, 8192)
+    x = grid.x
+    norm = (2.0 * sigma / math.pi) ** 0.25 * math.sqrt(2.0 * sigma) * math.sqrt(2.0)
+    psi = norm * x * np.exp(-sigma * x * x)
+    dpsi = norm * (1.0 - 2.0 * sigma * x * x) * np.exp(-sigma * x * x)
+    assert simpson(psi**2, grid.dx) == pytest.approx(1.0, abs=1e-10)
+    # at sigma = 1/2 the momentum wavefunction is -i times the same function
+    (meas,) = info_measures(
+        grid, psi[None], dpsi[None], grid, -1j * psi[None], -1j * dpsi[None]
+    )
+    assert meas.e_product == pytest.approx((9.0 / 16.0) / (2.0 * math.pi), rel=1e-8)
+    assert meas.os_total < OS_TOTAL_BOUND
 
 
 def test_scaling_invariance_of_total_shannon():
@@ -255,14 +238,7 @@ def test_scaling_invariance_of_total_shannon():
         pgrid = build_momentum_grid(pot, spec.energy(2), 4096)
         psi_x, dpsi_x = position_functions(spec, grid, 2)
         psi_p, dpsi_p = momentum_functions(spec, pgrid, 2)
-        results.append(
-            info_measures(
-                GridFunction.on(grid, psi_x),
-                GridFunction.on(grid, dpsi_x),
-                GridFunction.on(pgrid, psi_p),
-                GridFunction.on(pgrid, dpsi_p),
-            )
-        )
+        results.append(info_measures(grid, psi_x, dpsi_x, pgrid, psi_p, dpsi_p))
     for m_base, m_scaled in zip(*results):
         assert m_scaled.s_total == pytest.approx(m_base.s_total, abs=1e-6)
         assert m_scaled.s_x == pytest.approx(m_base.s_x - math.log(lam), abs=1e-6)

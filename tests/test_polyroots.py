@@ -65,6 +65,16 @@ def test_quartic_brackets_sign_changes(rng):
             assert roots.size and np.any((roots >= x[i]) & (roots <= x[i + 1]))
 
 
+def test_quartic_keeps_a_close_root_pair():
+    # roots 0 and -1e-6 (and two far ones): the closed form lands near the
+    # pair's midpoint, where the derivative nearly vanishes and an unguarded
+    # Newton step throws both copies out to x ~ 0.025
+    roots = quartic_real_roots(0.0546875, 3.0, 1.0, 1e-6, 0.0)
+    assert roots.size == 4
+    for r in roots[np.argsort(np.abs(roots))[:2]]:
+        assert min(abs(r), abs(r + 1e-6)) <= 1e-6
+
+
 def test_cubic_three_known_roots():
     # (x-1)(x-2)(x-3) = x^3 - 6x^2 + 11x - 6
     roots = cubic_real_roots(1.0, -6.0, 11.0, -6.0)

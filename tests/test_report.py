@@ -16,20 +16,16 @@ from dwell import (
     build_momentum_grid,
     count_nodes,
     critical_points,
-    fisher,
-    grid_integral,
     mirror,
     momentum_functions,
-    onicescu,
     position_functions,
-    shannon,
     solve,
     state_reports,
     turning_points,
 )
 from dwell.measures import classify_occupancy
 from dwell.phasespace import DEFAULT_QUAD_NODES
-from dwell.wavefunction import GridFunction, hermite_functions, probability_below
+from dwell.wavefunction import hermite_functions, probability_below, simpson
 
 
 def test_reports_accept_precomputed_spectrum():
@@ -93,18 +89,31 @@ def fresh_rule_actions(pot, energy, nodes=DEFAULT_QUAD_NODES):
     return barrier, allowed, lobes
 
 
-def reference_split(psi, geometry):
-    """The barrier split of one state from probability_below and grid_integral."""
+def reference_split(grid, psi, geometry):
+    """The barrier split of one state's row from probability_below and simpson."""
     if not geometry.is_double_well:
         return WellOccupancy(1.0, 0.0, Occupancy.WELL_I, math.nan, math.nan)
-    rho = psi.density()
-    below = probability_below(rho.values, rho.x0, rho.dx, geometry.barrier[0])
-    total = grid_integral(rho)
+    rho = psi**2
+    below = probability_below(grid, rho, geometry.barrier[0])
+    total = float(simpson(rho, grid.dx))
     p_left = below / total
     p_i, p_ii = p_left, 1.0 - p_left
     if geometry.deeper_well_side is WellSide.RIGHT:
         p_i, p_ii = p_ii, p_i
     return WellOccupancy(p_i, p_ii, classify_occupancy(p_i), below, total - below)
+
+
+def reference_measures(grid, psi, dpsi):
+    """Shannon, Fisher and Onicescu integrals of one state's row, by simpson."""
+    rho = np.abs(psi) ** 2
+    drho = 2.0 * np.real(np.conj(psi) * dpsi)
+    positive = rho > 1e-300
+    safe = np.where(positive, rho, 1.0)
+    return (
+        float(simpson(-rho * np.log(safe), grid.dx)),
+        float(simpson(np.where(positive, drho * drho / safe, 0.0), grid.dx)),
+        float(simpson(rho * rho, grid.dx)),
+    )
 
 
 def per_state_reference(pot, spec, n_states, grid_points):
@@ -122,14 +131,13 @@ def per_state_reference(pot, spec, n_states, grid_points):
         mean_x = c @ x_mat @ c
         delta_x = math.sqrt(max(c @ x2_mat @ c - mean_x**2, 0.0))
         delta_p = math.sqrt(c @ p2_mat @ c)
-        psi = GridFunction.on(xgrid, psi_x[:, n].copy())
-        dpsi = GridFunction.on(xgrid, dpsi_x[:, n].copy())
-        psi_t = GridFunction.on(pgrid, psi_p[:, n].copy())
-        dpsi_t = GridFunction.on(pgrid, dpsi_p[:, n].copy())
-        occ = reference_split(psi, geometry)
+        psi = psi_x[n].copy()
+        occ = reference_split(xgrid, psi, geometry)
         total, effective = count_nodes(
-            psi, turning_points(pot, spec.energy(n)), geometry, occ
+            xgrid, psi, turning_points(pot, spec.energy(n)), geometry, occ
         )
+        s_x, i_x, e_x = reference_measures(xgrid, psi, dpsi_x[n])
+        s_p, i_p, e_p = reference_measures(pgrid, psi_p[n], dpsi_p[n])
         barrier, allowed, lobes = fresh_rule_actions(pot, spec.energy(n))
         rows.append({
             "energy": spec.energy(n),
@@ -141,12 +149,12 @@ def per_state_reference(pot, spec, n_states, grid_points):
             "p_well_II": occ.p_well_II,
             "total_nodes": total,
             "effective_nodes": effective,
-            "s_x": shannon(psi.density()),
-            "s_p": shannon(psi_t.density()),
-            "i_x": fisher(psi, dpsi),
-            "i_p": fisher(psi_t, dpsi_t),
-            "e_x": onicescu(psi.density()),
-            "e_p": onicescu(psi_t.density()),
+            "s_x": s_x,
+            "s_p": s_p,
+            "i_x": i_x,
+            "i_p": i_p,
+            "e_x": e_x,
+            "e_p": e_p,
             "barrier_action": barrier,
             "allowed_action": allowed,
             "lobe_count": lobes,
@@ -188,8 +196,8 @@ def hermite_derivative_matrix(sigma, x, n):
     scale = math.sqrt(2.0 * sigma)
     t = scale * x
     h = hermite_functions(t, n)
-    dh = -t[:, None] * h
-    dh[:, 1:] += np.sqrt(2.0 * np.arange(1, n)) * h[:, :-1]
+    dh = -t * h
+    dh[1:] += np.sqrt(2.0 * np.arange(1, n))[:, None] * h[:-1]
     return (2.0 * sigma) ** 0.25 * scale * dh
 
 
@@ -208,8 +216,8 @@ def test_coefficient_space_derivatives_match_derivative_matrix(name):
     ):
         amp = (2.0 * sig) ** 0.25
         phi = amp * hermite_functions(math.sqrt(2.0 * sig) * grid.x, spec.n_basis)
-        want_psi = phi @ coef
-        want_dpsi = hermite_derivative_matrix(sig, grid.x, spec.n_basis) @ coef
+        want_psi = coef.T @ phi
+        want_dpsi = coef.T @ hermite_derivative_matrix(sig, grid.x, spec.n_basis)
         assert np.abs(psi - want_psi).max() <= REL * np.abs(want_psi).max()
         assert np.abs(dpsi - want_dpsi).max() <= REL * np.abs(want_dpsi).max()
 

@@ -12,14 +12,13 @@ from dwell import (
     build_momentum_grid,
     count_nodes,
     critical_points,
-    grid_integral,
     momentum_functions,
     position_functions,
     solve,
     turning_points,
     well_occupancy,
 )
-from dwell.wavefunction import GridFunction, hermite_functions, simpson
+from dwell.wavefunction import hermite_functions, simpson
 
 DATA = Path(__file__).parent / "data"
 
@@ -31,7 +30,7 @@ def test_hermite_recurrence_matches_high_precision_golden():
     col = {t: i for i, t in enumerate(ts)}
     for e in entries:
         ref = float(e["value"])
-        got = phi[col[e["t"]], e["l"]]
+        got = phi[e["l"], col[e["t"]]]
         assert got == pytest.approx(ref, rel=1e-12, abs=1e-250)
 
 
@@ -60,8 +59,7 @@ def test_ground_state_normalized_to_1e8():
     fine = build_grid(pot, 50.0, 8192)
     for g in (grid, fine):
         psi, _ = position_functions(spec, g, 1)
-        rho = GridFunction.on(g, psi[:, 0]).density()
-        assert abs(grid_integral(rho) - 1.0) <= 1e-8
+        assert abs(simpson(psi[0] ** 2, g.dx) - 1.0) <= 1e-8
 
 
 def test_simpson_fourth_order_convergence():
@@ -75,8 +73,7 @@ def test_simpson_fourth_order_convergence():
 
     def err(points):
         x = np.linspace(0.0, 3.0, points + 1)
-        gf = GridFunction(0.0, 3.0 / points, f(x))
-        return abs(grid_integral(gf) - ref)
+        return abs(simpson(f(x), 3.0 / points) - ref)
 
     coarse, fine = err(512), err(1024)
     assert coarse > 1e-13  # not yet at the floating-point floor
@@ -89,7 +86,7 @@ def test_position_parity_of_symmetric_states():
     grid = build_grid(pot, spec.energy(5), 2048)
     psi, _ = position_functions(spec, grid, 4)
     for n, sign in ((0, +1.0), (1, -1.0), (2, +1.0), (3, -1.0)):
-        vals = psi[:, n]
+        vals = psi[n]
         assert np.abs(vals - sign * vals[::-1]).max() <= 1e-10
 
 
@@ -99,8 +96,8 @@ def test_energy_functional_on_grid():
     spec = solve(pot, 100, 4)
     grid = build_grid(pot, spec.energy(3), 4096)
     psi, dpsi = position_functions(spec, grid, 1)
-    integrand = dpsi[:, 0] ** 2 + pot(grid.x) * psi[:, 0] ** 2
-    e0 = grid_integral(GridFunction.on(grid, integrand))
+    integrand = dpsi[0] ** 2 + pot(grid.x) * psi[0] ** 2
+    e0 = simpson(integrand, grid.dx)
     assert e0 == pytest.approx(0.220496934, abs=1e-7)
 
 
@@ -109,10 +106,9 @@ def test_parseval_and_momentum_parity():
     pot = QuarticPotential.from_well_params(1.0, 12.0, 0.0)
     pgrid = build_momentum_grid(pot, spec.energy(6), 4096)
     psi_p, _ = momentum_functions(spec, pgrid, 6)
-    for n in range(6):
-        psi_t = GridFunction.on(pgrid, psi_p[:, n])
-        assert abs(psi_t.norm_squared() - 1.0) <= 1e-6
-        mags = np.abs(psi_t.values)
+    for psi_t in psi_p:
+        mags = np.abs(psi_t)
+        assert abs(simpson(mags**2, pgrid.dx) - 1.0) <= 1e-6
         assert np.abs(mags - mags[::-1]).max() <= 1e-10
 
 
@@ -131,10 +127,23 @@ def test_momentum_matches_fourier_quadrature_oracle():
     psi_x, _ = position_functions(spec, grid, 4)
     psi_p, _ = momentum_functions(spec, pgrid, 4)
     for n in range(4):
-        psi = psi_x[:, n]
-        oracle = kernel @ (w * psi) / math.sqrt(2.0 * math.pi)
-        mine = psi_p[::16, n]
+        oracle = kernel @ (w * psi_x[n]) / math.sqrt(2.0 * math.pi)
+        mine = psi_p[n, ::16]
         assert np.abs(mine - oracle).max() <= 1e-7
+
+
+def test_sampled_states_are_contiguous_rows():
+    spec = well_solve(1.0, 12.0, 0.0, n_states=7)
+    pot = QuarticPotential.from_well_params(1.0, 12.0, 0.0)
+    xgrid = build_grid(pot, spec.energy(4), 1024)
+    pgrid = build_momentum_grid(pot, spec.energy(4), 1024)
+    for grid, arrays in (
+        (xgrid, position_functions(spec, xgrid, 5)),
+        (pgrid, momentum_functions(spec, pgrid, 5)),
+    ):
+        for rows in arrays:
+            assert rows.shape == (5, grid.n_points + 1)
+            assert rows.flags.c_contiguous
 
 
 def test_grid_orthogonality():
@@ -142,10 +151,9 @@ def test_grid_orthogonality():
     pot = QuarticPotential.from_well_params(1.0, 20.0, 3.0)
     grid = build_grid(pot, spec.energy(6), 4096)
     psi, _ = position_functions(spec, grid, 7)
-    psis = [psi[:, n] for n in range(7)]
     for m in range(7):
         for n in range(m + 1, 7):
-            overlap = grid_integral(GridFunction.on(grid, psis[m] * psis[n]))
+            overlap = simpson(psi[m] * psi[n], grid.dx)
             assert abs(overlap) <= 1e-6
 
 
@@ -154,10 +162,11 @@ def node_counts(pot, spec, n_states, points):
     grid = build_grid(pot, spec.energy(n_states - 1), points)
     psi, _ = position_functions(spec, grid, n_states)
     geometry = critical_points(pot)
-    splits = well_occupancy(GridFunction.on(grid, psi), geometry)
+    splits = well_occupancy(grid, psi, geometry)
     return [
         count_nodes(
-            GridFunction.on(grid, psi[:, n]),
+            grid,
+            psi[n],
             turning_points(pot, spec.energy(n)),
             geometry,
             split,
