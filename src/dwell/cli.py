@@ -99,8 +99,13 @@ def _checked(parse: Callable[[str], float], ok: Callable[[float], bool],
     return convert
 
 
+MAX_VALUES = 10_000  # per value setting; a range is counted before it is built
+MAX_GRID_POINTS = 65_536
+
+
 def parse_values(text: str) -> tuple[float, ...]:
-    """Parse '3', '1,3,5' or 'start:stop:step' (inclusive of stop)."""
+    """Parse '3', '1,3,5' or 'start:stop:step' (inclusive of stop), at most
+    MAX_VALUES values."""
     text = text.strip()
     if not text:
         raise ConfigError("expected at least one value")
@@ -111,9 +116,14 @@ def parse_values(text: str) -> tuple[float, ...]:
         start, stop, step = (_finite(p) for p in parts)
         if step <= 0 or stop < start:
             raise ConfigError(f"bad range {text!r}")
-        count = int((stop - start) / step + 1e-9) + 1
-        return tuple(start + i * step for i in range(count))
-    return tuple(_finite(p) for p in text.split(","))
+        steps = (stop - start) / step + 1e-9  # may overflow to inf
+        if not steps < MAX_VALUES:
+            raise ConfigError(f"range {text!r} has more than {MAX_VALUES} values")
+        return tuple(start + i * step for i in range(int(steps) + 1))
+    values = tuple(_finite(p) for p in text.split(","))
+    if len(values) > MAX_VALUES:
+        raise ConfigError(f"more than {MAX_VALUES} values")
+    return values
 
 
 def _parse_poly(text: str) -> tuple[float, ...]:
@@ -142,6 +152,10 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     return _checked(int, lambda value: value >= low, f"at least {low}")
 
 
+def _int_in(low: int, high: int) -> Callable[[str], int]:
+    return _checked(int, lambda value: low <= value <= high, f"in [{low}, {high}]")
+
+
 # a _BOOL setting is a flag without a value; a config file says true or false
 _BOOL = _one_of({"true": True, "false": False})
 COMMANDS = SOLVE, SWEEP, RULES, TABLE, PHASE = (
@@ -168,7 +182,7 @@ SETTINGS: dict[str, Setting] = {
                   "'auto' (shift minimum to zero), 'none' or number"),
     "n_basis": Setting(int, 100, COMMANDS),
     "states": Setting(_int_at_least(1), 8, (SOLVE, SWEEP, RULES, PHASE)),
-    "grid_points": Setting(_int_at_least(512), 4096, (SOLVE, SWEEP, RULES, TABLE)),
+    "grid_points": Setting(_int_in(512, MAX_GRID_POINTS), 4096, (SOLVE, SWEEP, RULES, TABLE)),
     "rel_tol": Setting(_checked(_finite, lambda v: v > 0.0, "positive"), 1e-6, (RULES,)),
     "rho_floor": Setting(_checked(_finite, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"), 0.01,
                          (SOLVE, SWEEP)),

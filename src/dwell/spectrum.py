@@ -1,21 +1,28 @@
 """Lowest eigenpairs of the quartic-potential Hamiltonian.
 
 Solving is a thin pipeline: optimal sigma -> position-space band (bandwidth
-4) -> selective symmetric band eigensolver (LAPACK dsbevx via scipy's
-`eig_banded`), which computes only the requested states.  For exactly
-symmetric potentials (c1 = c3 = 0) the band decouples into even/odd
-oscillator-index blocks of bandwidth 2 which are diagonalized separately;
-the merged eigenvectors then carry exact parity, which keeps
+4) -> selective symmetric band eigensolver (LAPACK dsbevx), which computes
+only the requested states.  dsbevx is scipy's f2py wrapper, loaded from the
+`scipy/linalg/_flapack` extension file by location, so that no scipy
+package init runs; where that file is missing or lacks dsbevx, the same
+wrapper comes from `scipy.linalg.lapack`.  It is called with the arguments
+of `scipy.linalg.eig_banded(select="i")` and returns the same bits.
+
+For exactly symmetric potentials (c1 = c3 = 0) the band decouples into
+even/odd oscillator-index blocks of bandwidth 2 which are diagonalized
+separately; the merged eigenvectors then carry exact parity, which keeps
 near-degenerate tunneling doublets from coming out as arbitrary left/right
 mixtures.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
-from scipy.linalg import eig_banded
 
 from .basis import BasisSpec, assemble_position, band_matvec, optimal_sigma
 from .potential import QuarticPotential
@@ -101,8 +108,54 @@ _PARITY_TIE_TOL = 1e-12
 _MIRROR = np.array([1.0, -1.0, 1.0, -1.0, 1.0])  # band row 4 - d gets (-1)^d
 
 
+def _load_lapack():
+    """scipy's f2py (dsbevx, dlamch) pair, from the `_flapack` extension file.
+
+    Loading the file by location skips `scipy.linalg`'s package init, which
+    is about half the time of `import dwell.cli` with it.  The module is
+    private to scipy, so a missing file or one without dsbevx falls back to
+    the public `scipy.linalg.lapack`, which exports the same functions.
+    """
+    # the init function is found from the last part of the name; this one
+    # keeps the module out of scipy.* in sys.modules
+    name = "dwell._flapack"
+    try:
+        scipy_dirs = importlib.util.find_spec("scipy").submodule_search_locations
+        paths = (os.path.join(scipy_dir, "linalg", "_flapack" + suffix)
+                 for scipy_dir in scipy_dirs for suffix in EXTENSION_SUFFIXES)
+        loader = ExtensionFileLoader(name, next(filter(os.path.isfile, paths)))
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_loader(name, loader)
+        )
+        loader.exec_module(module)
+        return module.dsbevx, module.dlamch
+    except (AttributeError, ImportError, StopIteration):
+        from scipy.linalg import lapack
+
+        return lapack.dsbevx, lapack.dlamch
+
+
+_dsbevx, _dlamch = _load_lapack()
+
+
 def _lowest(band: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    return eig_banded(band, select="i", select_range=(0, k - 1))
+    """The k lowest eigenpairs of an upper band, with the checks, arguments
+    and cropping of `scipy.linalg.eig_banded(band, select="i",
+    select_range=(0, k - 1))`."""
+    ab = np.array(band)  # dsbevx overwrites it
+    if not np.isfinite(ab).all():
+        raise ValueError("array must not contain infs or NaNs")
+    if not 1 <= k <= ab.shape[1]:
+        raise ValueError("select_range out of bounds")
+    w, v, m, _, info = _dsbevx(
+        ab, 0.0, 1.0, 1, k, compute_v=1, mmax=k, range=2, lower=0, overwrite_ab=1,
+        abstol=2 * _dlamch("s"),
+    )
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal sbevx")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"sbevx did not converge (LAPACK info={info})")
+    return w[:m], v[:, :m]
 
 
 def _parity_blocks(band: np.ndarray, n_states: int) -> tuple[np.ndarray, np.ndarray]:

@@ -251,6 +251,40 @@ def test_cli_import_loads_neither_scipy_integrate_nor_optimize(tmp_path):
     assert (tmp_path / "validate_rules.json").exists()
 
 
+def test_no_command_loads_scipy_linalg(tmp_path):
+    # dsbevx comes from scipy's LAPACK extension file, loaded by location;
+    # checked after the import and after one run of each command
+    runs = [
+        ["solve", "--beta", "10", "--gamma", "0.5", "--states", "2", "--grid-points", "512"],
+        ["sweep", "--beta", "10", "--gamma", "0,0.5", "--states", "2", "--grid-points", "512",
+         "--workers", "1", "--no-cache"],
+        ["validate-rules", "--alphas", "1", "--beta", "20", "--gamma", "1:2:0.5",
+         "--states", "6"],
+        ["table", "1"],
+        ["phase-space", "--beta", "10", "--states", "2"],
+    ]
+    code = "\n".join([
+        "import contextlib, io, sys, dwell.cli",
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith('scipy.linalg'))",
+        "print(loaded())",
+        f"for argv in {runs!r}:",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        f"        assert dwell.cli.main(argv + ['--outdir', {str(tmp_path)!r}]) == 0",
+        "    print(loaded())",
+    ])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.splitlines() == ["[]"] * (1 + len(runs))
+    written = {p.name for p in tmp_path.iterdir()}
+    assert {"solve.csv", "sweep.csv", "validate_rules.json", "table1.csv"} <= written
+
+
 def test_cache_dir_env_override(tmp_path, monkeypatch):
     cache_dir = tmp_path / "elsewhere"
     monkeypatch.setenv("DWELL_CACHE_DIR", str(cache_dir))
@@ -426,11 +460,31 @@ def test_solver_and_potential_failures_exit_3(tmp_path, capsys, argv, command):
     (["validate-rules", "--rel-tol", "nan"], "--rel-tol: expected a finite number, got 'nan'"),
     (["validate-rules", "--rel-tol", "0"], "--rel-tol: must be positive, got 0.0"),
     (["sweep", "--workers", "-3", "--no-cache"], "--workers: must be at least 0, got -3"),
+    (["sweep", "--gamma", "0:1:1e-9", "--no-cache"],
+     "--gamma: range '0:1:1e-9' has more than 10000 values"),
+    (["sweep", "--grid-points", "10000000", "--no-cache"],
+     "--grid-points: must be in [512, 65536], got 10000000"),
 ])
-def test_non_finite_and_out_of_range_settings_exit_2(tmp_path, capsys, argv, message):
+def test_non_finite_and_out_of_range_settings_exit_2(tmp_path, capsys, monkeypatch,
+                                                     argv, message):
+    # a range is counted, never built, before it is rejected
+    def no_range(*args):
+        raise AssertionError(f"range{args} was built")
+
+    monkeypatch.setattr(cli, "range", no_range, raising=False)
     assert main(argv + ["--states", "2", "--outdir", str(tmp_path)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_value_settings_hold_at_most_max_values():
+    assert len(parse_values("0:9999:1")) == cli.MAX_VALUES
+    with pytest.raises(ConfigError, match="more than 10000 values"):
+        parse_values("0:10000:1")
+    with pytest.raises(ConfigError, match="more than 10000 values"):
+        parse_values("0:1e300:1e-300")  # the count overflows to inf
+    with pytest.raises(ConfigError, match="more than 10000 values"):
+        parse_values(",".join(["1"] * 10_001))
 
 
 @pytest.mark.parametrize("argv", [

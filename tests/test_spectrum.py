@@ -1,14 +1,22 @@
+import types
+
 import numpy as np
 import pytest
+from scipy.linalg import eig_banded, lapack
 
 from conftest import ladder_hamiltonian, well_solve
 from dwell import (
+    BasisSpec,
     BasisTooSmall,
+    ConvergenceFailure,
     QuarticPotential,
+    assemble_position,
     certified_states,
     mirror,
+    optimal_sigma,
     quasi_degenerate_pairs,
     solve,
+    spectrum,
 )
 
 BENCHMARK_QUARTIC = QuarticPotential(0.01, -0.0075, -0.0025, 0.0, 0.0)
@@ -159,3 +167,95 @@ def test_convergence_certification_flag():
     assert spec.converged(33)
     assert not spec.converged(34)
     assert certified_states(100) == 34
+
+
+# ---------------------------------------------------------------- dsbevx call
+
+
+def well_bands(seed, count):
+    """(band, k): position bands of random well-parameter potentials, with
+    the full band, its mirror image and both parity-block strided views."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        pot = QuarticPotential.from_well_params(
+            rng.uniform(0.2, 3.0), rng.uniform(-5.0, 40.0), rng.uniform(-8.0, 8.0)
+        )
+        n_basis = int(rng.integers(12, 151))
+        band = assemble_position(pot, BasisSpec(n_basis, optimal_sigma(pot, n_basis)))
+        k = int(rng.integers(1, certified_states(n_basis) + 1))
+        yield band, k
+        yield band * spectrum._MIRROR[:, None], k
+        for parity in (0, 1):
+            block = band[::2, parity::2]
+            yield block, min(k, block.shape[1])
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_lowest_matches_eig_banded_bit_for_bit():
+    for band, k in well_bands(9, 300):
+        w, v = spectrum._lowest(band, k)
+        w_ref, v_ref = eig_banded(band, select="i", select_range=(0, k - 1))
+        assert same_bits(w, w_ref) and same_bits(v, v_ref)
+
+
+class ModuleWithoutDsbevx:
+    """Stands in for ExtensionFileLoader: the file loads, dsbevx is missing."""
+
+    def __init__(self, name, path):
+        self.name = name
+
+    def create_module(self, spec):
+        return types.ModuleType(spec.name)
+
+    def exec_module(self, module):
+        pass
+
+
+class UnloadableExtension(ModuleWithoutDsbevx):
+    def create_module(self, spec):
+        raise ImportError("undefined symbol")
+
+
+@pytest.mark.parametrize("attr, value", [
+    ("EXTENSION_SUFFIXES", [".missing"]),
+    ("ExtensionFileLoader", ModuleWithoutDsbevx),
+    ("ExtensionFileLoader", UnloadableExtension),
+])
+def test_scipy_linalg_lapack_fallback_gives_the_same_bits(monkeypatch, attr, value):
+    cases = list(well_bands(17, 25))
+    direct = [spectrum._lowest(band, k) for band, k in cases]
+    # the default path loaded its own copy of the extension
+    assert spectrum._dsbevx is not lapack.dsbevx
+    monkeypatch.setattr(spectrum, attr, value)
+    fallback = spectrum._load_lapack()
+    assert fallback == (lapack.dsbevx, lapack.dlamch)
+    monkeypatch.setattr(spectrum, "_dsbevx", fallback[0])
+    monkeypatch.setattr(spectrum, "_dlamch", fallback[1])
+    for (band, k), (w, v) in zip(cases, direct):
+        w_fb, v_fb = spectrum._lowest(band, k)
+        assert same_bits(w_fb, w) and same_bits(v_fb, v)
+
+
+def test_lowest_keeps_the_eig_banded_checks(monkeypatch):
+    band, k = next(well_bands(3, 1))
+    for bad in (np.nan, np.inf):
+        broken = band.copy()
+        broken[2, 5] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            spectrum._lowest(broken, k)
+    for k_bad in (0, band.shape[1] + 1):
+        with pytest.raises(ValueError, match="out of bounds"):
+            spectrum._lowest(band, k_bad)
+    dsbevx = spectrum._dsbevx
+    pot = QuarticPotential.from_well_params(1.0, 10.0, 0.5)
+    for info, error in ((-3, ValueError), (2, ConvergenceFailure)):
+        def failing(*args, **kwargs):
+            w, v, m, ifail, _ = dsbevx(*args, **kwargs)
+            return w, v, m, ifail, info
+
+        monkeypatch.setattr(spectrum, "_dsbevx", failing)
+        with pytest.raises(error, match=f"LAPACK info={info}" if info > 0 else "argument 3"):
+            solve(pot, n_basis=40, n_states=4)
