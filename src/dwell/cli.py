@@ -152,10 +152,6 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     return _checked(int, lambda value: value >= low, f"at least {low}")
 
 
-def _int_in(low: int, high: int) -> Callable[[str], int]:
-    return _checked(int, lambda value: low <= value <= high, f"in [{low}, {high}]")
-
-
 # a _BOOL setting is a flag without a value; a config file says true or false
 _BOOL = _one_of({"true": True, "false": False})
 COMMANDS = SOLVE, SWEEP, RULES, TABLE, PHASE = (
@@ -182,7 +178,9 @@ SETTINGS: dict[str, Setting] = {
                   "'auto' (shift minimum to zero), 'none' or number"),
     "n_basis": Setting(int, 100, COMMANDS),
     "states": Setting(_int_at_least(1), 8, (SOLVE, SWEEP, RULES, PHASE)),
-    "grid_points": Setting(_int_in(512, MAX_GRID_POINTS), 4096, (SOLVE, SWEEP, RULES, TABLE)),
+    "grid_points": Setting(_checked(int, lambda v: 512 <= v <= MAX_GRID_POINTS,
+                                    f"in [512, {MAX_GRID_POINTS}]"),
+                           4096, (SOLVE, SWEEP, RULES, TABLE)),
     "rel_tol": Setting(_checked(_finite, lambda v: v > 0.0, "positive"), 1e-6, (RULES,)),
     "rho_floor": Setting(_checked(_finite, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"), 0.01,
                          (SOLVE, SWEEP)),

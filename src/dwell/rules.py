@@ -29,7 +29,7 @@ import numpy as np
 from .measures import Occupancy, well_occupancy
 from .potential import QuarticPotential, critical_points
 from .spectrum import certified_states, quasi_degenerate_pairs, solve
-from .wavefunction import build_grid, position_values
+from .wavefunction import build_grid, position_functions
 
 __all__ = [
     "AsymmetryIndex",
@@ -382,7 +382,7 @@ def measured_occupancies(
     )
     paired = {i for ab in pairs for i in ab}
     grid = build_grid(pot, spec.energy(spec.n_verified - 1), grid_points)
-    psi = position_values(spec, grid, n_max + 1)
+    psi, _ = position_functions(spec, grid, n_max + 1)
     measured = [
         occ.classification for occ in well_occupancy(grid, psi, critical_points(pot))
     ]

@@ -28,7 +28,6 @@ __all__ = [
     "build_momentum_grid",
     "hermite_functions",
     "position_functions",
-    "position_values",
     "momentum_functions",
     "count_nodes",
     "simpson",
@@ -220,19 +219,6 @@ def position_functions(
     state, contiguous in memory.
     """
     return _expand(spec.basis.sigma, grid.x, spec.coefficients[:, :n_states])
-
-
-def position_values(spec: Spectrum, grid: UniformGrid, n_states: int) -> np.ndarray:
-    """psi for states 0..n_states-1 as (n_states, samples) rows, without the
-    derivative rows that `position_functions` also builds.
-
-    The product has half the rows of `position_functions`', so a value may
-    differ from its psi in the last bit.
-    """
-    sigma = spec.basis.sigma
-    xt = math.sqrt(2.0 * sigma) * grid.x
-    coef = spec.coefficients[:, :n_states]
-    return (2.0 * sigma) ** 0.25 * (coef.T @ hermite_functions(xt, spec.n_basis))
 
 
 def momentum_functions(

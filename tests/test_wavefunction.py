@@ -18,7 +18,7 @@ from dwell import (
     turning_points,
     well_occupancy,
 )
-from dwell.wavefunction import hermite_functions, position_values, simpson
+from dwell.wavefunction import hermite_functions, simpson
 
 DATA = Path(__file__).parent / "data"
 
@@ -137,18 +137,13 @@ def test_sampled_states_are_contiguous_rows():
     pot = QuarticPotential.from_well_params(1.0, 12.0, 0.0)
     xgrid = build_grid(pot, spec.energy(4), 1024)
     pgrid = build_momentum_grid(pot, spec.energy(4), 1024)
-    values = position_values(spec, xgrid, 5)
     for grid, arrays in (
         (xgrid, position_functions(spec, xgrid, 5)),
         (pgrid, momentum_functions(spec, pgrid, 5)),
-        (xgrid, (values,)),
     ):
         for rows in arrays:
             assert rows.shape == (5, grid.n_points + 1)
             assert rows.flags.c_contiguous
-    # the values-only product sums the same terms, in a product of other shape
-    psi, _ = position_functions(spec, xgrid, 5)
-    assert np.max(np.abs(values - psi)) <= 1e-14 * np.max(np.abs(psi))
 
 
 def test_grid_orthogonality():
