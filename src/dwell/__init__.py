@@ -11,11 +11,8 @@ from .measures import (
     ONICESCU_PRODUCT_BOUND,
     OS_TOTAL_BOUND,
     SHANNON_TOTAL_BOUND,
-    InfoMeasures,
     NotNormalized,
     Occupancy,
-    UncertaintyReport,
-    WellOccupancy,
     info_measures,
     os_measure,
     uncertainties,

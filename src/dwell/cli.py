@@ -26,6 +26,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .phasespace import area
 from .potential import QuarticPotential, critical_points
 from .report import StateReport, state_reports
@@ -101,6 +103,8 @@ def _checked(parse: Callable[[str], float], ok: Callable[[float], bool],
 
 MAX_VALUES = 10_000  # per value setting; a range is counted before it is built
 MAX_GRID_POINTS = 65_536
+MAX_N_BASIS = 1000  # solve time and memory grow fast with the basis size
+MAX_WORKERS = 64  # sweep processes, started together at the first point
 
 
 def parse_values(text: str) -> tuple[float, ...]:
@@ -176,7 +180,8 @@ SETTINGS: dict[str, Setting] = {
     "gamma": Setting(parse_values, (0.0,), (SOLVE, SWEEP, RULES, PHASE), _VALUES),
     "v0": Setting(_parse_v0, "auto", (SOLVE, SWEEP, PHASE),
                   "'auto' (shift minimum to zero), 'none' or number"),
-    "n_basis": Setting(int, 100, COMMANDS),
+    "n_basis": Setting(_checked(int, lambda v: 4 <= v <= MAX_N_BASIS, f"in [4, {MAX_N_BASIS}]"),
+                       100, COMMANDS),
     "states": Setting(_int_at_least(1), 8, (SOLVE, SWEEP, RULES, PHASE)),
     "grid_points": Setting(_checked(int, lambda v: 512 <= v <= MAX_GRID_POINTS,
                                     f"in [512, {MAX_GRID_POINTS}]"),
@@ -188,7 +193,9 @@ SETTINGS: dict[str, Setting] = {
     "format": Setting(_one_of({"csv": "csv", "json": "json"}), "csv", (SOLVE, SWEEP),
                       "csv or json"),
     "poly": Setting(_parse_poly, None, (SOLVE,), "explicit coefficients c4,c3,c2,c1,c0"),
-    "workers": Setting(_int_at_least(0), 0, (SWEEP,), "worker processes (0: one per CPU)"),
+    "workers": Setting(_checked(_int_at_least(0), lambda v: v <= MAX_WORKERS,
+                                f"at most {MAX_WORKERS}"),
+                       0, (SWEEP,), "worker processes (0: one per CPU)"),
     "no_cache": Setting(_BOOL, False, (SWEEP,)),
     "cache_dir": Setting(str, None, (SWEEP,)),
     "alphas": Setting(parse_values, (1.0,), (RULES,), "comma list of alpha values",
@@ -289,18 +296,13 @@ def resolve_potential(alpha: float, beta: float, gamma: float, v0: str) -> Quart
 def record_from_report(
     alpha: float | str, beta: float | str, gamma: float | str, rep: StateReport
 ) -> dict[str, str]:
-    """One row; other columns are attributes of the report or its measures.
+    """One row; every other column is the report's attribute of that name.
 
     A point parameter given as "" (a polynomial potential) is a blank cell.
     """
-    point = {"alpha": alpha, "beta": beta, "gamma": gamma,
-             "converged_flag": rep.converged, "error": ""}
-    return {
-        col: _token(point[col] if col in point
-                    else getattr(rep, col) if hasattr(rep, col)
-                    else getattr(rep.measures, col))
-        for col in CSV_COLUMNS
-    }
+    point = {"alpha": alpha, "beta": beta, "gamma": gamma, "error": ""}
+    return {col: _token(point[col] if col in point else getattr(rep, col))
+            for col in CSV_COLUMNS}
 
 
 def error_record(alpha: float, beta: float, gamma: float, message: str) -> dict[str, str]:
@@ -459,8 +461,8 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
             pending.append((beta, gamma, pot, key))
 
     payloads = [(cfg.alpha, beta, gamma, pot, settings) for beta, gamma, pot, _ in pending]
-    workers = cfg.workers if cfg.workers > 0 else min(len(pending) or 1, os.cpu_count() or 1)
-    if workers > 1 and len(pending) > 1:
+    workers = min(cfg.workers or os.cpu_count() or 1, len(pending))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_worker, payloads))
     else:
@@ -572,12 +574,15 @@ def cmd_phase_space(cfg: argparse.Namespace) -> int:
               "x_lo", "x_hi"]]
     contours = [["n", "lobe", "x", "p"]]
     for n in range(cfg.states):
-        res = area(pot, spec.energy(n))
+        energy = spec.energy(n)
+        res = area(pot, energy)
         for j, lobe in enumerate(res.lobes):
-            lobes.append([n, spec.energy(n), res.barrier_action, res.allowed_action,
+            lobes.append([n, energy, res.barrier_action, res.allowed_action,
                           res.lobe_count, j, lobe.x_lo, lobe.x_hi])
-            if cfg.contours:
-                contours.extend([n, j, xv, pv] for xv, pv in zip(lobe.x, lobe.p))
+            if cfg.contours:  # the upper branch; the closed contour is +/- p
+                x = np.linspace(lobe.x_lo, lobe.x_hi, 512)
+                p = np.sqrt(np.maximum(energy - pot(x), 0.0))
+                contours.extend([n, j, xv, pv] for xv, pv in zip(x, p))
     write_csv(cfg.outdir / "phase_space.csv", lobes)
     if cfg.contours:
         write_csv(cfg.outdir / "phase_space_contours.csv", contours)

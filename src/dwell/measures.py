@@ -1,17 +1,18 @@
 """Uncertainties, well occupancies and information measures of states.
 
-Moments of x and p are band quadratic forms of the coefficient vectors
-(quadrature-free), computed for all states at once; the entropic functionals
-are Simpson integrals of sampled densities, with density derivatives taken
-from the analytic Hermite derivative rather than finite differences, and
-are evaluated for all states of a grid at once.
+Each measure is computed for all states at once and returned as a tuple of
+arrays with one entry per state, in the order its docstring gives; the
+per-state record is `report.StateReport`.  Moments of x and p are band
+quadratic forms of the coefficient vectors (quadrature-free); the entropic
+functionals are Simpson integrals of sampled densities, with density
+derivatives taken from the analytic Hermite derivative rather than finite
+differences.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,9 +27,6 @@ from .spectrum import Spectrum
 from .wavefunction import UniformGrid, probability_below, simpson
 
 __all__ = [
-    "UncertaintyReport",
-    "InfoMeasures",
-    "WellOccupancy",
     "Occupancy",
     "NotNormalized",
     "uncertainties",
@@ -70,72 +68,14 @@ class Occupancy(enum.Enum):
     BOTH = "both"
 
 
-@dataclass(frozen=True)
-class UncertaintyReport:
-    mean_x: float
-    delta_x: float
-    delta_p: float
+def uncertainties(
+    spec: Spectrum, n_states: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mean_x, delta_x, delta_p) of states 0..n_states-1, one entry per state.
 
-    @property
-    def product(self) -> float:
-        return self.delta_x * self.delta_p
-
-
-@dataclass(frozen=True)
-class WellOccupancy:
-    """Probability split across the barrier; well I is the deeper well.
-
-    `mass_left` and `mass_right` are the unnormalized integrals of |psi|^2
-    on either side of the barrier (nan for a single well).
-    """
-
-    p_well_I: float
-    p_well_II: float
-    classification: Occupancy
-    mass_left: float
-    mass_right: float
-
-
-@dataclass(frozen=True)
-class InfoMeasures:
-    s_x: float
-    s_p: float
-    i_x: float
-    i_p: float
-    e_x: float
-    e_p: float
-
-    @property
-    def s_total(self) -> float:
-        return self.s_x + self.s_p
-
-    @property
-    def i_product(self) -> float:
-        return self.i_x * self.i_p
-
-    @property
-    def e_product(self) -> float:
-        return self.e_x * self.e_p
-
-    @property
-    def os_x(self) -> float:
-        return os_measure(self.s_x, self.e_x)
-
-    @property
-    def os_p(self) -> float:
-        return os_measure(self.s_p, self.e_p)
-
-    @property
-    def os_total(self) -> float:
-        return os_measure(self.s_total, self.e_product)
-
-
-def uncertainties(spec: Spectrum, n_states: int | None = None) -> list[UncertaintyReport]:
-    """Exact first and second moments of x and p for states 0..n_states-1.
-
-    All states (default: every computed one) share one band product per
-    operator.  Eigenvectors are real, so <p> vanishes identically for
-    stationary states and delta_p is sqrt(<p^2>).
+    Exact first and second moments: all states (default: every computed
+    one) share one band product per operator.  Eigenvectors are real, so <p>
+    vanishes identically for stationary states and delta_p is sqrt(<p^2>).
     """
     c = spec.coefficients[:, :n_states]
 
@@ -147,14 +87,7 @@ def uncertainties(spec: Spectrum, n_states: int | None = None) -> list[Uncertain
     mean_p2 = expectation(momentum_squared_band(spec.basis))
     delta_x = np.sqrt(np.maximum(mean_x2 - mean_x * mean_x, 0.0))
     delta_p = np.sqrt(np.maximum(mean_p2, 0.0))
-    return [
-        UncertaintyReport(
-            mean_x=float(mean_x[n]),
-            delta_x=float(delta_x[n]),
-            delta_p=float(delta_p[n]),
-        )
-        for n in range(c.shape[1])
-    ]
+    return mean_x, delta_x, delta_p
 
 
 def classify_occupancy(p_well_I: float) -> Occupancy:
@@ -167,37 +100,29 @@ def classify_occupancy(p_well_I: float) -> Occupancy:
 
 def well_occupancy(
     grid: UniformGrid, psi: np.ndarray, geometry: WellGeometry
-) -> list[WellOccupancy]:
-    """Barrier split of every state in the (states, samples) rows psi.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(p_well_I, p_well_II, mass_left, mass_right) of every state in the
+    (states, samples) rows psi, one entry per state; well I is the deeper.
 
     The probability on the deeper-well side is the density integral below
     the barrier over the full integral, for all states at once along the
-    contiguous sample axis, so each equals its single-state value.
-    Single-well geometries classify as well I with probability 1.  For an
+    contiguous sample axis, so each equals its single-state value.  The
+    masses are the unnormalized integrals of |psi|^2 left and right of the
+    barrier.  A single well gives 1, 0, nan, nan for every state.  For an
     exactly symmetric double well the deeper side is taken as the left one
     (either choice integrates to 1/2).
     """
     rho = np.abs(psi) ** 2
     if not geometry.is_double_well:
-        return [WellOccupancy(1.0, 0.0, Occupancy.WELL_I, math.nan, math.nan)] * len(rho)
+        k = len(rho)
+        return np.ones(k), np.zeros(k), np.full(k, math.nan), np.full(k, math.nan)
     below = probability_below(grid, rho, geometry.barrier[0])
     total = simpson(rho, grid.dx)
-    p_left = below / total
-    p_right = 1.0 - p_left
+    p_i = below / total
+    p_ii = 1.0 - p_i
     if geometry.deeper_well_side is WellSide.RIGHT:
-        p_i, p_ii = p_right, p_left
-    else:
-        p_i, p_ii = p_left, p_right
-    return [
-        WellOccupancy(
-            p_well_I=float(p_i[n]),
-            p_well_II=float(p_ii[n]),
-            classification=classify_occupancy(float(p_i[n])),
-            mass_left=float(below[n]),
-            mass_right=float(total[n] - below[n]),
-        )
-        for n in range(len(rho))
-    ]
+        p_i, p_ii = p_ii, p_i
+    return p_i, p_ii, below, total - below
 
 
 def _check_density(rho: np.ndarray, dx: float) -> None:
@@ -220,8 +145,8 @@ def info_measures(
     pgrid: UniformGrid,
     psi_p: np.ndarray,
     dpsi_p: np.ndarray,
-) -> list[InfoMeasures]:
-    """Position/momentum measures of every state, one per row.
+) -> tuple[np.ndarray, ...]:
+    """(s_x, s_p, i_x, i_p, e_x, e_p) of every state, one entry per state.
 
     psi and dpsi are (states, samples) rows on their grid; all states are
     integrated together along the contiguous sample axis, so each equals
@@ -237,14 +162,4 @@ def info_measures(
         fisher = np.where(rho > RHO_TINY, drho * drho / rho_safe, 0.0)
         per_space.append(tuple(simpson(f, grid.dx) for f in (shannon, fisher, rho * rho)))
     (s_x, i_x, e_x), (s_p, i_p, e_p) = per_space
-    return [
-        InfoMeasures(
-            s_x=float(s_x[n]),
-            s_p=float(s_p[n]),
-            i_x=float(i_x[n]),
-            i_p=float(i_p[n]),
-            e_x=float(e_x[n]),
-            e_p=float(e_p[n]),
-        )
-        for n in range(len(s_x))
-    ]
+    return s_x, s_p, i_x, i_p, e_x, e_p

@@ -22,17 +22,14 @@ from .potential import QuarticPotential, turning_points
 __all__ = ["Lobe", "PhaseSpaceResult", "area"]
 
 DEFAULT_QUAD_NODES = 96
-LOBE_SAMPLES = 512
 
 
 @dataclass(frozen=True)
 class Lobe:
-    """One classically allowed interval with its sampled contour."""
+    """One classically allowed interval; its contour is p = +/- sqrt(E - V)."""
 
     x_lo: float
     x_hi: float
-    x: np.ndarray
-    p: np.ndarray  # upper branch; the closed contour is +/- p
 
 
 @dataclass(frozen=True)
@@ -94,7 +91,6 @@ def area(
     pot: QuarticPotential,
     energy: float,
     nodes: int = DEFAULT_QUAD_NODES,
-    lobe_samples: int = LOBE_SAMPLES,
     turning: np.ndarray | None = None,
 ) -> PhaseSpaceResult:
     """Barrier and allowed actions plus the lobe decomposition at one energy.
@@ -111,9 +107,7 @@ def area(
     for lo, hi, is_allowed in segments:
         if is_allowed:
             allowed += 2.0 * _sqrt_interval(pot, energy, lo, hi, +1.0, nodes)
-            x = np.linspace(lo, hi, lobe_samples)
-            p = np.sqrt(np.maximum(energy - pot(x), 0.0))
-            lobes.append(Lobe(lo, hi, x, p))
+            lobes.append(Lobe(lo, hi))
         else:
             barrier += _sqrt_interval(pot, energy, lo, hi, -1.0, nodes)
     return PhaseSpaceResult(barrier, allowed, tuple(lobes))

@@ -1,10 +1,22 @@
-"""Per-state bundles of everything the sweep layer exports."""
+"""The per-state record of everything the sweep layer exports.
+
+`StateReport` is flat: each field and property is named after its output
+column, and the derived columns (products, sums and composite measures) are
+properties computed in Python floats from the stored fields.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .measures import InfoMeasures, Occupancy, info_measures, uncertainties, well_occupancy
+from .measures import (
+    Occupancy,
+    classify_occupancy,
+    info_measures,
+    os_measure,
+    uncertainties,
+    well_occupancy,
+)
 from .phasespace import area
 from .potential import QuarticPotential, critical_points, turning_points
 from .spectrum import Spectrum, solve
@@ -29,17 +41,49 @@ class StateReport:
     mean_x: float
     delta_x: float
     delta_p: float
-    uncertainty_product: float
     p_well_I: float
     p_well_II: float
     occupancy: Occupancy
     total_nodes: int
     effective_nodes: int
-    measures: InfoMeasures
+    s_x: float
+    s_p: float
+    i_x: float
+    i_p: float
+    e_x: float
+    e_p: float
     barrier_action: float
     allowed_action: float
     lobe_count: int
-    converged: bool
+    converged_flag: bool
+
+    @property
+    def uncertainty_product(self) -> float:
+        return self.delta_x * self.delta_p
+
+    @property
+    def s_total(self) -> float:
+        return self.s_x + self.s_p
+
+    @property
+    def i_product(self) -> float:
+        return self.i_x * self.i_p
+
+    @property
+    def e_product(self) -> float:
+        return self.e_x * self.e_p
+
+    @property
+    def os_x(self) -> float:
+        return os_measure(self.s_x, self.e_x)
+
+    @property
+    def os_p(self) -> float:
+        return os_measure(self.s_p, self.e_p)
+
+    @property
+    def os_total(self) -> float:
+        return os_measure(self.s_total, self.e_product)
 
 
 def state_reports(
@@ -65,36 +109,40 @@ def state_reports(
     pgrid = build_momentum_grid(pot, e_top, grid_points)
     psi_x, dpsi_x = position_functions(spec, xgrid, n_states)
     psi_p, dpsi_p = momentum_functions(spec, pgrid, n_states)
-    moments = uncertainties(spec, n_states)
-    measures = info_measures(xgrid, psi_x, dpsi_x, pgrid, psi_p, dpsi_p)
-    occupancies = well_occupancy(xgrid, psi_x, geometry)
+    mean_x, delta_x, delta_p = uncertainties(spec, n_states)
+    s_x, s_p, i_x, i_p, e_x, e_p = info_measures(xgrid, psi_x, dpsi_x, pgrid, psi_p, dpsi_p)
+    p_i, p_ii, mass_left, mass_right = well_occupancy(xgrid, psi_x, geometry)
 
     reports = []
-    for n, (unc, meas, occ) in enumerate(zip(moments, measures, occupancies)):
+    for n in range(n_states):
         energy = spec.energy(n)
         turning = turning_points(pot, energy)
         total_nodes, effective_nodes = count_nodes(
-            xgrid, psi_x[n], turning, geometry, occ, rho_floor
+            xgrid, psi_x[n], turning, geometry, mass_left[n], mass_right[n], rho_floor
         )
         ps = area(pot, energy, turning=turning)
         reports.append(
             StateReport(
                 n=n,
                 energy=energy,
-                mean_x=unc.mean_x,
-                delta_x=unc.delta_x,
-                delta_p=unc.delta_p,
-                uncertainty_product=unc.product,
-                p_well_I=occ.p_well_I,
-                p_well_II=occ.p_well_II,
-                occupancy=occ.classification,
+                mean_x=float(mean_x[n]),
+                delta_x=float(delta_x[n]),
+                delta_p=float(delta_p[n]),
+                p_well_I=float(p_i[n]),
+                p_well_II=float(p_ii[n]),
+                occupancy=classify_occupancy(float(p_i[n])),
                 total_nodes=total_nodes,
                 effective_nodes=effective_nodes,
-                measures=meas,
+                s_x=float(s_x[n]),
+                s_p=float(s_p[n]),
+                i_x=float(i_x[n]),
+                i_p=float(i_p[n]),
+                e_x=float(e_x[n]),
+                e_p=float(e_p[n]),
                 barrier_action=ps.barrier_action,
                 allowed_action=ps.allowed_action,
                 lobe_count=ps.lobe_count,
-                converged=spec.converged(n),
+                converged_flag=spec.converged(n),
             )
         )
     return reports

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import Occupancy, well_occupancy
+from .measures import Occupancy, classify_occupancy, well_occupancy
 from .potential import QuarticPotential, critical_points
 from .spectrum import certified_states, quasi_degenerate_pairs, solve
 from .wavefunction import build_grid, position_functions
@@ -383,9 +383,8 @@ def measured_occupancies(
     paired = {i for ab in pairs for i in ab}
     grid = build_grid(pot, spec.energy(spec.n_verified - 1), grid_points)
     psi, _ = position_functions(spec, grid, n_max + 1)
-    measured = [
-        occ.classification for occ in well_occupancy(grid, psi, critical_points(pot))
-    ]
+    p_well_I = well_occupancy(grid, psi, critical_points(pot))[0]
+    measured = [classify_occupancy(p) for p in p_well_I]
     at_transition = tuple(
         n in paired or occ is Occupancy.BOTH for n, occ in enumerate(measured)
     )

@@ -12,15 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .potential import QuarticPotential, WellGeometry, critical_points, turning_points
 from .spectrum import Spectrum
-
-if TYPE_CHECKING:
-    from .measures import WellOccupancy
 
 __all__ = [
     "UniformGrid",
@@ -244,14 +240,16 @@ def count_nodes(
     psi: np.ndarray,
     turning: np.ndarray,
     geometry: WellGeometry,
-    split: WellOccupancy,
+    mass_left: float,
+    mass_right: float,
     rho_floor: float = 0.01,
 ) -> tuple[int, int]:
     """(total, effective) sign changes of one state's row psi, sampled on
     grid, between the outer turning points.
 
-    `turning` holds the turning points at the state's energy and `split` its
-    barrier split from `measures.well_occupancy`.  Effective nodes are those
+    `turning` holds the turning points at the state's energy; `mass_left`
+    and `mass_right` are its probability on either side of the barrier, as
+    `measures.well_occupancy` returns them.  Effective nodes are those
     sitting in a well that carries at least `rho_floor` of the probability;
     nodes in a negligible well are the ones the ladder-of-states picture
     ignores.  Sign changes below the amplitude floor are skipped entirely
@@ -275,9 +273,7 @@ def count_nodes(
     total = int(flips.size)
     if not geometry.is_double_well:
         return (total, total)
-    keep_left = split.mass_left >= rho_floor
-    keep_right = split.mass_right >= rho_floor
-    effective = int(
-        np.sum(np.where(node_x < geometry.barrier[0], keep_left, keep_right))
-    )
+    effective = int(np.sum(np.where(
+        node_x < geometry.barrier[0], mass_left >= rho_floor, mass_right >= rho_floor
+    )))
     return (total, effective)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dwell import QuarticPotential, cli
@@ -416,6 +417,31 @@ def test_table_5_occupancy(tmp_path):
     assert by_k["3.5"][4] == ("II", "0")
 
 
+def test_phase_space_contours_sample_each_lobe_on_the_energy_shell(tmp_path):
+    # each lobe row has 512 contour samples from turning point to turning
+    # point on the upper branch p = sqrt(E - V) >= 0
+    assert main([
+        "phase-space", "--beta", "10", "--gamma", "3", "--v0", "none", "--states", "4",
+        "--contours", "--outdir", str(tmp_path),
+    ]) == 0
+    pot = QuarticPotential.from_well_params(1.0, 10.0, 3.0)
+    lobes = read_rows(tmp_path / "phase_space.csv")
+    contours = read_rows(tmp_path / "phase_space_contours.csv")
+    assert {r["lobe_count"] for r in lobes} == {"1", "2"}
+    assert len(contours) == 512 * len(lobes)
+    for lobe in lobes:
+        rows = [r for r in contours if (r["n"], r["lobe"]) == (lobe["n"], lobe["lobe"])]
+        x = np.array([float(r["x"]) for r in rows])
+        p = np.array([float(r["p"]) for r in rows])
+        assert x.size == p.size == 512
+        assert x[0] == float(lobe["x_lo"]) and x[-1] == float(lobe["x_hi"])
+        assert p[0] == pytest.approx(0.0, abs=1e-7)
+        assert p[-1] == pytest.approx(0.0, abs=1e-7)
+        assert np.all(p >= 0.0)
+        # contour consistent with energy conservation
+        assert np.allclose(p**2 + pot(x), float(lobe["energy"]), atol=1e-10)
+
+
 def test_phase_space_export(tmp_path):
     rc = main([
         "phase-space", "--alpha", "1", "--beta", "8", "--gamma", "2",
@@ -464,6 +490,8 @@ def test_solver_and_potential_failures_exit_3(tmp_path, capsys, argv, command):
      "--gamma: range '0:1:1e-9' has more than 10000 values"),
     (["sweep", "--grid-points", "10000000", "--no-cache"],
      "--grid-points: must be in [512, 65536], got 10000000"),
+    (["solve", "--n-basis", "3"], "--n-basis: must be in [4, 1000], got 3"),
+    (["sweep", "--n-basis", "1001", "--no-cache"], "--n-basis: must be in [4, 1000], got 1001"),
 ])
 def test_non_finite_and_out_of_range_settings_exit_2(tmp_path, capsys, monkeypatch,
                                                      argv, message):
@@ -474,6 +502,68 @@ def test_non_finite_and_out_of_range_settings_exit_2(tmp_path, capsys, monkeypat
     monkeypatch.setattr(cli, "range", no_range, raising=False)
     assert main(argv + ["--states", "2", "--outdir", str(tmp_path)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_n_basis_bounds_are_inclusive_and_checked_before_any_solve(tmp_path, capsys):
+    # 3 and 1001 exit 2 in test_non_finite_and_out_of_range_settings_exit_2;
+    # both ends are read without solving anything
+    for n_basis in (4, cli.MAX_N_BASIS):
+        args = cli.build_parser().parse_args(["solve", "--states", "1", "--n-basis", str(n_basis)])
+        assert cli.build_config(args).n_basis == n_basis
+    assert cli.MAX_N_BASIS == 1000
+    assert main(["table", "2", "--n-basis", "-5", "--outdir", str(tmp_path)]) == 2
+    assert "error: --n-basis: must be in [4, 1000], got -5" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    def __init__(self, made, max_workers):
+        made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, items):
+        return map(func, items)
+
+
+@pytest.mark.parametrize("workers, cpus, gammas, pool", [
+    (str(cli.MAX_WORKERS), 2, "0,1", [2]),  # capped at the pending points
+    ("0", 64, "0,1,2", [3]),  # one per CPU, capped likewise
+    ("0", 64, "0", []),  # a single pending point runs in process
+    ("1", 2, "0,1", []),
+])
+def test_sweep_pool_never_exceeds_the_pending_points(tmp_path, monkeypatch, workers, cpus,
+                                                     gammas, pool):
+    made = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda max_workers: RecordingPool(made, max_workers))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    assert main([
+        "sweep", "--beta", "10", "--gamma", gammas, "--states", "2", "--grid-points", "512",
+        "--workers", workers, "--no-cache", "--outdir", str(tmp_path),
+    ]) == 0
+    assert made == pool
+    assert len(read_rows(tmp_path / "sweep.csv")) == 2 * len(gammas.split(","))
+
+
+def test_workers_above_max_workers_start_no_process(tmp_path, capsys, monkeypatch):
+    def no_pool(max_workers):
+        raise AssertionError(f"a pool of {max_workers} was started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    assert cli.SETTINGS["workers"].convert(str(cli.MAX_WORKERS)) == cli.MAX_WORKERS
+    with pytest.raises(ConfigError, match="must be at most 64"):
+        cli.SETTINGS["workers"].convert(str(cli.MAX_WORKERS + 1))
+    argv = ["sweep", "--gamma", "0,1", "--states", "2", "--no-cache", "--outdir", str(tmp_path)]
+    assert main(argv + ["--workers", str(cli.MAX_WORKERS + 1)]) == 2
+    assert "error: --workers: must be at most 64, got 65" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -24,6 +24,7 @@ from dwell import (
     uncertainties,
     well_occupancy,
 )
+from dwell.measures import classify_occupancy, os_measure
 from dwell.wavefunction import simpson
 
 
@@ -37,41 +38,41 @@ def gaussian_row(sigma, points=4096, half_width=9.0):
 
 
 def gaussian_measures(sigma):
-    """Measures of the oscillator ground state of position scale sigma; its
-    momentum wavefunction is phi_0(p; 1/(4 sigma))."""
-    (meas,) = info_measures(*gaussian_row(sigma), *gaussian_row(1.0 / (4.0 * sigma)))
-    return meas
+    """(s_x, s_p, i_x, i_p, e_x, e_p) of the oscillator ground state of
+    position scale sigma; its momentum wavefunction is phi_0(p; 1/(4 sigma))."""
+    measures = info_measures(*gaussian_row(sigma), *gaussian_row(1.0 / (4.0 * sigma)))
+    return tuple(float(value) for (value,) in measures)
 
 
 def test_gaussian_shannon_closed_form():
     # S = 0.5 ln(pi e / (2 sigma)); sigma = 0.5 gives 0.5 ln(pi e) in both spaces
-    meas = gaussian_measures(0.5)
-    assert meas.s_x == pytest.approx(0.5 * math.log(math.pi * math.e), abs=1e-9)
-    assert meas.s_p == pytest.approx(0.5 * math.log(math.pi * math.e), abs=1e-9)
+    s_x, s_p, *_ = gaussian_measures(0.5)
+    assert s_x == pytest.approx(0.5 * math.log(math.pi * math.e), abs=1e-9)
+    assert s_p == pytest.approx(0.5 * math.log(math.pi * math.e), abs=1e-9)
 
 
 def test_gaussian_fisher_closed_form():
     for sigma in (0.3, 0.5, 1.7):
-        meas = gaussian_measures(sigma)
-        assert meas.i_x == pytest.approx(4.0 * sigma, rel=1e-9)
-        assert meas.i_p == pytest.approx(1.0 / sigma, rel=1e-9)
+        _, _, i_x, i_p, _, _ = gaussian_measures(sigma)
+        assert i_x == pytest.approx(4.0 * sigma, rel=1e-9)
+        assert i_p == pytest.approx(1.0 / sigma, rel=1e-9)
 
 
 def test_gaussian_onicescu_closed_form():
     # int rho^2 = sqrt(sigma / pi) for rho = sqrt(2 sigma / pi) e^{-2 sigma x^2}
     for sigma in (0.4, 1.0):
-        meas = gaussian_measures(sigma)
-        assert meas.e_x == pytest.approx(math.sqrt(sigma / math.pi), rel=1e-9)
-        assert meas.e_p == pytest.approx(math.sqrt(0.25 / (sigma * math.pi)), rel=1e-9)
+        *_, e_x, e_p = gaussian_measures(sigma)
+        assert e_x == pytest.approx(math.sqrt(sigma / math.pi), rel=1e-9)
+        assert e_p == pytest.approx(math.sqrt(0.25 / (sigma * math.pi)), rel=1e-9)
 
 
 def test_oscillator_ground_state_saturates_bounds():
     # position scale sigma and momentum scale 1/(4 sigma) saturate all four
-    meas = gaussian_measures(0.8)
-    assert meas.s_total == pytest.approx(SHANNON_TOTAL_BOUND, abs=1e-7)
-    assert meas.i_product == pytest.approx(FISHER_PRODUCT_BOUND, rel=1e-9)
-    assert meas.e_product == pytest.approx(ONICESCU_PRODUCT_BOUND, rel=1e-9)
-    assert meas.os_total == pytest.approx(OS_TOTAL_BOUND, rel=1e-7)
+    s_x, s_p, i_x, i_p, e_x, e_p = gaussian_measures(0.8)
+    assert s_x + s_p == pytest.approx(SHANNON_TOTAL_BOUND, abs=1e-7)
+    assert i_x * i_p == pytest.approx(FISHER_PRODUCT_BOUND, rel=1e-9)
+    assert e_x * e_p == pytest.approx(ONICESCU_PRODUCT_BOUND, rel=1e-9)
+    assert os_measure(s_x + s_p, e_x * e_p) == pytest.approx(OS_TOTAL_BOUND, rel=1e-7)
 
 
 def test_not_normalized_raises():
@@ -88,25 +89,28 @@ def test_zero_density_regions_are_harmless():
     for rows in (psi, dpsi):
         rows[:, :10] = 0.0
         rows[:, -10:] = 0.0
-    (meas,) = info_measures(grid, psi, dpsi, grid, psi, dpsi)
-    assert math.isfinite(meas.s_x)
-    assert math.isfinite(meas.i_x)
+    (s_x,), _, (i_x,), *_ = info_measures(grid, psi, dpsi, grid, psi, dpsi)
+    assert math.isfinite(s_x)
+    assert math.isfinite(i_x)
 
 
 def test_mean_x_vanishes_for_symmetric_wells():
     spec = well_solve(1.0, 20.0, 0.0)
-    for u in uncertainties(spec, 6):
-        assert abs(u.mean_x) <= 1e-10
+    mean_x, _, _ = uncertainties(spec, 6)
+    assert len(mean_x) == 6
+    for m in mean_x:
+        assert abs(m) <= 1e-10
 
 
 def test_mirror_flips_mean_x_only():
     pot = QuarticPotential.from_well_params(1.0, 14.0, 2.0)
     spec = solve(pot, 100, 6)
     spec_m = solve(mirror(pot), 100, 6)
-    for u, um in zip(uncertainties(spec, 6), uncertainties(spec_m, 6)):
-        assert um.mean_x == pytest.approx(-u.mean_x, abs=1e-10)
-        assert um.delta_x == pytest.approx(u.delta_x, rel=1e-10)
-        assert um.delta_p == pytest.approx(u.delta_p, rel=1e-10)
+    mean_x, delta_x, delta_p = uncertainties(spec, 6)
+    mean_x_m, delta_x_m, delta_p_m = uncertainties(spec_m, 6)
+    assert mean_x_m == pytest.approx(-mean_x, abs=1e-10)
+    assert delta_x_m == pytest.approx(delta_x, rel=1e-10)
+    assert delta_p_m == pytest.approx(delta_p, rel=1e-10)
 
 
 def test_algebraic_moments_match_grid_quadrature():
@@ -115,20 +119,21 @@ def test_algebraic_moments_match_grid_quadrature():
     grid = build_grid(pot, spec.energy(3), 4096)
     x = grid.x
     psi, dpsi = position_functions(spec, grid, 2)
-    for n, u in enumerate(uncertainties(spec, 2)):
+    for n, (mean_x, delta_x, delta_p) in enumerate(zip(*uncertainties(spec, 2), strict=True)):
         rho = psi[n] ** 2
         mean = simpson(x * rho, grid.dx)
         mean2 = simpson(x * x * rho, grid.dx)
-        assert u.mean_x == pytest.approx(mean, abs=1e-8)
-        assert u.delta_x == pytest.approx(
+        assert mean_x == pytest.approx(mean, abs=1e-8)
+        assert delta_x == pytest.approx(
             math.sqrt(mean2 - mean * mean), abs=1e-8
         )
         p2 = simpson(dpsi[n] ** 2, grid.dx)
-        assert u.delta_p == pytest.approx(math.sqrt(p2), abs=1e-8)
+        assert delta_p == pytest.approx(math.sqrt(p2), abs=1e-8)
 
 
 def barrier_split(pot, spec, n_states, points):
-    """well_occupancy of states 0..n_states-1 on a grid up to the top one."""
+    """well_occupancy of states 0..n_states-1 on a grid up to the top one:
+    (p_well_I, p_well_II, mass_left, mass_right)."""
     grid = build_grid(pot, spec.energy(n_states - 1), points)
     psi, _ = position_functions(spec, grid, n_states)
     return well_occupancy(grid, psi, critical_points(pot))
@@ -137,31 +142,33 @@ def barrier_split(pot, spec, n_states, points):
 def test_well_occupancy_symmetric_split():
     spec = well_solve(1.0, 20.0, 0.0)
     pot = QuarticPotential.from_well_params(1.0, 20.0, 0.0)
-    occs = barrier_split(pot, spec, 6, 4096)
-    assert len(occs) == 6
-    for occ in occs:
-        assert occ.p_well_I == pytest.approx(0.5, abs=1e-6)
-        assert occ.p_well_I + occ.p_well_II == pytest.approx(1.0, abs=1e-8)
-        assert occ.classification is Occupancy.BOTH
+    p_i, p_ii, _, _ = barrier_split(pot, spec, 6, 4096)
+    assert len(p_i) == len(p_ii) == 6
+    for a, b in zip(p_i, p_ii):
+        assert a == pytest.approx(0.5, abs=1e-6)
+        assert a + b == pytest.approx(1.0, abs=1e-8)
+        assert classify_occupancy(a) is Occupancy.BOTH
 
 
 def test_well_occupancy_localized_states():
     pot = QuarticPotential.from_well_params(1.0, 20.0, 1.0)
     spec = solve(pot, 100, 6)
-    occs = barrier_split(pot, spec, 6, 4096)
-    assert occs[1].classification is Occupancy.WELL_II
-    assert occs[0].classification is Occupancy.WELL_I
+    p_i = barrier_split(pot, spec, 6, 4096)[0]
+    assert classify_occupancy(p_i[1]) is Occupancy.WELL_II
+    assert classify_occupancy(p_i[0]) is Occupancy.WELL_I
     pot3 = QuarticPotential.from_well_params(1.0, 20.0, 3.0)
     spec3 = solve(pot3, 100, 6)
-    assert barrier_split(pot3, spec3, 6, 4096)[3].classification is Occupancy.WELL_I
+    assert classify_occupancy(barrier_split(pot3, spec3, 6, 4096)[0][3]) is Occupancy.WELL_I
 
 
 def test_single_well_occupancy():
     pot = QuarticPotential.from_well_params(1.0, 1.0, 10.0)
     spec = solve(pot, 100, 4)
-    occ = barrier_split(pot, spec, 4, 2048)[0]
-    assert occ.p_well_I == 1.0
-    assert occ.classification is Occupancy.WELL_I
+    p_i, p_ii, mass_left, mass_right = barrier_split(pot, spec, 4, 2048)
+    assert p_i[0] == 1.0
+    assert classify_occupancy(p_i[0]) is Occupancy.WELL_I
+    assert np.all(p_i == 1.0) and np.all(p_ii == 0.0)
+    assert np.all(np.isnan(mass_left)) and np.all(np.isnan(mass_right))
 
 
 def test_fisher_analytic_matches_finite_differences():
@@ -171,9 +178,10 @@ def test_fisher_analytic_matches_finite_differences():
     pgrid = build_momentum_grid(pot, spec.energy(3), 4096)
     psi_x, dpsi_x = position_functions(spec, grid, 3)
     psi_p, dpsi_p = momentum_functions(spec, pgrid, 3)
-    all_meas = info_measures(grid, psi_x, dpsi_x, pgrid, psi_p, dpsi_p)
-    for n, meas in enumerate(all_meas):
-        for psi, analytic, g in ((psi_x[n], meas.i_x, grid), (psi_p[n], meas.i_p, pgrid)):
+    _, _, i_x, i_p, _, _ = info_measures(grid, psi_x, dpsi_x, pgrid, psi_p, dpsi_p)
+    assert len(i_x) == len(i_p) == 3
+    for n in range(3):
+        for psi, analytic, g in ((psi_x[n], i_x[n], grid), (psi_p[n], i_p[n], pgrid)):
             rho = np.abs(psi) ** 2
             # 5-point central stencil for rho'
             drho = np.zeros_like(rho)
@@ -197,14 +205,16 @@ def test_bound_suite_at_localized_point():
     pgrid = build_momentum_grid(pot, spec.energy(4), 4096)
     psi_x, dpsi_x = position_functions(spec, grid, 4)
     psi_p, dpsi_p = momentum_functions(spec, pgrid, 4)
-    all_meas = info_measures(grid, psi_x, dpsi_x, pgrid, psi_p, dpsi_p)
-    for n, (meas, unc) in enumerate(zip(all_meas, uncertainties(spec, 4))):
-        assert unc.product >= 0.5 - 1e-9
-        assert meas.s_total >= SHANNON_TOTAL_BOUND - 1e-6
-        assert meas.i_product >= FISHER_PRODUCT_BOUND - 1e-6
+    s_x, s_p, i_x, i_p, e_x, e_p = info_measures(grid, psi_x, dpsi_x, pgrid, psi_p, dpsi_p)
+    _, delta_x, delta_p = uncertainties(spec, 4)
+    assert len(s_x) == len(delta_x) == 4
+    for n in range(4):
+        assert delta_x[n] * delta_p[n] >= 0.5 - 1e-9
+        assert s_x[n] + s_p[n] >= SHANNON_TOTAL_BOUND - 1e-6
+        assert i_x[n] * i_p[n] >= FISHER_PRODUCT_BOUND - 1e-6
         if n in (0, 2):  # the two nodeless well-ground states
-            assert meas.e_product >= ONICESCU_PRODUCT_BOUND - 1e-6
-            assert meas.os_total >= OS_TOTAL_BOUND - 1e-6
+            assert e_x[n] * e_p[n] >= ONICESCU_PRODUCT_BOUND - 1e-6
+            assert os_measure(s_x[n] + s_p[n], e_x[n] * e_p[n]) >= OS_TOTAL_BOUND - 1e-6
 
 
 def test_excited_oscillator_state_breaks_quadratic_density_bounds():
@@ -220,11 +230,11 @@ def test_excited_oscillator_state_breaks_quadratic_density_bounds():
     dpsi = norm * (1.0 - 2.0 * sigma * x * x) * np.exp(-sigma * x * x)
     assert simpson(psi**2, grid.dx) == pytest.approx(1.0, abs=1e-10)
     # at sigma = 1/2 the momentum wavefunction is -i times the same function
-    (meas,) = info_measures(
+    (s_x,), (s_p,), _, _, (e_x,), (e_p,) = info_measures(
         grid, psi[None], dpsi[None], grid, -1j * psi[None], -1j * dpsi[None]
     )
-    assert meas.e_product == pytest.approx((9.0 / 16.0) / (2.0 * math.pi), rel=1e-8)
-    assert meas.os_total < OS_TOTAL_BOUND
+    assert e_x * e_p == pytest.approx((9.0 / 16.0) / (2.0 * math.pi), rel=1e-8)
+    assert os_measure(s_x + s_p, e_x * e_p) < OS_TOTAL_BOUND
 
 
 def test_scaling_invariance_of_total_shannon():
@@ -239,7 +249,9 @@ def test_scaling_invariance_of_total_shannon():
         psi_x, dpsi_x = position_functions(spec, grid, 2)
         psi_p, dpsi_p = momentum_functions(spec, pgrid, 2)
         results.append(info_measures(grid, psi_x, dpsi_x, pgrid, psi_p, dpsi_p))
-    for m_base, m_scaled in zip(*results):
-        assert m_scaled.s_total == pytest.approx(m_base.s_total, abs=1e-6)
-        assert m_scaled.s_x == pytest.approx(m_base.s_x - math.log(lam), abs=1e-6)
-        assert m_scaled.s_p == pytest.approx(m_base.s_p + math.log(lam), abs=1e-6)
+    (s_x, s_p, *_), (s_x_scaled, s_p_scaled, *_) = results
+    assert len(s_x) == len(s_x_scaled) == 2
+    for n in range(2):
+        assert s_x_scaled[n] + s_p_scaled[n] == pytest.approx(s_x[n] + s_p[n], abs=1e-6)
+        assert s_x_scaled[n] == pytest.approx(s_x[n] - math.log(lam), abs=1e-6)
+        assert s_p_scaled[n] == pytest.approx(s_p[n] + math.log(lam), abs=1e-6)

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from conftest import well_solve
@@ -85,17 +84,6 @@ def test_ground_state_lobe_sits_in_deeper_well():
     assert len(lobes) == 1
     assert lobes[0].x_hi < 0.0  # deeper well is on the left for gamma > 0
 
-
-def test_lobe_contour_sampling():
-    pot = QuarticPotential.from_well_params(1.0, 10.0, 3.0)
-    lobes = area(pot, -10.0, lobe_samples=512).lobes
-    for lobe in lobes:
-        assert lobe.x.size == 512 and lobe.p.size == 512
-        assert lobe.p[0] == pytest.approx(0.0, abs=1e-7)
-        assert lobe.p[-1] == pytest.approx(0.0, abs=1e-7)
-        assert np.all(lobe.p >= 0.0)
-        # contour consistent with energy conservation
-        assert np.allclose(lobe.p**2 + pot(lobe.x), -10.0, atol=1e-10)
 
 
 def test_paired_state_areas_merge_at_integer_k():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +7,7 @@ from hypothesis import given
 from conftest import confining_quartics, ladder_moments
 from dwell import (
     NotNormalized,
-    Occupancy,
     QuarticPotential,
-    WellOccupancy,
     WellSide,
     build_grid,
     build_momentum_grid,
@@ -23,7 +20,6 @@ from dwell import (
     state_reports,
     turning_points,
 )
-from dwell.measures import classify_occupancy
 from dwell.phasespace import DEFAULT_QUAD_NODES
 from dwell.wavefunction import hermite_functions, probability_below, simpson
 
@@ -36,7 +32,7 @@ def test_reports_accept_precomputed_spectrum():
     for a, b in zip(fresh, reused):
         assert a.energy == b.energy
         assert a.occupancy is b.occupancy
-        assert a.measures.s_total == pytest.approx(b.measures.s_total, rel=1e-14)
+        assert a.s_total == pytest.approx(b.s_total, rel=1e-14)
 
 
 def test_report_fields_are_consistent():
@@ -50,8 +46,8 @@ def test_report_fields_are_consistent():
         assert r.p_well_I + r.p_well_II == pytest.approx(1.0, abs=1e-8)
         assert r.effective_nodes <= r.total_nodes
         assert r.lobe_count in (1, 2)
-        assert r.converged
-        assert np.isfinite(r.measures.os_total)
+        assert r.converged_flag
+        assert np.isfinite(r.os_total)
 
 
 # ------------------------------------------------ batched layer vs per state
@@ -90,9 +86,10 @@ def fresh_rule_actions(pot, energy, nodes=DEFAULT_QUAD_NODES):
 
 
 def reference_split(grid, psi, geometry):
-    """The barrier split of one state's row from probability_below and simpson."""
+    """(p_well_I, p_well_II, mass_left, mass_right) of one state's row from
+    probability_below and simpson."""
     if not geometry.is_double_well:
-        return WellOccupancy(1.0, 0.0, Occupancy.WELL_I, math.nan, math.nan)
+        return 1.0, 0.0, math.nan, math.nan
     rho = psi**2
     below = probability_below(grid, rho, geometry.barrier[0])
     total = float(simpson(rho, grid.dx))
@@ -100,7 +97,7 @@ def reference_split(grid, psi, geometry):
     p_i, p_ii = p_left, 1.0 - p_left
     if geometry.deeper_well_side is WellSide.RIGHT:
         p_i, p_ii = p_ii, p_i
-    return WellOccupancy(p_i, p_ii, classify_occupancy(p_i), below, total - below)
+    return p_i, p_ii, below, total - below
 
 
 def reference_measures(grid, psi, dpsi):
@@ -132,9 +129,9 @@ def per_state_reference(pot, spec, n_states, grid_points):
         delta_x = math.sqrt(max(c @ x2_mat @ c - mean_x**2, 0.0))
         delta_p = math.sqrt(c @ p2_mat @ c)
         psi = psi_x[n].copy()
-        occ = reference_split(xgrid, psi, geometry)
+        p_i, p_ii, mass_left, mass_right = reference_split(xgrid, psi, geometry)
         total, effective = count_nodes(
-            xgrid, psi, turning_points(pot, spec.energy(n)), geometry, occ
+            xgrid, psi, turning_points(pot, spec.energy(n)), geometry, mass_left, mass_right
         )
         s_x, i_x, e_x = reference_measures(xgrid, psi, dpsi_x[n])
         s_p, i_p, e_p = reference_measures(pgrid, psi_p[n], dpsi_p[n])
@@ -145,8 +142,8 @@ def per_state_reference(pot, spec, n_states, grid_points):
             "delta_x": delta_x,
             "delta_p": delta_p,
             "uncertainty_product": delta_x * delta_p,
-            "p_well_I": occ.p_well_I,
-            "p_well_II": occ.p_well_II,
+            "p_well_I": p_i,
+            "p_well_II": p_ii,
             "total_nodes": total,
             "effective_nodes": effective,
             "s_x": s_x,
@@ -162,17 +159,18 @@ def per_state_reference(pot, spec, n_states, grid_points):
     return rows
 
 
+MEASURES = ("s_x", "s_p", "i_x", "i_p", "e_x", "e_p")
+
+
 def report_fields(rep):
-    fields = {
+    return {
         name: getattr(rep, name)
         for name in (
             "energy", "mean_x", "delta_x", "delta_p", "uncertainty_product",
             "p_well_I", "p_well_II", "total_nodes", "effective_nodes",
-            "barrier_action", "allowed_action", "lobe_count",
+            "barrier_action", "allowed_action", "lobe_count", *MEASURES,
         )
     }
-    fields.update(dataclasses.asdict(rep.measures))
-    return fields
 
 
 @pytest.mark.parametrize("name", list(EQUIVALENCE_POINTS))
@@ -243,9 +241,9 @@ def test_mirror_keeps_reports_and_flips_mean_x(pot):
     for rep, rep_m in zip(reports, mirrored, strict=True):
         assert rep_m.occupancy is rep.occupancy
         assert rep_m.mean_x == pytest.approx(-rep.mean_x, abs=1e-10)
-        got, want = dataclasses.asdict(rep_m.measures), dataclasses.asdict(rep.measures)
-        for key in want:
-            assert got[key] == pytest.approx(want[key], rel=1e-10, abs=1e-10), key
+        for key in MEASURES:
+            got, want = getattr(rep_m, key), getattr(rep, key)
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-10), key
         assert rep_m.barrier_action == pytest.approx(rep.barrier_action, rel=1e-10, abs=1e-10)
         assert rep_m.allowed_action == pytest.approx(rep.allowed_action, rel=1e-10)
         assert rep_m.lobe_count == rep.lobe_count

@@ -112,12 +112,15 @@ def test_scaling_law(alpha, beta, gamma, lam):
     # vector is fixed to about eps ||H|| / gap (Davis-Kahan), so the moments
     # of a state a small gap away from its neighbour get a wider tolerance
     paired = {n for a, b, _ in quasi_degenerate_pairs(spec, 1e-6) for n in (a, b)}
-    for n, (u, v) in enumerate(zip(uncertainties(spec), uncertainties(scaled))):
+    mean_x, delta_x, delta_p = uncertainties(spec)
+    mean_xs, delta_xs, delta_ps = uncertainties(scaled)
+    assert len(mean_x) == len(mean_xs) == 6
+    for n in range(6):
         if n in paired:
             continue
         gap = np.min(np.abs(np.delete(e, n) - e[n]))
         rel = 1e-11 * max(1.0, 1.0 / gap)
-        assert lam * v.mean_x == pytest.approx(u.mean_x, rel=rel, abs=rel * u.delta_x)
-        assert lam * v.delta_x == pytest.approx(u.delta_x, rel=rel)
-        assert v.delta_p / lam == pytest.approx(u.delta_p, rel=rel)
-        assert v.delta_x * v.delta_p == pytest.approx(u.delta_x * u.delta_p, rel=rel)
+        assert lam * mean_xs[n] == pytest.approx(mean_x[n], rel=rel, abs=rel * delta_x[n])
+        assert lam * delta_xs[n] == pytest.approx(delta_x[n], rel=rel)
+        assert delta_ps[n] / lam == pytest.approx(delta_p[n], rel=rel)
+        assert delta_xs[n] * delta_ps[n] == pytest.approx(delta_x[n] * delta_p[n], rel=rel)

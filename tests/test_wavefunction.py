@@ -162,16 +162,17 @@ def node_counts(pot, spec, n_states, points):
     grid = build_grid(pot, spec.energy(n_states - 1), points)
     psi, _ = position_functions(spec, grid, n_states)
     geometry = critical_points(pot)
-    splits = well_occupancy(grid, psi, geometry)
+    _, _, mass_left, mass_right = well_occupancy(grid, psi, geometry)
     return [
         count_nodes(
             grid,
             psi[n],
             turning_points(pot, spec.energy(n)),
             geometry,
-            split,
+            mass_left[n],
+            mass_right[n],
         )
-        for n, split in enumerate(splits)
+        for n in range(n_states)
     ]
 
 
