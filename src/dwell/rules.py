@@ -1,9 +1,8 @@
 """Quasi-degeneracy and well-localization rules in the asymmetry index k.
 
-Empirically, level crossings of the asymmetric double well recur at integer
-multiples of a characteristic interval delta_gamma that depends on the
-quartic coefficient only.  With k = gamma / delta_gamma the observed rules
-are:
+Level crossings of the asymmetric double well V = alpha x^4 - beta x^2 +
+gamma x recur at integer multiples of a characteristic interval delta_gamma.
+With k = gamma / delta_gamma the rules are:
 
   degeneracy   - integer k, odd:  pairs (n, n+1) for odd n >= k
                - integer k, even: pairs (n, n+1) for even n >= k (0 is even)
@@ -13,19 +12,25 @@ are:
                - n >= k, fractional k: well I when parity(n) equals
                  parity(floor(k)), else well II
 
-delta_gamma has no closed form here; it is estimated by locating the sharp
-minima of adjacent-level gaps along a gamma sweep and averaging their
-spacings.  The rule engine itself is a pure function of (k, n).
+delta_gamma = 2 sqrt(alpha): up to a constant V = W'^2 + k W'' with
+W' = sqrt(alpha) x^2 - beta / (2 sqrt(alpha)) and k = gamma / (2 sqrt(alpha)),
+the tilted supersymmetric double well (Behtash, Dunne, Schaefer, Sulejmanpasic
+and Unsal, PRL 115, 041601 (2015)), whose two wells' Bohr-Sommerfeld numbers
+(1/pi) int sqrt(E - V) dx differ by exactly k at every energy.
+`estimate_delta_gamma` measures the interval from the gap minima of a gamma
+sweep alone; the tests hold it to the closed form.  The rule engine itself
+is a pure function of (k, n).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .basis import band_matvec, position_band
 from .measures import Occupancy, classify_occupancy, well_occupancy
 from .potential import QuarticPotential, critical_points
 from .spectrum import certified_states, quasi_degenerate_pairs, solve
@@ -47,6 +52,7 @@ __all__ = [
 K_TOL = 0.02  # |k - round(k)| below this counts as integer k
 SHARP_GAP_TOL = 1e-3  # a gap minimum this small (relative) marks a transition
 GAMMA_SCAN_POINTS = 141  # coarse gamma samples per delta-gamma probe sweep
+REFINE_TOL = 1e-12  # relative step at which a gap minimum counts as refined
 
 
 class NoTransitionsFound(RuntimeError):
@@ -121,103 +127,41 @@ class DeltaGammaEstimate:
     beta_used: float
 
 
-def _candidate_minima(gaps: np.ndarray) -> list[int]:
-    """Interior local minima that dip well below the typical gap scale."""
-    scale = float(np.median(gaps))
-    return [
-        i
-        for i in range(1, len(gaps) - 1)
-        if gaps[i] <= gaps[i - 1]
-        and gaps[i] <= gaps[i + 1]
-        and gaps[i] <= 0.25 * scale
-    ]
+def _levels(alpha: float, beta: float, gamma: float, n_basis: int):
+    """Energies E_n and slopes dE_n/dgamma = <n|x|n> of the six lowest states.
 
-
-_SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
-_MAX_EVALUATIONS = 500
-
-
-def _unit_sign(v: float) -> float:
-    """sign(v) + (v == 0): -1 for negative v, else +1."""
-    return -1.0 if v < 0.0 else 1.0
-
-
-def _bounded_minimum(
-    func: Callable[[float], float], lo: float, hi: float, xatol: float
-) -> tuple[float, float]:
-    """Brent's bounded scalar minimization of func on [lo, hi]; (x, func(x)).
-
-    The method of scipy's fminbound (minimize_scalar with method="bounded"),
-    operation for operation: the same constants, the same parabolic/golden
-    branching and the same evaluation cap.  Bounds and objective values are
-    coerced with float(), which is exact for np.float64, so every evaluation
-    point and the result carry the same bits as scipy's.
+    The basis scale reads only c4 and c2, so H = H0 + gamma x holds exactly in
+    the truncated basis along a gamma sweep, and Hellmann-Feynman is exact.
     """
-    a, b = float(lo), float(hi)
-    fulc = a + _GOLDEN_MEAN * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = float(func(xf))
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
+    spec = solve(QuarticPotential.from_well_params(alpha, beta, gamma), n_basis, 6)
+    v = spec.coefficients
+    return spec.energies, np.sum(v * band_matvec(position_band(spec.basis), v), axis=0)
 
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if abs(e) > tol1:  # try a parabolic fit
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * _unit_sign(xm - xf)
-            else:
-                golden = True
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = _GOLDEN_MEAN * e
 
-        x = xf + _unit_sign(rat) * max(abs(rat), tol1)
-        fu = float(func(x))
-        num += 1
+def _gap_slope(energies: np.ndarray, slopes: np.ndarray, m: int):
+    """d(gap^2)/dgamma of the pair (m, m+1); the last axis indexes states."""
+    gap = energies[..., m + 1] - energies[..., m]
+    return 2.0 * gap * (slopes[..., m + 1] - slopes[..., m])
 
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
 
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _MAX_EVALUATIONS:
-            break
-    return xf, fx
+def _refine_minimum(levels_at, m: int, a: float, b: float, s_a: float, s_b: float):
+    """Gamma and energies at the gap minimum of pair m, bracketed by a and b.
+
+    Illinois regula falsi on the slope s of the squared gap (s_a < 0 <= s_b),
+    so every iterate stays inside the bracket.  Near an avoided crossing
+    gap^2 is close to a parabola and s close to linear: a few solves suffice.
+    """
+    while True:
+        g = b - s_b * (b - a) / (s_b - s_a)
+        energies, slopes = levels_at(g)
+        s = _gap_slope(energies, slopes, m)
+        if s == 0.0 or abs(g - b) <= REFINE_TOL * (1.0 + abs(g)):
+            return g, energies
+        if (s < 0.0) != (s_b < 0.0):
+            a, s_a = b, s_b
+        else:  # the same end is kept twice in a row: halve its slope
+            s_a *= 0.5
+        b, s_b = g, s
 
 
 def estimate_delta_gamma(
@@ -237,14 +181,14 @@ def estimate_delta_gamma(
 
     The probe beta defaults to 16 sqrt(alpha), deep enough that transition
     gaps are orders of magnitude below the level spacing, and is raised
-    automatically when the sweep shows no transitions.  Each coarse minimum
-    is refined by bounded scalar minimization before the sharpness test.
+    automatically when the sweep shows no transitions.  Each sign change of
+    d(gap^2)/dgamma from negative to non-negative between neighbouring scan
+    points brackets one minimum, refined by regula falsi on that slope before
+    the sharpness test.
     """
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
     beta = beta_probe if beta_probe is not None else 16.0 * math.sqrt(alpha)
-
-    def energies_at(g: float) -> np.ndarray:
-        pot = QuarticPotential.from_well_params(alpha, beta, g)
-        return solve(pot, n_basis, 6).energies
 
     for attempt in range(4):
         if gamma_range is not None:
@@ -252,21 +196,16 @@ def estimate_delta_gamma(
         else:
             lo, hi = 0.05, 8.8 * math.sqrt(alpha) * (1.3 ** attempt)
         gammas = np.linspace(lo, hi, GAMMA_SCAN_POINTS)
-        table = np.array([energies_at(g) for g in gammas])
-
-        def gap_at(g: float, pair: int) -> float:
-            e = energies_at(g)
-            return float(e[pair + 1] - e[pair])
+        levels_at = functools.partial(_levels, alpha, beta, n_basis=n_basis)
+        energies, slopes = map(np.array, zip(*map(levels_at, gammas)))
 
         found: list[float] = []
         for m in (1, 2, 3):
-            gap = table[:, m + 1] - table[:, m]
-            for i in _candidate_minima(gap):
-                x, gap_min = _bounded_minimum(
-                    lambda g: gap_at(g, m), gammas[i - 1], gammas[i + 1], 1e-8
-                )
-                if gap_min <= SHARP_GAP_TOL * (1.0 + abs(table[i, m])):
-                    found.append(x)
+            s = _gap_slope(energies, slopes, m)
+            for i in np.flatnonzero((s[:-1] < 0.0) & (s[1:] >= 0.0)):
+                g, e = _refine_minimum(levels_at, m, gammas[i], gammas[i + 1], s[i], s[i + 1])
+                if e[m + 1] - e[m] <= SHARP_GAP_TOL * (1.0 + abs(e[m])):
+                    found.append(g)
         # merge the same transition seen through different gap curves
         found.sort()
         merge_tol = 1e-3 * (hi - lo)

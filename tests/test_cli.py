@@ -226,7 +226,7 @@ def test_cache_written_under_old_revision_is_recomputed(tmp_path, monkeypatch):
 
 def test_cli_import_loads_neither_scipy_integrate_nor_optimize(tmp_path):
     # checked after the import and again after a validate-rules run, which
-    # estimates delta_gamma with bounded minimizations
+    # estimates delta_gamma from a gamma scan and refined gap minima
     argv = [
         "validate-rules", "--alphas", "1", "--beta", "20", "--gamma", "1:2:0.5",
         "--states", "6", "--outdir", str(tmp_path),
@@ -468,6 +468,14 @@ def test_solver_and_potential_failures_exit_3(tmp_path, capsys, argv, command):
     assert main(argv + ["--outdir", str(tmp_path)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {command} failed: ")
+
+
+@pytest.mark.parametrize("alpha", ["-1", "0"])
+def test_validate_rules_names_a_non_positive_alpha(tmp_path, capsys, alpha):
+    assert main(["validate-rules", "--alphas", alpha, "--outdir", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: validate-rules failed: alpha must be positive, got {float(alpha)}\n"
+    )
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,20 +1,21 @@
 import math
 
-import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from hypothesis import given, strategies as st
 
 from dwell import (
     AsymmetryIndex,
     DeltaGammaEstimate,
     NoTransitionsFound,
     Occupancy,
+    QuarticPotential,
     estimate_delta_gamma,
     predict_degeneracy,
     predict_occupancy,
+    solve,
     validate_rules,
 )
-from dwell import rules
+from dwell import phasespace, rules
 
 I, II, BOTH = Occupancy.WELL_I, Occupancy.WELL_II, Occupancy.BOTH
 
@@ -106,23 +107,76 @@ def test_prediction_consistency_pairs_vs_both():
                 assert n in paired
 
 
-def test_delta_gamma_unit_interval():
-    est = estimate_delta_gamma(1.0)
-    assert est.delta_gamma == pytest.approx(2.0, abs=0.05)
+@pytest.mark.parametrize("alpha, beta_probe, rel", [
+    (0.25, None, 1e-9),
+    (0.5, None, 1e-9),
+    (1.0, None, 1e-12),
+    (2.0, None, 1e-12),
+    (3.0, None, 1e-9),
+    (5.0, None, 1e-9),
+    (1.0, 6.0, 1e-9),  # far too shallow: the probe beta must be raised
+    (1.0, 24.0, 1e-9),
+])
+def test_delta_gamma_matches_closed_form(alpha, beta_probe, rel):
+    # the wells' Bohr-Sommerfeld numbers differ by gamma / (2 sqrt(alpha)),
+    # so level crossings recur every 2 sqrt(alpha) in gamma
+    delta_gamma = 2.0 * math.sqrt(alpha)
+    est = estimate_delta_gamma(alpha, beta_probe=beta_probe)
+    assert est.delta_gamma == pytest.approx(delta_gamma, rel=rel)
+    for tau in est.transitions:
+        assert tau == pytest.approx(round(tau / delta_gamma) * delta_gamma, rel=1e-9)
     assert est.uncertainty < 0.01
     assert len(est.transitions) >= 2
+    if beta_probe == 6.0:
+        assert est.beta_used > 6.0
 
 
-def test_delta_gamma_invariant_under_probe_beta():
-    est = estimate_delta_gamma(1.0, beta_probe=24.0)
-    assert est.delta_gamma == pytest.approx(2.0, abs=0.05)
+@given(
+    alpha=st.floats(0.25, 5.0),
+    beta_scale=st.floats(10.0, 30.0),
+    gamma_scale=st.floats(0.7, 5.3),
+)
+def test_well_actions_differ_by_k(alpha, beta_scale, gamma_scale):
+    # V = W'^2 + k W'' (plus a constant) with W' = sqrt(alpha) x^2 -
+    # beta / (2 sqrt(alpha)) and k = gamma / (2 sqrt(alpha)): at every energy
+    # the lobes' nu = (1/pi) int sqrt(E - V) dx differ by exactly k
+    beta, gamma = beta_scale * math.sqrt(alpha), gamma_scale * math.sqrt(alpha)
+    pot = QuarticPotential.from_well_params(alpha, beta, gamma)
+    k = gamma / (2.0 * math.sqrt(alpha))
+    checked = 0
+    for energy in solve(pot, 100, 12).energies:
+        lobes = phasespace.area(pot, energy).lobes
+        if len(lobes) != 2:
+            continue
+        nu_1, nu_2 = (
+            phasespace._sqrt_interval(
+                pot, energy, lobe.x_lo, lobe.x_hi, 1.0, phasespace.DEFAULT_QUAD_NODES
+            ) / math.pi
+            for lobe in lobes
+        )
+        assert abs(abs(nu_1 - nu_2) - k) <= 1e-12 * max(1.0, k)
+        checked += 1
+    assert checked > 0
 
 
-def test_delta_gamma_auto_raises_probe_beta():
-    # a probe beta far too shallow for quasi-degeneracy must be increased
-    est = estimate_delta_gamma(1.0, beta_probe=6.0)
-    assert est.beta_used > 6.0
-    assert est.delta_gamma == pytest.approx(2.0, abs=0.05)
+def test_delta_gamma_solve_budget(monkeypatch):
+    # the refinement reuses the eigenvectors of each solve for the gap slope;
+    # a derivative-free search needs some 76 more solves per sweep
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(rules, "solve", counted)
+    estimate_delta_gamma(1.0)
+    assert len(calls) <= rules.GAMMA_SCAN_POINTS + 40
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, math.nan])
+def test_delta_gamma_rejects_non_positive_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        estimate_delta_gamma(alpha)
 
 
 def test_rule_validation_localized_grid():
@@ -153,56 +207,6 @@ def test_rule_validation_detects_pairs_at_moderate_beta():
 def test_no_transitions_raises():
     with pytest.raises(NoTransitionsFound):
         estimate_delta_gamma(1.0, beta_probe=0.5, gamma_range=(0.05, 1.0))
-
-
-def oracle_objective(rng, kind):
-    """A random objective: polynomial, |sin| or quadratic, some np.float64."""
-    if kind == 0:
-        coeffs = rng.normal(size=int(rng.integers(3, 8)))
-        return lambda x: np.polyval(coeffs, x)  # np.float64
-    if kind == 1:
-        w, phase = rng.uniform(0.5, 5.0), rng.uniform(0.0, 2.0 * math.pi)
-        return lambda x: abs(math.sin(w * x + phase))
-    centre, scale = rng.normal(), rng.uniform(0.1, 10.0)
-    return lambda x: np.float64(scale * (x - centre) ** 2)
-
-
-def recorded(func, points):
-    def wrapped(x):
-        points.append(float(x).hex())
-        return func(x)
-
-    return wrapped
-
-
-@pytest.mark.parametrize("xatol", [1e-5, 1e-8, 1e-12])
-def test_bounded_minimum_matches_scipy_bit_for_bit(xatol):
-    rng = np.random.default_rng(5)
-    for case in range(300):
-        func = oracle_objective(rng, case % 3)
-        lo = np.float64(rng.uniform(-5.0, 5.0))
-        hi = lo + np.float64(rng.uniform(1e-3, 8.0))
-        want_points, got_points = [], []
-        res = minimize_scalar(
-            recorded(func, want_points), bounds=(lo, hi), method="bounded",
-            options={"xatol": xatol},
-        )
-        x, fun = rules._bounded_minimum(recorded(func, got_points), lo, hi, xatol)
-        assert got_points == want_points, case
-        assert x.hex() == float(res.x).hex(), case
-        assert fun.hex() == float(res.fun).hex(), case
-
-
-def scipy_bounded_minimum(func, lo, hi, xatol):
-    res = minimize_scalar(func, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
-    return float(res.x), float(res.fun)
-
-
-@pytest.mark.parametrize("beta_probe", [None, 6.0])  # 6.0 takes the retry path
-def test_delta_gamma_unchanged_under_scipy_minimizer(monkeypatch, beta_probe):
-    est = estimate_delta_gamma(1.0, beta_probe=beta_probe)
-    monkeypatch.setattr(rules, "_bounded_minimum", scipy_bounded_minimum)
-    assert estimate_delta_gamma(1.0, beta_probe=beta_probe) == est
 
 
 def test_validate_rules_estimates_delta_gamma_with_its_basis(monkeypatch):
