@@ -631,6 +631,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {args.command} failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -185,9 +185,17 @@ def estimate_delta_gamma(
     d(gap^2)/dgamma from negative to non-negative between neighbouring scan
     points brackets one minimum, refined by regula falsi on that slope before
     the sharpness test.
+
+    `gamma_range` takes finite bounds with 0 <= lo < hi.  The spectrum is
+    mirror-symmetric in gamma (V(x; -gamma) = V(-x; gamma)), so a negative
+    range is passed as its absolute values.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    if beta_probe is not None and not 0 < beta_probe < math.inf:
+        raise ValueError(f"beta_probe must be finite and positive, got {beta_probe}")
+    if gamma_range is not None and not 0 <= gamma_range[0] < gamma_range[1] < math.inf:
+        raise ValueError(f"gamma_range must satisfy 0 <= lo < hi (finite), got {gamma_range}")
     beta = beta_probe if beta_probe is not None else 16.0 * math.sqrt(alpha)
 
     for attempt in range(4):

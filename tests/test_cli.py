@@ -224,6 +224,23 @@ def test_cache_written_under_old_revision_is_recomputed(tmp_path, monkeypatch):
     assert len(list(cache_dir.glob("*.json"))) == 2
 
 
+SRC = str(Path(cli.__file__).resolve().parents[1])
+BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _child_env(base, *paths):
+    """`base` with `paths` and the package's sources in front of PYTHONPATH."""
+    return dict(base, PYTHONPATH=os.pathsep.join(
+        p for p in (*paths, SRC, os.environ.get("PYTHONPATH")) if p
+    ))
+
+
+def _without_blas_settings(**blas):
+    """os.environ with no BLAS thread variable but `blas`, and no cache override."""
+    drop = {*BLAS_THREAD_VARIABLES, "DWELL_CACHE_DIR"}
+    return {k: v for k, v in os.environ.items() if k not in drop} | blas
+
+
 def test_cli_import_loads_neither_scipy_integrate_nor_optimize(tmp_path):
     # checked after the import and again after a validate-rules run, which
     # estimates delta_gamma from a gamma scan and refined gap minima
@@ -239,13 +256,9 @@ def test_cli_import_loads_neither_scipy_integrate_nor_optimize(tmp_path):
         f"assert dwell.cli.main({argv!r}) == 0\n"
         "print(loaded())\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True, timeout=120,
+        [sys.executable, "-c", code], env=_child_env(os.environ), capture_output=True,
+        text=True, check=True, timeout=120,
     )
     lines = out.stdout.splitlines()  # the command prints its output path between
     assert (lines[0], lines[-1]) == ("[]", "[]")
@@ -254,7 +267,8 @@ def test_cli_import_loads_neither_scipy_integrate_nor_optimize(tmp_path):
 
 def test_no_command_loads_scipy(tmp_path):
     # dsbevx comes from scipy's LAPACK extension file, loaded by location;
-    # checked after the import and after one run of each command
+    # checked after the import and after one run of each command.  Called
+    # in-process, no command sets a BLAS thread variable either.
     runs = [
         ["solve", "--beta", "10", "--gamma", "0.5", "--states", "2", "--grid-points", "512"],
         ["sweep", "--beta", "10", "--gamma", "0,0.5", "--states", "2", "--grid-points", "512",
@@ -265,25 +279,112 @@ def test_no_command_loads_scipy(tmp_path):
         ["phase-space", "--beta", "10", "--states", "2"],
     ]
     code = "\n".join([
-        "import contextlib, io, sys, dwell.cli",
+        "import contextlib, io, os, sys, dwell.cli",
         "def loaded(): return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))",
         "print(loaded())",
         f"for argv in {runs!r}:",
         "    with contextlib.redirect_stdout(io.StringIO()):",
         f"        assert dwell.cli.main(argv + ['--outdir', {str(tmp_path)!r}]) == 0",
         "    print(loaded())",
+        f"print([k for k in {BLAS_THREAD_VARIABLES!r} if k in os.environ])",
     ])
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    ))
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True, timeout=120,
+        [sys.executable, "-c", code], env=_child_env(_without_blas_settings()),
+        capture_output=True, text=True, check=True, timeout=120,
     )
-    assert out.stdout.splitlines() == ["[]"] * (1 + len(runs))
+    assert out.stdout.splitlines() == ["[]"] * (2 + len(runs))
     written = {p.name for p in tmp_path.iterdir()}
     assert {"solve.csv", "sweep.csv", "validate_rules.json", "table1.csv"} <= written
+
+
+def test_import_dwell_loads_no_numpy_and_resolves_every_export():
+    code = "\n".join([
+        "import sys, dwell",
+        "assert 'numpy' not in sys.modules, 'import dwell loaded numpy'",
+        "missing = [n for n in dwell.__all__ if getattr(dwell, n, None) is None]",
+        "assert not missing, missing",
+        "print(len(dwell.__all__), dwell.__version__)",
+    ])
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(os.environ),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout.split()[0]) > 40
+
+
+# imported by the child as sitecustomize, before any other module: at exit it
+# prints the BLAS variables the process ended with and the thread count of each
+# mapped OpenBLAS (the symbol lookup of perfbench/spans.py)
+_EXIT_PROBE = """
+import atexit, ctypes, json, os
+
+def _report():
+    threads = {}
+    if os.path.exists("/proc/self/maps"):
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh}
+        for path in sorted(paths):
+            name = path.rsplit("/", 1)[-1]
+            if not (path.startswith("/") and name.startswith("lib") and "blas" in name.lower()):
+                continue
+            lib = ctypes.CDLL(path)
+            for prefix in ("scipy_openblas", "openblas"):
+                for suffix in ("64_", ""):
+                    get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                    if get is not None and name not in threads:
+                        get.restype = ctypes.c_int
+                        get.argtypes = []
+                        threads[name] = get()
+    env = {k: os.environ.get(k) for k in %r}
+    print(json.dumps({"env": env, "threads": threads}), flush=True)
+
+atexit.register(_report)
+""" % (BLAS_THREAD_VARIABLES,)
+
+
+def _run_module_entry(tmp_path, **blas):
+    """`python -m dwell table 1` in a fresh interpreter with only the BLAS
+    variables `blas` set; returns what the exit probe saw."""
+    probe = tmp_path / "probe"
+    probe.mkdir(parents=True)
+    (probe / "sitecustomize.py").write_text(_EXIT_PROBE)
+    out = subprocess.run(
+        [sys.executable, "-m", "dwell", "table", "1", "--outdir", str(tmp_path / "out")],
+        env=_child_env(_without_blas_settings(**blas), str(probe)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "out" / "table1.csv").is_file()
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_module_entry_runs_blas_on_one_thread_unless_the_user_chose(tmp_path):
+    default = _run_module_entry(tmp_path / "default")
+    assert default["env"] == dict.fromkeys(BLAS_THREAD_VARIABLES, "1")
+    assert all(n == 1 for n in default["threads"].values()), default["threads"]
+
+    # any one variable set by the user keeps the library's own defaults for the rest
+    chosen = _run_module_entry(tmp_path / "chosen", OMP_NUM_THREADS="2")
+    assert chosen["env"] == {"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": None,
+                             "MKL_NUM_THREADS": None}
+
+
+def test_sweep_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    argv = ["sweep", "--alpha", "1", "--beta", "10,20", "--gamma", "0:2.5:0.5",
+            "--states", "6", "--workers", "1", "--outdir", "out"]
+    runs = []
+    for name, blas in (("one", {}), ("two", {"OPENBLAS_NUM_THREADS": "2"})):
+        cwd = tmp_path / name
+        cwd.mkdir()
+        out = subprocess.run([sys.executable, "-m", "dwell", *argv], cwd=cwd,
+                             env=_child_env(_without_blas_settings(**blas)),
+                             capture_output=True, timeout=120)
+        files = {p.relative_to(cwd).as_posix(): p.read_bytes()
+                 for p in sorted(cwd.rglob("*")) if p.is_file()}
+        runs.append((out.returncode, out.stdout, files))
+    (code, stdout, files), other = runs
+    assert code == 0
+    assert len([f for f in files if f.startswith("out/cache/")]) == 12
+    assert (code, stdout, files) == other
 
 
 def test_cache_dir_env_override(tmp_path, monkeypatch):

@@ -179,6 +179,19 @@ def test_delta_gamma_rejects_non_positive_alpha(alpha):
         estimate_delta_gamma(alpha)
 
 
+@pytest.mark.parametrize("gamma_range", [(-8.0, -0.05), (5.0, 1.0), (1.0, 1.0), (0.05, math.inf)])
+def test_delta_gamma_rejects_negative_or_reversed_gamma_range(gamma_range):
+    # a mirror image has the same spectrum, so (-8, -0.05) is asked as (0.05, 8)
+    with pytest.raises(ValueError, match="gamma_range"):
+        estimate_delta_gamma(1.0, gamma_range=gamma_range)
+
+
+@pytest.mark.parametrize("beta_probe", [math.nan, math.inf, 0.0, -16.0])
+def test_delta_gamma_rejects_non_positive_beta_probe(beta_probe):
+    with pytest.raises(ValueError, match="beta_probe"):
+        estimate_delta_gamma(1.0, beta_probe=beta_probe)
+
+
 def test_rule_validation_localized_grid():
     report = validate_rules(1.0, 20.0, [1.0, 3.0, 5.0, 7.0], n_max=5, delta_gamma=2.0)
     assert all(p.participates for p in report.points)
