@@ -1,0 +1,199 @@
+#!/usr/bin/env python3
+"""Compare the CLI outputs of this checkout with those of another revision.
+
+    python scripts/identity.py --against REV
+
+REV is exported with `git archive` into a temporary directory.  A fixed
+list of commands then runs as `python -m dwell ...` on both trees, each
+importing the package from its own src/: the benchmark's sweep and
+validate-rules commands at seeds 0, 7 and 13, tables 1-5, `phase-space
+--contours`, `solve --beta 30 --states 11` at gamma 0, 3.3 and 6, and
+`solve --poly 1,0,-10,0.5,0`.
+
+Exit codes, stdout (with the output and cache directories replaced by
+placeholders) and every file a command writes are compared.  A differing
+CSV file gets one line per changed column: the rows changed and the largest
+absolute and relative change.  Any other differing file gets one line.
+Each sweep also runs again against the cache it filled, in both trees, and
+must repeat its exit code, stdout and files.  The script exits 0 only when
+nothing differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import math
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _offset(seed: int) -> float:
+    """The gamma-grid offset of a benchmark seed (see perfbench/run.py)."""
+    return 0.0 if seed == 0 else random.Random(seed).random() * 0.5
+
+
+def commands() -> list[tuple[str, list[str]]]:
+    """(name, argv) of every compared command; "{outdir}" and "{cache}" are
+    filled per run."""
+    out = ["--outdir", "{outdir}"]
+    cmds = []
+    for seed in (0, 7, 13):
+        off = _offset(seed)
+        cmds.append((f"sweep-cold-{seed}", [
+            "sweep", "--alpha", "1", "--beta", "10,20",
+            "--gamma", f"{off!r}:{7.0 + off!r}:0.5", "--states", "8",
+            "--workers", "1", "--cache-dir", "{cache}", *out,
+        ]))
+        cmds.append((f"rules-scan-{seed}", [
+            "validate-rules", "--alphas", "1,2", "--beta", "20",
+            "--gamma", f"{0.5 + off!r}:{7.0 + off!r}:0.5", "--states", "6", *out,
+        ]))
+    cmds += [(f"table-{n}", ["table", str(n), *out]) for n in range(1, 6)]
+    cmds.append(("phase-space-contours", ["phase-space", "--contours", *out]))
+    for gamma in ("0", "3.3", "6"):
+        cmds.append((f"solve-beta30-gamma{gamma}",
+                     ["solve", "--beta", "30", "--states", "11", "--gamma", gamma, *out]))
+    cmds.append(("solve-poly", ["solve", "--poly", "1,0,-10,0.5,0", *out]))
+    return cmds
+
+
+def run(tree: Path, argv: list[str], outdir: Path, cache: Path) -> tuple[int, str]:
+    """Exit code and normalized stdout of `python -m dwell argv` on tree."""
+    argv = [a.format(outdir=outdir, cache=cache) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dwell", *argv],
+        cwd=outdir.parent, env=env, capture_output=True, text=True,
+    )
+    stdout = proc.stdout.replace(str(outdir), "{outdir}").replace(str(cache), "{cache}")
+    return proc.returncode, stdout
+
+
+def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+    """Comment lines and the remaining rows of a CSV file."""
+    lines = path.read_text().splitlines()
+    comments = [line for line in lines if line.startswith("#")]
+    rows = list(csv.reader(line for line in lines if not line.startswith("#")))
+    return comments, rows
+
+
+def _change(x: str, y: str) -> tuple[float, float] | None:
+    """Absolute and relative change between two numeric cells, else None."""
+    try:
+        fx, fy = float(x), float(y)
+    except ValueError:
+        return None
+    delta = abs(fx - fy)
+    if not math.isfinite(delta):
+        return None
+    scale = max(abs(fx), abs(fy))
+    return delta, delta / scale if scale else 0.0
+
+
+def compare_csv(a: Path, b: Path) -> list[str]:
+    """One line per column that differs between the CSV files a and b: the
+    rows changed and the largest absolute and relative change.  A single
+    line when the comment lines, the header or the row count differ."""
+    (comments_a, rows_a), (comments_b, rows_b) = _read_csv(a), _read_csv(b)
+    if comments_a != comments_b or rows_a[:1] != rows_b[:1] or len(rows_a) != len(rows_b):
+        return ["comment lines, header or row count differ"]
+    if not rows_a:
+        return []
+    header, body = rows_a[0], list(zip(rows_a[1:], rows_b[1:]))
+    lines = []
+    for j, name in enumerate(header):
+        changed = [(x[j], y[j]) for x, y in body if x[j] != y[j]]
+        if not changed:
+            continue
+        changes = [_change(x, y) for x, y in changed]
+        numeric = [c for c in changes if c is not None]
+        line = f"{name}: {len(changed)} of {len(body)} rows changed"
+        if numeric:
+            line += (f", max abs {max(c[0] for c in numeric):.3g},"
+                     f" max rel {max(c[1] for c in numeric):.3g}")
+        if len(numeric) < len(changed):
+            line += f", {len(changed) - len(numeric)} not numeric"
+        lines.append(line)
+    return lines
+
+
+def compare_outputs(a: Path, b: Path) -> list[str]:
+    """One or more lines per file that differs between the directories a and b."""
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    lines = [f"{rel}: only in one tree" for rel in sorted(files_a ^ files_b)]
+    for rel in sorted(files_a & files_b):
+        if (a / rel).read_bytes() == (b / rel).read_bytes():
+            continue
+        if rel.suffix == ".csv":
+            lines += [f"{rel}: {line}" for line in compare_csv(a / rel, b / rel)]
+        else:
+            lines.append(f"{rel}: differs")
+    return lines
+
+
+def compare(a: tuple[int, str], b: tuple[int, str], dir_a: Path, dir_b: Path) -> list[str]:
+    """Differences in exit code, stdout and files between two runs."""
+    lines = []
+    if a[0] != b[0]:
+        lines.append(f"exit code {a[0]} against {b[0]}")
+    if a[1] != b[1]:
+        lines.append("stdout differs")
+    return lines + compare_outputs(dir_a, dir_b)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", required=True, metavar="REV",
+                        help="git revision whose outputs this checkout is compared with")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="dwell-identity-") as tmp:
+        rev_tree = Path(tmp) / "rev"
+        rev_tree.mkdir()
+        archive = subprocess.run(
+            ["git", "archive", "--format=tar", args.against],
+            cwd=ROOT, capture_output=True, check=False,
+        )
+        if archive.returncode:
+            sys.stderr.write(archive.stderr.decode())
+            return 2
+        subprocess.run(["tar", "-x", "-C", str(rev_tree)], input=archive.stdout, check=True)
+
+        cmds = commands()
+        failures = files = reruns = 0
+        for name, cmd in cmds:
+            results = {}
+            for side, tree in (("rev", rev_tree), ("checkout", ROOT)):
+                work = Path(tmp) / side / name
+                work.mkdir(parents=True)
+                outdir, cache = work / "out", work / "cache"
+                results[side] = (run(tree, cmd, outdir, cache), outdir)
+                if "{cache}" in cmd:
+                    rerun = work / "rerun"
+                    again = run(tree, cmd, rerun, cache)
+                    lines = compare(results[side][0], again, outdir, rerun)
+                    failures += len(lines)
+                    reruns += 1
+                    for line in lines:
+                        print(f"{name} ({side} cache re-run): {line}")
+            (res_a, dir_a), (res_b, dir_b) = results["rev"], results["checkout"]
+            lines = compare(res_a, res_b, dir_a, dir_b)
+            failures += len(lines)
+            files += sum(p.is_file() for p in dir_b.rglob("*"))
+            for line in lines:
+                print(f"{name}: {line}")
+        verdict = "identical" if failures == 0 else f"{failures} differences"
+        print(f"# {verdict}: {len(cmds)} commands, {files} files, {reruns} cache re-runs"
+              f" against {args.against}")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -19,7 +19,7 @@ from .measures import (
 )
 from .phasespace import area
 from .potential import QuarticPotential, critical_points, turning_points
-from .spectrum import Spectrum, solve
+from .spectrum import solve
 from .wavefunction import (
     DEFAULT_GRID_POINTS,
     build_grid,
@@ -92,7 +92,6 @@ def state_reports(
     n_states: int = 8,
     grid_points: int = DEFAULT_GRID_POINTS,
     rho_floor: float = 0.01,
-    spectrum: Spectrum | None = None,
 ) -> list[StateReport]:
     """Solve and evaluate states 0..n_states-1 of one potential.
 
@@ -102,7 +101,7 @@ def state_reports(
     are found once and shared by the node count and the phase-space
     integrals.
     """
-    spec = spectrum if spectrum is not None else solve(pot, n_basis, n_states)
+    spec = solve(pot, n_basis, n_states)
     geometry = critical_points(pot)
     e_top = spec.energy(n_states - 1)
     xgrid = build_grid(pot, e_top, grid_points)

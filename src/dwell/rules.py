@@ -167,7 +167,6 @@ def _refine_minimum(levels_at, m: int, a: float, b: float, s_a: float, s_b: floa
 def estimate_delta_gamma(
     alpha: float,
     beta_probe: float | None = None,
-    gamma_range: tuple[float, float] | None = None,
     n_basis: int = 100,
 ) -> DeltaGammaEstimate:
     """Estimate the characteristic transition interval from gap minima.
@@ -185,24 +184,15 @@ def estimate_delta_gamma(
     d(gap^2)/dgamma from negative to non-negative between neighbouring scan
     points brackets one minimum, refined by regula falsi on that slope before
     the sharpness test.
-
-    `gamma_range` takes finite bounds with 0 <= lo < hi.  The spectrum is
-    mirror-symmetric in gamma (V(x; -gamma) = V(-x; gamma)), so a negative
-    range is passed as its absolute values.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if beta_probe is not None and not 0 < beta_probe < math.inf:
         raise ValueError(f"beta_probe must be finite and positive, got {beta_probe}")
-    if gamma_range is not None and not 0 <= gamma_range[0] < gamma_range[1] < math.inf:
-        raise ValueError(f"gamma_range must satisfy 0 <= lo < hi (finite), got {gamma_range}")
     beta = beta_probe if beta_probe is not None else 16.0 * math.sqrt(alpha)
 
     for attempt in range(4):
-        if gamma_range is not None:
-            lo, hi = gamma_range
-        else:
-            lo, hi = 0.05, 8.8 * math.sqrt(alpha) * (1.3 ** attempt)
+        lo, hi = 0.05, 8.8 * math.sqrt(alpha) * (1.3 ** attempt)
         gammas = np.linspace(lo, hi, GAMMA_SCAN_POINTS)
         levels_at = functools.partial(_levels, alpha, beta, n_basis=n_basis)
         energies, slopes = map(np.array, zip(*map(levels_at, gammas)))

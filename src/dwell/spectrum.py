@@ -82,9 +82,6 @@ class Spectrum:
     def energy(self, n: int) -> float:
         return float(self.energies[n])
 
-    def vector(self, n: int) -> np.ndarray:
-        return self.coefficients[:, n]
-
     def converged(self, n: int) -> bool:
         return n < certified_states(self.n_basis)
 

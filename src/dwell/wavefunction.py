@@ -54,7 +54,20 @@ class UniformGrid:
         return self.x0 + self.dx * self.n_points
 
 
-def _basic_simpson(y: np.ndarray, stop: int, dx: float):
+def simpson(y: np.ndarray, dx: float):
+    """Composite Simpson integral of uniform samples along the last axis.
+
+    The sample count must be odd: the panels are pairs of intervals counted
+    from the first sample.  The arithmetic is that of
+    scipy.integrate.simpson(y, dx=dx) for odd counts, operation for
+    operation; summing along the contiguous last axis makes a batched row
+    equal its 1-D sum.
+    """
+    y = np.asarray(y)
+    n = y.shape[-1]
+    if n % 2 == 0:
+        raise ValueError(f"simpson needs an odd sample count, got {n}")
+    stop = n - 2
     total = np.sum(
         y[..., 0:stop:2] + 4.0 * y[..., 1 : stop + 1 : 2] + y[..., 2 : stop + 2 : 2],
         axis=-1,
@@ -63,47 +76,43 @@ def _basic_simpson(y: np.ndarray, stop: int, dx: float):
     return total
 
 
-def simpson(y: np.ndarray, dx: float):
-    """Composite Simpson integral of uniform samples along the last axis.
-
-    The arithmetic of scipy.integrate.simpson(y, dx=dx), operation for
-    operation: an even sample count integrates all but the last interval by
-    Simpson and adds Cartwright's correction for the last one.  Summing
-    along the contiguous last axis makes a batched row equal its 1-D sum.
-    """
-    y = np.asarray(y)
-    n = y.shape[-1]
-    if n % 2:
-        return _basic_simpson(y, n - 2, dx)
-    if n == 2:
-        return 0.5 * dx * (y[..., -1] + y[..., -2]) + 0.0
-    h = np.float64(dx)
-    alpha = (2 * h**2 + 3 * h * h) / (6 * (h + h))
-    beta = (h**2 + 3.0 * h * h) / (6 * h)
-    eta = (1 * h**3) / (6 * h * (h + h))
-    total = _basic_simpson(y, n - 3, dx)
-    total += alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]
-    return total
-
-
 def probability_below(grid: UniformGrid, rho: np.ndarray, x_split: float):
-    """Integral over x <= x_split of the densities rho sampled on grid.
+    """Integral over x <= x_split of the densities rho (samples >= 0) on grid.
 
-    Along the last axis, like `simpson`: Simpson up to the last sample below
-    the split plus a trapezoid sliver with a linearly interpolated endpoint.
+    Along the last axis, on the panels of `simpson`: the whole panels below
+    the split, plus a share of the panel holding the split.  The share
+    integrates the positive part of the panel's interpolating quadratic from
+    the panel's left end to the split, scaled so that the whole panel gives
+    its Simpson value; where the quadratic stays >= 0 it is the quadratic's
+    own integral.  So the result never decreases in x_split, and the
+    integral above the split is `simpson(rho, grid.dx)` minus this one.
     """
-    x, dx = grid.x, grid.dx
-    if x_split <= x[0]:
+    if x_split <= grid.x0:
         return np.zeros(rho.shape[:-1])
-    if x_split >= x[-1]:
-        return simpson(rho, dx)
-    k = int(np.searchsorted(x, x_split, side="right") - 1)
-    total = simpson(rho[..., : k + 1], dx) if k >= 1 else 0.0
-    frac = (x_split - x[k]) / dx
-    if frac > 0.0:
-        v_split = rho[..., k] + frac * (rho[..., k + 1] - rho[..., k])
-        total = total + 0.5 * (rho[..., k] + v_split) * (x_split - x[k])
-    return total
+    if x_split >= grid.x_max:
+        return simpson(rho, grid.dx)
+    dx = grid.dx
+    left = 2 * min(int((x_split - grid.x0) / (2.0 * dx)), grid.n_points // 2 - 1)
+    t = (x_split - (grid.x0 + dx * left)) / dx
+    # the quadratic y0 + b s + a s^2, s counted in intervals from the panel's
+    # left end; with samples >= 0 it dips below zero only if convex, and
+    # then between its roots r1 <= r2 inside the panel
+    y0, y1, y2 = rho[..., left], rho[..., left + 1], rho[..., left + 2]
+    a = 0.5 * (y2 - 2.0 * y1 + y0)
+    b = y1 - y0 - a
+    a2 = np.where(a > 0.0, 2.0 * a, np.inf)
+    half = np.sqrt(np.maximum(b * b - 4.0 * a * y0, 0.0)) / a2
+    r1, r2 = np.clip(-b / a2 - half, 0.0, 2.0), np.clip(-b / a2 + half, 0.0, 2.0)
+
+    def integral(u):  # of the quadratic over [0, u]
+        return u * (y0 + u * (0.5 * b + u * a / 3.0))
+
+    # the dip's (<= 0) integral up to the split and over the whole panel
+    dip_below = integral(np.clip(t, r1, r2)) - integral(r1)
+    dip = integral(r2) - integral(r1)
+    whole = integral(2.0)
+    share = (integral(t) - dip_below) * whole / np.where(whole > dip, whole - dip, 1.0)
+    return simpson(rho[..., : left + 1], dx) + dx * share
 
 
 def _decay_length(pot: QuarticPotential, x_t: float) -> float:

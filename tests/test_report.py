@@ -7,6 +7,7 @@ from hypothesis import given
 from conftest import confining_quartics, ladder_moments
 from dwell import (
     NotNormalized,
+    Occupancy,
     QuarticPotential,
     WellSide,
     build_grid,
@@ -20,19 +21,9 @@ from dwell import (
     state_reports,
     turning_points,
 )
+from dwell import phasespace
 from dwell.phasespace import DEFAULT_QUAD_NODES
 from dwell.wavefunction import hermite_functions, probability_below, simpson
-
-
-def test_reports_accept_precomputed_spectrum():
-    pot = QuarticPotential.from_well_params(1.0, 12.0, 1.0)
-    spec = solve(pot, 100, 4)
-    fresh = state_reports(pot, n_states=4, grid_points=1024)
-    reused = state_reports(pot, n_states=4, grid_points=1024, spectrum=spec)
-    for a, b in zip(fresh, reused):
-        assert a.energy == b.energy
-        assert a.occupancy is b.occupancy
-        assert a.s_total == pytest.approx(b.s_total, rel=1e-14)
 
 
 def test_report_fields_are_consistent():
@@ -124,7 +115,7 @@ def per_state_reference(pot, spec, n_states, grid_points):
     x_mat, x2_mat, p2_mat = ladder_moments(spec.basis)
     rows = []
     for n in range(n_states):
-        c = spec.vector(n)
+        c = spec.coefficients[:, n]
         mean_x = c @ x_mat @ c
         delta_x = math.sqrt(max(c @ x2_mat @ c - mean_x**2, 0.0))
         delta_p = math.sqrt(c @ p2_mat @ c)
@@ -178,7 +169,7 @@ def test_batched_reports_match_per_state_reference(name):
     pot = EQUIVALENCE_POINTS[name]
     n_states, grid_points = 8, 4096
     spec = solve(pot, 100, n_states)
-    reports = state_reports(pot, n_states=n_states, grid_points=grid_points, spectrum=spec)
+    reports = state_reports(pot, n_states=n_states, grid_points=grid_points)
     reference = per_state_reference(pot, spec, n_states, grid_points)
     for rep, ref in zip(reports, reference):
         got = report_fields(rep)
@@ -229,10 +220,6 @@ def reports_or_error(pot):
 
 @given(pot=confining_quartics())
 def test_mirror_keeps_reports_and_flips_mean_x(pot):
-    # p_well_I itself is left out: probability_below integrates from the
-    # left end, so the mirror image sees a different quadrature at the
-    # barrier and the two agree only to the quadrature error (up to 7e-8 at
-    # c4 = 1, c3 = 1, c2 = -1); the classification must still agree
     reports = reports_or_error(pot)
     mirrored = reports_or_error(mirror(pot))
     if reports is NotNormalized:
@@ -240,6 +227,7 @@ def test_mirror_keeps_reports_and_flips_mean_x(pot):
         return
     for rep, rep_m in zip(reports, mirrored, strict=True):
         assert rep_m.occupancy is rep.occupancy
+        assert rep_m.p_well_I == pytest.approx(rep.p_well_I, abs=1e-12)
         assert rep_m.mean_x == pytest.approx(-rep.mean_x, abs=1e-10)
         for key in MEASURES:
             got, want = getattr(rep_m, key), getattr(rep, key)
@@ -247,3 +235,35 @@ def test_mirror_keeps_reports_and_flips_mean_x(pot):
         assert rep_m.barrier_action == pytest.approx(rep.barrier_action, rel=1e-10, abs=1e-10)
         assert rep_m.allowed_action == pytest.approx(rep.allowed_action, rel=1e-10)
         assert rep_m.lobe_count == rep.lobe_count
+
+
+def lobe_quantum_numbers(pot, energy, lobes):
+    """Bohr-Sommerfeld nu = (1/pi) int sqrt(E - V) dx - 1/2 of each lobe."""
+    return [
+        phasespace._sqrt_interval(pot, energy, lobe.x_lo, lobe.x_hi, 1.0, DEFAULT_QUAD_NODES)
+        / math.pi - 0.5
+        for lobe in lobes
+    ]
+
+
+def test_occupancy_and_effective_nodes_match_the_lobe_quantum_numbers():
+    # a grid-free oracle: a state localized behind a deep barrier sits in the
+    # lobe whose nu is (nearly) an integer, and that integer is its level in
+    # the well.  At alpha 1 the lobes' nu differ by k = gamma / 2, so gammas
+    # with integer k (resonant pairs spread over both wells) are left out
+    checked = 0
+    for beta in (15.0, 20.0, 25.0, 30.0):
+        for gamma in (0.5, 1.0, 1.5, 2.5, 3.0, 3.5, 4.5, 5.0, 5.5, 6.5, 7.0):
+            pot = QuarticPotential.from_well_params(1.0, beta, gamma)
+            for rep in state_reports(pot):
+                lobes = phasespace.area(pot, rep.energy).lobes
+                if len(lobes) != 2 or math.exp(-rep.barrier_action) >= 1e-6:
+                    continue
+                nus = lobe_quantum_numbers(pot, rep.energy, lobes)
+                off = [abs(nu - round(nu)) for nu in nus]
+                side = int(off[1] < off[0])  # the left lobe is the deeper well
+                assert off[side] < 0.01 and off[1 - side] > 0.2, (beta, gamma, rep.n)
+                assert rep.occupancy is (Occupancy.WELL_I, Occupancy.WELL_II)[side]
+                assert rep.effective_nodes == round(nus[side])
+                checked += 1
+    assert checked >= 200

@@ -179,13 +179,6 @@ def test_delta_gamma_rejects_non_positive_alpha(alpha):
         estimate_delta_gamma(alpha)
 
 
-@pytest.mark.parametrize("gamma_range", [(-8.0, -0.05), (5.0, 1.0), (1.0, 1.0), (0.05, math.inf)])
-def test_delta_gamma_rejects_negative_or_reversed_gamma_range(gamma_range):
-    # a mirror image has the same spectrum, so (-8, -0.05) is asked as (0.05, 8)
-    with pytest.raises(ValueError, match="gamma_range"):
-        estimate_delta_gamma(1.0, gamma_range=gamma_range)
-
-
 @pytest.mark.parametrize("beta_probe", [math.nan, math.inf, 0.0, -16.0])
 def test_delta_gamma_rejects_non_positive_beta_probe(beta_probe):
     with pytest.raises(ValueError, match="beta_probe"):
@@ -219,7 +212,7 @@ def test_rule_validation_detects_pairs_at_moderate_beta():
 
 def test_no_transitions_raises():
     with pytest.raises(NoTransitionsFound):
-        estimate_delta_gamma(1.0, beta_probe=0.5, gamma_range=(0.05, 1.0))
+        estimate_delta_gamma(1.0, beta_probe=0.5)
 
 
 def test_validate_rules_estimates_delta_gamma_with_its_basis(monkeypatch):

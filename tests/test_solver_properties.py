@@ -51,7 +51,7 @@ def test_parity_block_solve_matches_dense_oracle(pot, n_basis, n_states):
     spec = check_against_oracle(pot, n_basis, n_states)
     parity = np.arange(n_basis) % 2
     for n in range(n_states):
-        c = spec.vector(n)
+        c = spec.coefficients[:, n]
         assert min(np.abs(c[parity == 0]).max(), np.abs(c[parity == 1]).max()) == 0.0
 
 
@@ -84,7 +84,7 @@ def test_mirror_images_give_mirrored_eigenpairs_exactly(pot, n_states):
     assert np.array_equal(spec.energies, spec_m.energies)
     flip = (-1.0) ** np.arange(100)
     for n in range(n_states):
-        c, cm = spec.vector(n), spec_m.vector(n)
+        c, cm = spec.coefficients[:, n], spec_m.coefficients[:, n]
         assert np.array_equal(np.abs(c), np.abs(cm))
         assert np.array_equal(flip * c, cm) or np.array_equal(flip * c, -cm)
 

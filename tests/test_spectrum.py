@@ -112,7 +112,7 @@ def test_parity_blocks_give_exact_parity_vectors():
     spec = well_solve(1.0, 20.0, 0.0, n_states=8)
     parity_support = np.arange(spec.n_basis) % 2
     for n in range(8):
-        c = spec.vector(n)
+        c = spec.coefficients[:, n]
         even_mass = np.linalg.norm(c[parity_support == 0])
         odd_mass = np.linalg.norm(c[parity_support == 1])
         assert min(even_mass, odd_mass) == 0.0
