@@ -236,10 +236,10 @@ def test_simpson_reproduces_scipy_bit_for_bit(rng, n):
     assert [float(v) for v in batched] == [scipy_simpson(r, dx=0.37) for r in rows]
 
 
-def test_simpson_rejects_even_sample_counts():
-    for n in (2, 4, 6, 100, 4096):
-        with pytest.raises(ValueError, match="odd sample count"):
-            simpson(np.ones(n), 0.1)
+@pytest.mark.parametrize("n", [2, 4, 6, 100, 4096])
+def test_simpson_rejects_even_sample_counts(n):
+    with pytest.raises(ValueError, match="odd sample count"):
+        simpson(np.ones(n), 0.1)
 
 
 def test_probability_below_is_exact_for_a_quadratic_density(rng):
