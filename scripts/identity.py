@@ -6,14 +6,16 @@
 REV is exported with `git archive` into a temporary directory.  A fixed
 list of commands then runs as `python -m dwell ...` on both trees, each
 importing the package from its own src/: the benchmark's sweep and
-validate-rules commands at seeds 0, 7 and 13, tables 1-5, `phase-space
---contours`, `solve --beta 30 --states 11` at gamma 0, 3.3 and 6, and
-`solve --poly 1,0,-10,0.5,0`.
+validate-rules commands at seeds 0, 7 and 13, `validate-rules --alphas
+0.25,16`, tables 1-5, `phase-space --contours`, `solve --beta 30 --states
+11` at gamma 0, 3.3 and 6, and `solve --poly 1,0,-10,0.5,0`.
 
 Exit codes, stdout (with the output and cache directories replaced by
 placeholders) and every file a command writes are compared.  A differing
-CSV file gets one line per changed column: the rows changed and the largest
-absolute and relative change.  Any other differing file gets one line.
+CSV file gets one line per changed column, and a differing JSON file one
+line per changed key path (list positions read [*]): the values changed and
+the largest absolute and relative change.  Any other differing file gets
+one line.
 Each sweep also runs again against the cache it filled, in both trees, and
 must repeat its exit code, stdout and files.  The script exits 0 only when
 nothing differs.
@@ -23,12 +25,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import math
 import os
 import random
 import subprocess
 import sys
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,6 +59,8 @@ def commands() -> list[tuple[str, list[str]]]:
             "validate-rules", "--alphas", "1,2", "--beta", "20",
             "--gamma", f"{0.5 + off!r}:{7.0 + off!r}:0.5", "--states", "6", *out,
         ]))
+    cmds.append(("rules-alphas-0.25-16",
+                 ["validate-rules", "--alphas", "0.25,16", "--beta", "20", "--states", "6", *out]))
     cmds += [(f"table-{n}", ["table", str(n), *out]) for n in range(1, 6)]
     cmds.append(("phase-space-contours", ["phase-space", "--contours", *out]))
     for gamma in ("0", "3.3", "6"):
@@ -97,10 +103,26 @@ def _change(x: str, y: str) -> tuple[float, float] | None:
     return delta, delta / scale if scale else 0.0
 
 
+def _summary(name: str, values: list[tuple[object, object]], unit: str) -> list[str]:
+    """No line when every (old, new) pair is equal, else one: the values
+    changed and the largest absolute and relative change."""
+    changed = [(x, y) for x, y in values if x != y]
+    if not changed:
+        return []
+    changes = [_change(str(x), str(y)) for x, y in changed]
+    numeric = [c for c in changes if c is not None]
+    line = f"{name}: {len(changed)} of {len(values)} {unit} changed"
+    if numeric:
+        line += (f", max abs {max(c[0] for c in numeric):.3g},"
+                 f" max rel {max(c[1] for c in numeric):.3g}")
+    if len(numeric) < len(changed):
+        line += f", {len(changed) - len(numeric)} not numeric"
+    return [line]
+
+
 def compare_csv(a: Path, b: Path) -> list[str]:
-    """One line per column that differs between the CSV files a and b: the
-    rows changed and the largest absolute and relative change.  A single
-    line when the comment lines, the header or the row count differ."""
+    """One line per column that differs between the CSV files a and b.  A
+    single line when the comment lines, the header or the row count differ."""
     (comments_a, rows_a), (comments_b, rows_b) = _read_csv(a), _read_csv(b)
     if comments_a != comments_b or rows_a[:1] != rows_b[:1] or len(rows_a) != len(rows_b):
         return ["comment lines, header or row count differ"]
@@ -109,19 +131,38 @@ def compare_csv(a: Path, b: Path) -> list[str]:
     header, body = rows_a[0], list(zip(rows_a[1:], rows_b[1:]))
     lines = []
     for j, name in enumerate(header):
-        changed = [(x[j], y[j]) for x, y in body if x[j] != y[j]]
-        if not changed:
-            continue
-        changes = [_change(x, y) for x, y in changed]
-        numeric = [c for c in changes if c is not None]
-        line = f"{name}: {len(changed)} of {len(body)} rows changed"
-        if numeric:
-            line += (f", max abs {max(c[0] for c in numeric):.3g},"
-                     f" max rel {max(c[1] for c in numeric):.3g}")
-        if len(numeric) < len(changed):
-            line += f", {len(changed) - len(numeric)} not numeric"
-        lines.append(line)
+        lines += _summary(name, [(x[j], y[j]) for x, y in body], "rows")
     return lines
+
+
+def _leaf_pairs(a: object, b: object, path: str) -> Iterator[tuple[str, object, object]]:
+    """(key path, a value, b value) of every leaf of two JSON documents; list
+    positions read [*], and where the shapes part the subtrees count as one
+    leaf."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        for key in a:
+            yield from _leaf_pairs(a[key], b[key], f"{path}.{key}" if path else key)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for x, y in zip(a, b):
+            yield from _leaf_pairs(x, y, f"{path}[*]")
+    else:
+        yield path or "(document)", a, b
+
+
+def compare_json(a: Path, b: Path) -> list[str]:
+    """One line per key path whose values differ between the JSON files a
+    and b."""
+    doc_a, doc_b = json.loads(a.read_text()), json.loads(b.read_text())
+    values: dict[str, list[tuple[object, object]]] = {}
+    for path, x, y in _leaf_pairs(doc_a, doc_b, ""):
+        values.setdefault(path, []).append((x, y))
+    lines = []
+    for path, pairs in values.items():
+        lines += _summary(path, pairs, "values")
+    return lines
+
+
+COMPARE = {".csv": compare_csv, ".json": compare_json}
 
 
 def compare_outputs(a: Path, b: Path) -> list[str]:
@@ -132,10 +173,9 @@ def compare_outputs(a: Path, b: Path) -> list[str]:
     for rel in sorted(files_a & files_b):
         if (a / rel).read_bytes() == (b / rel).read_bytes():
             continue
-        if rel.suffix == ".csv":
-            lines += [f"{rel}: {line}" for line in compare_csv(a / rel, b / rel)]
-        else:
-            lines.append(f"{rel}: differs")
+        compare_file = COMPARE.get(rel.suffix)
+        found = compare_file(a / rel, b / rel) if compare_file else []
+        lines += [f"{rel}: {line}" for line in found or ["differs"]]
     return lines
 
 

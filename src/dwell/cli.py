@@ -32,7 +32,8 @@ from .phasespace import area
 from .potential import QuarticPotential, critical_points
 from .report import StateReport, state_reports
 from .rules import NoTransitionsFound, estimate_delta_gamma, validate_rules
-from .spectrum import SolverError, certified_states, solve
+from .spectrum import DEGENERACY_REL_TOL, SolverError, certified_states, solve
+from .wavefunction import DEFAULT_GRID_POINTS, MIN_GRID_POINTS
 
 __all__ = ["main", "SETTINGS", "ConfigError", "SCHEMA_VERSION", "CSV_COLUMNS"]
 
@@ -183,10 +184,11 @@ SETTINGS: dict[str, Setting] = {
     "n_basis": Setting(_checked(int, lambda v: 4 <= v <= MAX_N_BASIS, f"in [4, {MAX_N_BASIS}]"),
                        100, COMMANDS),
     "states": Setting(_int_at_least(1), 8, (SOLVE, SWEEP, RULES, PHASE)),
-    "grid_points": Setting(_checked(int, lambda v: 512 <= v <= MAX_GRID_POINTS,
-                                    f"in [512, {MAX_GRID_POINTS}]"),
-                           4096, (SOLVE, SWEEP, RULES, TABLE)),
-    "rel_tol": Setting(_checked(_finite, lambda v: v > 0.0, "positive"), 1e-6, (RULES,)),
+    "grid_points": Setting(_checked(int, lambda v: MIN_GRID_POINTS <= v <= MAX_GRID_POINTS,
+                                    f"in [{MIN_GRID_POINTS}, {MAX_GRID_POINTS}]"),
+                           DEFAULT_GRID_POINTS, (SOLVE, SWEEP, RULES, TABLE)),
+    "rel_tol": Setting(_checked(_finite, lambda v: v > 0.0, "positive"), DEGENERACY_REL_TOL,
+                       (RULES,)),
     "rho_floor": Setting(_checked(_finite, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"), 0.01,
                          (SOLVE, SWEEP)),
     "outdir": Setting(Path, Path("."), COMMANDS),

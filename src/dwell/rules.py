@@ -18,8 +18,11 @@ the tilted supersymmetric double well (Behtash, Dunne, Schaefer, Sulejmanpasic
 and Unsal, PRL 115, 041601 (2015)), whose two wells' Bohr-Sommerfeld numbers
 (1/pi) int sqrt(E - V) dx differ by exactly k at every energy.
 `estimate_delta_gamma` measures the interval from the gap minima of a gamma
-sweep alone; the tests hold it to the closed form.  The rule engine itself
-is a pure function of (k, n).
+sweep alone; the tests hold it to the closed form.  With x = alpha^(-1/6) y,
+H(alpha, beta, gamma) = alpha^(1/3) H(1, beta alpha^(-2/3), gamma alpha^(-1/2)),
+so its probe at beta = 16 alpha^(2/3) over gammas in sqrt(alpha) x [0.05, 8.8]
+is the same dimensionless well at every alpha.  The rule engine itself is a
+pure function of (k, n).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 from .basis import band_matvec, position_band
 from .measures import Occupancy, classify_occupancy, well_occupancy
 from .potential import QuarticPotential, critical_points
-from .spectrum import certified_states, quasi_degenerate_pairs, solve
+from .spectrum import DEGENERACY_REL_TOL, certified_states, quasi_degenerate_pairs, solve
 from .wavefunction import build_grid, position_functions
 
 __all__ = [
@@ -56,7 +59,7 @@ REFINE_TOL = 1e-12  # relative step at which a gap minimum counts as refined
 
 
 class NoTransitionsFound(RuntimeError):
-    """The probe sweep produced no sharp gap minima at any attempted beta."""
+    """The probe sweep produced no sharp gap minima."""
 
 
 @dataclass(frozen=True)
@@ -164,11 +167,7 @@ def _refine_minimum(levels_at, m: int, a: float, b: float, s_a: float, s_b: floa
         b, s_b = g, s
 
 
-def estimate_delta_gamma(
-    alpha: float,
-    beta_probe: float | None = None,
-    n_basis: int = 100,
-) -> DeltaGammaEstimate:
+def estimate_delta_gamma(alpha: float, n_basis: int = 100) -> DeltaGammaEstimate:
     """Estimate the characteristic transition interval from gap minima.
 
     Adjacent-level gaps E_{m+1} - E_m (m = 1, 2, 3) collapse sharply at the
@@ -178,62 +177,59 @@ def estimate_delta_gamma(
     first one taken from zero) are reduced to the base interval and
     averaged; the spread is returned as the uncertainty.
 
-    The probe beta defaults to 16 sqrt(alpha), deep enough that transition
-    gaps are orders of magnitude below the level spacing, and is raised
-    automatically when the sweep shows no transitions.  Each sign change of
+    The probe is the same dimensionless well at every alpha: with
+    x = alpha^(-1/6) y, H(alpha, beta, gamma) = alpha^(1/3) H(1, beta
+    alpha^(-2/3), gamma alpha^(-1/2)), so beta = 16 alpha^(2/3) and gammas
+    sqrt(alpha) x [0.05, 8.8] scan the alpha-1 problem at depth 16, where
+    transition gaps are orders of magnitude below the level spacing, and
+    the trace-optimal basis scales with it.  Each sign change of
     d(gap^2)/dgamma from negative to non-negative between neighbouring scan
     points brackets one minimum, refined by regula falsi on that slope before
     the sharpness test.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if beta_probe is not None and not 0 < beta_probe < math.inf:
-        raise ValueError(f"beta_probe must be finite and positive, got {beta_probe}")
-    beta = beta_probe if beta_probe is not None else 16.0 * math.sqrt(alpha)
+    if alpha == math.inf:
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    beta = 16.0 * alpha ** (2.0 / 3.0)
+    gammas = math.sqrt(alpha) * np.linspace(0.05, 8.8, GAMMA_SCAN_POINTS)
+    levels_at = functools.partial(_levels, alpha, beta, n_basis=n_basis)
+    energies, slopes = map(np.array, zip(*map(levels_at, gammas)))
 
-    for attempt in range(4):
-        lo, hi = 0.05, 8.8 * math.sqrt(alpha) * (1.3 ** attempt)
-        gammas = np.linspace(lo, hi, GAMMA_SCAN_POINTS)
-        levels_at = functools.partial(_levels, alpha, beta, n_basis=n_basis)
-        energies, slopes = map(np.array, zip(*map(levels_at, gammas)))
-
-        found: list[float] = []
-        for m in (1, 2, 3):
-            s = _gap_slope(energies, slopes, m)
-            for i in np.flatnonzero((s[:-1] < 0.0) & (s[1:] >= 0.0)):
-                g, e = _refine_minimum(levels_at, m, gammas[i], gammas[i + 1], s[i], s[i + 1])
-                if e[m + 1] - e[m] <= SHARP_GAP_TOL * (1.0 + abs(e[m])):
-                    found.append(g)
-        # merge the same transition seen through different gap curves
-        found.sort()
-        merge_tol = 1e-3 * (hi - lo)
-        transitions: list[float] = []
-        cluster: list[float] = []
-        for tau in found:
-            if cluster and tau - cluster[-1] > merge_tol:
-                transitions.append(float(np.mean(cluster)))
-                cluster = []
-            cluster.append(tau)
-        if cluster:
+    found: list[float] = []
+    for m in (1, 2, 3):
+        s = _gap_slope(energies, slopes, m)
+        for i in np.flatnonzero((s[:-1] < 0.0) & (s[1:] >= 0.0)):
+            g, e = _refine_minimum(levels_at, m, gammas[i], gammas[i + 1], s[i], s[i + 1])
+            if e[m + 1] - e[m] <= SHARP_GAP_TOL * (1.0 + abs(e[m])):
+                found.append(g)
+    # merge the same transition seen through different gap curves
+    found.sort()
+    merge_tol = 1e-3 * (gammas[-1] - gammas[0])
+    transitions: list[float] = []
+    cluster: list[float] = []
+    for tau in found:
+        if cluster and tau - cluster[-1] > merge_tol:
             transitions.append(float(np.mean(cluster)))
+            cluster = []
+        cluster.append(tau)
+    if cluster:
+        transitions.append(float(np.mean(cluster)))
 
-        if len(transitions) >= 2:
-            diffs = np.diff([0.0] + transitions)
-            base = float(np.min(diffs))
-            units = np.maximum(1, np.round(diffs / base).astype(int))
-            if np.all(np.abs(diffs / base - units) <= 0.15):
-                estimates = diffs / units
-                value = float(np.mean(estimates))
-                return DeltaGammaEstimate(
-                    delta_gamma=value,
-                    uncertainty=float(np.max(np.abs(estimates - value))),
-                    transitions=tuple(transitions),
-                    beta_used=beta,
-                )
-        beta *= 1.5
-    raise NoTransitionsFound(
-        f"no sharp gap minima found for alpha={alpha} up to beta={beta / 1.5}"
-    )
+    if len(transitions) >= 2:
+        diffs = np.diff([0.0] + transitions)
+        base = float(np.min(diffs))
+        units = np.maximum(1, np.round(diffs / base).astype(int))
+        if np.all(np.abs(diffs / base - units) <= 0.15):
+            estimates = diffs / units
+            value = float(np.mean(estimates))
+            return DeltaGammaEstimate(
+                delta_gamma=value,
+                uncertainty=float(np.max(np.abs(estimates - value))),
+                transitions=tuple(transitions),
+                beta_used=beta,
+            )
+    raise NoTransitionsFound(f"no sharp gap minima found for alpha={alpha} at beta={beta}")
 
 
 @dataclass(frozen=True)
@@ -303,7 +299,7 @@ def measured_occupancies(
     n_max: int,
     n_basis: int = 100,
     grid_points: int = 2048,
-    rel_tol: float = 1e-6,
+    rel_tol: float = DEGENERACY_REL_TOL,
 ) -> tuple[tuple[Occupancy, ...], tuple[bool, ...], tuple[tuple[int, int], ...]]:
     """Occupancy classification of states 0..n_max, robust at degeneracies.
 
@@ -336,11 +332,11 @@ def validate_rules(
     alpha: float,
     beta: float,
     gamma_grid,
+    delta_gamma: float,
     n_max: int = 5,
-    delta_gamma: float | None = None,
     n_basis: int = 100,
     grid_points: int = 2048,
-    rel_tol: float = 1e-6,
+    rel_tol: float = DEGENERACY_REL_TOL,
 ) -> RuleValidationReport:
     """Compare rule predictions with detected pairs and measured occupancies.
 
@@ -349,8 +345,6 @@ def validate_rules(
     complete-localization regime); below the threshold beta nothing is
     asserted.
     """
-    if delta_gamma is None:
-        delta_gamma = estimate_delta_gamma(alpha, n_basis=n_basis).delta_gamma
     points = []
     for gamma in gamma_grid:
         pot = QuarticPotential.from_well_params(alpha, beta, float(gamma))

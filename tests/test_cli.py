@@ -579,6 +579,24 @@ def test_validate_rules_names_a_non_positive_alpha(tmp_path, capsys, alpha):
     )
 
 
+def test_validate_rules_small_alpha_small_basis(tmp_path):
+    # the delta-gamma probe is the alpha-1 well rescaled, so a basis that
+    # resolves it at alpha 1 resolves it at alpha 0.01 too
+    argv = ["validate-rules", "--alphas", "0.01", "--n-basis", "30", "--states", "6"]
+    assert main(argv + ["--outdir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "validate_rules.json").read_text(encoding="utf-8"))
+    (block,) = doc["results"]
+    assert float(block["delta_gamma"]) == pytest.approx(0.2, rel=1e-3)
+
+
+def test_validate_rules_without_sharp_gap_minima_exits_3(tmp_path, capsys):
+    argv = ["validate-rules", "--alphas", "1", "--n-basis", "16", "--states", "6"]
+    assert main(argv + ["--outdir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: validate-rules failed: no sharp gap minima ")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["sweep", "--gamma", "0:inf:1", "--no-cache"], "--gamma: expected a finite number, got 'inf'"),
     (["sweep", "--gamma", "nan:1:0.5", "--no-cache"], "--gamma: expected a finite number"),

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from dwell import (
     AsymmetryIndex,
-    DeltaGammaEstimate,
     NoTransitionsFound,
     Occupancy,
     QuarticPotential,
@@ -107,28 +106,19 @@ def test_prediction_consistency_pairs_vs_both():
                 assert n in paired
 
 
-@pytest.mark.parametrize("alpha, beta_probe, rel", [
-    (0.25, None, 1e-9),
-    (0.5, None, 1e-9),
-    (1.0, None, 1e-12),
-    (2.0, None, 1e-12),
-    (3.0, None, 1e-9),
-    (5.0, None, 1e-9),
-    (1.0, 6.0, 1e-9),  # far too shallow: the probe beta must be raised
-    (1.0, 24.0, 1e-9),
-])
-def test_delta_gamma_matches_closed_form(alpha, beta_probe, rel):
+@pytest.mark.parametrize("alpha", [0.01, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 16.0, 100.0])
+def test_delta_gamma_matches_closed_form(alpha):
     # the wells' Bohr-Sommerfeld numbers differ by gamma / (2 sqrt(alpha)),
-    # so level crossings recur every 2 sqrt(alpha) in gamma
+    # so level crossings recur every 2 sqrt(alpha) in gamma; the probe is the
+    # alpha-1 well rescaled, so it is as accurate at every alpha
     delta_gamma = 2.0 * math.sqrt(alpha)
-    est = estimate_delta_gamma(alpha, beta_probe=beta_probe)
-    assert est.delta_gamma == pytest.approx(delta_gamma, rel=rel)
+    est = estimate_delta_gamma(alpha)
+    assert est.delta_gamma == pytest.approx(delta_gamma, rel=1e-12)
     for tau in est.transitions:
         assert tau == pytest.approx(round(tau / delta_gamma) * delta_gamma, rel=1e-9)
     assert est.uncertainty < 0.01
     assert len(est.transitions) >= 2
-    if beta_probe == 6.0:
-        assert est.beta_used > 6.0
+    assert est.beta_used == 16.0 * alpha ** (2.0 / 3.0)
 
 
 @given(
@@ -161,7 +151,8 @@ def test_well_actions_differ_by_k(alpha, beta_scale, gamma_scale):
 
 def test_delta_gamma_solve_budget(monkeypatch):
     # the refinement reuses the eigenvectors of each solve for the gap slope;
-    # a derivative-free search needs some 76 more solves per sweep
+    # a derivative-free search needs some 76 more solves per sweep, and one
+    # scan serves every alpha
     calls = []
 
     def counted(*args, **kwargs):
@@ -169,8 +160,10 @@ def test_delta_gamma_solve_budget(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(rules, "solve", counted)
-    estimate_delta_gamma(1.0)
-    assert len(calls) <= rules.GAMMA_SCAN_POINTS + 40
+    for alpha in (1.0, 100.0):
+        calls.clear()
+        estimate_delta_gamma(alpha)
+        assert len(calls) <= rules.GAMMA_SCAN_POINTS + 40, alpha
 
 
 @pytest.mark.parametrize("alpha", [-1.0, 0.0, math.nan])
@@ -179,10 +172,9 @@ def test_delta_gamma_rejects_non_positive_alpha(alpha):
         estimate_delta_gamma(alpha)
 
 
-@pytest.mark.parametrize("beta_probe", [math.nan, math.inf, 0.0, -16.0])
-def test_delta_gamma_rejects_non_positive_beta_probe(beta_probe):
-    with pytest.raises(ValueError, match="beta_probe"):
-        estimate_delta_gamma(1.0, beta_probe=beta_probe)
+def test_delta_gamma_rejects_infinite_alpha():
+    with pytest.raises(ValueError, match="alpha must be finite, got inf"):
+        estimate_delta_gamma(math.inf)
 
 
 def test_rule_validation_localized_grid():
@@ -211,18 +203,6 @@ def test_rule_validation_detects_pairs_at_moderate_beta():
 
 
 def test_no_transitions_raises():
-    with pytest.raises(NoTransitionsFound):
-        estimate_delta_gamma(1.0, beta_probe=0.5)
-
-
-def test_validate_rules_estimates_delta_gamma_with_its_basis(monkeypatch):
-    calls = []
-
-    def fake_estimate(alpha, **kwargs):
-        calls.append((alpha, kwargs))
-        return DeltaGammaEstimate(2.0, 0.0, (2.0, 4.0), 16.0)
-
-    monkeypatch.setattr(rules, "estimate_delta_gamma", fake_estimate)
-    report = validate_rules(1.0, 20.0, [3.0], n_max=2, n_basis=60)
-    assert calls == [(1.0, {"n_basis": 60})]
-    assert report.delta_gamma == 2.0
+    # 16 oscillator functions cannot resolve the probe's collapsed gaps
+    with pytest.raises(NoTransitionsFound, match="no sharp gap minima found for alpha=1.0"):
+        estimate_delta_gamma(1.0, n_basis=16)
