@@ -22,9 +22,9 @@ _EXPORTS = {
     ), "potential"),
     **dict.fromkeys(("StateReport", "state_reports"), "report"),
     **dict.fromkeys((
-        "AsymmetryIndex", "DegeneracyPrediction", "DeltaGammaEstimate",
-        "NoTransitionsFound", "RuleValidationReport", "estimate_delta_gamma",
-        "predict_degeneracy", "predict_occupancy", "validate_rules",
+        "DeltaGammaEstimate", "NoTransitionsFound", "RuleValidationReport",
+        "estimate_delta_gamma", "predict_degeneracy", "predict_occupancy",
+        "validate_rules",
     ), "rules"),
     **dict.fromkeys((
         "BasisTooSmall", "ConvergenceFailure", "SolverError", "Spectrum",

@@ -32,7 +32,7 @@ from .phasespace import area
 from .potential import QuarticPotential, critical_points
 from .report import StateReport, state_reports
 from .rules import NoTransitionsFound, estimate_delta_gamma, validate_rules
-from .spectrum import DEGENERACY_REL_TOL, SolverError, certified_states, solve
+from .spectrum import DEFAULT_N_BASIS, DEGENERACY_REL_TOL, SolverError, certified_states, solve
 from .wavefunction import DEFAULT_GRID_POINTS, MIN_GRID_POINTS
 
 __all__ = ["main", "SETTINGS", "ConfigError", "SCHEMA_VERSION", "CSV_COLUMNS"]
@@ -182,7 +182,7 @@ SETTINGS: dict[str, Setting] = {
     "v0": Setting(_parse_v0, "auto", (SOLVE, SWEEP, PHASE),
                   "'auto' (shift minimum to zero), 'none' or number"),
     "n_basis": Setting(_checked(int, lambda v: 4 <= v <= MAX_N_BASIS, f"in [4, {MAX_N_BASIS}]"),
-                       100, COMMANDS),
+                       DEFAULT_N_BASIS, COMMANDS),
     "states": Setting(_int_at_least(1), 8, (SOLVE, SWEEP, RULES, PHASE)),
     "grid_points": Setting(_checked(int, lambda v: MIN_GRID_POINTS <= v <= MAX_GRID_POINTS,
                                     f"in [{MIN_GRID_POINTS}, {MAX_GRID_POINTS}]"),

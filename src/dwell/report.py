@@ -19,7 +19,7 @@ from .measures import (
 )
 from .phasespace import area
 from .potential import QuarticPotential, critical_points, turning_points
-from .spectrum import solve
+from .spectrum import DEFAULT_N_BASIS, solve
 from .wavefunction import (
     DEFAULT_GRID_POINTS,
     build_grid,
@@ -88,7 +88,7 @@ class StateReport:
 
 def state_reports(
     pot: QuarticPotential,
-    n_basis: int = 100,
+    n_basis: int = DEFAULT_N_BASIS,
     n_states: int = 8,
     grid_points: int = DEFAULT_GRID_POINTS,
     rho_floor: float = 0.01,

@@ -21,8 +21,9 @@ and Unsal, PRL 115, 041601 (2015)), whose two wells' Bohr-Sommerfeld numbers
 sweep alone; the tests hold it to the closed form.  With x = alpha^(-1/6) y,
 H(alpha, beta, gamma) = alpha^(1/3) H(1, beta alpha^(-2/3), gamma alpha^(-1/2)),
 so its probe at beta = 16 alpha^(2/3) over gammas in sqrt(alpha) x [0.05, 8.8]
-is the same dimensionless well at every alpha.  The rule engine itself is a
-pure function of (k, n).
+is the same dimensionless well at every alpha.  The predictions are plain
+functions of k: `predict_degeneracy(k, n_max)` and `predict_occupancy(k, n)`;
+`validate_rules` evaluates them at k = gamma / delta_gamma.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ import numpy as np
 from .basis import band_matvec, position_band
 from .measures import Occupancy, classify_occupancy, well_occupancy
 from .potential import QuarticPotential, critical_points
-from .spectrum import DEGENERACY_REL_TOL, certified_states, quasi_degenerate_pairs, solve
-from .wavefunction import build_grid, position_functions
+from .spectrum import (
+    DEFAULT_N_BASIS, DEGENERACY_REL_TOL, certified_states, quasi_degenerate_pairs, solve,
+)
+from .wavefunction import DEFAULT_GRID_POINTS, build_grid, position_functions
 
 __all__ = [
-    "AsymmetryIndex",
-    "DegeneracyPrediction",
     "DeltaGammaEstimate",
     "NoTransitionsFound",
     "RulePoint",
@@ -62,63 +63,31 @@ class NoTransitionsFound(RuntimeError):
     """The probe sweep produced no sharp gap minima."""
 
 
-@dataclass(frozen=True)
-class AsymmetryIndex:
-    """k = gamma / delta_gamma; integer within K_TOL."""
-
-    delta_gamma: float
-    k: float
-
-    @classmethod
-    def from_gamma(cls, gamma: float, delta_gamma: float) -> "AsymmetryIndex":
-        if delta_gamma <= 0.0:
-            raise ValueError("delta_gamma must be positive")
-        return cls(delta_gamma=delta_gamma, k=gamma / delta_gamma)
-
-    @property
-    def is_integer(self) -> bool:
-        return abs(self.k - round(self.k)) <= K_TOL
-
-    @property
-    def k_integer(self) -> int | None:
-        return int(round(self.k)) if self.is_integer else None
-
-    @property
-    def k_fraction_parity(self) -> int | None:
-        """Parity (0/1) of floor(k) for fractional k, else None."""
-        return None if self.is_integer else int(math.floor(self.k)) % 2
+def _integer_k(k: float) -> int | None:
+    """round(k) when k lies within K_TOL of an integer, else None."""
+    return int(round(k)) if abs(k - round(k)) <= K_TOL else None
 
 
-@dataclass(frozen=True)
-class DegeneracyPrediction:
-    pairs: tuple[tuple[int, int], ...]
-    non_degenerate_below: int
-
-
-def predict_degeneracy(index: AsymmetryIndex, n_max: int) -> DegeneracyPrediction:
+def predict_degeneracy(k: float, n_max: int) -> tuple[tuple[int, int], ...]:
     """Predicted quasi-degenerate pairs among states 0..n_max."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    ki = index.k_integer
+    ki = _integer_k(k)
     if ki is None:
-        return DegeneracyPrediction((), int(math.ceil(index.k)))
-    first = max(ki, 0)
-    pairs = tuple(
-        (n, n + 1) for n in range(first, n_max) if (n - ki) % 2 == 0
-    )
-    return DegeneracyPrediction(pairs, first)
+        return ()
+    return tuple((n, n + 1) for n in range(max(ki, 0), n_max) if (n - ki) % 2 == 0)
 
 
-def predict_occupancy(index: AsymmetryIndex, n: int) -> Occupancy:
+def predict_occupancy(k: float, n: int) -> Occupancy:
     """Which well state n inhabits according to the k-rules."""
     if n < 0:
         raise ValueError("state index must be non-negative")
-    ki = index.k_integer
+    ki = _integer_k(k)
     if ki is not None:
         return Occupancy.WELL_I if n < ki else Occupancy.BOTH
-    if n < index.k:
+    if n < k:
         return Occupancy.WELL_I
-    same_parity = n % 2 == index.k_fraction_parity
+    same_parity = n % 2 == math.floor(k) % 2
     return Occupancy.WELL_I if same_parity else Occupancy.WELL_II
 
 
@@ -167,7 +136,7 @@ def _refine_minimum(levels_at, m: int, a: float, b: float, s_a: float, s_b: floa
         b, s_b = g, s
 
 
-def estimate_delta_gamma(alpha: float, n_basis: int = 100) -> DeltaGammaEstimate:
+def estimate_delta_gamma(alpha: float, n_basis: int = DEFAULT_N_BASIS) -> DeltaGammaEstimate:
     """Estimate the characteristic transition interval from gap minima.
 
     Adjacent-level gaps E_{m+1} - E_m (m = 1, 2, 3) collapse sharply at the
@@ -238,12 +207,26 @@ class RulePoint:
 
     gamma: float
     k: float
-    participates: bool
     predicted_pairs: tuple[tuple[int, int], ...]
     detected_pairs: tuple[tuple[int, int], ...]
     occupancy_predicted: tuple[Occupancy, ...]
     occupancy_measured: tuple[Occupancy, ...]
-    at_transition: tuple[bool, ...]
+
+    @property
+    def at_transition(self) -> tuple[bool, ...]:
+        """Per state: measured in both wells (every paired state is)."""
+        return tuple(o is Occupancy.BOTH for o in self.occupancy_measured)
+
+    @property
+    def participates(self) -> bool:
+        """Complete localization: every state either crisply in one well or
+        a member of a detected pair; below the threshold beta states sit at
+        intermediate probabilities instead."""
+        paired = {i for ab in self.detected_pairs for i in ab}
+        return all(
+            o is not Occupancy.BOTH or n in paired
+            for n, o in enumerate(self.occupancy_measured)
+        )
 
     @property
     def pairs_match(self) -> bool:
@@ -297,11 +280,11 @@ class RuleValidationReport:
 def measured_occupancies(
     pot: QuarticPotential,
     n_max: int,
-    n_basis: int = 100,
-    grid_points: int = 2048,
+    n_basis: int = DEFAULT_N_BASIS,
+    grid_points: int = DEFAULT_GRID_POINTS,
     rel_tol: float = DEGENERACY_REL_TOL,
-) -> tuple[tuple[Occupancy, ...], tuple[bool, ...], tuple[tuple[int, int], ...]]:
-    """Occupancy classification of states 0..n_max, robust at degeneracies.
+) -> tuple[tuple[Occupancy, ...], tuple[tuple[int, int], ...]]:
+    """Occupancies of states 0..n_max and the detected quasi-degenerate pairs.
 
     Within a quasi-degenerate pair the individual eigenvectors are arbitrary
     rotations of left/right-localized states once the gap falls below solver
@@ -317,15 +300,11 @@ def measured_occupancies(
     grid = build_grid(pot, spec.energy(spec.n_verified - 1), grid_points)
     psi, _ = position_functions(spec, grid, n_max + 1)
     p_well_I = well_occupancy(grid, psi, critical_points(pot))[0]
-    measured = [classify_occupancy(p) for p in p_well_I]
-    at_transition = tuple(
-        n in paired or occ is Occupancy.BOTH for n, occ in enumerate(measured)
-    )
     occs = tuple(
-        Occupancy.BOTH if transitional else occ
-        for occ, transitional in zip(measured, at_transition)
+        Occupancy.BOTH if n in paired else classify_occupancy(p)
+        for n, p in enumerate(p_well_I)
     )
-    return occs, at_transition, pairs
+    return occs, pairs
 
 
 def validate_rules(
@@ -334,45 +313,33 @@ def validate_rules(
     gamma_grid,
     delta_gamma: float,
     n_max: int = 5,
-    n_basis: int = 100,
-    grid_points: int = 2048,
+    n_basis: int = DEFAULT_N_BASIS,
+    grid_points: int = DEFAULT_GRID_POINTS,
     rel_tol: float = DEGENERACY_REL_TOL,
 ) -> RuleValidationReport:
-    """Compare rule predictions with detected pairs and measured occupancies.
+    """Compare rule predictions at k = gamma / delta_gamma with detected
+    pairs and measured occupancies.
 
-    A gamma point participates in the agreement statistics only when every
-    state is either crisply localized or part of a detected pair (the
-    complete-localization regime); below the threshold beta nothing is
-    asserted.
+    Only participating points (see `RulePoint.participates`) enter the
+    agreement statistics; below the threshold beta nothing is asserted.
     """
+    if not delta_gamma > 0.0:
+        raise ValueError("delta_gamma must be positive")
     points = []
-    for gamma in gamma_grid:
-        pot = QuarticPotential.from_well_params(alpha, beta, float(gamma))
-        index = AsymmetryIndex.from_gamma(float(gamma), delta_gamma)
-        occs, at_transition, pairs = measured_occupancies(
-            pot, n_max, n_basis=n_basis, grid_points=grid_points, rel_tol=rel_tol
-        )
-        predicted_occs = tuple(
-            predict_occupancy(index, n) for n in range(n_max + 1)
-        )
-        prediction = predict_degeneracy(index, n_max + 1)
-        # rule regime = complete localization: every state either crisply in
-        # one well or a member of a quasi-degenerate pair; below the
-        # threshold beta states sit at intermediate probabilities instead
-        paired = {i for ab in pairs for i in ab}
-        participates = all(
-            o is not Occupancy.BOTH or n in paired for n, o in enumerate(occs)
+    for gamma in map(float, gamma_grid):
+        k = gamma / delta_gamma
+        occs, pairs = measured_occupancies(
+            QuarticPotential.from_well_params(alpha, beta, gamma),
+            n_max, n_basis=n_basis, grid_points=grid_points, rel_tol=rel_tol,
         )
         points.append(
             RulePoint(
-                gamma=float(gamma),
-                k=index.k,
-                participates=participates,
-                predicted_pairs=tuple(prediction.pairs),
+                gamma=gamma,
+                k=k,
+                predicted_pairs=predict_degeneracy(k, n_max + 1),
                 detected_pairs=pairs,
-                occupancy_predicted=predicted_occs,
+                occupancy_predicted=tuple(predict_occupancy(k, n) for n in range(n_max + 1)),
                 occupancy_measured=occs,
-                at_transition=at_transition,
             )
         )
     return RuleValidationReport(

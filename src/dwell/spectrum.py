@@ -37,6 +37,7 @@ __all__ = [
     "quasi_degenerate_pairs",
 ]
 
+DEFAULT_N_BASIS = 100  # oscillator functions unless a caller chooses
 RESIDUAL_TOL = 1e-10
 DEGENERACY_REL_TOL = 1e-6
 
@@ -187,7 +188,7 @@ def _parity_blocks(band: np.ndarray, n_states: int) -> tuple[np.ndarray, np.ndar
 
 def solve(
     pot: QuarticPotential,
-    n_basis: int = 100,
+    n_basis: int = DEFAULT_N_BASIS,
     n_states: int = 8,
     sigma: float | None = None,
 ) -> Spectrum:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dwell import (
-    AsymmetryIndex,
     NoTransitionsFound,
     Occupancy,
     QuarticPotential,
@@ -28,30 +27,18 @@ FRACTIONAL_K_WELLS = {
 }
 
 
-def idx(k, delta_gamma=2.0):
-    return AsymmetryIndex.from_gamma(k * delta_gamma, delta_gamma)
-
-
 def test_integer_detection_tolerance():
-    assert idx(2.0).is_integer
-    assert AsymmetryIndex.from_gamma(4.02, 2.0).is_integer  # k = 2.01
-    assert not AsymmetryIndex.from_gamma(4.10, 2.0).is_integer  # k = 2.05
-    assert idx(2.0).k_integer == 2
-    assert idx(2.5).k_integer is None
-    assert idx(2.5).k_fraction_parity == 0
-    assert idx(1.5).k_fraction_parity == 1
+    assert predict_degeneracy(2.0, n_max=4) == ((2, 3),)
+    assert predict_degeneracy(2.01, n_max=4) == ((2, 3),)
+    assert predict_degeneracy(2.05, n_max=4) == ()
 
 
 def test_predicted_pairs_symmetric_case():
-    pred = predict_degeneracy(idx(0.0), n_max=10)
-    assert pred.pairs == ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9))
-    assert pred.non_degenerate_below == 0
+    assert predict_degeneracy(0.0, n_max=10) == ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9))
 
 
 def test_predicted_pairs_odd_k():
-    pred = predict_degeneracy(idx(3.0), n_max=7)
-    assert pred.pairs == ((3, 4), (5, 6))
-    assert pred.non_degenerate_below == 3
+    assert predict_degeneracy(3.0, n_max=7) == ((3, 4), (5, 6))
 
 
 def test_predicted_pairs_all_integer_k():
@@ -63,46 +50,44 @@ def test_predicted_pairs_all_integer_k():
         4: ((4, 5), (6, 7), (8, 9)),
     }
     for k, pairs in expected.items():
-        assert predict_degeneracy(idx(float(k)), n_max=10).pairs == pairs
+        assert predict_degeneracy(float(k), n_max=10) == pairs
 
 
 def test_no_pairs_for_fractional_k():
-    assert predict_degeneracy(idx(1.5), n_max=10).pairs == ()
-    assert predict_degeneracy(idx(0.5), n_max=10).pairs == ()
+    assert predict_degeneracy(1.5, n_max=10) == ()
+    assert predict_degeneracy(0.5, n_max=10) == ()
 
 
 def test_occupancy_truth_table_fractional():
     for k, wells in FRACTIONAL_K_WELLS.items():
-        got = [predict_occupancy(idx(k), n) for n in range(6)]
+        got = [predict_occupancy(k, n) for n in range(6)]
         assert got == wells, f"k={k}"
 
 
 def test_occupancy_integer_k():
-    assert predict_occupancy(idx(1.0), 0) is I
-    assert predict_occupancy(idx(1.0), 1) is BOTH
-    assert predict_occupancy(idx(4.0), 4) is BOTH
-    assert predict_occupancy(idx(4.0), 3) is I
-    assert predict_occupancy(idx(0.0), 0) is BOTH  # symmetric well
+    assert predict_occupancy(1.0, 0) is I
+    assert predict_occupancy(1.0, 1) is BOTH
+    assert predict_occupancy(4.0, 4) is BOTH
+    assert predict_occupancy(4.0, 3) is I
+    assert predict_occupancy(0.0, 0) is BOTH  # symmetric well
 
 
 def test_parity_reduction():
     # fractional k, n >= k: same parity of n and floor(k) means well I
     for k in (0.5, 1.5, 2.5, 3.5):
-        index = idx(k)
         floor_parity = int(k)
         for n in range(int(k) + 1, 7):
             expected = I if n % 2 == floor_parity % 2 else II
-            assert predict_occupancy(index, n) is expected
+            assert predict_occupancy(k, n) is expected
 
 
 def test_prediction_consistency_pairs_vs_both():
     # at integer k every state predicted BOTH belongs to a predicted pair
     for k in range(5):
-        index = idx(float(k))
-        pairs = predict_degeneracy(index, n_max=11).pairs
+        pairs = predict_degeneracy(float(k), n_max=11)
         paired = {i for ab in pairs for i in ab}
         for n in range(10):
-            if predict_occupancy(index, n) is BOTH:
+            if predict_occupancy(float(k), n) is BOTH:
                 assert n in paired
 
 
@@ -186,6 +171,11 @@ def test_rule_validation_localized_grid():
         assert p.detected_pairs == ()
 
 
+def test_rule_validation_rejects_non_positive_delta_gamma_before_any_solve():
+    with pytest.raises(ValueError, match="delta_gamma must be positive"):
+        validate_rules(1.0, 20.0, [], delta_gamma=0.0)
+
+
 def test_rule_validation_below_threshold_beta_excluded():
     report = validate_rules(1.0, 5.0, [1.0, 3.0, 5.0], n_max=5, delta_gamma=2.0)
     assert not any(p.participates for p in report.points)
@@ -197,6 +187,8 @@ def test_rule_validation_detects_pairs_at_moderate_beta():
     )
     (point,) = report.points
     assert (1, 2) in point.detected_pairs
+    # a detected pair's members are measured in both wells, so at a transition
+    assert all(point.at_transition[n] for ab in point.detected_pairs for n in ab)
     # at this moderate beta only the lowest predicted pair has collapsed yet;
     # detections must never be false positives though
     assert set(point.detected_pairs) <= set(point.predicted_pairs)
