@@ -41,7 +41,7 @@ SCHEMA_VERSION = "dwell-result-v1"
 # part of every cache key: bump whenever the arithmetic behind a cached record
 # changes (solver or per-state layer), so that records computed by older code
 # are not served
-RECORD_REVISION = "panel-split-3"
+RECORD_REVISION = "fisher-node-4"
 CACHE_DIR_ENV = "DWELL_CACHE_DIR"
 
 CSV_COLUMNS = [

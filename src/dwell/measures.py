@@ -151,7 +151,8 @@ def info_measures(
     psi and dpsi are (states, samples) rows on their grid; all states are
     integrated together along the contiguous sample axis, so each equals
     its single-state value.  S = -int rho ln rho (0 ln 0 = 0), I = int
-    rho'^2 / rho with rho' = 2 Re(psi* psi'), and E = int rho^2.
+    rho'^2 / rho with rho' = 2 Re(psi* psi') (4 |psi'|^2 at a node), and
+    E = int rho^2.
     """
     per_space = []
     for grid, psi, dpsi in ((xgrid, psi_x, dpsi_x), (pgrid, psi_p, dpsi_p)):
@@ -159,7 +160,8 @@ def info_measures(
         _check_density(rho, grid.dx)
         rho_safe = np.maximum(rho, RHO_TINY)
         shannon = np.where(rho > 0.0, -rho * np.log(rho_safe), 0.0)
-        fisher = np.where(rho > RHO_TINY, drho * drho / rho_safe, 0.0)
+        # at a node on a sample rho'^2 / rho -> 4 |psi'|^2, where it peaks
+        fisher = np.where(rho > RHO_TINY, drho * drho / rho_safe, 4.0 * np.abs(dpsi) ** 2)
         per_space.append(tuple(simpson(f, grid.dx) for f in (shannon, fisher, rho * rho)))
     (s_x, i_x, e_x), (s_p, i_p, e_p) = per_space
     return s_x, s_p, i_x, i_p, e_x, e_p

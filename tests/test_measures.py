@@ -255,3 +255,21 @@ def test_scaling_invariance_of_total_shannon():
         assert s_x_scaled[n] + s_p_scaled[n] == pytest.approx(s_x[n] + s_p[n], abs=1e-6)
         assert s_x_scaled[n] == pytest.approx(s_x[n] - math.log(lam), abs=1e-6)
         assert s_p_scaled[n] == pytest.approx(s_p[n] + math.log(lam), abs=1e-6)
+
+
+@pytest.mark.parametrize("beta", [5.0, 10.0, 20.0, 30.0])
+def test_fisher_matches_moments_with_nodes_on_samples(beta):
+    """At gamma 0 each odd state has a node on a sample: x = 0 on the
+    symmetric x grid, p = 0 on the p grid.  There rho'^2 / rho tends to
+    4 |psi'|^2, and the Fisher integrals keep their moment identities
+    I_x = 4 <p^2> (real states) and I_p = 4 <x^2> (parity states)."""
+    pot = QuarticPotential.from_well_params(1.0, beta, 0.0)
+    spec = well_solve(1.0, beta, 0.0)
+    grid = build_grid(pot, spec.energy(7), 4096)
+    pgrid = build_momentum_grid(pot, spec.energy(7), 4096)
+    psi_x, dpsi_x = position_functions(spec, grid, 8)
+    psi_p, dpsi_p = momentum_functions(spec, pgrid, 8)
+    _, _, i_x, i_p, _, _ = info_measures(grid, psi_x, dpsi_x, pgrid, psi_p, dpsi_p)
+    mean_x, delta_x, delta_p = uncertainties(spec, 8)
+    np.testing.assert_allclose(i_x, 4.0 * delta_p**2, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(i_p, 4.0 * (delta_x**2 + mean_x**2), rtol=1e-12, atol=0.0)

@@ -92,14 +92,15 @@ def reference_split(grid, psi, geometry):
 
 
 def reference_measures(grid, psi, dpsi):
-    """Shannon, Fisher and Onicescu integrals of one state's row, by simpson."""
+    """Shannon, Fisher and Onicescu integrals of one state's row, by simpson;
+    at a node the Fisher integrand takes its limit 4 |psi'|^2."""
     rho = np.abs(psi) ** 2
     drho = 2.0 * np.real(np.conj(psi) * dpsi)
     positive = rho > 1e-300
     safe = np.where(positive, rho, 1.0)
     return (
         float(simpson(-rho * np.log(safe), grid.dx)),
-        float(simpson(np.where(positive, drho * drho / safe, 0.0), grid.dx)),
+        float(simpson(np.where(positive, drho * drho / safe, 4.0 * np.abs(dpsi) ** 2), grid.dx)),
         float(simpson(rho * rho, grid.dx)),
     )
 

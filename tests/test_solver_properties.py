@@ -7,7 +7,7 @@ band of dwell.basis or with the band eigensolver.
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.linalg import eigh, eigvalsh
 
 from conftest import assemble_momentum, confining_quartics, ladder_hamiltonian
@@ -95,14 +95,17 @@ def test_mirror_images_give_mirrored_eigenpairs_exactly(pot, n_states):
     gamma=st.floats(-7.0, 7.0),
     lam=st.floats(0.7, 1.5),
 )
+# integer k: state 5's doublet partner is state 6, 5.4e-4 above it
+@example(alpha=1.0, beta=14.0, gamma=2.0, lam=1.5)
 def test_scaling_law(alpha, beta, gamma, lam):
     # x -> x / lam maps p^2 + V(alpha, beta, gamma) onto lam^-2 times
     # p^2 + V(lam^6 alpha, lam^4 beta, lam^3 gamma), and the trace-optimal
-    # sigma scales as lam^2, so both solves see the same scaled band
-    spec = solve(QuarticPotential.from_well_params(alpha, beta, gamma), 100, 6)
+    # sigma scales as lam^2, so both solves see the same scaled band; states
+    # 0-5 are checked, and the seventh gives state 5 its upper neighbour
+    spec = solve(QuarticPotential.from_well_params(alpha, beta, gamma), 100, 7)
     scaled = solve(
         QuarticPotential.from_well_params(lam**6 * alpha, lam**4 * beta, lam**3 * gamma),
-        100, 6,
+        100, 7,
     )
     e = spec.energies
     assert np.all(
@@ -114,7 +117,7 @@ def test_scaling_law(alpha, beta, gamma, lam):
     paired = {n for a, b, _ in quasi_degenerate_pairs(spec, 1e-6) for n in (a, b)}
     mean_x, delta_x, delta_p = uncertainties(spec)
     mean_xs, delta_xs, delta_ps = uncertainties(scaled)
-    assert len(mean_x) == len(mean_xs) == 6
+    assert len(mean_x) == len(mean_xs) == 7
     for n in range(6):
         if n in paired:
             continue
