@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyroots import cubic_real_roots
+from .polyroots import real_roots
 from .potential import QuarticPotential
 
 __all__ = [
@@ -76,7 +76,7 @@ def optimal_sigma(pot: QuarticPotential, n_basis: int) -> float:
     if n_basis < 1:
         raise ValueError("n_basis must be positive")
     s1, s2 = _trace_sums(n_basis)
-    roots = cubic_real_roots(8.0 * s1, 0.0, -2.0 * pot.c2 * s1, -3.0 * pot.c4 * s2)
+    roots = real_roots((8.0 * s1, 0.0, -2.0 * pot.c2 * s1, -3.0 * pot.c4 * s2))
     positive = roots[roots > 0.0]
     if positive.size == 0:
         raise ValueError("trace cubic has no positive root (requires c4 > 0)")

@@ -22,7 +22,6 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -41,7 +40,7 @@ SCHEMA_VERSION = "dwell-result-v1"
 # part of every cache key: bump whenever the arithmetic behind a cached record
 # changes (solver or per-state layer), so that records computed by older code
 # are not served
-RECORD_REVISION = "fisher-node-4"
+RECORD_REVISION = "real-roots-5"
 CACHE_DIR_ENV = "DWELL_CACHE_DIR"
 
 CSV_COLUMNS = [
@@ -465,6 +464,9 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     payloads = [(cfg.alpha, beta, gamma, pot, settings) for beta, gamma, pot, _ in pending]
     workers = min(cfg.workers or os.cpu_count() or 1, len(pending))
     if workers > 1:
+        # imported here: it loads multiprocessing, which nothing else needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_worker, payloads))
     else:

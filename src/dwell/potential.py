@@ -2,8 +2,8 @@
 
 The model family is V(x) = c4 x^4 + c3 x^3 + c2 x^2 + c1 x + c0 with c4 > 0,
 which covers the asymmetric double well c4 = alpha, c2 = -beta, c1 = gamma.
-Everything here is exact polynomial arithmetic plus closed-form root finding;
-no grids, no eigensolvers.
+Everything here is exact polynomial arithmetic plus real-root isolation
+(`polyroots.real_roots`); no grids, no eigensolvers.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyroots import cubic_real_roots, quartic_real_roots
+from .polyroots import real_roots
 
 __all__ = [
     "QuarticPotential",
@@ -99,7 +99,7 @@ def critical_points(pot: QuarticPotential) -> WellGeometry:
     A double root of V' (merged inflection) confines nothing and is treated
     as part of a single-well geometry.
     """
-    roots = cubic_real_roots(4.0 * pot.c4, 3.0 * pot.c3, 2.0 * pot.c2, pot.c1)
+    roots = real_roots((4.0 * pot.c4, 3.0 * pot.c3, 2.0 * pot.c2, pot.c1))
     minima: list[tuple[float, float]] = []
     maxima: list[tuple[float, float]] = []
     curvatures = [pot.second_derivative(r) for r in roots]
@@ -142,10 +142,12 @@ def critical_points(pot: QuarticPotential) -> WellGeometry:
 
 
 def turning_points(pot: QuarticPotential, energy: float) -> np.ndarray:
-    """Sorted real solutions of V(x) = E (0, 2 or 4 values, with multiplicity)."""
-    return quartic_real_roots(
-        pot.c4, pot.c3, pot.c2, pot.c1, pot.c0 - float(energy)
-    )
+    """Sorted real solutions of V(x) = E (0, 2 or 4 values, with multiplicity).
+
+    They are bracketed by the roots of V', which do not depend on E:
+    `real_roots` finds those once for all energies of one potential.
+    """
+    return real_roots((pot.c4, pot.c3, pot.c2, pot.c1, pot.c0 - float(energy)))
 
 
 def mirror(pot: QuarticPotential) -> QuarticPotential:

@@ -2,7 +2,8 @@
 
 Level crossings of the asymmetric double well V = alpha x^4 - beta x^2 +
 gamma x recur at integer multiples of a characteristic interval delta_gamma.
-With k = gamma / delta_gamma the rules are:
+With k = gamma / delta_gamma the rules read |k| (gamma -> -gamma is the
+mirror image x -> -x, and well I is the deeper well on either side):
 
   degeneracy   - integer k, odd:  pairs (n, n+1) for odd n >= k
                - integer k, even: pairs (n, n+1) for even n >= k (0 is even)
@@ -69,19 +70,20 @@ def _integer_k(k: float) -> int | None:
 
 
 def predict_degeneracy(k: float, n_max: int) -> tuple[tuple[int, int], ...]:
-    """Predicted quasi-degenerate pairs among states 0..n_max."""
+    """Predicted quasi-degenerate pairs among states 0..n_max (at |k|)."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    ki = _integer_k(k)
+    ki = _integer_k(abs(k))
     if ki is None:
         return ()
-    return tuple((n, n + 1) for n in range(max(ki, 0), n_max) if (n - ki) % 2 == 0)
+    return tuple((n, n + 1) for n in range(ki, n_max) if (n - ki) % 2 == 0)
 
 
 def predict_occupancy(k: float, n: int) -> Occupancy:
-    """Which well state n inhabits according to the k-rules."""
+    """Which well state n inhabits according to the k-rules (at |k|)."""
     if n < 0:
         raise ValueError("state index must be non-negative")
+    k = abs(k)
     ki = _integer_k(k)
     if ki is not None:
         return Occupancy.WELL_I if n < ki else Occupancy.BOTH

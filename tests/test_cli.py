@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -297,6 +298,29 @@ def test_no_command_loads_scipy(tmp_path):
     assert {"solve.csv", "sweep.csv", "validate_rules.json", "table1.csv"} <= written
 
 
+def test_only_a_process_pool_loads_multiprocessing(tmp_path):
+    # checked after the import and again after an in-process sweep
+    argv = [
+        "sweep", "--beta", "10", "--gamma", "0,0.5", "--states", "2", "--grid-points", "512",
+        "--workers", "1", "--no-cache", "--outdir", str(tmp_path),
+    ]
+    code = (
+        "import sys, dwell.cli\n"
+        "def loaded(): return sorted(m for m in sys.modules "
+        "if m in ('concurrent.futures.process', 'multiprocessing'))\n"
+        "print(loaded())\n"
+        f"assert dwell.cli.main({argv!r}) == 0\n"
+        "print(loaded())\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_child_env(os.environ), capture_output=True,
+        text=True, check=True, timeout=120,
+    )
+    lines = out.stdout.splitlines()  # the command prints its output path between
+    assert (lines[0], lines[-1]) == ("[]", "[]")
+    assert (tmp_path / "sweep.csv").exists()
+
+
 def test_import_dwell_loads_no_numpy_and_resolves_every_export():
     code = "\n".join([
         "import sys, dwell",
@@ -491,6 +515,24 @@ def test_validate_rules_report(tmp_path):
     assert len(block["points"]) == 2
 
 
+def test_validate_rules_at_negative_gammas(tmp_path):
+    rc = main([
+        "validate-rules", "--alphas", "1", "--beta", "20", "--gamma=-3,-1,1,3",
+        "--states", "6", "--outdir", str(tmp_path),
+    ])
+    assert rc == 0
+    doc = json.loads((tmp_path / "validate_rules.json").read_text(encoding="utf-8"))
+    (block,) = doc["results"]
+    assert block["occupancy_agreement"] == block["pairs_agreement"] == "1"
+    points = {float(p["gamma"]): p for p in block["points"]}
+    for gamma in (1.0, 3.0):
+        minus, plus = dict(points[-gamma]), dict(points[gamma])
+        # the JSON keeps the signed k; every verdict matches the mirror image
+        assert float(minus.pop("k")) == -float(plus.pop("k"))
+        del minus["gamma"], plus["gamma"]
+        assert minus == plus
+
+
 def test_validate_rules_reads_gammas_from_config(tmp_path):
     cfg = tmp_path / "rules.cfg"
     cfg.write_text("beta = 20\ngamma = 1,3\nstates = 4\ngrid_points = 1024\n",
@@ -669,7 +711,7 @@ class RecordingPool:
 def test_sweep_pool_never_exceeds_the_pending_points(tmp_path, monkeypatch, workers, cpus,
                                                      gammas, pool):
     made = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda max_workers: RecordingPool(made, max_workers))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     assert main([
@@ -684,7 +726,7 @@ def test_workers_above_max_workers_start_no_process(tmp_path, capsys, monkeypatc
     def no_pool(max_workers):
         raise AssertionError(f"a pool of {max_workers} was started")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert cli.SETTINGS["workers"].convert(str(cli.MAX_WORKERS)) == cli.MAX_WORKERS
     with pytest.raises(ConfigError, match="must be at most 64"):
         cli.SETTINGS["workers"].convert(str(cli.MAX_WORKERS + 1))

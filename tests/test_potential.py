@@ -94,6 +94,15 @@ def test_turning_points_benchmark_quartic():
     )
 
 
+def test_double_well_far_below_unit_scale():
+    # V = x^4 - 1e-10 x^2: minima at +-sqrt(5e-11), barrier at 0
+    geo = critical_points(QuarticPotential(1.0, 0.0, -1e-10, 0.0, 0.0))
+    s = math.sqrt(5e-11)
+    assert [x for x, _ in geo.minima] == pytest.approx([-s, s], rel=1e-14)
+    assert geo.barrier == (0.0, 0.0)
+    assert geo.deeper_well_side is WellSide.SYMMETRIC
+
+
 @given(pot=general_pots)
 def test_critical_points_are_stationary(pot):
     geo = critical_points(pot)

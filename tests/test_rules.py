@@ -91,6 +91,12 @@ def test_prediction_consistency_pairs_vs_both():
                 assert n in paired
 
 
+@given(k=st.floats(-12.0, 12.0), n=st.integers(0, 11))
+def test_predictions_read_the_magnitude_of_k(k, n):
+    assert predict_occupancy(-k, n) is predict_occupancy(k, n)
+    assert predict_degeneracy(-k, n + 1) == predict_degeneracy(k, n + 1)
+
+
 @pytest.mark.parametrize("alpha", [0.01, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 16.0, 100.0])
 def test_delta_gamma_matches_closed_form(alpha):
     # the wells' Bohr-Sommerfeld numbers differ by gamma / (2 sqrt(alpha)),
@@ -169,6 +175,30 @@ def test_rule_validation_localized_grid():
     assert report.pairs_agreement == 1.0
     for p in report.points:
         assert p.detected_pairs == ()
+
+
+def test_rule_validation_at_negative_gamma():
+    # the deeper well of a negative gamma lies on the right; well I follows it
+    report = validate_rules(1.0, 20.0, [-3.0, -2.0, 2.0, 3.0], delta_gamma=2.0)
+    assert report.occupancy_agreement == 1.0
+    assert report.pairs_agreement == 1.0
+    minus, plus = validate_rules(1.0, 30.0, [-6.0, 6.0], delta_gamma=2.0).points
+    assert minus.predicted_pairs == minus.detected_pairs == ((3, 4), (5, 6))
+    assert minus.k == -plus.k == -3.0
+
+
+_VERDICTS = (
+    "predicted_pairs", "detected_pairs", "occupancy_predicted", "occupancy_measured",
+    "at_transition", "participates", "pairs_match", "occupancy_agreement",
+)
+
+
+@given(gamma=st.floats(0.0, 7.0))
+def test_rule_verdicts_are_mirror_symmetric(gamma):
+    plus, minus = validate_rules(1.0, 20.0, [gamma, -gamma], delta_gamma=2.0).points
+    assert minus.k == -plus.k
+    for verdict in _VERDICTS:
+        assert getattr(minus, verdict) == getattr(plus, verdict), verdict
 
 
 def test_rule_validation_rejects_non_positive_delta_gamma_before_any_solve():
