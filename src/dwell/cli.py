@@ -20,6 +20,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass
@@ -31,8 +32,9 @@ from .phasespace import area
 from .potential import QuarticPotential, critical_points
 from .report import StateReport, state_reports
 from .rules import NoTransitionsFound, estimate_delta_gamma, validate_rules
-from .spectrum import DEFAULT_N_BASIS, DEGENERACY_REL_TOL, SolverError, certified_states, solve
-from .wavefunction import DEFAULT_GRID_POINTS, MIN_GRID_POINTS
+from .spectrum import (DEFAULT_N_BASIS, DEFAULT_N_STATES, DEGENERACY_REL_TOL, SolverError,
+                       certified_states, solve)
+from .wavefunction import DEFAULT_GRID_POINTS, DEFAULT_RHO_FLOOR, MIN_GRID_POINTS
 
 __all__ = ["main", "SETTINGS", "ConfigError", "SCHEMA_VERSION", "CSV_COLUMNS"]
 
@@ -40,7 +42,7 @@ SCHEMA_VERSION = "dwell-result-v1"
 # part of every cache key: bump whenever the arithmetic behind a cached record
 # changes (solver or per-state layer), so that records computed by older code
 # are not served
-RECORD_REVISION = "real-roots-5"
+RECORD_REVISION = "root-multiplicity-6"
 CACHE_DIR_ENV = "DWELL_CACHE_DIR"
 
 CSV_COLUMNS = [
@@ -182,14 +184,14 @@ SETTINGS: dict[str, Setting] = {
                   "'auto' (shift minimum to zero), 'none' or number"),
     "n_basis": Setting(_checked(int, lambda v: 4 <= v <= MAX_N_BASIS, f"in [4, {MAX_N_BASIS}]"),
                        DEFAULT_N_BASIS, COMMANDS),
-    "states": Setting(_int_at_least(1), 8, (SOLVE, SWEEP, RULES, PHASE)),
+    "states": Setting(_int_at_least(1), DEFAULT_N_STATES, (SOLVE, SWEEP, RULES, PHASE)),
     "grid_points": Setting(_checked(int, lambda v: MIN_GRID_POINTS <= v <= MAX_GRID_POINTS,
                                     f"in [{MIN_GRID_POINTS}, {MAX_GRID_POINTS}]"),
                            DEFAULT_GRID_POINTS, (SOLVE, SWEEP, RULES, TABLE)),
     "rel_tol": Setting(_checked(_finite, lambda v: v > 0.0, "positive"), DEGENERACY_REL_TOL,
                        (RULES,)),
-    "rho_floor": Setting(_checked(_finite, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"), 0.01,
-                         (SOLVE, SWEEP)),
+    "rho_floor": Setting(_checked(_finite, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+                         DEFAULT_RHO_FLOOR, (SOLVE, SWEEP)),
     "outdir": Setting(Path, Path("."), COMMANDS),
     "format": Setting(_one_of({"csv": "csv", "json": "json"}), "csv", (SOLVE, SWEEP),
                       "csv or json"),
@@ -622,9 +624,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Join each flag with a following value that starts with a minus sign
+    (`--gamma -2:2:1` becomes `--gamma=-2:2:1`).  argparse reads such a
+    token as an option unless it is one plain negative number; no flag
+    starts with a minus and a digit or a point."""
+    out: list[str] = []
+    for arg in argv:
+        if out and re.fullmatch(r"--[a-z-]+", out[-1]) and re.match(r"-[0-9.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return RUN[args.command](build_config(args))
     except ConfigError as exc:

@@ -108,9 +108,10 @@ def well_occupancy(
     the barrier over the full integral, for all states at once along the
     contiguous sample axis, so each equals its single-state value.  The
     masses are the unnormalized integrals of |psi|^2 left and right of the
-    barrier.  A single well gives 1, 0, nan, nan for every state.  For an
-    exactly symmetric double well the deeper side is taken as the left one
-    (either choice integrates to 1/2).
+    barrier.  A single well gives 1, 0, nan, nan for every state.  The
+    deeper side is the one `critical_points` finds by comparing the two
+    minimum values exactly; where they are equal (a symmetric well) it is
+    taken as the left one.
     """
     rho = np.abs(psi) ** 2
     if not geometry.is_double_well:

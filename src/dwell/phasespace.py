@@ -71,13 +71,9 @@ def _sqrt_interval(
     return float(np.sum(w * np.sqrt(f) * half * cos_theta))
 
 
-def _allowed_segments(
-    pot: QuarticPotential, energy: float, turning: np.ndarray | None = None
-) -> list[tuple[float, float, bool]]:
+def _allowed_segments(pot: QuarticPotential, energy: float) -> list[tuple[float, float, bool]]:
     """Partition of [t_first, t_last] into (lo, hi, classically_allowed)."""
-    if turning is None:
-        turning = turning_points(pot, energy)
-    tps = [float(t) for t in turning]
+    tps = [float(t) for t in turning_points(pot, energy)]
     segments = []
     for lo, hi in zip(tps[:-1], tps[1:]):
         if hi - lo <= 0.0:
@@ -88,17 +84,10 @@ def _allowed_segments(
 
 
 def area(
-    pot: QuarticPotential,
-    energy: float,
-    nodes: int = DEFAULT_QUAD_NODES,
-    turning: np.ndarray | None = None,
+    pot: QuarticPotential, energy: float, nodes: int = DEFAULT_QUAD_NODES
 ) -> PhaseSpaceResult:
-    """Barrier and allowed actions plus the lobe decomposition at one energy.
-
-    `turning` (the turning points at `energy`) may be passed in when the
-    caller already has them.
-    """
-    segments = _allowed_segments(pot, energy, turning)
+    """Barrier and allowed actions plus the lobe decomposition at one energy."""
+    segments = _allowed_segments(pot, energy)
     if not any(allowed for *_, allowed in segments):
         raise ValueError("energy lies below the potential minimum")
     barrier = 0.0

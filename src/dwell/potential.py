@@ -9,6 +9,7 @@ Everything here is exact polynomial arithmetic plus real-root isolation
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +24,6 @@ __all__ = [
     "turning_points",
     "mirror",
 ]
-
-# two minimum values closer than this (relative) count as a symmetric well
-SYMMETRY_TOL = 1e-12
-
 
 class WellSide(enum.Enum):
     LEFT = "left"
@@ -94,51 +91,27 @@ class WellGeometry:
 
 
 def critical_points(pot: QuarticPotential) -> WellGeometry:
-    """Classify the real roots of V' into minima and the barrier maximum.
+    """The extrema of V and the side of the deeper well.
 
-    A double root of V' (merged inflection) confines nothing and is treated
-    as part of a single-well geometry.
+    V' is a cubic with a positive leading coefficient, so it changes sign
+    exactly at its real roots of odd multiplicity.  Those are V's extrema:
+    one minimum, or a minimum, the barrier and a minimum from left to right.
+    A root of even multiplicity is a merged inflection and confines nothing.
+    The deeper side compares the two minimum values exactly (SYMMETRIC only
+    when they are equal); a single well's side is the sign of its minimum.
     """
     roots = real_roots((4.0 * pot.c4, 3.0 * pot.c3, 2.0 * pot.c2, pot.c1))
-    minima: list[tuple[float, float]] = []
-    maxima: list[tuple[float, float]] = []
-    curvatures = [pot.second_derivative(r) for r in roots]
-    curv_scale = max(abs(v) for v in curvatures) if len(roots) > 1 else 1.0
-    for r, v2 in zip(roots, curvatures):
-        if v2 > 1e-9 * curv_scale:
-            minima.append((float(r), float(pot(r))))
-        elif v2 < -1e-9 * curv_scale:
-            maxima.append((float(r), float(pot(r))))
-        # inflection-degenerate roots are dropped
-    if not minima:
-        # fully degenerate V' (e.g. triple root): the stationary point is
-        # still the global minimum since c4 > 0
-        r = float(roots[len(roots) // 2])
-        minima = [(r, float(pot(r)))]
-    minima.sort()
-    if len(minima) == 2 and maxima:
-        barrier = max(
-            (m for m in maxima if minima[0][0] < m[0] < minima[1][0]),
-            key=lambda m: m[1],
-            default=None,
-        )
-    else:
-        barrier = None
-    if barrier is None:
-        # keep only the global minimum: single-well geometry
-        x_min, v_min = min(minima, key=lambda m: m[1])
-        side = WellSide.LEFT if x_min < 0.0 else WellSide.RIGHT
-        if abs(x_min) <= 1e-12:
-            side = WellSide.SYMMETRIC
-        return WellGeometry(((x_min, v_min),), None, side)
-    v_left, v_right = minima[0][1], minima[1][1]
-    if abs(v_left - v_right) <= SYMMETRY_TOL * (1.0 + abs(v_left)):
-        side = WellSide.SYMMETRIC
-    elif v_left < v_right:
-        side = WellSide.LEFT
-    else:
-        side = WellSide.RIGHT
-    return WellGeometry(tuple(minima), barrier, side)
+    extrema = [(float(x), float(pot(x)))
+               for x, run in itertools.groupby(roots) if len(list(run)) % 2]
+    if len(extrema) == 1:
+        return WellGeometry(tuple(extrema), None, _side(extrema[0][0], 0.0))
+    left, barrier, right = extrema
+    return WellGeometry((left, right), barrier, _side(left[1], right[1]))
+
+
+def _side(a: float, b: float) -> WellSide:
+    """LEFT if a < b, RIGHT if a > b, SYMMETRIC if they are equal."""
+    return WellSide.LEFT if a < b else WellSide.RIGHT if a > b else WellSide.SYMMETRIC
 
 
 def turning_points(pot: QuarticPotential, energy: float) -> np.ndarray:

@@ -19,9 +19,10 @@ from .measures import (
 )
 from .phasespace import area
 from .potential import QuarticPotential, critical_points, turning_points
-from .spectrum import DEFAULT_N_BASIS, solve
+from .spectrum import DEFAULT_N_BASIS, DEFAULT_N_STATES, solve
 from .wavefunction import (
     DEFAULT_GRID_POINTS,
+    DEFAULT_RHO_FLOOR,
     build_grid,
     build_momentum_grid,
     count_nodes,
@@ -89,17 +90,17 @@ class StateReport:
 def state_reports(
     pot: QuarticPotential,
     n_basis: int = DEFAULT_N_BASIS,
-    n_states: int = 8,
+    n_states: int = DEFAULT_N_STATES,
     grid_points: int = DEFAULT_GRID_POINTS,
-    rho_floor: float = 0.01,
+    rho_floor: float = DEFAULT_RHO_FLOOR,
 ) -> list[StateReport]:
     """Solve and evaluate states 0..n_states-1 of one potential.
 
     Grids are shared across states (built at the highest reported energy);
     wavefunctions, moments, barrier splits and information measures are
-    computed for all states at once, and the turning points of each state
-    are found once and shared by the node count and the phase-space
-    integrals.
+    computed for all states at once.  The node count and the phase-space
+    integrals each ask for a state's turning points; `polyroots` caches
+    them, so the second ask is a lookup.
     """
     spec = solve(pot, n_basis, n_states)
     geometry = critical_points(pot)
@@ -115,11 +116,11 @@ def state_reports(
     reports = []
     for n in range(n_states):
         energy = spec.energy(n)
-        turning = turning_points(pot, energy)
         total_nodes, effective_nodes = count_nodes(
-            xgrid, psi_x[n], turning, geometry, mass_left[n], mass_right[n], rho_floor
+            xgrid, psi_x[n], turning_points(pot, energy), geometry, mass_left[n],
+            mass_right[n], rho_floor,
         )
-        ps = area(pot, energy, turning=turning)
+        ps = area(pot, energy)
         reports.append(
             StateReport(
                 n=n,

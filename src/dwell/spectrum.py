@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 DEFAULT_N_BASIS = 100  # oscillator functions unless a caller chooses
+DEFAULT_N_STATES = 8  # states solved and reported unless a caller chooses
 RESIDUAL_TOL = 1e-10
 DEGENERACY_REL_TOL = 1e-6
 
@@ -189,7 +190,7 @@ def _parity_blocks(band: np.ndarray, n_states: int) -> tuple[np.ndarray, np.ndar
 def solve(
     pot: QuarticPotential,
     n_basis: int = DEFAULT_N_BASIS,
-    n_states: int = 8,
+    n_states: int = DEFAULT_N_STATES,
     sigma: float | None = None,
 ) -> Spectrum:
     """The lowest `n_states` eigenpairs in the trace-optimal oscillator basis.

@@ -35,6 +35,8 @@ DEFAULT_GRID_POINTS = 4096
 # sign changes where |psi| stays below this fraction of its peak are not
 # resolvable in double precision (suppressed-well amplitudes, deep barriers)
 NODE_AMPLITUDE_FLOOR = 1e-8
+# a well holding less probability than this carries no effective nodes
+DEFAULT_RHO_FLOOR = 0.01
 
 
 @dataclass(frozen=True)
@@ -251,7 +253,7 @@ def count_nodes(
     geometry: WellGeometry,
     mass_left: float,
     mass_right: float,
-    rho_floor: float = 0.01,
+    rho_floor: float = DEFAULT_RHO_FLOOR,
 ) -> tuple[int, int]:
     """(total, effective) sign changes of one state's row psi, sampled on
     grid, between the outer turning points.

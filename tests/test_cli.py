@@ -533,6 +533,31 @@ def test_validate_rules_at_negative_gammas(tmp_path):
         assert minus == plus
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["sweep", "--beta", "10", "--states", "2", "--workers", "1", "--no-cache"],
+     "--gamma", "-2:2:1"),
+    (["validate-rules", "--beta", "20", "--states", "2"], "--gamma", "-3,3"),
+    (["solve", "--beta", "10", "--states", "2"], "--gamma", "-1e-3"),
+    (["sweep", "--gamma", "1", "--states", "2", "--workers", "1", "--no-cache"],
+     "--beta", "-5,10"),
+])
+def test_values_starting_with_a_minus_read_like_the_joined_form(tmp_path, argv, flag, value):
+    outputs = []
+    for form, given in (("split", [flag, value]), ("joined", [f"{flag}={value}"])):
+        outdir = tmp_path / form
+        assert main(argv + given + ["--outdir", str(outdir)]) == 0
+        (path,) = outdir.iterdir()
+        outputs.append((path.name, path.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_a_flag_without_its_value_still_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--gamma", "--states", "3", "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_validate_rules_reads_gammas_from_config(tmp_path):
     cfg = tmp_path / "rules.cfg"
     cfg.write_text("beta = 20\ngamma = 1,3\nstates = 4\ngrid_points = 1024\n",
@@ -782,6 +807,15 @@ def test_poly_rows_leave_well_parameters_blank(tmp_path):
         for col in ("alpha", "beta", "gamma"):
             assert row[col] == "" and rec[col] is None
         assert float(row["energy"]) == rec["energy"]
+
+
+def test_poly_well_I_is_the_deeper_well_however_shallow(tmp_path):
+    # the right minimum (-4.2e-14) is 15 times deeper than the left (2.8e-15)
+    argv = ["solve", "--poly=1,0,-2.668078851075046e-07,-6.27583746464877e-11,0",
+            "--outdir", str(tmp_path)]
+    assert main(argv) == 0
+    row = read_rows(tmp_path / "solve.csv")[0]
+    assert float(row["p_well_I"]) == pytest.approx(0.50008601354, abs=1e-11)
 
 
 def test_sweep_solves_a_repeated_point_once(tmp_path, monkeypatch):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dwell import QuarticPotential, WellSide, critical_points, mirror, turning_points
 
@@ -130,10 +130,60 @@ def test_mirror_is_involution(pot):
     assert mirror(mirror(pot)) == pot
 
 
-@given(pot=well_pots)
+def _mirrored(point):
+    return None if point is None else (-point[0], point[1])
+
+
+@given(pot=general_pots)
 def test_mirror_negates_critical_points(pot):
     geo = critical_points(pot)
     geo_m = critical_points(mirror(pot))
-    xs = sorted(x for x, _ in geo.minima)
-    xs_m = sorted(-x for x, _ in geo_m.minima)
-    assert np.allclose(xs, xs_m, atol=1e-9)
+    assert geo_m.minima == tuple(_mirrored(m) for m in reversed(geo.minima))
+    assert geo_m.barrier == _mirrored(geo.barrier)
+    swap = {WellSide.LEFT: WellSide.RIGHT, WellSide.RIGHT: WellSide.LEFT,
+            WellSide.SYMMETRIC: WellSide.SYMMETRIC}
+    assert geo_m.deeper_well_side is swap[geo.deeper_well_side]
+
+
+# coefficients that stay normal numbers under the largest scaling below
+normal_coeff = st.one_of(st.just(0.0), st.floats(-8.0, 8.0).filter(lambda c: abs(c) > 1e-100))
+scalable_pots = st.builds(QuarticPotential, c4=st.floats(0.1, 2.0), c3=normal_coeff,
+                          c2=normal_coeff, c1=normal_coeff, c0=normal_coeff)
+
+
+# a tolerance with an absolute part calls both examples symmetric: at
+# k = -60 both minimum values lie below 1e-16, and at j = -45 the single
+# minimum sits at -1.8e-14
+@example(pot=QuarticPotential.from_well_params(1.0, 10.0, 3.0), k=-60, j=0)
+@example(pot=QuarticPotential(1.0, 0.0, 0.0, 1.0, 0.0), k=0, j=-45)
+@given(pot=scalable_pots, k=st.integers(-60, 60), j=st.integers(-30, 30))
+def test_geometry_is_exactly_scale_covariant(pot, k, j):
+    # 2^k V(2^-j x): minima and barrier at 2^j x, values 2^k v, same side
+    scaled = QuarticPotential(
+        *(math.ldexp(c, k - j * (4 - i)) for i, c in enumerate(pot.coefficients))
+    )
+    geo, geo_s = critical_points(pot), critical_points(scaled)
+
+    def scale(point):
+        return None if point is None else (math.ldexp(point[0], j), math.ldexp(point[1], k))
+
+    assert geo_s.minima == tuple(scale(m) for m in geo.minima)
+    assert geo_s.barrier == scale(geo.barrier)
+    assert geo_s.deeper_well_side is geo.deeper_well_side
+
+
+def test_single_well_side_is_the_sign_of_its_minimum():
+    # minimum at -2.9e-14: tilted left, however close to the origin
+    geo = critical_points(QuarticPotential(1.0, 0.0, 0.0, 1e-40, 0.0))
+    assert geo.minima[0][0] < 0.0
+    assert geo.deeper_well_side is WellSide.LEFT
+    assert critical_points(QuarticPotential(1.0)).deeper_well_side is WellSide.SYMMETRIC
+
+
+def test_nearly_symmetric_well_reads_the_deeper_side():
+    # right minimum -4.2e-14, left 2.8e-15: the right well is 15 times deeper
+    geo = critical_points(QuarticPotential(1.0, 0.0, -2.668078851075046e-07,
+                                           -6.27583746464877e-11, 0.0))
+    (_, v_left), (_, v_right) = geo.minima
+    assert v_right < v_left
+    assert geo.deeper_well_side is WellSide.RIGHT
