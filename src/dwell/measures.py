@@ -104,14 +104,16 @@ def well_occupancy(
     """(p_well_I, p_well_II, mass_left, mass_right) of every state in the
     (states, samples) rows psi, one entry per state; well I is the deeper.
 
-    The probability on the deeper-well side is the density integral below
+    The probability on the deeper-well side is the density integral up to
     the barrier over the full integral, for all states at once along the
-    contiguous sample axis, so each equals its single-state value.  The
+    contiguous sample axis, so each equals its single-state value.  On a
+    `build_grid` grid the barrier is a panel boundary, so the integral up
+    to it is a sum of whole Simpson panels (see `probability_below`).  The
     masses are the unnormalized integrals of |psi|^2 left and right of the
-    barrier.  A single well gives 1, 0, nan, nan for every state.  The
-    deeper side is the one `critical_points` finds by comparing the two
-    minimum values exactly; where they are equal (a symmetric well) it is
-    taken as the left one.
+    barrier, and they add up to the full integral.  A single well gives 1,
+    0, nan, nan for every state.  The deeper side is the one
+    `critical_points` finds by comparing the two minimum values exactly;
+    where they are equal (a symmetric well) it is taken as the left one.
     """
     rho = np.abs(psi) ** 2
     if not geometry.is_double_well:

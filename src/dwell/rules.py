@@ -38,9 +38,7 @@ import numpy as np
 from .basis import band_matvec, position_band
 from .measures import Occupancy, classify_occupancy, well_occupancy
 from .potential import QuarticPotential, critical_points
-from .spectrum import (
-    DEFAULT_N_BASIS, DEGENERACY_REL_TOL, certified_states, quasi_degenerate_pairs, solve,
-)
+from .spectrum import DEFAULT_N_BASIS, DEGENERACY_REL_TOL, quasi_degenerate_pairs, solve
 from .wavefunction import DEFAULT_GRID_POINTS, build_grid, position_functions
 
 __all__ = [
@@ -291,9 +289,11 @@ def measured_occupancies(
     Within a quasi-degenerate pair the individual eigenvectors are arbitrary
     rotations of left/right-localized states once the gap falls below solver
     resolution, so pair membership itself marks a state as transitional
-    (classified BOTH) regardless of the measured split.
+    (classified BOTH) regardless of the measured split.  States 0..n_max + 1
+    are solved, so a basis that does not certify n_max + 1 raises
+    BasisTooSmall.
     """
-    spec = solve(pot, n_basis=n_basis, n_states=min(n_max + 2, certified_states(n_basis)))
+    spec = solve(pot, n_basis=n_basis, n_states=n_max + 2)
     pairs = tuple(
         (a, b)
         for a, b, _ in quasi_degenerate_pairs(spec, rel_tol=rel_tol, n_max=n_max + 1)

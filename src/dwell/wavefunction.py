@@ -79,42 +79,17 @@ def simpson(y: np.ndarray, dx: float):
 
 
 def probability_below(grid: UniformGrid, rho: np.ndarray, x_split: float):
-    """Integral over x <= x_split of the densities rho (samples >= 0) on grid.
+    """Integral of the densities rho over the samples up to the panel
+    boundary nearest x_split, along the last axis.
 
-    Along the last axis, on the panels of `simpson`: the whole panels below
-    the split, plus a share of the panel holding the split.  The share
-    integrates the positive part of the panel's interpolating quadratic from
-    the panel's left end to the split, scaled so that the whole panel gives
-    its Simpson value; where the quadratic stays >= 0 it is the quadratic's
-    own integral.  So the result never decreases in x_split, and the
-    integral above the split is `simpson(rho, grid.dx)` minus this one.
+    The panels are those of `simpson`, so the integral above is
+    `simpson(rho, grid.dx)` minus this one.  `build_grid` puts a double
+    well's barrier on a panel boundary, so for its grids this is the
+    integral over x <= barrier.  A split outside the grid gives 0 or the
+    whole integral.
     """
-    if x_split <= grid.x0:
-        return np.zeros(rho.shape[:-1])
-    if x_split >= grid.x_max:
-        return simpson(rho, grid.dx)
-    dx = grid.dx
-    left = 2 * min(int((x_split - grid.x0) / (2.0 * dx)), grid.n_points // 2 - 1)
-    t = (x_split - (grid.x0 + dx * left)) / dx
-    # the quadratic y0 + b s + a s^2, s counted in intervals from the panel's
-    # left end; with samples >= 0 it dips below zero only if convex, and
-    # then between its roots r1 <= r2 inside the panel
-    y0, y1, y2 = rho[..., left], rho[..., left + 1], rho[..., left + 2]
-    a = 0.5 * (y2 - 2.0 * y1 + y0)
-    b = y1 - y0 - a
-    a2 = np.where(a > 0.0, 2.0 * a, np.inf)
-    half = np.sqrt(np.maximum(b * b - 4.0 * a * y0, 0.0)) / a2
-    r1, r2 = np.clip(-b / a2 - half, 0.0, 2.0), np.clip(-b / a2 + half, 0.0, 2.0)
-
-    def integral(u):  # of the quadratic over [0, u]
-        return u * (y0 + u * (0.5 * b + u * a / 3.0))
-
-    # the dip's (<= 0) integral up to the split and over the whole panel
-    dip_below = integral(np.clip(t, r1, r2)) - integral(r1)
-    dip = integral(r2) - integral(r1)
-    whole = integral(2.0)
-    share = (integral(t) - dip_below) * whole / np.where(whole > dip, whole - dip, 1.0)
-    return simpson(rho[..., : left + 1], dx) + dx * share
+    j = min(max(round((x_split - grid.x0) / (2.0 * grid.dx)), 0), grid.n_points // 2)
+    return simpson(rho[..., : 2 * j + 1], grid.dx)
 
 
 def _decay_length(pot: QuarticPotential, x_t: float) -> float:
@@ -135,7 +110,9 @@ def build_grid(
     """Position grid spanning all turning points at e_max plus decay padding.
 
     `points` is the number of intervals (samples = points + 1, kept odd so
-    composite Simpson applies exactly).
+    composite Simpson applies exactly).  A double well's barrier lies on an
+    even sample, a boundary of `simpson`'s panels: the window is moved by
+    at most one interval, which the padding absorbs wherever it is wider.
     """
     if points < MIN_GRID_POINTS:
         raise ValueError(f"points must be >= {MIN_GRID_POINTS}")
@@ -148,7 +125,11 @@ def build_grid(
     pad_lo = 1.2 * max(5.0 * _decay_length(pot, t_lo), 0.2 * span)
     pad_hi = 1.2 * max(5.0 * _decay_length(pot, t_hi), 0.2 * span)
     lo, hi = _round_outward(t_lo - pad_lo, t_hi + pad_hi)
-    return UniformGrid(x0=lo, dx=(hi - lo) / points, n_points=points)
+    dx = (hi - lo) / points
+    barrier = critical_points(pot).barrier
+    if barrier is not None:
+        lo = barrier[0] - 2 * round((barrier[0] - lo) / (2.0 * dx)) * dx
+    return UniformGrid(x0=lo, dx=dx, n_points=points)
 
 
 MOMENTUM_PAD_FACTOR = 6.0

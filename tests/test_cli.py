@@ -515,6 +515,15 @@ def test_validate_rules_report(tmp_path):
     assert len(block["points"]) == 2
 
 
+def test_validate_rules_beyond_the_certified_band_exits_3(tmp_path, capsys):
+    # states 0..33 are certified, but judging state 33 also solves 34
+    argv = ["validate-rules", "--alphas", "1", "--gamma", "3", "--states", "34"]
+    assert main(argv + ["--outdir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: validate-rules failed: state 34 requested ")
+
+
 def test_validate_rules_at_negative_gammas(tmp_path):
     rc = main([
         "validate-rules", "--alphas", "1", "--beta", "20", "--gamma=-3,-1,1,3",

@@ -23,7 +23,7 @@ from dwell import (
 )
 from dwell import phasespace
 from dwell.phasespace import DEFAULT_QUAD_NODES
-from dwell.wavefunction import hermite_functions, probability_below, simpson
+from dwell.wavefunction import hermite_functions, simpson
 
 
 def test_report_fields_are_consistent():
@@ -77,12 +77,14 @@ def fresh_rule_actions(pot, energy, nodes=DEFAULT_QUAD_NODES):
 
 
 def reference_split(grid, psi, geometry):
-    """(p_well_I, p_well_II, mass_left, mass_right) of one state's row from
-    probability_below and simpson."""
+    """(p_well_I, p_well_II, mass_left, mass_right) of one state's row: the
+    Simpson integral up to the sample nearest the barrier, which must be a
+    panel boundary, over the whole one."""
     if not geometry.is_double_well:
         return 1.0, 0.0, math.nan, math.nan
     rho = psi**2
-    below = probability_below(grid, rho, geometry.barrier[0])
+    k = int(np.argmin(np.abs(grid.x - geometry.barrier[0])))
+    below = float(simpson(rho[: k + 1], grid.dx))
     total = float(simpson(rho, grid.dx))
     p_left = below / total
     p_i, p_ii = p_left, 1.0 - p_left

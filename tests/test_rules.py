@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dwell import (
+    BasisTooSmall,
     NoTransitionsFound,
     Occupancy,
     QuarticPotential,
@@ -199,6 +200,15 @@ def test_rule_verdicts_are_mirror_symmetric(gamma):
     assert minus.k == -plus.k
     for verdict in _VERDICTS:
         assert getattr(minus, verdict) == getattr(plus, verdict), verdict
+
+
+def test_rule_validation_beyond_the_certified_band_raises():
+    # 100 functions certify states 0..33; n_max = 40 asks for 0..41, which
+    # must not be measured on 34 states and compared with 41 predictions
+    with pytest.raises(BasisTooSmall, match="state 41 requested"):
+        validate_rules(1.0, 20.0, [3.0], 2.0, n_max=40)
+    with pytest.raises(BasisTooSmall, match="state 34 requested"):
+        rules.measured_occupancies(QuarticPotential.from_well_params(1.0, 20.0, 3.0), 33)
 
 
 def test_rule_validation_rejects_non_positive_delta_gamma_before_any_solve():

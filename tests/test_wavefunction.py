@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, strategies as st
 
 from conftest import confining_quartics, well_solve
 from dwell import (
@@ -243,8 +243,9 @@ def test_simpson_rejects_even_sample_counts(n):
 
 
 def test_probability_below_is_exact_for_a_quadratic_density(rng):
-    # the panel quadratic of a quadratic density is the density itself, so
-    # every split, inside a panel or on a sample, integrates exactly
+    # Simpson's rule is exact for a quadratic, so a split on a panel
+    # boundary integrates exactly; any other split rounds to the nearest
+    # boundary, and one outside the grid to its end
     grid = UniformGrid(x0=-1.3, dx=2.6 / 64, n_points=64)
     a, b, c = 0.3, 0.2, 0.5
     rho = a + b * grid.x + c * grid.x**2
@@ -252,28 +253,33 @@ def test_probability_below_is_exact_for_a_quadratic_density(rng):
     def closed_form(s):
         return sum(k * (s**p - grid.x0**p) / p for k, p in ((a, 1), (b, 2), (c, 3)))
 
-    splits = np.concatenate([
-        rng.uniform(grid.x0, grid.x_max, 200),
-        grid.x[1:-1],
-        grid.x[:-1] + 0.5 * grid.dx,
-    ])
-    for s in splits:
-        assert abs(probability_below(grid, rho, s) - closed_form(s)) <= 1e-13
-    assert abs(probability_below(grid, rho, grid.x_max) - closed_form(grid.x_max)) <= 1e-13
+    boundaries = grid.x[::2]
+    for edge in boundaries:
+        assert abs(probability_below(grid, rho, edge) - closed_form(edge)) <= 1e-13
+    for s in rng.uniform(grid.x0 - 1.0, grid.x_max + 1.0, 200):
+        nearest = boundaries[np.argmin(np.abs(boundaries - s))]
+        assert probability_below(grid, rho, s) == probability_below(grid, rho, nearest)
+    assert probability_below(grid, rho, grid.x0 - 1.0) == 0.0
+    assert probability_below(grid, rho, grid.x_max + 1.0) == simpson(rho, grid.dx)
 
 
 def test_probability_below_grows_past_off_grid_nodes():
     # next to a node of an asymmetric psi the panel quadratic of psi^2 dips
-    # below zero (its plain integral falls by 1.7e-5 here); the split skips
-    # the dip
+    # below zero; the split adds only whole panels, each with a Simpson
+    # value >= 0, so it still never decreases
     grid = UniformGrid(x0=0.0, dx=5.0 / 64, n_points=64)
     rho = (np.sin(3.0 * grid.x) * np.exp(0.5 * grid.x)) ** 2
-    below = [probability_below(grid, rho, s) for s in np.linspace(0.0, 5.0, 4001)]
-    assert np.diff(below).min() >= -1e-14
+    panels = (rho[:-2:2] + 4.0 * rho[1:-1:2] + rho[2::2]) * grid.dx / 3.0
+    below = np.array([probability_below(grid, rho, x) for x in grid.x[::2]])
+    assert below[0] == 0.0
+    assert np.allclose(np.diff(below), panels, rtol=1e-12, atol=0.0)
+    assert np.diff(below).min() >= 0.0
 
 
 @given(pot=confining_quartics())
 def test_probability_below_grows_with_the_split(pot):
+    # a step function of the split: constant between two panel midpoints,
+    # up by one panel's Simpson value at each
     spec = solve(pot, 100, 4)
     grid = build_grid(pot, spec.energy(3), 1024)
     psi, _ = position_functions(spec, grid, 4)
@@ -283,3 +289,60 @@ def test_probability_below_grows_with_the_split(pot):
     assert np.all(below[0] == 0.0)
     assert np.array_equal(below[-1], simpson(rho, grid.dx))
     assert np.diff(below, axis=0).min() >= -1e-14
+    panel = np.argmin(np.abs(splits[:, None] - grid.x[None, ::2]), axis=1)
+    same = panel[1:] == panel[:-1]
+    assert np.array_equal(below[1:][same], below[:-1][same])
+
+
+def _check_barrier_on_panel_boundary(pot, e_max, points):
+    x_b = critical_points(pot).barrier[0]
+    grid = build_grid(pot, e_max, points)
+    # the index on the grid's lattice, in or out of the window
+    k = round((x_b - grid.x0) / grid.dx)
+    assert k % 2 == 0
+    assert abs(grid.x0 + k * grid.dx - x_b) <= 8 * np.finfo(float).eps * (
+        abs(grid.x0) + abs(grid.x_max) + abs(x_b)
+    )
+    if 0 <= k <= grid.n_points:
+        assert np.argmin(np.abs(grid.x - x_b)) == k
+    # the padded window moved by at most one interval
+    tps = turning_points(pot, e_max)
+    assert grid.x0 < tps[0] + grid.dx and grid.x_max > tps[-1] - grid.dx
+    return grid, tps
+
+
+@given(pot=confining_quartics(), lift=st.floats(0.05, 3.0), points=st.integers(512, 2050))
+def test_build_grid_puts_the_barrier_on_a_panel_boundary(pot, lift, points):
+    geometry = critical_points(pot)
+    assume(geometry.is_double_well)
+    v_min = geometry.global_minimum[1]
+    _check_barrier_on_panel_boundary(pot, v_min + lift * (geometry.barrier[1] - v_min), points)
+
+
+@given(
+    beta=st.floats(0.5, 40.0),
+    gamma=st.floats(-8.0, 8.0),
+    points=st.sampled_from([512, 1024, 2046, 4094, 4096]),
+)
+def test_well_parameter_grids_put_the_barrier_on_a_panel_boundary(beta, gamma, points):
+    pot = QuarticPotential.from_well_params(1.0, beta, gamma)
+    geometry = critical_points(pot)
+    assume(geometry.is_double_well)
+    grid, tps = _check_barrier_on_panel_boundary(pot, geometry.barrier[1] + 1.0, points)
+    assert grid.x0 < tps[0] and grid.x_max > tps[-1]
+
+
+@given(pot=confining_quartics())
+def test_well_occupancy_masses_split_at_the_barrier_sample(pot):
+    geometry = critical_points(pot)
+    assume(geometry.is_double_well)
+    spec = solve(pot, 100, 4)
+    grid = build_grid(pot, spec.energy(3), 1024)
+    psi, _ = position_functions(spec, grid, 4)
+    _, _, below, above = well_occupancy(grid, psi, geometry)
+    k = int(np.argmin(np.abs(grid.x - geometry.barrier[0])))
+    rho = psi**2
+    total = simpson(rho, grid.dx)
+    assert np.array_equal(below, simpson(rho[:, : k + 1], grid.dx))
+    assert np.allclose(above, simpson(rho[:, k:], grid.dx), rtol=0.0, atol=1e-14 * total.max())
+    assert np.all(np.abs(below + above - total) <= np.finfo(float).eps * total)
