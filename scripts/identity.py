@@ -10,8 +10,9 @@ validate-rules commands at seeds 0, 7 and 13, `validate-rules --alphas
 0.25,16`, tables 1-5, `phase-space --contours`, `solve --beta 30 --states
 11` at gamma 0, 3.3 and 6, `solve --beta 30 --gamma 0 --states 8
 --grid-points 4094` (a symmetric well whose window cannot stay symmetric:
-the barrier x = 0 must be an even sample of 4094 intervals) and `solve
---poly 1,0,-10,0.5,0`.
+the barrier x = 0 must be an even sample of 4094 intervals), `solve --beta
+30 --gamma 6 --states 4` (its top state is half of a doublet split below
+solver resolution) and `solve --poly 1,0,-10,0.5,0`.
 
 Exit codes, stdout (with the output and cache directories replaced by
 placeholders) and every file a command writes are compared.  A differing
@@ -72,6 +73,8 @@ def commands() -> list[tuple[str, list[str]]]:
     cmds.append(("solve-beta30-gamma0-4094",
                  ["solve", "--beta", "30", "--gamma", "0", "--states", "8",
                   "--grid-points", "4094", *out]))
+    cmds.append(("solve-beta30-gamma6-states4",
+                 ["solve", "--beta", "30", "--gamma", "6", "--states", "4", *out]))
     cmds.append(("solve-poly", ["solve", "--poly", "1,0,-10,0.5,0", *out]))
     return cmds
 

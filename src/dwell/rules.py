@@ -100,12 +100,12 @@ class DeltaGammaEstimate:
 
 
 def _levels(alpha: float, beta: float, gamma: float, n_basis: int):
-    """Energies E_n and slopes dE_n/dgamma = <n|x|n> of the six lowest states.
+    """Energies E_n and slopes dE_n/dgamma = <n|x|n> of the five lowest states.
 
     The basis scale reads only c4 and c2, so H = H0 + gamma x holds exactly in
     the truncated basis along a gamma sweep, and Hellmann-Feynman is exact.
     """
-    spec = solve(QuarticPotential.from_well_params(alpha, beta, gamma), n_basis, 6)
+    spec = solve(QuarticPotential.from_well_params(alpha, beta, gamma), n_basis, 5)
     v = spec.coefficients
     return spec.energies, np.sum(v * band_matvec(position_band(spec.basis), v), axis=0)
 
@@ -286,27 +286,20 @@ def measured_occupancies(
 ) -> tuple[tuple[Occupancy, ...], tuple[tuple[int, int], ...]]:
     """Occupancies of states 0..n_max and the detected quasi-degenerate pairs.
 
-    Within a quasi-degenerate pair the individual eigenvectors are arbitrary
-    rotations of left/right-localized states once the gap falls below solver
-    resolution, so pair membership itself marks a state as transitional
-    (classified BOTH) regardless of the measured split.  States 0..n_max + 1
-    are solved, so a basis that does not certify n_max + 1 raises
-    BasisTooSmall.
+    A doublet split below solver resolution comes out of `solve` as its two
+    equal-<x> states, so its occupancy is read from its own densities like
+    every other state's.  States 0..n_max + 1 are solved, so a basis that
+    does not certify n_max + 1 raises BasisTooSmall.
     """
     spec = solve(pot, n_basis=n_basis, n_states=n_max + 2)
     pairs = tuple(
         (a, b)
         for a, b, _ in quasi_degenerate_pairs(spec, rel_tol=rel_tol, n_max=n_max + 1)
     )
-    paired = {i for ab in pairs for i in ab}
     grid = build_grid(pot, spec.energy(spec.n_verified - 1), grid_points)
     psi, _ = position_functions(spec, grid, n_max + 1)
     p_well_I = well_occupancy(grid, psi, critical_points(pot))[0]
-    occs = tuple(
-        Occupancy.BOTH if n in paired else classify_occupancy(p)
-        for n, p in enumerate(p_well_I)
-    )
-    return occs, pairs
+    return tuple(map(classify_occupancy, p_well_I)), pairs
 
 
 def validate_rules(

@@ -2,29 +2,31 @@
 
 Solving is a thin pipeline: optimal sigma -> position-space band (bandwidth
 4) -> selective symmetric band eigensolver (LAPACK dsbevx), which computes
-only the requested states.  dsbevx is scipy's f2py wrapper, loaded from the
+only the lowest states.  dsbevx is scipy's f2py wrapper, loaded from the
 `scipy/linalg/_flapack` extension file by location, so that no scipy
 package init runs; where that file is missing or lacks dsbevx, the same
 wrapper comes from `scipy.linalg.lapack`.  It is called with the arguments
 of `scipy.linalg.eig_banded(select="i")` and returns the same bits.
 
-For exactly symmetric potentials (c1 = c3 = 0) the band decouples into
-even/odd oscillator-index blocks of bandwidth 2 which are diagonalized
-separately; the merged eigenvectors then carry exact parity, which keeps
-near-degenerate tunneling doublets from coming out as arbitrary left/right
-mixtures.
+A tunneling doublet whose splitting is below solver resolution comes out
+of the solver as an arbitrary rotation of its two states.  `solve` computes
+one state more than asked, so that the top state's partner is present, and
+turns each such pair into its two states of equal <x> before cropping (see
+`_split_doublets`).  In a symmetric well these are the exact even and odd
+states, even first, so every potential takes the same path.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import math
 import os
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
 
-from .basis import BasisSpec, assemble_position, band_matvec, optimal_sigma
+from .basis import BasisSpec, assemble_position, band_matvec, optimal_sigma, position_band
 from .potential import QuarticPotential
 
 __all__ = [
@@ -69,7 +71,7 @@ class Spectrum:
 
     `coefficients[:, n]` expands state n in the sigma-scaled oscillator
     basis (position representation; real).  Only the requested states are
-    computed, and each of them is residual-checked.
+    kept, and each of them is residual-checked.
     """
 
     potential: QuarticPotential
@@ -103,7 +105,7 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-_PARITY_TIE_TOL = 1e-12
+_SPLIT_TOL = 4.0 * np.finfo(float).eps  # doublet gaps below this times ||H||
 _MIRROR = np.array([1.0, -1.0, 1.0, -1.0, 1.0])  # band row 4 - d gets (-1)^d
 
 
@@ -157,34 +159,36 @@ def _lowest(band: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return w[:m], v[:, :m]
 
 
-def _parity_blocks(band: np.ndarray, n_states: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest n_states of the even and odd oscillator-index blocks, merged.
+def _split_doublets(
+    band: np.ndarray, basis: BasisSpec, energies: np.ndarray, vectors: np.ndarray
+) -> None:
+    """Put each unresolved doublet of `vectors` in its equal-<x> basis, in place.
 
-    Valid whenever the +/-1 and +/-3 bands vanish identically; each block is
-    then a bandwidth-2 band made of rows 0, 2, 4 of the full band.  Doublets
-    whose splitting is below solver resolution come out in noise order, so
-    within each tied run the eigenvectors are relabeled even-parity first
-    (the true ordering of tunneling doublets); energies stay as sorted.
+    A pair whose gap is at most _SPLIT_TOL ||H|| (||H|| read as the band's
+    largest absolute column sum) comes out of the solver as an arbitrary
+    rotation of its two states.  With p, r the diagonal and q >= 0 the
+    off-diagonal element of x on the pair, rotating by a = -atan2(p - r,
+    2 q) / 2 gives the two states of equal <x>, the (L +/- R)/sqrt(2) of
+    the left- and right-localized states; the one with more even-index
+    weight comes first.  A parity pair has p = r = 0 exactly, so it keeps
+    its exact parity vectors, even first.
     """
-    n = band.shape[1]
-    energies, vectors, parities = [], [], []
-    for parity in (0, 1):
-        block = band[::2, parity::2]
-        w, v = _lowest(block, min(n_states, block.shape[1]))
-        full = np.zeros((n, w.size))
-        full[parity::2] = v
-        energies.append(w)
-        vectors.append(full)
-        parities.append(np.full(w.size, parity))
-    order = np.argsort(np.concatenate(energies), kind="stable")
-    energies = np.concatenate(energies)[order]
-    vectors = np.hstack(vectors)[:, order]
-    parities = np.concatenate(parities)[order]
-    # even-before-odd inside runs of numerically equal energies
-    steps = np.diff(energies) > _PARITY_TIE_TOL * (1.0 + np.abs(energies[:-1]))
-    runs = np.concatenate([[0], np.cumsum(steps)])
-    vectors = vectors[:, np.lexsort((parities, runs))]
-    return energies[:n_states], vectors[:, :n_states]
+    tol = _SPLIT_TOL * np.abs(band).sum(axis=0).max()
+    n = 0
+    while n + 1 < energies.size:
+        if energies[n + 1] - energies[n] > tol:
+            n += 1
+            continue
+        pair = vectors[:, n : n + 2]
+        (p, q), (_, r) = pair.T @ band_matvec(position_band(basis), pair)
+        v1, v2 = pair.T
+        if q < 0.0:
+            v2, q = -v2, -q
+        a = -0.5 * math.atan2(p - r, 2.0 * q)
+        rotated = [math.cos(a) * v1 + math.sin(a) * v2, math.cos(a) * v2 - math.sin(a) * v1]
+        rotated.sort(key=lambda v: -np.sum(v[::2] ** 2))
+        vectors[:, n], vectors[:, n + 1] = rotated
+        n += 2
 
 
 def solve(
@@ -210,19 +214,20 @@ def solve(
         sigma = optimal_sigma(pot, n_basis)
     basis = BasisSpec(n_basis=n_basis, sigma=sigma)
     band = assemble_position(pot, basis)
+    # solve the mirror image x -> -x (odd bands negated) of a potential
+    # tilted left and map back, so that mirror images get mirrored vectors
+    # to the last bit even where a doublet leaves them ill-conditioned
+    mirrored = pot.c3 < 0.0 or (pot.c3 == 0.0 and pot.c1 < 0.0)
+    canonical = band * _MIRROR[:, None] if mirrored else band
     try:
-        if pot.c1 == 0.0 and pot.c3 == 0.0:
-            energies, vectors = _parity_blocks(band, n_states)
-        elif pot.c3 < 0.0 or (pot.c3 == 0.0 and pot.c1 < 0.0):
-            # solve the mirror image x -> -x (odd bands negated) and map back,
-            # so that mirror images get mirrored vectors to the last bit even
-            # where a doublet leaves them ill-conditioned
-            energies, vectors = _lowest(band * _MIRROR[:, None], n_states)
-            vectors[1::2] *= -1.0
-        else:
-            energies, vectors = _lowest(band, n_states)
+        # one state more, so that the top state's doublet partner is present
+        energies, vectors = _lowest(canonical, min(n_states + 1, n_basis))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK hiccup
         raise ConvergenceFailure(str(exc)) from exc
+    _split_doublets(canonical, basis, energies, vectors)
+    energies, vectors = energies[:n_states], vectors[:, :n_states]
+    if mirrored:
+        vectors[1::2] *= -1.0
     vectors = _fix_signs(vectors)
     res_norms = np.linalg.norm(band_matvec(band, vectors) - vectors * energies, axis=0)
     bounds = RESIDUAL_TOL * np.maximum(1.0, np.abs(energies))

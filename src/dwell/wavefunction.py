@@ -93,11 +93,11 @@ def probability_below(grid: UniformGrid, rho: np.ndarray, x_split: float):
 
 
 def _decay_length(pot: QuarticPotential, x_t: float) -> float:
-    """Airy decay scale past a turning point; harmonic fallback at tangency."""
+    """Airy decay scale past a turning point; harmonic fallback at tangency,
+    and the quartic's own scale c4^(-1/6) where both vanish."""
     slope = abs(pot.derivative(x_t))
     curv = max(pot.second_derivative(x_t), 0.0)
-    denom = slope ** (1.0 / 3.0) + curv ** 0.25 + 1e-30
-    return 1.0 / denom
+    return 1.0 / max(slope ** (1.0 / 3.0) + curv ** 0.25, pot.c4 ** (1.0 / 6.0))
 
 
 def _round_outward(lo: float, hi: float) -> tuple[float, float]:

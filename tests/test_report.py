@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from conftest import confining_quartics, ladder_moments
 from dwell import (
@@ -221,16 +221,42 @@ def reports_or_error(pot):
         return type(exc)
 
 
+def test_unresolved_doublet_reads_both_whatever_the_number_of_states():
+    # at beta 30, gamma 6 (k = 3) E3 and E4 agree to solver resolution; with
+    # 4 states the partner of state 3 is the extra state solve crops
+    pot = QuarticPotential.from_well_params(1.0, 30.0, 6.0)
+    reports = [state_reports(pot, n_states=n)[3] for n in (4, 7, 9)]
+    for rep in reports:
+        assert rep.occupancy is Occupancy.BOTH
+        assert rep.p_well_I == pytest.approx(reports[0].p_well_I, abs=1e-12)
+        assert rep.mean_x == pytest.approx(reports[0].mean_x, abs=1e-12)
+    assert reports[0].p_well_I == pytest.approx(0.5, abs=1e-6)
+
+
+SWAPPED = {Occupancy.WELL_I: Occupancy.WELL_II, Occupancy.WELL_II: Occupancy.WELL_I,
+           Occupancy.BOTH: Occupancy.BOTH}
+
+
 @given(pot=confining_quartics())
+# equal minimum values: both images call their left well I, so the mirror
+# swaps the wells' probabilities (0.5 + 9.9e-13 and 0.5 - 9.9e-13 here)
+@example(pot=QuarticPotential(0.5, 1.4731971009729976e-297, -8.0, 2.1036495604266798e-20, 0.0))
 def test_mirror_keeps_reports_and_flips_mean_x(pot):
     reports = reports_or_error(pot)
     mirrored = reports_or_error(mirror(pot))
     if reports is NotNormalized:
         assert mirrored is NotNormalized
         return
+    geometry = critical_points(pot)
+    swapped = geometry.is_double_well and geometry.deeper_well_side is WellSide.SYMMETRIC
     for rep, rep_m in zip(reports, mirrored, strict=True):
-        assert rep_m.occupancy is rep.occupancy
-        assert rep_m.p_well_I == pytest.approx(rep.p_well_I, abs=1e-12)
+        if swapped:
+            assert rep_m.occupancy is SWAPPED[rep.occupancy]
+            assert rep_m.p_well_I == pytest.approx(rep.p_well_II, abs=1e-12)
+            assert rep_m.p_well_II == pytest.approx(rep.p_well_I, abs=1e-12)
+        else:
+            assert rep_m.occupancy is rep.occupancy
+            assert rep_m.p_well_I == pytest.approx(rep.p_well_I, abs=1e-12)
         assert rep_m.mean_x == pytest.approx(-rep.mean_x, abs=1e-10)
         for key in MEASURES:
             got, want = getattr(rep_m, key), getattr(rep, key)

@@ -11,7 +11,18 @@ from hypothesis import example, given, strategies as st
 from scipy.linalg import eigh, eigvalsh
 
 from conftest import assemble_momentum, confining_quartics, ladder_hamiltonian
-from dwell import QuarticPotential, mirror, quasi_degenerate_pairs, solve, uncertainties
+from dwell import (
+    QuarticPotential,
+    build_grid,
+    critical_points,
+    mirror,
+    position_functions,
+    quasi_degenerate_pairs,
+    solve,
+    spectrum,
+    uncertainties,
+    well_occupancy,
+)
 
 ENERGY_TOL = 1e-11
 RESIDUAL_TOL = 1e-10
@@ -127,3 +138,50 @@ def test_scaling_law(alpha, beta, gamma, lam):
         assert lam * delta_xs[n] == pytest.approx(delta_x[n], rel=rel)
         assert delta_ps[n] / lam == pytest.approx(delta_p[n], rel=rel)
         assert delta_xs[n] * delta_ps[n] == pytest.approx(delta_x[n] * delta_p[n], rel=rel)
+
+
+@given(
+    alpha=st.floats(0.5, 2.0),
+    beta=st.floats(2.0, 40.0),
+    k=st.one_of(st.integers(-4, 4).map(float), st.floats(-4.0, 4.0)),
+    n_states=st.integers(1, 9),
+)
+# k = 3: the doublets (3, 4), (5, 6) and (7, 8) are split far below solver
+# resolution, and state 7, half of the third, is the state the smaller solve
+# computes and crops
+@example(alpha=1.0, beta=30.0, k=3.0, n_states=7)
+def test_shared_states_do_not_depend_on_the_number_solved(alpha, beta, k, n_states):
+    pot = QuarticPotential.from_well_params(alpha, beta, 2.0 * np.sqrt(alpha) * k)
+    spec = solve(pot, 100, n_states)
+    more = solve(pot, 100, n_states + 2)
+    grid = build_grid(pot, more.energy(n_states + 1), 1024)
+    geometry = critical_points(pot)
+    p_well, p_well_more = (
+        well_occupancy(grid, position_functions(s, grid, n_states)[0], geometry)[0]
+        for s in (spec, more)
+    )
+    mean_x, delta_x, _ = uncertainties(spec)
+    mean_x_more = uncertainties(more)[0][:n_states]
+    norm = np.abs(ladder_hamiltonian(pot, spec.basis)).sum(axis=0).max()
+    split_tol = spectrum._SPLIT_TOL * norm
+    e = more.energies
+    n = 0
+    while n < n_states:
+        gap = e[n + 1] - e[n]
+        # a pair split below the threshold is the same pair of equal-<x>
+        # states in both solves
+        if gap <= split_tol / 10.0:
+            for m in (n, n + 1)[: n_states - n]:
+                assert mean_x[m] == pytest.approx(mean_x_more[m], abs=1e-12)
+                assert p_well[m] == pytest.approx(p_well_more[m], abs=1e-12)
+            n += 2
+        # near the threshold the two solves' rounding can split a pair in one
+        # and leave it in the other, so the gray zone is skipped
+        elif gap < 10.0 * split_tol:
+            n += 2
+        # any other vector is fixed to about eps ||H|| / gap (Davis-Kahan)
+        else:
+            bound = 4.0 * np.finfo(float).eps * norm / np.min(np.abs(np.delete(e, n) - e[n]))
+            assert abs(mean_x[n] - mean_x_more[n]) <= bound * max(1.0, delta_x[n])
+            assert abs(p_well[n] - p_well_more[n]) <= bound
+            n += 1

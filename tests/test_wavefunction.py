@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from conftest import confining_quartics, well_solve
 from dwell import (
@@ -305,13 +305,16 @@ def _check_barrier_on_panel_boundary(pot, e_max, points):
     )
     if 0 <= k <= grid.n_points:
         assert np.argmin(np.abs(grid.x - x_b)) == k
-    # the padded window moved by at most one interval
+    # the window, moved by at most one interval, still covers every turning point
     tps = turning_points(pot, e_max)
-    assert grid.x0 < tps[0] + grid.dx and grid.x_max > tps[-1] - grid.dx
-    return grid, tps
+    assert grid.x0 < tps[0] and grid.x_max > tps[-1]
 
 
 @given(pot=confining_quartics(), lift=st.floats(0.05, 3.0), points=st.integers(512, 2050))
+# a right well 6e-302 deep: at energy 0 three turning points lie within
+# 1e-100 of the barrier top, where V' and V'' all but vanish, so the padding
+# falls back on the quartic's own decay scale
+@example(pot=QuarticPotential(1.0, 1.0, 0.0, -2.990141850786371e-201, 0.0), lift=1.0, points=512)
 def test_build_grid_puts_the_barrier_on_a_panel_boundary(pot, lift, points):
     geometry = critical_points(pot)
     assume(geometry.is_double_well)
@@ -328,8 +331,7 @@ def test_well_parameter_grids_put_the_barrier_on_a_panel_boundary(beta, gamma, p
     pot = QuarticPotential.from_well_params(1.0, beta, gamma)
     geometry = critical_points(pot)
     assume(geometry.is_double_well)
-    grid, tps = _check_barrier_on_panel_boundary(pot, geometry.barrier[1] + 1.0, points)
-    assert grid.x0 < tps[0] and grid.x_max > tps[-1]
+    _check_barrier_on_panel_boundary(pot, geometry.barrier[1] + 1.0, points)
 
 
 @given(pot=confining_quartics())
