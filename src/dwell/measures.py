@@ -104,28 +104,27 @@ def well_occupancy(
     """(p_well_I, p_well_II, mass_left, mass_right) of every state in the
     (states, samples) rows psi, one entry per state; well I is the deeper.
 
-    The probability on the deeper-well side is the density integral up to
-    the barrier over the full integral, for all states at once along the
-    contiguous sample axis, so each equals its single-state value.  On a
-    `build_grid` grid the barrier is a panel boundary, so the integral up
-    to it is a sum of whole Simpson panels (see `probability_below`).  The
-    masses are the unnormalized integrals of |psi|^2 left and right of the
-    barrier, and they add up to the full integral.  A single well gives 1,
-    0, nan, nan for every state.  The deeper side is the one
-    `critical_points` finds by comparing the two minimum values exactly;
-    where they are equal (a symmetric well) it is taken as the left one.
+    The masses are the unnormalized integrals of |psi|^2 left and right of
+    the barrier, each a sum of its own whole Simpson panels (see
+    `probability_below`): on a `build_grid` grid the barrier is a panel
+    boundary.  Each well's probability is its mass over the sum of both, so
+    both lie in [0, 1] and the smaller keeps its own relative precision.
+    All states are integrated at once along the contiguous sample axis, so
+    each equals its single-state value.  A single well gives 1, 0, nan, nan
+    for every state.  The deeper side is the one `critical_points` finds by
+    comparing the two minimum values exactly; where they are equal (a
+    symmetric well) it is taken as the left one.
     """
     rho = np.abs(psi) ** 2
     if not geometry.is_double_well:
         k = len(rho)
         return np.ones(k), np.zeros(k), np.full(k, math.nan), np.full(k, math.nan)
-    below = probability_below(grid, rho, geometry.barrier[0])
-    total = simpson(rho, grid.dx)
-    p_i = below / total
-    p_ii = 1.0 - p_i
+    below, above = probability_below(grid, rho, geometry.barrier[0])
+    total = below + above
+    p_i, p_ii = below / total, above / total
     if geometry.deeper_well_side is WellSide.RIGHT:
         p_i, p_ii = p_ii, p_i
-    return p_i, p_ii, below, total - below
+    return p_i, p_ii, below, above
 
 
 def _check_density(rho: np.ndarray, dx: float) -> None:

@@ -195,13 +195,11 @@ def solve(
     pot: QuarticPotential,
     n_basis: int = DEFAULT_N_BASIS,
     n_states: int = DEFAULT_N_STATES,
-    sigma: float | None = None,
 ) -> Spectrum:
     """The lowest `n_states` eigenpairs in the trace-optimal oscillator basis.
 
     Every returned state is residual-checked; requesting states beyond the
-    certified band (see `certified_states`) raises BasisTooSmall.  `sigma`
-    overrides the trace-optimal basis scale (robustness experiments only).
+    certified band (see `certified_states`) raises BasisTooSmall.
     """
     if n_states < 1 or n_states > n_basis:
         raise ValueError("n_states must be in [1, n_basis]")
@@ -210,9 +208,7 @@ def solve(
             f"state {n_states - 1} requested with only {n_basis} basis functions "
             f"(certified up to state {certified_states(n_basis) - 1})"
         )
-    if sigma is None:
-        sigma = optimal_sigma(pot, n_basis)
-    basis = BasisSpec(n_basis=n_basis, sigma=sigma)
+    basis = BasisSpec(n_basis=n_basis, sigma=optimal_sigma(pot, n_basis))
     band = assemble_position(pot, basis)
     # solve the mirror image x -> -x (odd bands negated) of a potential
     # tilted left and map back, so that mirror images get mirrored vectors
@@ -230,7 +226,8 @@ def solve(
         vectors[1::2] *= -1.0
     vectors = _fix_signs(vectors)
     res_norms = np.linalg.norm(band_matvec(band, vectors) - vectors * energies, axis=0)
-    bounds = RESIDUAL_TOL * np.maximum(1.0, np.abs(energies))
+    # floored at sigma, an energy of the basis that scales with the potential
+    bounds = RESIDUAL_TOL * np.maximum(basis.sigma, np.abs(energies))
     if np.any(res_norms > bounds):
         worst = int(np.argmax(res_norms / bounds))
         raise ConvergenceFailure(

@@ -79,29 +79,28 @@ def simpson(y: np.ndarray, dx: float):
 
 
 def probability_below(grid: UniformGrid, rho: np.ndarray, x_split: float):
-    """Integral of the densities rho over the samples up to the panel
-    boundary nearest x_split, along the last axis.
+    """(below, above): integrals of the densities rho over the samples up to
+    and from the panel boundary nearest x_split, along the last axis.
 
-    The panels are those of `simpson`, so the integral above is
-    `simpson(rho, grid.dx)` minus this one.  `build_grid` puts a double
-    well's barrier on a panel boundary, so for its grids this is the
-    integral over x <= barrier.  A split outside the grid gives 0 or the
-    whole integral.
+    Each is a sum of whole panels of `simpson`, so the two add up to
+    `simpson(rho, grid.dx)` up to rounding, and each keeps its own relative
+    precision however small it is.  `build_grid` puts a double well's
+    barrier on a panel boundary, so for its grids these are the integrals
+    over x <= barrier and x >= barrier.  A split outside the grid gives 0
+    on one side and the whole integral on the other.
     """
     j = min(max(round((x_split - grid.x0) / (2.0 * grid.dx)), 0), grid.n_points // 2)
-    return simpson(rho[..., : 2 * j + 1], grid.dx)
+    return simpson(rho[..., : 2 * j + 1], grid.dx), simpson(rho[..., 2 * j :], grid.dx)
 
 
 def _decay_length(pot: QuarticPotential, x_t: float) -> float:
     """Airy decay scale past a turning point; harmonic fallback at tangency,
-    and the quartic's own scale c4^(-1/6) where both vanish."""
+    and the quartic's own scale c4^(-1/6) where both vanish.  cbrt and sqrt
+    commute with scaling by powers of 2 (a 1/3 power does not), so the
+    length for 4^j V(2^j x) is V's times 2^-j exactly."""
     slope = abs(pot.derivative(x_t))
     curv = max(pot.second_derivative(x_t), 0.0)
-    return 1.0 / max(slope ** (1.0 / 3.0) + curv ** 0.25, pot.c4 ** (1.0 / 6.0))
-
-
-def _round_outward(lo: float, hi: float) -> tuple[float, float]:
-    return math.floor(lo * 100.0) / 100.0, math.ceil(hi * 100.0) / 100.0
+    return float(1.0 / max(np.cbrt(slope) + math.sqrt(math.sqrt(curv)), np.sqrt(np.cbrt(pot.c4))))
 
 
 def build_grid(
@@ -113,6 +112,9 @@ def build_grid(
     composite Simpson applies exactly).  A double well's barrier lies on an
     even sample, a boundary of `simpson`'s panels: the window is moved by
     at most one interval, which the padding absorbs wherever it is wider.
+    The window is not rounded: its edges and step come from the turning
+    points and decay lengths alone, so the grid of 4^j V(2^j x) is V's
+    scaled by 2^-j, bit for bit.
     """
     if points < MIN_GRID_POINTS:
         raise ValueError(f"points must be >= {MIN_GRID_POINTS}")
@@ -121,11 +123,11 @@ def build_grid(
     if tps.size == 0:
         raise ValueError("e_max lies below the potential minimum")
     t_lo, t_hi = float(tps[0]), float(tps[-1])
-    span = max(t_hi - t_lo, 1e-6)
+    span = t_hi - t_lo
     pad_lo = 1.2 * max(5.0 * _decay_length(pot, t_lo), 0.2 * span)
     pad_hi = 1.2 * max(5.0 * _decay_length(pot, t_hi), 0.2 * span)
-    lo, hi = _round_outward(t_lo - pad_lo, t_hi + pad_hi)
-    dx = (hi - lo) / points
+    lo = t_lo - pad_lo
+    dx = (t_hi + pad_hi - lo) / points
     barrier = critical_points(pot).barrier
     if barrier is not None:
         lo = barrier[0] - 2 * round((barrier[0] - lo) / (2.0 * dx)) * dx
@@ -143,7 +145,8 @@ def build_momentum_grid(
     Every state below e_max satisfies <p^2> <= e_max - V_min, so extending
     the grid to 6 of those standard deviations keeps the unrepresented
     Gaussian-scale tail mass below ~1e-9 (a bare 1.5x classical bound leaves
-    ~1e-4 outside for deep wells).
+    ~1e-4 outside for deep wells).  The window is not rounded, so the grid
+    of 4^j V(2^j x) is V's scaled by 2^j, bit for bit.
     """
     if points < MIN_GRID_POINTS:
         raise ValueError(f"points must be >= {MIN_GRID_POINTS}")
@@ -152,7 +155,6 @@ def build_momentum_grid(
     if e_max <= v_min:
         raise ValueError("e_max lies below the potential minimum")
     p_max = MOMENTUM_PAD_FACTOR * math.sqrt(e_max - v_min)
-    p_max = math.ceil(p_max * 100.0) / 100.0
     return UniformGrid(x0=-p_max, dx=2.0 * p_max / points, n_points=points)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -47,6 +48,46 @@ def confining_quartics(draw, symmetric=False):
     c3 = draw(st.floats(-2.0, 2.0).filter(lambda c: c != 0.0))
     c1 = draw(st.floats(-5.0, 5.0))
     return QuarticPotential(c4, c3, c2, c1, c0)
+
+
+# coefficients that stay normal numbers under 2^k V(2^-j x) for |k| <= 60 and
+# |j| <= 30
+normal_coeff = st.one_of(st.just(0.0), st.floats(-8.0, 8.0).filter(lambda c: abs(c) > 1e-100))
+scalable_pots = st.builds(QuarticPotential, c4=st.floats(0.1, 2.0), c3=normal_coeff,
+                          c2=normal_coeff, c1=normal_coeff, c0=normal_coeff)
+
+
+# p^2 + lam^2 V(lam x) is lam^2 times p^2 + V(x) with x shrunk by lam, so a
+# column of its states' reports is lam^power times V's, s_x moves by
+# -ln(lam) and s_p by +ln(lam), and every other column is unchanged
+REPORT_POWERS = {
+    "energy": 2, "mean_x": -1, "delta_x": -1, "delta_p": 1,
+    "i_x": 2, "i_p": -2, "e_x": 1, "e_p": -1,
+}
+
+
+def assert_reports_follow_the_scaling_law(reports, scaled, lam, rel, norms=None, states=None):
+    """Each float column of `scaled` (the reports of lam^2 V(lam x)) equals
+    `reports`' under the law to rel, relative or, below 1, absolute; every
+    other column is equal.
+
+    On grids scaled with the potential, -int rho ln rho moves by ln(lam)
+    times the density's integral on the grid, which the finite window leaves
+    a little short of 1: `norms` holds each state's (x, p) integrals, 1
+    where omitted.
+    """
+    for n in range(len(reports)) if states is None else states:
+        norm_x, norm_p = norms[n] if norms else (1.0, 1.0)
+        got = dataclasses.asdict(scaled[n])
+        for name, power in REPORT_POWERS.items():
+            got[name] /= lam**power
+        got["s_x"] += norm_x * math.log(lam)
+        got["s_p"] -= norm_p * math.log(lam)
+        for name, value in dataclasses.asdict(reports[n]).items():
+            if isinstance(value, float):
+                assert got[name] == pytest.approx(value, rel=rel, abs=rel), (n, name)
+            else:
+                assert got[name] == value, (n, name)
 
 
 # ---------------------------------------------------------------- oracles

@@ -368,7 +368,7 @@ def test_criterion_08_scaling_invariance():
     dev_shift = float(np.max(np.abs(s_x[1] - (s_x[0] - math.log(lam)))))
     ok = report(
         "8",
-        dev_total <= 1e-6 and dev_shift <= 1e-6,
+        dev_total <= 1e-12 and dev_shift <= 1e-12,
         f"S_total invariant to {dev_total:.1e}, S_x shift -ln(lambda) to {dev_shift:.1e}",
     )
     assert ok

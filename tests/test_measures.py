@@ -24,6 +24,7 @@ from dwell import (
     uncertainties,
     well_occupancy,
 )
+from dwell.cli import resolve_potential
 from dwell.measures import classify_occupancy, os_measure
 from dwell.wavefunction import simpson
 
@@ -169,6 +170,32 @@ def test_single_well_occupancy():
     assert classify_occupancy(p_i[0]) is Occupancy.WELL_I
     assert np.all(p_i == 1.0) and np.all(p_ii == 0.0)
     assert np.all(np.isnan(mass_left)) and np.all(np.isnan(mass_right))
+
+
+def test_well_probabilities_lie_in_the_unit_interval():
+    # the rows of `sweep --alpha 1 --beta 5,10,15,20,25,30 --gamma 0:7:0.25
+    # --states 8`: a probability taken as 1 minus the other read
+    # 1.0000000000000002 and -2.2e-16 in 39 of them, the first at beta 15,
+    # gamma 7, n 0; each side's own panel sum keeps the smaller one at its
+    # relative precision
+    for beta in (5.0, 10.0, 15.0, 20.0, 25.0, 30.0):
+        for gamma in (0.25 * i for i in range(29)):
+            pot = resolve_potential(1.0, beta, gamma, "auto")
+            spec = solve(pot, 100, 8)
+            grid = build_grid(pot, spec.energy(7), 4096)
+            psi, _ = position_functions(spec, grid, 8)
+            geometry = critical_points(pot)
+            p_i, p_ii, _, _ = well_occupancy(grid, psi, geometry)
+            assert np.all((p_i >= 0.0) & (p_i <= 1.0) & (p_ii >= 0.0) & (p_ii <= 1.0))
+            if not geometry.is_double_well:
+                continue
+            rho = psi**2
+            k = int(np.argmin(np.abs(grid.x - geometry.barrier[0])))
+            sides = np.array([simpson(rho[:, : k + 1], grid.dx), simpson(rho[:, k:], grid.dx)])
+            smaller = sides.min(axis=0) / simpson(rho, grid.dx)
+            assert np.allclose(np.minimum(p_i, p_ii), smaller, rtol=1e-12, atol=0.0)
+            if (beta, gamma) == (15.0, 7.0):
+                assert p_i[0] == 1.0 and 0.0 < p_ii[0] < 1e-16
 
 
 def test_fisher_analytic_matches_finite_differences():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from conftest import scalable_pots
 from dwell import QuarticPotential, WellSide, critical_points, mirror, turning_points
 
 well_pots = st.builds(
@@ -143,12 +144,6 @@ def test_mirror_negates_critical_points(pot):
     swap = {WellSide.LEFT: WellSide.RIGHT, WellSide.RIGHT: WellSide.LEFT,
             WellSide.SYMMETRIC: WellSide.SYMMETRIC}
     assert geo_m.deeper_well_side is swap[geo.deeper_well_side]
-
-
-# coefficients that stay normal numbers under the largest scaling below
-normal_coeff = st.one_of(st.just(0.0), st.floats(-8.0, 8.0).filter(lambda c: abs(c) > 1e-100))
-scalable_pots = st.builds(QuarticPotential, c4=st.floats(0.1, 2.0), c3=normal_coeff,
-                          c2=normal_coeff, c1=normal_coeff, c0=normal_coeff)
 
 
 # a tolerance with an absolute part calls both examples symmetric: at

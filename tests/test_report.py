@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 
-from conftest import confining_quartics, ladder_moments
+from conftest import assert_reports_follow_the_scaling_law, confining_quartics, ladder_moments
 from dwell import (
     NotNormalized,
     Occupancy,
@@ -39,6 +39,20 @@ def test_report_fields_are_consistent():
         assert r.lobe_count in (1, 2)
         assert r.converged_flag
         assert np.isfinite(r.os_total)
+
+
+def test_reports_follow_the_scaling_law_at_every_scale():
+    # 4^j W(2^j x) with W = x^4 - 20 x^2 + 3 x: the roots, the grid windows
+    # and the basis all scale with the potential, so the whole record does;
+    # windows rounded to a fixed step were off by 1.75e-3 at j = 14 and lost
+    # the density at j = 16 and j = -20
+    reports = state_reports(QuarticPotential.from_well_params(1.0, 20.0, 3.0), n_states=4)
+    for j in range(-30, 31):
+        lam = 2.0**j
+        scaled = QuarticPotential.from_well_params(lam**6, lam**4 * 20.0, lam**3 * 3.0)
+        assert_reports_follow_the_scaling_law(
+            reports, state_reports(scaled, n_states=4), lam, 1e-12
+        )
 
 
 # ------------------------------------------------ batched layer vs per state

@@ -142,11 +142,14 @@ def test_basis_size_robustness_across_parameter_grid():
             assert rel.max() <= 1e-8
 
 
-def test_sigma_robustness():
+def test_sigma_robustness(monkeypatch):
     pot = QuarticPotential.from_well_params(1.0, 20.0, 3.0)
     ref = solve(pot, 100, 7)
     for factor in (0.8, 1.25):
-        detuned = solve(pot, 100, 7, sigma=factor * ref.basis.sigma)
+        sigma = factor * ref.basis.sigma
+        monkeypatch.setattr(spectrum, "optimal_sigma", lambda pot, n_basis: sigma)
+        detuned = solve(pot, 100, 7)
+        assert detuned.basis.sigma == sigma
         rel = np.abs(detuned.energies[:7] - ref.energies[:7]) / np.maximum(
             1.0, np.abs(ref.energies[:7])
         )

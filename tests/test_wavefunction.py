@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from conftest import confining_quartics, well_solve
+from conftest import confining_quartics, scalable_pots, well_solve
 from dwell import (
     QuarticPotential,
     build_grid,
@@ -244,54 +244,63 @@ def test_simpson_rejects_even_sample_counts(n):
 
 def test_probability_below_is_exact_for_a_quadratic_density(rng):
     # Simpson's rule is exact for a quadratic, so a split on a panel
-    # boundary integrates exactly; any other split rounds to the nearest
-    # boundary, and one outside the grid to its end
+    # boundary integrates exactly on either side; any other split rounds to
+    # the nearest boundary, and one outside the grid to its end
     grid = UniformGrid(x0=-1.3, dx=2.6 / 64, n_points=64)
     a, b, c = 0.3, 0.2, 0.5
     rho = a + b * grid.x + c * grid.x**2
 
-    def closed_form(s):
-        return sum(k * (s**p - grid.x0**p) / p for k, p in ((a, 1), (b, 2), (c, 3)))
+    def closed_form(lo, hi):
+        return sum(k * (hi**p - lo**p) / p for k, p in ((a, 1), (b, 2), (c, 3)))
 
     boundaries = grid.x[::2]
     for edge in boundaries:
-        assert abs(probability_below(grid, rho, edge) - closed_form(edge)) <= 1e-13
+        below, above = probability_below(grid, rho, edge)
+        assert abs(below - closed_form(grid.x0, edge)) <= 1e-13
+        assert abs(above - closed_form(edge, grid.x_max)) <= 1e-13
     for s in rng.uniform(grid.x0 - 1.0, grid.x_max + 1.0, 200):
         nearest = boundaries[np.argmin(np.abs(boundaries - s))]
         assert probability_below(grid, rho, s) == probability_below(grid, rho, nearest)
-    assert probability_below(grid, rho, grid.x0 - 1.0) == 0.0
-    assert probability_below(grid, rho, grid.x_max + 1.0) == simpson(rho, grid.dx)
+    assert probability_below(grid, rho, grid.x0 - 1.0) == (0.0, simpson(rho, grid.dx))
+    assert probability_below(grid, rho, grid.x_max + 1.0) == (simpson(rho, grid.dx), 0.0)
 
 
 def test_probability_below_grows_past_off_grid_nodes():
     # next to a node of an asymmetric psi the panel quadratic of psi^2 dips
-    # below zero; the split adds only whole panels, each with a Simpson
-    # value >= 0, so it still never decreases
+    # below zero; the split moves only whole panels, each with a Simpson
+    # value >= 0, so the side below never decreases and the side above
+    # never increases
     grid = UniformGrid(x0=0.0, dx=5.0 / 64, n_points=64)
     rho = (np.sin(3.0 * grid.x) * np.exp(0.5 * grid.x)) ** 2
     panels = (rho[:-2:2] + 4.0 * rho[1:-1:2] + rho[2::2]) * grid.dx / 3.0
-    below = np.array([probability_below(grid, rho, x) for x in grid.x[::2]])
-    assert below[0] == 0.0
+    below, above = np.array([probability_below(grid, rho, x) for x in grid.x[::2]]).T
+    assert below[0] == 0.0 and above[-1] == 0.0
     assert np.allclose(np.diff(below), panels, rtol=1e-12, atol=0.0)
-    assert np.diff(below).min() >= 0.0
+    assert np.allclose(above[:-1], np.cumsum(panels[::-1])[::-1], rtol=1e-12, atol=0.0)
+    assert np.diff(below).min() >= 0.0 and np.diff(above).max() <= 0.0
 
 
 @given(pot=confining_quartics())
 def test_probability_below_grows_with_the_split(pot):
     # a step function of the split: constant between two panel midpoints,
-    # up by one panel's Simpson value at each
+    # moving one panel's Simpson value from above to below at each
     spec = solve(pot, 100, 4)
     grid = build_grid(pot, spec.energy(3), 1024)
     psi, _ = position_functions(spec, grid, 4)
     rho = psi**2
+    total = simpson(rho, grid.dx)
     splits = np.linspace(grid.x0, grid.x_max, 1001)
-    below = np.array([probability_below(grid, rho, s) for s in splits])
-    assert np.all(below[0] == 0.0)
-    assert np.array_equal(below[-1], simpson(rho, grid.dx))
+    sides = np.array([probability_below(grid, rho, s) for s in splits])
+    below, above = sides[:, 0], sides[:, 1]
+    assert np.all(below[0] == 0.0) and np.array_equal(above[0], total)
+    assert np.array_equal(below[-1], total) and np.all(above[-1] == 0.0)
     assert np.diff(below, axis=0).min() >= -1e-14
+    assert np.diff(above, axis=0).max() <= 1e-14
+    assert np.all(np.abs(below + above - total) <= 4 * np.finfo(float).eps * total)
     panel = np.argmin(np.abs(splits[:, None] - grid.x[None, ::2]), axis=1)
     same = panel[1:] == panel[:-1]
     assert np.array_equal(below[1:][same], below[:-1][same])
+    assert np.array_equal(above[1:][same], above[:-1][same])
 
 
 def _check_barrier_on_panel_boundary(pot, e_max, points):
@@ -334,6 +343,28 @@ def test_well_parameter_grids_put_the_barrier_on_a_panel_boundary(beta, gamma, p
     _check_barrier_on_panel_boundary(pot, geometry.barrier[1] + 1.0, points)
 
 
+@given(pot=scalable_pots, lift=st.floats(0.05, 3.0), j=st.integers(-30, 30))
+# x^4 - 20 x^2 + 3 x at 2^16, whose windows rounded to a step of 0.01 lost
+# the density
+@example(pot=QuarticPotential.from_well_params(1.0, 20.0, 3.0), lift=25.0, j=16)
+# a window 53 away from the barrier: decay lengths from a power 1/3 (rounded)
+# were an ulp apart, which the barrier shift turned into 2.7e-13
+@example(pot=QuarticPotential(0.1, 7.024611152931705, 0.47917347317506076, 0.0, 0.0),
+         lift=0.47917347317506076, j=-1)
+def test_grid_windows_scale_with_the_potential(pot, lift, j):
+    # 4^j V(2^j x): turning points, decay lengths, barrier and V_min all
+    # scale exactly, so the position grid is V's times 2^-j and the momentum
+    # grid V's times 2^j, bit for bit
+    scaled = QuarticPotential(
+        *(math.ldexp(c, j * (6 - i)) for i, c in enumerate(pot.coefficients))
+    )
+    e_max = critical_points(pot).global_minimum[1] + lift
+    e_scaled = math.ldexp(e_max, 2 * j)
+    for build, power in ((build_grid, -j), (build_momentum_grid, j)):
+        grid, grid_s = build(pot, e_max, 512), build(scaled, e_scaled, 512)
+        assert grid_s == UniformGrid(math.ldexp(grid.x0, power), math.ldexp(grid.dx, power), 512)
+
+
 @given(pot=confining_quartics())
 def test_well_occupancy_masses_split_at_the_barrier_sample(pot):
     geometry = critical_points(pot)
@@ -346,5 +377,5 @@ def test_well_occupancy_masses_split_at_the_barrier_sample(pot):
     rho = psi**2
     total = simpson(rho, grid.dx)
     assert np.array_equal(below, simpson(rho[:, : k + 1], grid.dx))
-    assert np.allclose(above, simpson(rho[:, k:], grid.dx), rtol=0.0, atol=1e-14 * total.max())
-    assert np.all(np.abs(below + above - total) <= np.finfo(float).eps * total)
+    assert np.array_equal(above, simpson(rho[:, k:], grid.dx))
+    assert np.all(np.abs(below + above - total) <= 4 * np.finfo(float).eps * total)
