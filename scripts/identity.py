@@ -12,7 +12,10 @@ validate-rules commands at seeds 0, 7 and 13, `validate-rules --alphas
 --grid-points 4094` (a symmetric well whose window cannot stay symmetric:
 the barrier x = 0 must be an even sample of 4094 intervals), `solve --beta
 30 --gamma 6 --states 4` (its top state is half of a doublet split below
-solver resolution), `solve --poly 1,0,-10,0.5,0` and `solve --poly
+solver resolution), `solve --beta 2 --gamma 7 --states 8` (a shallow
+well whose position window loses the most tail, where the grid's Fisher
+integral in x was furthest from 4 <p^2>), `solve --poly 1,0,-10,0.5,0`
+and `solve --poly
 7.922816251426434e+28,0,-3.68934881474191e+20,844424930131968,0 --states
 4` (x^4 - 20 x^2 + 3 x at scale 2^16, a potential far from unit scale).
 
@@ -77,6 +80,8 @@ def commands() -> list[tuple[str, list[str]]]:
                   "--grid-points", "4094", *out]))
     cmds.append(("solve-beta30-gamma6-states4",
                  ["solve", "--beta", "30", "--gamma", "6", "--states", "4", *out]))
+    cmds.append(("solve-beta2-gamma7-states8",
+                 ["solve", "--beta", "2", "--gamma", "7", "--states", "8", *out]))
     cmds.append(("solve-poly", ["solve", "--poly", "1,0,-10,0.5,0", *out]))
     cmds.append(("solve-poly-scaled-2-16",
                  ["solve", "--poly",

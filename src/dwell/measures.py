@@ -3,10 +3,11 @@
 Each measure is computed for all states at once and returned as a tuple of
 arrays with one entry per state, in the order its docstring gives; the
 per-state record is `report.StateReport`.  Moments of x and p are band
-quadratic forms of the coefficient vectors (quadrature-free); the entropic
-functionals are Simpson integrals of sampled densities, with density
-derivatives taken from the analytic Hermite derivative rather than finite
-differences.
+quadratic forms of the coefficient vectors (quadrature-free), and so is
+the position-space Fisher information: psi(x) is real, so I_x = 4 <p^2>.
+The other entropic functionals are Simpson integrals of sampled densities,
+the momentum density's derivative taken from the analytic Hermite
+derivative rather than finite differences.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ __all__ = [
 ]
 
 # lower bounds saturated by the Gaussian ground state: Bialynicki-Birula and
-# Mycielski for the Shannon sum; for the Fisher product, I_x = 4 <p^2> for a
-# real state and Cramer-Rao gives I_p >= 1 / <p^2>
+# Mycielski for the Shannon sum; for the Fisher product, Cramer-Rao for the
+# momentum density, I_p >= 1 / <p^2> (<p> = 0), times I_x = 4 <p^2>
 SHANNON_TOTAL_BOUND = 1.0 + math.log(math.pi)
 FISHER_PRODUCT_BOUND = 4.0
 # values the Gaussian takes, not bounds in either direction: the first
@@ -52,7 +53,6 @@ ONICESCU_PRODUCT_BOUND = 1.0 / (2.0 * math.pi)
 OS_TOTAL_BOUND = 0.5 * math.pi ** (-1.0 / 3.0) * math.exp(2.0 / 3.0)
 
 NORMALIZATION_TOL = 1e-4
-RHO_TINY = 1e-300
 
 WELL_I_THRESHOLD = 0.9
 WELL_II_THRESHOLD = 0.1
@@ -127,12 +127,15 @@ def well_occupancy(
     return p_i, p_ii, below, above
 
 
-def _check_density(rho: np.ndarray, dx: float) -> None:
-    """Raise unless every row of rho integrates to 1 within tolerance."""
-    totals = simpson(rho, dx)
+def _shannon_onicescu(grid: UniformGrid, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S, E) of each row of the densities rho; raise unless every row
+    integrates to 1 within tolerance."""
+    totals = simpson(rho, grid.dx)
     bad = np.abs(totals - 1.0) > NORMALIZATION_TOL
     if np.any(bad):
         raise NotNormalized(f"density integrates to {totals[np.argmax(bad)]:.8f}")
+    shannon = -rho * np.log(np.where(rho > 0.0, rho, 1.0))
+    return simpson(shannon, grid.dx), simpson(rho * rho, grid.dx)
 
 
 def os_measure(s: float, e: float) -> float:
@@ -143,27 +146,24 @@ def os_measure(s: float, e: float) -> float:
 def info_measures(
     xgrid: UniformGrid,
     psi_x: np.ndarray,
-    dpsi_x: np.ndarray,
     pgrid: UniformGrid,
     psi_p: np.ndarray,
     dpsi_p: np.ndarray,
 ) -> tuple[np.ndarray, ...]:
-    """(s_x, s_p, i_x, i_p, e_x, e_p) of every state, one entry per state.
+    """(s_x, s_p, i_p, e_x, e_p) of every state, one entry per state.
 
     psi and dpsi are (states, samples) rows on their grid; all states are
     integrated together along the contiguous sample axis, so each equals
-    its single-state value.  S = -int rho ln rho (0 ln 0 = 0), I = int
-    rho'^2 / rho with rho' = 2 Re(psi* psi') (4 |psi'|^2 at a node), and
-    E = int rho^2.
+    its single-state value.  S = -int rho ln rho (0 ln 0 = 0), E = int
+    rho^2, and I_p = int rho'^2 / rho with rho' = 2 Re(psi* psi').  I_x
+    needs no grid: psi(x) is real, so it is 4 <p^2> (`StateReport.i_x`).
     """
-    per_space = []
-    for grid, psi, dpsi in ((xgrid, psi_x, dpsi_x), (pgrid, psi_p, dpsi_p)):
-        rho, drho = np.abs(psi) ** 2, 2.0 * np.real(np.conj(psi) * dpsi)
-        _check_density(rho, grid.dx)
-        rho_safe = np.maximum(rho, RHO_TINY)
-        shannon = np.where(rho > 0.0, -rho * np.log(rho_safe), 0.0)
-        # at a node on a sample rho'^2 / rho -> 4 |psi'|^2, where it peaks
-        fisher = np.where(rho > RHO_TINY, drho * drho / rho_safe, 4.0 * np.abs(dpsi) ** 2)
-        per_space.append(tuple(simpson(f, grid.dx) for f in (shannon, fisher, rho * rho)))
-    (s_x, i_x, e_x), (s_p, i_p, e_p) = per_space
-    return s_x, s_p, i_x, i_p, e_x, e_p
+    s_x, e_x = _shannon_onicescu(xgrid, psi_x * psi_x)
+    rho = np.abs(psi_p) ** 2
+    s_p, e_p = _shannon_onicescu(pgrid, rho)
+    drho = 2.0 * np.real(np.conj(psi_p) * dpsi_p)
+    # at a node rho'^2 / rho tends to 4 |psi'|^2, where it peaks; a density
+    # below eps^2 of its row's peak is that narrow a spike, taken at its limit
+    node = rho <= np.finfo(float).eps ** 2 * rho.max(axis=-1, keepdims=True)
+    fisher = np.where(node, 4.0 * np.abs(dpsi_p) ** 2, drho * drho / np.where(node, 1.0, rho))
+    return s_x, s_p, simpson(fisher, pgrid.dx), e_x, e_p

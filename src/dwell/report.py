@@ -1,8 +1,9 @@
 """The per-state record of everything the sweep layer exports.
 
 `StateReport` is flat: each field and property is named after its output
-column, and the derived columns (products, sums and composite measures) are
-properties computed in Python floats from the stored fields.
+column, and the derived columns (I_x = 4 delta_p^2, products, sums and
+composite measures) are properties computed in Python floats from the
+stored fields.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ class StateReport:
     effective_nodes: int
     s_x: float
     s_p: float
-    i_x: float
     i_p: float
     e_x: float
     e_p: float
@@ -65,6 +65,12 @@ class StateReport:
     @property
     def s_total(self) -> float:
         return self.s_x + self.s_p
+
+    @property
+    def i_x(self) -> float:
+        """Fisher information of the real psi(x): int rho'^2 / rho =
+        4 int psi'^2 = 4 <p^2>, from the band moment."""
+        return 4.0 * self.delta_p * self.delta_p
 
     @property
     def i_product(self) -> float:
@@ -107,10 +113,10 @@ def state_reports(
     e_top = spec.energy(n_states - 1)
     xgrid = build_grid(pot, e_top, grid_points)
     pgrid = build_momentum_grid(pot, e_top, grid_points)
-    psi_x, dpsi_x = position_functions(spec, xgrid, n_states)
+    psi_x = position_functions(spec, xgrid, n_states)
     psi_p, dpsi_p = momentum_functions(spec, pgrid, n_states)
     mean_x, delta_x, delta_p = uncertainties(spec, n_states)
-    s_x, s_p, i_x, i_p, e_x, e_p = info_measures(xgrid, psi_x, dpsi_x, pgrid, psi_p, dpsi_p)
+    s_x, s_p, i_p, e_x, e_p = info_measures(xgrid, psi_x, pgrid, psi_p, dpsi_p)
     p_i, p_ii, mass_left, mass_right = well_occupancy(xgrid, psi_x, geometry)
 
     reports = []
@@ -135,7 +141,6 @@ def state_reports(
                 effective_nodes=effective_nodes,
                 s_x=float(s_x[n]),
                 s_p=float(s_p[n]),
-                i_x=float(i_x[n]),
                 i_p=float(i_p[n]),
                 e_x=float(e_x[n]),
                 e_p=float(e_p[n]),

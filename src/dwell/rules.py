@@ -297,7 +297,7 @@ def measured_occupancies(
         for a, b, _ in quasi_degenerate_pairs(spec, rel_tol=rel_tol, n_max=n_max + 1)
     )
     grid = build_grid(pot, spec.energy(spec.n_verified - 1), grid_points)
-    psi, _ = position_functions(spec, grid, n_max + 1)
+    psi = position_functions(spec, grid, n_max + 1)
     p_well_I = well_occupancy(grid, psi, critical_points(pot))[0]
     return tuple(map(classify_occupancy, p_well_I)), pairs
 

@@ -178,37 +178,15 @@ def hermite_functions(xt: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _expand(
-    sigma: float, x: np.ndarray, coef: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """sum_l coef[l, j] phi_l(x; sigma) and its d/dx, one row per column j.
+def position_functions(spec: Spectrum, grid: UniformGrid, n_states: int) -> np.ndarray:
+    """psi of states 0..n_states-1 as (n_states, samples) rows.
 
-    One Hermite build serves both.  The derivative is taken in coefficient
-    space: with t = s x, s = sqrt(2 sigma), h_l' = sqrt(2l) h_{l-1} - t h_l
-    gives d/dx sum_l c_l phi_l = s (Phi(D c) - t Phi c), (D c)_{l-1} =
-    sqrt(2l) c_l.
+    One Hermite build serves all states; each row is one state, contiguous
+    in memory.
     """
-    n, m = coef.shape
-    scale = math.sqrt(2.0 * sigma)
-    xt = scale * x
-    amp = (2.0 * sigma) ** 0.25
-    dcoef = np.zeros_like(coef)
-    dcoef[:-1] = np.sqrt(2.0 * np.arange(1, n))[:, None] * coef[1:]
-    both = np.hstack([coef, dcoef]).T @ hermite_functions(xt, n)
-    values = amp * both[:m]
-    derivs = (amp * scale) * (both[m:] - xt * both[:m])
-    return values, derivs
-
-
-def position_functions(
-    spec: Spectrum, grid: UniformGrid, n_states: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(psi, dpsi) for states 0..n_states-1 as (n_states, samples) rows.
-
-    One Hermite build serves all states and both arrays; each row is one
-    state, contiguous in memory.
-    """
-    return _expand(spec.basis.sigma, grid.x, spec.coefficients[:, :n_states])
+    sigma = spec.basis.sigma
+    phi = hermite_functions(math.sqrt(2.0 * sigma) * grid.x, spec.n_basis)
+    return (2.0 * sigma) ** 0.25 * (spec.coefficients[:, :n_states].T @ phi)
 
 
 def momentum_functions(
@@ -218,14 +196,25 @@ def momentum_functions(
     (n_states, samples) rows.
 
     The momentum coefficients (-i)^l c_l are real for even l and imaginary
-    for odd l, so both parts are expanded in real arithmetic with one
-    Hermite build at the dual scale 1 / (4 sigma).
+    for odd l, so both parts and their d/dp are expanded in real arithmetic
+    with one Hermite build at the dual scale sigma_p = 1 / (4 sigma).  The
+    derivative is taken in coefficient space: with t = s p, s =
+    sqrt(2 sigma_p), h_l' = sqrt(2l) h_{l-1} - t h_l gives d/dp sum_l a_l
+    phi_l = s (Phi(D a) - t Phi a), (D a)_{l-1} = sqrt(2l) a_l.
     """
     c = spec.coefficients[:, :n_states]
-    phases = (-1j) ** np.arange(spec.n_basis)
+    n, k = spec.n_basis, c.shape[1]
+    phases = (-1j) ** np.arange(n)
     parts = np.hstack([phases.real[:, None] * c, phases.imag[:, None] * c])
-    values, derivs = _expand(1.0 / (4.0 * spec.basis.sigma), grid.x, parts)
-    k = c.shape[1]
+    sigma_p = 1.0 / (4.0 * spec.basis.sigma)
+    scale = math.sqrt(2.0 * sigma_p)
+    pt = scale * grid.x
+    amp = (2.0 * sigma_p) ** 0.25
+    dparts = np.zeros_like(parts)
+    dparts[:-1] = np.sqrt(2.0 * np.arange(1, n))[:, None] * parts[1:]
+    both = np.hstack([parts, dparts]).T @ hermite_functions(pt, n)
+    values = amp * both[: 2 * k]
+    derivs = (amp * scale) * (both[2 * k :] - pt * both[: 2 * k])
     return values[:k] + 1j * values[k:], derivs[:k] + 1j * derivs[k:]
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 
@@ -7,6 +6,8 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from dwell import QuarticPotential, critical_points, solve
+from dwell.cli import CSV_COLUMNS
+from dwell.wavefunction import hermite_functions
 
 settings.register_profile(
     "numerics",
@@ -69,25 +70,45 @@ REPORT_POWERS = {
 def assert_reports_follow_the_scaling_law(reports, scaled, lam, rel, norms=None, states=None):
     """Each float column of `scaled` (the reports of lam^2 V(lam x)) equals
     `reports`' under the law to rel, relative or, below 1, absolute; every
-    other column is equal.
+    other column is equal.  Every column of `CSV_COLUMNS` is read through
+    getattr, so derived properties are held to the law too.
 
     On grids scaled with the potential, -int rho ln rho moves by ln(lam)
     times the density's integral on the grid, which the finite window leaves
     a little short of 1: `norms` holds each state's (x, p) integrals, 1
-    where omitted.
+    where omitted.  The Shannon shifts carry into s_total and, through
+    exp(2 S / 3), into the powers of the composite measures.
     """
+    log_lam = math.log(lam)
     for n in range(len(reports)) if states is None else states:
         norm_x, norm_p = norms[n] if norms else (1.0, 1.0)
-        got = dataclasses.asdict(scaled[n])
-        for name, power in REPORT_POWERS.items():
-            got[name] /= lam**power
-        got["s_x"] += norm_x * math.log(lam)
-        got["s_p"] -= norm_p * math.log(lam)
-        for name, value in dataclasses.asdict(reports[n]).items():
+        powers = {
+            **REPORT_POWERS,
+            "os_x": 1.0 - 2.0 * norm_x / 3.0,
+            "os_p": 2.0 * norm_p / 3.0 - 1.0,
+            "os_total": 2.0 * (norm_p - norm_x) / 3.0,
+        }
+        shifts = {"s_x": -norm_x * log_lam, "s_p": norm_p * log_lam,
+                  "s_total": (norm_p - norm_x) * log_lam}
+        for name in CSV_COLUMNS:
+            if not hasattr(reports[n], name):
+                continue
+            value, got = getattr(reports[n], name), getattr(scaled[n], name)
             if isinstance(value, float):
-                assert got[name] == pytest.approx(value, rel=rel, abs=rel), (n, name)
+                got = (got - shifts.get(name, 0.0)) / lam ** powers.get(name, 0)
+                assert got == pytest.approx(value, rel=rel, abs=rel), (n, name)
             else:
-                assert got[name] == value, (n, name)
+                assert got == value, (n, name)
+
+
+def hermite_derivative_matrix(sigma, x, n):
+    """d phi_l / dx sampled on x, from h_l' = sqrt(2l) h_{l-1} - t h_l."""
+    scale = math.sqrt(2.0 * sigma)
+    t = scale * x
+    h = hermite_functions(t, n)
+    dh = -t * h
+    dh[1:] += np.sqrt(2.0 * np.arange(1, n))[:, None] * h[:-1]
+    return (2.0 * sigma) ** 0.25 * scale * dh
 
 
 # ---------------------------------------------------------------- oracles

@@ -292,7 +292,7 @@ def test_criterion_06_symmetry_suite():
     pot = QuarticPotential.from_well_params(1.0, 20.0, 0.0)
     geo = critical_points(pot)
     grid = build_grid(pot, spec.energy(6), 4096)
-    psi, _ = position_functions(spec, grid, 6)
+    psi = position_functions(spec, grid, 6)
     p_well_I = well_occupancy(grid, psi, geo)[0]
 
     for p_i, mean_x in zip(p_well_I, uncertainties(spec, 6)[0], strict=True):
@@ -331,7 +331,7 @@ def test_criterion_07_representation_equivalence():
     kernel = np.exp(-1j * np.outer(p_sub, x))
     ft_dev = 0.0
     parseval_dev = 0.0
-    psi_x, _ = position_functions(spec, grid, 4)
+    psi_x = position_functions(spec, grid, 4)
     psi_p, _ = momentum_functions(spec, pgrid, 4)
     for psi, psi_t in zip(psi_x, psi_p, strict=True):
         oracle = kernel @ (w * psi) / math.sqrt(2.0 * math.pi)
@@ -359,9 +359,9 @@ def test_criterion_08_scaling_invariance():
         spec = solve(pot, 100, 5)
         grid = build_grid(pot, spec.energy(4), 4096)
         pgrid = build_momentum_grid(pot, spec.energy(4), 4096)
-        psi_x, dpsi_x = position_functions(spec, grid, 4)
+        psi_x = position_functions(spec, grid, 4)
         psi_p, dpsi_p = momentum_functions(spec, pgrid, 4)
-        sx, sp, *_ = info_measures(grid, psi_x, dpsi_x, pgrid, psi_p, dpsi_p)
+        sx, sp, *_ = info_measures(grid, psi_x, pgrid, psi_p, dpsi_p)
         s_x.append(sx)
         s_total.append(sx + sp)
     dev_total = float(np.max(np.abs(s_total[0] - s_total[1])))

@@ -436,6 +436,23 @@ def test_sweep_worker_pool_matches_serial(tmp_path):
     assert serial == pool
 
 
+def test_sweep_fisher_x_cells_are_the_band_moment_at_any_grid(tmp_path):
+    # I_x of the real psi(x) is 4 <p^2>, read from the band, so its cells
+    # follow delta_p's and do not move with the number of grid points
+    base = ["sweep", "--alpha", "1", "--beta", "2,10,30", "--gamma", "0,3.3,7",
+            "--states", "8", "--workers", "1", "--no-cache"]
+    cells = []
+    for points in ("1024", "4096"):
+        assert main(base + ["--grid-points", points, "--outdir", str(tmp_path / points)]) == 0
+        rows = read_rows(tmp_path / points / "sweep.csv")
+        assert len(rows) == 72
+        for row in rows:
+            dp = float(row["delta_p"])
+            assert row["i_x"] == cli._token(4.0 * dp * dp)
+        cells.append([row["i_x"] for row in rows])
+    assert cells[0] == cells[1]
+
+
 def test_sweep_all_points_failing_exits_3(tmp_path):
     rc = main([
         "sweep", "--alpha", "-1", "--beta", "10", "--gamma", "0,1",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import well_solve
+from conftest import hermite_derivative_matrix, well_solve
 from dwell import (
     FISHER_PRODUCT_BOUND,
     ONICESCU_PRODUCT_BOUND,
@@ -21,6 +21,7 @@ from dwell import (
     momentum_functions,
     position_functions,
     solve,
+    state_reports,
     uncertainties,
     well_occupancy,
 )
@@ -39,9 +40,10 @@ def gaussian_row(sigma, points=4096, half_width=9.0):
 
 
 def gaussian_measures(sigma):
-    """(s_x, s_p, i_x, i_p, e_x, e_p) of the oscillator ground state of
-    position scale sigma; its momentum wavefunction is phi_0(p; 1/(4 sigma))."""
-    measures = info_measures(*gaussian_row(sigma), *gaussian_row(1.0 / (4.0 * sigma)))
+    """(s_x, s_p, i_p, e_x, e_p) of the oscillator ground state of position
+    scale sigma; its momentum wavefunction is phi_0(p; 1/(4 sigma))."""
+    grid, psi, _ = gaussian_row(sigma)
+    measures = info_measures(grid, psi, *gaussian_row(1.0 / (4.0 * sigma)))
     return tuple(float(value) for (value,) in measures)
 
 
@@ -54,8 +56,7 @@ def test_gaussian_shannon_closed_form():
 
 def test_gaussian_fisher_closed_form():
     for sigma in (0.3, 0.5, 1.7):
-        _, _, i_x, i_p, _, _ = gaussian_measures(sigma)
-        assert i_x == pytest.approx(4.0 * sigma, rel=1e-9)
+        _, _, i_p, _, _ = gaussian_measures(sigma)
         assert i_p == pytest.approx(1.0 / sigma, rel=1e-9)
 
 
@@ -68,21 +69,21 @@ def test_gaussian_onicescu_closed_form():
 
 
 def test_oscillator_ground_state_saturates_bounds():
-    # position scale sigma and momentum scale 1/(4 sigma) saturate all four
-    s_x, s_p, i_x, i_p, e_x, e_p = gaussian_measures(0.8)
+    # position scale sigma and momentum scale 1/(4 sigma) saturate all four;
+    # I_x = 4 <p^2> = 4 sigma
+    s_x, s_p, i_p, e_x, e_p = gaussian_measures(0.8)
     assert s_x + s_p == pytest.approx(SHANNON_TOTAL_BOUND, abs=1e-7)
-    assert i_x * i_p == pytest.approx(FISHER_PRODUCT_BOUND, rel=1e-9)
+    assert 4.0 * 0.8 * i_p == pytest.approx(FISHER_PRODUCT_BOUND, rel=1e-9)
     assert e_x * e_p == pytest.approx(ONICESCU_PRODUCT_BOUND, rel=1e-9)
     assert os_measure(s_x + s_p, e_x * e_p) == pytest.approx(OS_TOTAL_BOUND, rel=1e-7)
 
 
 def test_not_normalized_raises():
     grid, psi, dpsi = gaussian_row(0.5)
-    bad = (grid, 1.01**0.5 * psi, 1.01**0.5 * dpsi)
     with pytest.raises(NotNormalized):
-        info_measures(*bad, grid, psi, dpsi)
+        info_measures(grid, 1.01**0.5 * psi, grid, psi, dpsi)
     with pytest.raises(NotNormalized):
-        info_measures(grid, psi, dpsi, *bad)
+        info_measures(grid, psi, grid, 1.01**0.5 * psi, 1.01**0.5 * dpsi)
 
 
 def test_zero_density_regions_are_harmless():
@@ -90,9 +91,9 @@ def test_zero_density_regions_are_harmless():
     for rows in (psi, dpsi):
         rows[:, :10] = 0.0
         rows[:, -10:] = 0.0
-    (s_x,), _, (i_x,), *_ = info_measures(grid, psi, dpsi, grid, psi, dpsi)
+    (s_x,), _, (i_p,), *_ = info_measures(grid, psi, grid, psi, dpsi)
     assert math.isfinite(s_x)
-    assert math.isfinite(i_x)
+    assert math.isfinite(i_p)
 
 
 def test_mean_x_vanishes_for_symmetric_wells():
@@ -119,7 +120,8 @@ def test_algebraic_moments_match_grid_quadrature():
     spec = solve(pot, 100, 4)
     grid = build_grid(pot, spec.energy(3), 4096)
     x = grid.x
-    psi, dpsi = position_functions(spec, grid, 2)
+    psi = position_functions(spec, grid, 2)
+    dpsi = spec.coefficients[:, :2].T @ hermite_derivative_matrix(spec.basis.sigma, x, 100)
     for n, (mean_x, delta_x, delta_p) in enumerate(zip(*uncertainties(spec, 2), strict=True)):
         rho = psi[n] ** 2
         mean = simpson(x * rho, grid.dx)
@@ -136,7 +138,7 @@ def barrier_split(pot, spec, n_states, points):
     """well_occupancy of states 0..n_states-1 on a grid up to the top one:
     (p_well_I, p_well_II, mass_left, mass_right)."""
     grid = build_grid(pot, spec.energy(n_states - 1), points)
-    psi, _ = position_functions(spec, grid, n_states)
+    psi = position_functions(spec, grid, n_states)
     return well_occupancy(grid, psi, critical_points(pot))
 
 
@@ -183,7 +185,7 @@ def test_well_probabilities_lie_in_the_unit_interval():
             pot = resolve_potential(1.0, beta, gamma, "auto")
             spec = solve(pot, 100, 8)
             grid = build_grid(pot, spec.energy(7), 4096)
-            psi, _ = position_functions(spec, grid, 8)
+            psi = position_functions(spec, grid, 8)
             geometry = critical_points(pot)
             p_i, p_ii, _, _ = well_occupancy(grid, psi, geometry)
             assert np.all((p_i >= 0.0) & (p_i <= 1.0) & (p_ii >= 0.0) & (p_ii <= 1.0))
@@ -203,9 +205,10 @@ def test_fisher_analytic_matches_finite_differences():
     spec = solve(pot, 100, 4)
     grid = build_grid(pot, spec.energy(3), 4096)
     pgrid = build_momentum_grid(pot, spec.energy(3), 4096)
-    psi_x, dpsi_x = position_functions(spec, grid, 3)
+    psi_x = position_functions(spec, grid, 3)
     psi_p, dpsi_p = momentum_functions(spec, pgrid, 3)
-    _, _, i_x, i_p, _, _ = info_measures(grid, psi_x, dpsi_x, pgrid, psi_p, dpsi_p)
+    _, _, i_p, _, _ = info_measures(grid, psi_x, pgrid, psi_p, dpsi_p)
+    i_x = 4.0 * uncertainties(spec, 3)[2] ** 2
     assert len(i_x) == len(i_p) == 3
     for n in range(3):
         for psi, analytic, g in ((psi_x[n], i_x[n], grid), (psi_p[n], i_p[n], pgrid)):
@@ -230,10 +233,11 @@ def test_bound_suite_at_localized_point():
     spec = solve(pot, 100, 5)
     grid = build_grid(pot, spec.energy(4), 4096)
     pgrid = build_momentum_grid(pot, spec.energy(4), 4096)
-    psi_x, dpsi_x = position_functions(spec, grid, 4)
+    psi_x = position_functions(spec, grid, 4)
     psi_p, dpsi_p = momentum_functions(spec, pgrid, 4)
-    s_x, s_p, i_x, i_p, e_x, e_p = info_measures(grid, psi_x, dpsi_x, pgrid, psi_p, dpsi_p)
+    s_x, s_p, i_p, e_x, e_p = info_measures(grid, psi_x, pgrid, psi_p, dpsi_p)
     _, delta_x, delta_p = uncertainties(spec, 4)
+    i_x = 4.0 * delta_p**2
     assert len(s_x) == len(delta_x) == 4
     for n in range(4):
         assert delta_x[n] * delta_p[n] >= 0.5 - 1e-9
@@ -257,8 +261,8 @@ def test_excited_oscillator_state_breaks_quadratic_density_bounds():
     dpsi = norm * (1.0 - 2.0 * sigma * x * x) * np.exp(-sigma * x * x)
     assert simpson(psi**2, grid.dx) == pytest.approx(1.0, abs=1e-10)
     # at sigma = 1/2 the momentum wavefunction is -i times the same function
-    (s_x,), (s_p,), _, _, (e_x,), (e_p,) = info_measures(
-        grid, psi[None], dpsi[None], grid, -1j * psi[None], -1j * dpsi[None]
+    (s_x,), (s_p,), _, (e_x,), (e_p,) = info_measures(
+        grid, psi[None], grid, -1j * psi[None], -1j * dpsi[None]
     )
     assert e_x * e_p == pytest.approx((9.0 / 16.0) / (2.0 * math.pi), rel=1e-8)
     assert os_measure(s_x + s_p, e_x * e_p) < OS_TOTAL_BOUND
@@ -273,9 +277,9 @@ def test_scaling_invariance_of_total_shannon():
         spec = solve(pot, 100, 3)
         grid = build_grid(pot, spec.energy(2), 4096)
         pgrid = build_momentum_grid(pot, spec.energy(2), 4096)
-        psi_x, dpsi_x = position_functions(spec, grid, 2)
+        psi_x = position_functions(spec, grid, 2)
         psi_p, dpsi_p = momentum_functions(spec, pgrid, 2)
-        results.append(info_measures(grid, psi_x, dpsi_x, pgrid, psi_p, dpsi_p))
+        results.append(info_measures(grid, psi_x, pgrid, psi_p, dpsi_p))
     (s_x, s_p, *_), (s_x_scaled, s_p_scaled, *_) = results
     assert len(s_x) == len(s_x_scaled) == 2
     for n in range(2):
@@ -286,17 +290,22 @@ def test_scaling_invariance_of_total_shannon():
 
 @pytest.mark.parametrize("beta", [5.0, 10.0, 20.0, 30.0])
 def test_fisher_matches_moments_with_nodes_on_samples(beta):
-    """At gamma 0 each odd state has a node on a sample: x = 0 on the
-    symmetric x grid, p = 0 on the p grid.  There rho'^2 / rho tends to
-    4 |psi'|^2, and the Fisher integrals keep their moment identities
-    I_x = 4 <p^2> (real states) and I_p = 4 <x^2> (parity states)."""
-    pot = QuarticPotential.from_well_params(1.0, beta, 0.0)
-    spec = well_solve(1.0, beta, 0.0)
-    grid = build_grid(pot, spec.energy(7), 4096)
-    pgrid = build_momentum_grid(pot, spec.energy(7), 4096)
-    psi_x, dpsi_x = position_functions(spec, grid, 8)
-    psi_p, dpsi_p = momentum_functions(spec, pgrid, 8)
-    _, _, i_x, i_p, _, _ = info_measures(grid, psi_x, dpsi_x, pgrid, psi_p, dpsi_p)
-    mean_x, delta_x, delta_p = uncertainties(spec, 8)
-    np.testing.assert_allclose(i_x, 4.0 * delta_p**2, rtol=1e-9, atol=0.0)
-    np.testing.assert_allclose(i_p, 4.0 * (delta_x**2 + mean_x**2), rtol=1e-12, atol=0.0)
+    """The report's I_x is 4 <p^2> from the band; on the grid it is the
+    Simpson integral of 4 psi'^2, with psi' from the derivative matrix, at
+    gamma 0 and 3.3.  At gamma 0 each odd state has a node on a sample:
+    x = 0 on the symmetric x grid, p = 0 on the p grid.  There rho'^2 / rho
+    tends to 4 |psi'|^2, and the momentum Fisher integral keeps its moment
+    identity I_p = 4 <x^2> (parity states)."""
+    for gamma in (0.0, 3.3):
+        pot = QuarticPotential.from_well_params(1.0, beta, gamma)
+        spec = well_solve(1.0, beta, gamma)
+        reports = state_reports(pot, n_states=8)
+        grid = build_grid(pot, spec.energy(7), 4096)
+        c = spec.coefficients[:, :8]
+        dpsi = c.T @ hermite_derivative_matrix(spec.basis.sigma, grid.x, spec.n_basis)
+        i_x = np.array([r.i_x for r in reports])
+        np.testing.assert_allclose(4.0 * simpson(dpsi * dpsi, grid.dx), i_x, rtol=1e-9, atol=0.0)
+        if gamma == 0.0:
+            i_p, mean_x, delta_x = (np.array([getattr(r, k) for r in reports])
+                                    for k in ("i_p", "mean_x", "delta_x"))
+            np.testing.assert_allclose(i_p, 4.0 * (delta_x**2 + mean_x**2), rtol=1e-12, atol=0.0)

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 
-from conftest import assert_reports_follow_the_scaling_law, confining_quartics, ladder_moments
+from conftest import (
+    assert_reports_follow_the_scaling_law,
+    confining_quartics,
+    hermite_derivative_matrix,
+    ladder_moments,
+)
 from dwell import (
     NotNormalized,
     Occupancy,
@@ -107,18 +112,24 @@ def reference_split(grid, psi, geometry):
     return p_i, p_ii, below, total - below
 
 
-def reference_measures(grid, psi, dpsi):
-    """Shannon, Fisher and Onicescu integrals of one state's row, by simpson;
-    at a node the Fisher integrand takes its limit 4 |psi'|^2."""
+def reference_measures(grid, psi):
+    """Shannon and Onicescu integrals of one state's row, by simpson."""
     rho = np.abs(psi) ** 2
-    drho = 2.0 * np.real(np.conj(psi) * dpsi)
-    positive = rho > 1e-300
-    safe = np.where(positive, rho, 1.0)
     return (
-        float(simpson(-rho * np.log(safe), grid.dx)),
-        float(simpson(np.where(positive, drho * drho / safe, 4.0 * np.abs(dpsi) ** 2), grid.dx)),
+        float(simpson(-rho * np.log(np.where(rho > 0.0, rho, 1.0)), grid.dx)),
         float(simpson(rho * rho, grid.dx)),
     )
+
+
+def reference_fisher(grid, psi, dpsi):
+    """Fisher integral of one state's row, by simpson; where the density is
+    below eps^2 of its peak (a node) the integrand takes its limit
+    4 |psi'|^2."""
+    rho = np.abs(psi) ** 2
+    drho = 2.0 * np.real(np.conj(psi) * dpsi)
+    node = rho <= np.finfo(float).eps ** 2 * rho.max()
+    safe = np.where(node, 1.0, rho)
+    return float(simpson(np.where(node, 4.0 * np.abs(dpsi) ** 2, drho * drho / safe), grid.dx))
 
 
 def per_state_reference(pot, spec, n_states, grid_points):
@@ -127,7 +138,7 @@ def per_state_reference(pot, spec, n_states, grid_points):
     e_top = spec.energy(n_states - 1)
     xgrid = build_grid(pot, e_top, grid_points)
     pgrid = build_momentum_grid(pot, e_top, grid_points)
-    psi_x, dpsi_x = position_functions(spec, xgrid, n_states)
+    psi_x = position_functions(spec, xgrid, n_states)
     psi_p, dpsi_p = momentum_functions(spec, pgrid, n_states)
     x_mat, x2_mat, p2_mat = ladder_moments(spec.basis)
     rows = []
@@ -135,14 +146,15 @@ def per_state_reference(pot, spec, n_states, grid_points):
         c = spec.coefficients[:, n]
         mean_x = c @ x_mat @ c
         delta_x = math.sqrt(max(c @ x2_mat @ c - mean_x**2, 0.0))
-        delta_p = math.sqrt(c @ p2_mat @ c)
+        mean_p2 = c @ p2_mat @ c
+        delta_p = math.sqrt(mean_p2)
         psi = psi_x[n].copy()
         p_i, p_ii, mass_left, mass_right = reference_split(xgrid, psi, geometry)
         total, effective = count_nodes(
             xgrid, psi, turning_points(pot, spec.energy(n)), geometry, mass_left, mass_right
         )
-        s_x, i_x, e_x = reference_measures(xgrid, psi, dpsi_x[n])
-        s_p, i_p, e_p = reference_measures(pgrid, psi_p[n], dpsi_p[n])
+        s_x, e_x = reference_measures(xgrid, psi)
+        s_p, e_p = reference_measures(pgrid, psi_p[n])
         barrier, allowed, lobes = fresh_rule_actions(pot, spec.energy(n))
         rows.append({
             "energy": spec.energy(n),
@@ -156,8 +168,8 @@ def per_state_reference(pot, spec, n_states, grid_points):
             "effective_nodes": effective,
             "s_x": s_x,
             "s_p": s_p,
-            "i_x": i_x,
-            "i_p": i_p,
+            "i_x": 4.0 * mean_p2,
+            "i_p": reference_fisher(pgrid, psi_p[n], dpsi_p[n]),
             "e_x": e_x,
             "e_p": e_p,
             "barrier_action": barrier,
@@ -197,16 +209,6 @@ def test_batched_reports_match_per_state_reference(name):
             )
 
 
-def hermite_derivative_matrix(sigma, x, n):
-    """d phi_l / dx sampled on x, from h_l' = sqrt(2l) h_{l-1} - t h_l."""
-    scale = math.sqrt(2.0 * sigma)
-    t = scale * x
-    h = hermite_functions(t, n)
-    dh = -t * h
-    dh[1:] += np.sqrt(2.0 * np.arange(1, n))[:, None] * h[:-1]
-    return (2.0 * sigma) ** 0.25 * scale * dh
-
-
 @pytest.mark.parametrize("name", ["asymmetric", "doublet"])
 def test_coefficient_space_derivatives_match_derivative_matrix(name):
     pot = EQUIVALENCE_POINTS[name]
@@ -215,17 +217,20 @@ def test_coefficient_space_derivatives_match_derivative_matrix(name):
     pgrid = build_momentum_grid(pot, spec.energy(5), 2048)
     c = spec.coefficients
     sigma = spec.basis.sigma
-    phases = (-1j) ** np.arange(spec.n_basis)
-    for grid, (psi, dpsi), sig, coef in (
-        (xgrid, position_functions(spec, xgrid, 6), sigma, c),
-        (pgrid, momentum_functions(spec, pgrid, 6), 1.0 / (4.0 * sigma), phases[:, None] * c),
-    ):
+
+    def expansion(sig, grid, coef):
         amp = (2.0 * sig) ** 0.25
-        phi = amp * hermite_functions(math.sqrt(2.0 * sig) * grid.x, spec.n_basis)
-        want_psi = coef.T @ phi
-        want_dpsi = coef.T @ hermite_derivative_matrix(sig, grid.x, spec.n_basis)
-        assert np.abs(psi - want_psi).max() <= REL * np.abs(want_psi).max()
-        assert np.abs(dpsi - want_dpsi).max() <= REL * np.abs(want_dpsi).max()
+        return coef.T @ (amp * hermite_functions(math.sqrt(2.0 * sig) * grid.x, spec.n_basis))
+
+    psi = position_functions(spec, xgrid, 6)
+    want_psi = expansion(sigma, xgrid, c)
+    assert np.abs(psi - want_psi).max() <= REL * np.abs(want_psi).max()
+    psi, dpsi = momentum_functions(spec, pgrid, 6)
+    sig, coef = 1.0 / (4.0 * sigma), ((-1j) ** np.arange(spec.n_basis))[:, None] * c
+    want_psi = expansion(sig, pgrid, coef)
+    want_dpsi = coef.T @ hermite_derivative_matrix(sig, pgrid.x, spec.n_basis)
+    assert np.abs(psi - want_psi).max() <= REL * np.abs(want_psi).max()
+    assert np.abs(dpsi - want_dpsi).max() <= REL * np.abs(want_dpsi).max()
 
 
 def reports_or_error(pot):

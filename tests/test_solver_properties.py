@@ -123,6 +123,10 @@ def test_mirror_images_give_mirrored_eigenpairs_exactly(pot, n_states):
 # E_0 = 1.05e-4: a residual bound floored at 1, not at an energy of the
 # potential, raised ConvergenceFailure from lam = 128 on
 @example(alpha=1.805281393553412, beta=2.0, gamma=2.0, lam=128.0)
+# state 1 is odd with an even admixture of about 1e-151: at its p = 0 node
+# rho is 3.4e-302 for V and 1.09e-300 for the scaled V, on either side of an
+# absolute 1e-300 node threshold, which moved I_p from 3.42005 to 3.40235
+@example(alpha=2.0, beta=2.0, gamma=7.346447748462341e-173, lam=0.03125)
 def test_scaling_law(alpha, beta, gamma, lam):
     # x -> x / lam maps p^2 + V(alpha, beta, gamma) onto lam^-2 times
     # p^2 + V(lam^6 alpha, lam^4 beta, lam^3 gamma), and the trace-optimal
@@ -147,7 +151,7 @@ def test_scaling_law(alpha, beta, gamma, lam):
     # the densities' integrals on the report's grids: the upper states of a
     # shallow well lose up to 1e-8 of theirs outside the position window
     xgrid, pgrid = build_grid(pot, e[6]), build_momentum_grid(pot, e[6])
-    norm_x = simpson(position_functions(spec, xgrid, 7)[0] ** 2, xgrid.dx)
+    norm_x = simpson(position_functions(spec, xgrid, 7) ** 2, xgrid.dx)
     norm_p = simpson(np.abs(momentum_functions(spec, pgrid, 7)[0]) ** 2, pgrid.dx)
     norms = list(zip(norm_x, norm_p))
     for n in range(6):
@@ -176,7 +180,7 @@ def test_shared_states_do_not_depend_on_the_number_solved(alpha, beta, k, n_stat
     grid = build_grid(pot, more.energy(n_states + 1), 1024)
     geometry = critical_points(pot)
     p_well, p_well_more = (
-        well_occupancy(grid, position_functions(s, grid, n_states)[0], geometry)[0]
+        well_occupancy(grid, position_functions(s, grid, n_states), geometry)[0]
         for s in (spec, more)
     )
     mean_x, delta_x, _ = uncertainties(spec)

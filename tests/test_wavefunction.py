@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from conftest import confining_quartics, scalable_pots, well_solve
+from conftest import confining_quartics, hermite_derivative_matrix, scalable_pots, well_solve
 from dwell import (
     QuarticPotential,
     build_grid,
@@ -59,7 +59,7 @@ def test_ground_state_normalized_to_1e8():
     grid = build_grid(pot, 50.0, 4096)
     fine = build_grid(pot, 50.0, 8192)
     for g in (grid, fine):
-        psi, _ = position_functions(spec, g, 1)
+        psi = position_functions(spec, g, 1)
         assert abs(simpson(psi[0] ** 2, g.dx) - 1.0) <= 1e-8
 
 
@@ -85,7 +85,7 @@ def test_position_parity_of_symmetric_states():
     spec = well_solve(1.0, 12.0, 0.0)
     pot = QuarticPotential.from_well_params(1.0, 12.0, 0.0)
     grid = build_grid(pot, spec.energy(5), 2048)
-    psi, _ = position_functions(spec, grid, 4)
+    psi = position_functions(spec, grid, 4)
     for n, sign in ((0, +1.0), (1, -1.0), (2, +1.0), (3, -1.0)):
         vals = psi[n]
         assert np.abs(vals - sign * vals[::-1]).max() <= 1e-10
@@ -96,7 +96,8 @@ def test_energy_functional_on_grid():
     pot = QuarticPotential(0.01, -0.0075, -0.0025, 0.0, 0.0)
     spec = solve(pot, 100, 4)
     grid = build_grid(pot, spec.energy(3), 4096)
-    psi, dpsi = position_functions(spec, grid, 1)
+    psi = position_functions(spec, grid, 1)
+    dpsi = spec.coefficients[:, :1].T @ hermite_derivative_matrix(spec.basis.sigma, grid.x, 100)
     integrand = dpsi[0] ** 2 + pot(grid.x) * psi[0] ** 2
     e0 = simpson(integrand, grid.dx)
     assert e0 == pytest.approx(0.220496934, abs=1e-7)
@@ -125,7 +126,7 @@ def test_momentum_matches_fourier_quadrature_oracle():
     w *= grid.dx / 3.0
     p_sub = pgrid.x[::16]
     kernel = np.exp(-1j * np.outer(p_sub, x))
-    psi_x, _ = position_functions(spec, grid, 4)
+    psi_x = position_functions(spec, grid, 4)
     psi_p, _ = momentum_functions(spec, pgrid, 4)
     for n in range(4):
         oracle = kernel @ (w * psi_x[n]) / math.sqrt(2.0 * math.pi)
@@ -139,7 +140,7 @@ def test_sampled_states_are_contiguous_rows():
     xgrid = build_grid(pot, spec.energy(4), 1024)
     pgrid = build_momentum_grid(pot, spec.energy(4), 1024)
     for grid, arrays in (
-        (xgrid, position_functions(spec, xgrid, 5)),
+        (xgrid, (position_functions(spec, xgrid, 5),)),
         (pgrid, momentum_functions(spec, pgrid, 5)),
     ):
         for rows in arrays:
@@ -151,7 +152,7 @@ def test_grid_orthogonality():
     spec = well_solve(1.0, 20.0, 3.0, n_states=7)
     pot = QuarticPotential.from_well_params(1.0, 20.0, 3.0)
     grid = build_grid(pot, spec.energy(6), 4096)
-    psi, _ = position_functions(spec, grid, 7)
+    psi = position_functions(spec, grid, 7)
     for m in range(7):
         for n in range(m + 1, 7):
             overlap = simpson(psi[m] * psi[n], grid.dx)
@@ -161,7 +162,7 @@ def test_grid_orthogonality():
 def node_counts(pot, spec, n_states, points):
     """count_nodes of states 0..n_states-1 on a grid up to the top one."""
     grid = build_grid(pot, spec.energy(n_states - 1), points)
-    psi, _ = position_functions(spec, grid, n_states)
+    psi = position_functions(spec, grid, n_states)
     geometry = critical_points(pot)
     _, _, mass_left, mass_right = well_occupancy(grid, psi, geometry)
     return [
@@ -286,7 +287,7 @@ def test_probability_below_grows_with_the_split(pot):
     # moving one panel's Simpson value from above to below at each
     spec = solve(pot, 100, 4)
     grid = build_grid(pot, spec.energy(3), 1024)
-    psi, _ = position_functions(spec, grid, 4)
+    psi = position_functions(spec, grid, 4)
     rho = psi**2
     total = simpson(rho, grid.dx)
     splits = np.linspace(grid.x0, grid.x_max, 1001)
@@ -371,7 +372,7 @@ def test_well_occupancy_masses_split_at_the_barrier_sample(pot):
     assume(geometry.is_double_well)
     spec = solve(pot, 100, 4)
     grid = build_grid(pot, spec.energy(3), 1024)
-    psi, _ = position_functions(spec, grid, 4)
+    psi = position_functions(spec, grid, 4)
     _, _, below, above = well_occupancy(grid, psi, geometry)
     k = int(np.argmin(np.abs(grid.x - geometry.barrier[0])))
     rho = psi**2
