@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .measures import (
     Occupancy,
     classify_occupancy,
@@ -19,7 +21,7 @@ from .measures import (
     well_occupancy,
 )
 from .phasespace import area
-from .potential import QuarticPotential, critical_points, turning_points
+from .potential import QuarticPotential, critical_points
 from .spectrum import DEFAULT_N_BASIS, DEFAULT_N_STATES, solve
 from .wavefunction import (
     DEFAULT_GRID_POINTS,
@@ -104,9 +106,9 @@ def state_reports(
 
     Grids are shared across states (built at the highest reported energy);
     wavefunctions, moments, barrier splits and information measures are
-    computed for all states at once.  The node count and the phase-space
-    integrals each ask for a state's turning points; `polyroots` caches
-    them, so the second ask is a lookup.
+    computed for all states at once.  The phase-space integrals come first:
+    each state's outermost lobe edges are its outer turning points, the
+    span that one `count_nodes` call counts every state's nodes in.
     """
     spec = solve(pot, n_basis, n_states)
     geometry = critical_points(pot)
@@ -119,35 +121,32 @@ def state_reports(
     s_x, s_p, i_p, e_x, e_p = info_measures(xgrid, psi_x, pgrid, psi_p, dpsi_p)
     p_i, p_ii, mass_left, mass_right = well_occupancy(xgrid, psi_x, geometry)
 
-    reports = []
-    for n in range(n_states):
-        energy = spec.energy(n)
-        total_nodes, effective_nodes = count_nodes(
-            xgrid, psi_x[n], turning_points(pot, energy), geometry, mass_left[n],
-            mass_right[n], rho_floor,
+    phase = [area(pot, spec.energy(n)) for n in range(n_states)]
+    span = np.array([(ps.lobes[0].x_lo, ps.lobes[-1].x_hi) for ps in phase])
+    total_nodes, effective_nodes = count_nodes(
+        xgrid, psi_x, span, geometry, mass_left, mass_right, rho_floor
+    )
+    return [
+        StateReport(
+            n=n,
+            energy=spec.energy(n),
+            mean_x=float(mean_x[n]),
+            delta_x=float(delta_x[n]),
+            delta_p=float(delta_p[n]),
+            p_well_I=float(p_i[n]),
+            p_well_II=float(p_ii[n]),
+            occupancy=classify_occupancy(float(p_i[n])),
+            total_nodes=int(total_nodes[n]),
+            effective_nodes=int(effective_nodes[n]),
+            s_x=float(s_x[n]),
+            s_p=float(s_p[n]),
+            i_p=float(i_p[n]),
+            e_x=float(e_x[n]),
+            e_p=float(e_p[n]),
+            barrier_action=ps.barrier_action,
+            allowed_action=ps.allowed_action,
+            lobe_count=ps.lobe_count,
+            converged_flag=spec.converged(n),
         )
-        ps = area(pot, energy)
-        reports.append(
-            StateReport(
-                n=n,
-                energy=energy,
-                mean_x=float(mean_x[n]),
-                delta_x=float(delta_x[n]),
-                delta_p=float(delta_p[n]),
-                p_well_I=float(p_i[n]),
-                p_well_II=float(p_ii[n]),
-                occupancy=classify_occupancy(float(p_i[n])),
-                total_nodes=total_nodes,
-                effective_nodes=effective_nodes,
-                s_x=float(s_x[n]),
-                s_p=float(s_p[n]),
-                i_p=float(i_p[n]),
-                e_x=float(e_x[n]),
-                e_p=float(e_p[n]),
-                barrier_action=ps.barrier_action,
-                allowed_action=ps.allowed_action,
-                lobe_count=ps.lobe_count,
-                converged_flag=spec.converged(n),
-            )
-        )
-    return reports
+        for n, ps in enumerate(phase)
+    ]

@@ -74,7 +74,6 @@ class Spectrum:
     kept, and each of them is residual-checked.
     """
 
-    potential: QuarticPotential
     basis: BasisSpec
     energies: np.ndarray
     coefficients: np.ndarray
@@ -103,6 +102,17 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
     signs[signs == 0.0] = 1.0
     return vectors * signs
+
+
+def _pair_starts(energies: np.ndarray, tol) -> list[int]:
+    """First index n of each adjacent pair whose gap E_{n+1} - E_n is at
+    most tol (one per gap, or one for all), greedy from the bottom: a pair
+    overlapping the one taken below it is skipped."""
+    starts: list[int] = []
+    for n in np.flatnonzero(np.diff(energies) <= tol):
+        if not starts or n > starts[-1] + 1:
+            starts.append(int(n))
+    return starts
 
 
 _SPLIT_TOL = 4.0 * np.finfo(float).eps  # doublet gaps below this times ||H||
@@ -174,11 +184,7 @@ def _split_doublets(
     its exact parity vectors, even first.
     """
     tol = _SPLIT_TOL * np.abs(band).sum(axis=0).max()
-    n = 0
-    while n + 1 < energies.size:
-        if energies[n + 1] - energies[n] > tol:
-            n += 1
-            continue
+    for n in _pair_starts(energies, tol):
         pair = vectors[:, n : n + 2]
         (p, q), (_, r) = pair.T @ band_matvec(position_band(basis), pair)
         v1, v2 = pair.T
@@ -188,7 +194,6 @@ def _split_doublets(
         rotated = [math.cos(a) * v1 + math.sin(a) * v2, math.cos(a) * v2 - math.sin(a) * v1]
         rotated.sort(key=lambda v: -np.sum(v[::2] ** 2))
         vectors[:, n], vectors[:, n + 1] = rotated
-        n += 2
 
 
 def solve(
@@ -217,7 +222,7 @@ def solve(
     canonical = band * _MIRROR[:, None] if mirrored else band
     try:
         # one state more, so that the top state's doublet partner is present
-        energies, vectors = _lowest(canonical, min(n_states + 1, n_basis))
+        energies, vectors = _lowest(canonical, n_states + 1)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK hiccup
         raise ConvergenceFailure(str(exc)) from exc
     _split_doublets(canonical, basis, energies, vectors)
@@ -234,7 +239,7 @@ def solve(
             f"residual {res_norms[worst]:.3e} for state {worst} exceeds "
             f"{bounds[worst]:.3e}"
         )
-    return Spectrum(pot, basis, energies, vectors)
+    return Spectrum(basis, energies, vectors)
 
 
 def quasi_degenerate_pairs(
@@ -249,14 +254,6 @@ def quasi_degenerate_pairs(
     """
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
-    top = spec.n_verified if n_max is None else min(n_max + 1, len(spec.energies))
-    pairs: list[tuple[int, int, float]] = []
-    n = 0
-    while n + 1 < top:
-        gap = float(spec.energies[n + 1] - spec.energies[n])
-        if gap <= rel_tol * (1.0 + abs(float(spec.energies[n]))):
-            pairs.append((n, n + 1, gap))
-            n += 2
-        else:
-            n += 1
-    return pairs
+    energies = spec.energies if n_max is None else spec.energies[: max(n_max + 1, 0)]
+    starts = _pair_starts(energies, rel_tol * (1.0 + np.abs(energies[:-1])))
+    return [(n, n + 1, float(energies[n + 1] - energies[n])) for n in starts]

@@ -221,42 +221,38 @@ def momentum_functions(
 def count_nodes(
     grid: UniformGrid,
     psi: np.ndarray,
-    turning: np.ndarray,
+    span: np.ndarray,
     geometry: WellGeometry,
-    mass_left: float,
-    mass_right: float,
+    mass_left: np.ndarray,
+    mass_right: np.ndarray,
     rho_floor: float = DEFAULT_RHO_FLOOR,
-) -> tuple[int, int]:
-    """(total, effective) sign changes of one state's row psi, sampled on
-    grid, between the outer turning points.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(total, effective) sign changes of each of the real (states, samples)
+    rows psi, sampled on grid, as integer arrays with one entry per state.
 
-    `turning` holds the turning points at the state's energy; `mass_left`
-    and `mass_right` are its probability on either side of the barrier, as
+    A row's nodes are counted strictly inside its row of `span`, the
+    state's outer turning points.  `mass_left` and `mass_right` are the
+    states' probabilities on either side of the barrier, as
     `measures.well_occupancy` returns them.  Effective nodes are those
     sitting in a well that carries at least `rho_floor` of the probability;
     nodes in a negligible well are the ones the ladder-of-states picture
-    ignores.  Sign changes below the amplitude floor are skipped entirely
-    (not resolvable in double precision).
+    ignores.  Samples where |psi| is below the amplitude floor of its row's
+    peak are skipped (a sign change there is not resolvable in double
+    precision); a node is a sign change between consecutive kept samples of
+    one row.
     """
     if np.iscomplexobj(psi):
         raise ValueError("count_nodes expects a real wavefunction")
-    if turning.size < 2:
-        return (0, 0)
-    t_lo, t_hi = float(turning[0]), float(turning[-1])
     x = grid.x
-    floor = NODE_AMPLITUDE_FLOOR * float(np.max(np.abs(psi)))
-    keep = (x > t_lo) & (x < t_hi) & (np.abs(psi) > floor)
-    xs, vs = x[keep], psi[keep]
-    if xs.size < 2:
-        return (0, 0)
-    flips = np.nonzero(vs[:-1] * vs[1:] < 0.0)[0]
-    node_x = xs[flips] + (xs[flips + 1] - xs[flips]) * vs[flips] / (
-        vs[flips] - vs[flips + 1]
-    )
-    total = int(flips.size)
+    amp = np.abs(psi)
+    floor = NODE_AMPLITUDE_FLOOR * amp.max(axis=1, keepdims=True)
+    rows, cols = np.nonzero((x > span[:, :1]) & (x < span[:, 1:]) & (amp > floor))
+    xs, vs = x[cols], psi[rows, cols]
+    flips = np.nonzero((vs[:-1] * vs[1:] < 0.0) & (rows[:-1] == rows[1:]))[0]
+    state = rows[flips]
+    total = np.bincount(state, minlength=len(psi))
     if not geometry.is_double_well:
-        return (total, total)
-    effective = int(np.sum(np.where(
-        node_x < geometry.barrier[0], mass_left >= rho_floor, mass_right >= rho_floor
-    )))
-    return (total, effective)
+        return total, total
+    node_x = xs[flips] + (xs[flips + 1] - xs[flips]) * vs[flips] / (vs[flips] - vs[flips + 1])
+    mass = np.where(node_x < geometry.barrier[0], mass_left[state], mass_right[state])
+    return total, np.bincount(state[mass >= rho_floor], minlength=len(psi))

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 from dwell import QuarticPotential, critical_points, solve
 from dwell.cli import CSV_COLUMNS
-from dwell.wavefunction import hermite_functions
+from dwell.wavefunction import DEFAULT_RHO_FLOOR, NODE_AMPLITUDE_FLOOR, hermite_functions
 
 settings.register_profile(
     "numerics",
@@ -109,6 +109,33 @@ def hermite_derivative_matrix(sigma, x, n):
     dh = -t * h
     dh[1:] += np.sqrt(2.0 * np.arange(1, n))[:, None] * h[:-1]
     return (2.0 * sigma) ** 0.25 * scale * dh
+
+
+def reference_count_nodes(grid, psi, turning, geometry, mass_left, mass_right,
+                          rho_floor=DEFAULT_RHO_FLOOR):
+    """(total, effective) sign changes of one state's row psi between its
+    outer turning points, one row at a time: the single-state algorithm that
+    the batched `count_nodes` must reproduce count for count."""
+    if turning.size < 2:
+        return (0, 0)
+    t_lo, t_hi = float(turning[0]), float(turning[-1])
+    x = grid.x
+    floor = NODE_AMPLITUDE_FLOOR * float(np.max(np.abs(psi)))
+    keep = (x > t_lo) & (x < t_hi) & (np.abs(psi) > floor)
+    xs, vs = x[keep], psi[keep]
+    if xs.size < 2:
+        return (0, 0)
+    flips = np.nonzero(vs[:-1] * vs[1:] < 0.0)[0]
+    node_x = xs[flips] + (xs[flips + 1] - xs[flips]) * vs[flips] / (
+        vs[flips] - vs[flips + 1]
+    )
+    total = int(flips.size)
+    if not geometry.is_double_well:
+        return (total, total)
+    effective = int(np.sum(np.where(
+        node_x < geometry.barrier[0], mass_left >= rho_floor, mass_right >= rho_floor
+    )))
+    return (total, effective)
 
 
 # ---------------------------------------------------------------- oracles

@@ -9,6 +9,7 @@ from conftest import (
     confining_quartics,
     hermite_derivative_matrix,
     ladder_moments,
+    reference_count_nodes,
 )
 from dwell import (
     NotNormalized,
@@ -17,7 +18,6 @@ from dwell import (
     WellSide,
     build_grid,
     build_momentum_grid,
-    count_nodes,
     critical_points,
     mirror,
     momentum_functions,
@@ -150,7 +150,7 @@ def per_state_reference(pot, spec, n_states, grid_points):
         delta_p = math.sqrt(mean_p2)
         psi = psi_x[n].copy()
         p_i, p_ii, mass_left, mass_right = reference_split(xgrid, psi, geometry)
-        total, effective = count_nodes(
+        total, effective = reference_count_nodes(
             xgrid, psi, turning_points(pot, spec.energy(n)), geometry, mass_left, mass_right
         )
         s_x, e_x = reference_measures(xgrid, psi)

@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from conftest import confining_quartics, hermite_derivative_matrix, scalable_pots, well_solve
+from conftest import (
+    confining_quartics,
+    hermite_derivative_matrix,
+    reference_count_nodes,
+    scalable_pots,
+    well_solve,
+)
 from dwell import (
     QuarticPotential,
+    area,
     build_grid,
     build_momentum_grid,
     count_nodes,
@@ -160,22 +167,14 @@ def test_grid_orthogonality():
 
 
 def node_counts(pot, spec, n_states, points):
-    """count_nodes of states 0..n_states-1 on a grid up to the top one."""
+    """count_nodes of states 0..n_states-1 on a grid up to the top one, as
+    (total, effective) pairs."""
     grid = build_grid(pot, spec.energy(n_states - 1), points)
     psi = position_functions(spec, grid, n_states)
     geometry = critical_points(pot)
     _, _, mass_left, mass_right = well_occupancy(grid, psi, geometry)
-    return [
-        count_nodes(
-            grid,
-            psi[n],
-            turning_points(pot, spec.energy(n)),
-            geometry,
-            mass_left[n],
-            mass_right[n],
-        )
-        for n in range(n_states)
-    ]
+    span = np.array([turning_points(pot, spec.energy(n))[[0, -1]] for n in range(n_states)])
+    return list(zip(*count_nodes(grid, psi, span, geometry, mass_left, mass_right)))
 
 
 def test_effective_nodes_localized_ladder():
@@ -214,6 +213,35 @@ def test_total_nodes_random_potentials(rng):
         n = int(rng.integers(0, 9))
         total, _ = node_counts(pot, spec, 9, 2048)[n]
         assert total == n
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.0, 5.0, 10.0, 20.0, 30.0])
+def test_batched_node_counts_match_the_per_row_reference(beta):
+    # single wells (beta 0.5 and the large gammas), deep doublets, and bands
+    # of 1, 8 and 30 states, each counted in one call on its report grid
+    for gamma in [g / 2.0 for g in range(-4, 15)]:
+        pot = QuarticPotential.from_well_params(1.0, beta, gamma)
+        geometry = critical_points(pot)
+        for n_states in (1, 8, 30):
+            spec = solve(pot, 100, n_states)
+            grid = build_grid(pot, spec.energy(n_states - 1))
+            psi = position_functions(spec, grid, n_states)
+            _, _, mass_left, mass_right = well_occupancy(grid, psi, geometry)
+            turning = [turning_points(pot, e) for e in spec.energies]
+            # the span state_reports takes: the outermost lobe edges, which
+            # are the outer turning points
+            lobes = [area(pot, e).lobes for e in spec.energies]
+            span = np.array([(ls[0].x_lo, ls[-1].x_hi) for ls in lobes])
+            assert np.array_equal(span, [tps[[0, -1]] for tps in turning])
+            total, effective = count_nodes(grid, psi, span, geometry, mass_left, mass_right)
+            assert total.shape == effective.shape == (n_states,)
+            want = [
+                reference_count_nodes(
+                    grid, psi[n], turning[n], geometry, mass_left[n], mass_right[n]
+                )
+                for n in range(n_states)
+            ]
+            assert list(zip(total.tolist(), effective.tolist())) == want, (gamma, n_states)
 
 
 def test_grid_point_minimum_enforced():
@@ -325,11 +353,20 @@ def _check_barrier_on_panel_boundary(pot, e_max, points):
 # 1e-100 of the barrier top, where V' and V'' all but vanish, so the padding
 # falls back on the quartic's own decay scale
 @example(pot=QuarticPotential(1.0, 1.0, 0.0, -2.990141850786371e-201, 0.0), lift=1.0, points=512)
+# a barrier 5.2e-17 deep: e_max rounds back to the rounded minimum value,
+# which lies 3.5e-18 below V's true minimum, so there is no turning point
+@example(pot=QuarticPotential(0.125, 1.9589361106495413e-140, -5.1085410565674846e-09, 0.0, 0.5),
+         lift=0.25, points=512)
 def test_build_grid_puts_the_barrier_on_a_panel_boundary(pot, lift, points):
     geometry = critical_points(pot)
     assume(geometry.is_double_well)
     v_min = geometry.global_minimum[1]
-    _check_barrier_on_panel_boundary(pot, v_min + lift * (geometry.barrier[1] - v_min), points)
+    e_max = v_min + lift * (geometry.barrier[1] - v_min)
+    if turning_points(pot, e_max).size == 0:
+        with pytest.raises(ValueError, match="e_max lies below the potential minimum"):
+            build_grid(pot, e_max, points)
+        return
+    _check_barrier_on_panel_boundary(pot, e_max, points)
 
 
 @given(
