@@ -7,8 +7,10 @@ REV is exported with `git archive` into a temporary directory.  A fixed
 list of commands then runs as `python -m dwell ...` on both trees, each
 importing the package from its own src/: the benchmark's sweep and
 validate-rules commands at seeds 0, 7 and 13, `validate-rules --alphas
-0.25,16`, tables 1-5, `phase-space --contours`, `solve --beta 30 --states
-11` at gamma 0, 3.3 and 6, `solve --beta 30 --gamma 0 --states 8
+0.25,16`, `validate-rules --alphas 1e-12,1e12` (the delta-gamma probe far
+from unit scale, where an absolute tolerance would show), tables 1-5,
+`phase-space --contours`, `solve --beta 30 --states 11` at gamma 0, 3.3
+and 6, `solve --beta 30 --gamma 0 --states 8
 --grid-points 4094` (a symmetric well whose window cannot stay symmetric:
 the barrier x = 0 must be an even sample of 4094 intervals), `solve --beta
 30 --gamma 6 --states 4` (its top state is half of a doublet split below
@@ -70,6 +72,8 @@ def commands() -> list[tuple[str, list[str]]]:
         ]))
     cmds.append(("rules-alphas-0.25-16",
                  ["validate-rules", "--alphas", "0.25,16", "--beta", "20", "--states", "6", *out]))
+    cmds.append(("rules-alphas-extreme",
+                 ["validate-rules", "--alphas", "1e-12,1e12", "--states", "6", *out]))
     cmds += [(f"table-{n}", ["table", str(n), *out]) for n in range(1, 6)]
     cmds.append(("phase-space-contours", ["phase-space", "--contours", *out]))
     for gamma in ("0", "3.3", "6"):

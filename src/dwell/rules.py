@@ -21,8 +21,10 @@ and Unsal, PRL 115, 041601 (2015)), whose two wells' Bohr-Sommerfeld numbers
 `estimate_delta_gamma` measures the interval from the gap minima of a gamma
 sweep alone; the tests hold it to the closed form.  With x = alpha^(-1/6) y,
 H(alpha, beta, gamma) = alpha^(1/3) H(1, beta alpha^(-2/3), gamma alpha^(-1/2)),
-so its probe at beta = 16 alpha^(2/3) over gammas in sqrt(alpha) x [0.05, 8.8]
-is the same dimensionless well at every alpha.  The predictions are plain
+so its probe at beta = 16 alpha^(2/3) over 12 gammas in sqrt(alpha) x
+[0.05, 8.8] is the same dimensionless well at every alpha, and its
+refinement stops at a step relative to gamma, so it takes the same 32 solves
+and reaches the same relative accuracy at every scale.  The predictions are plain
 functions of k: `predict_degeneracy(k, n_max)` and `predict_occupancy(k, n)`;
 `validate_rules` evaluates them at k = gamma / delta_gamma.
 """
@@ -54,7 +56,7 @@ __all__ = [
 
 K_TOL = 0.02  # |k - round(k)| below this counts as integer k
 SHARP_GAP_TOL = 1e-3  # a gap minimum this small (relative) marks a transition
-GAMMA_SCAN_POINTS = 141  # coarse gamma samples per delta-gamma probe sweep
+GAMMA_SCAN_POINTS = 12  # coarse gamma samples per delta-gamma probe sweep
 REFINE_TOL = 1e-12  # relative step at which a gap minimum counts as refined
 
 
@@ -127,7 +129,7 @@ def _refine_minimum(levels_at, m: int, a: float, b: float, s_a: float, s_b: floa
         g = b - s_b * (b - a) / (s_b - s_a)
         energies, slopes = levels_at(g)
         s = _gap_slope(energies, slopes, m)
-        if s == 0.0 or abs(g - b) <= REFINE_TOL * (1.0 + abs(g)):
+        if s == 0.0 or abs(g - b) <= REFINE_TOL * abs(g):
             return g, energies
         if (s < 0.0) != (s_b < 0.0):
             a, s_a = b, s_b
@@ -153,8 +155,18 @@ def estimate_delta_gamma(alpha: float, n_basis: int = DEFAULT_N_BASIS) -> DeltaG
     transition gaps are orders of magnitude below the level spacing, and
     the trace-optimal basis scales with it.  Each sign change of
     d(gap^2)/dgamma from negative to non-negative between neighbouring scan
-    points brackets one minimum, refined by regula falsi on that slope before
-    the sharpness test.
+    points brackets one minimum, refined by regula falsi on that slope until
+    its step is REFINE_TOL relative to gamma, before the sharpness test (a
+    gap below SHARP_GAP_TOL relative to E_m).  Both tests are relative, so
+    every alpha takes the same solves to the same relative accuracy.
+
+    GAMMA_SCAN_POINTS = 12 samples suffice.  A minimum is bracketed when one
+    sample lies on its falling side and the next on its rising side, that is
+    between the gap maxima on either side of it.  The minima of one gap curve
+    lie 2 delta_gamma = 4 sqrt(alpha) apart, and the step is 8.75 / 11
+    sqrt(alpha) = 0.795 sqrt(alpha), so they are at least 5 steps apart.  The
+    scan takes 12 solves and the four refinements (pair 1 at k = 1, pair 2 at
+    k = 2, pair 3 at k = 1 and 3) 20 more: 32 solves per alpha.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -170,7 +182,7 @@ def estimate_delta_gamma(alpha: float, n_basis: int = DEFAULT_N_BASIS) -> DeltaG
         s = _gap_slope(energies, slopes, m)
         for i in np.flatnonzero((s[:-1] < 0.0) & (s[1:] >= 0.0)):
             g, e = _refine_minimum(levels_at, m, gammas[i], gammas[i + 1], s[i], s[i + 1])
-            if e[m + 1] - e[m] <= SHARP_GAP_TOL * (1.0 + abs(e[m])):
+            if e[m + 1] - e[m] <= SHARP_GAP_TOL * abs(e[m]):
                 found.append(g)
     # merge the same transition seen through different gap curves
     found.sort()
@@ -269,7 +281,7 @@ class RuleValidationReport:
     def transition_neighborhoods(self, n: int, gamma_max: float | None = None) -> int:
         """Number of contiguous gamma runs where state n sits at a transition."""
         pts = self.points if gamma_max is None else tuple(
-            p for p in self.points if p.gamma <= gamma_max + 1e-9
+            p for p in self.points if p.gamma <= gamma_max + 1e-9 * abs(gamma_max)
         )
         flags = [p.at_transition[n] for p in pts]
         return int(

@@ -98,18 +98,23 @@ def test_predictions_read_the_magnitude_of_k(k, n):
     assert predict_degeneracy(-k, n + 1) == predict_degeneracy(k, n + 1)
 
 
-@pytest.mark.parametrize("alpha", [0.01, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 16.0, 100.0])
+@pytest.mark.parametrize(
+    "alpha", [1e-12, 1e-6, 0.01, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 16.0, 100.0, 1e6, 1e12]
+)
 def test_delta_gamma_matches_closed_form(alpha):
     # the wells' Bohr-Sommerfeld numbers differ by gamma / (2 sqrt(alpha)),
     # so level crossings recur every 2 sqrt(alpha) in gamma; the probe is the
-    # alpha-1 well rescaled, so it is as accurate at every alpha
+    # alpha-1 well rescaled and its tolerances are relative, so it is as
+    # accurate at every alpha
     delta_gamma = 2.0 * math.sqrt(alpha)
     est = estimate_delta_gamma(alpha)
-    assert est.delta_gamma == pytest.approx(delta_gamma, rel=1e-12)
-    for tau in est.transitions:
-        assert tau == pytest.approx(round(tau / delta_gamma) * delta_gamma, rel=1e-9)
+    # abs=0: approx's default absolute slack of 1e-12 would pass any
+    # estimate at alpha 1e-12, where delta_gamma is 2e-6
+    assert est.delta_gamma == pytest.approx(delta_gamma, rel=1e-12, abs=0.0)
+    assert [round(tau / delta_gamma) for tau in est.transitions] == [1, 2, 3]
+    for k, tau in enumerate(est.transitions, start=1):
+        assert tau == pytest.approx(k * delta_gamma, rel=1e-9, abs=0.0)
     assert est.uncertainty < 0.01
-    assert len(est.transitions) >= 2
     assert est.beta_used == 16.0 * alpha ** (2.0 / 3.0)
 
 
@@ -141,10 +146,8 @@ def test_well_actions_differ_by_k(alpha, beta_scale, gamma_scale):
     assert checked > 0
 
 
-def test_delta_gamma_solve_budget(monkeypatch):
-    # the refinement reuses the eigenvectors of each solve for the gap slope;
-    # a derivative-free search needs some 76 more solves per sweep, and one
-    # scan serves every alpha
+def _delta_gamma_solves(monkeypatch, alpha):
+    """Number of solves `estimate_delta_gamma(alpha)` makes."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -152,10 +155,23 @@ def test_delta_gamma_solve_budget(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(rules, "solve", counted)
+    estimate_delta_gamma(alpha)
+    return len(calls)
+
+
+def test_delta_gamma_solve_budget(monkeypatch):
+    # the refinement reuses the eigenvectors of each solve for the gap slope;
+    # a derivative-free search needs some 76 more solves per sweep, and one
+    # scan serves every alpha
     for alpha in (1.0, 100.0):
-        calls.clear()
-        estimate_delta_gamma(alpha)
-        assert len(calls) <= rules.GAMMA_SCAN_POINTS + 40, alpha
+        assert _delta_gamma_solves(monkeypatch, alpha) <= rules.GAMMA_SCAN_POINTS + 40, alpha
+
+
+@pytest.mark.parametrize("alpha", [1e-12, 1.0, 100.0, 1e12])
+def test_delta_gamma_costs_the_same_at_every_scale(monkeypatch, alpha):
+    # 12 scan points and four refinements of about 5 solves each; the
+    # refinement stops at a step relative to gamma, so no scale pays more
+    assert _delta_gamma_solves(monkeypatch, alpha) <= 32
 
 
 @pytest.mark.parametrize("alpha", [-1.0, 0.0, math.nan])
@@ -167,6 +183,20 @@ def test_delta_gamma_rejects_non_positive_alpha(alpha):
 def test_delta_gamma_rejects_infinite_alpha():
     with pytest.raises(ValueError, match="alpha must be finite, got inf"):
         estimate_delta_gamma(math.inf)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-10])
+def test_transition_neighborhoods_cut_is_relative(scale):
+    # state 0 is at a transition only at the last point, beyond gamma_max
+    def point(gamma, occupancy):
+        return rules.RulePoint(gamma, 0.0, (), (), (occupancy,), (occupancy,))
+
+    report = rules.RuleValidationReport(
+        alpha=1.0, beta=20.0, delta_gamma=2.0, n_max=0,
+        points=(point(0.0, I), point(scale, I), point(2.0 * scale, I), point(3.0 * scale, BOTH)),
+    )
+    assert report.transition_neighborhoods(0) == 1
+    assert report.transition_neighborhoods(0, gamma_max=2.0 * scale) == 0
 
 
 def test_rule_validation_localized_grid():
