@@ -42,7 +42,7 @@ SCHEMA_VERSION = "dwell-result-v1"
 # part of every cache key: bump whenever the arithmetic behind a cached record
 # changes (solver or per-state layer), so that records computed by older code
 # are not served
-RECORD_REVISION = "band-fisher-x-10"
+RECORD_REVISION = "half-line-momentum-11"
 CACHE_DIR_ENV = "DWELL_CACHE_DIR"
 
 CSV_COLUMNS = [

@@ -7,13 +7,21 @@ quadratic forms of the coefficient vectors (quadrature-free), and so is
 the position-space Fisher information: psi(x) is real, so I_x = 4 <p^2>.
 The other entropic functionals are Simpson integrals of sampled densities,
 the momentum density's derivative taken from the analytic Hermite
-derivative rather than finite differences.
+derivative rather than finite differences.  The momentum density is even
+in p, so it is sampled on p >= 0 alone (`wavefunction.wavefunctions`, one
+streamed Hermite pass of 50-row blocks per point) and its integrals are
+even-integrand Simpson sums over that half-line: the same panels as the
+full window, with half the samples, in real arithmetic.  The streamed pass
+holds no whole Hermite table, so the peak memory of a sweep no longer
+depends on when the allocator trims its heap.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -25,7 +33,7 @@ from .basis import (
 )
 from .potential import WellGeometry, WellSide
 from .spectrum import Spectrum
-from .wavefunction import UniformGrid, probability_below, simpson
+from .wavefunction import UniformGrid, even_simpson, probability_below, simpson
 
 __all__ = [
     "Occupancy",
@@ -127,15 +135,17 @@ def well_occupancy(
     return p_i, p_ii, below, above
 
 
-def _shannon_onicescu(grid: UniformGrid, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S, E) of each row of the densities rho; raise unless every row
-    integrates to 1 within tolerance."""
-    totals = simpson(rho, grid.dx)
+def _shannon_onicescu(
+    rho: np.ndarray, integral: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(S, E) of each row of the densities rho, integrated by `integral`;
+    raise unless every row integrates to 1 within tolerance."""
+    totals = integral(rho)
     bad = np.abs(totals - 1.0) > NORMALIZATION_TOL
     if np.any(bad):
         raise NotNormalized(f"density integrates to {totals[np.argmax(bad)]:.8f}")
     shannon = -rho * np.log(np.where(rho > 0.0, rho, 1.0))
-    return simpson(shannon, grid.dx), simpson(rho * rho, grid.dx)
+    return integral(shannon), integral(rho * rho)
 
 
 def os_measure(s: float, e: float) -> float:
@@ -147,23 +157,29 @@ def info_measures(
     xgrid: UniformGrid,
     psi_x: np.ndarray,
     pgrid: UniformGrid,
-    psi_p: np.ndarray,
-    dpsi_p: np.ndarray,
+    psi_p: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, ...]:
     """(s_x, s_p, i_p, e_x, e_p) of every state, one entry per state.
 
-    psi and dpsi are (states, samples) rows on their grid; all states are
-    integrated together along the contiguous sample axis, so each equals
-    its single-state value.  S = -int rho ln rho (0 ln 0 = 0), E = int
-    rho^2, and I_p = int rho'^2 / rho with rho' = 2 Re(psi* psi').  I_x
-    needs no grid: psi(x) is real, so it is 4 <p^2> (`StateReport.i_x`).
+    psi_x holds (states, samples) rows on xgrid; psi_p is (a, b, da, db) as
+    `momentum_functions` returns them, rows on `pgrid.half_line` with
+    psi(p) = a + i b.  All states are integrated together along the
+    contiguous sample axis, so each equals its single-state value.  S =
+    -int rho ln rho (0 ln 0 = 0), E = int rho^2 and I_p = int rho'^2 / rho,
+    with rho_p = a^2 + b^2 and rho_p' = 2 (a a' + b b') in real arithmetic.
+    rho_p and rho_p'^2 / rho_p are even in p, so every p integral is the
+    even-integrand Simpson sum over the half-line (`even_simpson`), which is
+    the full window's Simpson sum and bit-exact under p -> -p.  I_x needs
+    no grid: psi(x) is real, so it is 4 <p^2> (`StateReport.i_x`).
     """
-    s_x, e_x = _shannon_onicescu(xgrid, psi_x * psi_x)
-    rho = np.abs(psi_p) ** 2
-    s_p, e_p = _shannon_onicescu(pgrid, rho)
-    drho = 2.0 * np.real(np.conj(psi_p) * dpsi_p)
+    s_x, e_x = _shannon_onicescu(psi_x * psi_x, functools.partial(simpson, dx=xgrid.dx))
+    a, b, da, db = psi_p
+    rho = a * a + b * b
+    p_integral = functools.partial(even_simpson, dx=pgrid.dx)
+    s_p, e_p = _shannon_onicescu(rho, p_integral)
+    drho = 2.0 * (a * da + b * db)
     # at a node rho'^2 / rho tends to 4 |psi'|^2, where it peaks; a density
     # below eps^2 of its row's peak is that narrow a spike, taken at its limit
     node = rho <= np.finfo(float).eps ** 2 * rho.max(axis=-1, keepdims=True)
-    fisher = np.where(node, 4.0 * np.abs(dpsi_p) ** 2, drho * drho / np.where(node, 1.0, rho))
-    return s_x, s_p, simpson(fisher, pgrid.dx), e_x, e_p
+    fisher = np.where(node, 4.0 * (da * da + db * db), drho * drho / np.where(node, 1.0, rho))
+    return s_x, s_p, p_integral(fisher), e_x, e_p

@@ -29,8 +29,7 @@ from .wavefunction import (
     build_grid,
     build_momentum_grid,
     count_nodes,
-    momentum_functions,
-    position_functions,
+    wavefunctions,
 )
 
 __all__ = ["StateReport", "state_reports"]
@@ -115,10 +114,9 @@ def state_reports(
     e_top = spec.energy(n_states - 1)
     xgrid = build_grid(pot, e_top, grid_points)
     pgrid = build_momentum_grid(pot, e_top, grid_points)
-    psi_x = position_functions(spec, xgrid, n_states)
-    psi_p, dpsi_p = momentum_functions(spec, pgrid, n_states)
+    psi_x, psi_p = wavefunctions(spec, xgrid, pgrid, n_states)
     mean_x, delta_x, delta_p = uncertainties(spec, n_states)
-    s_x, s_p, i_p, e_x, e_p = info_measures(xgrid, psi_x, pgrid, psi_p, dpsi_p)
+    s_x, s_p, i_p, e_x, e_p = info_measures(xgrid, psi_x, pgrid, psi_p)
     p_i, p_ii, mass_left, mass_right = well_occupancy(xgrid, psi_x, geometry)
 
     phase = [area(pot, spec.energy(n)) for n in range(n_states)]

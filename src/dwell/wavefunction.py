@@ -2,15 +2,30 @@
 
 Hermite functions are evaluated through the normalized three-term recurrence
 (no factorials ever materialize), which is stable for l <= a few hundred on
-the |x_tilde| <= ~15 windows the grid builder produces.  Momentum-space
-states use the Fourier convention psi_t(p) = (2 pi)^(-1/2) int psi(x)
-exp(-i p x) dx, under which the basis functions map to (-i)^l phi_l(p; s)
-with the dual scale s = 1/(4 sigma).
+the |x_tilde| <= ~15 windows the grid builder produces.  The recurrence is
+written once (`_hermite_blocks`) and streamed in blocks of HERMITE_BLOCK =
+50 rows through one reused buffer: `wavefunctions` runs it once per point
+over the x samples and the p >= 0 samples together and contracts each
+block at once, so no (n_basis, samples) table is held.  Such a table was
+3.3 MB at 4096 intervals, and freeing it moved glibc's mmap and trim
+thresholds, so a sweep's peak RSS depended on whether the heap happened to
+be trimmed mid-sweep: `sweep --beta 10,20 --gamma 0:7:0.5 --states 8`
+read 44.6 MB at 2 of 12 output-path lengths and 46.4-46.6 MB at the other
+10.  Streamed, it reads 44.0-44.2 MB at all 12.
+
+Momentum-space states use the Fourier convention psi_t(p) = (2 pi)^(-1/2)
+int psi(x) exp(-i p x) dx, under which the basis functions map to (-i)^l
+phi_l(p; s) with the dual scale s = 1/(4 sigma).  Those phases are real for
+even l and imaginary for odd l, and h_l has the parity of l, so psi_t = a +
+i b with a even and b odd in p: the p >= 0 half-line (`UniformGrid.
+half_line`) holds the whole state exactly, rho_p is even, and its
+integrals are `even_simpson` sums over that half.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +38,12 @@ __all__ = [
     "build_grid",
     "build_momentum_grid",
     "hermite_functions",
+    "wavefunctions",
     "position_functions",
     "momentum_functions",
     "count_nodes",
     "simpson",
+    "even_simpson",
     "probability_below",
 ]
 
@@ -55,6 +72,13 @@ class UniformGrid:
     def x_max(self) -> float:
         return self.x0 + self.dx * self.n_points
 
+    @property
+    def half_line(self) -> np.ndarray:
+        """The samples k dx, k = 0..n_points/2: the nonnegative half of a
+        grid symmetric about 0, as `build_momentum_grid` makes, exactly
+        mirrored by k -> -k."""
+        return self.dx * np.arange(self.n_points // 2 + 1)
+
 
 def simpson(y: np.ndarray, dx: float):
     """Composite Simpson integral of uniform samples along the last axis.
@@ -76,6 +100,22 @@ def simpson(y: np.ndarray, dx: float):
     )
     total *= dx / 3.0
     return total
+
+
+def even_simpson(y: np.ndarray, dx: float):
+    """Composite Simpson integral over [-m dx, m dx] of an even function
+    sampled at k dx, k = 0..m, along the last axis.
+
+    It is `simpson` of the mirrored 2m intervals, with panels counted from
+    -m dx, taken on the half-line alone, so p -> -p leaves it bit for bit
+    the same.  For even m, 0 is a panel boundary: twice the half-line sum.
+    For odd m, the panel [-dx, dx] straddles 0 and gives (dx/3)(4 y(0) +
+    2 y(dx)); the panels on k >= 1 are whole and count twice.
+    """
+    y = np.asarray(y)
+    if (y.shape[-1] - 1) % 2 == 0:
+        return 2.0 * simpson(y, dx)
+    return 2.0 * simpson(y[..., 1:], dx) + (dx / 3.0) * (4.0 * y[..., 0] + 2.0 * y[..., 1])
 
 
 def probability_below(grid: UniformGrid, rho: np.ndarray, x_split: float):
@@ -158,64 +198,117 @@ def build_momentum_grid(
     return UniformGrid(x0=-p_max, dx=2.0 * p_max / points, n_points=points)
 
 
+# rows of the Hermite recurrence held at once: the table is streamed through
+# one buffer of this many rows, each block contracted before the next is built
+HERMITE_BLOCK = 50
+
+
+def _hermite_blocks(t: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(l0, rows) for consecutive blocks of h_0..h_{n-1} at the 1-D points t:
+    rows[j] is h_{l0 + j}, at most HERMITE_BLOCK rows.
+
+    The normalized recurrence runs once, in one reused buffer: each block is
+    a view of it that the next block overwrites, and the buffer's first two
+    rows carry the two rows before the block.
+    """
+    buf = np.empty((HERMITE_BLOCK + 2, t.size))
+    tmp = np.empty_like(t)
+    for l0 in range(0, n, HERMITE_BLOCK):
+        l1 = min(l0 + HERMITE_BLOCK, n)
+        if l0:
+            buf[:2] = buf[-2:]
+        for l in range(l0, l1):
+            row = buf[l - l0 + 2]
+            if l == 0:
+                row[:] = math.pi ** -0.25 * np.exp(-0.5 * t * t)
+            elif l == 1:
+                np.multiply(math.sqrt(2.0) * t, buf[2], out=row)
+            else:
+                np.multiply(math.sqrt(2.0 / l), t, out=row)
+                row *= buf[l - l0 + 1]
+                np.multiply(math.sqrt((l - 1) / l), buf[l - l0], out=tmp)
+                row -= tmp
+        yield l0, buf[2 : l1 - l0 + 2]
+
+
 def hermite_functions(xt: np.ndarray, n: int) -> np.ndarray:
     """Orthonormal Hermite functions h_0..h_{n-1} at the 1-D points xt.
 
     h_l(t) = (2^l l! sqrt(pi))^(-1/2) H_l(t) exp(-t^2/2), as an (n, points)
-    array with one row per l.
+    array with one row per l: the streamed rows, gathered.
     """
     out = np.empty((n, xt.size))
-    out[0] = math.pi ** -0.25 * np.exp(-0.5 * xt * xt)
-    if n > 1:
-        out[1] = math.sqrt(2.0) * xt * out[0]
-    tmp = np.empty_like(xt)
-    for l in range(1, n - 1):
-        row = out[l + 1]
-        np.multiply(math.sqrt(2.0 / (l + 1)), xt, out=row)
-        row *= out[l]
-        np.multiply(math.sqrt(l / (l + 1.0)), out[l - 1], out=tmp)
-        row -= tmp
+    for l0, rows in _hermite_blocks(xt, n):
+        out[l0 : l0 + len(rows)] = rows
     return out
 
 
-def position_functions(spec: Spectrum, grid: UniformGrid, n_states: int) -> np.ndarray:
-    """psi of states 0..n_states-1 as (n_states, samples) rows.
+def wavefunctions(
+    spec: Spectrum, xgrid: UniformGrid | None, pgrid: UniformGrid | None, n_states: int
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """(psi_x, (a, b, da, db)) of states 0..n_states-1, as real
+    (n_states, samples) rows, from one streamed Hermite pass.
 
-    One Hermite build serves all states; each row is one state, contiguous
-    in memory.
+    psi_x is psi on xgrid.  In momentum space psi(p) = a + i b on
+    `pgrid.half_line`, with a even and b odd in p (see the module
+    docstring), and da, db are d/dp of a, b.  A grid given as None is
+    skipped (zero samples).
+
+    The recurrence runs once over the x samples at the scale sigma and the
+    p samples at the dual scale sigma_p = 1 / (4 sigma) together; each
+    block of HERMITE_BLOCK rows is contracted at once into psi_x (all rows)
+    and into a and b' (even rows) and b and a' (odd rows).  The derivative
+    is taken in coefficient space: with t = s p, s = sqrt(2 sigma_p),
+    h_l' = sqrt(2l) h_{l-1} - t h_l gives d/dp sum_l a_l phi_l =
+    s (Phi(D a) - t Phi a), (D a)_{l-1} = sqrt(2l) a_l, so D moves even
+    rows' coefficients to odd rows and odd to even.  At p = 0 every odd row
+    is 0, so b and a' are 0 exactly.
     """
+    c = spec.coefficients[:, :n_states]
+    n, k = c.shape
     sigma = spec.basis.sigma
-    phi = hermite_functions(math.sqrt(2.0 * sigma) * grid.x, spec.n_basis)
-    return (2.0 * sigma) ** 0.25 * (spec.coefficients[:, :n_states].T @ phi)
+    sigma_p = 1.0 / (4.0 * sigma)
+    scale = math.sqrt(2.0 * sigma_p)
+    tx = math.sqrt(2.0 * sigma) * (xgrid.x if xgrid is not None else np.empty(0))
+    tp = scale * (pgrid.half_line if pgrid is not None else np.empty(0))
+    # the nonzero part of (-i)^l c_l (a's coefficients at even l, b's at
+    # odd l) and its D, which moves each to the other parity: an even row
+    # carries a and b', an odd row b and a'
+    phase = (-1j) ** np.arange(n)
+    coef = (phase.real + phase.imag)[:, None] * c
+    deriv = np.zeros_like(coef)
+    deriv[:-1] = np.sqrt(2.0 * np.arange(1, n))[:, None] * coef[1:]
+    weights = np.hstack([coef, deriv])
+    nx = tx.size
+    sums_x = np.zeros((k, nx))
+    sums_even = np.zeros((2 * k, tp.size))
+    sums_odd = np.zeros((2 * k, tp.size))
+    # HERMITE_BLOCK is even, so a block's even rows are even l
+    for l0, rows in _hermite_blocks(np.concatenate([tx, tp]), n):
+        l1 = l0 + len(rows)
+        sums_x += c[l0:l1].T @ rows[:, :nx]
+        sums_even += weights[l0:l1:2].T @ rows[0::2, nx:]
+        sums_odd += weights[l0 + 1 : l1 : 2].T @ rows[1::2, nx:]
+    amp = (2.0 * sigma_p) ** 0.25
+    a, b = amp * sums_even[:k], amp * sums_odd[:k]
+    da = (amp * scale) * (sums_odd[k:] - tp * sums_even[:k])
+    db = (amp * scale) * (sums_even[k:] - tp * sums_odd[:k])
+    return (2.0 * sigma) ** 0.25 * sums_x, (a, b, da, db)
+
+
+def position_functions(spec: Spectrum, grid: UniformGrid, n_states: int) -> np.ndarray:
+    """psi of states 0..n_states-1 on grid as (n_states, samples) rows, each
+    one state, contiguous in memory (`wavefunctions` without a p grid)."""
+    return wavefunctions(spec, grid, None, n_states)[0]
 
 
 def momentum_functions(
     spec: Spectrum, grid: UniformGrid, n_states: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(psi_tilde, dpsi_tilde) for states 0..n_states-1 as complex
-    (n_states, samples) rows.
-
-    The momentum coefficients (-i)^l c_l are real for even l and imaginary
-    for odd l, so both parts and their d/dp are expanded in real arithmetic
-    with one Hermite build at the dual scale sigma_p = 1 / (4 sigma).  The
-    derivative is taken in coefficient space: with t = s p, s =
-    sqrt(2 sigma_p), h_l' = sqrt(2l) h_{l-1} - t h_l gives d/dp sum_l a_l
-    phi_l = s (Phi(D a) - t Phi a), (D a)_{l-1} = sqrt(2l) a_l.
-    """
-    c = spec.coefficients[:, :n_states]
-    n, k = spec.n_basis, c.shape[1]
-    phases = (-1j) ** np.arange(n)
-    parts = np.hstack([phases.real[:, None] * c, phases.imag[:, None] * c])
-    sigma_p = 1.0 / (4.0 * spec.basis.sigma)
-    scale = math.sqrt(2.0 * sigma_p)
-    pt = scale * grid.x
-    amp = (2.0 * sigma_p) ** 0.25
-    dparts = np.zeros_like(parts)
-    dparts[:-1] = np.sqrt(2.0 * np.arange(1, n))[:, None] * parts[1:]
-    both = np.hstack([parts, dparts]).T @ hermite_functions(pt, n)
-    values = amp * both[: 2 * k]
-    derivs = (amp * scale) * (both[2 * k :] - pt * both[: 2 * k])
-    return values[:k] + 1j * values[k:], derivs[:k] + 1j * derivs[k:]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, da, db) of states 0..n_states-1 as real (n_states, samples)
+    rows on `grid.half_line`, psi(p) = a + i b (`wavefunctions` without an
+    x grid)."""
+    return wavefunctions(spec, None, grid, n_states)[1]
 
 
 def count_nodes(

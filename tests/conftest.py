@@ -111,6 +111,26 @@ def hermite_derivative_matrix(sigma, x, n):
     return (2.0 * sigma) ** 0.25 * scale * dh
 
 
+def momentum_expansion(spec, p, n_states):
+    """Complex psi(p) and psi'(p) of states 0..n_states-1 at the points p,
+    from the full (-i)^l c_l expansion on `hermite_functions` and the
+    derivative matrix: an evaluation independent of the half-line kernel,
+    valid at negative p too."""
+    sigma_p = 1.0 / (4.0 * spec.basis.sigma)
+    n = spec.n_basis
+    coef = ((-1j) ** np.arange(n))[:, None] * spec.coefficients[:, :n_states]
+    amp = (2.0 * sigma_p) ** 0.25
+    psi = coef.T @ (amp * hermite_functions(math.sqrt(2.0 * sigma_p) * p, n))
+    return psi, coef.T @ hermite_derivative_matrix(sigma_p, p, n)
+
+
+def mirrored(grid):
+    """The samples k dx, k = -n/2..n/2, of a grid symmetric about 0: its
+    half-line with the exact mirror image of each sample."""
+    half = grid.half_line
+    return np.concatenate([-half[:0:-1], half])
+
+
 def reference_count_nodes(grid, psi, turning, geometry, mass_left, mass_right,
                           rho_floor=DEFAULT_RHO_FLOOR):
     """(total, effective) sign changes of one state's row psi between its

@@ -43,9 +43,12 @@ from dwell import (
     validate_rules,
     well_occupancy,
 )
+import dwell.cli
+import dwell.report
+import dwell.rules
 from dwell.basis import BasisSpec, optimal_sigma
 from dwell.cli import main as cli_main
-from dwell.wavefunction import simpson
+from dwell.wavefunction import even_simpson
 from scipy.linalg import eigvalsh
 
 V2 = QuarticPotential(0.01, -0.0075, -0.0025, 0.0, 0.0)
@@ -327,16 +330,17 @@ def test_criterion_07_representation_equivalence():
     w = np.ones(x.size)
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
     w *= grid.dx / 3.0
-    p_sub = pgrid.x[::16]
-    kernel = np.exp(-1j * np.outer(p_sub, x))
+    p_sub = pgrid.half_line[::16]
     ft_dev = 0.0
-    parseval_dev = 0.0
     psi_x = position_functions(spec, grid, 4)
-    psi_p, _ = momentum_functions(spec, pgrid, 4)
-    for psi, psi_t in zip(psi_x, psi_p, strict=True):
-        oracle = kernel @ (w * psi) / math.sqrt(2.0 * math.pi)
-        ft_dev = max(ft_dev, float(np.abs(psi_t[::16] - oracle).max()))
-        parseval_dev = max(parseval_dev, abs(simpson(np.abs(psi_t) ** 2, pgrid.dx) - 1.0))
+    a, b, _, _ = momentum_functions(spec, pgrid, 4)
+    # psi(p) = a + i b on p >= 0 and a - i b at -p
+    for sign in (1.0, -1.0):
+        kernel = np.exp(-1j * np.outer(sign * p_sub, x))
+        for psi, psi_t in zip(psi_x, a + sign * 1j * b, strict=True):
+            oracle = kernel @ (w * psi) / math.sqrt(2.0 * math.pi)
+            ft_dev = max(ft_dev, float(np.abs(psi_t[::16] - oracle).max()))
+    parseval_dev = float(np.abs(even_simpson(a * a + b * b, pgrid.dx) - 1.0).max())
     ok = report(
         "7",
         ok_spec and ft_dev <= 1e-7 and parseval_dev <= 1e-6,
@@ -360,8 +364,7 @@ def test_criterion_08_scaling_invariance():
         grid = build_grid(pot, spec.energy(4), 4096)
         pgrid = build_momentum_grid(pot, spec.energy(4), 4096)
         psi_x = position_functions(spec, grid, 4)
-        psi_p, dpsi_p = momentum_functions(spec, pgrid, 4)
-        sx, sp, *_ = info_measures(grid, psi_x, pgrid, psi_p, dpsi_p)
+        sx, sp, *_ = info_measures(grid, psi_x, pgrid, momentum_functions(spec, pgrid, 4))
         s_x.append(sx)
         s_total.append(sx + sp)
     dev_total = float(np.max(np.abs(s_total[0] - s_total[1])))
@@ -448,23 +451,38 @@ def test_criterion_11_phase_space():
     assert ok
 
 
-def test_criterion_12_determinism_and_cache(tmp_path):
+def test_criterion_12_determinism_and_cache(tmp_path, monkeypatch):
     args = [
         "sweep", "--alpha", "1", "--beta", "20", "--gamma", "0:7:0.5",
         "--states", "6", "--grid-points", "2048", "--workers", "1",
         "--outdir", str(tmp_path),
     ]
+    # every dwell module that imported solve calls it through its own name
+    solves = []
+
+    def counted(pot, *rest, **kwargs):
+        solves.append(pot)
+        return solve(pot, *rest, **kwargs)
+
+    for module in (dwell.cli, dwell.report, dwell.rules):
+        monkeypatch.setattr(module, "solve", counted)
     t0 = time.perf_counter()
     assert cli_main(args) == 0
     cold = time.perf_counter() - t0
     first = (tmp_path / "sweep.csv").read_bytes()
+    cold_solves = len(solves)
     t0 = time.perf_counter()
     assert cli_main(args) == 0
     warm = time.perf_counter() - t0
     second = (tmp_path / "sweep.csv").read_bytes()
+    warm_solves = len(solves) - cold_solves
     assert cli_main(args + ["--no-cache"]) == 0
     uncached = (tmp_path / "sweep.csv").read_bytes()
+    uncached_solves = len(solves) - cold_solves - warm_solves
     speedup = cold / warm
+    # the cache, without a clock: a full hit solves nothing, and the 15
+    # points of an uncached run solve once each
+    assert (cold_solves, warm_solves, uncached_solves) == (15, 0, 15)
     # occupancy plateaus: away from the even-gamma transition points every
     # state is fully localized at this beta
     import csv

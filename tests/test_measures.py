@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import hermite_derivative_matrix, well_solve
+from conftest import hermite_derivative_matrix, mirrored, momentum_expansion, well_solve
 from dwell import (
     FISHER_PRODUCT_BOUND,
     ONICESCU_PRODUCT_BOUND,
@@ -27,23 +27,40 @@ from dwell import (
 )
 from dwell.cli import resolve_potential
 from dwell.measures import classify_occupancy, os_measure
-from dwell.wavefunction import simpson
+from dwell.wavefunction import even_simpson, simpson
 
 
-def gaussian_row(sigma, points=4096, half_width=9.0):
-    """(grid, psi, dpsi) of phi_0(x; sigma) sampled symmetrically, one row."""
-    width = half_width / math.sqrt(2.0 * sigma)
-    grid = UniformGrid(-width, 2.0 * width / points, points)
-    x = grid.x
+def gaussian(sigma, x):
+    """phi_0(x; sigma) and its derivative at the points x, one row each."""
     psi = (2.0 * sigma / math.pi) ** 0.25 * np.exp(-sigma * x * x)
-    return grid, psi[None], (-2.0 * sigma * x * psi)[None]
+    return psi[None], (-2.0 * sigma * x * psi)[None]
+
+
+def gaussian_grid(sigma, points=4096, half_width=9.0):
+    """A grid symmetric about 0 that holds phi_0(x; sigma)."""
+    width = half_width / math.sqrt(2.0 * sigma)
+    return UniformGrid(-width, 2.0 * width / points, points)
+
+
+def gaussian_row(sigma):
+    """(grid, psi, dpsi) of phi_0(x; sigma) sampled symmetrically, one row."""
+    grid = gaussian_grid(sigma)
+    return grid, *gaussian(sigma, grid.x)
+
+
+def gaussian_half_line(sigma):
+    """(grid, (a, b, da, db)) of phi_0(p; sigma) as momentum parts on the
+    grid's half-line: a real, even state, so b = 0."""
+    grid = gaussian_grid(sigma)
+    a, da = gaussian(sigma, grid.half_line)
+    return grid, (a, np.zeros_like(a), da, np.zeros_like(da))
 
 
 def gaussian_measures(sigma):
     """(s_x, s_p, i_p, e_x, e_p) of the oscillator ground state of position
     scale sigma; its momentum wavefunction is phi_0(p; 1/(4 sigma))."""
     grid, psi, _ = gaussian_row(sigma)
-    measures = info_measures(grid, psi, *gaussian_row(1.0 / (4.0 * sigma)))
+    measures = info_measures(grid, psi, *gaussian_half_line(1.0 / (4.0 * sigma)))
     return tuple(float(value) for (value,) in measures)
 
 
@@ -79,19 +96,23 @@ def test_oscillator_ground_state_saturates_bounds():
 
 
 def test_not_normalized_raises():
-    grid, psi, dpsi = gaussian_row(0.5)
+    grid, psi, _ = gaussian_row(0.5)
+    pgrid, (a, b, da, db) = gaussian_half_line(0.5)
     with pytest.raises(NotNormalized):
-        info_measures(grid, 1.01**0.5 * psi, grid, psi, dpsi)
+        info_measures(grid, 1.01**0.5 * psi, pgrid, (a, b, da, db))
     with pytest.raises(NotNormalized):
-        info_measures(grid, psi, grid, 1.01**0.5 * psi, 1.01**0.5 * dpsi)
+        info_measures(grid, psi, pgrid, (1.01**0.5 * a, b, 1.01**0.5 * da, db))
 
 
 def test_zero_density_regions_are_harmless():
-    grid, psi, dpsi = gaussian_row(0.5)
-    for rows in (psi, dpsi):
-        rows[:, :10] = 0.0
+    grid, psi, _ = gaussian_row(0.5)
+    pgrid, (a, b, da, db) = gaussian_half_line(0.5)
+    psi[:, :10] = 0.0
+    psi[:, -10:] = 0.0
+    # the half-line's outer end stands for both ends of the p window
+    for rows in (a, da):
         rows[:, -10:] = 0.0
-    (s_x,), _, (i_p,), *_ = info_measures(grid, psi, grid, psi, dpsi)
+    (s_x,), _, (i_p,), *_ = info_measures(grid, psi, pgrid, (a, b, da, db))
     assert math.isfinite(s_x)
     assert math.isfinite(i_p)
 
@@ -206,13 +227,15 @@ def test_fisher_analytic_matches_finite_differences():
     grid = build_grid(pot, spec.energy(3), 4096)
     pgrid = build_momentum_grid(pot, spec.energy(3), 4096)
     psi_x = position_functions(spec, grid, 3)
-    psi_p, dpsi_p = momentum_functions(spec, pgrid, 3)
-    _, _, i_p, _, _ = info_measures(grid, psi_x, pgrid, psi_p, dpsi_p)
+    a, b, da, db = momentum_functions(spec, pgrid, 3)
+    _, _, i_p, _, _ = info_measures(grid, psi_x, pgrid, (a, b, da, db))
     i_x = 4.0 * uncertainties(spec, 3)[2] ** 2
     assert len(i_x) == len(i_p) == 3
+    # rho_p is even: the half-line and its mirror image give the window
+    rho_p = a * a + b * b
+    rho_p = np.concatenate([rho_p[:, :0:-1], rho_p], axis=1)
     for n in range(3):
-        for psi, analytic, g in ((psi_x[n], i_x[n], grid), (psi_p[n], i_p[n], pgrid)):
-            rho = np.abs(psi) ** 2
+        for rho, analytic, g in ((psi_x[n] ** 2, i_x[n], grid), (rho_p[n], i_p[n], pgrid)):
             # 5-point central stencil for rho'
             drho = np.zeros_like(rho)
             drho[2:-2] = (
@@ -221,6 +244,35 @@ def test_fisher_analytic_matches_finite_differences():
             integrand = np.where(rho > 1e-300, drho**2 / np.maximum(rho, 1e-300), 0.0)
             fd = simpson(integrand, g.dx)
             assert analytic == pytest.approx(fd, rel=1e-5)
+
+
+@pytest.mark.parametrize("points", [4094, 4096, 514])
+@pytest.mark.parametrize("beta, gamma", [(30.0, 0.0), (10.0, 1.5)])
+def test_half_line_integrals_match_the_full_window(points, beta, gamma):
+    # 4094 and 514 intervals put p = 0 mid-panel (n/2 odd), 4096 on a panel
+    # boundary; the full window is Simpson over the mirrored samples of an
+    # independent complex evaluation, node rule and all
+    pot = QuarticPotential.from_well_params(1.0, beta, gamma)
+    spec = well_solve(1.0, beta, gamma)
+    e_top = spec.energy(7)
+    xgrid, pgrid = build_grid(pot, e_top, points), build_momentum_grid(pot, e_top, points)
+    psi_p = momentum_functions(spec, pgrid, 8)
+    _, s_p, i_p, _, e_p = info_measures(
+        xgrid, position_functions(spec, xgrid, 8), pgrid, psi_p
+    )
+    a, b, _, _ = psi_p
+    psi, dpsi = momentum_expansion(spec, mirrored(pgrid), 8)
+    rho = np.abs(psi) ** 2
+    drho = 2.0 * np.real(np.conj(psi) * dpsi)
+    node = rho <= np.finfo(float).eps ** 2 * rho.max(axis=1, keepdims=True)
+    fisher = np.where(node, 4.0 * np.abs(dpsi) ** 2, drho * drho / np.where(node, 1.0, rho))
+    for got, integrand in (
+        (even_simpson(a * a + b * b, pgrid.dx), rho),
+        (s_p, -rho * np.log(np.where(rho > 0.0, rho, 1.0))),
+        (e_p, rho * rho),
+        (i_p, fisher),
+    ):
+        np.testing.assert_allclose(got, simpson(integrand, pgrid.dx), rtol=1e-14, atol=0.0)
 
 
 def test_bound_suite_at_localized_point():
@@ -234,8 +286,8 @@ def test_bound_suite_at_localized_point():
     grid = build_grid(pot, spec.energy(4), 4096)
     pgrid = build_momentum_grid(pot, spec.energy(4), 4096)
     psi_x = position_functions(spec, grid, 4)
-    psi_p, dpsi_p = momentum_functions(spec, pgrid, 4)
-    s_x, s_p, i_p, e_x, e_p = info_measures(grid, psi_x, pgrid, psi_p, dpsi_p)
+    psi_p = momentum_functions(spec, pgrid, 4)
+    s_x, s_p, i_p, e_x, e_p = info_measures(grid, psi_x, pgrid, psi_p)
     _, delta_x, delta_p = uncertainties(spec, 4)
     i_x = 4.0 * delta_p**2
     assert len(s_x) == len(delta_x) == 4
@@ -255,15 +307,20 @@ def test_excited_oscillator_state_breaks_quadratic_density_bounds():
     sigma = 0.5
     width = 12.0
     grid = UniformGrid(-width, 2.0 * width / 8192, 8192)
-    x = grid.x
     norm = (2.0 * sigma / math.pi) ** 0.25 * math.sqrt(2.0 * sigma) * math.sqrt(2.0)
-    psi = norm * x * np.exp(-sigma * x * x)
-    dpsi = norm * (1.0 - 2.0 * sigma * x * x) * np.exp(-sigma * x * x)
+
+    def phi_1(x):
+        return (norm * x * np.exp(-sigma * x * x))[None], (
+            norm * (1.0 - 2.0 * sigma * x * x) * np.exp(-sigma * x * x)
+        )[None]
+
+    psi, _ = phi_1(grid.x)
     assert simpson(psi**2, grid.dx) == pytest.approx(1.0, abs=1e-10)
-    # at sigma = 1/2 the momentum wavefunction is -i times the same function
-    (s_x,), (s_p,), _, (e_x,), (e_p,) = info_measures(
-        grid, psi[None], grid, -1j * psi[None], -1j * dpsi[None]
-    )
+    # at sigma = 1/2 the momentum wavefunction is -i times the same function:
+    # a = 0 and b = -phi_1 on the half-line
+    b, db = phi_1(grid.half_line)
+    zero = np.zeros_like(b)
+    (s_x,), (s_p,), _, (e_x,), (e_p,) = info_measures(grid, psi, grid, (zero, -b, zero, -db))
     assert e_x * e_p == pytest.approx((9.0 / 16.0) / (2.0 * math.pi), rel=1e-8)
     assert os_measure(s_x + s_p, e_x * e_p) < OS_TOTAL_BOUND
 
@@ -278,8 +335,7 @@ def test_scaling_invariance_of_total_shannon():
         grid = build_grid(pot, spec.energy(2), 4096)
         pgrid = build_momentum_grid(pot, spec.energy(2), 4096)
         psi_x = position_functions(spec, grid, 2)
-        psi_p, dpsi_p = momentum_functions(spec, pgrid, 2)
-        results.append(info_measures(grid, psi_x, pgrid, psi_p, dpsi_p))
+        results.append(info_measures(grid, psi_x, pgrid, momentum_functions(spec, pgrid, 2)))
     (s_x, s_p, *_), (s_x_scaled, s_p_scaled, *_) = results
     assert len(s_x) == len(s_x_scaled) == 2
     for n in range(2):

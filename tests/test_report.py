@@ -7,8 +7,8 @@ from hypothesis import example, given
 from conftest import (
     assert_reports_follow_the_scaling_law,
     confining_quartics,
-    hermite_derivative_matrix,
     ladder_moments,
+    momentum_expansion,
     reference_count_nodes,
 )
 from dwell import (
@@ -139,7 +139,8 @@ def per_state_reference(pot, spec, n_states, grid_points):
     xgrid = build_grid(pot, e_top, grid_points)
     pgrid = build_momentum_grid(pot, e_top, grid_points)
     psi_x = position_functions(spec, xgrid, n_states)
-    psi_p, dpsi_p = momentum_functions(spec, pgrid, n_states)
+    # the full window's complex expansion, not the half-line kernel
+    psi_p, dpsi_p = momentum_expansion(spec, pgrid.x, n_states)
     x_mat, x2_mat, p2_mat = ladder_moments(spec.basis)
     rows = []
     for n in range(n_states):
@@ -215,22 +216,20 @@ def test_coefficient_space_derivatives_match_derivative_matrix(name):
     spec = solve(pot, 100, 6)
     xgrid = build_grid(pot, spec.energy(5), 2048)
     pgrid = build_momentum_grid(pot, spec.energy(5), 2048)
-    c = spec.coefficients
     sigma = spec.basis.sigma
-
-    def expansion(sig, grid, coef):
-        amp = (2.0 * sig) ** 0.25
-        return coef.T @ (amp * hermite_functions(math.sqrt(2.0 * sig) * grid.x, spec.n_basis))
-
     psi = position_functions(spec, xgrid, 6)
-    want_psi = expansion(sigma, xgrid, c)
+    want_psi = spec.coefficients.T @ (
+        (2.0 * sigma) ** 0.25 * hermite_functions(math.sqrt(2.0 * sigma) * xgrid.x, spec.n_basis)
+    )
     assert np.abs(psi - want_psi).max() <= REL * np.abs(want_psi).max()
-    psi, dpsi = momentum_functions(spec, pgrid, 6)
-    sig, coef = 1.0 / (4.0 * sigma), ((-1j) ** np.arange(spec.n_basis))[:, None] * c
-    want_psi = expansion(sig, pgrid, coef)
-    want_dpsi = coef.T @ hermite_derivative_matrix(sig, pgrid.x, spec.n_basis)
-    assert np.abs(psi - want_psi).max() <= REL * np.abs(want_psi).max()
-    assert np.abs(dpsi - want_dpsi).max() <= REL * np.abs(want_dpsi).max()
+    # psi(p) = a + i b on p >= 0 and a - i b at -p, psi'(p) = a' + i b' and
+    # psi'(-p) = -(a' - i b'): a is even and b odd
+    a, b, da, db = momentum_functions(spec, pgrid, 6)
+    for sign in (1.0, -1.0):
+        want_psi, want_dpsi = momentum_expansion(spec, sign * pgrid.half_line, 6)
+        psi, dpsi = a + sign * 1j * b, sign * da + 1j * db
+        assert np.abs(psi - want_psi).max() <= REL * np.abs(want_psi).max()
+        assert np.abs(dpsi - want_dpsi).max() <= REL * np.abs(want_dpsi).max()
 
 
 def reports_or_error(pot):

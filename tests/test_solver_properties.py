@@ -31,7 +31,7 @@ from dwell import (
     uncertainties,
     well_occupancy,
 )
-from dwell.wavefunction import simpson
+from dwell.wavefunction import even_simpson, simpson
 
 ENERGY_TOL = 1e-11
 RESIDUAL_TOL = 1e-10
@@ -152,7 +152,8 @@ def test_scaling_law(alpha, beta, gamma, lam):
     # shallow well lose up to 1e-8 of theirs outside the position window
     xgrid, pgrid = build_grid(pot, e[6]), build_momentum_grid(pot, e[6])
     norm_x = simpson(position_functions(spec, xgrid, 7) ** 2, xgrid.dx)
-    norm_p = simpson(np.abs(momentum_functions(spec, pgrid, 7)[0]) ** 2, pgrid.dx)
+    a, b, _, _ = momentum_functions(spec, pgrid, 7)
+    norm_p = even_simpson(a * a + b * b, pgrid.dx)
     norms = list(zip(norm_x, norm_p))
     for n in range(6):
         if n in paired:

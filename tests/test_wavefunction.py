@@ -9,6 +9,8 @@ from hypothesis import assume, example, given, strategies as st
 from conftest import (
     confining_quartics,
     hermite_derivative_matrix,
+    mirrored,
+    momentum_expansion,
     reference_count_nodes,
     scalable_pots,
     well_solve,
@@ -26,7 +28,18 @@ from dwell import (
     turning_points,
     well_occupancy,
 )
-from dwell.wavefunction import UniformGrid, hermite_functions, probability_below, simpson
+from dwell.basis import BasisSpec
+from dwell.spectrum import Spectrum
+from dwell.wavefunction import (
+    HERMITE_BLOCK,
+    UniformGrid,
+    _hermite_blocks,
+    wavefunctions,
+    even_simpson,
+    hermite_functions,
+    probability_below,
+    simpson,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -40,6 +53,61 @@ def test_hermite_recurrence_matches_high_precision_golden():
         ref = float(e["value"])
         got = phi[e["l"], col[e["t"]]]
         assert got == pytest.approx(ref, rel=1e-12, abs=1e-250)
+
+
+def one_shot_hermite(t, n):
+    """The normalized recurrence over all n rows at once, as one table."""
+    out = np.empty((n, t.size))
+    out[0] = math.pi ** -0.25 * np.exp(-0.5 * t * t)
+    if n > 1:
+        out[1] = math.sqrt(2.0) * t * out[0]
+    for l in range(1, n - 1):
+        out[l + 1] = math.sqrt(2.0 / (l + 1)) * t * out[l] - math.sqrt(l / (l + 1.0)) * out[l - 1]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 49, 50, 51, 100])
+def test_streamed_rows_equal_a_one_shot_recurrence(n):
+    # block edges at 50 rows: the two rows carried into each block must
+    # continue the recurrence exactly
+    t = np.linspace(-14.0, 14.0, 1001)
+    want = one_shot_hermite(t, n)
+    starts = []
+    for l0, rows in _hermite_blocks(t, n):
+        assert len(rows) <= HERMITE_BLOCK
+        assert np.array_equal(rows, want[l0 : l0 + len(rows)])
+        starts.append(l0)
+    assert starts == list(range(0, n, HERMITE_BLOCK))
+    assert np.array_equal(hermite_functions(t, n), want)
+
+
+@pytest.mark.parametrize("n_basis", [4, 49, 50, 51, 100])
+def test_streamed_contraction_matches_the_whole_table(n_basis, rng):
+    # every row lands in exactly one block's products, and the momentum
+    # parts take the even and odd rows with the phases (-i)^l
+    coef = np.linalg.qr(rng.standard_normal((n_basis, 3)))[0]
+    spec = Spectrum(BasisSpec(n_basis, 0.7), np.arange(3.0), coef)
+    xgrid = UniformGrid(-6.0, 12.0 / 512, 512)
+    pgrid = UniformGrid(-4.0, 8.0 / 514, 514)
+    psi_x, (a, b, da, db) = wavefunctions(spec, xgrid, pgrid, 3)
+    want_x = coef.T @ (1.4**0.25 * one_shot_hermite(math.sqrt(1.4) * xgrid.x, n_basis))
+    want_p, want_dp = momentum_expansion(spec, pgrid.half_line, 3)
+    for got, want in ((psi_x, want_x), (a + 1j * b, want_p), (da + 1j * db, want_dp)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.array_equal(position_functions(spec, xgrid, 3), psi_x)
+    for got, want in zip(momentum_functions(spec, pgrid, 3), (a, b, da, db), strict=True):
+        assert np.array_equal(got, want)
+
+
+def test_odd_parts_vanish_exactly_at_zero_momentum():
+    # every odd Hermite row is 0 at t = 0, so b(0) and a'(0) are exact zeros
+    # and the half-line's first sample is the even function's own value
+    spec = well_solve(1.0, 12.0, 1.5, n_states=7)
+    pot = QuarticPotential.from_well_params(1.0, 12.0, 1.5)
+    pgrid = build_momentum_grid(pot, spec.energy(6), 4094)
+    a, b, da, db = momentum_functions(spec, pgrid, 7)
+    assert pgrid.half_line[0] == 0.0
+    assert np.all(b[:, 0] == 0.0) and np.all(da[:, 0] == 0.0)
 
 
 def test_grid_covers_turning_points_with_padding():
@@ -111,14 +179,17 @@ def test_energy_functional_on_grid():
 
 
 def test_parseval_and_momentum_parity():
+    # the half-line parts hold the whole state: a + i b matches the full
+    # expansion at p and a - i b at -p, and the mirrored rho_p integrates to 1
     spec = well_solve(1.0, 12.0, 0.0, n_states=7)
     pot = QuarticPotential.from_well_params(1.0, 12.0, 0.0)
     pgrid = build_momentum_grid(pot, spec.energy(6), 4096)
-    psi_p, _ = momentum_functions(spec, pgrid, 6)
-    for psi_t in psi_p:
-        mags = np.abs(psi_t)
-        assert abs(simpson(mags**2, pgrid.dx) - 1.0) <= 1e-6
-        assert np.abs(mags - mags[::-1]).max() <= 1e-10
+    a, b, _, _ = momentum_functions(spec, pgrid, 6)
+    assert np.abs(even_simpson(a * a + b * b, pgrid.dx) - 1.0).max() <= 1e-6
+    psi_t, _ = momentum_expansion(spec, mirrored(pgrid), 6)
+    half = pgrid.n_points // 2
+    assert np.abs(psi_t[:, half:] - (a + 1j * b)).max() <= 1e-10
+    assert np.abs(psi_t[:, half::-1] - (a - 1j * b)).max() <= 1e-10
 
 
 def test_momentum_matches_fourier_quadrature_oracle():
@@ -131,14 +202,16 @@ def test_momentum_matches_fourier_quadrature_oracle():
     w = np.ones(x.size)
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
     w *= grid.dx / 3.0
-    p_sub = pgrid.x[::16]
-    kernel = np.exp(-1j * np.outer(p_sub, x))
+    p_sub = pgrid.half_line[::16]
     psi_x = position_functions(spec, grid, 4)
-    psi_p, _ = momentum_functions(spec, pgrid, 4)
-    for n in range(4):
-        oracle = kernel @ (w * psi_x[n]) / math.sqrt(2.0 * math.pi)
-        mine = psi_p[n, ::16]
-        assert np.abs(mine - oracle).max() <= 1e-7
+    a, b, _, _ = momentum_functions(spec, pgrid, 4)
+    # psi(-p) = a - i b: the transform at -p checks the parity as well
+    for sign in (1.0, -1.0):
+        kernel = np.exp(-1j * np.outer(sign * p_sub, x))
+        for n in range(4):
+            oracle = kernel @ (w * psi_x[n]) / math.sqrt(2.0 * math.pi)
+            mine = a[n, ::16] + sign * 1j * b[n, ::16]
+            assert np.abs(mine - oracle).max() <= 1e-7
 
 
 def test_sampled_states_are_contiguous_rows():
@@ -146,12 +219,12 @@ def test_sampled_states_are_contiguous_rows():
     pot = QuarticPotential.from_well_params(1.0, 12.0, 0.0)
     xgrid = build_grid(pot, spec.energy(4), 1024)
     pgrid = build_momentum_grid(pot, spec.energy(4), 1024)
-    for grid, arrays in (
-        (xgrid, (position_functions(spec, xgrid, 5),)),
-        (pgrid, momentum_functions(spec, pgrid, 5)),
+    for samples, arrays in (
+        (xgrid.x.size, (position_functions(spec, xgrid, 5),)),
+        (pgrid.half_line.size, momentum_functions(spec, pgrid, 5)),
     ):
         for rows in arrays:
-            assert rows.shape == (5, grid.n_points + 1)
+            assert rows.shape == (5, samples)
             assert rows.flags.c_contiguous
 
 
