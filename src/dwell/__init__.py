@@ -32,7 +32,7 @@ _EXPORTS = {
     ), "spectrum"),
     **dict.fromkeys((
         "UniformGrid", "build_grid", "build_momentum_grid", "count_nodes",
-        "momentum_functions", "position_functions", "wavefunctions",
+        "wavefunctions",
     ), "wavefunction"),
 }
 

@@ -41,7 +41,7 @@ from .basis import band_matvec, position_band
 from .measures import Occupancy, classify_occupancy, well_occupancy
 from .potential import QuarticPotential, critical_points
 from .spectrum import DEFAULT_N_BASIS, DEGENERACY_REL_TOL, quasi_degenerate_pairs, solve
-from .wavefunction import DEFAULT_GRID_POINTS, build_grid, position_functions
+from .wavefunction import DEFAULT_GRID_POINTS, build_grid, wavefunctions
 
 __all__ = [
     "DeltaGammaEstimate",
@@ -308,8 +308,8 @@ def measured_occupancies(
         (a, b)
         for a, b, _ in quasi_degenerate_pairs(spec, rel_tol=rel_tol, n_max=n_max + 1)
     )
-    grid = build_grid(pot, spec.energy(spec.n_verified - 1), grid_points)
-    psi = position_functions(spec, grid, n_max + 1)
+    grid = build_grid(pot, spec.energy(n_max + 1), grid_points)
+    psi = wavefunctions(spec, grid, None, n_max + 1)[0]
     p_well_I = well_occupancy(grid, psi, critical_points(pot))[0]
     return tuple(map(classify_occupancy, p_well_I)), pairs
 

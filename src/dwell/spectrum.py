@@ -88,6 +88,7 @@ class Spectrum:
     def converged(self, n: int) -> bool:
         return n < certified_states(self.n_basis)
 
+    # read only by perfbench/spans.py, for its useful-eigenpair ratio
     @property
     def n_verified(self) -> int:
         return len(self.energies)

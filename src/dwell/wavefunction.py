@@ -4,14 +4,10 @@ Hermite functions are evaluated through the normalized three-term recurrence
 (no factorials ever materialize), which is stable for l <= a few hundred on
 the |x_tilde| <= ~15 windows the grid builder produces.  The recurrence is
 written once (`_hermite_blocks`) and streamed in blocks of HERMITE_BLOCK =
-50 rows through one reused buffer: `wavefunctions` runs it once per point
-over the x samples and the p >= 0 samples together and contracts each
-block at once, so no (n_basis, samples) table is held.  Such a table was
-3.3 MB at 4096 intervals, and freeing it moved glibc's mmap and trim
-thresholds, so a sweep's peak RSS depended on whether the heap happened to
-be trimmed mid-sweep: `sweep --beta 10,20 --gamma 0:7:0.5 --states 8`
-read 44.6 MB at 2 of 12 output-path lengths and 46.4-46.6 MB at the other
-10.  Streamed, it reads 44.0-44.2 MB at all 12.
+50 rows through one reused buffer: `wavefunctions`, the one call that
+samples states, runs it once per point over the x samples and the p >= 0
+samples together and contracts each block at once, so no (n_basis,
+samples) table is held.
 
 Momentum-space states use the Fourier convention psi_t(p) = (2 pi)^(-1/2)
 int psi(x) exp(-i p x) dx, under which the basis functions map to (-i)^l
@@ -37,10 +33,7 @@ __all__ = [
     "UniformGrid",
     "build_grid",
     "build_momentum_grid",
-    "hermite_functions",
     "wavefunctions",
-    "position_functions",
-    "momentum_functions",
     "count_nodes",
     "simpson",
     "even_simpson",
@@ -231,28 +224,16 @@ def _hermite_blocks(t: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
         yield l0, buf[2 : l1 - l0 + 2]
 
 
-def hermite_functions(xt: np.ndarray, n: int) -> np.ndarray:
-    """Orthonormal Hermite functions h_0..h_{n-1} at the 1-D points xt.
-
-    h_l(t) = (2^l l! sqrt(pi))^(-1/2) H_l(t) exp(-t^2/2), as an (n, points)
-    array with one row per l: the streamed rows, gathered.
-    """
-    out = np.empty((n, xt.size))
-    for l0, rows in _hermite_blocks(xt, n):
-        out[l0 : l0 + len(rows)] = rows
-    return out
-
-
 def wavefunctions(
-    spec: Spectrum, xgrid: UniformGrid | None, pgrid: UniformGrid | None, n_states: int
+    spec: Spectrum, xgrid: UniformGrid, pgrid: UniformGrid | None, n_states: int
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """(psi_x, (a, b, da, db)) of states 0..n_states-1, as real
     (n_states, samples) rows, from one streamed Hermite pass.
 
     psi_x is psi on xgrid.  In momentum space psi(p) = a + i b on
     `pgrid.half_line`, with a even and b odd in p (see the module
-    docstring), and da, db are d/dp of a, b.  A grid given as None is
-    skipped (zero samples).
+    docstring), and da, db are d/dp of a, b.  A pgrid of None gives
+    momentum rows of zero samples.
 
     The recurrence runs once over the x samples at the scale sigma and the
     p samples at the dual scale sigma_p = 1 / (4 sigma) together; each
@@ -269,7 +250,7 @@ def wavefunctions(
     sigma = spec.basis.sigma
     sigma_p = 1.0 / (4.0 * sigma)
     scale = math.sqrt(2.0 * sigma_p)
-    tx = math.sqrt(2.0 * sigma) * (xgrid.x if xgrid is not None else np.empty(0))
+    tx = math.sqrt(2.0 * sigma) * xgrid.x
     tp = scale * (pgrid.half_line if pgrid is not None else np.empty(0))
     # the nonzero part of (-i)^l c_l (a's coefficients at even l, b's at
     # odd l) and its D, which moves each to the other parity: an even row
@@ -294,21 +275,6 @@ def wavefunctions(
     da = (amp * scale) * (sums_odd[k:] - tp * sums_even[:k])
     db = (amp * scale) * (sums_even[k:] - tp * sums_odd[:k])
     return (2.0 * sigma) ** 0.25 * sums_x, (a, b, da, db)
-
-
-def position_functions(spec: Spectrum, grid: UniformGrid, n_states: int) -> np.ndarray:
-    """psi of states 0..n_states-1 on grid as (n_states, samples) rows, each
-    one state, contiguous in memory (`wavefunctions` without a p grid)."""
-    return wavefunctions(spec, grid, None, n_states)[0]
-
-
-def momentum_functions(
-    spec: Spectrum, grid: UniformGrid, n_states: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, da, db) of states 0..n_states-1 as real (n_states, samples)
-    rows on `grid.half_line`, psi(p) = a + i b (`wavefunctions` without an
-    x grid)."""
-    return wavefunctions(spec, None, grid, n_states)[1]
 
 
 def count_nodes(

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 
 from dwell import QuarticPotential, critical_points, solve
 from dwell.cli import CSV_COLUMNS
-from dwell.wavefunction import DEFAULT_RHO_FLOOR, NODE_AMPLITUDE_FLOOR, hermite_functions
+from dwell.wavefunction import DEFAULT_RHO_FLOOR, NODE_AMPLITUDE_FLOOR
 
 settings.register_profile(
     "numerics",
@@ -101,26 +101,48 @@ def assert_reports_follow_the_scaling_law(reports, scaled, lam, rel, norms=None,
                 assert got == value, (n, name)
 
 
+def one_shot_hermite(t, n):
+    """Orthonormal Hermite functions h_0..h_{n-1} at the 1-D points t, as an
+    (n, points) table: the normalized recurrence over all n rows at once,
+    written apart from the library's streamed kernel."""
+    out = np.empty((n, t.size))
+    out[0] = math.pi ** -0.25 * np.exp(-0.5 * t * t)
+    if n > 1:
+        out[1] = math.sqrt(2.0) * t * out[0]
+    for l in range(1, n - 1):
+        out[l + 1] = math.sqrt(2.0 / (l + 1)) * t * out[l] - math.sqrt(l / (l + 1.0)) * out[l - 1]
+    return out
+
+
 def hermite_derivative_matrix(sigma, x, n):
     """d phi_l / dx sampled on x, from h_l' = sqrt(2l) h_{l-1} - t h_l."""
     scale = math.sqrt(2.0 * sigma)
     t = scale * x
-    h = hermite_functions(t, n)
+    h = one_shot_hermite(t, n)
     dh = -t * h
     dh[1:] += np.sqrt(2.0 * np.arange(1, n))[:, None] * h[:-1]
     return (2.0 * sigma) ** 0.25 * scale * dh
 
 
+def position_expansion(spec, x, n_states):
+    """Real psi(x) of states 0..n_states-1 at the points x, from the whole
+    `one_shot_hermite` table: an evaluation independent of the streamed
+    kernel."""
+    sigma = spec.basis.sigma
+    h = one_shot_hermite(math.sqrt(2.0 * sigma) * x, spec.n_basis)
+    return spec.coefficients[:, :n_states].T @ ((2.0 * sigma) ** 0.25 * h)
+
+
 def momentum_expansion(spec, p, n_states):
     """Complex psi(p) and psi'(p) of states 0..n_states-1 at the points p,
-    from the full (-i)^l c_l expansion on `hermite_functions` and the
-    derivative matrix: an evaluation independent of the half-line kernel,
-    valid at negative p too."""
+    from the full (-i)^l c_l expansion on `one_shot_hermite` and the
+    derivative matrix: an evaluation independent of the streamed half-line
+    kernel, valid at negative p too."""
     sigma_p = 1.0 / (4.0 * spec.basis.sigma)
     n = spec.n_basis
     coef = ((-1j) ** np.arange(n))[:, None] * spec.coefficients[:, :n_states]
     amp = (2.0 * sigma_p) ** 0.25
-    psi = coef.T @ (amp * hermite_functions(math.sqrt(2.0 * sigma_p) * p, n))
+    psi = coef.T @ (amp * one_shot_hermite(math.sqrt(2.0 * sigma_p) * p, n))
     return psi, coef.T @ hermite_derivative_matrix(sigma_p, p, n)
 
 

@@ -32,8 +32,6 @@ from dwell import (
     critical_points,
     estimate_delta_gamma,
     mirror,
-    momentum_functions,
-    position_functions,
     predict_degeneracy,
     predict_occupancy,
     quasi_degenerate_pairs,
@@ -41,6 +39,7 @@ from dwell import (
     state_reports,
     uncertainties,
     validate_rules,
+    wavefunctions,
     well_occupancy,
 )
 import dwell.cli
@@ -295,7 +294,7 @@ def test_criterion_06_symmetry_suite():
     pot = QuarticPotential.from_well_params(1.0, 20.0, 0.0)
     geo = critical_points(pot)
     grid = build_grid(pot, spec.energy(6), 4096)
-    psi = position_functions(spec, grid, 6)
+    psi = wavefunctions(spec, grid, None, 6)[0]
     p_well_I = well_occupancy(grid, psi, geo)[0]
 
     for p_i, mean_x in zip(p_well_I, uncertainties(spec, 6)[0], strict=True):
@@ -332,8 +331,7 @@ def test_criterion_07_representation_equivalence():
     w *= grid.dx / 3.0
     p_sub = pgrid.half_line[::16]
     ft_dev = 0.0
-    psi_x = position_functions(spec, grid, 4)
-    a, b, _, _ = momentum_functions(spec, pgrid, 4)
+    psi_x, (a, b, _, _) = wavefunctions(spec, grid, pgrid, 4)
     # psi(p) = a + i b on p >= 0 and a - i b at -p
     for sign in (1.0, -1.0):
         kernel = np.exp(-1j * np.outer(sign * p_sub, x))
@@ -351,7 +349,7 @@ def test_criterion_07_representation_equivalence():
 
 
 def test_criterion_08_scaling_invariance():
-    from dwell import info_measures, position_functions
+    from dwell import info_measures
 
     lam = 1.3
     base = QuarticPotential.from_well_params(1.0, 20.0, 3.0)
@@ -363,8 +361,8 @@ def test_criterion_08_scaling_invariance():
         spec = solve(pot, 100, 5)
         grid = build_grid(pot, spec.energy(4), 4096)
         pgrid = build_momentum_grid(pot, spec.energy(4), 4096)
-        psi_x = position_functions(spec, grid, 4)
-        sx, sp, *_ = info_measures(grid, psi_x, pgrid, momentum_functions(spec, pgrid, 4))
+        psi_x, psi_p = wavefunctions(spec, grid, pgrid, 4)
+        sx, sp, *_ = info_measures(grid, psi_x, pgrid, psi_p)
         s_x.append(sx)
         s_total.append(sx + sp)
     dev_total = float(np.max(np.abs(s_total[0] - s_total[1])))

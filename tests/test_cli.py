@@ -328,6 +328,12 @@ def test_import_dwell_loads_no_numpy_and_resolves_every_export():
         "missing = [n for n in dwell.__all__ if getattr(dwell, n, None) is None]",
         "assert not missing, missing",
         "print(len(dwell.__all__), dwell.__version__)",
+        # a name left in a submodule's __all__ after its definition is gone
+        "import importlib, pkgutil",
+        "mods = [importlib.import_module('dwell.' + m.name)",
+        "        for m in pkgutil.iter_modules(dwell.__path__) if not m.name.startswith('_')]",
+        "stale = [(m.__name__, n) for m in mods for n in m.__all__ if not hasattr(m, n)]",
+        "assert len(mods) > 9 and not stale, stale",
     ])
     out = subprocess.run([sys.executable, "-c", code], env=_child_env(os.environ),
                          capture_output=True, text=True, timeout=120)

@@ -18,11 +18,10 @@ from dwell import (
     critical_points,
     info_measures,
     mirror,
-    momentum_functions,
-    position_functions,
     solve,
     state_reports,
     uncertainties,
+    wavefunctions,
     well_occupancy,
 )
 from dwell.cli import resolve_potential
@@ -141,7 +140,7 @@ def test_algebraic_moments_match_grid_quadrature():
     spec = solve(pot, 100, 4)
     grid = build_grid(pot, spec.energy(3), 4096)
     x = grid.x
-    psi = position_functions(spec, grid, 2)
+    psi = wavefunctions(spec, grid, None, 2)[0]
     dpsi = spec.coefficients[:, :2].T @ hermite_derivative_matrix(spec.basis.sigma, x, 100)
     for n, (mean_x, delta_x, delta_p) in enumerate(zip(*uncertainties(spec, 2), strict=True)):
         rho = psi[n] ** 2
@@ -159,7 +158,7 @@ def barrier_split(pot, spec, n_states, points):
     """well_occupancy of states 0..n_states-1 on a grid up to the top one:
     (p_well_I, p_well_II, mass_left, mass_right)."""
     grid = build_grid(pot, spec.energy(n_states - 1), points)
-    psi = position_functions(spec, grid, n_states)
+    psi = wavefunctions(spec, grid, None, n_states)[0]
     return well_occupancy(grid, psi, critical_points(pot))
 
 
@@ -206,7 +205,7 @@ def test_well_probabilities_lie_in_the_unit_interval():
             pot = resolve_potential(1.0, beta, gamma, "auto")
             spec = solve(pot, 100, 8)
             grid = build_grid(pot, spec.energy(7), 4096)
-            psi = position_functions(spec, grid, 8)
+            psi = wavefunctions(spec, grid, None, 8)[0]
             geometry = critical_points(pot)
             p_i, p_ii, _, _ = well_occupancy(grid, psi, geometry)
             assert np.all((p_i >= 0.0) & (p_i <= 1.0) & (p_ii >= 0.0) & (p_ii <= 1.0))
@@ -226,8 +225,7 @@ def test_fisher_analytic_matches_finite_differences():
     spec = solve(pot, 100, 4)
     grid = build_grid(pot, spec.energy(3), 4096)
     pgrid = build_momentum_grid(pot, spec.energy(3), 4096)
-    psi_x = position_functions(spec, grid, 3)
-    a, b, da, db = momentum_functions(spec, pgrid, 3)
+    psi_x, (a, b, da, db) = wavefunctions(spec, grid, pgrid, 3)
     _, _, i_p, _, _ = info_measures(grid, psi_x, pgrid, (a, b, da, db))
     i_x = 4.0 * uncertainties(spec, 3)[2] ** 2
     assert len(i_x) == len(i_p) == 3
@@ -256,10 +254,8 @@ def test_half_line_integrals_match_the_full_window(points, beta, gamma):
     spec = well_solve(1.0, beta, gamma)
     e_top = spec.energy(7)
     xgrid, pgrid = build_grid(pot, e_top, points), build_momentum_grid(pot, e_top, points)
-    psi_p = momentum_functions(spec, pgrid, 8)
-    _, s_p, i_p, _, e_p = info_measures(
-        xgrid, position_functions(spec, xgrid, 8), pgrid, psi_p
-    )
+    psi_x, psi_p = wavefunctions(spec, xgrid, pgrid, 8)
+    _, s_p, i_p, _, e_p = info_measures(xgrid, psi_x, pgrid, psi_p)
     a, b, _, _ = psi_p
     psi, dpsi = momentum_expansion(spec, mirrored(pgrid), 8)
     rho = np.abs(psi) ** 2
@@ -285,8 +281,7 @@ def test_bound_suite_at_localized_point():
     spec = solve(pot, 100, 5)
     grid = build_grid(pot, spec.energy(4), 4096)
     pgrid = build_momentum_grid(pot, spec.energy(4), 4096)
-    psi_x = position_functions(spec, grid, 4)
-    psi_p = momentum_functions(spec, pgrid, 4)
+    psi_x, psi_p = wavefunctions(spec, grid, pgrid, 4)
     s_x, s_p, i_p, e_x, e_p = info_measures(grid, psi_x, pgrid, psi_p)
     _, delta_x, delta_p = uncertainties(spec, 4)
     i_x = 4.0 * delta_p**2
@@ -334,8 +329,8 @@ def test_scaling_invariance_of_total_shannon():
         spec = solve(pot, 100, 3)
         grid = build_grid(pot, spec.energy(2), 4096)
         pgrid = build_momentum_grid(pot, spec.energy(2), 4096)
-        psi_x = position_functions(spec, grid, 2)
-        results.append(info_measures(grid, psi_x, pgrid, momentum_functions(spec, pgrid, 2)))
+        psi_x, psi_p = wavefunctions(spec, grid, pgrid, 2)
+        results.append(info_measures(grid, psi_x, pgrid, psi_p))
     (s_x, s_p, *_), (s_x_scaled, s_p_scaled, *_) = results
     assert len(s_x) == len(s_x_scaled) == 2
     for n in range(2):

@@ -9,6 +9,7 @@ from conftest import (
     confining_quartics,
     ladder_moments,
     momentum_expansion,
+    position_expansion,
     reference_count_nodes,
 )
 from dwell import (
@@ -20,15 +21,14 @@ from dwell import (
     build_momentum_grid,
     critical_points,
     mirror,
-    momentum_functions,
-    position_functions,
     solve,
     state_reports,
     turning_points,
+    wavefunctions,
 )
 from dwell import phasespace
 from dwell.phasespace import DEFAULT_QUAD_NODES
-from dwell.wavefunction import hermite_functions, simpson
+from dwell.wavefunction import simpson
 
 
 def test_report_fields_are_consistent():
@@ -138,8 +138,9 @@ def per_state_reference(pot, spec, n_states, grid_points):
     e_top = spec.energy(n_states - 1)
     xgrid = build_grid(pot, e_top, grid_points)
     pgrid = build_momentum_grid(pot, e_top, grid_points)
-    psi_x = position_functions(spec, xgrid, n_states)
-    # the full window's complex expansion, not the half-line kernel
+    # the whole Hermite table and the full window's complex expansion, not
+    # the streamed half-line kernel
+    psi_x = position_expansion(spec, xgrid.x, n_states)
     psi_p, dpsi_p = momentum_expansion(spec, pgrid.x, n_states)
     x_mat, x2_mat, p2_mat = ladder_moments(spec.basis)
     rows = []
@@ -216,15 +217,11 @@ def test_coefficient_space_derivatives_match_derivative_matrix(name):
     spec = solve(pot, 100, 6)
     xgrid = build_grid(pot, spec.energy(5), 2048)
     pgrid = build_momentum_grid(pot, spec.energy(5), 2048)
-    sigma = spec.basis.sigma
-    psi = position_functions(spec, xgrid, 6)
-    want_psi = spec.coefficients.T @ (
-        (2.0 * sigma) ** 0.25 * hermite_functions(math.sqrt(2.0 * sigma) * xgrid.x, spec.n_basis)
-    )
+    psi, (a, b, da, db) = wavefunctions(spec, xgrid, pgrid, 6)
+    want_psi = position_expansion(spec, xgrid.x, 6)
     assert np.abs(psi - want_psi).max() <= REL * np.abs(want_psi).max()
     # psi(p) = a + i b on p >= 0 and a - i b at -p, psi'(p) = a' + i b' and
     # psi'(-p) = -(a' - i b'): a is even and b odd
-    a, b, da, db = momentum_functions(spec, pgrid, 6)
     for sign in (1.0, -1.0):
         want_psi, want_dpsi = momentum_expansion(spec, sign * pgrid.half_line, 6)
         psi, dpsi = a + sign * 1j * b, sign * da + 1j * db

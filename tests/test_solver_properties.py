@@ -22,13 +22,12 @@ from dwell import (
     build_momentum_grid,
     critical_points,
     mirror,
-    momentum_functions,
-    position_functions,
     quasi_degenerate_pairs,
     solve,
     spectrum,
     state_reports,
     uncertainties,
+    wavefunctions,
     well_occupancy,
 )
 from dwell.wavefunction import even_simpson, simpson
@@ -151,8 +150,8 @@ def test_scaling_law(alpha, beta, gamma, lam):
     # the densities' integrals on the report's grids: the upper states of a
     # shallow well lose up to 1e-8 of theirs outside the position window
     xgrid, pgrid = build_grid(pot, e[6]), build_momentum_grid(pot, e[6])
-    norm_x = simpson(position_functions(spec, xgrid, 7) ** 2, xgrid.dx)
-    a, b, _, _ = momentum_functions(spec, pgrid, 7)
+    psi_x, (a, b, _, _) = wavefunctions(spec, xgrid, pgrid, 7)
+    norm_x = simpson(psi_x**2, xgrid.dx)
     norm_p = even_simpson(a * a + b * b, pgrid.dx)
     norms = list(zip(norm_x, norm_p))
     for n in range(6):
@@ -181,7 +180,7 @@ def test_shared_states_do_not_depend_on_the_number_solved(alpha, beta, k, n_stat
     grid = build_grid(pot, more.energy(n_states + 1), 1024)
     geometry = critical_points(pot)
     p_well, p_well_more = (
-        well_occupancy(grid, position_functions(s, grid, n_states), geometry)[0]
+        well_occupancy(grid, wavefunctions(s, grid, None, n_states)[0], geometry)[0]
         for s in (spec, more)
     )
     mean_x, delta_x, _ = uncertainties(spec)

@@ -11,6 +11,8 @@ from conftest import (
     hermite_derivative_matrix,
     mirrored,
     momentum_expansion,
+    one_shot_hermite,
+    position_expansion,
     reference_count_nodes,
     scalable_pots,
     well_solve,
@@ -22,8 +24,6 @@ from dwell import (
     build_momentum_grid,
     count_nodes,
     critical_points,
-    momentum_functions,
-    position_functions,
     solve,
     turning_points,
     well_occupancy,
@@ -34,11 +34,10 @@ from dwell.wavefunction import (
     HERMITE_BLOCK,
     UniformGrid,
     _hermite_blocks,
-    wavefunctions,
     even_simpson,
-    hermite_functions,
     probability_below,
     simpson,
+    wavefunctions,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -47,23 +46,12 @@ DATA = Path(__file__).parent / "data"
 def test_hermite_recurrence_matches_high_precision_golden():
     entries = json.loads((DATA / "hermite_golden.json").read_text())
     ts = sorted({e["t"] for e in entries})
-    phi = hermite_functions(np.array(ts), 100)
+    phi = np.vstack([rows.copy() for _, rows in _hermite_blocks(np.array(ts), 100)])
     col = {t: i for i, t in enumerate(ts)}
     for e in entries:
         ref = float(e["value"])
         got = phi[e["l"], col[e["t"]]]
         assert got == pytest.approx(ref, rel=1e-12, abs=1e-250)
-
-
-def one_shot_hermite(t, n):
-    """The normalized recurrence over all n rows at once, as one table."""
-    out = np.empty((n, t.size))
-    out[0] = math.pi ** -0.25 * np.exp(-0.5 * t * t)
-    if n > 1:
-        out[1] = math.sqrt(2.0) * t * out[0]
-    for l in range(1, n - 1):
-        out[l + 1] = math.sqrt(2.0 / (l + 1)) * t * out[l] - math.sqrt(l / (l + 1.0)) * out[l - 1]
-    return out
 
 
 @pytest.mark.parametrize("n", [1, 2, 49, 50, 51, 100])
@@ -78,7 +66,6 @@ def test_streamed_rows_equal_a_one_shot_recurrence(n):
         assert np.array_equal(rows, want[l0 : l0 + len(rows)])
         starts.append(l0)
     assert starts == list(range(0, n, HERMITE_BLOCK))
-    assert np.array_equal(hermite_functions(t, n), want)
 
 
 @pytest.mark.parametrize("n_basis", [4, 49, 50, 51, 100])
@@ -90,13 +77,12 @@ def test_streamed_contraction_matches_the_whole_table(n_basis, rng):
     xgrid = UniformGrid(-6.0, 12.0 / 512, 512)
     pgrid = UniformGrid(-4.0, 8.0 / 514, 514)
     psi_x, (a, b, da, db) = wavefunctions(spec, xgrid, pgrid, 3)
-    want_x = coef.T @ (1.4**0.25 * one_shot_hermite(math.sqrt(1.4) * xgrid.x, n_basis))
+    want_x = position_expansion(spec, xgrid.x, 3)
     want_p, want_dp = momentum_expansion(spec, pgrid.half_line, 3)
     for got, want in ((psi_x, want_x), (a + 1j * b, want_p), (da + 1j * db, want_dp)):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-    assert np.array_equal(position_functions(spec, xgrid, 3), psi_x)
-    for got, want in zip(momentum_functions(spec, pgrid, 3), (a, b, da, db), strict=True):
-        assert np.array_equal(got, want)
+    # without a p grid the x rows are the same, bit for bit
+    assert np.array_equal(wavefunctions(spec, xgrid, None, 3)[0], psi_x)
 
 
 def test_odd_parts_vanish_exactly_at_zero_momentum():
@@ -104,8 +90,9 @@ def test_odd_parts_vanish_exactly_at_zero_momentum():
     # and the half-line's first sample is the even function's own value
     spec = well_solve(1.0, 12.0, 1.5, n_states=7)
     pot = QuarticPotential.from_well_params(1.0, 12.0, 1.5)
-    pgrid = build_momentum_grid(pot, spec.energy(6), 4094)
-    a, b, da, db = momentum_functions(spec, pgrid, 7)
+    e_top = spec.energy(6)
+    xgrid, pgrid = build_grid(pot, e_top, 4094), build_momentum_grid(pot, e_top, 4094)
+    _, (a, b, da, db) = wavefunctions(spec, xgrid, pgrid, 7)
     assert pgrid.half_line[0] == 0.0
     assert np.all(b[:, 0] == 0.0) and np.all(da[:, 0] == 0.0)
 
@@ -134,7 +121,7 @@ def test_ground_state_normalized_to_1e8():
     grid = build_grid(pot, 50.0, 4096)
     fine = build_grid(pot, 50.0, 8192)
     for g in (grid, fine):
-        psi = position_functions(spec, g, 1)
+        psi = wavefunctions(spec, g, None, 1)[0]
         assert abs(simpson(psi[0] ** 2, g.dx) - 1.0) <= 1e-8
 
 
@@ -160,7 +147,7 @@ def test_position_parity_of_symmetric_states():
     spec = well_solve(1.0, 12.0, 0.0)
     pot = QuarticPotential.from_well_params(1.0, 12.0, 0.0)
     grid = build_grid(pot, spec.energy(5), 2048)
-    psi = position_functions(spec, grid, 4)
+    psi = wavefunctions(spec, grid, None, 4)[0]
     for n, sign in ((0, +1.0), (1, -1.0), (2, +1.0), (3, -1.0)):
         vals = psi[n]
         assert np.abs(vals - sign * vals[::-1]).max() <= 1e-10
@@ -171,7 +158,7 @@ def test_energy_functional_on_grid():
     pot = QuarticPotential(0.01, -0.0075, -0.0025, 0.0, 0.0)
     spec = solve(pot, 100, 4)
     grid = build_grid(pot, spec.energy(3), 4096)
-    psi = position_functions(spec, grid, 1)
+    psi = wavefunctions(spec, grid, None, 1)[0]
     dpsi = spec.coefficients[:, :1].T @ hermite_derivative_matrix(spec.basis.sigma, grid.x, 100)
     integrand = dpsi[0] ** 2 + pot(grid.x) * psi[0] ** 2
     e0 = simpson(integrand, grid.dx)
@@ -183,8 +170,9 @@ def test_parseval_and_momentum_parity():
     # expansion at p and a - i b at -p, and the mirrored rho_p integrates to 1
     spec = well_solve(1.0, 12.0, 0.0, n_states=7)
     pot = QuarticPotential.from_well_params(1.0, 12.0, 0.0)
-    pgrid = build_momentum_grid(pot, spec.energy(6), 4096)
-    a, b, _, _ = momentum_functions(spec, pgrid, 6)
+    e_top = spec.energy(6)
+    xgrid, pgrid = build_grid(pot, e_top, 4096), build_momentum_grid(pot, e_top, 4096)
+    _, (a, b, _, _) = wavefunctions(spec, xgrid, pgrid, 6)
     assert np.abs(even_simpson(a * a + b * b, pgrid.dx) - 1.0).max() <= 1e-6
     psi_t, _ = momentum_expansion(spec, mirrored(pgrid), 6)
     half = pgrid.n_points // 2
@@ -203,8 +191,7 @@ def test_momentum_matches_fourier_quadrature_oracle():
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
     w *= grid.dx / 3.0
     p_sub = pgrid.half_line[::16]
-    psi_x = position_functions(spec, grid, 4)
-    a, b, _, _ = momentum_functions(spec, pgrid, 4)
+    psi_x, (a, b, _, _) = wavefunctions(spec, grid, pgrid, 4)
     # psi(-p) = a - i b: the transform at -p checks the parity as well
     for sign in (1.0, -1.0):
         kernel = np.exp(-1j * np.outer(sign * p_sub, x))
@@ -219,10 +206,8 @@ def test_sampled_states_are_contiguous_rows():
     pot = QuarticPotential.from_well_params(1.0, 12.0, 0.0)
     xgrid = build_grid(pot, spec.energy(4), 1024)
     pgrid = build_momentum_grid(pot, spec.energy(4), 1024)
-    for samples, arrays in (
-        (xgrid.x.size, (position_functions(spec, xgrid, 5),)),
-        (pgrid.half_line.size, momentum_functions(spec, pgrid, 5)),
-    ):
+    psi_x, psi_p = wavefunctions(spec, xgrid, pgrid, 5)
+    for samples, arrays in ((xgrid.x.size, (psi_x,)), (pgrid.half_line.size, psi_p)):
         for rows in arrays:
             assert rows.shape == (5, samples)
             assert rows.flags.c_contiguous
@@ -232,7 +217,7 @@ def test_grid_orthogonality():
     spec = well_solve(1.0, 20.0, 3.0, n_states=7)
     pot = QuarticPotential.from_well_params(1.0, 20.0, 3.0)
     grid = build_grid(pot, spec.energy(6), 4096)
-    psi = position_functions(spec, grid, 7)
+    psi = wavefunctions(spec, grid, None, 7)[0]
     for m in range(7):
         for n in range(m + 1, 7):
             overlap = simpson(psi[m] * psi[n], grid.dx)
@@ -243,7 +228,7 @@ def node_counts(pot, spec, n_states, points):
     """count_nodes of states 0..n_states-1 on a grid up to the top one, as
     (total, effective) pairs."""
     grid = build_grid(pot, spec.energy(n_states - 1), points)
-    psi = position_functions(spec, grid, n_states)
+    psi = wavefunctions(spec, grid, None, n_states)[0]
     geometry = critical_points(pot)
     _, _, mass_left, mass_right = well_occupancy(grid, psi, geometry)
     span = np.array([turning_points(pot, spec.energy(n))[[0, -1]] for n in range(n_states)])
@@ -298,7 +283,7 @@ def test_batched_node_counts_match_the_per_row_reference(beta):
         for n_states in (1, 8, 30):
             spec = solve(pot, 100, n_states)
             grid = build_grid(pot, spec.energy(n_states - 1))
-            psi = position_functions(spec, grid, n_states)
+            psi = wavefunctions(spec, grid, None, n_states)[0]
             _, _, mass_left, mass_right = well_occupancy(grid, psi, geometry)
             turning = [turning_points(pot, e) for e in spec.energies]
             # the span state_reports takes: the outermost lobe edges, which
@@ -388,7 +373,7 @@ def test_probability_below_grows_with_the_split(pot):
     # moving one panel's Simpson value from above to below at each
     spec = solve(pot, 100, 4)
     grid = build_grid(pot, spec.energy(3), 1024)
-    psi = position_functions(spec, grid, 4)
+    psi = wavefunctions(spec, grid, None, 4)[0]
     rho = psi**2
     total = simpson(rho, grid.dx)
     splits = np.linspace(grid.x0, grid.x_max, 1001)
@@ -482,7 +467,7 @@ def test_well_occupancy_masses_split_at_the_barrier_sample(pot):
     assume(geometry.is_double_well)
     spec = solve(pot, 100, 4)
     grid = build_grid(pot, spec.energy(3), 1024)
-    psi = position_functions(spec, grid, 4)
+    psi = wavefunctions(spec, grid, None, 4)[0]
     _, _, below, above = well_occupancy(grid, psi, geometry)
     k = int(np.argmin(np.abs(grid.x - geometry.barrier[0])))
     rho = psi**2
