@@ -7,8 +7,9 @@ REV is exported with `git archive` into a temporary directory.  A fixed
 list of commands then runs as `python -m dwell ...` on both trees, each
 importing the package from its own src/: the benchmark's sweep and
 validate-rules commands at seeds 0, 7 and 13, `validate-rules --alphas
-0.25,16`, `validate-rules --alphas 1e-12,1e12` (the delta-gamma probe far
-from unit scale, where an absolute tolerance would show), tables 1-5,
+0.25,16`, `validate-rules --alphas 1e-12,1e12` (the alpha-1 delta-gamma
+probe's transitions scaled far from unit scale, by 1e-6 and 1e6, where an
+absolute tolerance would show), tables 1-5,
 `phase-space --contours`, `solve --beta 30 --states 11` at gamma 0, 3.3
 and 6, `solve --beta 30 --gamma 0 --states 8
 --grid-points 4094` (a symmetric well whose window cannot stay symmetric:

@@ -31,7 +31,7 @@ import numpy as np
 from .phasespace import area
 from .potential import QuarticPotential, critical_points
 from .report import StateReport, state_reports
-from .rules import NoTransitionsFound, estimate_delta_gamma, validate_rules
+from .rules import estimate_delta_gamma, validate_rules
 from .spectrum import (DEFAULT_N_BASIS, DEFAULT_N_STATES, DEGENERACY_REL_TOL, SolverError,
                        certified_states, solve)
 from .wavefunction import DEFAULT_GRID_POINTS, DEFAULT_RHO_FLOOR, MIN_GRID_POINTS
@@ -62,7 +62,7 @@ EXIT_SOLVER = 3
 
 # a computation that raises one of these failed on its inputs: the command
 # exits 3, and a sweep records the message in the point's error row
-FAILURES = (SolverError, NoTransitionsFound, ValueError)
+FAILURES = (SolverError, ValueError)
 
 
 class ConfigError(ValueError):

@@ -22,11 +22,12 @@ and Unsal, PRL 115, 041601 (2015)), whose two wells' Bohr-Sommerfeld numbers
 sweep alone; the tests hold it to the closed form.  With x = alpha^(-1/6) y,
 H(alpha, beta, gamma) = alpha^(1/3) H(1, beta alpha^(-2/3), gamma alpha^(-1/2)),
 so its probe at beta = 16 alpha^(2/3) over 12 gammas in sqrt(alpha) x
-[0.05, 8.8] is the same dimensionless well at every alpha, and its
-refinement stops at a step relative to gamma, so it takes the same 32 solves
-and reaches the same relative accuracy at every scale.  The predictions are plain
-functions of k: `predict_degeneracy(k, n_max)` and `predict_occupancy(k, n)`;
-`validate_rules` evaluates them at k = gamma / delta_gamma.
+[0.05, 8.8] is the same dimensionless well at every alpha.  So the probe
+runs once per basis size, on the alpha-1 well, in 32 solves shared by every
+alpha, and each alpha scales its transitions by sqrt(alpha).  The
+predictions are plain functions of k: `predict_degeneracy(k, n_max)` and
+`predict_occupancy(k, n)`; `validate_rules` evaluates them at
+k = gamma / delta_gamma.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ import numpy as np
 from .basis import band_matvec, position_band
 from .measures import Occupancy, classify_occupancy, well_occupancy
 from .potential import QuarticPotential, critical_points
-from .spectrum import DEFAULT_N_BASIS, DEGENERACY_REL_TOL, quasi_degenerate_pairs, solve
+from .spectrum import (DEFAULT_N_BASIS, DEGENERACY_REL_TOL, SolverError, quasi_degenerate_pairs,
+                       solve)
 from .wavefunction import DEFAULT_GRID_POINTS, build_grid, wavefunctions
 
 __all__ = [
@@ -60,7 +62,7 @@ GAMMA_SCAN_POINTS = 12  # coarse gamma samples per delta-gamma probe sweep
 REFINE_TOL = 1e-12  # relative step at which a gap minimum counts as refined
 
 
-class NoTransitionsFound(RuntimeError):
+class NoTransitionsFound(SolverError):
     """The probe sweep produced no sharp gap minima."""
 
 
@@ -101,13 +103,14 @@ class DeltaGammaEstimate:
     beta_used: float
 
 
-def _levels(alpha: float, beta: float, gamma: float, n_basis: int):
-    """Energies E_n and slopes dE_n/dgamma = <n|x|n> of the five lowest states.
+def _levels(gamma: float, n_basis: int):
+    """Energies E_n and slopes dE_n/dgamma = <n|x|n> of the five lowest states
+    of the probe well (alpha 1, beta 16) at gamma.
 
     The basis scale reads only c4 and c2, so H = H0 + gamma x holds exactly in
     the truncated basis along a gamma sweep, and Hellmann-Feynman is exact.
     """
-    spec = solve(QuarticPotential.from_well_params(alpha, beta, gamma), n_basis, 5)
+    spec = solve(QuarticPotential.from_well_params(1.0, 16.0, gamma), n_basis, 5)
     v = spec.coefficients
     return spec.energies, np.sum(v * band_matvec(position_band(spec.basis), v), axis=0)
 
@@ -138,43 +141,30 @@ def _refine_minimum(levels_at, m: int, a: float, b: float, s_a: float, s_b: floa
         b, s_b = g, s
 
 
-def estimate_delta_gamma(alpha: float, n_basis: int = DEFAULT_N_BASIS) -> DeltaGammaEstimate:
-    """Estimate the characteristic transition interval from gap minima.
+@functools.lru_cache(maxsize=None)
+def _probe_transitions(n_basis: int) -> tuple[float, ...]:
+    """Transition gammas of the alpha-1 probe (beta 16), one per transition.
 
     Adjacent-level gaps E_{m+1} - E_m (m = 1, 2, 3) collapse sharply at the
     transition gammas; the pair (m, m+1) does so at every multiple k <= m of
     the interval with k = m (mod 2), so the union of all refined minima is
-    the set {1, 2, 3} x delta_gamma.  Consecutive spacings of that set (the
-    first one taken from zero) are reduced to the base interval and
-    averaged; the spread is returned as the uncertainty.
-
-    The probe is the same dimensionless well at every alpha: with
-    x = alpha^(-1/6) y, H(alpha, beta, gamma) = alpha^(1/3) H(1, beta
-    alpha^(-2/3), gamma alpha^(-1/2)), so beta = 16 alpha^(2/3) and gammas
-    sqrt(alpha) x [0.05, 8.8] scan the alpha-1 problem at depth 16, where
-    transition gaps are orders of magnitude below the level spacing, and
-    the trace-optimal basis scales with it.  Each sign change of
-    d(gap^2)/dgamma from negative to non-negative between neighbouring scan
-    points brackets one minimum, refined by regula falsi on that slope until
-    its step is REFINE_TOL relative to gamma, before the sharpness test (a
-    gap below SHARP_GAP_TOL relative to E_m).  Both tests are relative, so
-    every alpha takes the same solves to the same relative accuracy.
+    the set {1, 2, 3} x delta_gamma.  Each sign change of d(gap^2)/dgamma
+    from negative to non-negative between neighbouring points of the scan
+    over [0.05, 8.8] brackets one minimum, refined by regula falsi on that
+    slope until its step is REFINE_TOL relative to gamma, before the
+    sharpness test (a gap below SHARP_GAP_TOL relative to E_m).  Minima of
+    different gap curves within 1e-3 of the scan's span are one transition.
 
     GAMMA_SCAN_POINTS = 12 samples suffice.  A minimum is bracketed when one
     sample lies on its falling side and the next on its rising side, that is
     between the gap maxima on either side of it.  The minima of one gap curve
-    lie 2 delta_gamma = 4 sqrt(alpha) apart, and the step is 8.75 / 11
-    sqrt(alpha) = 0.795 sqrt(alpha), so they are at least 5 steps apart.  The
-    scan takes 12 solves and the four refinements (pair 1 at k = 1, pair 2 at
-    k = 2, pair 3 at k = 1 and 3) 20 more: 32 solves per alpha.
+    lie 2 delta_gamma = 4 apart, and the step is 8.75 / 11 = 0.795, so they
+    are at least 5 steps apart.  The scan takes 12 solves and the four
+    refinements (pair 1 at k = 1, pair 2 at k = 2, pair 3 at k = 1 and 3)
+    20 more: 32 solves per basis size.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if alpha == math.inf:
-        raise ValueError(f"alpha must be finite, got {alpha}")
-    beta = 16.0 * alpha ** (2.0 / 3.0)
-    gammas = math.sqrt(alpha) * np.linspace(0.05, 8.8, GAMMA_SCAN_POINTS)
-    levels_at = functools.partial(_levels, alpha, beta, n_basis=n_basis)
+    gammas = np.linspace(0.05, 8.8, GAMMA_SCAN_POINTS)
+    levels_at = functools.partial(_levels, n_basis=n_basis)
     energies, slopes = map(np.array, zip(*map(levels_at, gammas)))
 
     found: list[float] = []
@@ -185,18 +175,31 @@ def estimate_delta_gamma(alpha: float, n_basis: int = DEFAULT_N_BASIS) -> DeltaG
             if e[m + 1] - e[m] <= SHARP_GAP_TOL * abs(e[m]):
                 found.append(g)
     # merge the same transition seen through different gap curves
-    found.sort()
-    merge_tol = 1e-3 * (gammas[-1] - gammas[0])
-    transitions: list[float] = []
-    cluster: list[float] = []
-    for tau in found:
-        if cluster and tau - cluster[-1] > merge_tol:
-            transitions.append(float(np.mean(cluster)))
-            cluster = []
-        cluster.append(tau)
-    if cluster:
-        transitions.append(float(np.mean(cluster)))
+    minima = np.sort(found)
+    cuts = np.flatnonzero(np.diff(minima) > 1e-3 * (gammas[-1] - gammas[0])) + 1
+    return tuple(float(np.mean(c)) for c in np.split(minima, cuts) if c.size)
 
+
+def estimate_delta_gamma(alpha: float, n_basis: int = DEFAULT_N_BASIS) -> DeltaGammaEstimate:
+    """Estimate the characteristic transition interval from gap minima.
+
+    With x = alpha^(-1/6) y, H(alpha, beta, gamma) = alpha^(1/3) H(1, beta
+    alpha^(-2/3), gamma alpha^(-1/2)), so the probe at beta = 16 alpha^(2/3)
+    over gammas sqrt(alpha) x [0.05, 8.8] is the alpha-1 well at depth 16,
+    where transition gaps are orders of magnitude below the level spacing,
+    at every alpha.  So it runs once per basis size, on that well
+    (`_probe_transitions`, 32 solves shared by every alpha), and its
+    transitions are scaled by sqrt(alpha); at alpha = 4^j the scaling is
+    exact.  Consecutive spacings of the transitions (the first one taken
+    from zero) are reduced to the base interval and averaged; the spread is
+    returned as the uncertainty.
+    """
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    if alpha == math.inf:
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    beta = 16.0 * alpha ** (2.0 / 3.0)
+    transitions = [math.sqrt(alpha) * tau for tau in _probe_transitions(n_basis)]
     if len(transitions) >= 2:
         diffs = np.diff([0.0] + transitions)
         base = float(np.min(diffs))

@@ -663,8 +663,9 @@ def test_phase_space_export(tmp_path):
     (["phase-space", "--alpha", "-1"], "phase-space"),
 ])
 def test_solver_and_potential_failures_exit_3(tmp_path, capsys, argv, command):
-    # a negative alpha, and a basis too small for the delta-gamma probe,
-    # end in one error line instead of a traceback
+    # a negative alpha, and a basis too small for the alpha-1 delta-gamma
+    # probe that every alpha shares, end in one error line instead of a
+    # traceback
     assert main(argv + ["--outdir", str(tmp_path)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {command} failed: ")
@@ -679,8 +680,8 @@ def test_validate_rules_names_a_non_positive_alpha(tmp_path, capsys, alpha):
 
 
 def test_validate_rules_small_alpha_small_basis(tmp_path):
-    # the delta-gamma probe is the alpha-1 well rescaled, so a basis that
-    # resolves it at alpha 1 resolves it at alpha 0.01 too
+    # alpha 0.01 scales the transitions of the alpha-1 delta-gamma probe by
+    # sqrt(0.01), so a basis that resolves that probe serves alpha 0.01 too
     argv = ["validate-rules", "--alphas", "0.01", "--n-basis", "30", "--states", "6"]
     assert main(argv + ["--outdir", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "validate_rules.json").read_text(encoding="utf-8"))

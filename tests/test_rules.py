@@ -8,6 +8,7 @@ from dwell import (
     NoTransitionsFound,
     Occupancy,
     QuarticPotential,
+    SolverError,
     estimate_delta_gamma,
     predict_degeneracy,
     predict_occupancy,
@@ -103,9 +104,9 @@ def test_predictions_read_the_magnitude_of_k(k, n):
 )
 def test_delta_gamma_matches_closed_form(alpha):
     # the wells' Bohr-Sommerfeld numbers differ by gamma / (2 sqrt(alpha)),
-    # so level crossings recur every 2 sqrt(alpha) in gamma; the probe is the
-    # alpha-1 well rescaled and its tolerances are relative, so it is as
-    # accurate at every alpha
+    # so level crossings recur every 2 sqrt(alpha) in gamma; every alpha
+    # scales the transitions of the one alpha-1 probe by sqrt(alpha), so it
+    # is as accurate at every alpha
     delta_gamma = 2.0 * math.sqrt(alpha)
     est = estimate_delta_gamma(alpha)
     # abs=0: approx's default absolute slack of 1e-12 would pass any
@@ -146,12 +147,13 @@ def test_well_actions_differ_by_k(alpha, beta_scale, gamma_scale):
     assert checked > 0
 
 
-@pytest.mark.parametrize("alpha", [1e-12, 1.0, 100.0, 1e12])
-def test_delta_gamma_costs_the_same_at_every_scale(monkeypatch, alpha):
-    # 12 scan points and four refinements of about 5 solves each; the
-    # refinement reuses the eigenvectors of each solve for the gap slope (a
-    # derivative-free search needs some 76 more solves per sweep) and stops
-    # at a step relative to gamma, so no scale pays more
+def test_delta_gamma_probe_runs_once_per_basis_size(monkeypatch):
+    # 12 scan points and four refinements of about 5 solves each, on the
+    # alpha-1 well; the refinement reuses the eigenvectors of each solve for
+    # the gap slope (a derivative-free search needs some 76 more solves per
+    # sweep), and every alpha scales the same transitions.  The cache is
+    # cleared first, so the probe solves here and only here
+    rules._probe_transitions.cache_clear()
     calls = []
 
     def counted(*args, **kwargs):
@@ -159,8 +161,21 @@ def test_delta_gamma_costs_the_same_at_every_scale(monkeypatch, alpha):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(rules, "solve", counted)
-    estimate_delta_gamma(alpha)
-    assert len(calls) <= 32
+    for alpha in (1e-12, 1.0, 100.0, 1e12):
+        estimate_delta_gamma(alpha)
+    assert 0 < len(calls) <= 32
+
+
+@pytest.mark.parametrize("j", [-20, -1, 1, 20])
+def test_delta_gamma_follows_the_scaling_law_exactly(j):
+    # sqrt(4^j) = 2^j, and scaling by a power of 2 rounds nothing, so the
+    # transitions, the spacings and their mean and spread at alpha = 4^j are
+    # 2^j times alpha 1's bit for bit
+    unit, est = estimate_delta_gamma(1.0), estimate_delta_gamma(4.0**j)
+    scale = 2.0**j
+    assert est.delta_gamma == scale * unit.delta_gamma
+    assert est.uncertainty == scale * unit.uncertainty
+    assert est.transitions == tuple(scale * tau for tau in unit.transitions)
 
 
 @pytest.mark.parametrize("alpha", [-1.0, 0.0, math.nan])
@@ -255,5 +270,6 @@ def test_rule_validation_detects_pairs_at_moderate_beta():
 
 def test_no_transitions_raises():
     # 16 oscillator functions cannot resolve the probe's collapsed gaps
+    assert issubclass(NoTransitionsFound, SolverError)
     with pytest.raises(NoTransitionsFound, match="no sharp gap minima found for alpha=1.0"):
         estimate_delta_gamma(1.0, n_basis=16)
