@@ -147,6 +147,25 @@ def test_well_actions_differ_by_k(alpha, beta_scale, gamma_scale):
     assert checked > 0
 
 
+@pytest.mark.parametrize("alpha", [1e-12, 1.0, 100.0, 1e12])
+def test_delta_gamma_costs_the_same_at_every_scale(monkeypatch, alpha):
+    # 12 scan points and four refinements of about 5 solves each; the
+    # refinement reuses the eigenvectors of each solve for the gap slope (a
+    # derivative-free search needs some 76 more solves per sweep) and stops
+    # at a step relative to gamma, so no scale pays more.  The cache is
+    # cleared first, so every alpha pays for a cold probe
+    rules._probe_transitions.cache_clear()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(rules, "solve", counted)
+    estimate_delta_gamma(alpha)
+    assert 0 < len(calls) <= 32
+
+
 def test_delta_gamma_probe_runs_once_per_basis_size(monkeypatch):
     # 12 scan points and four refinements of about 5 solves each, on the
     # alpha-1 well; the refinement reuses the eigenvectors of each solve for
