@@ -17,10 +17,13 @@ the barrier x = 0 must be an even sample of 4094 intervals), `solve --beta
 30 --gamma 6 --states 4` (its top state is half of a doublet split below
 solver resolution), `solve --beta 2 --gamma 7 --states 8` (a shallow
 well whose position window loses the most tail, where the grid's Fisher
-integral in x was furthest from 4 <p^2>), `solve --poly 1,0,-10,0.5,0`
-and `solve --poly
+integral in x was furthest from 4 <p^2>), `solve --poly 1,0,-10,0.5,0`,
+`solve --poly
 7.922816251426434e+28,0,-3.68934881474191e+20,844424930131968,0 --states
-4` (x^4 - 20 x^2 + 3 x at scale 2^16, a potential far from unit scale).
+4` (x^4 - 20 x^2 + 3 x at scale 2^16, a potential far from unit scale),
+`solve --poly 3,-4,0,0,0 --states 4` (V' = 12 x^2 (x - 1): a double root
+of V' that is an inflection, not an extremum) and `solve --poly 1,0,0,0,0
+--states 4` (V' has a triple root at the single minimum).
 
 Exit codes, stdout (with the output and cache directories replaced by
 placeholders) and every file a command writes are compared.  A differing
@@ -92,6 +95,10 @@ def commands() -> list[tuple[str, list[str]]]:
                  ["solve", "--poly",
                   "7.922816251426434e+28,0,-3.68934881474191e+20,844424930131968,0",
                   "--states", "4", *out]))
+    cmds.append(("solve-poly-inflection",
+                 ["solve", "--poly", "3,-4,0,0,0", "--states", "4", *out]))
+    cmds.append(("solve-poly-pure-quartic",
+                 ["solve", "--poly", "1,0,0,0,0", "--states", "4", *out]))
     return cmds
 
 

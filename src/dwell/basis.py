@@ -77,10 +77,9 @@ def optimal_sigma(pot: QuarticPotential, n_basis: int) -> float:
         raise ValueError("n_basis must be positive")
     s1, s2 = _trace_sums(n_basis)
     roots = real_roots((8.0 * s1, 0.0, -2.0 * pot.c2 * s1, -3.0 * pot.c4 * s2))
-    positive = roots[roots > 0.0]
-    if positive.size == 0:
+    if not roots or roots[-1] <= 0.0:
         raise ValueError("trace cubic has no positive root (requires c4 > 0)")
-    return float(positive[-1])
+    return roots[-1]
 
 
 def _band(

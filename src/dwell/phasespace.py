@@ -73,7 +73,7 @@ def _sqrt_interval(
 
 def _allowed_segments(pot: QuarticPotential, energy: float) -> list[tuple[float, float, bool]]:
     """Partition of [t_first, t_last] into (lo, hi, classically_allowed)."""
-    tps = [float(t) for t in turning_points(pot, energy)]
+    tps = turning_points(pot, energy)
     segments = []
     for lo, hi in zip(tps[:-1], tps[1:]):
         if hi - lo <= 0.0:

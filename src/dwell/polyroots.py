@@ -8,7 +8,8 @@ of p' come from the same procedure one degree down (Collins and Loos,
 SYMSAC 1976).  Every decision is a sign test or that one relative bound
 (Higham, *Accuracy and Stability of Numerical Algorithms*, sec. 5.1), so
 the result does not depend on the scale of the roots: the roots of
-p(2^-j x) are 2^j times those of p.
+p(2^-j x) are 2^j times those of p.  A root set is a sorted tuple of Python
+floats; the module needs no numpy.
 """
 
 from __future__ import annotations
@@ -16,21 +17,21 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-
-import numpy as np
+import sys
 
 __all__ = ["real_roots"]
 
-_EPS = np.finfo(float).eps
+_EPS = sys.float_info.epsilon
 
 
-def real_roots(coeffs) -> np.ndarray:
-    """Real roots of the polynomial with highest-degree-first coeffs, sorted,
-    each repeated by its multiplicity."""
+def real_roots(coeffs) -> tuple[float, ...]:
+    """Real roots of the polynomial with highest-degree-first coeffs: a sorted
+    tuple of floats, each root repeated by its multiplicity.  The tuple is
+    the cached one, which is safe to share because it cannot change."""
     c = tuple(float(v) for v in coeffs)
     if not c or c[0] == 0.0:
         raise ValueError("leading coefficient must be nonzero")
-    return np.array(_roots(c))
+    return _roots(c)
 
 
 def _horner(c: tuple[float, ...], x: float) -> tuple[float, float, float]:

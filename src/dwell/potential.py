@@ -3,7 +3,8 @@
 The model family is V(x) = c4 x^4 + c3 x^3 + c2 x^2 + c1 x + c0 with c4 > 0,
 which covers the asymmetric double well c4 = alpha, c2 = -beta, c1 = gamma.
 Everything here is exact polynomial arithmetic plus real-root isolation
-(`polyroots.real_roots`); no grids, no eigensolvers.
+(`polyroots.real_roots`) in Python floats, with roots and turning points as
+sorted tuples: no numpy, no grids, no eigensolvers.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
 
 from .polyroots import real_roots
 
@@ -58,8 +57,7 @@ class QuarticPotential:
         return (self.c4, self.c3, self.c2, self.c1, self.c0)
 
     def __call__(self, x):
-        # Horner form
-        x = np.asarray(x, dtype=float) if not np.isscalar(x) else x
+        """V at a float or elementwise on an ndarray (Horner form)."""
         return (((self.c4 * x + self.c3) * x + self.c2) * x + self.c1) * x + self.c0
 
     def derivative(self, x):
@@ -101,8 +99,7 @@ def critical_points(pot: QuarticPotential) -> WellGeometry:
     when they are equal); a single well's side is the sign of its minimum.
     """
     roots = real_roots((4.0 * pot.c4, 3.0 * pot.c3, 2.0 * pot.c2, pot.c1))
-    extrema = [(float(x), float(pot(x)))
-               for x, run in itertools.groupby(roots) if len(list(run)) % 2]
+    extrema = [(x, pot(x)) for x, run in itertools.groupby(roots) if len(list(run)) % 2]
     if len(extrema) == 1:
         return WellGeometry(tuple(extrema), None, _side(extrema[0][0], 0.0))
     left, barrier, right = extrema
@@ -114,8 +111,9 @@ def _side(a: float, b: float) -> WellSide:
     return WellSide.LEFT if a < b else WellSide.RIGHT if a > b else WellSide.SYMMETRIC
 
 
-def turning_points(pot: QuarticPotential, energy: float) -> np.ndarray:
-    """Sorted real solutions of V(x) = E (0, 2 or 4 values, with multiplicity).
+def turning_points(pot: QuarticPotential, energy: float) -> tuple[float, ...]:
+    """Real solutions of V(x) = E as a sorted tuple of floats (0, 2 or 4
+    values, with multiplicity).
 
     They are bracketed by the roots of V', which do not depend on E:
     `real_roots` finds those once for all energies of one potential.

@@ -38,8 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import band_matvec, position_band
-from .measures import Occupancy, classify_occupancy, well_occupancy
+from .measures import Occupancy, classify_occupancy, uncertainties, well_occupancy
 from .potential import QuarticPotential, critical_points
 from .spectrum import (DEFAULT_N_BASIS, DEGENERACY_REL_TOL, SolverError, quasi_degenerate_pairs,
                        solve)
@@ -111,8 +110,7 @@ def _levels(gamma: float, n_basis: int):
     the truncated basis along a gamma sweep, and Hellmann-Feynman is exact.
     """
     spec = solve(QuarticPotential.from_well_params(1.0, 16.0, gamma), n_basis, 5)
-    v = spec.coefficients
-    return spec.energies, np.sum(v * band_matvec(position_band(spec.basis), v), axis=0)
+    return spec.energies, uncertainties(spec)[0]
 
 
 def _gap_slope(energies: np.ndarray, slopes: np.ndarray, m: int):

@@ -153,9 +153,9 @@ def build_grid(
         raise ValueError(f"points must be >= {MIN_GRID_POINTS}")
     points += points % 2
     tps = turning_points(pot, e_max)
-    if tps.size == 0:
+    if not tps:
         raise ValueError("e_max lies below the potential minimum")
-    t_lo, t_hi = float(tps[0]), float(tps[-1])
+    t_lo, t_hi = tps[0], tps[-1]
     span = t_hi - t_lo
     pad_lo = 1.2 * max(5.0 * _decay_length(pot, t_lo), 0.2 * span)
     pad_hi = 1.2 * max(5.0 * _decay_length(pot, t_hi), 0.2 * span)

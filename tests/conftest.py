@@ -158,7 +158,7 @@ def reference_count_nodes(grid, psi, turning, geometry, mass_left, mass_right,
     """(total, effective) sign changes of one state's row psi between its
     outer turning points, one row at a time: the single-state algorithm that
     the batched `count_nodes` must reproduce count for count."""
-    if turning.size < 2:
+    if len(turning) < 2:
         return (0, 0)
     t_lo, t_hi = float(turning[0]), float(turning[-1])
     x = grid.x

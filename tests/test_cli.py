@@ -325,6 +325,13 @@ def test_import_dwell_loads_no_numpy_and_resolves_every_export():
     code = "\n".join([
         "import sys, dwell",
         "assert 'numpy' not in sys.modules, 'import dwell loaded numpy'",
+        # the well geometry, which a cache key needs, works in Python floats
+        "from dwell.potential import QuarticPotential, critical_points, turning_points",
+        "pot = QuarticPotential.from_well_params(1, 20, 3)",
+        "geo, tps, v = critical_points(pot), turning_points(pot, -50.0), pot(0.5)",
+        "assert 'numpy' not in sys.modules, 'the well geometry loaded numpy'",
+        "assert type(tps) is tuple and len(tps) == 4, tps",
+        "assert all(type(t) is float for t in (*tps, v, *geo.barrier)), (tps, v, geo)",
         "missing = [n for n in dwell.__all__ if getattr(dwell, n, None) is None]",
         "assert not missing, missing",
         "print(len(dwell.__all__), dwell.__version__)",

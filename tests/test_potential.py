@@ -119,7 +119,7 @@ def test_critical_points_are_stationary(pot):
 @given(pot=general_pots, offset=st.floats(0.1, 30.0))
 def test_turning_points_bracket_sign_changes(pot, offset):
     energy = critical_points(pot).global_minimum[1] + offset
-    tps = turning_points(pot, energy)
+    tps = np.array(turning_points(pot, energy))
     x = np.linspace(-12, 12, 8001)
     y = pot(x) - energy
     for i in np.nonzero(y[:-1] * y[1:] < 0)[0]:

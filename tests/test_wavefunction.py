@@ -231,7 +231,8 @@ def node_counts(pot, spec, n_states, points):
     psi = wavefunctions(spec, grid, None, n_states)[0]
     geometry = critical_points(pot)
     _, _, mass_left, mass_right = well_occupancy(grid, psi, geometry)
-    span = np.array([turning_points(pot, spec.energy(n))[[0, -1]] for n in range(n_states)])
+    turning = [turning_points(pot, spec.energy(n)) for n in range(n_states)]
+    span = np.array([(tps[0], tps[-1]) for tps in turning])
     return list(zip(*count_nodes(grid, psi, span, geometry, mass_left, mass_right)))
 
 
@@ -290,7 +291,7 @@ def test_batched_node_counts_match_the_per_row_reference(beta):
             # are the outer turning points
             lobes = [area(pot, e).lobes for e in spec.energies]
             span = np.array([(ls[0].x_lo, ls[-1].x_hi) for ls in lobes])
-            assert np.array_equal(span, [tps[[0, -1]] for tps in turning])
+            assert np.array_equal(span, [(tps[0], tps[-1]) for tps in turning])
             total, effective = count_nodes(grid, psi, span, geometry, mass_left, mass_right)
             assert total.shape == effective.shape == (n_states,)
             want = [
@@ -420,7 +421,7 @@ def test_build_grid_puts_the_barrier_on_a_panel_boundary(pot, lift, points):
     assume(geometry.is_double_well)
     v_min = geometry.global_minimum[1]
     e_max = v_min + lift * (geometry.barrier[1] - v_min)
-    if turning_points(pot, e_max).size == 0:
+    if not turning_points(pot, e_max):
         with pytest.raises(ValueError, match="e_max lies below the potential minimum"):
             build_grid(pot, e_max, points)
         return
