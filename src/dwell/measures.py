@@ -73,16 +73,14 @@ class Occupancy(enum.Enum):
     BOTH = "both"
 
 
-def uncertainties(
-    spec: Spectrum, n_states: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(mean_x, delta_x, delta_p) of states 0..n_states-1, one entry per state.
+def uncertainties(spec: Spectrum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mean_x, delta_x, delta_p) of every state of `spec`, one entry per state.
 
-    Exact first and second moments: all states (default: every computed
-    one) share one band product per operator.  Eigenvectors are real, so <p>
-    vanishes identically for stationary states and delta_p is sqrt(<p^2>).
+    Exact first and second moments: all states share one band product per
+    operator.  Eigenvectors are real, so <p> vanishes identically for
+    stationary states and delta_p is sqrt(<p^2>).
     """
-    c = spec.coefficients[:, :n_states]
+    c = spec.coefficients
 
     def expectation(band: np.ndarray) -> np.ndarray:
         return np.sum(c * band_matvec(band, c), axis=0)

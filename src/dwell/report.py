@@ -114,8 +114,8 @@ def state_reports(
     e_top = spec.energy(n_states - 1)
     xgrid = build_grid(pot, e_top, grid_points)
     pgrid = build_momentum_grid(pot, e_top, grid_points)
-    psi_x, psi_p = wavefunctions(spec, xgrid, pgrid, n_states)
-    mean_x, delta_x, delta_p = uncertainties(spec, n_states)
+    psi_x, psi_p = wavefunctions(spec, xgrid, pgrid)
+    mean_x, delta_x, delta_p = uncertainties(spec)
     s_x, s_p, i_p, e_x, e_p = info_measures(xgrid, psi_x, pgrid, psi_p)
     p_i, p_ii, mass_left, mass_right = well_occupancy(xgrid, psi_x, geometry)
 

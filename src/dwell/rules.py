@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -255,11 +255,7 @@ class RulePoint:
 
 @dataclass(frozen=True)
 class RuleValidationReport:
-    alpha: float
-    beta: float
-    delta_gamma: float
-    n_max: int
-    points: tuple[RulePoint, ...] = field(default_factory=tuple)
+    points: tuple[RulePoint, ...]
 
     @property
     def participating(self) -> tuple[RulePoint, ...]:
@@ -297,22 +293,23 @@ def measured_occupancies(
     grid_points: int = DEFAULT_GRID_POINTS,
     rel_tol: float = DEGENERACY_REL_TOL,
 ) -> tuple[tuple[Occupancy, ...], tuple[tuple[int, int], ...]]:
-    """Occupancies of states 0..n_max and the detected quasi-degenerate pairs.
+    """Occupancies of states 0..n_max and the detected quasi-degenerate pairs
+    among states 0..n_max + 1.
 
-    A doublet split below solver resolution comes out of `solve` as its two
-    equal-<x> states, so its occupancy is read from its own densities like
-    every other state's.  States 0..n_max + 1 are solved, so a basis that
-    does not certify n_max + 1 raises BasisTooSmall.
+    States 0..n_max + 1 are solved, so that a pair (n_max, n_max + 1) is
+    seen, and a basis that does not certify n_max + 1 raises BasisTooSmall.
+    The pairs come from that whole spectrum.  Every solved state is sampled
+    on the grid built at the top energy, and states 0..n_max are
+    classified.  A doublet split below solver resolution comes out of
+    `solve` as its two equal-<x> states, so its occupancy is read from its
+    own densities like every other state's.
     """
     spec = solve(pot, n_basis=n_basis, n_states=n_max + 2)
-    pairs = tuple(
-        (a, b)
-        for a, b, _ in quasi_degenerate_pairs(spec, rel_tol=rel_tol, n_max=n_max + 1)
-    )
+    pairs = tuple(quasi_degenerate_pairs(spec, rel_tol=rel_tol))
     grid = build_grid(pot, spec.energy(n_max + 1), grid_points)
-    psi = wavefunctions(spec, grid, None, n_max + 1)[0]
+    psi = wavefunctions(spec, grid, None)[0]
     p_well_I = well_occupancy(grid, psi, critical_points(pot))[0]
-    return tuple(map(classify_occupancy, p_well_I)), pairs
+    return tuple(map(classify_occupancy, p_well_I[: n_max + 1])), pairs
 
 
 def validate_rules(
@@ -350,10 +347,4 @@ def validate_rules(
                 occupancy_measured=occs,
             )
         )
-    return RuleValidationReport(
-        alpha=alpha,
-        beta=beta,
-        delta_gamma=delta_gamma,
-        n_max=n_max,
-        points=tuple(points),
-    )
+    return RuleValidationReport(tuple(points))

@@ -244,17 +244,16 @@ def solve(
 
 
 def quasi_degenerate_pairs(
-    spec: Spectrum,
-    rel_tol: float = DEGENERACY_REL_TOL,
-    n_max: int | None = None,
-) -> list[tuple[int, int, float]]:
-    """Adjacent near-degenerate pairs (n, n+1, gap), greedy from the bottom.
+    spec: Spectrum, rel_tol: float = DEGENERACY_REL_TOL
+) -> list[tuple[int, int]]:
+    """Adjacent near-degenerate pairs (n, n+1) of `spec`, greedy from the bottom.
 
-    A pair qualifies when |E_{n+1} - E_n| <= rel_tol * (1 + |E_n|); accepted
-    pairs do not overlap.
+    A pair qualifies when |E_{n+1} - E_n| <= rel_tol * max(sigma, |E_n|),
+    floored at the basis scale sigma like `solve`'s residual bound, so the
+    test is the same for every scaled copy of a well; accepted pairs do not
+    overlap.
     """
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
-    energies = spec.energies if n_max is None else spec.energies[: max(n_max + 1, 0)]
-    starts = _pair_starts(energies, rel_tol * (1.0 + np.abs(energies[:-1])))
-    return [(n, n + 1, float(energies[n + 1] - energies[n])) for n in starts]
+    bounds = rel_tol * np.maximum(spec.basis.sigma, np.abs(spec.energies[:-1]))
+    return [(n, n + 1) for n in _pair_starts(spec.energies, bounds)]

@@ -225,10 +225,10 @@ def _hermite_blocks(t: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
 
 
 def wavefunctions(
-    spec: Spectrum, xgrid: UniformGrid, pgrid: UniformGrid | None, n_states: int
+    spec: Spectrum, xgrid: UniformGrid, pgrid: UniformGrid | None
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """(psi_x, (a, b, da, db)) of states 0..n_states-1, as real
-    (n_states, samples) rows, from one streamed Hermite pass.
+    """(psi_x, (a, b, da, db)) of every state of `spec`, as real
+    (states, samples) rows, from one streamed Hermite pass.
 
     psi_x is psi on xgrid.  In momentum space psi(p) = a + i b on
     `pgrid.half_line`, with a even and b odd in p (see the module
@@ -245,7 +245,7 @@ def wavefunctions(
     rows' coefficients to odd rows and odd to even.  At p = 0 every odd row
     is 0, so b and a' are 0 exactly.
     """
-    c = spec.coefficients[:, :n_states]
+    c = spec.coefficients
     n, k = c.shape
     sigma = spec.basis.sigma
     sigma_p = 1.0 / (4.0 * sigma)

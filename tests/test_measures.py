@@ -118,7 +118,7 @@ def test_zero_density_regions_are_harmless():
 
 def test_mean_x_vanishes_for_symmetric_wells():
     spec = well_solve(1.0, 20.0, 0.0)
-    mean_x, _, _ = uncertainties(spec, 6)
+    mean_x = uncertainties(spec)[0][:6]
     assert len(mean_x) == 6
     for m in mean_x:
         assert abs(m) <= 1e-10
@@ -128,8 +128,8 @@ def test_mirror_flips_mean_x_only():
     pot = QuarticPotential.from_well_params(1.0, 14.0, 2.0)
     spec = solve(pot, 100, 6)
     spec_m = solve(mirror(pot), 100, 6)
-    mean_x, delta_x, delta_p = uncertainties(spec, 6)
-    mean_x_m, delta_x_m, delta_p_m = uncertainties(spec_m, 6)
+    mean_x, delta_x, delta_p = uncertainties(spec)
+    mean_x_m, delta_x_m, delta_p_m = uncertainties(spec_m)
     assert mean_x_m == pytest.approx(-mean_x, abs=1e-10)
     assert delta_x_m == pytest.approx(delta_x, rel=1e-10)
     assert delta_p_m == pytest.approx(delta_p, rel=1e-10)
@@ -140,9 +140,10 @@ def test_algebraic_moments_match_grid_quadrature():
     spec = solve(pot, 100, 4)
     grid = build_grid(pot, spec.energy(3), 4096)
     x = grid.x
-    psi = wavefunctions(spec, grid, None, 2)[0]
+    psi = wavefunctions(spec, grid, None)[0][:2]
     dpsi = spec.coefficients[:, :2].T @ hermite_derivative_matrix(spec.basis.sigma, x, 100)
-    for n, (mean_x, delta_x, delta_p) in enumerate(zip(*uncertainties(spec, 2), strict=True)):
+    moments = (m[:2] for m in uncertainties(spec))
+    for n, (mean_x, delta_x, delta_p) in enumerate(zip(*moments, strict=True)):
         rho = psi[n] ** 2
         mean = simpson(x * rho, grid.dx)
         mean2 = simpson(x * x * rho, grid.dx)
@@ -158,7 +159,7 @@ def barrier_split(pot, spec, n_states, points):
     """well_occupancy of states 0..n_states-1 on a grid up to the top one:
     (p_well_I, p_well_II, mass_left, mass_right)."""
     grid = build_grid(pot, spec.energy(n_states - 1), points)
-    psi = wavefunctions(spec, grid, None, n_states)[0]
+    psi = wavefunctions(spec, grid, None)[0][:n_states]
     return well_occupancy(grid, psi, critical_points(pot))
 
 
@@ -205,7 +206,7 @@ def test_well_probabilities_lie_in_the_unit_interval():
             pot = resolve_potential(1.0, beta, gamma, "auto")
             spec = solve(pot, 100, 8)
             grid = build_grid(pot, spec.energy(7), 4096)
-            psi = wavefunctions(spec, grid, None, 8)[0]
+            psi = wavefunctions(spec, grid, None)[0]
             geometry = critical_points(pot)
             p_i, p_ii, _, _ = well_occupancy(grid, psi, geometry)
             assert np.all((p_i >= 0.0) & (p_i <= 1.0) & (p_ii >= 0.0) & (p_ii <= 1.0))
@@ -225,9 +226,10 @@ def test_fisher_analytic_matches_finite_differences():
     spec = solve(pot, 100, 4)
     grid = build_grid(pot, spec.energy(3), 4096)
     pgrid = build_momentum_grid(pot, spec.energy(3), 4096)
-    psi_x, (a, b, da, db) = wavefunctions(spec, grid, pgrid, 3)
+    psi_x, psi_p = wavefunctions(spec, grid, pgrid)
+    psi_x, (a, b, da, db) = psi_x[:3], tuple(r[:3] for r in psi_p)
     _, _, i_p, _, _ = info_measures(grid, psi_x, pgrid, (a, b, da, db))
-    i_x = 4.0 * uncertainties(spec, 3)[2] ** 2
+    i_x = 4.0 * uncertainties(spec)[2][:3] ** 2
     assert len(i_x) == len(i_p) == 3
     # rho_p is even: the half-line and its mirror image give the window
     rho_p = a * a + b * b
@@ -254,7 +256,7 @@ def test_half_line_integrals_match_the_full_window(points, beta, gamma):
     spec = well_solve(1.0, beta, gamma)
     e_top = spec.energy(7)
     xgrid, pgrid = build_grid(pot, e_top, points), build_momentum_grid(pot, e_top, points)
-    psi_x, psi_p = wavefunctions(spec, xgrid, pgrid, 8)
+    psi_x, psi_p = wavefunctions(spec, xgrid, pgrid)
     _, s_p, i_p, _, e_p = info_measures(xgrid, psi_x, pgrid, psi_p)
     a, b, _, _ = psi_p
     psi, dpsi = momentum_expansion(spec, mirrored(pgrid), 8)
@@ -281,9 +283,10 @@ def test_bound_suite_at_localized_point():
     spec = solve(pot, 100, 5)
     grid = build_grid(pot, spec.energy(4), 4096)
     pgrid = build_momentum_grid(pot, spec.energy(4), 4096)
-    psi_x, psi_p = wavefunctions(spec, grid, pgrid, 4)
+    psi_x, psi_p = wavefunctions(spec, grid, pgrid)
+    psi_x, psi_p = psi_x[:4], tuple(r[:4] for r in psi_p)
     s_x, s_p, i_p, e_x, e_p = info_measures(grid, psi_x, pgrid, psi_p)
-    _, delta_x, delta_p = uncertainties(spec, 4)
+    _, delta_x, delta_p = (m[:4] for m in uncertainties(spec))
     i_x = 4.0 * delta_p**2
     assert len(s_x) == len(delta_x) == 4
     for n in range(4):
@@ -329,7 +332,8 @@ def test_scaling_invariance_of_total_shannon():
         spec = solve(pot, 100, 3)
         grid = build_grid(pot, spec.energy(2), 4096)
         pgrid = build_momentum_grid(pot, spec.energy(2), 4096)
-        psi_x, psi_p = wavefunctions(spec, grid, pgrid, 2)
+        psi_x, psi_p = wavefunctions(spec, grid, pgrid)
+        psi_x, psi_p = psi_x[:2], tuple(r[:2] for r in psi_p)
         results.append(info_measures(grid, psi_x, pgrid, psi_p))
     (s_x, s_p, *_), (s_x_scaled, s_p_scaled, *_) = results
     assert len(s_x) == len(s_x_scaled) == 2

@@ -217,7 +217,7 @@ def test_coefficient_space_derivatives_match_derivative_matrix(name):
     spec = solve(pot, 100, 6)
     xgrid = build_grid(pot, spec.energy(5), 2048)
     pgrid = build_momentum_grid(pot, spec.energy(5), 2048)
-    psi, (a, b, da, db) = wavefunctions(spec, xgrid, pgrid, 6)
+    psi, (a, b, da, db) = wavefunctions(spec, xgrid, pgrid)
     want_psi = position_expansion(spec, xgrid.x, 6)
     assert np.abs(psi - want_psi).max() <= REL * np.abs(want_psi).max()
     # psi(p) = a + i b on p >= 0 and a - i b at -p, psi'(p) = a' + i b' and

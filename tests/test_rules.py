@@ -215,7 +215,6 @@ def test_transition_neighborhoods_cut_is_relative(scale):
         return rules.RulePoint(gamma, 0.0, (), (), (occupancy,), (occupancy,))
 
     report = rules.RuleValidationReport(
-        alpha=1.0, beta=20.0, delta_gamma=2.0, n_max=0,
         points=(point(0.0, I), point(scale, I), point(2.0 * scale, I), point(3.0 * scale, BOTH)),
     )
     assert report.transition_neighborhoods(0) == 1
@@ -239,6 +238,20 @@ def test_rule_validation_at_negative_gamma():
     minus, plus = validate_rules(1.0, 30.0, [-6.0, 6.0], delta_gamma=2.0).points
     assert minus.predicted_pairs == minus.detected_pairs == ((3, 4), (5, 6))
     assert minus.k == -plus.k == -3.0
+
+
+@pytest.mark.parametrize("j", [-40, -20, 20])
+def test_detected_pairs_follow_the_scaling_law(j):
+    # alpha = 4^j scales every energy by alpha^(1/3) = 2^(2j/3): a pair gap
+    # tested against an absolute floor reads as degenerate far below unit
+    # scale, against the basis scale sigma it reads as at alpha 1
+    def detected(alpha):
+        gammas = [k * 2.0 * math.sqrt(alpha) for k in (1.01, 1.5, 2.0)]
+        report = validate_rules(alpha, 20.0 * alpha ** (2.0 / 3.0), gammas,
+                                delta_gamma=2.0 * math.sqrt(alpha))
+        return [p.detected_pairs for p in report.points]
+
+    assert detected(4.0**j) == detected(1.0)
 
 
 _VERDICTS = (

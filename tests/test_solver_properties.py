@@ -23,6 +23,7 @@ from dwell import (
     critical_points,
     mirror,
     quasi_degenerate_pairs,
+    rules,
     solve,
     spectrum,
     state_reports,
@@ -50,6 +51,21 @@ def check_against_oracle(pot, n_basis, n_states):
     assert np.all(residual <= RESIDUAL_TOL * np.maximum(1.0, np.abs(spec.energies)))
     assert np.abs(c.T @ c - np.eye(n_states)).max() <= 1e-12
     return spec
+
+
+@given(
+    alpha=st.floats(0.5, 2.0),
+    beta=st.floats(2.0, 40.0),
+    k=st.one_of(st.integers(-4, 4).map(float), st.floats(-4.0, 4.0)),
+    n_max=st.integers(0, 8),
+)
+def test_rules_and_reports_measure_the_same_occupancies(alpha, beta, k, n_max):
+    # both solve states 0..n_max + 1 and sample them all on the grid built
+    # at the top one
+    pot = QuarticPotential.from_well_params(alpha, beta, 2.0 * np.sqrt(alpha) * k)
+    reports = state_reports(pot, n_states=n_max + 2)
+    measured = rules.measured_occupancies(pot, n_max)[0]
+    assert measured == tuple(rep.occupancy for rep in reports[: n_max + 1])
 
 
 @given(
@@ -144,13 +160,13 @@ def test_scaling_law(alpha, beta, gamma, lam):
     # doublet vectors are arbitrary rotations within their pair; any other
     # vector is fixed to about eps ||H|| / gap (Davis-Kahan), so the columns
     # of a state a small gap away from its neighbour get a wider tolerance
-    paired = {n for a, b, _ in quasi_degenerate_pairs(spec, 1e-6) for n in (a, b)}
+    paired = {n for a, b in quasi_degenerate_pairs(spec, 1e-6) for n in (a, b)}
     reports, reports_s = state_reports(pot, 100, 7), state_reports(scaled_pot, 100, 7)
     assert len(reports) == len(reports_s) == 7
     # the densities' integrals on the report's grids: the upper states of a
     # shallow well lose up to 1e-8 of theirs outside the position window
     xgrid, pgrid = build_grid(pot, e[6]), build_momentum_grid(pot, e[6])
-    psi_x, (a, b, _, _) = wavefunctions(spec, xgrid, pgrid, 7)
+    psi_x, (a, b, _, _) = wavefunctions(spec, xgrid, pgrid)
     norm_x = simpson(psi_x**2, xgrid.dx)
     norm_p = even_simpson(a * a + b * b, pgrid.dx)
     norms = list(zip(norm_x, norm_p))
@@ -180,7 +196,7 @@ def test_shared_states_do_not_depend_on_the_number_solved(alpha, beta, k, n_stat
     grid = build_grid(pot, more.energy(n_states + 1), 1024)
     geometry = critical_points(pot)
     p_well, p_well_more = (
-        well_occupancy(grid, wavefunctions(s, grid, None, n_states)[0], geometry)[0]
+        well_occupancy(grid, wavefunctions(s, grid, None)[0][:n_states], geometry)[0]
         for s in (spec, more)
     )
     mean_x, delta_x, _ = uncertainties(spec)

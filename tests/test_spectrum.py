@@ -72,7 +72,7 @@ def test_moderate_well_quasi_degenerate_gap():
 
 def test_quasi_degenerate_pair_detection_deep_symmetric():
     spec = well_solve(1.0, 30.0, 0.0, n_states=11)
-    pairs = [(a, b) for a, b, _ in quasi_degenerate_pairs(spec)]
+    pairs = quasi_degenerate_pairs(spec)
     assert pairs == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
 
 
@@ -89,7 +89,7 @@ def test_no_pairs_for_single_well():
 def test_pairs_are_greedy_non_overlapping():
     spec = well_solve(1.0, 30.0, 0.0, n_states=11)
     pairs = quasi_degenerate_pairs(spec, rel_tol=1.0)  # everything "degenerate"
-    indices = [i for a, b, _ in pairs for i in (a, b)]
+    indices = [i for a, b in pairs for i in (a, b)]
     assert indices == sorted(set(indices))
 
 

@@ -76,13 +76,13 @@ def test_streamed_contraction_matches_the_whole_table(n_basis, rng):
     spec = Spectrum(BasisSpec(n_basis, 0.7), np.arange(3.0), coef)
     xgrid = UniformGrid(-6.0, 12.0 / 512, 512)
     pgrid = UniformGrid(-4.0, 8.0 / 514, 514)
-    psi_x, (a, b, da, db) = wavefunctions(spec, xgrid, pgrid, 3)
+    psi_x, (a, b, da, db) = wavefunctions(spec, xgrid, pgrid)
     want_x = position_expansion(spec, xgrid.x, 3)
     want_p, want_dp = momentum_expansion(spec, pgrid.half_line, 3)
     for got, want in ((psi_x, want_x), (a + 1j * b, want_p), (da + 1j * db, want_dp)):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     # without a p grid the x rows are the same, bit for bit
-    assert np.array_equal(wavefunctions(spec, xgrid, None, 3)[0], psi_x)
+    assert np.array_equal(wavefunctions(spec, xgrid, None)[0], psi_x)
 
 
 def test_odd_parts_vanish_exactly_at_zero_momentum():
@@ -92,7 +92,7 @@ def test_odd_parts_vanish_exactly_at_zero_momentum():
     pot = QuarticPotential.from_well_params(1.0, 12.0, 1.5)
     e_top = spec.energy(6)
     xgrid, pgrid = build_grid(pot, e_top, 4094), build_momentum_grid(pot, e_top, 4094)
-    _, (a, b, da, db) = wavefunctions(spec, xgrid, pgrid, 7)
+    _, (a, b, da, db) = wavefunctions(spec, xgrid, pgrid)
     assert pgrid.half_line[0] == 0.0
     assert np.all(b[:, 0] == 0.0) and np.all(da[:, 0] == 0.0)
 
@@ -121,7 +121,7 @@ def test_ground_state_normalized_to_1e8():
     grid = build_grid(pot, 50.0, 4096)
     fine = build_grid(pot, 50.0, 8192)
     for g in (grid, fine):
-        psi = wavefunctions(spec, g, None, 1)[0]
+        psi = wavefunctions(spec, g, None)[0][:1]
         assert abs(simpson(psi[0] ** 2, g.dx) - 1.0) <= 1e-8
 
 
@@ -147,7 +147,7 @@ def test_position_parity_of_symmetric_states():
     spec = well_solve(1.0, 12.0, 0.0)
     pot = QuarticPotential.from_well_params(1.0, 12.0, 0.0)
     grid = build_grid(pot, spec.energy(5), 2048)
-    psi = wavefunctions(spec, grid, None, 4)[0]
+    psi = wavefunctions(spec, grid, None)[0][:4]
     for n, sign in ((0, +1.0), (1, -1.0), (2, +1.0), (3, -1.0)):
         vals = psi[n]
         assert np.abs(vals - sign * vals[::-1]).max() <= 1e-10
@@ -158,7 +158,7 @@ def test_energy_functional_on_grid():
     pot = QuarticPotential(0.01, -0.0075, -0.0025, 0.0, 0.0)
     spec = solve(pot, 100, 4)
     grid = build_grid(pot, spec.energy(3), 4096)
-    psi = wavefunctions(spec, grid, None, 1)[0]
+    psi = wavefunctions(spec, grid, None)[0][:1]
     dpsi = spec.coefficients[:, :1].T @ hermite_derivative_matrix(spec.basis.sigma, grid.x, 100)
     integrand = dpsi[0] ** 2 + pot(grid.x) * psi[0] ** 2
     e0 = simpson(integrand, grid.dx)
@@ -172,7 +172,8 @@ def test_parseval_and_momentum_parity():
     pot = QuarticPotential.from_well_params(1.0, 12.0, 0.0)
     e_top = spec.energy(6)
     xgrid, pgrid = build_grid(pot, e_top, 4096), build_momentum_grid(pot, e_top, 4096)
-    _, (a, b, _, _) = wavefunctions(spec, xgrid, pgrid, 6)
+    _, (a, b, _, _) = wavefunctions(spec, xgrid, pgrid)
+    a, b = a[:6], b[:6]
     assert np.abs(even_simpson(a * a + b * b, pgrid.dx) - 1.0).max() <= 1e-6
     psi_t, _ = momentum_expansion(spec, mirrored(pgrid), 6)
     half = pgrid.n_points // 2
@@ -191,7 +192,7 @@ def test_momentum_matches_fourier_quadrature_oracle():
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
     w *= grid.dx / 3.0
     p_sub = pgrid.half_line[::16]
-    psi_x, (a, b, _, _) = wavefunctions(spec, grid, pgrid, 4)
+    psi_x, (a, b, _, _) = wavefunctions(spec, grid, pgrid)
     # psi(-p) = a - i b: the transform at -p checks the parity as well
     for sign in (1.0, -1.0):
         kernel = np.exp(-1j * np.outer(sign * p_sub, x))
@@ -206,7 +207,8 @@ def test_sampled_states_are_contiguous_rows():
     pot = QuarticPotential.from_well_params(1.0, 12.0, 0.0)
     xgrid = build_grid(pot, spec.energy(4), 1024)
     pgrid = build_momentum_grid(pot, spec.energy(4), 1024)
-    psi_x, psi_p = wavefunctions(spec, xgrid, pgrid, 5)
+    psi_x, psi_p = wavefunctions(spec, xgrid, pgrid)
+    psi_x, psi_p = psi_x[:5], tuple(r[:5] for r in psi_p)
     for samples, arrays in ((xgrid.x.size, (psi_x,)), (pgrid.half_line.size, psi_p)):
         for rows in arrays:
             assert rows.shape == (5, samples)
@@ -217,7 +219,7 @@ def test_grid_orthogonality():
     spec = well_solve(1.0, 20.0, 3.0, n_states=7)
     pot = QuarticPotential.from_well_params(1.0, 20.0, 3.0)
     grid = build_grid(pot, spec.energy(6), 4096)
-    psi = wavefunctions(spec, grid, None, 7)[0]
+    psi = wavefunctions(spec, grid, None)[0]
     for m in range(7):
         for n in range(m + 1, 7):
             overlap = simpson(psi[m] * psi[n], grid.dx)
@@ -228,7 +230,7 @@ def node_counts(pot, spec, n_states, points):
     """count_nodes of states 0..n_states-1 on a grid up to the top one, as
     (total, effective) pairs."""
     grid = build_grid(pot, spec.energy(n_states - 1), points)
-    psi = wavefunctions(spec, grid, None, n_states)[0]
+    psi = wavefunctions(spec, grid, None)[0][:n_states]
     geometry = critical_points(pot)
     _, _, mass_left, mass_right = well_occupancy(grid, psi, geometry)
     turning = [turning_points(pot, spec.energy(n)) for n in range(n_states)]
@@ -284,7 +286,7 @@ def test_batched_node_counts_match_the_per_row_reference(beta):
         for n_states in (1, 8, 30):
             spec = solve(pot, 100, n_states)
             grid = build_grid(pot, spec.energy(n_states - 1))
-            psi = wavefunctions(spec, grid, None, n_states)[0]
+            psi = wavefunctions(spec, grid, None)[0]
             _, _, mass_left, mass_right = well_occupancy(grid, psi, geometry)
             turning = [turning_points(pot, e) for e in spec.energies]
             # the span state_reports takes: the outermost lobe edges, which
@@ -374,7 +376,7 @@ def test_probability_below_grows_with_the_split(pot):
     # moving one panel's Simpson value from above to below at each
     spec = solve(pot, 100, 4)
     grid = build_grid(pot, spec.energy(3), 1024)
-    psi = wavefunctions(spec, grid, None, 4)[0]
+    psi = wavefunctions(spec, grid, None)[0]
     rho = psi**2
     total = simpson(rho, grid.dx)
     splits = np.linspace(grid.x0, grid.x_max, 1001)
@@ -468,7 +470,7 @@ def test_well_occupancy_masses_split_at_the_barrier_sample(pot):
     assume(geometry.is_double_well)
     spec = solve(pot, 100, 4)
     grid = build_grid(pot, spec.energy(3), 1024)
-    psi = wavefunctions(spec, grid, None, 4)[0]
+    psi = wavefunctions(spec, grid, None)[0]
     _, _, below, above = well_occupancy(grid, psi, geometry)
     k = int(np.argmin(np.abs(grid.x - geometry.barrier[0])))
     rho = psi**2
