@@ -22,8 +22,12 @@ integral in x was furthest from 4 <p^2>), `solve --poly 1,0,-10,0.5,0`,
 7.922816251426434e+28,0,-3.68934881474191e+20,844424930131968,0 --states
 4` (x^4 - 20 x^2 + 3 x at scale 2^16, a potential far from unit scale),
 `solve --poly 3,-4,0,0,0 --states 4` (V' = 12 x^2 (x - 1): a double root
-of V' that is an inflection, not an extremum) and `solve --poly 1,0,0,0,0
---states 4` (V' has a triple root at the single minimum).
+of V' that is an inflection, not an extremum), `solve --poly 1,0,0,0,0
+--states 4` (V' has a triple root at the single minimum) and three sweeps
+of the error rows and the JSON records: `sweep --alpha -1` (every point
+fails before it is solved, and the command exits 3), `sweep --alpha 0.01
+--beta 1,400` (beta 400 fails while it is solved, beta 1 does not, so the
+cache re-run solves only the failed point again) and `sweep --format json`.
 
 Exit codes, stdout (with the output and cache directories replaced by
 placeholders) and every file a command writes are compared.  A differing
@@ -99,6 +103,15 @@ def commands() -> list[tuple[str, list[str]]]:
                  ["solve", "--poly", "3,-4,0,0,0", "--states", "4", *out]))
     cmds.append(("solve-poly-pure-quartic",
                  ["solve", "--poly", "1,0,0,0,0", "--states", "4", *out]))
+    sweep = ["sweep", "--workers", "1", "--cache-dir", "{cache}", *out]
+    cmds.append(("sweep-error-rows",
+                 [*sweep, "--alpha", "-1", "--beta", "10", "--gamma", "0,1", "--states", "2"]))
+    cmds.append(("sweep-solve-error-row",
+                 [*sweep, "--alpha", "0.01", "--beta", "1,400", "--gamma", "0",
+                  "--states", "8"]))
+    cmds.append(("sweep-json",
+                 [*sweep, "--beta", "10", "--gamma", "0,3", "--states", "4",
+                  "--grid-points", "512", "--format", "json"]))
     return cmds
 
 

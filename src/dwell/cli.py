@@ -296,21 +296,18 @@ def resolve_potential(alpha: float, beta: float, gamma: float, v0: str) -> Quart
     return pot.shifted(float(v0))
 
 
-def record_from_report(
-    alpha: float | str, beta: float | str, gamma: float | str, rep: StateReport
+def record(
+    alpha: float | str, beta: float | str, gamma: float | str,
+    rep: StateReport | None = None, error: str = "",
 ) -> dict[str, str]:
-    """One row; every other column is the report's attribute of that name.
+    """One row; every other column is the report's attribute of that name,
+    and a blank cell without a report (the error row of a failed point).
 
     A point parameter given as "" (a polynomial potential) is a blank cell.
     """
-    point = {"alpha": alpha, "beta": beta, "gamma": gamma, "error": ""}
-    return {col: _token(point[col] if col in point else getattr(rep, col))
+    point = {"alpha": alpha, "beta": beta, "gamma": gamma, "error": error.replace("\n", " ")}
+    return {col: _token(point[col] if col in point else "" if rep is None else getattr(rep, col))
             for col in CSV_COLUMNS}
-
-
-def error_record(alpha: float, beta: float, gamma: float, message: str) -> dict[str, str]:
-    point = {"alpha": alpha, "beta": beta, "gamma": gamma, "error": message.replace("\n", " ")}
-    return {col: _token(point.get(col, "")) for col in CSV_COLUMNS}
 
 
 def point_records(
@@ -322,7 +319,7 @@ def point_records(
         pot, n_basis=settings.n_basis, n_states=settings.n_states,
         grid_points=settings.grid_points, rho_floor=settings.rho_floor,
     )
-    return [record_from_report(alpha, beta, gamma, rep) for rep in reports]
+    return [record(alpha, beta, gamma, rep) for rep in reports]
 
 
 def _sweep_worker(payload: tuple) -> tuple[list[dict[str, str]], bool]:
@@ -330,7 +327,7 @@ def _sweep_worker(payload: tuple) -> tuple[list[dict[str, str]], bool]:
     try:
         return point_records(*payload), True
     except FAILURES as exc:
-        return [error_record(*payload[:3], str(exc))], False
+        return [record(*payload[:3], error=str(exc))], False
 
 
 # ---------------------------------------------------------------- cache
@@ -411,6 +408,16 @@ def _json_cell(col: str, token: str) -> str:
     return token or "null"  # int/float/bool tokens are already valid JSON
 
 
+def _json_value(value: object) -> object:
+    """`value` with every scalar but an int or bool as its token, and every
+    tuple as a list."""
+    if isinstance(value, dict):
+        return {key: _json_value(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value if isinstance(value, int) else _token(value)  # bool is an int
+
+
 def write_records(path: Path, records: list[dict[str, str]], fmt: str) -> None:
     if fmt == "csv":
         write_csv(path, [CSV_COLUMNS, *([rec[col] for col in CSV_COLUMNS] for rec in records)])
@@ -454,7 +461,7 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
         try:
             pot = resolve_potential(cfg.alpha, beta, gamma, cfg.v0)
         except FAILURES as exc:
-            results[(beta, gamma)] = [error_record(cfg.alpha, beta, gamma, str(exc))]
+            results[(beta, gamma)] = [record(cfg.alpha, beta, gamma, error=str(exc))]
             continue
         key = cache_key(pot, settings)
         cached = None if cfg.no_cache else cache_load(cache_dir, key)
@@ -492,38 +499,22 @@ def cmd_validate_rules(cfg: argparse.Namespace) -> int:
     blocks = []
     for alpha in cfg.alphas:
         est = estimate_delta_gamma(alpha, n_basis=cfg.n_basis)
-        block = {
-            "alpha": _token(alpha),
-            "delta_gamma": _token(est.delta_gamma),
-            "uncertainty": _token(est.uncertainty),
-            "transitions": [_token(t) for t in est.transitions],
-            "beta_used": _token(est.beta_used),
-        }
+        block = {"alpha": alpha, **asdict(est)}
         if "gamma" in cfg.given:
             report = validate_rules(
                 alpha, beta, cfg.gamma, n_max=cfg.states - 1,
                 delta_gamma=est.delta_gamma, n_basis=cfg.n_basis,
                 grid_points=cfg.grid_points, rel_tol=cfg.rel_tol,
             )
-            block["beta"] = _token(beta)
-            block["occupancy_agreement"] = _token(report.occupancy_agreement)
-            block["pairs_agreement"] = _token(report.pairs_agreement)
-            block["points"] = [
-                {
-                    "gamma": _token(p.gamma),
-                    "k": _token(p.k),
-                    "participates": p.participates,
-                    "pairs_match": p.pairs_match,
-                    "occupancy_agreement": _token(p.occupancy_agreement),
-                    "predicted_pairs": [list(q) for q in p.predicted_pairs],
-                    "detected_pairs": [list(q) for q in p.detected_pairs],
-                    "occupancy_predicted": [_token(o) for o in p.occupancy_predicted],
-                    "occupancy_measured": [_token(o) for o in p.occupancy_measured],
-                }
-                for p in report.points
-            ]
+            block |= {"beta": beta, "occupancy_agreement": report.occupancy_agreement,
+                      "pairs_agreement": report.pairs_agreement,
+                      "points": [{**asdict(p), "participates": p.participates,
+                                  "pairs_match": p.pairs_match,
+                                  "occupancy_agreement": p.occupancy_agreement}
+                                 for p in report.points]}
         blocks.append(block)
-    doc = json.dumps({"schema": "dwell-rules-v1", "results": blocks}, indent=1, sort_keys=True)
+    doc = json.dumps(_json_value({"schema": "dwell-rules-v1", "results": blocks}),
+                     indent=1, sort_keys=True)
     _write_text(cfg.outdir / "validate_rules.json", doc + "\n")
     return EXIT_OK
 

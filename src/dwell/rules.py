@@ -257,23 +257,18 @@ class RulePoint:
 class RuleValidationReport:
     points: tuple[RulePoint, ...]
 
-    @property
-    def participating(self) -> tuple[RulePoint, ...]:
-        return tuple(p for p in self.points if p.participates)
+    def _mean(self, verdict: str) -> float:
+        """Mean of a point's `verdict` over the participating points (nan if none)."""
+        values = [getattr(p, verdict) for p in self.points if p.participates]
+        return float(np.mean(values)) if values else float("nan")
 
     @property
     def occupancy_agreement(self) -> float:
-        pts = self.participating
-        if not pts:
-            return float("nan")
-        return float(np.mean([p.occupancy_agreement for p in pts]))
+        return self._mean("occupancy_agreement")
 
     @property
     def pairs_agreement(self) -> float:
-        pts = self.participating
-        if not pts:
-            return float("nan")
-        return float(np.mean([p.pairs_match for p in pts]))
+        return self._mean("pairs_match")
 
     def transition_neighborhoods(self, n: int, gamma_max: float | None = None) -> int:
         """Number of contiguous gamma runs where state n sits at a transition."""

@@ -27,7 +27,7 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 import numpy as np
 
 from .basis import BasisSpec, assemble_position, band_matvec, optimal_sigma, position_band
-from .potential import QuarticPotential
+from .potential import QuarticPotential, mirror
 
 __all__ = [
     "Spectrum",
@@ -117,7 +117,6 @@ def _pair_starts(energies: np.ndarray, tol) -> list[int]:
 
 
 _SPLIT_TOL = 4.0 * np.finfo(float).eps  # doublet gaps below this times ||H||
-_MIRROR = np.array([1.0, -1.0, 1.0, -1.0, 1.0])  # band row 4 - d gets (-1)^d
 
 
 def _load_lapack():
@@ -215,22 +214,18 @@ def solve(
             f"(certified up to state {certified_states(n_basis) - 1})"
         )
     basis = BasisSpec(n_basis=n_basis, sigma=optimal_sigma(pot, n_basis))
-    band = assemble_position(pot, basis)
-    # solve the mirror image x -> -x (odd bands negated) of a potential
-    # tilted left and map back, so that mirror images get mirrored vectors
-    # to the last bit even where a doublet leaves them ill-conditioned
+    # solve the mirror image x -> -x of a potential tilted left and flip the
+    # odd rows of its vectors back, so that mirror images get mirrored
+    # vectors to the last bit even where a doublet leaves them ill-conditioned
     mirrored = pot.c3 < 0.0 or (pot.c3 == 0.0 and pot.c1 < 0.0)
-    canonical = band * _MIRROR[:, None] if mirrored else band
+    band = assemble_position(mirror(pot) if mirrored else pot, basis)
     try:
         # one state more, so that the top state's doublet partner is present
-        energies, vectors = _lowest(canonical, n_states + 1)
+        energies, vectors = _lowest(band, n_states + 1)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK hiccup
         raise ConvergenceFailure(str(exc)) from exc
-    _split_doublets(canonical, basis, energies, vectors)
+    _split_doublets(band, basis, energies, vectors)
     energies, vectors = energies[:n_states], vectors[:, :n_states]
-    if mirrored:
-        vectors[1::2] *= -1.0
-    vectors = _fix_signs(vectors)
     res_norms = np.linalg.norm(band_matvec(band, vectors) - vectors * energies, axis=0)
     # floored at sigma, an energy of the basis that scales with the potential
     bounds = RESIDUAL_TOL * np.maximum(basis.sigma, np.abs(energies))
@@ -240,6 +235,9 @@ def solve(
             f"residual {res_norms[worst]:.3e} for state {worst} exceeds "
             f"{bounds[worst]:.3e}"
         )
+    if mirrored:
+        vectors[1::2] *= -1.0
+    vectors = _fix_signs(vectors)
     return Spectrum(basis, energies, vectors)
 
 
@@ -253,7 +251,7 @@ def quasi_degenerate_pairs(
     test is the same for every scaled copy of a well; accepted pairs do not
     overlap.
     """
-    if rel_tol <= 0.0:
+    if not rel_tol > 0.0:
         raise ValueError("rel_tol must be positive")
     bounds = rel_tol * np.maximum(spec.basis.sigma, np.abs(spec.energies[:-1]))
     return [(n, n + 1) for n in _pair_starts(spec.energies, bounds)]

@@ -545,6 +545,40 @@ def test_validate_rules_report(tmp_path):
     assert len(block["points"]) == 2
 
 
+def test_validate_rules_json_layout(tmp_path):
+    argv = ["validate-rules", "--alphas", "1", "--beta", "20", "--states", "4",
+            "--grid-points", "512"]
+    docs = {}
+    for name, gamma in (("estimate", []), ("rules", ["--gamma", "1,2"])):
+        assert main(argv + gamma + ["--outdir", str(tmp_path / name)]) == 0
+        docs[name] = json.loads((tmp_path / name / "validate_rules.json").read_text("utf-8"))
+    estimate_keys = {"alpha", "delta_gamma", "uncertainty", "transitions", "beta_used"}
+    rules_keys = estimate_keys | {"beta", "occupancy_agreement", "pairs_agreement", "points"}
+    point_keys = {"gamma", "k", "predicted_pairs", "detected_pairs", "occupancy_predicted",
+                  "occupancy_measured", "participates", "pairs_match", "occupancy_agreement"}
+    for name, keys in (("estimate", estimate_keys), ("rules", rules_keys)):
+        assert docs[name].keys() == {"schema", "results"}
+        assert docs[name]["schema"] == "dwell-rules-v1"
+        (block,) = docs[name]["results"]
+        assert block.keys() == keys
+        assert all(isinstance(block[key], str) for key in keys - {"transitions", "points"})
+        assert block["transitions"] and all(isinstance(t, str) for t in block["transitions"])
+        assert block["alpha"] == "1"
+    points = docs["rules"]["results"][0]["points"]
+    assert [p["gamma"] for p in points] == ["1", "2"]
+    for p in points:
+        assert p.keys() == point_keys
+        assert all(isinstance(p[key], str) for key in ("gamma", "k", "occupancy_agreement"))
+        assert isinstance(p["participates"], bool) and isinstance(p["pairs_match"], bool)
+        for key in ("predicted_pairs", "detected_pairs"):
+            assert all(len(pair) == 2 and all(type(i) is int for i in pair)
+                       for pair in p[key])
+        for key in ("occupancy_predicted", "occupancy_measured"):
+            assert len(p[key]) == 4 and set(p[key]) <= {"I", "II", "both"}
+    # k = 1 pairs states (1, 2) and (3, 4): the int check above is not vacuous
+    assert points[1]["predicted_pairs"] == [[1, 2], [3, 4]]
+
+
 def test_validate_rules_beyond_the_certified_band_exits_3(tmp_path, capsys):
     # states 0..33 are certified, but judging state 33 also solves 34
     argv = ["validate-rules", "--alphas", "1", "--gamma", "3", "--states", "34"]

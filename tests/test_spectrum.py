@@ -93,6 +93,14 @@ def test_pairs_are_greedy_non_overlapping():
     assert indices == sorted(set(indices))
 
 
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-6, float("nan")])
+def test_pair_tolerance_must_be_positive(rel_tol):
+    # a NaN tolerance compares false both ways: it must not pass as "no pairs"
+    spec = well_solve(1.0, 30.0, 0.0, n_states=6)
+    with pytest.raises(ValueError, match="rel_tol must be positive"):
+        quasi_degenerate_pairs(spec, rel_tol=rel_tol)
+
+
 def test_spectrum_invariants():
     for args in [(1.0, 20.0, 3.0), (1.0, 5.0, 0.0), (0.5, 12.0, 1.0)]:
         spec = well_solve(*args, n_states=8)
@@ -184,10 +192,11 @@ def well_bands(seed, count):
             rng.uniform(0.2, 3.0), rng.uniform(-5.0, 40.0), rng.uniform(-8.0, 8.0)
         )
         n_basis = int(rng.integers(12, 151))
-        band = assemble_position(pot, BasisSpec(n_basis, optimal_sigma(pot, n_basis)))
+        basis = BasisSpec(n_basis, optimal_sigma(pot, n_basis))
+        band = assemble_position(pot, basis)
         k = int(rng.integers(1, certified_states(n_basis) + 1))
         yield band, k
-        yield band * spectrum._MIRROR[:, None], k
+        yield assemble_position(mirror(pot), basis), k
         for parity in (0, 1):
             block = band[::2, parity::2]
             yield block, min(k, block.shape[1])
