@@ -23,11 +23,14 @@ integral in x was furthest from 4 <p^2>), `solve --poly 1,0,-10,0.5,0`,
 4` (x^4 - 20 x^2 + 3 x at scale 2^16, a potential far from unit scale),
 `solve --poly 3,-4,0,0,0 --states 4` (V' = 12 x^2 (x - 1): a double root
 of V' that is an inflection, not an extremum), `solve --poly 1,0,0,0,0
---states 4` (V' has a triple root at the single minimum) and three sweeps
+--states 4` (V' has a triple root at the single minimum), three sweeps
 of the error rows and the JSON records: `sweep --alpha -1` (every point
 fails before it is solved, and the command exits 3), `sweep --alpha 0.01
 --beta 1,400` (beta 400 fails while it is solved, beta 1 does not, so the
-cache re-run solves only the failed point again) and `sweep --format json`.
+cache re-run solves only the failed point again) and `sweep --format json`,
+and `sweep --beta 5,10 --gamma 1,4.02 --states 6 --rho-floor 0.3` (a
+non-default point setting that moves effective_nodes, so the bytes show
+that it is applied and the cache re-run that it is keyed).
 
 Exit codes, stdout (with the output and cache directories replaced by
 placeholders) and every file a command writes are compared.  A differing
@@ -112,6 +115,9 @@ def commands() -> list[tuple[str, list[str]]]:
     cmds.append(("sweep-json",
                  [*sweep, "--beta", "10", "--gamma", "0,3", "--states", "4",
                   "--grid-points", "512", "--format", "json"]))
+    cmds.append(("sweep-rho-floor",
+                 [*sweep, "--beta", "5,10", "--gamma", "1,4.02", "--states", "6",
+                  "--rho-floor", "0.3"]))
     return cmds
 
 

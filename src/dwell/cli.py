@@ -269,8 +269,9 @@ def single(cfg: argparse.Namespace, name: str) -> float:
 class PointSettings:
     """Every setting besides the potential that changes a point's records.
 
-    `point_records` reads its settings from here only and the cache key
-    hashes every field, so a setting added here is keyed automatically.
+    The cache key hashes every field, and `point_records` passes every
+    field to `state_reports` by name, so a field is either both keyed and
+    applied, or the call fails.
     """
 
     n_basis: int
@@ -315,19 +316,15 @@ def point_records(
     settings: PointSettings,
 ) -> list[dict[str, str]]:
     """All per-state records of one parameter point (raises on failure)."""
-    reports = state_reports(
-        pot, n_basis=settings.n_basis, n_states=settings.n_states,
-        grid_points=settings.grid_points, rho_floor=settings.rho_floor,
-    )
-    return [record(alpha, beta, gamma, rep) for rep in reports]
+    return [record(alpha, beta, gamma, rep) for rep in state_reports(pot, **asdict(settings))]
 
 
-def _sweep_worker(payload: tuple) -> tuple[list[dict[str, str]], bool]:
-    """A point's records and True, or its error row and False."""
+def _sweep_worker(payload: tuple) -> list[dict[str, str]]:
+    """A point's records, or its error row."""
     try:
-        return point_records(*payload), True
+        return point_records(*payload)
     except FAILURES as exc:
-        return [record(*payload[:3], error=str(exc))], False
+        return [record(*payload[:3], error=str(exc))]
 
 
 # ---------------------------------------------------------------- cache
@@ -343,7 +340,7 @@ def cache_key(pot: QuarticPotential, settings: PointSettings) -> str:
         {
             "schema": SCHEMA_VERSION,
             "revision": RECORD_REVISION,
-            "coeffs": [c.hex() for c in (pot.c4, pot.c3, pot.c2, pot.c1, pot.c0)],
+            "coeffs": [c.hex() for c in pot.coefficients],
             **fields,
         },
         sort_keys=True,
@@ -481,9 +478,9 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     else:
         outcomes = [_sweep_worker(p) for p in payloads]
 
-    for (beta, gamma, _, key), (recs, solved) in zip(pending, outcomes):
+    for (beta, gamma, _, key), recs in zip(pending, outcomes):
         results[(beta, gamma)] = recs
-        if solved and not cfg.no_cache:
+        if not (recs[0]["error"] or cfg.no_cache):
             cache_store(cache_dir, key, recs)
 
     ordered = [rec for point in points for rec in results[point]]
@@ -622,7 +619,7 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     starts with a minus and a digit or a point."""
     out: list[str] = []
     for arg in argv:
-        if out and re.fullmatch(r"--[a-z-]+", out[-1]) and re.match(r"-[0-9.]", arg):
+        if out and re.fullmatch(r"--[a-z][a-z0-9-]*", out[-1]) and re.match(r"-[0-9.]", arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)

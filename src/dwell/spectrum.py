@@ -2,11 +2,13 @@
 
 Solving is a thin pipeline: optimal sigma -> position-space band (bandwidth
 4) -> selective symmetric band eigensolver (LAPACK dsbevx), which computes
-only the lowest states.  dsbevx is scipy's f2py wrapper, loaded from the
-`scipy/linalg/_flapack` extension file by location, so that no scipy
-package init runs; where that file is missing or lacks dsbevx, the same
-wrapper comes from `scipy.linalg.lapack`.  It is called with the arguments
-of `scipy.linalg.eig_banded(select="i")` and returns the same bits.
+only the lowest states.  dsbevx, scipy's f2py wrapper, is the only LAPACK
+function loaded: it comes from the `scipy/linalg/_flapack` extension file
+by location, so that no scipy package init runs; where that file is
+missing or lacks dsbevx, the same wrapper comes from `scipy.linalg.lapack`.
+It is called as `scipy.linalg.eig_banded(select="i")` calls it by default
+and returns the same bits; where LAPACK does not converge, eig_banded
+raises numpy's linalg error and `solve` raises ConvergenceFailure.
 
 A tunneling doublet whose splitting is below solver resolution comes out
 of the solver as an arbitrary rotation of its two states.  `solve` computes
@@ -21,6 +23,7 @@ from __future__ import annotations
 import importlib.util
 import math
 import os
+import sys
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
@@ -120,12 +123,12 @@ _SPLIT_TOL = 4.0 * np.finfo(float).eps  # doublet gaps below this times ||H||
 
 
 def _load_lapack():
-    """scipy's f2py (dsbevx, dlamch) pair, from the `_flapack` extension file.
+    """scipy's f2py dsbevx, from the `_flapack` extension file.
 
     Loading the file by location skips `scipy.linalg`'s package init, which
     is about half the time of `import dwell.cli` with it.  The module is
     private to scipy, so a missing file or one without dsbevx falls back to
-    the public `scipy.linalg.lapack`, which exports the same functions.
+    the public `scipy.linalg.lapack`, which exports the same function.
     """
     # the init function is found from the last part of the name; this one
     # keeps the module out of scipy.* in sys.modules
@@ -139,33 +142,34 @@ def _load_lapack():
             importlib.util.spec_from_loader(name, loader)
         )
         loader.exec_module(module)
-        return module.dsbevx, module.dlamch
+        return module.dsbevx
     except (AttributeError, ImportError, StopIteration):
         from scipy.linalg import lapack
 
-        return lapack.dsbevx, lapack.dlamch
+        return lapack.dsbevx
 
 
-_dsbevx, _dlamch = _load_lapack()
+_dsbevx = _load_lapack()
 
 
 def _lowest(band: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k lowest eigenpairs of an upper band, with the checks, arguments
-    and cropping of `scipy.linalg.eig_banded(band, select="i",
-    select_range=(0, k - 1))`."""
-    ab = np.array(band)  # dsbevx overwrites it
-    if not np.isfinite(ab).all():
+    """The k lowest eigenpairs of an upper band, with the checks, call and
+    cropping of `scipy.linalg.eig_banded(band, select="i", select_range=(0,
+    k - 1))` at its defaults; `band` is left unchanged.  Where LAPACK does
+    not converge, this raises ConvergenceFailure, not numpy's linalg error."""
+    if not np.isfinite(band).all():
         raise ValueError("array must not contain infs or NaNs")
-    if not 1 <= k <= ab.shape[1]:
+    if not 1 <= k <= band.shape[1]:
         raise ValueError("select_range out of bounds")
     w, v, m, _, info = _dsbevx(
-        ab, 0.0, 1.0, 1, k, compute_v=1, mmax=k, range=2, lower=0, overwrite_ab=1,
-        abstol=2 * _dlamch("s"),
+        band, 0.0, 1.0, 1, k, compute_v=1, mmax=k, range=2, lower=0, overwrite_ab=0,
+        # eig_banded's 2 * dlamch('S'): LAPACK's safe minimum is DBL_MIN
+        abstol=2.0 * sys.float_info.min,
     )
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of internal sbevx")
     if info > 0:
-        raise np.linalg.LinAlgError(f"sbevx did not converge (LAPACK info={info})")
+        raise ConvergenceFailure(f"sbevx did not converge (LAPACK info={info})")
     return w[:m], v[:, :m]
 
 
@@ -219,11 +223,8 @@ def solve(
     # vectors to the last bit even where a doublet leaves them ill-conditioned
     mirrored = pot.c3 < 0.0 or (pot.c3 == 0.0 and pot.c1 < 0.0)
     band = assemble_position(mirror(pot) if mirrored else pot, basis)
-    try:
-        # one state more, so that the top state's doublet partner is present
-        energies, vectors = _lowest(band, n_states + 1)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK hiccup
-        raise ConvergenceFailure(str(exc)) from exc
+    # one state more, so that the top state's doublet partner is present
+    energies, vectors = _lowest(band, n_states + 1)
     _split_doublets(band, basis, energies, vectors)
     energies, vectors = energies[:n_states], vectors[:, :n_states]
     res_norms = np.linalg.norm(band_matvec(band, vectors) - vectors * energies, axis=0)

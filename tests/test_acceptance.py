@@ -465,23 +465,23 @@ def test_criterion_12_determinism_and_cache(tmp_path, monkeypatch):
 
     for module in (dwell.cli, dwell.report, dwell.rules):
         monkeypatch.setattr(module, "solve", counted)
-    t0 = time.perf_counter()
-    assert cli_main(args) == 0
-    cold = time.perf_counter() - t0
-    first = (tmp_path / "sweep.csv").read_bytes()
-    cold_solves = len(solves)
-    t0 = time.perf_counter()
-    assert cli_main(args) == 0
-    warm = time.perf_counter() - t0
-    second = (tmp_path / "sweep.csv").read_bytes()
-    warm_solves = len(solves) - cold_solves
-    assert cli_main(args + ["--no-cache"]) == 0
-    uncached = (tmp_path / "sweep.csv").read_bytes()
-    uncached_solves = len(solves) - cold_solves - warm_solves
-    speedup = cold / warm
+    def timed_run(extra=()):
+        """Wall time, output bytes and solve count of one sweep."""
+        before = len(solves)
+        t0 = time.perf_counter()
+        assert cli_main(args + list(extra)) == 0
+        seconds = time.perf_counter() - t0
+        return seconds, (tmp_path / "sweep.csv").read_bytes(), len(solves) - before
+
+    cold, first, cold_solves = timed_run()
+    # a warm run takes milliseconds, so one scheduler hiccup can swamp it;
+    # the fastest of three is the cache's own cost
+    warm = [timed_run() for _ in range(3)]
+    _, uncached, uncached_solves = timed_run(["--no-cache"])
+    speedup = cold / min(seconds for seconds, _, _ in warm)
     # the cache, without a clock: a full hit solves nothing, and the 15
     # points of an uncached run solve once each
-    assert (cold_solves, warm_solves, uncached_solves) == (15, 0, 15)
+    assert (cold_solves, *(n for _, _, n in warm), uncached_solves) == (15, 0, 0, 0, 15)
     # occupancy plateaus: away from the even-gamma transition points every
     # state is fully localized at this beta
     import csv
@@ -495,7 +495,8 @@ def test_criterion_12_determinism_and_cache(tmp_path, monkeypatch):
     )
     ok = report(
         "12",
-        first == second == uncached and speedup >= 10.0 and plateau_ok,
+        all(out == first for _, out, _ in warm) and first == uncached
+        and speedup >= 10.0 and plateau_ok,
         f"byte-identical outputs, cache speedup {speedup:.0f}x, occupancy plateaus",
     )
     assert ok

@@ -613,6 +613,9 @@ def test_validate_rules_at_negative_gammas(tmp_path):
     (["solve", "--beta", "10", "--states", "2"], "--gamma", "-1e-3"),
     (["sweep", "--gamma", "1", "--states", "2", "--workers", "1", "--no-cache"],
      "--beta", "-5,10"),
+    # a flag name with a digit; argparse alone reads neither value as a value
+    (["solve", "--states", "2"], "--v0", "-1e-3"),
+    (["solve", "--states", "2"], "--v0", "-5."),
 ])
 def test_values_starting_with_a_minus_read_like_the_joined_form(tmp_path, argv, flag, value):
     outputs = []

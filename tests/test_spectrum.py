@@ -1,3 +1,4 @@
+import sys
 import types
 
 import numpy as np
@@ -242,13 +243,26 @@ def test_scipy_linalg_lapack_fallback_gives_the_same_bits(monkeypatch, attr, val
     # the default path loaded its own copy of the extension
     assert spectrum._dsbevx is not lapack.dsbevx
     monkeypatch.setattr(spectrum, attr, value)
-    fallback = spectrum._load_lapack()
-    assert fallback == (lapack.dsbevx, lapack.dlamch)
-    monkeypatch.setattr(spectrum, "_dsbevx", fallback[0])
-    monkeypatch.setattr(spectrum, "_dlamch", fallback[1])
+    assert spectrum._load_lapack() is lapack.dsbevx
+    # the abstol of _lowest is eig_banded's 2 * dlamch('s')
+    assert 2.0 * sys.float_info.min == 2 * lapack.dlamch("s")
+    monkeypatch.setattr(spectrum, "_dsbevx", lapack.dsbevx)
     for (band, k), (w, v) in zip(cases, direct):
         w_fb, v_fb = spectrum._lowest(band, k)
         assert same_bits(w_fb, w) and same_bits(v_fb, v)
+
+
+@pytest.mark.parametrize("loader", ["default", "fallback"])
+def test_lowest_leaves_the_band_unchanged(monkeypatch, loader):
+    # _split_doublets and the residual check of solve read the band after
+    # it; dsbevx would overwrite a Fortran-ordered band in place if allowed
+    if loader == "fallback":
+        monkeypatch.setattr(spectrum, "_dsbevx", lapack.dsbevx)
+    for band, k in well_bands(5, 60):
+        for ab in (band, np.asfortranarray(band)):
+            before = ab.copy()
+            spectrum._lowest(ab, k)
+            assert same_bits(ab, before)
 
 
 def test_lowest_keeps_the_eig_banded_checks(monkeypatch):
@@ -269,5 +283,8 @@ def test_lowest_keeps_the_eig_banded_checks(monkeypatch):
             return w, v, m, ifail, info
 
         monkeypatch.setattr(spectrum, "_dsbevx", failing)
-        with pytest.raises(error, match=f"LAPACK info={info}" if info > 0 else "argument 3"):
+        match = f"LAPACK info={info}" if info > 0 else "argument 3"
+        with pytest.raises(error, match=match):
+            spectrum._lowest(band, k)
+        with pytest.raises(error, match=match):
             solve(pot, n_basis=40, n_states=4)
