@@ -349,28 +349,24 @@ def cache_key(pot: QuarticPotential, settings: PointSettings) -> str:
 
 
 def cache_load(cache_dir: Path, key: str) -> list[dict[str, str]] | None:
+    """The records stored under `key`, or None if the entry is missing,
+    unreadable or fails its checksum (the key itself hashes the schema)."""
     path = cache_dir / f"{key}.json"
     try:
         body, checksum_line = path.read_text(encoding="utf-8").rsplit("\n", 1)
-    except (FileNotFoundError, ValueError):
+        digest = hashlib.sha256(body.encode()).hexdigest()
+        if checksum_line.strip() != f"sha256:{digest}":
+            return None
+        return json.loads(body)["records"]
+    except (OSError, ValueError):
         return None
-    digest = hashlib.sha256(body.encode()).hexdigest()
-    if checksum_line.strip() != f"sha256:{digest}":
-        return None
-    try:
-        doc = json.loads(body)
-    except json.JSONDecodeError:
-        return None
-    if doc.get("schema") != SCHEMA_VERSION:
-        return None
-    return doc["records"]
 
 
 def cache_store(cache_dir: Path, key: str, records: list[dict[str, str]]) -> None:
     """Write via a per-process temp file and an atomic rename, so that a
     concurrent reader sees either the old file or the complete new one."""
     cache_dir.mkdir(parents=True, exist_ok=True)
-    body = json.dumps({"schema": SCHEMA_VERSION, "records": records}, sort_keys=True)
+    body = json.dumps({"records": records}, sort_keys=True)
     digest = hashlib.sha256(body.encode()).hexdigest()
     tmp = cache_dir / f".{key}.{os.getpid()}.tmp"
     try:
@@ -635,7 +631,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(parser.format_usage(), file=sys.stderr, end="")
         return EXIT_CONFIG
-    except FAILURES as exc:
+    except (*FAILURES, OSError) as exc:
         print(f"error: {args.command} failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -60,9 +60,7 @@ def _mapped_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _sqrt_interval(
     pot: QuarticPotential, energy: float, a: float, b: float, sign: float, nodes: int
 ) -> float:
-    """int_a^b sqrt(sign * (E - V)) dx with turning points at both ends."""
-    if b <= a:
-        return 0.0
+    """int_a^b sqrt(sign * (E - V)) dx for a < b, with turning points at both ends."""
     w, sin_theta, cos_theta = _mapped_rule(nodes)
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -71,32 +69,26 @@ def _sqrt_interval(
     return float(np.sum(w * np.sqrt(f) * half * cos_theta))
 
 
-def _allowed_segments(pot: QuarticPotential, energy: float) -> list[tuple[float, float, bool]]:
-    """Partition of [t_first, t_last] into (lo, hi, classically_allowed)."""
-    tps = turning_points(pot, energy)
-    segments = []
-    for lo, hi in zip(tps[:-1], tps[1:]):
-        if hi - lo <= 0.0:
-            continue
-        mid = 0.5 * (lo + hi)
-        segments.append((lo, hi, bool(pot(mid) < energy)))
-    return segments
-
-
 def area(
     pot: QuarticPotential, energy: float, nodes: int = DEFAULT_QUAD_NODES
 ) -> PhaseSpaceResult:
-    """Barrier and allowed actions plus the lobe decomposition at one energy."""
-    segments = _allowed_segments(pot, energy)
-    if not any(allowed for *_, allowed in segments):
-        raise ValueError("energy lies below the potential minimum")
+    """Barrier and allowed actions plus the lobe decomposition at one energy.
+
+    Consecutive turning points bound alternately allowed and forbidden
+    intervals; each interval of nonzero width is classified at its midpoint.
+    """
+    tps = turning_points(pot, energy)
     barrier = 0.0
     allowed = 0.0
     lobes: list[Lobe] = []
-    for lo, hi, is_allowed in segments:
-        if is_allowed:
+    for lo, hi in zip(tps[:-1], tps[1:]):
+        if hi - lo <= 0.0:
+            continue
+        if pot(0.5 * (lo + hi)) < energy:
             allowed += 2.0 * _sqrt_interval(pot, energy, lo, hi, +1.0, nodes)
             lobes.append(Lobe(lo, hi))
         else:
             barrier += _sqrt_interval(pot, energy, lo, hi, -1.0, nodes)
+    if not lobes:
+        raise ValueError("energy lies below the potential minimum")
     return PhaseSpaceResult(barrier, allowed, tuple(lobes))

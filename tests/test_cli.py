@@ -1,6 +1,7 @@
 import concurrent.futures
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -168,6 +169,20 @@ def test_cache_store_leaves_no_temp_file(tmp_path):
     cli.cache_store(tmp_path, "abc", records)
     cli.cache_store(tmp_path, "abc", records)  # overwrite in place
     assert [p.name for p in tmp_path.iterdir()] == ["abc.json"]
+    assert cli.cache_load(tmp_path, "abc") == records
+
+
+def test_cache_entry_that_is_a_directory_is_a_miss(tmp_path):
+    (tmp_path / "abc.json").mkdir()
+    assert cli.cache_load(tmp_path, "abc") is None
+
+
+def test_cache_entry_with_a_schema_field_is_served(tmp_path):
+    # entries once carried the schema in their body as well as in their key
+    records = [{"n": "0", "energy": "1.5"}]
+    body = json.dumps({"records": records, "schema": SCHEMA_VERSION}, sort_keys=True)
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    (tmp_path / "abc.json").write_text(f"{body}\nsha256:{digest}", encoding="utf-8")
     assert cli.cache_load(tmp_path, "abc") == records
 
 
@@ -711,6 +726,20 @@ def test_solver_and_potential_failures_exit_3(tmp_path, capsys, argv, command):
     # probe that every alpha shares, end in one error line instead of a
     # traceback
     assert main(argv + ["--outdir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {command} failed: ")
+
+
+@pytest.mark.parametrize("argv, command", [
+    (["solve", "--states", "2", "--outdir", "{file}/o"], "solve"),
+    (["sweep", "--beta", "10", "--gamma", "0", "--states", "2", "--workers", "1",
+      "--outdir", "{tmp}/out", "--cache-dir", "{file}/c"], "sweep"),
+])
+def test_a_path_that_cannot_be_written_exits_3(tmp_path, capsys, argv, command):
+    # an output directory or cache directory below a plain file
+    file = tmp_path / "afile"
+    file.touch()
+    assert main([arg.format(file=file, tmp=tmp_path) for arg in argv]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {command} failed: ")
 

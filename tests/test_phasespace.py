@@ -102,3 +102,15 @@ def test_energy_below_minimum_raises():
     pot = QuarticPotential.from_well_params(1.0, 10.0, 0.0)
     with pytest.raises(ValueError):
         area(pot, -26.0)
+
+
+def test_tangent_energies_skip_zero_width_intervals():
+    # V = x^4 - 20 x^2: at E = 0 the turning points are -sqrt(20), 0, 0,
+    # sqrt(20), so the two lobes touch at the barrier top; at E = V_min
+    # = -100 each well shrinks to a point
+    pot = QuarticPotential(1.0, 0.0, -20.0, 0.0, 0.0)
+    res = area(pot, 0.0)
+    assert res.lobe_count == 2
+    assert res.barrier_action == 0.0
+    with pytest.raises(ValueError, match="below the potential minimum"):
+        area(pot, -100.0)
