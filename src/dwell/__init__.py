@@ -10,6 +10,7 @@ import importlib
 # exported name -> submodule that defines it
 _EXPORTS = {
     **dict.fromkeys(("BasisSpec", "assemble_position", "optimal_sigma"), "basis"),
+    **dict.fromkeys(("SolverError", "certified_states"), "defaults"),
     **dict.fromkeys((
         "FISHER_PRODUCT_BOUND", "ONICESCU_PRODUCT_BOUND", "OS_TOTAL_BOUND",
         "SHANNON_TOTAL_BOUND", "NotNormalized", "Occupancy", "info_measures",
@@ -27,8 +28,7 @@ _EXPORTS = {
         "validate_rules",
     ), "rules"),
     **dict.fromkeys((
-        "BasisTooSmall", "ConvergenceFailure", "SolverError", "Spectrum",
-        "certified_states", "quasi_degenerate_pairs", "solve",
+        "BasisTooSmall", "ConvergenceFailure", "Spectrum", "quasi_degenerate_pairs", "solve",
     ), "spectrum"),
     **dict.fromkeys((
         "UniformGrid", "build_grid", "build_momentum_grid", "count_nodes",

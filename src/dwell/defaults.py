@@ -1,0 +1,40 @@
+"""The defaults and limits that the solver layers and the CLI's settings
+share, and the base of every solver error.
+
+This module imports no numpy, so that `dwell.cli` can build its settings,
+parse a command line and answer a sweep from its cache without loading the
+numerical stack.
+"""
+
+from __future__ import annotations
+
+__all__ = [
+    "DEFAULT_N_BASIS",
+    "DEFAULT_N_STATES",
+    "DEGENERACY_REL_TOL",
+    "MIN_GRID_POINTS",
+    "DEFAULT_GRID_POINTS",
+    "DEFAULT_RHO_FLOOR",
+    "certified_states",
+    "SolverError",
+]
+
+DEFAULT_N_BASIS = 100  # oscillator functions unless a caller chooses
+DEFAULT_N_STATES = 8  # states solved and reported unless a caller chooses
+DEGENERACY_REL_TOL = 1e-6
+MIN_GRID_POINTS = 512
+DEFAULT_GRID_POINTS = 4096
+# a well holding less probability than this carries no effective nodes
+DEFAULT_RHO_FLOOR = 0.01
+
+
+def certified_states(n_basis: int) -> int:
+    """Number of lowest states an n_basis basis certifies: n <= n_basis // 3.
+
+    Higher states are variationally corrupted by basis truncation.
+    """
+    return n_basis // 3 + 1
+
+
+class SolverError(Exception):
+    """Base class for diagonalization failures."""

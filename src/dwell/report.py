@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import DEFAULT_GRID_POINTS, DEFAULT_N_BASIS, DEFAULT_N_STATES, DEFAULT_RHO_FLOOR
 from .measures import (
     Occupancy,
     classify_occupancy,
@@ -22,10 +23,8 @@ from .measures import (
 )
 from .phasespace import area
 from .potential import QuarticPotential, critical_points
-from .spectrum import DEFAULT_N_BASIS, DEFAULT_N_STATES, solve
+from .spectrum import solve
 from .wavefunction import (
-    DEFAULT_GRID_POINTS,
-    DEFAULT_RHO_FLOOR,
     build_grid,
     build_momentum_grid,
     count_nodes,

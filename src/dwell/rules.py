@@ -38,11 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import DEFAULT_GRID_POINTS, DEFAULT_N_BASIS, DEGENERACY_REL_TOL, SolverError
 from .measures import Occupancy, classify_occupancy, uncertainties, well_occupancy
 from .potential import QuarticPotential, critical_points
-from .spectrum import (DEFAULT_N_BASIS, DEGENERACY_REL_TOL, SolverError, quasi_degenerate_pairs,
-                       solve)
-from .wavefunction import DEFAULT_GRID_POINTS, build_grid, wavefunctions
+from .spectrum import quasi_degenerate_pairs, solve
+from .wavefunction import build_grid, wavefunctions
 
 __all__ = [
     "DeltaGammaEstimate",

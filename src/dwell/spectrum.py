@@ -30,6 +30,8 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 import numpy as np
 
 from .basis import BasisSpec, assemble_position, band_matvec, optimal_sigma, position_band
+from .defaults import (DEFAULT_N_BASIS, DEFAULT_N_STATES, DEGENERACY_REL_TOL, SolverError,
+                       certified_states)
 from .potential import QuarticPotential, mirror
 
 __all__ = [
@@ -42,22 +44,7 @@ __all__ = [
     "quasi_degenerate_pairs",
 ]
 
-DEFAULT_N_BASIS = 100  # oscillator functions unless a caller chooses
-DEFAULT_N_STATES = 8  # states solved and reported unless a caller chooses
 RESIDUAL_TOL = 1e-10
-DEGENERACY_REL_TOL = 1e-6
-
-
-def certified_states(n_basis: int) -> int:
-    """Number of lowest states an n_basis basis certifies: n <= n_basis // 3.
-
-    Higher states are variationally corrupted by basis truncation.
-    """
-    return n_basis // 3 + 1
-
-
-class SolverError(Exception):
-    """Base class for diagonalization failures."""
 
 
 class ConvergenceFailure(SolverError):

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import DEFAULT_GRID_POINTS, DEFAULT_RHO_FLOOR, MIN_GRID_POINTS
 from .potential import QuarticPotential, WellGeometry, critical_points, turning_points
 from .spectrum import Spectrum
 
@@ -40,13 +41,9 @@ __all__ = [
     "probability_below",
 ]
 
-MIN_GRID_POINTS = 512
-DEFAULT_GRID_POINTS = 4096
 # sign changes where |psi| stays below this fraction of its peak are not
 # resolvable in double precision (suppressed-well amplitudes, deep barriers)
 NODE_AMPLITUDE_FLOOR = 1e-8
-# a well holding less probability than this carries no effective nodes
-DEFAULT_RHO_FLOOR = 0.01
 
 
 @dataclass(frozen=True)

@@ -42,9 +42,7 @@ from dwell import (
     wavefunctions,
     well_occupancy,
 )
-import dwell.cli
 import dwell.report
-import dwell.rules
 from dwell.basis import BasisSpec, optimal_sigma
 from dwell.cli import main as cli_main
 from dwell.wavefunction import even_simpson
@@ -456,15 +454,14 @@ def test_criterion_12_determinism_and_cache(tmp_path, monkeypatch):
         "--states", "6", "--grid-points", "2048", "--workers", "1",
         "--outdir", str(tmp_path),
     ]
-    # every dwell module that imported solve calls it through its own name
+    # a sweep solves through the name that dwell.report imported
     solves = []
 
     def counted(pot, *rest, **kwargs):
         solves.append(pot)
         return solve(pot, *rest, **kwargs)
 
-    for module in (dwell.cli, dwell.report, dwell.rules):
-        monkeypatch.setattr(module, "solve", counted)
+    monkeypatch.setattr(dwell.report, "solve", counted)
     def timed_run(extra=()):
         """Wall time, output bytes and solve count of one sweep."""
         before = len(solves)

@@ -336,10 +336,42 @@ def test_only_a_process_pool_loads_multiprocessing(tmp_path):
     assert (tmp_path / "sweep.csv").exists()
 
 
+def _imported(argv, cwd):
+    """The exit code of `python -m dwell argv` and every module it imported,
+    as `-X importtime` lists them."""
+    out = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "dwell", *argv], cwd=cwd,
+        env=_child_env(_without_blas_settings()), capture_output=True, text=True, timeout=120,
+    )
+    return out.returncode, {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
+                            if line.startswith("import time:")}
+
+
+def test_each_command_imports_only_the_modules_it_runs(tmp_path):
+    numerical = {"numpy", "dwell.spectrum"}
+    for argv, code in ((["--help"], 0), (["sweep", "--gamma", "2:1:1"], 2)):
+        rc, modules = _imported(argv, tmp_path)
+        assert rc == code and not modules & numerical, (argv, rc, modules & numerical)
+
+    sweep = ["sweep", "--beta", "10", "--gamma", "0,0.5", "--states", "2",
+             "--grid-points", "512", "--workers", "1"]
+    rc, cold = _imported(sweep + ["--outdir", "cold"], tmp_path)
+    assert rc == 0 and numerical <= cold and "dwell.rules" not in cold
+    # every point served from the cache that the cold run filled
+    rc, hit = _imported(sweep + ["--outdir", "hit", "--cache-dir", "cold/cache"], tmp_path)
+    assert rc == 0 and not hit & numerical, hit & numerical
+    assert (tmp_path / "hit/sweep.csv").read_bytes() == (tmp_path / "cold/sweep.csv").read_bytes()
+
+    rc, rules = _imported(["validate-rules", "--alphas", "1", "--beta", "20", "--gamma", "1,2",
+                           "--states", "4"], tmp_path)
+    assert rc == 0 and "dwell.rules" in rules
+    assert not rules & {"dwell.report", "dwell.phasespace"}
+
+
 def test_import_dwell_loads_no_numpy_and_resolves_every_export():
     code = "\n".join([
-        "import sys, dwell",
-        "assert 'numpy' not in sys.modules, 'import dwell loaded numpy'",
+        "import sys, dwell, dwell.cli",
+        "assert 'numpy' not in sys.modules, 'import dwell or dwell.cli loaded numpy'",
         # the well geometry, which a cache key needs, works in Python floats
         "from dwell.potential import QuarticPotential, critical_points, turning_points",
         "pot = QuarticPotential.from_well_params(1, 20, 3)",
@@ -742,6 +774,18 @@ def test_a_path_that_cannot_be_written_exits_3(tmp_path, capsys, argv, command):
     assert main([arg.format(file=file, tmp=tmp_path) for arg in argv]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {command} failed: ")
+
+
+def test_a_cache_that_cannot_be_written_keeps_the_rows(tmp_path, capsys):
+    # the sweep writes its rows before its cache entries
+    file = tmp_path / "afile"
+    file.touch()
+    argv = ["sweep", "--beta", "10", "--gamma", "0,0.5", "--states", "2", "--grid-points", "512",
+            "--workers", "1"]
+    assert main(argv + ["--outdir", str(tmp_path / "out"), "--cache-dir", str(file / "c")]) == 3
+    assert capsys.readouterr().err.startswith("error: sweep failed: ")
+    assert main(argv + ["--outdir", str(tmp_path / "ref"), "--no-cache"]) == 0
+    assert (tmp_path / "out/sweep.csv").read_bytes() == (tmp_path / "ref/sweep.csv").read_bytes()
 
 
 @pytest.mark.parametrize("alpha", ["-1", "0"])
