@@ -28,7 +28,8 @@ _EXPORTS = {
         "validate_rules",
     ), "rules"),
     **dict.fromkeys((
-        "BasisTooSmall", "ConvergenceFailure", "Spectrum", "quasi_degenerate_pairs", "solve",
+        "BasisTooSmall", "ConvergenceFailure", "ScaleOutOfRange", "Spectrum",
+        "quasi_degenerate_pairs", "solve",
     ), "spectrum"),
     **dict.fromkeys((
         "UniformGrid", "build_grid", "build_momentum_grid", "count_nodes",

@@ -11,7 +11,8 @@ does not verify.  Each command's flags and config-file keys are built from
 
 This module imports no numpy: each command imports the numerical modules
 it runs when it first computes, so that `--help`, a configuration error and
-a sweep served entirely from its cache start up without them.
+a sweep served entirely from its cache start up without them.  Likewise
+only the cache functions import hashlib, which loads OpenSSL.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import enum
-import hashlib
 import io
 import json
 import math
@@ -253,9 +253,14 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
             setattr(cfg, name, SETTINGS[name].convert(text))
         except ValueError as exc:  # malformed numbers in flags/config files
             raise ConfigError(f"{source}: {exc}") from exc
-    if "states" in names and cfg.states > certified_states(cfg.n_basis):
-        raise ConfigError(f"states={cfg.states} exceeds the {certified_states(cfg.n_basis)} "
-                          f"states certified converged at n_basis={cfg.n_basis}")
+    if "states" in names:
+        certified = certified_states(cfg.n_basis)
+        # the gamma check of validate-rules also solves the top state's pair partner
+        partner = args.command == RULES and "gamma" in cfg.given
+        if cfg.states + partner > certified:
+            solved = f" with a gamma check solves {cfg.states + 1} states, which" if partner else ""
+            raise ConfigError(f"states={cfg.states}{solved} exceeds the {certified} states "
+                              f"certified converged at n_basis={cfg.n_basis}")
     return cfg
 
 
@@ -336,6 +341,8 @@ def _sweep_worker(payload: tuple) -> list[dict[str, str]]:
 
 def cache_key(pot: QuarticPotential, settings: PointSettings) -> str:
     """Content hash of everything a point's records depend on."""
+    import hashlib
+
     fields = {
         name: value.hex() if isinstance(value, float) else value
         for name, value in asdict(settings).items()
@@ -355,6 +362,8 @@ def cache_key(pot: QuarticPotential, settings: PointSettings) -> str:
 def cache_load(cache_dir: Path, key: str) -> list[dict[str, str]] | None:
     """The records stored under `key`, or None if the entry is missing,
     unreadable or fails its checksum (the key itself hashes the schema)."""
+    import hashlib
+
     path = cache_dir / f"{key}.json"
     try:
         body, checksum_line = path.read_text(encoding="utf-8").rsplit("\n", 1)
@@ -369,6 +378,8 @@ def cache_load(cache_dir: Path, key: str) -> list[dict[str, str]] | None:
 def cache_store(cache_dir: Path, key: str, records: list[dict[str, str]]) -> None:
     """Write via a per-process temp file and an atomic rename, so that a
     concurrent reader sees either the old file or the complete new one."""
+    import hashlib
+
     cache_dir.mkdir(parents=True, exist_ok=True)
     body = json.dumps({"records": records}, sort_keys=True)
     digest = hashlib.sha256(body.encode()).hexdigest()
@@ -460,8 +471,8 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
         except FAILURES as exc:
             results[(beta, gamma)] = [record(cfg.alpha, beta, gamma, error=str(exc))]
             continue
-        key = cache_key(pot, settings)
-        cached = None if cfg.no_cache else cache_load(cache_dir, key)
+        key = None if cfg.no_cache else cache_key(pot, settings)
+        cached = None if key is None else cache_load(cache_dir, key)
         if cached is not None:
             results[(beta, gamma)] = cached
         else:
@@ -489,7 +500,7 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     ordered = [rec for point in points for rec in results[point]]
     write_records(cfg.outdir / f"sweep.{cfg.format}", ordered, cfg.format)
     for (_, _, _, key), recs in zip(pending, outcomes):
-        if not (recs[0]["error"] or cfg.no_cache):
+        if not (recs[0]["error"] or key is None):
             cache_store(cache_dir, key, recs)
     if all(results[point][0]["error"] for point in points):
         raise SolverError("every point failed (see the error column)")

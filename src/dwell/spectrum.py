@@ -2,13 +2,16 @@
 
 Solving is a thin pipeline: optimal sigma -> position-space band (bandwidth
 4) -> selective symmetric band eigensolver (LAPACK dsbevx), which computes
-only the lowest states.  dsbevx, scipy's f2py wrapper, is the only LAPACK
-function loaded: it comes from the `scipy/linalg/_flapack` extension file
-by location, so that no scipy package init runs; where that file is
-missing or lacks dsbevx, the same wrapper comes from `scipy.linalg.lapack`.
-It is called as `scipy.linalg.eig_banded(select="i")` calls it by default
-and returns the same bits; where LAPACK does not converge, eig_banded
-raises numpy's linalg error and `solve` raises ConvergenceFailure.
+only the lowest states.  dsbevx is the only LAPACK function called.  It is
+taken from the LAPACK of numpy's own OpenBLAS, through ctypes, so that a
+process maps one BLAS library; where numpy's LAPACK has no ILP64 dsbevx,
+scipy's f2py wrapper is loaded instead, from the `scipy/linalg/_flapack`
+extension file by location (no scipy package init runs) or else from
+`scipy.linalg.lapack`.  Either is called as `scipy.linalg.eig_banded(
+select="i")` calls it by default and returns the same bits; where LAPACK
+does not converge, eig_banded raises numpy's linalg error and `solve`
+raises ConvergenceFailure.  A well whose band or residuals do not fit in
+double precision raises ScaleOutOfRange.
 
 A tunneling doublet whose splitting is below solver resolution comes out
 of the solver as an arbitrary rotation of its two states.  `solve` computes
@@ -20,6 +23,8 @@ states, even first, so every potential takes the same path.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import importlib.util
 import math
 import os
@@ -39,6 +44,7 @@ __all__ = [
     "SolverError",
     "ConvergenceFailure",
     "BasisTooSmall",
+    "ScaleOutOfRange",
     "certified_states",
     "solve",
     "quasi_degenerate_pairs",
@@ -53,6 +59,10 @@ class ConvergenceFailure(SolverError):
 
 class BasisTooSmall(SolverError):
     """Requested state index too close to the top of the variational basis."""
+
+
+class ScaleOutOfRange(SolverError):
+    """The well's band or residuals do not fit in double precision."""
 
 
 @dataclass(frozen=True)
@@ -109,7 +119,41 @@ def _pair_starts(energies: np.ndarray, tol) -> list[int]:
 _SPLIT_TOL = 4.0 * np.finfo(float).eps  # doublet gaps below this times ||H||
 
 
-def _load_lapack():
+# eig_banded's 2 * dlamch('S'): LAPACK's safe minimum is DBL_MIN
+_ABSTOL = 2.0 * sys.float_info.min
+# dsbevx in the ILP64 LAPACK of numpy's OpenBLAS: numpy >= 2.0 wheels, then
+# numpy 1.22-1.26 wheels.  The unsuffixed dsbevx_ is not taken: the width of
+# its integers is unknown.
+_ILP64_SYMBOLS = ("scipy_dsbevx_64_", "dsbevx_64_")
+
+
+def _call_ilp64(dsbevx, band: np.ndarray, k: int):
+    """(w, z, m, info) of the k lowest eigenpairs, from the Fortran routine
+    `dsbevx` with 64-bit integers, allocated as scipy's f2py wrapper does."""
+    kd, n = band.shape[0] - 1, band.shape[1]
+    ab = np.array(band, dtype=float, order="F")  # dsbevx overwrites its band
+    q, z = np.empty((n, n), order="F"), np.empty((n, k), order="F")
+    w, work = np.empty(n), np.empty(7 * n)
+    iwork, ifail = np.empty(5 * n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    i8, f8 = ctypes.c_int64, ctypes.c_double
+    m, info = i8(), i8()
+    args = (i8(n), i8(kd), ab, i8(kd + 1), q, i8(n), f8(0.0), f8(1.0), i8(1), i8(k),
+            f8(_ABSTOL), m, w, z, i8(n), work, iwork, ifail, info)
+    # Fortran takes every argument by reference, then the hidden length of
+    # each character argument
+    dsbevx(b"V", b"I", b"U", *(a.ctypes.data if isinstance(a, np.ndarray) else ctypes.byref(a)
+                               for a in args), 1, 1, 1)
+    return w, z, m.value, info.value
+
+
+def _call_f2py(dsbevx, band: np.ndarray, k: int):
+    """(w, z, m, info) from scipy's f2py wrapper, as eig_banded(select="i") calls it."""
+    w, z, m, _, info = dsbevx(band, 0.0, 1.0, 1, k, compute_v=1, mmax=k, range=2, lower=0,
+                              overwrite_ab=0, abstol=_ABSTOL)
+    return w, z, m, info
+
+
+def _f2py_dsbevx():
     """scipy's f2py dsbevx, from the `_flapack` extension file.
 
     Loading the file by location skips `scipy.linalg`'s package init, which
@@ -136,6 +180,26 @@ def _load_lapack():
         return lapack.dsbevx
 
 
+def _load_lapack():
+    """dsbevx as one callable (band, k) -> (w, z, m, info).
+
+    numpy's `_umath_linalg` links the LAPACK of numpy's OpenBLAS, so its
+    ILP64 dsbevx is called through ctypes, which numpy has loaded already,
+    and no second BLAS is mapped.  Where numpy's LAPACK exports none of
+    `_ILP64_SYMBOLS` (conda, Accelerate, Windows), scipy's f2py wrapper is
+    loaded instead.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        dsbevx = next(getattr(lib, s) for s in _ILP64_SYMBOLS if hasattr(lib, s))
+    except (AttributeError, OSError, StopIteration):
+        return functools.partial(_call_f2py, _f2py_dsbevx())
+    dsbevx.restype = None
+    # without argtypes, ctypes would pass each array address as a C int
+    dsbevx.argtypes = [ctypes.c_char_p] * 3 + [ctypes.c_void_p] * 19 + [ctypes.c_size_t] * 3
+    return functools.partial(_call_ilp64, dsbevx)
+
+
 _dsbevx = _load_lapack()
 
 
@@ -148,11 +212,7 @@ def _lowest(band: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("array must not contain infs or NaNs")
     if not 1 <= k <= band.shape[1]:
         raise ValueError("select_range out of bounds")
-    w, v, m, _, info = _dsbevx(
-        band, 0.0, 1.0, 1, k, compute_v=1, mmax=k, range=2, lower=0, overwrite_ab=0,
-        # eig_banded's 2 * dlamch('S'): LAPACK's safe minimum is DBL_MIN
-        abstol=2.0 * sys.float_info.min,
-    )
+    w, v, m, info = _dsbevx(band, k)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of internal sbevx")
     if info > 0:
@@ -209,12 +269,27 @@ def solve(
     # odd rows of its vectors back, so that mirror images get mirrored
     # vectors to the last bit even where a doublet leaves them ill-conditioned
     mirrored = pot.c3 < 0.0 or (pot.c3 == 0.0 and pot.c1 < 0.0)
-    band = assemble_position(mirror(pot) if mirrored else pot, basis)
+    # a well whose band or residuals leave double precision raises one
+    # ScaleOutOfRange below instead of numpy's floating-point warnings
+    with np.errstate(all="ignore"):
+        band = assemble_position(mirror(pot) if mirrored else pot, basis)
+    if not np.isfinite(band).all():
+        raise ScaleOutOfRange(
+            f"the Hamiltonian band overflows double precision at basis scale "
+            f"sigma={basis.sigma:.3e}"
+        )
     # one state more, so that the top state's doublet partner is present
     energies, vectors = _lowest(band, n_states + 1)
     _split_doublets(band, basis, energies, vectors)
     energies, vectors = energies[:n_states], vectors[:, :n_states]
-    res_norms = np.linalg.norm(band_matvec(band, vectors) - vectors * energies, axis=0)
+    with np.errstate(all="ignore"):
+        res_norms = np.linalg.norm(band_matvec(band, vectors) - vectors * energies, axis=0)
+    if not np.isfinite(res_norms).all():
+        worst = int(np.argmin(np.isfinite(res_norms)))
+        raise ScaleOutOfRange(
+            f"the residual of state {worst} at energy {energies[worst]:.3e} overflows "
+            f"double precision"
+        )
     # floored at sigma, an energy of the basis that scales with the potential
     bounds = RESIDUAL_TOL * np.maximum(basis.sigma, np.abs(energies))
     if np.any(res_norms > bounds):

@@ -281,24 +281,27 @@ def test_cli_import_loads_neither_scipy_integrate_nor_optimize(tmp_path):
     assert (tmp_path / "validate_rules.json").exists()
 
 
+# one run of each command, none of which reads or writes a cache
+COMMAND_RUNS = [
+    ["solve", "--beta", "10", "--gamma", "0.5", "--states", "2", "--grid-points", "512"],
+    ["sweep", "--beta", "10", "--gamma", "0,0.5", "--states", "2", "--grid-points", "512",
+     "--workers", "1", "--no-cache"],
+    ["validate-rules", "--alphas", "1", "--beta", "20", "--gamma", "1:2:0.5", "--states", "6"],
+    ["table", "1"],
+    ["phase-space", "--beta", "10", "--states", "2"],
+]
+
+
 def test_no_command_loads_scipy(tmp_path):
-    # dsbevx comes from scipy's LAPACK extension file, loaded by location;
-    # checked after the import and after one run of each command.  Called
-    # in-process, no command sets a BLAS thread variable either.
-    runs = [
-        ["solve", "--beta", "10", "--gamma", "0.5", "--states", "2", "--grid-points", "512"],
-        ["sweep", "--beta", "10", "--gamma", "0,0.5", "--states", "2", "--grid-points", "512",
-         "--workers", "1", "--no-cache"],
-        ["validate-rules", "--alphas", "1", "--beta", "20", "--gamma", "1:2:0.5",
-         "--states", "6"],
-        ["table", "1"],
-        ["phase-space", "--beta", "10", "--states", "2"],
-    ]
+    # dsbevx comes from the LAPACK of numpy's own OpenBLAS, and scipy's f2py
+    # wrapper only where that has no ILP64 dsbevx; checked after the import
+    # and after one run of each command.  Called in-process, no command sets
+    # a BLAS thread variable either.
     code = "\n".join([
         "import contextlib, io, os, sys, dwell.cli",
         "def loaded(): return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))",
         "print(loaded())",
-        f"for argv in {runs!r}:",
+        f"for argv in {COMMAND_RUNS!r}:",
         "    with contextlib.redirect_stdout(io.StringIO()):",
         f"        assert dwell.cli.main(argv + ['--outdir', {str(tmp_path)!r}]) == 0",
         "    print(loaded())",
@@ -308,9 +311,37 @@ def test_no_command_loads_scipy(tmp_path):
         [sys.executable, "-c", code], env=_child_env(_without_blas_settings()),
         capture_output=True, text=True, check=True, timeout=120,
     )
-    assert out.stdout.splitlines() == ["[]"] * (2 + len(runs))
+    assert out.stdout.splitlines() == ["[]"] * (2 + len(COMMAND_RUNS))
     written = {p.name for p in tmp_path.iterdir()}
     assert {"solve.csv", "sweep.csv", "validate_rules.json", "table1.csv"} <= written
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="reads /proc/self/maps")
+def test_every_command_maps_one_blas_and_only_the_cache_loads_hashlib(tmp_path):
+    # all five commands in one process: the eigensolver uses numpy's BLAS,
+    # so no second one is mapped, and OpenSSL loads with the first sweep
+    # that reads or writes its cache, not before
+    cached = ["sweep", "--beta", "10", "--gamma", "0", "--states", "2", "--grid-points", "512",
+              "--workers", "1"]
+    code = "\n".join([
+        "import contextlib, io, json, sys, dwell.cli",
+        f"for argv in {COMMAND_RUNS + [cached]!r}:",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        f"        assert dwell.cli.main(argv + ['--outdir', {str(tmp_path)!r}]) == 0",
+        "    print('_hashlib' in sys.modules)",
+        "with open('/proc/self/maps') as fh:",
+        "    paths = {line.split()[-1] for line in fh}",
+        "names = {p.rsplit('/', 1)[-1] for p in paths if p.startswith('/')}",
+        "print(json.dumps(sorted(n for n in names if n.startswith('lib') and 'blas' in n.lower())))",
+    ])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=_child_env(_without_blas_settings()),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    *hashlib_loaded, blas = out.stdout.splitlines()
+    assert hashlib_loaded == ["False"] * len(COMMAND_RUNS) + ["True"]
+    assert len(json.loads(blas)) == 1, blas
+    assert list((tmp_path / "cache").glob("*.json"))
 
 
 def test_only_a_process_pool_loads_multiprocessing(tmp_path):
@@ -348,7 +379,8 @@ def _imported(argv, cwd):
 
 
 def test_each_command_imports_only_the_modules_it_runs(tmp_path):
-    numerical = {"numpy", "dwell.spectrum"}
+    # OpenSSL's _hashlib loads only with the sweep cache
+    numerical = {"numpy", "dwell.spectrum", "_hashlib"}
     for argv, code in ((["--help"], 0), (["sweep", "--gamma", "2:1:1"], 2)):
         rc, modules = _imported(argv, tmp_path)
         assert rc == code and not modules & numerical, (argv, rc, modules & numerical)
@@ -359,13 +391,13 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     assert rc == 0 and numerical <= cold and "dwell.rules" not in cold
     # every point served from the cache that the cold run filled
     rc, hit = _imported(sweep + ["--outdir", "hit", "--cache-dir", "cold/cache"], tmp_path)
-    assert rc == 0 and not hit & numerical, hit & numerical
+    assert rc == 0 and not hit & (numerical - {"_hashlib"}), hit & numerical
     assert (tmp_path / "hit/sweep.csv").read_bytes() == (tmp_path / "cold/sweep.csv").read_bytes()
 
     rc, rules = _imported(["validate-rules", "--alphas", "1", "--beta", "20", "--gamma", "1,2",
                            "--states", "4"], tmp_path)
     assert rc == 0 and "dwell.rules" in rules
-    assert not rules & {"dwell.report", "dwell.phasespace"}
+    assert not rules & {"dwell.report", "dwell.phasespace", "_hashlib"}
 
 
 def test_import_dwell_loads_no_numpy_and_resolves_every_export():
@@ -626,13 +658,26 @@ def test_validate_rules_json_layout(tmp_path):
     assert points[1]["predicted_pairs"] == [[1, 2], [3, 4]]
 
 
-def test_validate_rules_beyond_the_certified_band_exits_3(tmp_path, capsys):
-    # states 0..33 are certified, but judging state 33 also solves 34
-    argv = ["validate-rules", "--alphas", "1", "--gamma", "3", "--states", "34"]
-    assert main(argv + ["--outdir", str(tmp_path)]) == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("error: validate-rules failed: state 34 requested ")
+def test_validate_rules_at_the_certified_band_edge_exits_2(tmp_path, capsys, monkeypatch):
+    # states 0..33 are certified, but judging state 33 also solves 34: with
+    # a gamma check that is a configuration error, found before any solve
+    import dwell.rules
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved")
+
+    argv = ["validate-rules", "--alphas", "1", "--gamma", "3", "--states", "34",
+            "--outdir", str(tmp_path)]
+    with monkeypatch.context() as patched:
+        patched.setattr(dwell.rules, "solve", no_solve)
+        assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines()[0] == (
+        "error: states=34 with a gamma check solves 35 states, which exceeds the 34 states "
+        "certified converged at n_basis=100")
+    assert not list(tmp_path.iterdir())
+    # without a gamma check, and one state lower, the same settings run
+    assert main(argv[:3] + argv[5:]) == 0
+    assert main(argv[:-3] + ["33", "--outdir", str(tmp_path)]) == 0
 
 
 def test_validate_rules_at_negative_gammas(tmp_path):
@@ -760,6 +805,24 @@ def test_solver_and_potential_failures_exit_3(tmp_path, capsys, argv, command):
     assert main(argv + ["--outdir", str(tmp_path)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {command} failed: ")
+
+
+_BAND_OVERFLOW = "the Hamiltonian band overflows double precision at basis scale sigma="
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, cause", [
+    (["solve", "--alpha", "1e-300", "--states", "2"], _BAND_OVERFLOW + "5.000e-300"),
+    (["solve", "--poly", "1e-300,0,-1,0,0", "--states", "2"], _BAND_OVERFLOW + "1.000e-298"),
+    (["validate-rules", "--alphas", "1e-300", "--beta", "1", "--gamma", "0"],
+     _BAND_OVERFLOW + "1.000e-298"),
+    (["solve", "--v0", "1e308", "--states", "2"],
+     "the residual of state 0 at energy 1.000e+308 overflows double precision"),
+], ids=["alpha", "poly", "validate-rules", "v0"])
+def test_wells_beyond_double_precision_exit_3_with_their_cause(tmp_path, capsys, argv, cause):
+    # one error line that names the cause, and no numpy floating-point warning
+    assert main(argv + ["--outdir", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == f"error: {argv[0]} failed: {cause}\n"
 
 
 @pytest.mark.parametrize("argv, command", [

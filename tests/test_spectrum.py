@@ -11,6 +11,7 @@ from dwell import (
     BasisTooSmall,
     ConvergenceFailure,
     QuarticPotential,
+    ScaleOutOfRange,
     assemble_position,
     certified_states,
     mirror,
@@ -174,6 +175,18 @@ def test_basis_too_small_error():
     assert solve(pot, n_basis=30, n_states=11).n_verified == 11
 
 
+@pytest.mark.filterwarnings("error")
+def test_wells_beyond_double_precision_raise_scale_out_of_range():
+    # sigma = 5e-300 underflows sigma^2, so the band holds infs and NaNs;
+    # an energy of 1e308 overflows the squares in its residual norm
+    wide = QuarticPotential.from_well_params(1e-300, 20.0, 0.0)
+    with pytest.raises(ScaleOutOfRange, match="band overflows double precision"):
+        solve(wide, n_states=2)
+    high = QuarticPotential.from_well_params(1.0, 20.0, 0.0).shifted(1e308)
+    with pytest.raises(ScaleOutOfRange, match="residual of state 0 at energy 1.000e.308"):
+        solve(high, n_states=2)
+
+
 def test_convergence_certification_flag():
     spec = well_solve(1.0, 10.0, 0.0, n_basis=100, n_states=8)
     assert spec.converged(33)
@@ -232,6 +245,14 @@ class UnloadableExtension(ModuleWithoutDsbevx):
         raise ImportError("undefined symbol")
 
 
+def f2py_fallback(monkeypatch):
+    """The loader's fallback where numpy's LAPACK exports no ILP64 dsbevx."""
+    monkeypatch.setattr(spectrum, "_ILP64_SYMBOLS", ())
+    loaded = spectrum._load_lapack()
+    assert loaded.func is spectrum._call_f2py
+    return loaded
+
+
 @pytest.mark.parametrize("attr, value", [
     ("EXTENSION_SUFFIXES", [".missing"]),
     ("ExtensionFileLoader", ModuleWithoutDsbevx),
@@ -240,24 +261,31 @@ class UnloadableExtension(ModuleWithoutDsbevx):
 def test_scipy_linalg_lapack_fallback_gives_the_same_bits(monkeypatch, attr, value):
     cases = list(well_bands(17, 25))
     direct = [spectrum._lowest(band, k) for band, k in cases]
-    # the default path loaded its own copy of the extension
-    assert spectrum._dsbevx is not lapack.dsbevx
+    # the default path calls the ILP64 dsbevx of numpy's own LAPACK
+    assert spectrum._dsbevx.func is spectrum._call_ilp64
+    assert spectrum._dsbevx.args[0].__name__ in spectrum._ILP64_SYMBOLS
+    # with those symbols hidden, the f2py wrapper from scipy's extension file
+    by_file = f2py_fallback(monkeypatch)
+    assert by_file.args[0] is not lapack.dsbevx
+    # and from scipy.linalg.lapack where that file fails
     monkeypatch.setattr(spectrum, attr, value)
-    assert spectrum._load_lapack() is lapack.dsbevx
+    public = f2py_fallback(monkeypatch)
+    assert public.args == (lapack.dsbevx,)
     # the abstol of _lowest is eig_banded's 2 * dlamch('s')
     assert 2.0 * sys.float_info.min == 2 * lapack.dlamch("s")
-    monkeypatch.setattr(spectrum, "_dsbevx", lapack.dsbevx)
-    for (band, k), (w, v) in zip(cases, direct):
-        w_fb, v_fb = spectrum._lowest(band, k)
-        assert same_bits(w_fb, w) and same_bits(v_fb, v)
+    for loaded in (by_file, public):
+        monkeypatch.setattr(spectrum, "_dsbevx", loaded)
+        for (band, k), (w, v) in zip(cases, direct):
+            w_fb, v_fb = spectrum._lowest(band, k)
+            assert same_bits(w_fb, w) and same_bits(v_fb, v)
 
 
 @pytest.mark.parametrize("loader", ["default", "fallback"])
 def test_lowest_leaves_the_band_unchanged(monkeypatch, loader):
     # _split_doublets and the residual check of solve read the band after
-    # it; dsbevx would overwrite a Fortran-ordered band in place if allowed
+    # it; dsbevx overwrites the band it is given, so both paths copy it
     if loader == "fallback":
-        monkeypatch.setattr(spectrum, "_dsbevx", lapack.dsbevx)
+        monkeypatch.setattr(spectrum, "_dsbevx", f2py_fallback(monkeypatch))
     for band, k in well_bands(5, 60):
         for ab in (band, np.asfortranarray(band)):
             before = ab.copy()
@@ -267,24 +295,25 @@ def test_lowest_leaves_the_band_unchanged(monkeypatch, loader):
 
 def test_lowest_keeps_the_eig_banded_checks(monkeypatch):
     band, k = next(well_bands(3, 1))
-    for bad in (np.nan, np.inf):
-        broken = band.copy()
-        broken[2, 5] = bad
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            spectrum._lowest(broken, k)
-    for k_bad in (0, band.shape[1] + 1):
-        with pytest.raises(ValueError, match="out of bounds"):
-            spectrum._lowest(band, k_bad)
-    dsbevx = spectrum._dsbevx
     pot = QuarticPotential.from_well_params(1.0, 10.0, 0.5)
-    for info, error in ((-3, ValueError), (2, ConvergenceFailure)):
-        def failing(*args, **kwargs):
-            w, v, m, ifail, _ = dsbevx(*args, **kwargs)
-            return w, v, m, ifail, info
+    for dsbevx in (spectrum._dsbevx, f2py_fallback(monkeypatch)):
+        monkeypatch.setattr(spectrum, "_dsbevx", dsbevx)
+        for bad in (np.nan, np.inf):
+            broken = band.copy()
+            broken[2, 5] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                spectrum._lowest(broken, k)
+        for k_bad in (0, band.shape[1] + 1):
+            with pytest.raises(ValueError, match="out of bounds"):
+                spectrum._lowest(band, k_bad)
+        for info, error in ((-3, ValueError), (2, ConvergenceFailure)):
+            def failing(band, k, dsbevx=dsbevx, info=info):
+                w, v, m, _ = dsbevx(band, k)
+                return w, v, m, info
 
-        monkeypatch.setattr(spectrum, "_dsbevx", failing)
-        match = f"LAPACK info={info}" if info > 0 else "argument 3"
-        with pytest.raises(error, match=match):
-            spectrum._lowest(band, k)
-        with pytest.raises(error, match=match):
-            solve(pot, n_basis=40, n_states=4)
+            monkeypatch.setattr(spectrum, "_dsbevx", failing)
+            match = f"LAPACK info={info}" if info > 0 else "argument 3"
+            with pytest.raises(error, match=match):
+                spectrum._lowest(band, k)
+            with pytest.raises(error, match=match):
+                solve(pot, n_basis=40, n_states=4)
