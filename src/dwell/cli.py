@@ -12,7 +12,7 @@ does not verify.  Each command's flags and config-file keys are built from
 This module imports no numpy: each command imports the numerical modules
 it runs when it first computes, so that `--help`, a configuration error and
 a sweep served entirely from its cache start up without them.  Likewise
-only the cache functions import hashlib, which loads OpenSSL.
+only the cache's digest imports hashlib, which loads OpenSSL.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .defaults import (DEFAULT_GRID_POINTS, DEFAULT_N_BASIS, DEFAULT_N_STATES, DEFAULT_RHO_FLOOR,
-                       DEGENERACY_REL_TOL, MIN_GRID_POINTS, SolverError, certified_states)
+                       DEGENERACY_REL_TOL, MIN_GRID_POINTS, PROBE_STATES, SolverError,
+                       certified_states)
 from .potential import QuarticPotential, critical_points
 
 if TYPE_CHECKING:
@@ -175,7 +176,6 @@ class Setting:
     default: object
     commands: tuple[str, ...]
     help: str | None = None
-    in_file: bool = True  # may be set in a config file
 
 
 SETTINGS: dict[str, Setting] = {
@@ -203,17 +203,16 @@ SETTINGS: dict[str, Setting] = {
                        0, (SWEEP,), "worker processes (0: one per CPU)"),
     "no_cache": Setting(_BOOL, False, (SWEEP,)),
     "cache_dir": Setting(str, None, (SWEEP,)),
-    "alphas": Setting(parse_values, (1.0,), (RULES,), "comma list of alpha values",
-                      in_file=False),
-    "contours": Setting(_BOOL, False, (PHASE,), "also export sampled lobe contours",
-                        in_file=False),
+    "alphas": Setting(parse_values, (1.0,), (RULES,), "comma list of alpha values"),
+    "contours": Setting(_BOOL, False, (PHASE,), "also export sampled lobe contours"),
 }
 
 
 def read_config_file(path: Path, command: str) -> dict[str, tuple[str, str]]:
     """Flat key=value lines; '#' starts a comment.  Returns each key's
-    source (file, line and key) and text; a key that is no setting of
-    `command` is an error."""
+    source (file, line and key) and text.  Any setting that `command`
+    reads may be a key, and any other key is an error here; the values are
+    converted and checked by `build_config`, as a flag's are."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -229,7 +228,7 @@ def read_config_file(path: Path, command: str) -> dict[str, tuple[str, str]]:
         key, value = line.split("=", 1)
         key = key.strip().replace("-", "_")
         setting = SETTINGS.get(key)
-        if setting is None or not setting.in_file:
+        if setting is None:
             raise ConfigError(f"{where}: unknown key {key!r}")
         if command not in setting.commands:
             raise ConfigError(f"{where}: {command} does not read {key!r}")
@@ -239,7 +238,12 @@ def read_config_file(path: Path, command: str) -> dict[str, tuple[str, str]]:
 
 def build_config(args: argparse.Namespace) -> argparse.Namespace:
     """The settings that `args.command` reads: defaults, then the config
-    file, then flags (flags win).  `given` names those set by either."""
+    file, then flags (flags win).  `given` names those set by either.
+
+    Each value is converted and range-checked here, and the largest solve
+    the command makes is checked against the states that `n_basis`
+    certifies, so that a configuration the solver would reject exits 2
+    before any solve."""
     names = [name for name, s in SETTINGS.items() if args.command in s.commands]
     texts = read_config_file(Path(args.config), args.command) if args.config else {}
     for name in names:
@@ -255,12 +259,15 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
             raise ConfigError(f"{source}: {exc}") from exc
     if "states" in names:
         certified = certified_states(cfg.n_basis)
-        # the gamma check of validate-rules also solves the top state's pair partner
+        limit = f"exceeds the {certified} states certified converged at n_basis={cfg.n_basis}"
+        # the gamma check of validate-rules also solves the top state's pair
+        # partner, and every validate-rules run solves the delta-gamma probe
         partner = args.command == RULES and "gamma" in cfg.given
         if cfg.states + partner > certified:
             solved = f" with a gamma check solves {cfg.states + 1} states, which" if partner else ""
-            raise ConfigError(f"states={cfg.states}{solved} exceeds the {certified} states "
-                              f"certified converged at n_basis={cfg.n_basis}")
+            raise ConfigError(f"states={cfg.states}{solved} {limit}")
+        if args.command == RULES and PROBE_STATES > certified:
+            raise ConfigError(f"the delta-gamma probe solves {PROBE_STATES} states, which {limit}")
     return cfg
 
 
@@ -339,10 +346,15 @@ def _sweep_worker(payload: tuple) -> list[dict[str, str]]:
 # ---------------------------------------------------------------- cache
 
 
-def cache_key(pot: QuarticPotential, settings: PointSettings) -> str:
-    """Content hash of everything a point's records depend on."""
+def _sha256(text: str) -> str:
+    """The hex SHA-256 of `text`, UTF-8 encoded: the cache's one digest."""
     import hashlib
 
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def cache_key(pot: QuarticPotential, settings: PointSettings) -> str:
+    """Content hash of everything a point's records depend on."""
     fields = {
         name: value.hex() if isinstance(value, float) else value
         for name, value in asdict(settings).items()
@@ -356,19 +368,16 @@ def cache_key(pot: QuarticPotential, settings: PointSettings) -> str:
         },
         sort_keys=True,
     )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return _sha256(payload)[:16]
 
 
 def cache_load(cache_dir: Path, key: str) -> list[dict[str, str]] | None:
     """The records stored under `key`, or None if the entry is missing,
     unreadable or fails its checksum (the key itself hashes the schema)."""
-    import hashlib
-
     path = cache_dir / f"{key}.json"
     try:
         body, checksum_line = path.read_text(encoding="utf-8").rsplit("\n", 1)
-        digest = hashlib.sha256(body.encode()).hexdigest()
-        if checksum_line.strip() != f"sha256:{digest}":
+        if checksum_line.strip() != f"sha256:{_sha256(body)}":
             return None
         return json.loads(body)["records"]
     except (OSError, ValueError):
@@ -378,14 +387,11 @@ def cache_load(cache_dir: Path, key: str) -> list[dict[str, str]] | None:
 def cache_store(cache_dir: Path, key: str, records: list[dict[str, str]]) -> None:
     """Write via a per-process temp file and an atomic rename, so that a
     concurrent reader sees either the old file or the complete new one."""
-    import hashlib
-
     cache_dir.mkdir(parents=True, exist_ok=True)
     body = json.dumps({"records": records}, sort_keys=True)
-    digest = hashlib.sha256(body.encode()).hexdigest()
     tmp = cache_dir / f".{key}.{os.getpid()}.tmp"
     try:
-        tmp.write_text(f"{body}\nsha256:{digest}", encoding="utf-8")
+        tmp.write_text(f"{body}\nsha256:{_sha256(body)}", encoding="utf-8")
         os.replace(tmp, cache_dir / f"{key}.json")
     finally:
         tmp.unlink(missing_ok=True)

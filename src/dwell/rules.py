@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import DEFAULT_GRID_POINTS, DEFAULT_N_BASIS, DEGENERACY_REL_TOL, SolverError
+from .defaults import (DEFAULT_GRID_POINTS, DEFAULT_N_BASIS, DEGENERACY_REL_TOL, PROBE_STATES,
+                       SolverError)
 from .measures import Occupancy, classify_occupancy, uncertainties, well_occupancy
 from .potential import QuarticPotential, critical_points
 from .spectrum import quasi_degenerate_pairs, solve
@@ -103,13 +104,13 @@ class DeltaGammaEstimate:
 
 
 def _levels(gamma: float, n_basis: int):
-    """Energies E_n and slopes dE_n/dgamma = <n|x|n> of the five lowest states
-    of the probe well (alpha 1, beta 16) at gamma.
+    """Energies E_n and slopes dE_n/dgamma = <n|x|n> of the PROBE_STATES
+    lowest states of the probe well (alpha 1, beta 16) at gamma.
 
     The basis scale reads only c4 and c2, so H = H0 + gamma x holds exactly in
     the truncated basis along a gamma sweep, and Hellmann-Feynman is exact.
     """
-    spec = solve(QuarticPotential.from_well_params(1.0, 16.0, gamma), n_basis, 5)
+    spec = solve(QuarticPotential.from_well_params(1.0, 16.0, gamma), n_basis, PROBE_STATES)
     return spec.energies, uncertainties(spec)[0]
 
 

@@ -13,6 +13,12 @@ does not converge, eig_banded raises numpy's linalg error and `solve`
 raises ConvergenceFailure.  A well whose band or residuals do not fit in
 double precision raises ScaleOutOfRange.
 
+Each input is checked once.  `solve`, the library's entry, checks the state
+count (ValueError below 1, BasisTooSmall beyond the certified band) and
+that the band is finite; `_lowest`, its one internal call of dsbevx,
+checks only what LAPACK reports.  The CLI checks its settings before any
+solve (see `dwell.cli.build_config`).
+
 A tunneling doublet whose splitting is below solver resolution comes out
 of the solver as an arbitrary rotation of its two states.  `solve` computes
 one state more than asked, so that the top state's partner is present, and
@@ -204,14 +210,15 @@ _dsbevx = _load_lapack()
 
 
 def _lowest(band: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k lowest eigenpairs of an upper band, with the checks, call and
-    cropping of `scipy.linalg.eig_banded(band, select="i", select_range=(0,
-    k - 1))` at its defaults; `band` is left unchanged.  Where LAPACK does
-    not converge, this raises ConvergenceFailure, not numpy's linalg error."""
-    if not np.isfinite(band).all():
-        raise ValueError("array must not contain infs or NaNs")
-    if not 1 <= k <= band.shape[1]:
-        raise ValueError("select_range out of bounds")
+    """The k lowest eigenpairs of an upper band, with the call, info checks
+    and cropping of `scipy.linalg.eig_banded(band, select="i",
+    select_range=(0, k - 1))` at its defaults; `band` is left unchanged.
+    Where LAPACK does not converge, this raises ConvergenceFailure, not
+    numpy's linalg error.
+
+    Its one caller, `solve`, has checked that the band is finite and asks
+    for 2 <= k <= certified_states(n_basis) + 1 <= n_basis states, so this
+    repeats neither check."""
     w, v, m, info = _dsbevx(band, k)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of internal sbevx")
@@ -254,11 +261,15 @@ def solve(
 ) -> Spectrum:
     """The lowest `n_states` eigenpairs in the trace-optimal oscillator basis.
 
-    Every returned state is residual-checked; requesting states beyond the
-    certified band (see `certified_states`) raises BasisTooSmall.
+    Every returned state is residual-checked.  n_states < 1 raises
+    ValueError, and states beyond the certified band (see
+    `certified_states`) raise BasisTooSmall; the band leaves room for the
+    extra state solved above it at every basis size, so `_lowest` needs no
+    bounds check.  A band or residual that leaves double precision raises
+    ScaleOutOfRange.
     """
-    if n_states < 1 or n_states > n_basis:
-        raise ValueError("n_states must be in [1, n_basis]")
+    if n_states < 1:
+        raise ValueError("n_states must be at least 1")
     if n_states > certified_states(n_basis):
         raise BasisTooSmall(
             f"state {n_states - 1} requested with only {n_basis} basis functions "

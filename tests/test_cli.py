@@ -793,15 +793,57 @@ def test_phase_space_export(tmp_path):
     assert len(contours) == 512 * len(rows)  # 512 samples per lobe row
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n-basis", "9", "--states", "2"],
+    ["--n-basis", "11", "--gamma", "3", "--states", "2"],
+])
+def test_a_basis_too_small_for_the_probe_exits_2_before_any_solve(tmp_path, capsys,
+                                                                  monkeypatch, argv):
+    # every validate-rules run solves PROBE_STATES = 5 states in its
+    # delta-gamma probe, and n_basis 9 and 11 certify 4: a configuration
+    # error, found before any solve and without numpy, that names the probe
+    import dwell.rules
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved")
+
+    argv = ["validate-rules", *argv, "--outdir", str(tmp_path / "out")]
+    with monkeypatch.context() as patched:
+        patched.setattr(dwell.rules, "solve", no_solve)
+        assert main(argv) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: the delta-gamma probe solves 5 states, which exceeds the 4 "
+                      f"states certified converged at n_basis={argv[2]}"]
+    assert not list(tmp_path.iterdir())
+    rc, modules = _imported(argv, tmp_path)
+    assert rc == 2 and "numpy" not in modules
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, flag, line, outputs", [
+    ("validate-rules", ["--alphas", "1,2"], "alphas = 1,2", ["validate_rules.json"]),
+    ("phase-space", ["--contours"], "contours = true",
+     ["phase_space.csv", "phase_space_contours.csv"]),
+])
+def test_a_config_file_sets_every_setting_its_command_reads(tmp_path, command, flag, line,
+                                                            outputs):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(f"{line}\n", encoding="utf-8")
+    assert main([command, *flag, "--outdir", str(tmp_path / "flag")]) == 0
+    assert main([command, "--config", str(cfg), "--outdir", str(tmp_path / "file")]) == 0
+    for name in outputs:
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
+
+
 @pytest.mark.parametrize("argv, command", [
     (["validate-rules", "--alphas", "-1"], "validate-rules"),
     (["validate-rules", "--alphas", "1", "--n-basis", "12", "--states", "2"], "validate-rules"),
     (["phase-space", "--alpha", "-1"], "phase-space"),
 ])
 def test_solver_and_potential_failures_exit_3(tmp_path, capsys, argv, command):
-    # a negative alpha, and a basis too small for the alpha-1 delta-gamma
-    # probe that every alpha shares, end in one error line instead of a
-    # traceback
+    # a negative alpha, and a basis that certifies the 5 states of the
+    # alpha-1 delta-gamma probe that every alpha shares but resolves none of
+    # its gap minima, end in one error line instead of a traceback
     assert main(argv + ["--outdir", str(tmp_path)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {command} failed: ")
@@ -1053,7 +1095,7 @@ def test_sweep_solves_a_repeated_point_once(tmp_path, monkeypatch):
     ("sweep", "poly = 1,0,-10,0.5,0", "sweep does not read 'poly'"),
     ("solve", "workers = 2", "solve does not read 'workers'"),
     ("validate-rules", "alpha = 2", "validate-rules does not read 'alpha'"),
-    ("phase-space", "contours = true", "unknown key 'contours'"),
+    ("phase-space", "contour = true", "unknown key 'contour'"),
 ])
 def test_config_key_a_command_does_not_read_exits_2(tmp_path, capsys, command, line, message):
     cfg = tmp_path / "job.cfg"

@@ -16,6 +16,7 @@ from dwell import (
     validate_rules,
 )
 from dwell import phasespace, rules
+from dwell.defaults import PROBE_STATES
 
 I, II, BOTH = Occupancy.WELL_I, Occupancy.WELL_II, Occupancy.BOTH
 
@@ -183,6 +184,21 @@ def test_delta_gamma_probe_runs_once_per_basis_size(monkeypatch):
     for alpha in (1e-12, 1.0, 100.0, 1e12):
         estimate_delta_gamma(alpha)
     assert 0 < len(calls) <= 32
+
+
+def test_each_probe_solve_asks_for_probe_states_states(monkeypatch):
+    # the CLI checks this one count against the certified band before any
+    # solve, so the probe must ask for exactly it
+    calls = []
+
+    def counted(pot, n_basis, n_states):
+        calls.append((n_basis, n_states))
+        return solve(pot, n_basis, n_states)
+
+    monkeypatch.setattr(rules, "solve", counted)
+    energies, slopes = rules._levels(2.0, n_basis=40)
+    assert calls == [(40, PROBE_STATES)]
+    assert len(energies) == len(slopes) == PROBE_STATES == 5
 
 
 @pytest.mark.parametrize("j", [-20, -1, 1, 20])

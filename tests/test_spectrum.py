@@ -298,14 +298,6 @@ def test_lowest_keeps_the_eig_banded_checks(monkeypatch):
     pot = QuarticPotential.from_well_params(1.0, 10.0, 0.5)
     for dsbevx in (spectrum._dsbevx, f2py_fallback(monkeypatch)):
         monkeypatch.setattr(spectrum, "_dsbevx", dsbevx)
-        for bad in (np.nan, np.inf):
-            broken = band.copy()
-            broken[2, 5] = bad
-            with pytest.raises(ValueError, match="infs or NaNs"):
-                spectrum._lowest(broken, k)
-        for k_bad in (0, band.shape[1] + 1):
-            with pytest.raises(ValueError, match="out of bounds"):
-                spectrum._lowest(band, k_bad)
         for info, error in ((-3, ValueError), (2, ConvergenceFailure)):
             def failing(band, k, dsbevx=dsbevx, info=info):
                 w, v, m, _ = dsbevx(band, k)
@@ -317,3 +309,27 @@ def test_lowest_keeps_the_eig_banded_checks(monkeypatch):
                 spectrum._lowest(band, k)
             with pytest.raises(error, match=match):
                 solve(pot, n_basis=40, n_states=4)
+
+
+def test_solve_checks_the_band_and_the_state_count_before_lowest(monkeypatch):
+    # eig_banded's finiteness and select_range checks, made once in solve:
+    # _lowest is never reached with a band or a state count they reject
+    pot = QuarticPotential.from_well_params(1.0, 10.0, 0.5)
+
+    def no_lowest(band, k):
+        raise AssertionError("_lowest was called")
+
+    monkeypatch.setattr(spectrum, "_lowest", no_lowest)
+    with pytest.raises(ValueError, match="at least 1"):
+        solve(pot, n_basis=40, n_states=0)
+    with pytest.raises(BasisTooSmall, match="state 40 requested with only 40 basis functions"):
+        solve(pot, n_basis=40, n_states=41)
+    for bad in (np.nan, np.inf):
+        def broken(pot, basis, bad=bad):
+            band = assemble_position(pot, basis)
+            band[2, 5] = bad
+            return band
+
+        monkeypatch.setattr(spectrum, "assemble_position", broken)
+        with pytest.raises(ScaleOutOfRange, match="band overflows double precision"):
+            solve(pot, n_basis=40, n_states=4)
