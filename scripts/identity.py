@@ -7,12 +7,12 @@ REV is exported with `git archive` into a temporary directory.  A fixed
 list of commands then runs as `python -m dwell ...` on both trees, each
 importing the package from its own src/: the benchmark's sweep and
 validate-rules commands at seeds 0, 7 and 13, `validate-rules --alphas
-0.25,16`, `validate-rules --alphas 1e-12,1e12` (the alpha-1 delta-gamma
-probe's transitions scaled far from unit scale, by 1e-6 and 1e6, where an
-absolute tolerance would show), tables 1-5,
-`phase-space --contours`, `solve --beta 30 --states 11` at gamma 0, 3.3
-and 6, `solve --beta 30 --gamma 0 --states 8
---grid-points 4094` (a symmetric well whose window cannot stay symmetric:
+0.25,16`, `validate-rules --alphas 1e-12,1e12` (delta_gamma = 2 sqrt(alpha)
+far from unit scale, 2e-6 and 2e6, where an absolute tolerance would show),
+tables 1-5, `table 3 --n-basis 12` (a basis that certifies 5 of the
+table's 11 states: exit 2 before any solve), `phase-space --contours`,
+`solve --beta 30 --states 11` at gamma 0, 3.3 and 6, `solve --beta 30
+--gamma 0 --states 8 --grid-points 4094` (a symmetric well whose window cannot stay symmetric:
 the barrier x = 0 must be an even sample of 4094 intervals), `solve --beta
 30 --gamma 6 --states 4` (its top state is half of a doublet split below
 solver resolution), `solve --beta 2 --gamma 7 --states 8` (a shallow
@@ -35,8 +35,9 @@ that it is applied and the cache re-run that it is keyed).
 Exit codes, stdout (with the output and cache directories replaced by
 placeholders) and every file a command writes are compared.  A differing
 CSV file gets one line per changed column, and a differing JSON file one
-line per changed key path (list positions read [*]): the values changed and
-the largest absolute and relative change.  Any other differing file gets
+line per changed key path (list positions read [*], and a key that only
+one file has reads (absent) in the other): the values changed and the
+largest absolute and relative change.  Any other differing file gets
 one line.
 Each sweep also runs again against the cache it filled, in both trees, and
 must repeat its exit code, stdout and files.  The script exits 0 only when
@@ -86,6 +87,7 @@ def commands() -> list[tuple[str, list[str]]]:
     cmds.append(("rules-alphas-extreme",
                  ["validate-rules", "--alphas", "1e-12,1e12", "--states", "6", *out]))
     cmds += [(f"table-{n}", ["table", str(n), *out]) for n in range(1, 6)]
+    cmds.append(("table-3-n-basis-12", ["table", "3", "--n-basis", "12", *out]))
     cmds.append(("phase-space-contours", ["phase-space", "--contours", *out]))
     for gamma in ("0", "3.3", "6"):
         cmds.append((f"solve-beta30-gamma{gamma}",
@@ -186,13 +188,21 @@ def compare_csv(a: Path, b: Path) -> list[str]:
     return lines
 
 
+ABSENT = "(absent)"  # the value of a key that only the other document has
+
+
 def _leaf_pairs(a: object, b: object, path: str) -> Iterator[tuple[str, object, object]]:
     """(key path, a value, b value) of every leaf of two JSON documents; list
-    positions read [*], and where the shapes part the subtrees count as one
-    leaf."""
-    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
-        for key in a:
-            yield from _leaf_pairs(a[key], b[key], f"{path}.{key}" if path else key)
+    positions read [*], a key that one document lacks is one leaf whose
+    value there is ABSENT, and where the shapes part otherwise the subtrees
+    count as one leaf."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in {**a, **b}:
+            sub = f"{path}.{key}" if path else key
+            if key in a and key in b:
+                yield from _leaf_pairs(a[key], b[key], sub)
+            else:
+                yield sub, a.get(key, ABSENT), b.get(key, ABSENT)
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for x, y in zip(a, b):
             yield from _leaf_pairs(x, y, f"{path}[*]")

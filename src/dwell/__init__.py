@@ -18,8 +18,8 @@ _EXPORTS = {
     ), "measures"),
     **dict.fromkeys(("Lobe", "PhaseSpaceResult", "area"), "phasespace"),
     **dict.fromkeys((
-        "QuarticPotential", "WellGeometry", "WellSide", "critical_points", "mirror",
-        "turning_points",
+        "QuarticPotential", "WellGeometry", "WellSide", "critical_points", "delta_gamma",
+        "mirror", "turning_points",
     ), "potential"),
     **dict.fromkeys(("StateReport", "state_reports"), "report"),
     **dict.fromkeys((

@@ -32,9 +32,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .defaults import (DEFAULT_GRID_POINTS, DEFAULT_N_BASIS, DEFAULT_N_STATES, DEFAULT_RHO_FLOOR,
-                       DEGENERACY_REL_TOL, MIN_GRID_POINTS, PROBE_STATES, SolverError,
-                       certified_states)
-from .potential import QuarticPotential, critical_points
+                       DEGENERACY_REL_TOL, MIN_GRID_POINTS, SolverError, certified_states)
+from .potential import QuarticPotential, critical_points, delta_gamma
 
 if TYPE_CHECKING:
     from .report import StateReport
@@ -166,6 +165,9 @@ _BOOL = _one_of({"true": True, "false": False})
 COMMANDS = SOLVE, SWEEP, RULES, TABLE, PHASE = (
     "solve", "sweep", "validate-rules", "table", "phase-space")
 _VALUES = "value, comma list or start:stop:step"
+# the states of the largest solve of each table that reads --n-basis
+# (table 1 sets its own basis sizes)
+TABLE_STATES = {2: 6, 3: 11, 4: 8, 5: 6}
 
 
 @dataclass(frozen=True)
@@ -257,17 +259,17 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
             setattr(cfg, name, SETTINGS[name].convert(text))
         except ValueError as exc:  # malformed numbers in flags/config files
             raise ConfigError(f"{source}: {exc}") from exc
+    certified = certified_states(cfg.n_basis)
+    limit = f"exceeds the {certified} states certified converged at n_basis={cfg.n_basis}"
+    if args.command == TABLE and TABLE_STATES.get(args.number, 0) > certified:
+        raise ConfigError(f"table {args.number} solves {TABLE_STATES[args.number]} states, "
+                          f"which {limit}")
     if "states" in names:
-        certified = certified_states(cfg.n_basis)
-        limit = f"exceeds the {certified} states certified converged at n_basis={cfg.n_basis}"
-        # the gamma check of validate-rules also solves the top state's pair
-        # partner, and every validate-rules run solves the delta-gamma probe
+        # the gamma check of validate-rules also solves the top state's pair partner
         partner = args.command == RULES and "gamma" in cfg.given
         if cfg.states + partner > certified:
             solved = f" with a gamma check solves {cfg.states + 1} states, which" if partner else ""
             raise ConfigError(f"states={cfg.states}{solved} {limit}")
-        if args.command == RULES and PROBE_STATES > certified:
-            raise ConfigError(f"the delta-gamma probe solves {PROBE_STATES} states, which {limit}")
     return cfg
 
 
@@ -514,28 +516,22 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
 
 
 def cmd_validate_rules(cfg: argparse.Namespace) -> int:
-    """estimate delta-gamma per alpha and check the k-rules"""
-    from .rules import estimate_delta_gamma, validate_rules
-
+    """check the k-rules at k = gamma / delta_gamma, delta_gamma = 2 sqrt(alpha)"""
     beta = single(cfg, "beta")
-    blocks = []
-    for alpha in cfg.alphas:
-        est = estimate_delta_gamma(alpha, n_basis=cfg.n_basis)
-        block = {"alpha": alpha, **asdict(est)}
-        if "gamma" in cfg.given:
-            report = validate_rules(
-                alpha, beta, cfg.gamma, n_max=cfg.states - 1,
-                delta_gamma=est.delta_gamma, n_basis=cfg.n_basis,
-                grid_points=cfg.grid_points, rel_tol=cfg.rel_tol,
-            )
+    # every alpha is checked here, before any solve
+    blocks = [{"alpha": alpha, "delta_gamma": delta_gamma(alpha)} for alpha in cfg.alphas]
+    if "gamma" in cfg.given:
+        from .rules import validate_rules
+
+        for block in blocks:
+            report = validate_rules(block["alpha"], beta, cfg.gamma, block["delta_gamma"],
+                                    n_max=cfg.states - 1, n_basis=cfg.n_basis,
+                                    grid_points=cfg.grid_points, rel_tol=cfg.rel_tol)
+            points = [{**asdict(p), "participates": p.participates, "pairs_match": p.pairs_match,
+                       "occupancy_agreement": p.occupancy_agreement} for p in report.points]
             block |= {"beta": beta, "occupancy_agreement": report.occupancy_agreement,
-                      "pairs_agreement": report.pairs_agreement,
-                      "points": [{**asdict(p), "participates": p.participates,
-                                  "pairs_match": p.pairs_match,
-                                  "occupancy_agreement": p.occupancy_agreement}
-                                 for p in report.points]}
-        blocks.append(block)
-    doc = json.dumps(_json_value({"schema": "dwell-rules-v1", "results": blocks}),
+                      "pairs_agreement": report.pairs_agreement, "points": points}
+    doc = json.dumps(_json_value({"schema": "dwell-rules-v2", "results": blocks}),
                      indent=1, sort_keys=True)
     _write_text(cfg.outdir / "validate_rules.json", doc + "\n")
     return EXIT_OK
@@ -554,7 +550,9 @@ def _table_rows(table: int, cfg: argparse.Namespace) -> Iterator[list[object]]:
             yield [n_basis, *(spec.energy(i) for i in range(4))]
     elif table == 2:
         yield ["pair", "gamma", "beta", "gap"]
-        for gamma, (lo, hi) in ((2.0, (1, 2)), (4.0, (2, 3)), (6.0, (3, 4)), (8.0, (4, 5))):
+        # the pair (lo, lo + 1) at gamma = 2 lo, where k = lo
+        for lo in range(1, TABLE_STATES[2] - 1):
+            gamma, hi = 2.0 * lo, lo + 1
             for beta in (5.0, 10.0, 15.0, 20.0, 25.0, 30.0):
                 pot = QuarticPotential.from_well_params(1.0, beta, gamma)
                 spec = solve(pot, n_basis=cfg.n_basis, n_states=hi + 1)
@@ -563,21 +561,21 @@ def _table_rows(table: int, cfg: argparse.Namespace) -> Iterator[list[object]]:
         yield ["gamma", "n", "energy"]
         for gamma in (0.0, 2.0, 4.0, 6.0, 8.0):
             pot = resolve_potential(1.0, 30.0, gamma, "auto")
-            spec = solve(pot, n_basis=cfg.n_basis, n_states=11)
-            for n in range(11):
+            spec = solve(pot, n_basis=cfg.n_basis, n_states=TABLE_STATES[3])
+            for n in range(TABLE_STATES[3]):
                 yield [gamma, n, spec.energy(n)]
     elif table == 4:
         yield ["beta", "gamma", "n", "energy"]
         for beta, gamma in ((11.0, 2.0), (15.0, 8.0), (12.0, 6.0), (14.0, 10.0), (20.0, 12.0)):
             pot = resolve_potential(1.0, beta, gamma, "auto")
-            spec = solve(pot, n_basis=cfg.n_basis, n_states=8)
-            for n in range(8):
+            spec = solve(pot, n_basis=cfg.n_basis, n_states=TABLE_STATES[4])
+            for n in range(TABLE_STATES[4]):
                 yield [beta, gamma, n, spec.energy(n)]
     else:
         yield ["k", "n", "well", "effective_nodes"]
         for gamma in (1.0, 3.0, 5.0, 7.0):
             pot = resolve_potential(1.0, 20.0, gamma, "auto")
-            for rep in state_reports(pot, n_basis=cfg.n_basis, n_states=6,
+            for rep in state_reports(pot, n_basis=cfg.n_basis, n_states=TABLE_STATES[5],
                                      grid_points=cfg.grid_points):
                 yield [gamma / 2.0, rep.n, rep.occupancy, rep.effective_nodes]
 

@@ -15,7 +15,6 @@ __all__ = [
     "MIN_GRID_POINTS",
     "DEFAULT_GRID_POINTS",
     "DEFAULT_RHO_FLOOR",
-    "PROBE_STATES",
     "certified_states",
     "SolverError",
 ]
@@ -27,8 +26,6 @@ MIN_GRID_POINTS = 512
 DEFAULT_GRID_POINTS = 4096
 # a well holding less probability than this carries no effective nodes
 DEFAULT_RHO_FLOOR = 0.01
-# states of each solve of validate-rules' delta-gamma probe (rules._levels)
-PROBE_STATES = 5
 
 
 def certified_states(n_basis: int) -> int:

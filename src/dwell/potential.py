@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 
 from .polyroots import real_roots
@@ -20,6 +21,7 @@ __all__ = [
     "WellGeometry",
     "WellSide",
     "critical_points",
+    "delta_gamma",
     "turning_points",
     "mirror",
 ]
@@ -69,6 +71,22 @@ class QuarticPotential:
     def shifted(self, offset: float) -> "QuarticPotential":
         """Same shape, constant term moved by `offset`."""
         return QuarticPotential(self.c4, self.c3, self.c2, self.c1, self.c0 + offset)
+
+
+def delta_gamma(alpha: float) -> float:
+    """The gamma interval between level crossings of the double well of
+    `from_well_params`: 2 sqrt(alpha), at every beta.
+
+    Up to a constant, alpha x^4 - beta x^2 + gamma x = W'^2 + k W'' with
+    W' = sqrt(alpha) x^2 - beta / (2 sqrt(alpha)) and k = gamma / delta_gamma,
+    the tilted supersymmetric double well, whose two wells' Bohr-Sommerfeld
+    numbers differ by exactly k at every energy.
+    """
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    if alpha == math.inf:
+        raise ValueError(f"alpha must be finite, got {alpha}")
+    return 2.0 * math.sqrt(alpha)
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,16 @@ mirror image x -> -x, and well I is the deeper well on either side):
                - n >= k, fractional k: well I when parity(n) equals
                  parity(floor(k)), else well II
 
-delta_gamma = 2 sqrt(alpha): up to a constant V = W'^2 + k W'' with
-W' = sqrt(alpha) x^2 - beta / (2 sqrt(alpha)) and k = gamma / (2 sqrt(alpha)),
-the tilted supersymmetric double well (Behtash, Dunne, Schaefer, Sulejmanpasic
-and Unsal, PRL 115, 041601 (2015)), whose two wells' Bohr-Sommerfeld numbers
-(1/pi) int sqrt(E - V) dx differ by exactly k at every energy.
-`estimate_delta_gamma` measures the interval from the gap minima of a gamma
-sweep alone; the tests hold it to the closed form.  With x = alpha^(-1/6) y,
+delta_gamma = 2 sqrt(alpha) (`potential.delta_gamma`): up to a constant
+V = W'^2 + k W'' with W' = sqrt(alpha) x^2 - beta / (2 sqrt(alpha)) and
+k = gamma / (2 sqrt(alpha)), the tilted supersymmetric double well (Cooper,
+Khare and Sukhatme, Phys. Rep. 251, 267 (1995); Behtash, Dunne, Schaefer,
+Sulejmanpasic and Unsal, PRL 115, 041601 (2015)), whose two wells'
+Bohr-Sommerfeld numbers (1/pi) int sqrt(E - V) dx differ by exactly k at
+every energy.  `validate-rules` uses that closed form.
+`estimate_delta_gamma` is the paper's procedure and the library's check of
+it: it measures the interval from the gap minima of a gamma sweep alone, and
+the tests hold it to the closed form.  With x = alpha^(-1/6) y,
 H(alpha, beta, gamma) = alpha^(1/3) H(1, beta alpha^(-2/3), gamma alpha^(-1/2)),
 so its probe at beta = 16 alpha^(2/3) over 12 gammas in sqrt(alpha) x
 [0.05, 8.8] is the same dimensionless well at every alpha.  So the probe
@@ -38,10 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import (DEFAULT_GRID_POINTS, DEFAULT_N_BASIS, DEGENERACY_REL_TOL, PROBE_STATES,
-                       SolverError)
+from .defaults import DEFAULT_GRID_POINTS, DEFAULT_N_BASIS, DEGENERACY_REL_TOL, SolverError
 from .measures import Occupancy, classify_occupancy, uncertainties, well_occupancy
-from .potential import QuarticPotential, critical_points
+from .potential import QuarticPotential, critical_points, delta_gamma
 from .spectrum import quasi_degenerate_pairs, solve
 from .wavefunction import build_grid, wavefunctions
 
@@ -60,6 +62,7 @@ K_TOL = 0.02  # |k - round(k)| below this counts as integer k
 SHARP_GAP_TOL = 1e-3  # a gap minimum this small (relative) marks a transition
 GAMMA_SCAN_POINTS = 12  # coarse gamma samples per delta-gamma probe sweep
 REFINE_TOL = 1e-12  # relative step at which a gap minimum counts as refined
+PROBE_STATES = 5  # states of each delta-gamma probe solve
 
 
 class NoTransitionsFound(SolverError):
@@ -193,12 +196,9 @@ def estimate_delta_gamma(alpha: float, n_basis: int = DEFAULT_N_BASIS) -> DeltaG
     from zero) are reduced to the base interval and averaged; the spread is
     returned as the uncertainty.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if alpha == math.inf:
-        raise ValueError(f"alpha must be finite, got {alpha}")
+    scale = 0.5 * delta_gamma(alpha)  # sqrt(alpha) exactly; checks alpha
     beta = 16.0 * alpha ** (2.0 / 3.0)
-    transitions = [math.sqrt(alpha) * tau for tau in _probe_transitions(n_basis)]
+    transitions = [scale * tau for tau in _probe_transitions(n_basis)]
     if len(transitions) >= 2:
         diffs = np.diff([0.0] + transitions)
         base = float(np.min(diffs))

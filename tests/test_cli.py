@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dwell import QuarticPotential, cli
+from dwell import QuarticPotential, cli, solve
 from dwell.cli import (
     SCHEMA_VERSION,
     CSV_COLUMNS,
@@ -259,7 +260,7 @@ def _without_blas_settings(**blas):
 
 def test_cli_import_loads_neither_scipy_integrate_nor_optimize(tmp_path):
     # checked after the import and again after a validate-rules run, which
-    # estimates delta_gamma from a gamma scan and refined gap minima
+    # solves and samples each point of its gamma check
     argv = [
         "validate-rules", "--alphas", "1", "--beta", "20", "--gamma", "1:2:0.5",
         "--states", "6", "--outdir", str(tmp_path),
@@ -631,18 +632,17 @@ def test_validate_rules_json_layout(tmp_path):
     for name, gamma in (("estimate", []), ("rules", ["--gamma", "1,2"])):
         assert main(argv + gamma + ["--outdir", str(tmp_path / name)]) == 0
         docs[name] = json.loads((tmp_path / name / "validate_rules.json").read_text("utf-8"))
-    estimate_keys = {"alpha", "delta_gamma", "uncertainty", "transitions", "beta_used"}
+    estimate_keys = {"alpha", "delta_gamma"}
     rules_keys = estimate_keys | {"beta", "occupancy_agreement", "pairs_agreement", "points"}
     point_keys = {"gamma", "k", "predicted_pairs", "detected_pairs", "occupancy_predicted",
                   "occupancy_measured", "participates", "pairs_match", "occupancy_agreement"}
     for name, keys in (("estimate", estimate_keys), ("rules", rules_keys)):
         assert docs[name].keys() == {"schema", "results"}
-        assert docs[name]["schema"] == "dwell-rules-v1"
+        assert docs[name]["schema"] == "dwell-rules-v2"
         (block,) = docs[name]["results"]
         assert block.keys() == keys
-        assert all(isinstance(block[key], str) for key in keys - {"transitions", "points"})
-        assert block["transitions"] and all(isinstance(t, str) for t in block["transitions"])
-        assert block["alpha"] == "1"
+        assert all(isinstance(block[key], str) for key in keys - {"points"})
+        assert (block["alpha"], block["delta_gamma"]) == ("1", "2")
     points = docs["rules"]["results"][0]["points"]
     assert [p["gamma"] for p in points] == ["1", "2"]
     for p in points:
@@ -793,15 +793,54 @@ def test_phase_space_export(tmp_path):
     assert len(contours) == 512 * len(rows)  # 512 samples per lobe row
 
 
+RULES_SCAN = ["validate-rules", "--alphas", "1,2", "--beta", "20", "--gamma", "0.5:7:0.5",
+              "--states", "6"]
+
+
+def test_rules_scan_solves_only_its_gamma_check(tmp_path, monkeypatch):
+    # delta_gamma is the closed form 2 sqrt(alpha): one solve per alpha and
+    # gamma, 2 x 14, and none for the library's 32-solve delta-gamma probe
+    import dwell.rules
+
+    def no_probe(*args, **kwargs):
+        raise AssertionError("estimate_delta_gamma called")
+
+    dwell.rules._probe_transitions.cache_clear()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(dwell.rules, "solve", counted)
+    monkeypatch.setattr(dwell.rules, "estimate_delta_gamma", no_probe)
+    assert main(RULES_SCAN + ["--outdir", str(tmp_path)]) == 0
+    assert len(calls) == 28
+    doc = json.loads((tmp_path / "validate_rules.json").read_text(encoding="utf-8"))
+    assert [(b["alpha"], b["delta_gamma"]) for b in doc["results"]] == [
+        ("1", "2"), ("2", format(2.0 * math.sqrt(2.0), ".17g"))]
+
+
+def test_validate_rules_without_a_gamma_check_solves_nothing_and_loads_no_numpy(tmp_path):
+    # n_basis 9 certifies 4 states, fewer than the library's 5-state probe:
+    # without a gamma check the command solves nothing at any basis
+    rc, modules = _imported(["validate-rules", "--n-basis", "9", "--states", "2",
+                             "--outdir", "out"], tmp_path)
+    assert rc == 0
+    assert not modules & {"numpy", "dwell.rules", "dwell.spectrum"}
+    doc = json.loads((tmp_path / "out/validate_rules.json").read_text(encoding="utf-8"))
+    assert doc == {"schema": "dwell-rules-v2", "results": [{"alpha": "1", "delta_gamma": "2"}]}
+
+
 @pytest.mark.parametrize("argv", [
-    ["--n-basis", "9", "--states", "2"],
-    ["--n-basis", "11", "--gamma", "3", "--states", "2"],
+    ["--n-basis", "9", "--gamma", "3", "--states", "4"],
+    ["--n-basis", "11", "--gamma", "3", "--states", "4"],
 ])
-def test_a_basis_too_small_for_the_probe_exits_2_before_any_solve(tmp_path, capsys,
-                                                                  monkeypatch, argv):
-    # every validate-rules run solves PROBE_STATES = 5 states in its
-    # delta-gamma probe, and n_basis 9 and 11 certify 4: a configuration
-    # error, found before any solve and without numpy, that names the probe
+def test_a_basis_too_small_for_the_gamma_check_exits_2_before_any_solve(tmp_path, capsys,
+                                                                        monkeypatch, argv):
+    # the gamma check of --states 4 solves 5 states, and n_basis 9 and 11
+    # certify 4: a configuration error, found before any solve and without
+    # numpy; one state fewer runs at the same basis
     import dwell.rules
 
     def no_solve(*args, **kwargs):
@@ -812,12 +851,47 @@ def test_a_basis_too_small_for_the_probe_exits_2_before_any_solve(tmp_path, caps
         patched.setattr(dwell.rules, "solve", no_solve)
         assert main(argv) == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
-    assert errors == [f"error: the delta-gamma probe solves 5 states, which exceeds the 4 "
+    assert errors == [f"error: states=4 with a gamma check solves 5 states, which exceeds the 4 "
                       f"states certified converged at n_basis={argv[2]}"]
     assert not list(tmp_path.iterdir())
     rc, modules = _imported(argv, tmp_path)
     assert rc == 2 and "numpy" not in modules
     assert not list(tmp_path.iterdir())
+    assert main(argv[:-3] + ["3", "--outdir", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("table", [2, 3, 4, 5])
+def test_a_basis_too_small_for_a_table_exits_2_before_any_solve(tmp_path, capsys, table):
+    # n_basis 12 certifies 5 states; tables 2-5 solve 6, 11, 8 and 6
+    argv = ["table", str(table), "--n-basis", "12", "--outdir", "out"]
+    rc, modules = _imported(argv, tmp_path)
+    assert rc == 2 and "numpy" not in modules
+    assert not list(tmp_path.iterdir())
+    assert main(argv[:-1] + [str(tmp_path / "out")]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: table {table} solves {cli.TABLE_STATES[table]} states, which "
+                      f"exceeds the 5 states certified converged at n_basis=12"]
+    assert not list(tmp_path.iterdir())
+
+
+def test_table_states_are_each_tables_largest_solve(monkeypatch):
+    # so that the check above is exact: the smallest basis it accepts runs
+    import dwell.report
+    import dwell.spectrum
+
+    sizes = []
+
+    def counted(pot, n_basis, n_states):
+        sizes.append(n_states)
+        return solve(pot, n_basis, n_states)
+
+    monkeypatch.setattr(dwell.spectrum, "solve", counted)
+    monkeypatch.setattr(dwell.report, "solve", counted)
+    for table, states in cli.TABLE_STATES.items():
+        sizes.clear()
+        argv = ["table", str(table), "--n-basis", str(3 * (states - 1)), "--grid-points", "512"]
+        list(cli._table_rows(table, cli.build_config(cli.build_parser().parse_args(argv))))
+        assert max(sizes) == states, table
 
 
 @pytest.mark.parametrize("command, flag, line, outputs", [
@@ -837,13 +911,12 @@ def test_a_config_file_sets_every_setting_its_command_reads(tmp_path, command, f
 
 @pytest.mark.parametrize("argv, command", [
     (["validate-rules", "--alphas", "-1"], "validate-rules"),
-    (["validate-rules", "--alphas", "1", "--n-basis", "12", "--states", "2"], "validate-rules"),
+    (["validate-rules", "--alphas", "1", "--gamma", "1e300", "--states", "2"], "validate-rules"),
     (["phase-space", "--alpha", "-1"], "phase-space"),
 ])
 def test_solver_and_potential_failures_exit_3(tmp_path, capsys, argv, command):
-    # a negative alpha, and a basis that certifies the 5 states of the
-    # alpha-1 delta-gamma probe that every alpha shares but resolves none of
-    # its gap minima, end in one error line instead of a traceback
+    # a negative alpha, and a gamma check whose tilt overflows the solver's
+    # residuals, end in one error line instead of a traceback
     assert main(argv + ["--outdir", str(tmp_path)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {command} failed: ")
@@ -902,8 +975,7 @@ def test_validate_rules_names_a_non_positive_alpha(tmp_path, capsys, alpha):
 
 
 def test_validate_rules_small_alpha_small_basis(tmp_path):
-    # alpha 0.01 scales the transitions of the alpha-1 delta-gamma probe by
-    # sqrt(0.01), so a basis that resolves that probe serves alpha 0.01 too
+    # delta_gamma is the closed form 2 sqrt(alpha) at every alpha and basis
     argv = ["validate-rules", "--alphas", "0.01", "--n-basis", "30", "--states", "6"]
     assert main(argv + ["--outdir", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "validate_rules.json").read_text(encoding="utf-8"))
@@ -911,12 +983,17 @@ def test_validate_rules_small_alpha_small_basis(tmp_path):
     assert float(block["delta_gamma"]) == pytest.approx(0.2, rel=1e-3)
 
 
-def test_validate_rules_without_sharp_gap_minima_exits_3(tmp_path, capsys):
-    argv = ["validate-rules", "--alphas", "1", "--n-basis", "16", "--states", "6"]
-    assert main(argv + ["--outdir", str(tmp_path)]) == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("error: validate-rules failed: no sharp gap minima ")
+def test_validate_rules_runs_where_the_probe_finds_no_sharp_gap_minima(tmp_path):
+    # 16 oscillator functions resolve none of the library probe's gap minima
+    # (test_rules.py::test_no_transitions_raises), and the command does not
+    # need them
+    argv = ["validate-rules", "--alphas", "1", "--n-basis", "16", "--gamma", "2,3",
+            "--states", "4"]
+    assert main(argv + ["--outdir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "validate_rules.json").read_text(encoding="utf-8"))
+    (block,) = doc["results"]
+    assert block["delta_gamma"] == "2"
+    assert [p["k"] for p in block["points"]] == ["1", "1.5"]
 
 
 @pytest.mark.parametrize("argv, message", [

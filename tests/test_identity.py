@@ -39,6 +39,14 @@ def test_json_comparison_reports_each_changed_key_path(tmp_path):
     shorter = dict(other, k=["0.25"])
     c = write(tmp_path / "c.json", json.dumps({"results": [block, shorter]}))
     assert identity.compare_json(a, c) == ["results[*].k: 1 of 1 values changed, 1 not numeric"]
+    # a key that one document lacks is a path of its own, and the shared
+    # keys beside it are still compared one by one
+    dropped = {key: value for key, value in changed.items() if key != "k"}
+    d = write(tmp_path / "d.json", json.dumps({"results": [block, dropped]}))
+    assert identity.compare_json(a, d) == [
+        "results[*].participates: 1 of 2 values changed, 1 not numeric",
+        "results[*].k: 1 of 1 values changed, 1 not numeric",
+    ]
 
 
 def test_outputs_equal_as_data_but_not_as_bytes_still_differ(tmp_path):

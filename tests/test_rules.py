@@ -16,7 +16,7 @@ from dwell import (
     validate_rules,
 )
 from dwell import phasespace, rules
-from dwell.defaults import PROBE_STATES
+from dwell.rules import PROBE_STATES
 
 I, II, BOTH = Occupancy.WELL_I, Occupancy.WELL_II, Occupancy.BOTH
 
