@@ -9,7 +9,9 @@ importing the package from its own src/: the benchmark's sweep and
 validate-rules commands at seeds 0, 7 and 13, `validate-rules --alphas
 0.25,16`, `validate-rules --alphas 1e-12,1e12` (delta_gamma = 2 sqrt(alpha)
 far from unit scale, 2e-6 and 2e6, where an absolute tolerance would show),
-tables 1-5, `table 3 --n-basis 12` (a basis that certifies 5 of the
+`validate-rules --n-basis 9 --states 5 --beta 10,20` (without a gamma check
+it solves nothing, so neither the certified band nor the single beta
+applies), tables 1-5, `table 3 --n-basis 12` (a basis that certifies 5 of the
 table's 11 states: exit 2 before any solve), `phase-space --contours`,
 `solve --beta 30 --states 11` at gamma 0, 3.3 and 6, `solve --beta 30
 --gamma 0 --states 8 --grid-points 4094` (a symmetric well whose window cannot stay symmetric:
@@ -86,6 +88,8 @@ def commands() -> list[tuple[str, list[str]]]:
                  ["validate-rules", "--alphas", "0.25,16", "--beta", "20", "--states", "6", *out]))
     cmds.append(("rules-alphas-extreme",
                  ["validate-rules", "--alphas", "1e-12,1e12", "--states", "6", *out]))
+    cmds.append(("rules-no-gamma-check",
+                 ["validate-rules", "--n-basis", "9", "--states", "5", "--beta", "10,20", *out]))
     cmds += [(f"table-{n}", ["table", str(n), *out]) for n in range(1, 6)]
     cmds.append(("table-3-n-basis-12", ["table", "3", "--n-basis", "12", *out]))
     cmds.append(("phase-space-contours", ["phase-space", "--contours", *out]))

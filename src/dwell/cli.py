@@ -264,9 +264,10 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
     if args.command == TABLE and TABLE_STATES.get(args.number, 0) > certified:
         raise ConfigError(f"table {args.number} solves {TABLE_STATES[args.number]} states, "
                           f"which {limit}")
-    if "states" in names:
-        # the gamma check of validate-rules also solves the top state's pair partner
-        partner = args.command == RULES and "gamma" in cfg.given
+    # validate-rules solves only with a gamma check, and then also the top
+    # state's pair partner
+    partner = args.command == RULES
+    if "states" in names and (not partner or "gamma" in cfg.given):
         if cfg.states + partner > certified:
             solved = f" with a gamma check solves {cfg.states + 1} states, which" if partner else ""
             raise ConfigError(f"states={cfg.states}{solved} {limit}")
@@ -517,16 +518,17 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
 
 def cmd_validate_rules(cfg: argparse.Namespace) -> int:
     """check the k-rules at k = gamma / delta_gamma, delta_gamma = 2 sqrt(alpha)"""
-    beta = single(cfg, "beta")
-    # every alpha is checked here, before any solve
+    # only a gamma check solves, and only it reads beta; beta and then every
+    # alpha are checked here, before any solve
+    beta = single(cfg, "beta") if "gamma" in cfg.given else None
     blocks = [{"alpha": alpha, "delta_gamma": delta_gamma(alpha)} for alpha in cfg.alphas]
     if "gamma" in cfg.given:
         from .rules import validate_rules
 
         for block in blocks:
-            report = validate_rules(block["alpha"], beta, cfg.gamma, block["delta_gamma"],
-                                    n_max=cfg.states - 1, n_basis=cfg.n_basis,
-                                    grid_points=cfg.grid_points, rel_tol=cfg.rel_tol)
+            report = validate_rules(block["alpha"], beta, cfg.gamma, n_max=cfg.states - 1,
+                                    n_basis=cfg.n_basis, grid_points=cfg.grid_points,
+                                    rel_tol=cfg.rel_tol)
             points = [{**asdict(p), "participates": p.participates, "pairs_match": p.pairs_match,
                        "occupancy_agreement": p.occupancy_agreement} for p in report.points]
             block |= {"beta": beta, "occupancy_agreement": report.occupancy_agreement,

@@ -30,7 +30,7 @@ runs once per basis size, on the alpha-1 well, in 32 solves shared by every
 alpha, and each alpha scales its transitions by sqrt(alpha).  The
 predictions are plain functions of k: `predict_degeneracy(k, n_max)` and
 `predict_occupancy(k, n)`; `validate_rules` evaluates them at
-k = gamma / delta_gamma.
+k = gamma / (2 sqrt(alpha)).
 """
 
 from __future__ import annotations
@@ -103,7 +103,6 @@ class DeltaGammaEstimate:
     delta_gamma: float
     uncertainty: float
     transitions: tuple[float, ...]
-    beta_used: float
 
 
 def _levels(gamma: float, n_basis: int):
@@ -197,7 +196,6 @@ def estimate_delta_gamma(alpha: float, n_basis: int = DEFAULT_N_BASIS) -> DeltaG
     returned as the uncertainty.
     """
     scale = 0.5 * delta_gamma(alpha)  # sqrt(alpha) exactly; checks alpha
-    beta = 16.0 * alpha ** (2.0 / 3.0)
     transitions = [scale * tau for tau in _probe_transitions(n_basis)]
     if len(transitions) >= 2:
         diffs = np.diff([0.0] + transitions)
@@ -210,8 +208,8 @@ def estimate_delta_gamma(alpha: float, n_basis: int = DEFAULT_N_BASIS) -> DeltaG
                 delta_gamma=value,
                 uncertainty=float(np.max(np.abs(estimates - value))),
                 transitions=tuple(transitions),
-                beta_used=beta,
             )
+    beta = 16.0 * alpha ** (2.0 / 3.0)
     raise NoTransitionsFound(f"no sharp gap minima found for alpha={alpha} at beta={beta}")
 
 
@@ -312,23 +310,23 @@ def validate_rules(
     alpha: float,
     beta: float,
     gamma_grid,
-    delta_gamma: float,
     n_max: int = 5,
     n_basis: int = DEFAULT_N_BASIS,
     grid_points: int = DEFAULT_GRID_POINTS,
     rel_tol: float = DEGENERACY_REL_TOL,
 ) -> RuleValidationReport:
-    """Compare rule predictions at k = gamma / delta_gamma with detected
-    pairs and measured occupancies.
+    """Compare rule predictions at k = gamma / delta_gamma, delta_gamma =
+    2 sqrt(alpha) (`potential.delta_gamma`), with detected pairs and
+    measured occupancies.
 
+    A non-positive or non-finite alpha raises ValueError before any solve.
     Only participating points (see `RulePoint.participates`) enter the
     agreement statistics; below the threshold beta nothing is asserted.
     """
-    if not delta_gamma > 0.0:
-        raise ValueError("delta_gamma must be positive")
+    interval = delta_gamma(alpha)
     points = []
     for gamma in map(float, gamma_grid):
-        k = gamma / delta_gamma
+        k = gamma / interval
         occs, pairs = measured_occupancies(
             QuarticPotential.from_well_params(alpha, beta, gamma),
             n_max, n_basis=n_basis, grid_points=grid_points, rel_tol=rel_tol,

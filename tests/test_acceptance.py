@@ -11,6 +11,7 @@ the closed-form ratios of the symmetric ground doublet (3/4) and of
 one-node states (9/16).  See the README.
 """
 
+import csv
 import math
 import time
 
@@ -90,6 +91,19 @@ def bound_sweep():
     return points, time.perf_counter() - t0
 
 
+@pytest.fixture(scope="module")
+def tables(tmp_path_factory):
+    """The rows of tables 2-5 as `dwell table` writes them, one dict of
+    cells per row."""
+    outdir = tmp_path_factory.mktemp("tables")
+    rows = {}
+    for number in (2, 3, 4, 5):
+        assert cli_main(["table", str(number), "--outdir", str(outdir)]) == 0
+        with open(outdir / f"table{number}.csv", encoding="utf-8") as fh:
+            rows[number] = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    return rows
+
+
 def test_criterion_01_benchmark_convergence():
     t0 = time.perf_counter()
     spec = solve(V2, n_basis=100, n_states=4)
@@ -119,33 +133,31 @@ def test_criterion_01_benchmark_convergence():
     assert ok
 
 
-def test_criterion_02_deep_well_reference_energies():
-    checks = []
-    spec0 = well_solve(1.0, 30.0, 0.0, n_states=11, shift_min_to_zero=True)
-    checks.append(abs(spec0.energy(0) - 7.7123035268648) <= 1e-8)
-    checks.append(abs(spec0.energy(2) - 22.999742809258) <= 1e-8)
-    spec4 = well_solve(1.0, 30.0, 4.0, n_states=11, shift_min_to_zero=True)
-    checks.append(abs(spec4.energy(2) - 38.592130067269) <= 1e-8)
-    checks.append(abs(spec4.energy(3) - 38.592130067269) <= 1e-8)
-    spec8 = well_solve(1.0, 30.0, 8.0, n_states=11, shift_min_to_zero=True)
-    checks.append(abs(spec8.energy(4) - 69.461672176182) <= 1e-8)
-    checks.append(abs(spec8.energy(5) - 69.461672176182) <= 1e-8)
+def test_criterion_02_deep_well_reference_energies(tables):
+    # table 3: beta 30, its minimum shifted to zero
+    energy = {(float(r["gamma"]), int(r["n"])): float(r["energy"]) for r in tables[3]}
+    refs = {
+        (0.0, 0): 7.7123035268648, (0.0, 2): 22.999742809258,
+        (4.0, 2): 38.592130067269, (4.0, 3): 38.592130067269,
+        (8.0, 4): 69.461672176182, (8.0, 5): 69.461672176182,
+    }
+    checks = [abs(energy[key] - ref) <= 1e-8 for key, ref in refs.items()]
     ok = report("2", all(checks), "beta=30 reference energies within 1e-8")
     assert ok
 
 
-def test_criterion_03_engineered_pair_gaps():
+def test_criterion_03_engineered_pair_gaps(tables):
+    # table 4: each (beta, gamma) with its minimum shifted to zero
+    energy = {(float(r["beta"]), float(r["gamma"]), int(r["n"])): float(r["energy"])
+              for r in tables[4]}
     checks = []
-    spec = well_solve(1.0, 11.0, 2.0, n_states=8, shift_min_to_zero=True)
-    checks.append(abs(spec.energy(1) - 13.823057196) <= 1e-8)
-    checks.append(abs(spec.energy(2) - 13.823101835) <= 1e-8)
-    gap12 = spec.energy(2) - spec.energy(1)
+    checks.append(abs(energy[11.0, 2.0, 1] - 13.823057196) <= 1e-8)
+    checks.append(abs(energy[11.0, 2.0, 2] - 13.823101835) <= 1e-8)
+    gap12 = energy[11.0, 2.0, 2] - energy[11.0, 2.0, 1]
     checks.append(abs(gap12 - 4.46e-5) <= 5e-7)
-    spec158 = well_solve(1.0, 15.0, 8.0, n_states=8)
-    gap45 = spec158.energy(5) - spec158.energy(4)
+    gap45 = energy[15.0, 8.0, 5] - energy[15.0, 8.0, 4]
     checks.append(abs(gap45 - 2.9e-6) <= 0.1 * 2.9e-6)
-    spec2012 = well_solve(1.0, 20.0, 12.0, n_states=9)
-    gap67 = spec2012.energy(7) - spec2012.energy(6)
+    gap67 = energy[20.0, 12.0, 7] - energy[20.0, 12.0, 6]
     checks.append(gap67 <= 2e-8)
     ok = report(
         "3",
@@ -155,13 +167,10 @@ def test_criterion_03_engineered_pair_gaps():
     assert ok
 
 
-def test_criterion_04_gap_table():
+def test_criterion_04_gap_table(tables):
+    # table 2: the gap of the pair (k, k + 1) at gamma = 2 k
+    gap = {(float(r["beta"]), float(r["gamma"])): float(r["gap"]) for r in tables[2]}
     checks = []
-    gap = {}
-    for beta in (5.0, 10.0, 15.0, 20.0, 25.0, 30.0):
-        for gamma, (lo, hi) in ((2.0, (1, 2)), (4.0, (2, 3)), (6.0, (3, 4)), (8.0, (4, 5))):
-            spec = well_solve(1.0, beta, gamma, n_states=11)
-            gap[(beta, gamma)] = spec.energy(hi) - spec.energy(lo)
     checks.append(abs(gap[(5.0, 2.0)] - 0.728) <= 1e-3)
     checks.append(abs(gap[(10.0, 2.0)] - 3.5e-4) <= 0.1 * 3.5e-4)
     checks.append(3.3e-9 / 3.0 <= gap[(15.0, 2.0)] <= 3.3e-9 * 3.0)
@@ -374,18 +383,13 @@ def test_criterion_08_scaling_invariance():
     assert ok
 
 
-def test_criterion_09_rules_engine():
-    ok_table = True
-    ok_agreement = True
-    for gamma, expected in ((1.0, 0.5), (3.0, 1.5), (5.0, 2.5), (7.0, 3.5)):
-        pot = QuarticPotential.from_well_params(1.0, 20.0, gamma)
-        reports = state_reports(pot, n_basis=100, n_states=6, grid_points=4096)
-        k = gamma / 2.0
-        for n, (well, nodes) in enumerate(TABLE_V[expected]):
-            rep = reports[n]
-            ok_table &= rep.occupancy.value == well
-            ok_table &= rep.effective_nodes == nodes
-            ok_agreement &= predict_occupancy(k, n).value == well
+def test_criterion_09_rules_engine(tables):
+    # table 5: beta 20 at gamma = 2 k
+    cells = {(float(r["k"]), int(r["n"])): (r["well"], int(r["effective_nodes"]))
+             for r in tables[5]}
+    truth = {(k, n): cell for k, row in TABLE_V.items() for n, cell in enumerate(row)}
+    ok_table = cells == truth
+    ok_agreement = all(predict_occupancy(k, n).value == well for (k, n), (well, _) in truth.items())
     ok_pairs = True
     for gamma in (0.0, 2.0, 4.0, 6.0, 8.0):
         spec = well_solve(1.0, 30.0, gamma, n_states=12)
@@ -407,9 +411,7 @@ def test_criterion_10_delta_gamma_and_jump_counts():
         est = estimate_delta_gamma(alpha)
         estimates[alpha] = est.delta_gamma
         assert abs(est.delta_gamma - expected) <= 0.05, (alpha, est.delta_gamma)
-    rep = validate_rules(
-        1.0, 20.0, np.arange(0.0, 8.01, 0.5), n_max=3, delta_gamma=2.0
-    )
+    rep = validate_rules(1.0, 20.0, np.arange(0.0, 8.01, 0.5), n_max=3)
     jump_ok = True
     counts = {}
     for n in range(4):
@@ -481,8 +483,6 @@ def test_criterion_12_determinism_and_cache(tmp_path, monkeypatch):
     assert (cold_solves, *(n for _, _, n in warm), uncached_solves) == (15, 0, 0, 0, 15)
     # occupancy plateaus: away from the even-gamma transition points every
     # state is fully localized at this beta
-    import csv
-
     with open(tmp_path / "sweep.csv", encoding="utf-8") as fh:
         rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
     plateau_ok = all(

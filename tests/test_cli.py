@@ -822,14 +822,19 @@ def test_rules_scan_solves_only_its_gamma_check(tmp_path, monkeypatch):
 
 
 def test_validate_rules_without_a_gamma_check_solves_nothing_and_loads_no_numpy(tmp_path):
-    # n_basis 9 certifies 4 states, fewer than the library's 5-state probe:
-    # without a gamma check the command solves nothing at any basis
-    rc, modules = _imported(["validate-rules", "--n-basis", "9", "--states", "2",
-                             "--outdir", "out"], tmp_path)
-    assert rc == 0
-    assert not modules & {"numpy", "dwell.rules", "dwell.spectrum"}
-    doc = json.loads((tmp_path / "out/validate_rules.json").read_text(encoding="utf-8"))
+    # without a gamma check the command solves nothing, so it reads neither
+    # beta nor the states: n_basis 9 certifies 4 states, fewer than the
+    # library's 5-state probe and than --states 5, and beta may be a list
+    assert main(["validate-rules", "--outdir", str(tmp_path / "plain")]) == 0
+    plain = (tmp_path / "plain/validate_rules.json").read_bytes()
+    doc = json.loads(plain.decode("utf-8"))
     assert doc == {"schema": "dwell-rules-v2", "results": [{"alpha": "1", "delta_gamma": "2"}]}
+    for i, argv in enumerate((["--n-basis", "9", "--states", "2"],
+                              ["--n-basis", "9", "--states", "5"], ["--beta", "10,20"])):
+        rc, modules = _imported(["validate-rules", *argv, "--outdir", f"out{i}"], tmp_path)
+        assert rc == 0, argv
+        assert not modules & {"numpy", "dwell.rules", "dwell.spectrum"}, argv
+        assert (tmp_path / f"out{i}/validate_rules.json").read_bytes() == plain, argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -1106,7 +1111,8 @@ def test_value_settings_hold_at_most_max_values():
 @pytest.mark.parametrize("argv", [
     ["phase-space", "--beta", "10,20"],
     ["phase-space", "--gamma", "1,2"],
-    ["validate-rules", "--alphas", "1", "--beta", "10,20"],
+    # only its gamma check reads beta
+    ["validate-rules", "--alphas", "1", "--beta", "10,20", "--gamma", "3"],
     ["solve", "--beta", "10,20"],
     ["solve", "--poly", "1,0,-10,0.5,0", "--beta", "10,20"],
 ])

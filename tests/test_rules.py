@@ -117,7 +117,6 @@ def test_delta_gamma_matches_closed_form(alpha):
     for k, tau in enumerate(est.transitions, start=1):
         assert tau == pytest.approx(k * delta_gamma, rel=1e-9, abs=0.0)
     assert est.uncertainty < 0.01
-    assert est.beta_used == 16.0 * alpha ** (2.0 / 3.0)
 
 
 @given(
@@ -187,8 +186,9 @@ def test_delta_gamma_probe_runs_once_per_basis_size(monkeypatch):
 
 
 def test_each_probe_solve_asks_for_probe_states_states(monkeypatch):
-    # the CLI checks this one count against the certified band before any
-    # solve, so the probe must ask for exactly it
+    # `_probe_transitions` reads the gaps of the pairs (1, 2), (2, 3) and
+    # (3, 4), so state 4 is the highest it needs: each probe solve asks for
+    # states 0..4 and no more, at any basis that certifies them
     calls = []
 
     def counted(pot, n_basis, n_states):
@@ -238,7 +238,7 @@ def test_transition_neighborhoods_cut_is_relative(scale):
 
 
 def test_rule_validation_localized_grid():
-    report = validate_rules(1.0, 20.0, [1.0, 3.0, 5.0, 7.0], n_max=5, delta_gamma=2.0)
+    report = validate_rules(1.0, 20.0, [1.0, 3.0, 5.0, 7.0], n_max=5)
     assert all(p.participates for p in report.points)
     assert report.occupancy_agreement == 1.0
     assert report.pairs_agreement == 1.0
@@ -248,10 +248,10 @@ def test_rule_validation_localized_grid():
 
 def test_rule_validation_at_negative_gamma():
     # the deeper well of a negative gamma lies on the right; well I follows it
-    report = validate_rules(1.0, 20.0, [-3.0, -2.0, 2.0, 3.0], delta_gamma=2.0)
+    report = validate_rules(1.0, 20.0, [-3.0, -2.0, 2.0, 3.0])
     assert report.occupancy_agreement == 1.0
     assert report.pairs_agreement == 1.0
-    minus, plus = validate_rules(1.0, 30.0, [-6.0, 6.0], delta_gamma=2.0).points
+    minus, plus = validate_rules(1.0, 30.0, [-6.0, 6.0]).points
     assert minus.predicted_pairs == minus.detected_pairs == ((3, 4), (5, 6))
     assert minus.k == -plus.k == -3.0
 
@@ -263,8 +263,7 @@ def test_detected_pairs_follow_the_scaling_law(j):
     # scale, against the basis scale sigma it reads as at alpha 1
     def detected(alpha):
         gammas = [k * 2.0 * math.sqrt(alpha) for k in (1.01, 1.5, 2.0)]
-        report = validate_rules(alpha, 20.0 * alpha ** (2.0 / 3.0), gammas,
-                                delta_gamma=2.0 * math.sqrt(alpha))
+        report = validate_rules(alpha, 20.0 * alpha ** (2.0 / 3.0), gammas)
         return [p.detected_pairs for p in report.points]
 
     assert detected(4.0**j) == detected(1.0)
@@ -278,7 +277,7 @@ _VERDICTS = (
 
 @given(gamma=st.floats(0.0, 7.0))
 def test_rule_verdicts_are_mirror_symmetric(gamma):
-    plus, minus = validate_rules(1.0, 20.0, [gamma, -gamma], delta_gamma=2.0).points
+    plus, minus = validate_rules(1.0, 20.0, [gamma, -gamma]).points
     assert minus.k == -plus.k
     for verdict in _VERDICTS:
         assert getattr(minus, verdict) == getattr(plus, verdict), verdict
@@ -288,25 +287,33 @@ def test_rule_validation_beyond_the_certified_band_raises():
     # 100 functions certify states 0..33; n_max = 40 asks for 0..41, which
     # must not be measured on 34 states and compared with 41 predictions
     with pytest.raises(BasisTooSmall, match="state 41 requested"):
-        validate_rules(1.0, 20.0, [3.0], 2.0, n_max=40)
+        validate_rules(1.0, 20.0, [3.0], n_max=40)
     with pytest.raises(BasisTooSmall, match="state 34 requested"):
         rules.measured_occupancies(QuarticPotential.from_well_params(1.0, 20.0, 3.0), 33)
 
 
-def test_rule_validation_rejects_non_positive_delta_gamma_before_any_solve():
-    with pytest.raises(ValueError, match="delta_gamma must be positive"):
-        validate_rules(1.0, 20.0, [], delta_gamma=0.0)
+@pytest.mark.parametrize("alpha, word", [
+    (0.0, "positive"), (-1.0, "positive"), (math.nan, "positive"), (math.inf, "finite"),
+])
+def test_rule_validation_rejects_a_bad_alpha_before_any_solve(monkeypatch, alpha, word):
+    # k = gamma / (2 sqrt(alpha)), and the interval is worked out before the
+    # first gamma is solved
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(rules, "solve", no_solve)
+    with pytest.raises(ValueError) as exc:
+        validate_rules(alpha, 20.0, [1.0, 3.0])
+    assert str(exc.value) == f"alpha must be {word}, got {alpha}"
 
 
 def test_rule_validation_below_threshold_beta_excluded():
-    report = validate_rules(1.0, 5.0, [1.0, 3.0, 5.0], n_max=5, delta_gamma=2.0)
+    report = validate_rules(1.0, 5.0, [1.0, 3.0, 5.0], n_max=5)
     assert not any(p.participates for p in report.points)
 
 
 def test_rule_validation_detects_pairs_at_moderate_beta():
-    report = validate_rules(
-        1.0, 10.0, [2.0], n_max=3, delta_gamma=2.0, rel_tol=1e-3
-    )
+    report = validate_rules(1.0, 10.0, [2.0], n_max=3, rel_tol=1e-3)
     (point,) = report.points
     assert (1, 2) in point.detected_pairs
     # a detected pair's members are measured in both wells, so at a transition
