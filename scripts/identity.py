@@ -13,6 +13,9 @@ far from unit scale, 2e-6 and 2e6, where an absolute tolerance would show),
 it solves nothing, so neither the certified band nor the single beta
 applies), tables 1-5, `table 3 --n-basis 12` (a basis that certifies 5 of the
 table's 11 states: exit 2 before any solve), `phase-space --contours`,
+`phase-space --beta 8 --gamma 2 --states 8 --contours` (asymmetric
+states of one and two lobes and above the barrier, whose actions take the
+one Gauss-Legendre rule over every kind of interval),
 `solve --beta 30 --states 11` at gamma 0, 3.3 and 6, `solve --beta 30
 --gamma 0 --states 8 --grid-points 4094` (a symmetric well whose window cannot stay symmetric:
 the barrier x = 0 must be an even sample of 4094 intervals), `solve --beta
@@ -93,6 +96,9 @@ def commands() -> list[tuple[str, list[str]]]:
     cmds += [(f"table-{n}", ["table", str(n), *out]) for n in range(1, 6)]
     cmds.append(("table-3-n-basis-12", ["table", "3", "--n-basis", "12", *out]))
     cmds.append(("phase-space-contours", ["phase-space", "--contours", *out]))
+    cmds.append(("phase-space-beta8-gamma2",
+                 ["phase-space", "--beta", "8", "--gamma", "2", "--states", "8", "--contours",
+                  *out]))
     for gamma in ("0", "3.3", "6"):
         cmds.append((f"solve-beta30-gamma{gamma}",
                      ["solve", "--beta", "30", "--states", "11", "--gamma", gamma, *out]))

@@ -8,8 +8,8 @@ the position-space Fisher information: psi(x) is real, so I_x = 4 <p^2>.
 The other entropic functionals are Simpson integrals of sampled densities,
 the momentum density's derivative taken from the analytic Hermite
 derivative rather than finite differences.  The momentum density is even
-in p, so it is sampled on p >= 0 alone (`wavefunction.wavefunctions`) and
-its integrals are even-integrand Simpson sums over that half-line: the same
+in p, so it is sampled on p >= 0 alone (`wavefunction.build_momentum_grid`)
+and its integrals are even-integrand Simpson sums over that half-line: the same
 panels as the full window, with half the samples, in real arithmetic.
 """
 
@@ -157,7 +157,7 @@ def info_measures(
     """(s_x, s_p, i_p, e_x, e_p) of every state, one entry per state.
 
     psi_x holds (states, samples) rows on xgrid; psi_p is (a, b, da, db) as
-    `wavefunctions` returns them, rows on `pgrid.half_line` with
+    `wavefunctions` returns them, rows on the half-line pgrid with
     psi(p) = a + i b.  All states are integrated together along the
     contiguous sample axis, so each equals its single-state value.  S =
     -int rho ln rho (0 ln 0 = 0), E = int rho^2 and I_p = int rho'^2 / rho,

@@ -21,7 +21,7 @@ from .potential import QuarticPotential, turning_points
 
 __all__ = ["Lobe", "PhaseSpaceResult", "area"]
 
-DEFAULT_QUAD_NODES = 96
+QUAD_NODES = 96
 
 
 @dataclass(frozen=True)
@@ -43,13 +43,14 @@ class PhaseSpaceResult:
         return len(self.lobes)
 
 
-@functools.lru_cache(maxsize=None)
-def _mapped_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule on theta in [-pi/2, pi/2] as (w, sin theta, cos theta).
+@functools.cache
+def _mapped_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The QUAD_NODES-point Gauss-Legendre rule on theta in [-pi/2, pi/2] as
+    (w, sin theta, cos theta).
 
-    Built once per node count: leggauss costs about 2 ms per call.
+    Built once: leggauss costs about 2 ms per call.
     """
-    theta, w = np.polynomial.legendre.leggauss(nodes)
+    theta, w = np.polynomial.legendre.leggauss(QUAD_NODES)
     theta = 0.5 * np.pi * theta
     rule = (0.5 * np.pi * w, np.sin(theta), np.cos(theta))
     for a in rule:
@@ -57,11 +58,9 @@ def _mapped_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rule
 
 
-def _sqrt_interval(
-    pot: QuarticPotential, energy: float, a: float, b: float, sign: float, nodes: int
-) -> float:
+def _sqrt_interval(pot: QuarticPotential, energy: float, a: float, b: float, sign: float) -> float:
     """int_a^b sqrt(sign * (E - V)) dx for a < b, with turning points at both ends."""
-    w, sin_theta, cos_theta = _mapped_rule(nodes)
+    w, sin_theta, cos_theta = _mapped_rule()
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     x = mid + half * sin_theta
@@ -69,9 +68,7 @@ def _sqrt_interval(
     return float(np.sum(w * np.sqrt(f) * half * cos_theta))
 
 
-def area(
-    pot: QuarticPotential, energy: float, nodes: int = DEFAULT_QUAD_NODES
-) -> PhaseSpaceResult:
+def area(pot: QuarticPotential, energy: float) -> PhaseSpaceResult:
     """Barrier and allowed actions plus the lobe decomposition at one energy.
 
     Consecutive turning points bound alternately allowed and forbidden
@@ -85,10 +82,10 @@ def area(
         if hi - lo <= 0.0:
             continue
         if pot(0.5 * (lo + hi)) < energy:
-            allowed += 2.0 * _sqrt_interval(pot, energy, lo, hi, +1.0, nodes)
+            allowed += 2.0 * _sqrt_interval(pot, energy, lo, hi, +1.0)
             lobes.append(Lobe(lo, hi))
         else:
-            barrier += _sqrt_interval(pot, energy, lo, hi, -1.0, nodes)
+            barrier += _sqrt_interval(pot, energy, lo, hi, -1.0)
     if not lobes:
         raise ValueError("energy lies below the potential minimum")
     return PhaseSpaceResult(barrier, allowed, tuple(lobes))

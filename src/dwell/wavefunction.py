@@ -13,9 +13,9 @@ Momentum-space states use the Fourier convention psi_t(p) = (2 pi)^(-1/2)
 int psi(x) exp(-i p x) dx, under which the basis functions map to (-i)^l
 phi_l(p; s) with the dual scale s = 1/(4 sigma).  Those phases are real for
 even l and imaginary for odd l, and h_l has the parity of l, so psi_t = a +
-i b with a even and b odd in p: the p >= 0 half-line (`UniformGrid.
-half_line`) holds the whole state exactly, rho_p is even, and its
-integrals are `even_simpson` sums over that half.
+i b with a even and b odd in p: the p >= 0 half-line that
+`build_momentum_grid` returns holds the whole state exactly, rho_p is even,
+and its integrals are `even_simpson` sums over that half.
 """
 
 from __future__ import annotations
@@ -61,13 +61,6 @@ class UniformGrid:
     @property
     def x_max(self) -> float:
         return self.x0 + self.dx * self.n_points
-
-    @property
-    def half_line(self) -> np.ndarray:
-        """The samples k dx, k = 0..n_points/2: the nonnegative half of a
-        grid symmetric about 0, as `build_momentum_grid` makes, exactly
-        mirrored by k -> -k."""
-        return self.dx * np.arange(self.n_points // 2 + 1)
 
 
 def simpson(y: np.ndarray, dx: float):
@@ -170,7 +163,9 @@ MOMENTUM_PAD_FACTOR = 6.0
 def build_momentum_grid(
     pot: QuarticPotential, e_max: float, points: int = DEFAULT_GRID_POINTS
 ) -> UniformGrid:
-    """Symmetric momentum grid sized from the maximal momentum variance.
+    """The p >= 0 half of a momentum window [-p_max, p_max] sized from the
+    maximal momentum variance: the samples k dx, k = 0..points/2, of its
+    `points` intervals, which `even_simpson` integrates over the whole window.
 
     Every state below e_max satisfies <p^2> <= e_max - V_min, so extending
     the grid to 6 of those standard deviations keeps the unrepresented
@@ -185,7 +180,7 @@ def build_momentum_grid(
     if e_max <= v_min:
         raise ValueError("e_max lies below the potential minimum")
     p_max = MOMENTUM_PAD_FACTOR * math.sqrt(e_max - v_min)
-    return UniformGrid(x0=-p_max, dx=2.0 * p_max / points, n_points=points)
+    return UniformGrid(x0=0.0, dx=2.0 * p_max / points, n_points=points // 2)
 
 
 # rows of the Hermite recurrence held at once: the table is streamed through
@@ -227,8 +222,8 @@ def wavefunctions(
     """(psi_x, (a, b, da, db)) of every state of `spec`, as real
     (states, samples) rows, from one streamed Hermite pass.
 
-    psi_x is psi on xgrid.  In momentum space psi(p) = a + i b on
-    `pgrid.half_line`, with a even and b odd in p (see the module
+    psi_x is psi on xgrid.  In momentum space psi(p) = a + i b on the
+    half-line pgrid, with a even and b odd in p (see the module
     docstring), and da, db are d/dp of a, b.  A pgrid of None gives
     momentum rows of zero samples.
 
@@ -248,7 +243,7 @@ def wavefunctions(
     sigma_p = 1.0 / (4.0 * sigma)
     scale = math.sqrt(2.0 * sigma_p)
     tx = math.sqrt(2.0 * sigma) * xgrid.x
-    tp = scale * (pgrid.half_line if pgrid is not None else np.empty(0))
+    tp = scale * (pgrid.x if pgrid is not None else np.empty(0))
     # the nonzero part of (-i)^l c_l (a's coefficients at even l, b's at
     # odd l) and its D, which moves each to the other parity: an even row
     # carries a and b', an odd row b and a'

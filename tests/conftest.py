@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from dwell import QuarticPotential, critical_points, solve
+from dwell import QuarticPotential, critical_points, solve, turning_points
 from dwell.cli import CSV_COLUMNS
+from dwell.phasespace import QUAD_NODES
 from dwell.wavefunction import DEFAULT_RHO_FLOOR, NODE_AMPLITUDE_FLOOR
 
 settings.register_profile(
@@ -147,10 +148,33 @@ def momentum_expansion(spec, p, n_states):
 
 
 def mirrored(grid):
-    """The samples k dx, k = -n/2..n/2, of a grid symmetric about 0: its
-    half-line with the exact mirror image of each sample."""
-    half = grid.half_line
+    """The samples k dx, k = -n..n, of the window whose p >= 0 half is the
+    n-interval grid that `build_momentum_grid` returns: its samples with
+    the exact mirror image of each."""
+    half = grid.x
     return np.concatenate([-half[:0:-1], half])
+
+
+def fresh_rule_actions(pot, energy, nodes=QUAD_NODES):
+    """Barrier and allowed actions with a Gauss-Legendre rule built here."""
+    theta, w = np.polynomial.legendre.leggauss(nodes)
+    theta, w = 0.5 * np.pi * theta, 0.5 * np.pi * w
+    tps = [float(t) for t in turning_points(pot, energy)]
+    barrier = allowed = 0.0
+    lobes = 0
+    for lo, hi in zip(tps[:-1], tps[1:]):
+        if hi - lo <= 0.0:
+            continue
+        sign = 1.0 if pot(0.5 * (lo + hi)) < energy else -1.0
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        f = np.maximum(sign * (energy - pot(mid + half * np.sin(theta))), 0.0)
+        value = float(np.sum(w * np.sqrt(f) * half * np.cos(theta)))
+        if sign > 0.0:
+            allowed += 2.0 * value
+            lobes += 1
+        else:
+            barrier += value
+    return barrier, allowed, lobes
 
 
 def reference_count_nodes(grid, psi, turning, geometry, mass_left, mass_right,

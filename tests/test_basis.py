@@ -273,3 +273,6 @@ def test_basis_spec_validation():
         BasisSpec(3, 1.0)
     with pytest.raises(ValueError):
         BasisSpec(10, 0.0)
+    with pytest.raises(ValueError) as exc:
+        optimal_sigma(QuarticPotential.from_well_params(1.0, 10.0, 0.0), 0)
+    assert str(exc.value) == "n_basis must be positive"

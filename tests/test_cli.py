@@ -567,6 +567,15 @@ def test_malformed_config_value_exits_2(tmp_path):
     assert main(["solve", "--config", str(cfg), "--outdir", str(tmp_path)]) == 2
 
 
+def test_a_config_file_that_cannot_be_read_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["solve", "--config", str(missing), "--outdir", str(tmp_path / "out")]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: cannot read config file: ")
+    assert str(missing) in errors[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "job.cfg"
     cfg.write_text(
@@ -1023,6 +1032,9 @@ def test_validate_rules_runs_where_the_probe_finds_no_sharp_gap_minima(tmp_path)
      "--grid-points: must be in [512, 65536], got 10000000"),
     (["solve", "--n-basis", "3"], "--n-basis: must be in [4, 1000], got 3"),
     (["sweep", "--n-basis", "1001", "--no-cache"], "--n-basis: must be in [4, 1000], got 1001"),
+    (["sweep", "--gamma", "1:2", "--no-cache"], "--gamma: range must be start:stop:step, got '1:2'"),
+    (["solve", "--poly", "1,0,-10,0"], "--poly: expected 5 comma-separated values c4,c3,c2,c1,c0"),
+    (["solve", "--format", "xml"], "--format: expected one of csv, json, got 'xml'"),
 ])
 def test_non_finite_and_out_of_range_settings_exit_2(tmp_path, capsys, monkeypatch,
                                                      argv, message):
@@ -1032,7 +1044,8 @@ def test_non_finite_and_out_of_range_settings_exit_2(tmp_path, capsys, monkeypat
 
     monkeypatch.setattr(cli, "range", no_range, raising=False)
     assert main(argv + ["--states", "2", "--outdir", str(tmp_path)]) == 2
-    assert f"error: {message}" in capsys.readouterr().err
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: {message}")
     assert not list(tmp_path.iterdir())
 
 
@@ -1173,18 +1186,44 @@ def test_sweep_solves_a_repeated_point_once(tmp_path, monkeypatch):
     assert [row["n"] for row in read_rows(tmp_path / "sweep.csv")] == ["0", "1"]
 
 
+def test_a_point_that_fails_while_it_is_solved_is_solved_again_next_run(tmp_path, monkeypatch):
+    # at alpha 0.01 beta 400 is too deep for the grid's density to integrate
+    # to 1: an error row, which is not cached, beside beta 1's complete rows
+    solved = []
+    point_records = cli.point_records
+
+    def counting(alpha, beta, gamma, pot, settings):
+        solved.append(beta)
+        return point_records(alpha, beta, gamma, pot, settings)
+
+    monkeypatch.setattr(cli, "point_records", counting)
+    argv = ["sweep", "--alpha", "0.01", "--beta", "1,400", "--gamma", "0", "--workers", "1",
+            "--cache-dir", str(tmp_path / "cache"), "--outdir", str(tmp_path)]
+    for want in ([1.0, 400.0], [400.0]):
+        solved.clear()
+        assert main(argv) == 0
+        assert solved == want
+        rows = read_rows(tmp_path / "sweep.csv")
+        good, bad = [r for r in rows if r["beta"] == "1"], [r for r in rows if r["beta"] == "400"]
+        assert len(good) == 8 and all(r["error"] == "" and r["energy"] for r in good)
+        assert len(bad) == 1 and bad[0]["error"].startswith("density integrates to ")
+        assert bad[0]["energy"] == ""
+
+
 @pytest.mark.parametrize("command, line, message", [
     ("solve", "state = 3", "unknown key 'state'"),
     ("sweep", "poly = 1,0,-10,0.5,0", "sweep does not read 'poly'"),
     ("solve", "workers = 2", "solve does not read 'workers'"),
     ("validate-rules", "alpha = 2", "validate-rules does not read 'alpha'"),
     ("phase-space", "contour = true", "unknown key 'contour'"),
+    ("solve", "beta 20", "expected key=value, got 'beta 20'"),
 ])
 def test_config_key_a_command_does_not_read_exits_2(tmp_path, capsys, command, line, message):
     cfg = tmp_path / "job.cfg"
     cfg.write_text(f"states = 2\n# a comment\n{line}\n", encoding="utf-8")
     assert main([command, "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
-    assert f"error: {cfg}:3: {message}" in capsys.readouterr().err
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {cfg}:3: {message}"]
     assert not (tmp_path / "out").exists()
 
 

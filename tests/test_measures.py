@@ -49,9 +49,10 @@ def gaussian_row(sigma):
 
 def gaussian_half_line(sigma):
     """(grid, (a, b, da, db)) of phi_0(p; sigma) as momentum parts on the
-    grid's half-line: a real, even state, so b = 0."""
-    grid = gaussian_grid(sigma)
-    a, da = gaussian(sigma, grid.half_line)
+    p >= 0 half of `gaussian_grid`'s window: a real, even state, so b = 0."""
+    window = gaussian_grid(sigma)
+    grid = UniformGrid(0.0, window.dx, window.n_points // 2)
+    a, da = gaussian(sigma, grid.x)
     return grid, (a, np.zeros_like(a), da, np.zeros_like(da))
 
 
@@ -316,9 +317,10 @@ def test_excited_oscillator_state_breaks_quadratic_density_bounds():
     assert simpson(psi**2, grid.dx) == pytest.approx(1.0, abs=1e-10)
     # at sigma = 1/2 the momentum wavefunction is -i times the same function:
     # a = 0 and b = -phi_1 on the half-line
-    b, db = phi_1(grid.half_line)
+    pgrid = UniformGrid(0.0, grid.dx, grid.n_points // 2)
+    b, db = phi_1(pgrid.x)
     zero = np.zeros_like(b)
-    (s_x,), (s_p,), _, (e_x,), (e_p,) = info_measures(grid, psi, grid, (zero, -b, zero, -db))
+    (s_x,), (s_p,), _, (e_x,), (e_p,) = info_measures(grid, psi, pgrid, (zero, -b, zero, -db))
     assert e_x * e_p == pytest.approx((9.0 / 16.0) / (2.0 * math.pi), rel=1e-8)
     assert os_measure(s_x + s_p, e_x * e_p) < OS_TOTAL_BOUND
 

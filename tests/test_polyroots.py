@@ -122,6 +122,12 @@ def test_quartic_small_coefficient_scale():
     assert np.allclose(roots, ref, rtol=1e-10)
 
 
+def test_a_zero_leading_coefficient_is_rejected():
+    with pytest.raises(ValueError) as exc:
+        real_roots((0.0, 1.0))
+    assert str(exc.value) == "leading coefficient must be nonzero"
+
+
 @pytest.mark.parametrize("coeffs, expected", [
     # 4x^3 - 2e-10 x: roots 0 and +-sqrt(5e-11)
     ((4.0, 0.0, -2e-10, 0.0), [-math.sqrt(5e-11), 0.0, math.sqrt(5e-11)]),

@@ -7,7 +7,9 @@ from hypothesis import example, given
 from conftest import (
     assert_reports_follow_the_scaling_law,
     confining_quartics,
+    fresh_rule_actions,
     ladder_moments,
+    mirrored,
     momentum_expansion,
     position_expansion,
     reference_count_nodes,
@@ -27,7 +29,6 @@ from dwell import (
     wavefunctions,
 )
 from dwell import phasespace
-from dwell.phasespace import DEFAULT_QUAD_NODES
 from dwell.wavefunction import simpson
 
 
@@ -71,28 +72,6 @@ EQUIVALENCE_POINTS = {
     "doublet": QuarticPotential.from_well_params(1.0, 20.0, 2.0),
     "single well": QuarticPotential.from_well_params(1.0, 1.0, 10.0),
 }
-
-
-def fresh_rule_actions(pot, energy, nodes=DEFAULT_QUAD_NODES):
-    """Barrier and allowed actions with a Gauss-Legendre rule built here."""
-    theta, w = np.polynomial.legendre.leggauss(nodes)
-    theta, w = 0.5 * np.pi * theta, 0.5 * np.pi * w
-    tps = [float(t) for t in turning_points(pot, energy)]
-    barrier = allowed = 0.0
-    lobes = 0
-    for lo, hi in zip(tps[:-1], tps[1:]):
-        if hi - lo <= 0.0:
-            continue
-        sign = 1.0 if pot(0.5 * (lo + hi)) < energy else -1.0
-        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-        f = np.maximum(sign * (energy - pot(mid + half * np.sin(theta))), 0.0)
-        value = float(np.sum(w * np.sqrt(f) * half * np.cos(theta)))
-        if sign > 0.0:
-            allowed += 2.0 * value
-            lobes += 1
-        else:
-            barrier += value
-    return barrier, allowed, lobes
 
 
 def reference_split(grid, psi, geometry):
@@ -141,7 +120,7 @@ def per_state_reference(pot, spec, n_states, grid_points):
     # the whole Hermite table and the full window's complex expansion, not
     # the streamed half-line kernel
     psi_x = position_expansion(spec, xgrid.x, n_states)
-    psi_p, dpsi_p = momentum_expansion(spec, pgrid.x, n_states)
+    psi_p, dpsi_p = momentum_expansion(spec, mirrored(pgrid), n_states)
     x_mat, x2_mat, p2_mat = ladder_moments(spec.basis)
     rows = []
     for n in range(n_states):
@@ -223,7 +202,7 @@ def test_coefficient_space_derivatives_match_derivative_matrix(name):
     # psi(p) = a + i b on p >= 0 and a - i b at -p, psi'(p) = a' + i b' and
     # psi'(-p) = -(a' - i b'): a is even and b odd
     for sign in (1.0, -1.0):
-        want_psi, want_dpsi = momentum_expansion(spec, sign * pgrid.half_line, 6)
+        want_psi, want_dpsi = momentum_expansion(spec, sign * pgrid.x, 6)
         psi, dpsi = a + sign * 1j * b, sign * da + 1j * db
         assert np.abs(psi - want_psi).max() <= REL * np.abs(want_psi).max()
         assert np.abs(dpsi - want_dpsi).max() <= REL * np.abs(want_dpsi).max()
@@ -284,7 +263,7 @@ def test_mirror_keeps_reports_and_flips_mean_x(pot):
 def lobe_quantum_numbers(pot, energy, lobes):
     """Bohr-Sommerfeld nu = (1/pi) int sqrt(E - V) dx - 1/2 of each lobe."""
     return [
-        phasespace._sqrt_interval(pot, energy, lobe.x_lo, lobe.x_hi, 1.0, DEFAULT_QUAD_NODES)
+        phasespace._sqrt_interval(pot, energy, lobe.x_lo, lobe.x_hi, 1.0)
         / math.pi - 0.5
         for lobe in lobes
     ]

@@ -137,9 +137,7 @@ def test_well_actions_differ_by_k(alpha, beta_scale, gamma_scale):
         if len(lobes) != 2:
             continue
         nu_1, nu_2 = (
-            phasespace._sqrt_interval(
-                pot, energy, lobe.x_lo, lobe.x_hi, 1.0, phasespace.DEFAULT_QUAD_NODES
-            ) / math.pi
+            phasespace._sqrt_interval(pot, energy, lobe.x_lo, lobe.x_hi, 1.0) / math.pi
             for lobe in lobes
         )
         assert abs(abs(nu_1 - nu_2) - k) <= 1e-12 * max(1.0, k)
@@ -217,6 +215,16 @@ def test_delta_gamma_follows_the_scaling_law_exactly(j):
 def test_delta_gamma_rejects_non_positive_alpha(alpha):
     with pytest.raises(ValueError, match="alpha must be positive"):
         estimate_delta_gamma(alpha)
+
+
+@pytest.mark.parametrize("predict, index, message", [
+    (predict_degeneracy, 0, "n_max must be at least 1"),
+    (predict_occupancy, -1, "state index must be non-negative"),
+])
+def test_rule_predictions_reject_an_index_out_of_range(predict, index, message):
+    with pytest.raises(ValueError) as exc:
+        predict(1.0, index)
+    assert str(exc.value) == message
 
 
 def test_delta_gamma_rejects_infinite_alpha():

@@ -75,10 +75,10 @@ def test_streamed_contraction_matches_the_whole_table(n_basis, rng):
     coef = np.linalg.qr(rng.standard_normal((n_basis, 3)))[0]
     spec = Spectrum(BasisSpec(n_basis, 0.7), np.arange(3.0), coef)
     xgrid = UniformGrid(-6.0, 12.0 / 512, 512)
-    pgrid = UniformGrid(-4.0, 8.0 / 514, 514)
+    pgrid = UniformGrid(0.0, 8.0 / 514, 257)
     psi_x, (a, b, da, db) = wavefunctions(spec, xgrid, pgrid)
     want_x = position_expansion(spec, xgrid.x, 3)
-    want_p, want_dp = momentum_expansion(spec, pgrid.half_line, 3)
+    want_p, want_dp = momentum_expansion(spec, pgrid.x, 3)
     for got, want in ((psi_x, want_x), (a + 1j * b, want_p), (da + 1j * db, want_dp)):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     # without a p grid the x rows are the same, bit for bit
@@ -93,7 +93,7 @@ def test_odd_parts_vanish_exactly_at_zero_momentum():
     e_top = spec.energy(6)
     xgrid, pgrid = build_grid(pot, e_top, 4094), build_momentum_grid(pot, e_top, 4094)
     _, (a, b, da, db) = wavefunctions(spec, xgrid, pgrid)
-    assert pgrid.half_line[0] == 0.0
+    assert pgrid.x[0] == 0.0
     assert np.all(b[:, 0] == 0.0) and np.all(da[:, 0] == 0.0)
 
 
@@ -176,7 +176,7 @@ def test_parseval_and_momentum_parity():
     a, b = a[:6], b[:6]
     assert np.abs(even_simpson(a * a + b * b, pgrid.dx) - 1.0).max() <= 1e-6
     psi_t, _ = momentum_expansion(spec, mirrored(pgrid), 6)
-    half = pgrid.n_points // 2
+    half = pgrid.n_points
     assert np.abs(psi_t[:, half:] - (a + 1j * b)).max() <= 1e-10
     assert np.abs(psi_t[:, half::-1] - (a - 1j * b)).max() <= 1e-10
 
@@ -191,7 +191,7 @@ def test_momentum_matches_fourier_quadrature_oracle():
     w = np.ones(x.size)
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
     w *= grid.dx / 3.0
-    p_sub = pgrid.half_line[::16]
+    p_sub = pgrid.x[::16]
     psi_x, (a, b, _, _) = wavefunctions(spec, grid, pgrid)
     # psi(-p) = a - i b: the transform at -p checks the parity as well
     for sign in (1.0, -1.0):
@@ -209,7 +209,7 @@ def test_sampled_states_are_contiguous_rows():
     pgrid = build_momentum_grid(pot, spec.energy(4), 1024)
     psi_x, psi_p = wavefunctions(spec, xgrid, pgrid)
     psi_x, psi_p = psi_x[:5], tuple(r[:5] for r in psi_p)
-    for samples, arrays in ((xgrid.x.size, (psi_x,)), (pgrid.half_line.size, psi_p)):
+    for samples, arrays in ((xgrid.x.size, (psi_x,)), (pgrid.x.size, psi_p)):
         for rows in arrays:
             assert rows.shape == (5, samples)
             assert rows.flags.c_contiguous
@@ -311,6 +311,25 @@ def test_grid_point_minimum_enforced():
         build_grid(pot, 10.0, 100)
     with pytest.raises(ValueError):
         build_momentum_grid(pot, 10.0, 100)
+
+
+@pytest.mark.parametrize("e_max", [-25.0, -30.0])
+def test_momentum_grid_needs_e_max_above_the_minimum(e_max):
+    # V = x^4 - 10 x^2 has V_min = -25: no momentum variance to size from
+    pot = QuarticPotential.from_well_params(1.0, 10.0, 0.0)
+    with pytest.raises(ValueError) as exc:
+        build_momentum_grid(pot, e_max)
+    assert str(exc.value) == "e_max lies below the potential minimum"
+
+
+def test_count_nodes_rejects_complex_rows():
+    pot = QuarticPotential.from_well_params(1.0, 10.0, 0.0)
+    grid = build_grid(pot, 10.0, 512)
+    psi = np.ones((1, grid.n_points + 1), dtype=complex)
+    span = np.array([[grid.x0, grid.x_max]])
+    with pytest.raises(ValueError) as exc:
+        count_nodes(grid, psi, span, critical_points(pot), np.ones(1), np.zeros(1))
+    assert str(exc.value) == "count_nodes expects a real wavefunction"
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 101, 4097])
@@ -461,7 +480,9 @@ def test_grid_windows_scale_with_the_potential(pot, lift, j):
     e_scaled = math.ldexp(e_max, 2 * j)
     for build, power in ((build_grid, -j), (build_momentum_grid, j)):
         grid, grid_s = build(pot, e_max, 512), build(scaled, e_scaled, 512)
-        assert grid_s == UniformGrid(math.ldexp(grid.x0, power), math.ldexp(grid.dx, power), 512)
+        assert grid_s == UniformGrid(
+            math.ldexp(grid.x0, power), math.ldexp(grid.dx, power), grid.n_points
+        )
 
 
 @given(pot=confining_quartics())
