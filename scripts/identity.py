@@ -45,7 +45,11 @@ one file has reads (absent) in the other): the values changed and the
 largest absolute and relative change.  Any other differing file gets
 one line.
 Each sweep also runs again against the cache it filled, in both trees, and
-must repeat its exit code, stdout and files.  The script exits 0 only when
+must repeat its exit code, stdout and files.  It then runs once more, in
+this checkout against the cache that REV's run filled (a cross-tree cache
+re-run): it must repeat REV's exit code, stdout and files and leave every
+file of that cache as it was (names and st_mtime_ns), which shows that
+cache keys and checksum lines did not move.  The script exits 0 only when
 nothing differs.
 """
 
@@ -143,6 +147,11 @@ def run(tree: Path, argv: list[str], outdir: Path, cache: Path) -> tuple[int, st
     )
     stdout = proc.stdout.replace(str(outdir), "{outdir}").replace(str(cache), "{cache}")
     return proc.returncode, stdout
+
+
+def _cache_files(cache: Path) -> dict[str, int]:
+    """st_mtime_ns of every file in a cache directory, by name."""
+    return {p.name: p.stat().st_mtime_ns for p in cache.glob("*")}
 
 
 def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -278,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
         subprocess.run(["tar", "-x", "-C", str(rev_tree)], input=archive.stdout, check=True)
 
         cmds = commands()
-        failures = files = reruns = 0
+        failures = files = reruns = cross = 0
         for name, cmd in cmds:
             results = {}
             for side, tree in (("rev", rev_tree), ("checkout", ROOT)):
@@ -296,13 +305,25 @@ def main(argv: list[str] | None = None) -> int:
                         print(f"{name} ({side} cache re-run): {line}")
             (res_a, dir_a), (res_b, dir_b) = results["rev"], results["checkout"]
             lines = compare(res_a, res_b, dir_a, dir_b)
+            if "{cache}" in cmd:
+                rev_cache = Path(tmp) / "rev" / name / "cache"
+                work = Path(tmp) / "cross" / name
+                work.mkdir(parents=True)
+                cross_out = work / "out"
+                before = _cache_files(rev_cache)
+                again = run(ROOT, cmd, cross_out, rev_cache)
+                cross_lines = compare(res_a, again, dir_a, cross_out)
+                if _cache_files(rev_cache) != before:
+                    cross_lines.append("the cache's file names or mtimes changed")
+                lines += [f"(cross-tree cache re-run) {line}" for line in cross_lines]
+                cross += 1
             failures += len(lines)
             files += sum(p.is_file() for p in dir_b.rglob("*"))
             for line in lines:
                 print(f"{name}: {line}")
         verdict = "identical" if failures == 0 else f"{failures} differences"
-        print(f"# {verdict}: {len(cmds)} commands, {files} files, {reruns} cache re-runs"
-              f" against {args.against}")
+        print(f"# {verdict}: {len(cmds)} commands, {files} files, {reruns} cache re-runs,"
+              f" {cross} cross-tree cache re-runs against {args.against}")
     return 1 if failures else 0
 
 

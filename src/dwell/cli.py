@@ -11,8 +11,9 @@ does not verify.  Each command's flags and config-file keys are built from
 
 This module imports no numpy: each command imports the numerical modules
 it runs when it first computes, so that `--help`, a configuration error and
-a sweep served entirely from its cache start up without them.  Likewise
-only the cache's digest imports hashlib, which loads OpenSSL.
+a sweep served entirely from its cache start up without them.  The cache's
+digest is CPython's built-in SHA-256, not hashlib's, so no command maps
+OpenSSL.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import enum
+import functools
 import io
 import json
 import math
@@ -56,6 +58,7 @@ CSV_COLUMNS = [
     "barrier_action", "allowed_action", "lobe_count", "converged_flag",
     "error",
 ]
+_COLUMN_SET = set(CSV_COLUMNS)
 _STR_COLUMNS = {"occupancy", "error"}  # JSON strings; every other token is a JSON literal
 
 EXIT_OK = 0
@@ -349,11 +352,24 @@ def _sweep_worker(payload: tuple) -> list[dict[str, str]]:
 # ---------------------------------------------------------------- cache
 
 
+@functools.cache
+def _sha256_constructor() -> Callable:
+    """CPython's built-in SHA-256 (`_sha2` from 3.12, `_sha256` before),
+    which, unlike hashlib's, maps no OpenSSL; hashlib's where neither is
+    built.  Resolved once: a failed import searches sys.path again."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
 def _sha256(text: str) -> str:
     """The hex SHA-256 of `text`, UTF-8 encoded: the cache's one digest."""
-    import hashlib
-
-    return hashlib.sha256(text.encode()).hexdigest()
+    return _sha256_constructor()(text.encode()).hexdigest()
 
 
 def cache_key(pot: QuarticPotential, settings: PointSettings) -> str:
@@ -376,15 +392,24 @@ def cache_key(pot: QuarticPotential, settings: PointSettings) -> str:
 
 def cache_load(cache_dir: Path, key: str) -> list[dict[str, str]] | None:
     """The records stored under `key`, or None if the entry is missing,
-    unreadable or fails its checksum (the key itself hashes the schema)."""
+    unreadable, fails its checksum or holds anything but a non-empty list of
+    records of string cells in CSV_COLUMNS (the key itself hashes the schema)."""
     path = cache_dir / f"{key}.json"
     try:
         body, checksum_line = path.read_text(encoding="utf-8").rsplit("\n", 1)
         if checksum_line.strip() != f"sha256:{_sha256(body)}":
             return None
-        return json.loads(body)["records"]
+        doc = json.loads(body)
     except (OSError, ValueError):
         return None
+    records = doc.get("records") if isinstance(doc, dict) else None
+    if isinstance(records, list) and records and all(
+        isinstance(rec, dict) and rec.keys() == _COLUMN_SET
+        and all(isinstance(v, str) for v in rec.values())
+        for rec in records
+    ):
+        return records
+    return None
 
 
 def cache_store(cache_dir: Path, key: str, records: list[dict[str, str]]) -> None:

@@ -165,8 +165,19 @@ def test_sweep_truncated_cache_recomputed(tmp_path):
     assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [cache_file.name]
 
 
+def full_row(**cells):
+    """One cache record: every column, blank but `cells`."""
+    return {col: "" for col in CSV_COLUMNS} | cells
+
+
+def _write_entry(path: Path, body: str) -> None:
+    """A cache entry holding `body` under its correct checksum line."""
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    path.write_text(f"{body}\nsha256:{digest}", encoding="utf-8")
+
+
 def test_cache_store_leaves_no_temp_file(tmp_path):
-    records = [{"n": "0", "energy": "1.5"}]
+    records = [full_row(n="0", energy="1.5")]
     cli.cache_store(tmp_path, "abc", records)
     cli.cache_store(tmp_path, "abc", records)  # overwrite in place
     assert [p.name for p in tmp_path.iterdir()] == ["abc.json"]
@@ -180,11 +191,40 @@ def test_cache_entry_that_is_a_directory_is_a_miss(tmp_path):
 
 def test_cache_entry_with_a_schema_field_is_served(tmp_path):
     # entries once carried the schema in their body as well as in their key
-    records = [{"n": "0", "energy": "1.5"}]
+    records = [full_row(n="0", energy="1.5")]
     body = json.dumps({"records": records, "schema": SCHEMA_VERSION}, sort_keys=True)
-    digest = hashlib.sha256(body.encode()).hexdigest()
-    (tmp_path / "abc.json").write_text(f"{body}\nsha256:{digest}", encoding="utf-8")
+    _write_entry(tmp_path / "abc.json", body)
     assert cli.cache_load(tmp_path, "abc") == records
+
+
+@pytest.mark.parametrize("body", [
+    '{"foo": 1}', "[1, 2]", '{"records": [{"n": "0"}]}', '{"records": 5}', '{"records": []}',
+])
+def test_cache_entry_that_verifies_but_holds_no_records_is_a_miss(tmp_path, body):
+    # the checksum guards against torn writes, not against a body that some
+    # other program wrote: such an entry is recomputed and rewritten
+    args = ["sweep", "--beta", "10", "--gamma", "0", "--states", "2", "--grid-points", "512",
+            "--workers", "1"]
+    assert main(args + ["--no-cache", "--outdir", str(tmp_path / "ref")]) == 0
+    assert main(args + ["--outdir", str(tmp_path)]) == 0
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    whole = entry.read_bytes()
+    _write_entry(entry, body)
+    assert cli.cache_load(entry.parent, entry.stem) is None
+    assert main(args + ["--outdir", str(tmp_path)]) == 0
+    assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "ref/sweep.csv").read_bytes()
+    assert entry.read_bytes() == whole
+
+
+@pytest.mark.parametrize("text", ["", "dwell-result-v1", "é x"])
+def test_cache_digest_is_sha256(text):
+    assert cli._sha256(text) == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_cache_key_is_pinned():
+    # a moved key turns every entry that users already have into a miss
+    pot = QuarticPotential.from_well_params(1.0, 10.0, 0.5)
+    assert cache_key(pot, PointSettings(100, 6, 1024, 0.01)) == "87b45f72a1ad95b4"
 
 
 def test_sweep_cache_key_includes_rho_floor(tmp_path):
@@ -318,10 +358,11 @@ def test_no_command_loads_scipy(tmp_path):
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="reads /proc/self/maps")
-def test_every_command_maps_one_blas_and_only_the_cache_loads_hashlib(tmp_path):
+def test_every_command_maps_one_blas_and_no_openssl(tmp_path):
     # all five commands in one process: the eigensolver uses numpy's BLAS,
-    # so no second one is mapped, and OpenSSL loads with the first sweep
-    # that reads or writes its cache, not before
+    # so no second one is mapped, and the cache hashes with CPython's
+    # built-in SHA-256, so not even a sweep that reads or writes its cache
+    # loads hashlib's OpenSSL
     cached = ["sweep", "--beta", "10", "--gamma", "0", "--states", "2", "--grid-points", "512",
               "--workers", "1"]
     code = "\n".join([
@@ -334,14 +375,16 @@ def test_every_command_maps_one_blas_and_only_the_cache_loads_hashlib(tmp_path):
         "    paths = {line.split()[-1] for line in fh}",
         "names = {p.rsplit('/', 1)[-1] for p in paths if p.startswith('/')}",
         "print(json.dumps(sorted(n for n in names if n.startswith('lib') and 'blas' in n.lower())))",
+        "print(json.dumps(sorted(n for n in names if n.startswith(('libcrypto', 'libssl')))))",
     ])
     out = subprocess.run(
         [sys.executable, "-c", code], env=_child_env(_without_blas_settings()),
         capture_output=True, text=True, check=True, timeout=120,
     )
-    *hashlib_loaded, blas = out.stdout.splitlines()
-    assert hashlib_loaded == ["False"] * len(COMMAND_RUNS) + ["True"]
+    *hashlib_loaded, blas, openssl = out.stdout.splitlines()
+    assert hashlib_loaded == ["False"] * (len(COMMAND_RUNS) + 1)
     assert len(json.loads(blas)) == 1, blas
+    assert json.loads(openssl) == [], openssl
     assert list((tmp_path / "cache").glob("*.json"))
 
 
@@ -380,25 +423,25 @@ def _imported(argv, cwd):
 
 
 def test_each_command_imports_only_the_modules_it_runs(tmp_path):
-    # OpenSSL's _hashlib loads only with the sweep cache
-    numerical = {"numpy", "dwell.spectrum", "_hashlib"}
+    numerical = {"numpy", "dwell.spectrum"}
+    openssl = {"_hashlib"}  # no command loads it, not even the sweep cache
     for argv, code in ((["--help"], 0), (["sweep", "--gamma", "2:1:1"], 2)):
         rc, modules = _imported(argv, tmp_path)
-        assert rc == code and not modules & numerical, (argv, rc, modules & numerical)
+        assert rc == code and not modules & (numerical | openssl), (argv, rc, modules)
 
     sweep = ["sweep", "--beta", "10", "--gamma", "0,0.5", "--states", "2",
              "--grid-points", "512", "--workers", "1"]
     rc, cold = _imported(sweep + ["--outdir", "cold"], tmp_path)
-    assert rc == 0 and numerical <= cold and "dwell.rules" not in cold
+    assert rc == 0 and numerical <= cold and not cold & {"dwell.rules", *openssl}
     # every point served from the cache that the cold run filled
     rc, hit = _imported(sweep + ["--outdir", "hit", "--cache-dir", "cold/cache"], tmp_path)
-    assert rc == 0 and not hit & (numerical - {"_hashlib"}), hit & numerical
+    assert rc == 0 and not hit & (numerical | openssl), hit & (numerical | openssl)
     assert (tmp_path / "hit/sweep.csv").read_bytes() == (tmp_path / "cold/sweep.csv").read_bytes()
 
     rc, rules = _imported(["validate-rules", "--alphas", "1", "--beta", "20", "--gamma", "1,2",
                            "--states", "4"], tmp_path)
     assert rc == 0 and "dwell.rules" in rules
-    assert not rules & {"dwell.report", "dwell.phasespace", "_hashlib"}
+    assert not rules & {"dwell.report", "dwell.phasespace", *openssl}
 
 
 def test_import_dwell_loads_no_numpy_and_resolves_every_export():
