@@ -32,10 +32,14 @@ of V' that is an inflection, not an extremum), `solve --poly 1,0,0,0,0
 of the error rows and the JSON records: `sweep --alpha -1` (every point
 fails before it is solved, and the command exits 3), `sweep --alpha 0.01
 --beta 1,400` (beta 400 fails while it is solved, beta 1 does not, so the
-cache re-run solves only the failed point again) and `sweep --format json`,
-and `sweep --beta 5,10 --gamma 1,4.02 --states 6 --rho-floor 0.3` (a
+cache re-run solves only the failed point again) and `sweep --format json`;
+`sweep --beta 5,10 --gamma 1,4.02 --states 6 --rho-floor 0.3` (a
 non-default point setting that moves effective_nodes, so the bytes show
-that it is applied and the cache re-run that it is keyed).
+that it is applied and the cache re-run that it is keyed); `sweep --beta
+10,1e308 --gamma 0 --states 2` (a well whose extrema leave double
+precision: the text of its error cell); and `sweep --beta 10
+--gamma=-0,0,1 --states 2` (a negative zero, which reads as 0 in the
+bytes and the cache key).
 
 Exit codes, stdout (with the output and cache directories replaced by
 placeholders) and every file a command writes are compared.  A differing
@@ -134,6 +138,10 @@ def commands() -> list[tuple[str, list[str]]]:
     cmds.append(("sweep-rho-floor",
                  [*sweep, "--beta", "5,10", "--gamma", "1,4.02", "--states", "6",
                   "--rho-floor", "0.3"]))
+    cmds.append(("sweep-beyond-double-precision",
+                 [*sweep, "--beta", "10,1e308", "--gamma", "0", "--states", "2"]))
+    cmds.append(("sweep-negative-zero",
+                 [*sweep, "--beta", "10", "--gamma=-0,0,1", "--states", "2"]))
     return cmds
 
 

@@ -10,7 +10,7 @@ import importlib
 # exported name -> submodule that defines it
 _EXPORTS = {
     **dict.fromkeys(("BasisSpec", "assemble_position", "optimal_sigma"), "basis"),
-    **dict.fromkeys(("SolverError", "certified_states"), "defaults"),
+    **dict.fromkeys(("ScaleOutOfRange", "SolverError", "certified_states"), "defaults"),
     **dict.fromkeys((
         "FISHER_PRODUCT_BOUND", "ONICESCU_PRODUCT_BOUND", "OS_TOTAL_BOUND",
         "SHANNON_TOTAL_BOUND", "NotNormalized", "Occupancy", "info_measures",
@@ -28,7 +28,7 @@ _EXPORTS = {
         "validate_rules",
     ), "rules"),
     **dict.fromkeys((
-        "BasisTooSmall", "ConvergenceFailure", "ScaleOutOfRange", "Spectrum",
+        "BasisTooSmall", "ConvergenceFailure", "Spectrum",
         "quasi_degenerate_pairs", "solve",
     ), "spectrum"),
     **dict.fromkeys((

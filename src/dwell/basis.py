@@ -30,10 +30,12 @@ quartic polynomial.  For c4 > 0 it has exactly one positive root.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import ScaleOutOfRange
 from .polyroots import real_roots
 from .potential import QuarticPotential
 
@@ -72,14 +74,22 @@ def _trace_sums(n_basis: int) -> tuple[float, float]:
 
 
 def optimal_sigma(pot: QuarticPotential, n_basis: int) -> float:
-    """Positive root of the trace-stationarity cubic for this basis size."""
+    """Positive root of the trace-stationarity cubic for this basis size.
+
+    c4 > 0 gives the cubic exactly one positive root.  A cubic whose
+    coefficients overflow, or whose root is found below the normal doubles,
+    raises ScaleOutOfRange.
+    """
     if n_basis < 1:
         raise ValueError("n_basis must be positive")
     s1, s2 = _trace_sums(n_basis)
-    roots = real_roots((8.0 * s1, 0.0, -2.0 * pot.c2 * s1, -3.0 * pot.c4 * s2))
-    if not roots or roots[-1] <= 0.0:
-        raise ValueError("trace cubic has no positive root (requires c4 > 0)")
-    return roots[-1]
+    cubic = (8.0 * s1, 0.0, -2.0 * pot.c2 * s1, -3.0 * pot.c4 * s2)
+    sigma = max(real_roots(cubic), default=0.0) if all(map(math.isfinite, cubic)) else 0.0
+    if not sigma >= sys.float_info.min:
+        raise ScaleOutOfRange(
+            f"the basis scale sigma for n_basis={n_basis} leaves double precision"
+        )
+    return sigma
 
 
 def _band(

@@ -91,10 +91,12 @@ def _token(value: object) -> str:
 
 
 def _finite(text: str) -> float:
+    """The finite number `text`, with -0 read as 0, so that no output or
+    cache key depends on the sign of a zero."""
     value = float(text)
     if not math.isfinite(value):
         raise ConfigError(f"expected a finite number, got {text.strip()!r}")
-    return value
+    return value + 0.0
 
 
 def _checked(parse: Callable[[str], float], ok: Callable[[float], bool],

@@ -3,7 +3,8 @@ share, and the base of every solver error.
 
 This module imports no numpy, so that `dwell.cli` can build its settings,
 parse a command line and answer a sweep from its cache without loading the
-numerical stack.
+numerical stack, and so that the numpy-free well geometry can raise the
+solver's errors.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ __all__ = [
     "DEFAULT_RHO_FLOOR",
     "certified_states",
     "SolverError",
+    "ScaleOutOfRange",
 ]
 
 DEFAULT_N_BASIS = 100  # oscillator functions unless a caller chooses
@@ -38,3 +40,8 @@ def certified_states(n_basis: int) -> int:
 
 class SolverError(Exception):
     """Base class for diagonalization failures."""
+
+
+class ScaleOutOfRange(SolverError):
+    """The well's numbers do not fit in double precision: its extrema, its
+    basis scale, its Hamiltonian band or its residuals."""

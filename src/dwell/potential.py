@@ -14,6 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .defaults import ScaleOutOfRange
 from .polyroots import real_roots
 
 __all__ = [
@@ -34,7 +35,8 @@ class WellSide(enum.Enum):
 
 @dataclass(frozen=True)
 class QuarticPotential:
-    """V(x) = c4 x^4 + c3 x^3 + c2 x^2 + c1 x + c0, confining (c4 > 0)."""
+    """V(x) = c4 x^4 + c3 x^3 + c2 x^2 + c1 x + c0, confining (c4 > 0), with
+    finite coefficients."""
 
     c4: float
     c3: float = 0.0
@@ -45,6 +47,8 @@ class QuarticPotential:
     def __post_init__(self) -> None:
         if not self.c4 > 0.0:
             raise ValueError(f"c4 must be positive, got {self.c4}")
+        if not all(map(math.isfinite, self.coefficients)):
+            raise ValueError(f"coefficients must be finite, got {self.coefficients}")
 
     @classmethod
     def from_well_params(
@@ -115,9 +119,14 @@ def critical_points(pot: QuarticPotential) -> WellGeometry:
     A root of even multiplicity is a merged inflection and confines nothing.
     The deeper side compares the two minimum values exactly (SYMMETRIC only
     when they are equal); a single well's side is the sign of its minimum.
+    A well whose V' overflows, or whose extrema or their values leave
+    double precision, raises ScaleOutOfRange.
     """
-    roots = real_roots((4.0 * pot.c4, 3.0 * pot.c3, 2.0 * pot.c2, pot.c1))
+    slope = (4.0 * pot.c4, 3.0 * pot.c3, 2.0 * pot.c2, pot.c1)
+    roots = real_roots(slope) if all(map(math.isfinite, slope)) else ()
     extrema = [(x, pot(x)) for x, run in itertools.groupby(roots) if len(list(run)) % 2]
+    if len(extrema) not in (1, 3) or not all(map(math.isfinite, itertools.chain(*extrema))):
+        raise ScaleOutOfRange("the extrema of the well leave double precision")
     if len(extrema) == 1:
         return WellGeometry(tuple(extrema), None, _side(extrema[0][0], 0.0))
     left, barrier, right = extrema

@@ -10,8 +10,8 @@ extension file by location (no scipy package init runs) or else from
 `scipy.linalg.lapack`.  Either is called as `scipy.linalg.eig_banded(
 select="i")` calls it by default and returns the same bits; where LAPACK
 does not converge, eig_banded raises numpy's linalg error and `solve`
-raises ConvergenceFailure.  A well whose band or residuals do not fit in
-double precision raises ScaleOutOfRange.
+raises ConvergenceFailure.  A well whose basis scale, band or residuals do
+not fit in double precision raises ScaleOutOfRange.
 
 Each input is checked once.  `solve`, the library's entry, checks the state
 count (ValueError below 1, BasisTooSmall beyond the certified band) and
@@ -41,8 +41,8 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 import numpy as np
 
 from .basis import BasisSpec, assemble_position, band_matvec, optimal_sigma, position_band
-from .defaults import (DEFAULT_N_BASIS, DEFAULT_N_STATES, DEGENERACY_REL_TOL, SolverError,
-                       certified_states)
+from .defaults import (DEFAULT_N_BASIS, DEFAULT_N_STATES, DEGENERACY_REL_TOL, ScaleOutOfRange,
+                       SolverError, certified_states)
 from .potential import QuarticPotential, mirror
 
 __all__ = [
@@ -65,10 +65,6 @@ class ConvergenceFailure(SolverError):
 
 class BasisTooSmall(SolverError):
     """Requested state index too close to the top of the variational basis."""
-
-
-class ScaleOutOfRange(SolverError):
-    """The well's band or residuals do not fit in double precision."""
 
 
 @dataclass(frozen=True)
@@ -265,8 +261,8 @@ def solve(
     ValueError, and states beyond the certified band (see
     `certified_states`) raise BasisTooSmall; the band leaves room for the
     extra state solved above it at every basis size, so `_lowest` needs no
-    bounds check.  A band or residual that leaves double precision raises
-    ScaleOutOfRange.
+    bounds check.  A basis scale, band or residual that leaves double
+    precision raises ScaleOutOfRange.
     """
     if n_states < 1:
         raise ValueError("n_states must be at least 1")

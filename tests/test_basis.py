@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import assemble_momentum, dense_band, ladder_hamiltonian
-from dwell import QuarticPotential
+from dwell import QuarticPotential, ScaleOutOfRange
 from dwell.basis import (
     BasisSpec,
     assemble_position,
@@ -91,6 +91,17 @@ def test_optimal_sigma_matches_golden_section():
         return 3 * s2 / (16 * s**2) - 20.0 * s1 / (4 * s) + s * s1
 
     assert trace(sigma) <= trace(2.362623136830198) + 1e-9
+
+
+@pytest.mark.parametrize("pot", [
+    QuarticPotential.from_well_params(1e303, 20.0, 0.0),  # 3 c4 S2 overflows
+    QuarticPotential.from_well_params(1.0, 1e308, 0.0),  # 2 c2 S1 overflows
+    QuarticPotential(1e-320, 0.0, -1.0),  # sigma, about 1e-325, underflows
+])
+def test_optimal_sigma_beyond_double_precision_raises_scale_out_of_range(pot):
+    with pytest.raises(ScaleOutOfRange) as exc:
+        optimal_sigma(pot, 100)
+    assert str(exc.value) == "the basis scale sigma for n_basis=100 leaves double precision"
 
 
 @settings(max_examples=100)

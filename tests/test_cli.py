@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -221,6 +222,23 @@ def test_cache_digest_is_sha256(text):
     assert cli._sha256(text) == hashlib.sha256(text.encode()).hexdigest()
 
 
+def test_cache_digest_falls_back_to_hashlib_without_a_built_in_sha256(monkeypatch):
+    # a CPython built without _sha2 (3.12+) and _sha256 (3.10/3.11) hashes
+    # with hashlib's, and every key and checksum stays the same
+    cli._sha256_constructor.cache_clear()
+    try:
+        with monkeypatch.context() as patched:
+            patched.setitem(sys.modules, "_sha2", None)
+            patched.setitem(sys.modules, "_sha256", None)
+            assert cli._sha256_constructor() is hashlib.sha256
+            for text in ("", "dwell-result-v1", "é x"):
+                assert cli._sha256(text) == hashlib.sha256(text.encode()).hexdigest()
+            pot = QuarticPotential.from_well_params(1.0, 10.0, 0.5)
+            assert cache_key(pot, PointSettings(100, 6, 1024, 0.01)) == "87b45f72a1ad95b4"
+    finally:
+        cli._sha256_constructor.cache_clear()
+
+
 def test_cache_key_is_pinned():
     # a moved key turns every entry that users already have into a miss
     pot = QuarticPotential.from_well_params(1.0, 10.0, 0.5)
@@ -261,6 +279,29 @@ def test_cache_key_covers_every_point_setting(monkeypatch):
     assert cache_key(pot, base) not in keys
 
 
+def test_a_negative_zero_reads_as_zero(tmp_path, monkeypatch):
+    # -0 and 0 are one point: one cache entry serves both, and a list
+    # that holds both writes the same bytes in either order
+    assert all(math.copysign(1.0, v) == 1.0 for v in (
+        *parse_values("-0,-0.0"), parse_values("-0:1:1")[0], *cli._parse_poly("1,-0,-0,-0,-0")))
+    base = ["sweep", "--beta", "10", "--states", "2", "--grid-points", "512", "--workers", "1",
+            "--cache-dir", str(tmp_path / "cache")]
+    assert main(base + ["--gamma", "0", "--outdir", str(tmp_path / "zero")]) == 0
+    (entry,) = (tmp_path / "cache").glob("*.json")
+
+    def no_solve(*args):
+        raise AssertionError("solved")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "point_records", no_solve)
+        assert main(base + ["--gamma=-0", "--outdir", str(tmp_path / "minus")]) == 0
+    assert list((tmp_path / "cache").glob("*.json")) == [entry]
+    assert (tmp_path / "minus/sweep.csv").read_bytes() == (tmp_path / "zero/sweep.csv").read_bytes()
+    for order in ("-0,0,1", "0,-0,1"):
+        assert main(base + [f"--gamma={order}", "--outdir", str(tmp_path / order)]) == 0
+    assert (tmp_path / "-0,0,1/sweep.csv").read_bytes() == (tmp_path / "0,-0,1/sweep.csv").read_bytes()
+
+
 def test_cache_written_under_old_revision_is_recomputed(tmp_path, monkeypatch):
     args = [
         "sweep", "--alpha", "1", "--beta", "10", "--gamma", "0.5",
@@ -296,30 +337,6 @@ def _without_blas_settings(**blas):
     """os.environ with no BLAS thread variable but `blas`, and no cache override."""
     drop = {*BLAS_THREAD_VARIABLES, "DWELL_CACHE_DIR"}
     return {k: v for k, v in os.environ.items() if k not in drop} | blas
-
-
-def test_cli_import_loads_neither_scipy_integrate_nor_optimize(tmp_path):
-    # checked after the import and again after a validate-rules run, which
-    # solves and samples each point of its gamma check
-    argv = [
-        "validate-rules", "--alphas", "1", "--beta", "20", "--gamma", "1:2:0.5",
-        "--states", "6", "--outdir", str(tmp_path),
-    ]
-    code = (
-        "import sys, dwell.cli\n"
-        "def loaded(): return sorted(m for m in sys.modules "
-        "if m.startswith(('scipy.integrate', 'scipy.optimize')))\n"
-        "print(loaded())\n"
-        f"assert dwell.cli.main({argv!r}) == 0\n"
-        "print(loaded())\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=_child_env(os.environ), capture_output=True,
-        text=True, check=True, timeout=120,
-    )
-    lines = out.stdout.splitlines()  # the command prints its output path between
-    assert (lines[0], lines[-1]) == ("[]", "[]")
-    assert (tmp_path / "validate_rules.json").exists()
 
 
 # one run of each command, none of which reads or writes a cache
@@ -574,19 +591,22 @@ def test_sweep_worker_pool_matches_serial(tmp_path):
 
 def test_sweep_fisher_x_cells_are_the_band_moment_at_any_grid(tmp_path):
     # I_x of the real psi(x) is 4 <p^2>, read from the band, so its cells
-    # follow delta_p's and do not move with the number of grid points
+    # follow delta_p's and do not move with the number of grid points; 514
+    # and 4094 points are half-lines of 257 and 2047 intervals, where p = 0
+    # sits mid-panel, and no point may fail there
     base = ["sweep", "--alpha", "1", "--beta", "2,10,30", "--gamma", "0,3.3,7",
             "--states", "8", "--workers", "1", "--no-cache"]
     cells = []
-    for points in ("1024", "4096"):
+    for points in ("514", "1024", "4094", "4096"):
         assert main(base + ["--grid-points", points, "--outdir", str(tmp_path / points)]) == 0
         rows = read_rows(tmp_path / points / "sweep.csv")
         assert len(rows) == 72
         for row in rows:
+            assert row["error"] == ""
             dp = float(row["delta_p"])
             assert row["i_x"] == cli._token(4.0 * dp * dp)
         cells.append([row["i_x"] for row in rows])
-    assert cells[0] == cells[1]
+    assert all(c == cells[0] for c in cells)
 
 
 def test_sweep_all_points_failing_exits_3(tmp_path):
@@ -980,6 +1000,8 @@ def test_solver_and_potential_failures_exit_3(tmp_path, capsys, argv, command):
 
 
 _BAND_OVERFLOW = "the Hamiltonian band overflows double precision at basis scale sigma="
+_SIGMA_OUT_OF_RANGE = "the basis scale sigma for n_basis=100 leaves double precision"
+_EXTREMA_OUT_OF_RANGE = "the extrema of the well leave double precision"
 
 
 @pytest.mark.filterwarnings("error")
@@ -990,11 +1012,56 @@ _BAND_OVERFLOW = "the Hamiltonian band overflows double precision at basis scale
      _BAND_OVERFLOW + "1.000e-298"),
     (["solve", "--v0", "1e308", "--states", "2"],
      "the residual of state 0 at energy 1.000e+308 overflows double precision"),
-], ids=["alpha", "poly", "validate-rules", "v0"])
+    # the sigma cubic's c4 or c2 term overflows
+    (["solve", "--alpha", "1e303", "--states", "2"], _SIGMA_OUT_OF_RANGE),
+    (["solve", "--v0", "none", "--beta", "1e308", "--states", "2"], _SIGMA_OUT_OF_RANGE),
+    (["solve", "--poly", "1e308,1e308,0,0,0", "--states", "2"], _SIGMA_OUT_OF_RANGE),
+    # the minimum value -beta^2 / (4 alpha) overflows, or 2 c2 in V' does
+    (["solve", "--beta", "1e303", "--states", "2"], _EXTREMA_OUT_OF_RANGE),
+    (["solve", "--alpha", "5e-324", "--states", "2"], _EXTREMA_OUT_OF_RANGE),
+    (["solve", "--beta", "1e308", "--states", "2"], _EXTREMA_OUT_OF_RANGE),
+], ids=["alpha", "poly", "validate-rules", "v0", "alpha-1e303", "v0-none-beta-1e308",
+        "poly-1e308", "beta-1e303", "alpha-5e-324", "beta-1e308"])
 def test_wells_beyond_double_precision_exit_3_with_their_cause(tmp_path, capsys, argv, cause):
     # one error line that names the cause, and no numpy floating-point warning
     assert main(argv + ["--outdir", str(tmp_path)]) == 3
     assert capsys.readouterr().err == f"error: {argv[0]} failed: {cause}\n"
+
+
+def test_a_sweep_point_beyond_double_precision_records_its_cause(tmp_path):
+    argv = ["sweep", "--beta", "10,1e308", "--gamma", "0", "--states", "2", "--workers", "1",
+            "--outdir", str(tmp_path)]
+    assert main(argv) == 0
+    rows = read_rows(tmp_path / "sweep.csv")
+    assert [(r["beta"], r["error"]) for r in rows] == [
+        ("10", ""), ("10", ""), ("1e+308", _EXTREMA_OUT_OF_RANGE)]
+
+
+def test_a_residual_above_its_bound_fails_the_solve_and_the_sweep_point(tmp_path, capsys,
+                                                                        monkeypatch):
+    # state 1 comes back from LAPACK off by 1e-6 of state 0, with info 0:
+    # only the residual check can catch it (beta 5 has no unresolved doublet)
+    from dwell import spectrum
+
+    spec = solve(cli.resolve_potential(1.0, 5.0, 0.0, "auto"), n_states=3)
+    bound = spectrum.RESIDUAL_TOL * max(spec.basis.sigma, abs(spec.energy(1)))
+    cause = rf"residual \S+ for state 1 exceeds {re.escape(f'{bound:.3e}')}"
+    lowest = spectrum._dsbevx
+
+    def perturbed(band, k):
+        w, z, m, info = lowest(band, k)
+        z = z.copy()
+        z[:, 1] += 1e-6 * z[:, 0]
+        return w, z, m, info
+
+    monkeypatch.setattr(spectrum, "_dsbevx", perturbed)
+    argv = ["--beta", "5", "--gamma", "0", "--states", "3", "--grid-points", "512",
+            "--outdir", str(tmp_path)]
+    assert main(["solve", *argv]) == 3
+    assert re.fullmatch(f"error: solve failed: {cause}\n", capsys.readouterr().err)
+    assert main(["sweep", *argv, "--workers", "1", "--no-cache"]) == 3
+    (row,) = read_rows(tmp_path / "sweep.csv")
+    assert re.fullmatch(cause, row["error"]) and row["energy"] == ""
 
 
 @pytest.mark.parametrize("argv, command", [
@@ -1032,12 +1099,17 @@ def test_validate_rules_names_a_non_positive_alpha(tmp_path, capsys, alpha):
 
 
 def test_validate_rules_small_alpha_small_basis(tmp_path):
-    # delta_gamma is the closed form 2 sqrt(alpha) at every alpha and basis
-    argv = ["validate-rules", "--alphas", "0.01", "--n-basis", "30", "--states", "6"]
+    # delta_gamma is the closed form 2 sqrt(alpha) at every alpha and basis,
+    # also far from unit scale (2e-6 and 2e6), where an absolute tolerance
+    # would show
+    argv = ["validate-rules", "--alphas", "0.01,1e-12,1e12", "--n-basis", "30", "--states", "6"]
     assert main(argv + ["--outdir", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "validate_rules.json").read_text(encoding="utf-8"))
-    (block,) = doc["results"]
-    assert float(block["delta_gamma"]) == pytest.approx(0.2, rel=1e-3)
+    assert [block["alpha"] for block in doc["results"]] == ["0.01", "9.9999999999999998e-13",
+                                                            "1000000000000"]
+    for block in doc["results"]:
+        closed_form = 2.0 * math.sqrt(float(block["alpha"]))
+        assert float(block["delta_gamma"]) == pytest.approx(closed_form, rel=1e-12, abs=0.0)
 
 
 def test_validate_rules_runs_where_the_probe_finds_no_sharp_gap_minima(tmp_path):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import scalable_pots
-from dwell import QuarticPotential, WellSide, critical_points, mirror, turning_points
+from dwell import (QuarticPotential, ScaleOutOfRange, WellSide, critical_points, mirror,
+                   turning_points)
 
 well_pots = st.builds(
     QuarticPotential.from_well_params,
@@ -28,6 +29,24 @@ def test_requires_confining_quartic_term():
         QuarticPotential(c4=0.0)
     with pytest.raises(ValueError):
         QuarticPotential(c4=-1.0)
+
+
+@pytest.mark.parametrize("coefficients", [
+    (1.0, math.nan), (1.0, math.inf), (math.inf,), (1.0, 0.0, 0.0, 0.0, -math.inf),
+])
+def test_requires_finite_coefficients(coefficients):
+    # critical_points would read one of these as one symmetric well with a
+    # NaN minimum value
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        QuarticPotential(*coefficients)
+
+
+@pytest.mark.parametrize("beta", [1e200, 1e308])
+def test_extrema_beyond_double_precision_raise_scale_out_of_range(beta):
+    # the minimum value -beta^2 / 4 overflows at beta 1e200, and 2 c2 in V'
+    # at beta 1e308
+    with pytest.raises(ScaleOutOfRange, match="^the extrema of the well leave double precision$"):
+        critical_points(QuarticPotential.from_well_params(1.0, beta, 0.0))
 
 
 def test_horner_evaluation_matches_polyval(rng):

@@ -269,12 +269,16 @@ def test_detected_pairs_follow_the_scaling_law(j):
     # alpha = 4^j scales every energy by alpha^(1/3) = 2^(2j/3): a pair gap
     # tested against an absolute floor reads as degenerate far below unit
     # scale, against the basis scale sigma it reads as at alpha 1
-    def detected(alpha):
+    def verdicts(alpha):
         gammas = [k * 2.0 * math.sqrt(alpha) for k in (1.01, 1.5, 2.0)]
         report = validate_rules(alpha, 20.0 * alpha ** (2.0 / 3.0), gammas)
-        return [p.detected_pairs for p in report.points]
+        return [(p.detected_pairs, p.pairs_match) for p in report.points]
 
-    assert detected(4.0**j) == detected(1.0)
+    unit = verdicts(1.0)
+    assert verdicts(4.0**j) == unit
+    # at k = 1.5 and 2 (gamma 3 and 4 at alpha 1) the detected pairs are the
+    # predicted ones, at every scale
+    assert [match for _, match in unit[1:]] == [True, True]
 
 
 _VERDICTS = (

@@ -12,6 +12,7 @@ from dwell import (
     ConvergenceFailure,
     QuarticPotential,
     ScaleOutOfRange,
+    SolverError,
     assemble_position,
     certified_states,
     mirror,
@@ -185,6 +186,8 @@ def test_wells_beyond_double_precision_raise_scale_out_of_range():
     high = QuarticPotential.from_well_params(1.0, 20.0, 0.0).shifted(1e308)
     with pytest.raises(ScaleOutOfRange, match="residual of state 0 at energy 1.000e.308"):
         solve(high, n_states=2)
+    # one class, defined without numpy for the well geometry
+    assert spectrum.ScaleOutOfRange is ScaleOutOfRange and issubclass(ScaleOutOfRange, SolverError)
 
 
 def test_convergence_certification_flag():
