@@ -37,9 +37,11 @@ cache re-run solves only the failed point again) and `sweep --format json`;
 non-default point setting that moves effective_nodes, so the bytes show
 that it is applied and the cache re-run that it is keyed); `sweep --beta
 10,1e308 --gamma 0 --states 2` (a well whose extrema leave double
-precision: the text of its error cell); and `sweep --beta 10
+precision: the text of its error cell); `sweep --beta 10
 --gamma=-0,0,1 --states 2` (a negative zero, which reads as 0 in the
-bytes and the cache key).
+bytes and the cache key); and `sweep --beta 10,20 --gamma 0:3:1 --states 4
+--workers 2`, in CSV and in JSON (a pool of two processes, whose points
+the sweep writes in point order as they come back).
 
 Exit codes, stdout (with the output and cache directories replaced by
 placeholders) and every file a command writes are compared.  A differing
@@ -142,6 +144,10 @@ def commands() -> list[tuple[str, list[str]]]:
                  [*sweep, "--beta", "10,1e308", "--gamma", "0", "--states", "2"]))
     cmds.append(("sweep-negative-zero",
                  [*sweep, "--beta", "10", "--gamma=-0,0,1", "--states", "2"]))
+    pooled = ["sweep", "--workers", "2", "--cache-dir", "{cache}", *out,
+              "--beta", "10,20", "--gamma", "0:3:1", "--states", "4"]
+    cmds.append(("sweep-pool-csv", pooled))
+    cmds.append(("sweep-pool-json", [*pooled, "--format", "json"]))
     return cmds
 
 

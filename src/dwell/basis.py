@@ -77,14 +77,17 @@ def optimal_sigma(pot: QuarticPotential, n_basis: int) -> float:
     """Positive root of the trace-stationarity cubic for this basis size.
 
     c4 > 0 gives the cubic exactly one positive root.  A cubic whose
-    coefficients overflow, or whose root is found below the normal doubles,
-    raises ScaleOutOfRange.
+    coefficients overflow, or whose root is not a normal double, raises
+    ScaleOutOfRange.
     """
     if n_basis < 1:
         raise ValueError("n_basis must be positive")
     s1, s2 = _trace_sums(n_basis)
     cubic = (8.0 * s1, 0.0, -2.0 * pot.c2 * s1, -3.0 * pot.c4 * s2)
-    sigma = max(real_roots(cubic), default=0.0) if all(map(math.isfinite, cubic)) else 0.0
+    try:
+        sigma = max(real_roots(cubic), default=0.0) if all(map(math.isfinite, cubic)) else 0.0
+    except ScaleOutOfRange:
+        sigma = 0.0
     if not sigma >= sys.float_info.min:
         raise ScaleOutOfRange(
             f"the basis scale sigma for n_basis={n_basis} leaves double precision"

@@ -2,7 +2,9 @@
 and phase-space export, with byte-deterministic output and an on-disk cache.
 
 Output rows use a fixed column order and 17-significant-digit float
-formatting so that identical configurations produce identical bytes.  Sweep
+formatting so that identical configurations produce identical bytes, and
+each output file is written through a temp file renamed into place, so it
+appears complete or not at all.  Sweep
 points are cached one file per point, keyed by a content hash of the exact
 coefficients, the point settings and the record revision; each cache file
 is written atomically, carries a checksum line and is recomputed when it
@@ -22,7 +24,7 @@ import argparse
 import csv
 import enum
 import functools
-import io
+import itertools
 import json
 import math
 import os
@@ -31,7 +33,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TextIO
 
 from .defaults import (DEFAULT_GRID_POINTS, DEFAULT_N_BASIS, DEFAULT_N_STATES, DEFAULT_RHO_FLOOR,
                        DEGENERACY_REL_TOL, MIN_GRID_POINTS, SolverError, certified_states)
@@ -430,20 +432,32 @@ def cache_store(cache_dir: Path, key: str, records: list[dict[str, str]]) -> Non
 # ---------------------------------------------------------------- writers
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write one output file and print its path."""
+def _write_file(path: Path, write: Callable[[TextIO], object]) -> None:
+    """Write one output file through `write(fh)` and print its path.
+
+    The text goes to a per-process temp file beside `path`, renamed into
+    place once `write` returns, so the file appears complete or not at all;
+    the temp file is removed whatever `write` raises, as `cache_store`
+    removes its own."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     print(path)
 
 
 def write_csv(path: Path, rows: Iterable[Iterable[object]]) -> None:
-    """The one CSV writer: the schema line, then a line of tokens per row (header first)."""
-    out = io.StringIO()
-    out.write(f"# schema {SCHEMA_VERSION}\n")
-    csv.writer(out, lineterminator="\n").writerows([_token(v) for v in row] for row in rows)
-    _write_text(path, out.getvalue())
+    """The one CSV writer: the schema line, then a line of tokens per row
+    (header first), each row written as it is drawn from `rows`."""
+    def write(fh: TextIO) -> None:
+        fh.write(f"# schema {SCHEMA_VERSION}\n")
+        csv.writer(fh, lineterminator="\n").writerows([_token(v) for v in row] for row in rows)
+
+    _write_file(path, write)
 
 
 def _json_cell(col: str, token: str) -> str:
@@ -462,15 +476,23 @@ def _json_value(value: object) -> object:
     return value if isinstance(value, int) else _token(value)  # bool is an int
 
 
-def write_records(path: Path, records: list[dict[str, str]], fmt: str) -> None:
+def write_records(path: Path, records: Iterable[dict[str, str]], fmt: str) -> None:
+    """The records as CSV or JSON, each written as it is drawn from `records`."""
     if fmt == "csv":
-        write_csv(path, [CSV_COLUMNS, *([rec[col] for col in CSV_COLUMNS] for rec in records)])
+        write_csv(path, itertools.chain([CSV_COLUMNS],
+                                        ([rec[col] for col in CSV_COLUMNS] for rec in records)))
         return
-    rows = ",\n".join(
-        "{" + ", ".join(f'"{col}": {_json_cell(col, rec[col])}' for col in CSV_COLUMNS) + "}"
-        for rec in records
-    )
-    _write_text(path, '{\n"schema": "%s",\n"records": [\n%s\n]\n}\n' % (SCHEMA_VERSION, rows))
+
+    def write(fh: TextIO) -> None:
+        fh.write('{\n"schema": "%s",\n"records": [\n' % SCHEMA_VERSION)
+        sep = ""
+        for rec in records:
+            fh.write(sep + "{" + ", ".join(f'"{col}": {_json_cell(col, rec[col])}'
+                                           for col in CSV_COLUMNS) + "}")
+            sep = ",\n"
+        fh.write("\n]\n}\n")
+
+    _write_file(path, write)
 
 
 # ---------------------------------------------------------------- commands
@@ -493,52 +515,102 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _solved(payloads: list[tuple], workers: int) -> Iterator[list[dict[str, str]]]:
+    """Each payload's records, or its error row, in payload order: from a
+    pool of `workers` processes, or in this process for one."""
+    if workers <= 1:
+        yield from map(_sweep_worker, payloads)
+        return
+    # the per-point modules, numpy with them: imported before the pool
+    # starts, they load once and forked workers inherit them.  Imported
+    # before multiprocessing, they leave the parent 0.4 MB less peak RSS.
+    from . import report  # noqa: F401
+
+    # imported here: it loads multiprocessing, which nothing else needs
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_sweep_worker, payloads)
+
+
+# solved points whose cache entries are written together, after their rows:
+# a file created right after a point's numerical work takes about 0.5 ms
+# longer than one created right after another (the kernel's file paths have
+# gone cold), so an entry per point slowed a 30-point cold sweep by 10 ms
+STORE_BATCH = 8
+
+
 def cmd_sweep(cfg: argparse.Namespace) -> int:
-    """cartesian (beta, gamma) sweep with cache"""
+    """cartesian (beta, gamma) sweep with cache
+
+    Points whose rows are known without a solve (a potential that fails, a
+    cache hit) are sorted out first, so that a pool starts with every point
+    to solve.  The rows are then written through one `write_records` in
+    point order, each point's as soon as it is done, so the sweep holds a
+    few points' rows however many it solves; the output file appears whole
+    at the end.  Solved points' cache entries follow their rows, STORE_BATCH
+    points at a time; a cache write that fails keeps the rows coming and
+    ends the sweep with that error.
+    """
     points = sorted({(b, g) for b in cfg.beta for g in cfg.gamma})
     cache_dir = cfg.cache_dir if cfg.cache_dir is not None else os.environ.get(CACHE_DIR_ENV)
     cache_dir = Path(cache_dir) if cache_dir else cfg.outdir / "cache"
     settings = PointSettings(cfg.n_basis, cfg.states, cfg.grid_points, cfg.rho_floor)
-    results: dict[tuple[float, float], list[dict[str, str]]] = {}
-    pending = []
+    # per point, in order: its rows where they are known before any solve (a
+    # potential that fails, a cache hit), else None, and its cache key
+    plan: list[tuple[list[dict[str, str]] | None, str | None]] = []
+    payloads = []
     for beta, gamma in points:
         try:
             pot = resolve_potential(cfg.alpha, beta, gamma, cfg.v0)
         except FAILURES as exc:
-            results[(beta, gamma)] = [record(cfg.alpha, beta, gamma, error=str(exc))]
+            plan.append(([record(cfg.alpha, beta, gamma, error=str(exc))], None))
             continue
         key = None if cfg.no_cache else cache_key(pot, settings)
-        cached = None if key is None else cache_load(cache_dir, key)
-        if cached is not None:
-            results[(beta, gamma)] = cached
-        else:
-            pending.append((beta, gamma, pot, key))
+        plan.append((None if key is None else cache_load(cache_dir, key), key))
+        if plan[-1][0] is None:
+            payloads.append((cfg.alpha, beta, gamma, pot, settings))
+    workers = min(cfg.workers or os.cpu_count() or 1, len(payloads))
+    any_ok = False
+    store_error: OSError | None = None
 
-    payloads = [(cfg.alpha, beta, gamma, pot, settings) for beta, gamma, pot, _ in pending]
-    workers = min(cfg.workers or os.cpu_count() or 1, len(pending))
-    if workers > 1:
-        # the per-point modules, numpy with them: imported before the pool
-        # starts, they load once and forked workers inherit them.  Imported
-        # before multiprocessing, they leave the parent 0.4 MB less peak RSS.
-        from . import report  # noqa: F401
+    def store(entries: list[tuple[str, list[dict[str, str]]]]) -> None:
+        """Write and forget `entries`; after one write fails, none is tried."""
+        nonlocal store_error
+        for key, recs in entries:
+            if store_error is None:
+                try:
+                    cache_store(cache_dir, key, recs)
+                except OSError as exc:
+                    store_error = exc
+        entries.clear()
 
-        # imported here: it loads multiprocessing, which nothing else needs
-        from concurrent.futures import ProcessPoolExecutor
+    def rows() -> Iterator[dict[str, str]]:
+        """Each point's rows, then its cache entry among the unstored."""
+        nonlocal any_ok
+        solved = _solved(payloads, workers)
+        unstored: list[tuple[str, list[dict[str, str]]]] = []
+        try:
+            for recs, key in plan:
+                fresh = recs is None
+                if fresh:
+                    recs = next(solved)
+                yield from recs
+                if recs[0]["error"]:
+                    continue
+                any_ok = True
+                if fresh and key is not None:
+                    unstored.append((key, recs))
+                if len(unstored) == STORE_BATCH:
+                    store(unstored)
+            store(unstored)
+        finally:
+            solved.close()  # shuts a pool down
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sweep_worker, payloads))
-    else:
-        outcomes = [_sweep_worker(p) for p in payloads]
-    for (beta, gamma, _, _), recs in zip(pending, outcomes):
-        results[(beta, gamma)] = recs
-
-    # the rows first, so that a cache entry that cannot be written loses none
-    ordered = [rec for point in points for rec in results[point]]
-    write_records(cfg.outdir / f"sweep.{cfg.format}", ordered, cfg.format)
-    for (_, _, _, key), recs in zip(pending, outcomes):
-        if not (recs[0]["error"] or key is None):
-            cache_store(cache_dir, key, recs)
-    if all(results[point][0]["error"] for point in points):
+    write_records(cfg.outdir / f"sweep.{cfg.format}", rows(), cfg.format)
+    if store_error is not None:
+        raise store_error
+    if not any_ok:
         raise SolverError("every point failed (see the error column)")
     return EXIT_OK
 
@@ -562,7 +634,7 @@ def cmd_validate_rules(cfg: argparse.Namespace) -> int:
                       "pairs_agreement": report.pairs_agreement, "points": points}
     doc = json.dumps(_json_value({"schema": "dwell-rules-v2", "results": blocks}),
                      indent=1, sort_keys=True)
-    _write_text(cfg.outdir / "validate_rules.json", doc + "\n")
+    _write_file(cfg.outdir / "validate_rules.json", lambda fh: fh.write(doc + "\n"))
     return EXIT_OK
 
 
@@ -661,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command in COMMANDS:
-        sp = sub.add_parser(command, help=RUN[command].__doc__)
+        sp = sub.add_parser(command, help=RUN[command].__doc__.split("\n", 1)[0])
         if command == TABLE:
             sp.add_argument("number", type=int, choices=(1, 2, 3, 4, 5))
         sp.add_argument("--config", help="flat key=value config file (flags win)")

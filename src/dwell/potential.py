@@ -123,7 +123,10 @@ def critical_points(pot: QuarticPotential) -> WellGeometry:
     double precision, raises ScaleOutOfRange.
     """
     slope = (4.0 * pot.c4, 3.0 * pot.c3, 2.0 * pot.c2, pot.c1)
-    roots = real_roots(slope) if all(map(math.isfinite, slope)) else ()
+    try:
+        roots = real_roots(slope) if all(map(math.isfinite, slope)) else ()
+    except ScaleOutOfRange:
+        roots = ()
     extrema = [(x, pot(x)) for x, run in itertools.groupby(roots) if len(list(run)) % 2]
     if len(extrema) not in (1, 3) or not all(map(math.isfinite, itertools.chain(*extrema))):
         raise ScaleOutOfRange("the extrema of the well leave double precision")

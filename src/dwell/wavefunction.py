@@ -5,9 +5,10 @@ Hermite functions are evaluated through the normalized three-term recurrence
 the |x_tilde| <= ~15 windows the grid builder produces.  The recurrence is
 written once (`_hermite_blocks`) and streamed in blocks of HERMITE_BLOCK =
 50 rows through one reused buffer: `wavefunctions`, the one call that
-samples states, runs it once per point over the x samples and the p >= 0
-samples together and contracts each block at once, so no (n_basis,
-samples) table is held.
+samples states, allocates one such workspace per point, runs the
+recurrence through it over the x samples and then over the p >= 0
+samples, and contracts each block at once, so no (n_basis, samples)
+table is held.
 
 Momentum-space states use the Fourier convention psi_t(p) = (2 pi)^(-1/2)
 int psi(x) exp(-i p x) dx, under which the basis functions map to (-i)^l
@@ -188,30 +189,39 @@ def build_momentum_grid(
 HERMITE_BLOCK = 50
 
 
-def _hermite_blocks(t: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
+def _hermite_blocks(
+    t: np.ndarray, n: int, work: np.ndarray | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
     """(l0, rows) for consecutive blocks of h_0..h_{n-1} at the 1-D points t:
     rows[j] is h_{l0 + j}, at most HERMITE_BLOCK rows.
 
     The normalized recurrence runs once, in one reused buffer: each block is
     a view of it that the next block overwrites, and the buffer's first two
-    rows carry the two rows before the block.
+    rows carry the two rows before the block.  The buffer is the first
+    t.size columns of `work`, an array of HERMITE_BLOCK + 2 rows that a
+    caller can lend to several passes; without it the pass allocates its
+    own.
     """
-    buf = np.empty((HERMITE_BLOCK + 2, t.size))
+    buf = np.empty((HERMITE_BLOCK + 2, t.size)) if work is None else work[:, : t.size]
+    views = list(buf)  # a view per row, made once per pass
     tmp = np.empty_like(t)
     for l0 in range(0, n, HERMITE_BLOCK):
         l1 = min(l0 + HERMITE_BLOCK, n)
         if l0:
             buf[:2] = buf[-2:]
+        # sqrt(2 / l) t of every row l >= 2 of the block, in one product
+        lo = max(l0, 2)
+        scale = np.sqrt(2.0 / np.arange(lo, l1))[:, None]
+        np.multiply(scale, t, out=buf[lo - l0 + 2 : l1 - l0 + 2])
         for l in range(l0, l1):
-            row = buf[l - l0 + 2]
+            row = views[l - l0 + 2]
             if l == 0:
                 row[:] = math.pi ** -0.25 * np.exp(-0.5 * t * t)
             elif l == 1:
-                np.multiply(math.sqrt(2.0) * t, buf[2], out=row)
+                np.multiply(math.sqrt(2.0) * t, views[2], out=row)
             else:
-                np.multiply(math.sqrt(2.0 / l), t, out=row)
-                row *= buf[l - l0 + 1]
-                np.multiply(math.sqrt((l - 1) / l), buf[l - l0], out=tmp)
+                row *= views[l - l0 + 1]
+                np.multiply(math.sqrt((l - 1) / l), views[l - l0], out=tmp)
                 row -= tmp
         yield l0, buf[2 : l1 - l0 + 2]
 
@@ -220,17 +230,19 @@ def wavefunctions(
     spec: Spectrum, xgrid: UniformGrid, pgrid: UniformGrid | None
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """(psi_x, (a, b, da, db)) of every state of `spec`, as real
-    (states, samples) rows, from one streamed Hermite pass.
+    (states, samples) rows, from one streamed Hermite pass per space.
 
     psi_x is psi on xgrid.  In momentum space psi(p) = a + i b on the
     half-line pgrid, with a even and b odd in p (see the module
     docstring), and da, db are d/dp of a, b.  A pgrid of None gives
     momentum rows of zero samples.
 
-    The recurrence runs once over the x samples at the scale sigma and the
-    p samples at the dual scale sigma_p = 1 / (4 sigma) together; each
-    block of HERMITE_BLOCK rows is contracted at once into psi_x (all rows)
-    and into a and b' (even rows) and b and a' (odd rows).  The derivative
+    The recurrence runs over the x samples at the scale sigma, then over
+    the p samples at the dual scale sigma_p = 1 / (4 sigma), in one
+    workspace of HERMITE_BLOCK + 2 rows by the larger sample count, freed
+    before the outputs are scaled; each block of HERMITE_BLOCK rows is
+    contracted at once into psi_x (all rows) in the x pass, and into a and
+    b' (even rows) and b and a' (odd rows) in the p pass.  The derivative
     is taken in coefficient space: with t = s p, s = sqrt(2 sigma_p),
     h_l' = sqrt(2l) h_{l-1} - t h_l gives d/dp sum_l a_l phi_l =
     s (Phi(D a) - t Phi a), (D a)_{l-1} = sqrt(2l) a_l, so D moves even
@@ -252,16 +264,18 @@ def wavefunctions(
     deriv = np.zeros_like(coef)
     deriv[:-1] = np.sqrt(2.0 * np.arange(1, n))[:, None] * coef[1:]
     weights = np.hstack([coef, deriv])
-    nx = tx.size
-    sums_x = np.zeros((k, nx))
+    sums_x = np.zeros((k, tx.size))
     sums_even = np.zeros((2 * k, tp.size))
     sums_odd = np.zeros((2 * k, tp.size))
+    work = np.empty((HERMITE_BLOCK + 2, max(tx.size, tp.size)))
+    for l0, rows in _hermite_blocks(tx, n, work):
+        sums_x += c[l0 : l0 + len(rows)].T @ rows
     # HERMITE_BLOCK is even, so a block's even rows are even l
-    for l0, rows in _hermite_blocks(np.concatenate([tx, tp]), n):
+    for l0, rows in _hermite_blocks(tp, n, work) if tp.size else ():
         l1 = l0 + len(rows)
-        sums_x += c[l0:l1].T @ rows[:, :nx]
-        sums_even += weights[l0:l1:2].T @ rows[0::2, nx:]
-        sums_odd += weights[l0 + 1 : l1 : 2].T @ rows[1::2, nx:]
+        sums_even += weights[l0:l1:2].T @ rows[0::2]
+        sums_odd += weights[l0 + 1 : l1 : 2].T @ rows[1::2]
+    del work, rows  # the last block is a view: free the workspace before the outputs
     amp = (2.0 * sigma_p) ** 0.25
     a, b = amp * sums_even[:k], amp * sums_odd[:k]
     da = (amp * scale) * (sums_odd[k:] - tp * sums_even[:k])

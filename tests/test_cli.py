@@ -446,10 +446,18 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
         rc, modules = _imported(argv, tmp_path)
         assert rc == code and not modules & (numerical | openssl), (argv, rc, modules)
 
+    # the action integrals' Gauss-Legendre rule is a stored table, so no
+    # command loads numpy.polynomial to build it
     sweep = ["sweep", "--beta", "10", "--gamma", "0,0.5", "--states", "2",
              "--grid-points", "512", "--workers", "1"]
     rc, cold = _imported(sweep + ["--outdir", "cold"], tmp_path)
-    assert rc == 0 and numerical <= cold and not cold & {"dwell.rules", *openssl}
+    assert rc == 0 and numerical <= cold
+    assert not cold & {"dwell.rules", "numpy.polynomial", *openssl}
+    for argv in (["solve", "--beta", "10", "--states", "2", "--grid-points", "512"],
+                 ["phase-space", "--beta", "10", "--states", "2"]):
+        rc, modules = _imported(argv + ["--outdir", "single"], tmp_path)
+        assert rc == 0 and "dwell.phasespace" in modules, (argv, rc)
+        assert "numpy.polynomial" not in modules, argv
     # every point served from the cache that the cold run filled
     rc, hit = _imported(sweep + ["--outdir", "hit", "--cache-dir", "cold/cache"], tmp_path)
     assert rc == 0 and not hit & (numerical | openssl), hit & (numerical | openssl)
@@ -1088,6 +1096,55 @@ def test_a_cache_that_cannot_be_written_keeps_the_rows(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: sweep failed: ")
     assert main(argv + ["--outdir", str(tmp_path / "ref"), "--no-cache"]) == 0
     assert (tmp_path / "out/sweep.csv").read_bytes() == (tmp_path / "ref/sweep.csv").read_bytes()
+
+
+def test_a_sweep_holds_a_few_points_at_a_time(tmp_path):
+    # each point's rows are written as soon as it is solved, and its cache
+    # entry at most STORE_BATCH points later, so the traced peak stops
+    # growing with the points after STORE_BATCH of them: 1 to STORE_BATCH
+    # points adds the rows held for a batch (about 24 KB a point), and
+    # STORE_BATCH to 4 STORE_BATCH points adds less (a sweep that held every
+    # row to the end added about 24 KB a point all the way)
+    import tracemalloc
+
+    def traced_peak(beta, points, name):
+        argv = ["sweep", "--beta", beta, "--gamma", f"0:{0.25 * (points - 1)!r}:0.25",
+                "--states", "8", "--grid-points", "512", "--workers", "1",
+                "--outdir", str(tmp_path / name)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    batch = cli.STORE_BATCH
+    traced_peak("20", 4 * batch, "warm-up")  # imports and first-call caches
+    one, few, many = (traced_peak("10", points, f"points{points}")
+                      for points in (1, batch, 4 * batch))
+    assert len(read_rows(tmp_path / f"points{4 * batch}/sweep.csv")) == 8 * 4 * batch
+    assert len(list((tmp_path / f"points{4 * batch}/cache").glob("*.json"))) == 4 * batch
+    assert many - few < few - one, (one, few, many)
+
+
+def test_an_interrupted_sweep_leaves_no_output_file(tmp_path, monkeypatch):
+    # the rows go to a temp file that is renamed into place only at the end
+    solved = []
+    point_records = cli.point_records
+
+    def interrupted(alpha, beta, gamma, pot, settings):
+        solved.append(gamma)
+        if len(solved) == 2:
+            raise KeyboardInterrupt
+        return point_records(alpha, beta, gamma, pot, settings)
+
+    monkeypatch.setattr(cli, "point_records", interrupted)
+    outdir = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        main(["sweep", "--beta", "10", "--gamma", "0,1,2", "--states", "2", "--grid-points", "512",
+              "--workers", "1", "--no-cache", "--outdir", str(outdir)])
+    assert solved == [0.0, 1.0]
+    assert list(outdir.iterdir()) == []
 
 
 @pytest.mark.parametrize("alpha", ["-1", "0"])

@@ -115,3 +115,26 @@ def test_tangent_energies_skip_zero_width_intervals():
     assert res.barrier_action == 0.0
     with pytest.raises(ValueError, match="below the potential minimum"):
         area(pot, -100.0)
+
+
+def test_the_stored_rule_is_leggauss():
+    # the table holds leggauss(QUAD_NODES) as numpy's OpenBLAS LAPACK
+    # computes it, to the bit; a LAPACK that rounds the eigenvalues of the
+    # Jacobi matrix differently moves an entry by at most an ulp
+    import numpy as np
+
+    from dwell.phasespace import _HALF_NODES, _HALF_WEIGHTS, QUAD_NODES, _mapped_rule
+
+    nodes, weights = np.polynomial.legendre.leggauss(QUAD_NODES)
+    half = QUAD_NODES // 2
+    np.testing.assert_array_max_ulp(np.array(_HALF_NODES), nodes[half:], maxulp=1)
+    np.testing.assert_array_max_ulp(np.array(_HALF_WEIGHTS), weights[half:], maxulp=1)
+    # leggauss mirrors its negative half exactly, and so does the rule
+    assert np.array_equal(nodes[:half], -nodes[half:][::-1])
+    assert np.array_equal(weights[:half], weights[half:][::-1])
+    w, sin_theta, cos_theta = _mapped_rule()
+    table = np.concatenate([-np.array(_HALF_NODES[::-1]), _HALF_NODES])
+    assert np.array_equal(w, 0.5 * np.pi * np.array(_HALF_WEIGHTS[::-1] + _HALF_WEIGHTS))
+    assert np.array_equal(sin_theta, np.sin(0.5 * np.pi * table))
+    assert np.array_equal(cos_theta, np.cos(0.5 * np.pi * table))
+    assert np.all(np.diff(sin_theta) > 0) and not any(a.flags.writeable for a in (w, sin_theta))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dwell import ScaleOutOfRange
 from dwell.polyroots import real_roots
 
 coeff = st.floats(-5.0, 5.0, allow_nan=False)
@@ -140,6 +141,56 @@ def test_roots_far_below_one_are_kept(coeffs, expected):
     roots = real_roots(coeffs)
     assert len(roots) == len(expected)
     np.testing.assert_allclose(roots, expected, rtol=1e-14, atol=0.0)
+
+
+def _sign(coeffs, x):
+    """The sign of the polynomial at the double x, evaluated exactly."""
+    from fractions import Fraction
+
+    value = Fraction(0)
+    for c in coeffs:
+        value = value * Fraction(x) + Fraction(c)
+    return (value > 0) - (value < 0)
+
+
+@pytest.mark.parametrize("coeffs, root", [
+    # one scale would take -2e6 to 0: the root, 1e-297, lies some 450
+    # decades below the other two (about +-1.6e149 i)
+    ((8e4, 0.0, 2e303, -2e6), 1e-297),
+    # the same at a root below the normal doubles: 1e-310 is a subnormal
+    ((1.0, 0.0, 1e300, -1e-10), 1e-310),
+    # and with roots at both ends of the doubles
+    ((1e-300, 0.0, -1e300, 0.0, 1.0), None),
+])
+def test_roots_too_far_apart_for_one_scale_are_exact(coeffs, root):
+    roots = real_roots(coeffs)
+    if root is not None:
+        assert roots == (root,)
+    for r in roots:  # each root is one of the two doubles around a sign change
+        below, above = math.nextafter(r, -math.inf), math.nextafter(r, math.inf)
+        assert _sign(coeffs, below) * _sign(coeffs, above) <= 0, r
+    assert roots == tuple(sorted(roots)) and len(roots) == (1 if root is not None else 4)
+
+
+@pytest.mark.parametrize("coeffs, roots", [
+    ((1.0, 0.0, 1e300, -1e-30), (0.0,)),  # 1e-330 rounds to 0
+    ((1e300, -1e-300), (0.0,)),  # 1e-600, likewise
+    ((1e300, -1e-300, 0.0), (0.0, 0.0)),  # 0 and 1e-600
+    ((4.0, 3.0, 4.0, 5e-324), (0.0,)),  # -1.25e-324 rounds to 0
+    ((4.0, 0.0, -2.0, 2.2250738585e-313), (-math.sqrt(0.5), 1.11253692926e-313, math.sqrt(0.5))),
+])
+def test_roots_near_0_round_to_the_double_nearest_them(coeffs, roots):
+    assert real_roots(coeffs) == roots
+
+
+@pytest.mark.parametrize("coeffs", [
+    (1e-300, -1e300),  # 1e600 is beyond the largest double
+    (1e-300, 1e300, 1.0),  # roots -1e-300 and -1e600
+    (1e-320, 0.0, -1e300, 0.0, 1.0),  # roots +-1e-150 and +-1e310
+])
+def test_a_root_beyond_the_largest_double_raises_scale_out_of_range(coeffs):
+    with pytest.raises(ScaleOutOfRange, match="lies beyond the largest double"):
+        real_roots(coeffs)
 
 
 # zero, or far enough above underflow to be scaled by 2^-240 exactly

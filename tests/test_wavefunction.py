@@ -97,6 +97,35 @@ def test_odd_parts_vanish_exactly_at_zero_momentum():
     assert np.all(b[:, 0] == 0.0) and np.all(da[:, 0] == 0.0)
 
 
+def test_one_workspace_holds_the_recurrence_of_both_spaces():
+    # the x pass and then the p pass run through one buffer of
+    # HERMITE_BLOCK + 2 rows by the larger sample count, freed before the
+    # outputs are scaled: the traced peak is that buffer beside the
+    # unscaled sums (the outputs' size), one block's product, the sample
+    # points and a scratch row, with room for the coefficient arrays.  A
+    # buffer for x and p side by side would take 0.8 MB more.
+    import tracemalloc
+
+    spec = well_solve(1.0, 20.0, 3.0, n_states=8)
+    pot = QuarticPotential.from_well_params(1.0, 20.0, 3.0)
+    e_top = spec.energy(7)
+    xgrid, pgrid = build_grid(pot, e_top, 4096), build_momentum_grid(pot, e_top, 4096)
+    nx, n_p = xgrid.n_points + 1, pgrid.n_points + 1
+    workspace = (HERMITE_BLOCK + 2) * max(nx, n_p) * 8
+    wavefunctions(spec, xgrid, pgrid)  # numpy's first-call caches
+    tracemalloc.start()
+    try:
+        psi_x, psi_p = wavefunctions(spec, xgrid, pgrid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outputs = psi_x.nbytes + sum(rows.nbytes for rows in psi_p)
+    assert psi_x.shape == (8, nx) and all(rows.shape == (8, n_p) for rows in psi_p)
+    product = max(psi_x.nbytes, 2 * psi_p[0].nbytes)
+    samples = (nx + n_p + max(nx, n_p)) * 8
+    assert workspace + outputs < peak <= workspace + outputs + product + samples + 65536
+
+
 def test_grid_covers_turning_points_with_padding():
     pot = QuarticPotential.from_well_params(1.0, 10.0, 0.0)
     grid = build_grid(pot, 50.0, 1024)
