@@ -17,8 +17,9 @@ table's 11 states: exit 2 before any solve), `phase-space --contours`,
 states of one and two lobes and above the barrier, whose actions take the
 one Gauss-Legendre rule over every kind of interval),
 `solve --beta 30 --states 11` at gamma 0, 3.3 and 6, `solve --beta 30
---gamma 0 --states 8 --grid-points 4094` (a symmetric well whose window cannot stay symmetric:
-the barrier x = 0 must be an even sample of 4094 intervals), `solve --beta
+--gamma 0 --states 8 --grid-points 4094` (4094 rounds up to 4096 intervals,
+a multiple of 4, so this symmetric well's window stays symmetric and its
+bytes equal those of the 4096 run), `solve --beta
 30 --gamma 6 --states 4` (its top state is half of a doublet split below
 solver resolution), `solve --beta 2 --gamma 7 --states 8` (a shallow
 well whose position window loses the most tail, where the grid's Fisher
@@ -41,7 +42,9 @@ precision: the text of its error cell); `sweep --beta 10
 --gamma=-0,0,1 --states 2` (a negative zero, which reads as 0 in the
 bytes and the cache key); and `sweep --beta 10,20 --gamma 0:3:1 --states 4
 --workers 2`, in CSV and in JSON (a pool of two processes, whose points
-the sweep writes in point order as they come back).
+the sweep writes in point order as they come back); and the same sweep
+with `--grid-points 514` on one worker (a size that rounds up to 516, so
+its rows are compared across trees and re-run from its cache).
 
 Exit codes, stdout (with the output and cache directories replaced by
 placeholders) and every file a command writes are compared.  A differing
@@ -148,6 +151,9 @@ def commands() -> list[tuple[str, list[str]]]:
               "--beta", "10,20", "--gamma", "0:3:1", "--states", "4"]
     cmds.append(("sweep-pool-csv", pooled))
     cmds.append(("sweep-pool-json", [*pooled, "--format", "json"]))
+    cmds.append(("sweep-grid-points-514",
+                 [*sweep, "--beta", "10,20", "--gamma", "0:3:1", "--states", "4",
+                  "--grid-points", "514"]))
     return cmds
 
 

@@ -48,7 +48,7 @@ SCHEMA_VERSION = "dwell-result-v1"
 # part of every cache key: bump whenever the arithmetic behind a cached record
 # changes (solver or per-state layer), so that records computed by older code
 # are not served
-RECORD_REVISION = "half-line-momentum-11"
+RECORD_REVISION = "grid-multiple-of-4-12"
 CACHE_DIR_ENV = "DWELL_CACHE_DIR"
 
 CSV_COLUMNS = [
@@ -116,6 +116,7 @@ MAX_VALUES = 10_000  # per value setting; a range is counted before it is built
 MAX_GRID_POINTS = 65_536
 MAX_N_BASIS = 1000  # solve time and memory grow fast with the basis size
 MAX_WORKERS = 64  # sweep processes, started together at the first point
+MAX_POINTS = 100_000  # (beta, gamma) or (alpha, gamma) points planned before any solve
 
 
 def parse_values(text: str) -> tuple[float, ...]:
@@ -250,9 +251,9 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
     file, then flags (flags win).  `given` names those set by either.
 
     Each value is converted and range-checked here, and the largest solve
-    the command makes is checked against the states that `n_basis`
-    certifies, so that a configuration the solver would reject exits 2
-    before any solve."""
+    the command makes and the points it plans are checked against the states
+    that `n_basis` certifies and MAX_POINTS, so that a configuration the
+    solver would reject or could not plan exits 2 before any solve."""
     names = [name for name, s in SETTINGS.items() if args.command in s.commands]
     texts = read_config_file(Path(args.config), args.command) if args.config else {}
     for name in names:
@@ -278,6 +279,14 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
         if cfg.states + partner > certified:
             solved = f" with a gamma check solves {cfg.states + 1} states, which" if partner else ""
             raise ConfigError(f"states={cfg.states}{solved} {limit}")
+    if args.command == SWEEP or partner and "gamma" in cfg.given:
+        # a sweep solves each distinct point once, validate-rules each given one
+        name, outer = ("alphas", cfg.alphas) if partner else ("betas", set(cfg.beta))
+        gammas = cfg.gamma if partner else set(cfg.gamma)
+        if len(outer) * len(gammas) > MAX_POINTS:
+            raise ConfigError(f"{len(outer)} {name} times {len(gammas)} gammas make "
+                              f"{len(outer) * len(gammas)} points, more than the {MAX_POINTS} "
+                              "a command may plan")
     return cfg
 
 

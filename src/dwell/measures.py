@@ -8,17 +8,16 @@ the position-space Fisher information: psi(x) is real, so I_x = 4 <p^2>.
 The other entropic functionals are Simpson integrals of sampled densities,
 the momentum density's derivative taken from the analytic Hermite
 derivative rather than finite differences.  The momentum density is even
-in p, so it is sampled on p >= 0 alone (`wavefunction.build_momentum_grid`)
-and its integrals are even-integrand Simpson sums over that half-line: the same
-panels as the full window, with half the samples, in real arithmetic.
+in p, so it is sampled on p >= 0 alone (`wavefunction.build_momentum_grid`),
+whose even number of intervals makes p = 0 a panel boundary: each of its
+integrals is twice the Simpson sum over that half-line, the same panels as
+the full window, with half the samples, in real arithmetic.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
-from collections.abc import Callable
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .basis import (
 )
 from .potential import WellGeometry, WellSide
 from .spectrum import Spectrum
-from .wavefunction import UniformGrid, even_simpson, probability_below, simpson
+from .wavefunction import UniformGrid, probability_below, simpson
 
 __all__ = [
     "Occupancy",
@@ -130,17 +129,15 @@ def well_occupancy(
     return p_i, p_ii, below, above
 
 
-def _shannon_onicescu(
-    rho: np.ndarray, integral: Callable[[np.ndarray], np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(S, E) of each row of the densities rho, integrated by `integral`;
-    raise unless every row integrates to 1 within tolerance."""
-    totals = integral(rho)
+def _shannon_onicescu(rho: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray]:
+    """(S, E) of each row of the densities rho, `simpson` integrals at the
+    step dx; raise unless every row integrates to 1 within tolerance."""
+    totals = simpson(rho, dx)
     bad = np.abs(totals - 1.0) > NORMALIZATION_TOL
     if np.any(bad):
         raise NotNormalized(f"density integrates to {totals[np.argmax(bad)]:.8f}")
     shannon = -rho * np.log(np.where(rho > 0.0, rho, 1.0))
-    return integral(shannon), integral(rho * rho)
+    return simpson(shannon, dx), simpson(rho * rho, dx)
 
 
 def os_measure(s: float, e: float) -> float:
@@ -162,19 +159,20 @@ def info_measures(
     contiguous sample axis, so each equals its single-state value.  S =
     -int rho ln rho (0 ln 0 = 0), E = int rho^2 and I_p = int rho'^2 / rho,
     with rho_p = a^2 + b^2 and rho_p' = 2 (a a' + b b') in real arithmetic.
-    rho_p and rho_p'^2 / rho_p are even in p, so every p integral is the
-    even-integrand Simpson sum over the half-line (`even_simpson`), which is
-    the full window's Simpson sum and bit-exact under p -> -p.  I_x needs
-    no grid: psi(x) is real, so it is 4 <p^2> (`StateReport.i_x`).
+    rho_p and rho_p'^2 / rho_p are even in p, and p = 0 is a panel
+    boundary, so every p integral is twice the Simpson sum over the
+    half-line: `simpson` at the step 2 dx, the same bits, which is the full
+    window's Simpson sum and bit-exact under p -> -p.  I_x needs no grid:
+    psi(x) is real, so it is 4 <p^2> (`StateReport.i_x`).
     """
-    s_x, e_x = _shannon_onicescu(psi_x * psi_x, functools.partial(simpson, dx=xgrid.dx))
+    s_x, e_x = _shannon_onicescu(psi_x * psi_x, xgrid.dx)
     a, b, da, db = psi_p
     rho = a * a + b * b
-    p_integral = functools.partial(even_simpson, dx=pgrid.dx)
-    s_p, e_p = _shannon_onicescu(rho, p_integral)
+    p_step = 2.0 * pgrid.dx  # the half-line's Simpson sums, doubled
+    s_p, e_p = _shannon_onicescu(rho, p_step)
     drho = 2.0 * (a * da + b * db)
     # at a node rho'^2 / rho tends to 4 |psi'|^2, where it peaks; a density
     # below eps^2 of its row's peak is that narrow a spike, taken at its limit
     node = rho <= np.finfo(float).eps ** 2 * rho.max(axis=-1, keepdims=True)
     fisher = np.where(node, 4.0 * (da * da + db * db), drho * drho / np.where(node, 1.0, rho))
-    return s_x, s_p, p_integral(fisher), e_x, e_p
+    return s_x, s_p, simpson(fisher, p_step), e_x, e_p

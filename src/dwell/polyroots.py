@@ -12,12 +12,14 @@ p(2^-j x) are 2^j times those of p.  A root set is a sorted tuple of Python
 floats; the module needs no numpy.
 
 One power-of-2 scale serves all roots whose magnitudes lie within some 900
-binary orders of each other.  A polynomial whose roots lie further apart
-(a coefficient that the scale would take below 2^-900) is solved on the
-doubles themselves: signs evaluated exactly in rational arithmetic, and
-bisection of the doubles between the same critical points.  So each root
-is returned as a double next to it, a subnormal or 0 where it lies that
-near 0, and a root beyond the largest double raises ScaleOutOfRange.
+binary orders of each other.  A polynomial with a root nearer 0 than that
+(a lowest-order nonzero coefficient that the scale takes below 2^-900) is
+solved on the doubles themselves: signs evaluated exactly in rational
+arithmetic, and bisection of the doubles between the same critical points.
+So each root is returned as a double next to it, a subnormal or 0 where it
+lies that near 0, and a root beyond the largest double raises
+ScaleOutOfRange.  A middle coefficient that small loses at most
+2^-1074 |y|^(n-i) to underflow, far below eps times that last coefficient.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ __all__ = ["real_roots"]
 
 _EPS = sys.float_info.epsilon
 _HUGE = sys.float_info.max
-# a scaled coefficient below this may have lost bits to underflow, or may
-# put a root of the scaled polynomial among the subnormals
+# a scaled lowest-order coefficient below this may have lost bits to
+# underflow, or may put a root of the scaled polynomial among the subnormals
 _FULL_SCALE = 2.0 ** -900
 
 
@@ -89,8 +91,8 @@ def _roots(c: tuple[float, ...]) -> tuple[float, ...]:
     q = tuple(math.ldexp(ci, -e * i - k0) for i, ci in enumerate(c))
     lead = math.copysign(1.0, c[0])
     trail = -lead if n % 2 else lead  # the sign of p(-inf)
-    if any(ci and abs(qi) < _FULL_SCALE for ci, qi in zip(c, q)):
-        # roots too far apart for one scale: work on the doubles themselves,
+    if abs(q[max(i for i, ci in enumerate(c) if ci)]) < _FULL_SCALE:
+        # a root too near 0 for one scale: work on the doubles themselves,
         # past whose ends no root may lie
         e, end, value = 0, _HUGE, _exact_value(c)
         find = functools.partial(_bisect_doubles, value)

@@ -15,8 +15,10 @@ int psi(x) exp(-i p x) dx, under which the basis functions map to (-i)^l
 phi_l(p; s) with the dual scale s = 1/(4 sigma).  Those phases are real for
 even l and imaginary for odd l, and h_l has the parity of l, so psi_t = a +
 i b with a even and b odd in p: the p >= 0 half-line that
-`build_momentum_grid` returns holds the whole state exactly, rho_p is even,
-and its integrals are `even_simpson` sums over that half.
+`build_momentum_grid` returns holds the whole state exactly, and rho_p is
+even.  Every grid has a multiple of 4 intervals, so the half-line has an
+even number and p = 0 is a panel boundary: an integral of an even function
+over the whole window is twice `simpson` over the half-line.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ __all__ = [
     "wavefunctions",
     "count_nodes",
     "simpson",
-    "even_simpson",
     "probability_below",
 ]
 
@@ -86,22 +87,6 @@ def simpson(y: np.ndarray, dx: float):
     return total
 
 
-def even_simpson(y: np.ndarray, dx: float):
-    """Composite Simpson integral over [-m dx, m dx] of an even function
-    sampled at k dx, k = 0..m, along the last axis.
-
-    It is `simpson` of the mirrored 2m intervals, with panels counted from
-    -m dx, taken on the half-line alone, so p -> -p leaves it bit for bit
-    the same.  For even m, 0 is a panel boundary: twice the half-line sum.
-    For odd m, the panel [-dx, dx] straddles 0 and gives (dx/3)(4 y(0) +
-    2 y(dx)); the panels on k >= 1 are whole and count twice.
-    """
-    y = np.asarray(y)
-    if (y.shape[-1] - 1) % 2 == 0:
-        return 2.0 * simpson(y, dx)
-    return 2.0 * simpson(y[..., 1:], dx) + (dx / 3.0) * (4.0 * y[..., 0] + 2.0 * y[..., 1])
-
-
 def probability_below(grid: UniformGrid, rho: np.ndarray, x_split: float):
     """(below, above): integrals of the densities rho over the samples up to
     and from the panel boundary nearest x_split, along the last axis.
@@ -132,17 +117,19 @@ def build_grid(
 ) -> UniformGrid:
     """Position grid spanning all turning points at e_max plus decay padding.
 
-    `points` is the number of intervals (samples = points + 1, kept odd so
+    `points` is the number of intervals, rounded up to a multiple of 4 as
+    in `build_momentum_grid` (so the samples, points + 1, are odd and
     composite Simpson applies exactly).  A double well's barrier lies on an
     even sample, a boundary of `simpson`'s panels: the window is moved by
-    at most one interval, which the padding absorbs wherever it is wider.
-    The window is not rounded: its edges and step come from the turning
-    points and decay lengths alone, so the grid of 4^j V(2^j x) is V's
-    scaled by 2^-j, bit for bit.
+    at most one interval, which the padding absorbs wherever it is wider,
+    and a symmetric well's window, whose barrier is its middle sample, is
+    not moved at all.  The window is not rounded: its edges and step come
+    from the turning points and decay lengths alone, so the grid of
+    4^j V(2^j x) is V's scaled by 2^-j, bit for bit.
     """
     if points < MIN_GRID_POINTS:
         raise ValueError(f"points must be >= {MIN_GRID_POINTS}")
-    points += points % 2
+    points += -points % 4
     tps = turning_points(pot, e_max)
     if not tps:
         raise ValueError("e_max lies below the potential minimum")
@@ -166,7 +153,9 @@ def build_momentum_grid(
 ) -> UniformGrid:
     """The p >= 0 half of a momentum window [-p_max, p_max] sized from the
     maximal momentum variance: the samples k dx, k = 0..points/2, of its
-    `points` intervals, which `even_simpson` integrates over the whole window.
+    `points` intervals.  `points` is rounded up to a multiple of 4, so the
+    half-line has an even number of intervals, and the integral of an even
+    function over the whole window is twice `simpson` over the half-line.
 
     Every state below e_max satisfies <p^2> <= e_max - V_min, so extending
     the grid to 6 of those standard deviations keeps the unrepresented
@@ -176,7 +165,7 @@ def build_momentum_grid(
     """
     if points < MIN_GRID_POINTS:
         raise ValueError(f"points must be >= {MIN_GRID_POINTS}")
-    points += points % 2
+    points += -points % 4
     v_min = critical_points(pot).global_minimum[1]
     if e_max <= v_min:
         raise ValueError("e_max lies below the potential minimum")
@@ -189,20 +178,17 @@ def build_momentum_grid(
 HERMITE_BLOCK = 50
 
 
-def _hermite_blocks(
-    t: np.ndarray, n: int, work: np.ndarray | None = None
-) -> Iterator[tuple[int, np.ndarray]]:
+def _hermite_blocks(t: np.ndarray, n: int, work: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """(l0, rows) for consecutive blocks of h_0..h_{n-1} at the 1-D points t:
     rows[j] is h_{l0 + j}, at most HERMITE_BLOCK rows.
 
     The normalized recurrence runs once, in one reused buffer: each block is
     a view of it that the next block overwrites, and the buffer's first two
     rows carry the two rows before the block.  The buffer is the first
-    t.size columns of `work`, an array of HERMITE_BLOCK + 2 rows that a
-    caller can lend to several passes; without it the pass allocates its
-    own.
+    t.size columns of `work`, an array of HERMITE_BLOCK + 2 rows that the
+    caller lends, and can lend to several passes.
     """
-    buf = np.empty((HERMITE_BLOCK + 2, t.size)) if work is None else work[:, : t.size]
+    buf = work[:, : t.size]
     views = list(buf)  # a view per row, made once per pass
     tmp = np.empty_like(t)
     for l0 in range(0, n, HERMITE_BLOCK):

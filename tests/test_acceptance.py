@@ -46,7 +46,7 @@ from dwell import (
 import dwell.report
 from dwell.basis import BasisSpec, optimal_sigma
 from dwell.cli import main as cli_main
-from dwell.wavefunction import even_simpson
+from dwell.wavefunction import simpson
 from scipy.linalg import eigvalsh
 
 V2 = QuarticPotential(0.01, -0.0075, -0.0025, 0.0, 0.0)
@@ -344,7 +344,7 @@ def test_criterion_07_representation_equivalence():
         for psi, psi_t in zip(psi_x, a + sign * 1j * b, strict=True):
             oracle = kernel @ (w * psi) / math.sqrt(2.0 * math.pi)
             ft_dev = max(ft_dev, float(np.abs(psi_t[::16] - oracle).max()))
-    parseval_dev = float(np.abs(even_simpson(a * a + b * b, pgrid.dx) - 1.0).max())
+    parseval_dev = float(np.abs(2.0 * simpson(a * a + b * b, pgrid.dx) - 1.0).max())
     ok = report(
         "7",
         ok_spec and ft_dev <= 1e-7 and parseval_dev <= 1e-6,

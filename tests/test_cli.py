@@ -234,7 +234,7 @@ def test_cache_digest_falls_back_to_hashlib_without_a_built_in_sha256(monkeypatc
             for text in ("", "dwell-result-v1", "é x"):
                 assert cli._sha256(text) == hashlib.sha256(text.encode()).hexdigest()
             pot = QuarticPotential.from_well_params(1.0, 10.0, 0.5)
-            assert cache_key(pot, PointSettings(100, 6, 1024, 0.01)) == "87b45f72a1ad95b4"
+            assert cache_key(pot, PointSettings(100, 6, 1024, 0.01)) == "0a0dea417efca62f"
     finally:
         cli._sha256_constructor.cache_clear()
 
@@ -242,7 +242,7 @@ def test_cache_digest_falls_back_to_hashlib_without_a_built_in_sha256(monkeypatc
 def test_cache_key_is_pinned():
     # a moved key turns every entry that users already have into a miss
     pot = QuarticPotential.from_well_params(1.0, 10.0, 0.5)
-    assert cache_key(pot, PointSettings(100, 6, 1024, 0.01)) == "87b45f72a1ad95b4"
+    assert cache_key(pot, PointSettings(100, 6, 1024, 0.01)) == "0a0dea417efca62f"
 
 
 def test_sweep_cache_key_includes_rho_floor(tmp_path):
@@ -600,8 +600,8 @@ def test_sweep_worker_pool_matches_serial(tmp_path):
 def test_sweep_fisher_x_cells_are_the_band_moment_at_any_grid(tmp_path):
     # I_x of the real psi(x) is 4 <p^2>, read from the band, so its cells
     # follow delta_p's and do not move with the number of grid points; 514
-    # and 4094 points are half-lines of 257 and 2047 intervals, where p = 0
-    # sits mid-panel, and no point may fail there
+    # and 4094 points, which are not multiples of 4, round up to 516 and
+    # 4096, and no point may fail there
     base = ["sweep", "--alpha", "1", "--beta", "2,10,30", "--gamma", "0,3.3,7",
             "--states", "8", "--workers", "1", "--no-cache"]
     cells = []
@@ -1231,6 +1231,39 @@ def test_n_basis_bounds_are_inclusive_and_checked_before_any_solve(tmp_path, cap
     assert main(["table", "2", "--n-basis", "-5", "--outdir", str(tmp_path)]) == 2
     assert "error: --n-basis: must be in [4, 1000], got -5" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, counts", [
+    (["sweep", "--beta", "1:1000:1", "--gamma", "0:100:1"], "1000 betas times 101 gammas"),
+    (["validate-rules", "--alphas", "1:1000:1", "--beta", "20", "--gamma", "0:100:1"],
+     "1000 alphas times 101 gammas"),
+])
+def test_more_points_than_a_command_may_plan_exit_2(tmp_path, capsys, monkeypatch, argv, counts):
+    # rejected by build_config: no point is resolved, planned or solved
+    import dwell.rules
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a point was planned")
+
+    for owner, name in ((cli, "resolve_potential"), (cli, "point_records"),
+                        (dwell.rules, "validate_rules")):
+        monkeypatch.setattr(owner, name, no_solve)
+    assert main(argv + ["--outdir", str(tmp_path)]) == 2
+    assert (f"error: {counts} make 101000 points, more than the {cli.MAX_POINTS} a command "
+            "may plan") in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    # a sweep counts distinct values: 101 gammas, of which 100 differ
+    ["sweep", "--beta", "1:1000:1", "--gamma", ",".join(map(str, [*range(100), 0]))],
+    ["validate-rules", "--alphas", "1:1000:1", "--beta", "20", "--gamma", "0:99:1"],
+    # without a gamma check validate-rules plans no point
+    ["validate-rules", "--alphas", "1:10000:1", "--beta", "1:10000:1"],
+])
+def test_the_point_bound_itself_passes_the_configuration(argv):
+    assert cli.MAX_POINTS == 100_000
+    cli.build_config(cli.build_parser().parse_args(argv))
 
 
 class RecordingPool:

@@ -26,7 +26,7 @@ from dwell import (
 )
 from dwell.cli import resolve_potential
 from dwell.measures import classify_occupancy, os_measure
-from dwell.wavefunction import even_simpson, simpson
+from dwell.wavefunction import simpson
 
 
 def gaussian(sigma, x):
@@ -250,9 +250,11 @@ def test_fisher_analytic_matches_finite_differences():
 @pytest.mark.parametrize("points", [4094, 4096, 514])
 @pytest.mark.parametrize("beta, gamma", [(30.0, 0.0), (10.0, 1.5)])
 def test_half_line_integrals_match_the_full_window(points, beta, gamma):
-    # 4094 and 514 intervals put p = 0 mid-panel (n/2 odd), 4096 on a panel
-    # boundary; the full window is Simpson over the mirrored samples of an
-    # independent complex evaluation, node rule and all
+    # 4094 and 514 intervals round up to 4096 and 516, so at every size the
+    # half-line has an even number of intervals and p = 0 is a panel
+    # boundary: twice the half-line's Simpson sum is the full window's.  The
+    # full window is Simpson over the mirrored samples of an independent
+    # complex evaluation, node rule and all
     pot = QuarticPotential.from_well_params(1.0, beta, gamma)
     spec = well_solve(1.0, beta, gamma)
     e_top = spec.energy(7)
@@ -266,12 +268,32 @@ def test_half_line_integrals_match_the_full_window(points, beta, gamma):
     node = rho <= np.finfo(float).eps ** 2 * rho.max(axis=1, keepdims=True)
     fisher = np.where(node, 4.0 * np.abs(dpsi) ** 2, drho * drho / np.where(node, 1.0, rho))
     for got, integrand in (
-        (even_simpson(a * a + b * b, pgrid.dx), rho),
+        (2.0 * simpson(a * a + b * b, pgrid.dx), rho),
         (s_p, -rho * np.log(np.where(rho > 0.0, rho, 1.0))),
         (e_p, rho * rho),
         (i_p, fisher),
     ):
         np.testing.assert_allclose(got, simpson(integrand, pgrid.dx), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("beta, gamma", [(20.0, 0.5), (20.0, 3.5), (10.0, 0.5)])
+def test_suppressed_well_probabilities_hold_their_precision_at_the_default_grid(beta, gamma):
+    # each side of the split is its own sum of Simpson panels, so a
+    # suppressed well's probability, down to 2e-21 here, keeps its relative
+    # precision: at 4096 intervals every such cell lies within 9.6e-8 of a
+    # 65536-interval evaluation of the same solve, where a trapezoid sum
+    # misses them by up to 3.2e-4
+    pot = QuarticPotential.from_well_params(1.0, beta, gamma)
+    spec = well_solve(1.0, beta, gamma)
+    geometry = critical_points(pot)
+    cells = []
+    for points in (4096, 65536):
+        grid = build_grid(pot, spec.energy(7), points)
+        psi_x = wavefunctions(spec, grid, None)[0]
+        cells.append(np.concatenate(well_occupancy(grid, psi_x, geometry)[:2]))
+    small = cells[1] < 1e-6
+    assert small.any()
+    np.testing.assert_allclose(cells[0][small], cells[1][small], rtol=1e-6, atol=0.0)
 
 
 def test_bound_suite_at_localized_point():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dwell import ScaleOutOfRange
+from dwell import QuarticPotential, ScaleOutOfRange, critical_points, solve, turning_points
+from dwell import polyroots
 from dwell.polyroots import real_roots
 
 coeff = st.floats(-5.0, 5.0, allow_nan=False)
@@ -181,6 +182,39 @@ def test_roots_too_far_apart_for_one_scale_are_exact(coeffs, root):
 ])
 def test_roots_near_0_round_to_the_double_nearest_them(coeffs, roots):
     assert real_roots(coeffs) == roots
+
+
+@pytest.fixture
+def fresh_root_cache():
+    polyroots._roots.cache_clear()
+    yield
+    polyroots._roots.cache_clear()
+
+
+@pytest.mark.parametrize("tilt", [5e-324, 2.2e-313, 1e-300, 1e-280])
+def test_only_a_root_near_0_takes_the_exact_path(monkeypatch, fresh_root_cache, tilt):
+    # V = x^4 - 10 x^2 + tilt x: V' has a root near -tilt / 20, which one
+    # scale cannot hold, while in the turning-point quartics of its states
+    # the tilt is a middle coefficient, whose underflow is lost below their
+    # rounding bound
+    pot = QuarticPotential.from_well_params(1.0, 10.0, tilt)
+    energies = solve(pot, 100, 8).energies.tolist()
+    polyroots._roots.cache_clear()
+    calls = []
+    exact_value = polyroots._exact_value
+    monkeypatch.setattr(polyroots, "_exact_value", lambda c: calls.append(c) or exact_value(c))
+    critical_points(pot)
+    assert calls == [(4.0, 0.0, -20.0, tilt)]
+    fast = [turning_points(pot, e) for e in energies]
+    assert len(calls) == 1
+    # against the exact path on every polynomial, to the last bit but one
+    monkeypatch.setattr(polyroots, "_FULL_SCALE", math.inf)
+    polyroots._roots.cache_clear()
+    for e, roots in zip(energies, fast):
+        exact = turning_points(pot, e)
+        assert len(roots) == len(exact) in (2, 4)
+        for r, want in zip(roots, exact):
+            assert abs(r - want) <= math.ulp(want), (e, r, want)
 
 
 @pytest.mark.parametrize("coeffs", [

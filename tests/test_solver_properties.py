@@ -31,7 +31,7 @@ from dwell import (
     wavefunctions,
     well_occupancy,
 )
-from dwell.wavefunction import even_simpson, simpson
+from dwell.wavefunction import simpson
 
 ENERGY_TOL = 1e-11
 RESIDUAL_TOL = 1e-10
@@ -168,7 +168,7 @@ def test_scaling_law(alpha, beta, gamma, lam):
     xgrid, pgrid = build_grid(pot, e[6]), build_momentum_grid(pot, e[6])
     psi_x, (a, b, _, _) = wavefunctions(spec, xgrid, pgrid)
     norm_x = simpson(psi_x**2, xgrid.dx)
-    norm_p = even_simpson(a * a + b * b, pgrid.dx)
+    norm_p = 2.0 * simpson(a * a + b * b, pgrid.dx)
     norms = list(zip(norm_x, norm_p))
     for n in range(6):
         if n in paired:

@@ -34,7 +34,6 @@ from dwell.wavefunction import (
     HERMITE_BLOCK,
     UniformGrid,
     _hermite_blocks,
-    even_simpson,
     probability_below,
     simpson,
     wavefunctions,
@@ -46,7 +45,9 @@ DATA = Path(__file__).parent / "data"
 def test_hermite_recurrence_matches_high_precision_golden():
     entries = json.loads((DATA / "hermite_golden.json").read_text())
     ts = sorted({e["t"] for e in entries})
-    phi = np.vstack([rows.copy() for _, rows in _hermite_blocks(np.array(ts), 100)])
+    t = np.array(ts)
+    work = np.empty((HERMITE_BLOCK + 2, t.size))
+    phi = np.vstack([rows.copy() for _, rows in _hermite_blocks(t, 100, work)])
     col = {t: i for i, t in enumerate(ts)}
     for e in entries:
         ref = float(e["value"])
@@ -61,7 +62,7 @@ def test_streamed_rows_equal_a_one_shot_recurrence(n):
     t = np.linspace(-14.0, 14.0, 1001)
     want = one_shot_hermite(t, n)
     starts = []
-    for l0, rows in _hermite_blocks(t, n):
+    for l0, rows in _hermite_blocks(t, n, np.empty((HERMITE_BLOCK + 2, t.size))):
         assert len(rows) <= HERMITE_BLOCK
         assert np.array_equal(rows, want[l0 : l0 + len(rows)])
         starts.append(l0)
@@ -203,7 +204,7 @@ def test_parseval_and_momentum_parity():
     xgrid, pgrid = build_grid(pot, e_top, 4096), build_momentum_grid(pot, e_top, 4096)
     _, (a, b, _, _) = wavefunctions(spec, xgrid, pgrid)
     a, b = a[:6], b[:6]
-    assert np.abs(even_simpson(a * a + b * b, pgrid.dx) - 1.0).max() <= 1e-6
+    assert np.abs(2.0 * simpson(a * a + b * b, pgrid.dx) - 1.0).max() <= 1e-6
     psi_t, _ = momentum_expansion(spec, mirrored(pgrid), 6)
     half = pgrid.n_points
     assert np.abs(psi_t[:, half:] - (a + 1j * b)).max() <= 1e-10
@@ -488,6 +489,20 @@ def test_well_parameter_grids_put_the_barrier_on_a_panel_boundary(beta, gamma, p
     geometry = critical_points(pot)
     assume(geometry.is_double_well)
     _check_barrier_on_panel_boundary(pot, geometry.barrier[1] + 1.0, points)
+
+
+@pytest.mark.parametrize("points", [512, 513, 514, 515, 4094, 4095, 4096, 65533])
+def test_every_grid_has_a_multiple_of_4_intervals(points):
+    # the half-line then has an even number of intervals, so p = 0 is a
+    # panel boundary, and a symmetric well's barrier x = 0 is the middle
+    # sample of its window, which stays symmetric to the bit
+    for beta in (10.0, 30.0):
+        pot = QuarticPotential.from_well_params(1.0, beta, 0.0)
+        e_top = well_solve(1.0, beta, 0.0).energy(7)
+        grid, pgrid = build_grid(pot, e_top, points), build_momentum_grid(pot, e_top, points)
+        assert grid.n_points == points + (-points % 4) == 2 * pgrid.n_points
+        assert grid.n_points % 4 == 0 and pgrid.n_points % 2 == 0
+        assert grid.x0 == -grid.x_max
 
 
 @given(pot=scalable_pots, lift=st.floats(0.05, 3.0), j=st.integers(-30, 30))
