@@ -44,7 +44,10 @@ bytes and the cache key); and `sweep --beta 10,20 --gamma 0:3:1 --states 4
 --workers 2`, in CSV and in JSON (a pool of two processes, whose points
 the sweep writes in point order as they come back); and the same sweep
 with `--grid-points 514` on one worker (a size that rounds up to 516, so
-its rows are compared across trees and re-run from its cache).
+its rows are compared across trees and re-run from its cache).  Against a
+REV from before the CLI rounded `--grid-points` where it reads it, that
+sweep's cross-tree cache re-run differs once, on purpose: its cache key is
+now 516's, so it finds nothing of REV's 514 entries and writes its own.
 
 Exit codes, stdout (with the output and cache directories replaced by
 placeholders) and every file a command writes are compared.  A differing

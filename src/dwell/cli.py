@@ -2,14 +2,13 @@
 and phase-space export, with byte-deterministic output and an on-disk cache.
 
 Output rows use a fixed column order and 17-significant-digit float
-formatting so that identical configurations produce identical bytes, and
-each output file is written through a temp file renamed into place, so it
-appears complete or not at all.  Sweep
-points are cached one file per point, keyed by a content hash of the exact
-coefficients, the point settings and the record revision; each cache file
-is written atomically, carries a checksum line and is recomputed when it
-does not verify.  Each command's flags and config-file keys are built from
-`SETTINGS`, so a command takes exactly the settings it reads.
+formatting so that identical configurations produce identical bytes.  Each
+output and cache file is written through a temp file renamed into place,
+so it appears complete or not at all.  Sweep points are cached one file
+per point, keyed by a content hash of the exact coefficients, the point
+settings and the record revision; a cache file carries a checksum line and
+is recomputed when it does not verify.  `SETTINGS` builds each command's
+flags and config-file keys, so a command takes exactly the settings it reads.
 
 This module imports no numpy: each command imports the numerical modules
 it runs when it first computes, so that `--help`, a configuration error and
@@ -36,7 +35,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, TextIO
 
 from .defaults import (DEFAULT_GRID_POINTS, DEFAULT_N_BASIS, DEFAULT_N_STATES, DEFAULT_RHO_FLOOR,
-                       DEGENERACY_REL_TOL, MIN_GRID_POINTS, SolverError, certified_states)
+                       DEGENERACY_REL_TOL, MIN_GRID_POINTS, SolverError, certified_states,
+                       grid_intervals)
 from .potential import QuarticPotential, critical_points, delta_gamma
 
 if TYPE_CHECKING:
@@ -168,6 +168,8 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     return _checked(int, lambda value: value >= low, f"at least {low}")
 
 
+_GRID_RANGE = _checked(int, lambda v: MIN_GRID_POINTS <= v <= MAX_GRID_POINTS,
+                       f"in [{MIN_GRID_POINTS}, {MAX_GRID_POINTS}]")
 # a _BOOL setting is a flag without a value; a config file says true or false
 _BOOL = _one_of({"true": True, "false": False})
 COMMANDS = SOLVE, SWEEP, RULES, TABLE, PHASE = (
@@ -197,9 +199,8 @@ SETTINGS: dict[str, Setting] = {
     "n_basis": Setting(_checked(int, lambda v: 4 <= v <= MAX_N_BASIS, f"in [4, {MAX_N_BASIS}]"),
                        DEFAULT_N_BASIS, COMMANDS),
     "states": Setting(_int_at_least(1), DEFAULT_N_STATES, (SOLVE, SWEEP, RULES, PHASE)),
-    "grid_points": Setting(_checked(int, lambda v: MIN_GRID_POINTS <= v <= MAX_GRID_POINTS,
-                                    f"in [{MIN_GRID_POINTS}, {MAX_GRID_POINTS}]"),
-                           DEFAULT_GRID_POINTS, (SOLVE, SWEEP, RULES, TABLE)),
+    "grid_points": Setting(lambda text: grid_intervals(_GRID_RANGE(text)), DEFAULT_GRID_POINTS,
+                           (SOLVE, SWEEP, RULES, TABLE)),  # rounded, so the key is the grids' count
     "rel_tol": Setting(_checked(_finite, lambda v: v > 0.0, "positive"), DEGENERACY_REL_TOL,
                        (RULES,)),
     "rho_floor": Setting(_checked(_finite, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
@@ -224,7 +225,7 @@ def read_config_file(path: Path, command: str) -> dict[str, tuple[str, str]]:
     reads may be a key, and any other key is an error here; the values are
     converted and checked by `build_config`, as a flag's are."""
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # a leading byte-order mark is not text
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     entries: dict[str, tuple[str, str]] = {}
@@ -425,29 +426,11 @@ def cache_load(cache_dir: Path, key: str) -> list[dict[str, str]] | None:
     return None
 
 
-def cache_store(cache_dir: Path, key: str, records: list[dict[str, str]]) -> None:
-    """Write via a per-process temp file and an atomic rename, so that a
-    concurrent reader sees either the old file or the complete new one."""
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    body = json.dumps({"records": records}, sort_keys=True)
-    tmp = cache_dir / f".{key}.{os.getpid()}.tmp"
-    try:
-        tmp.write_text(f"{body}\nsha256:{_sha256(body)}", encoding="utf-8")
-        os.replace(tmp, cache_dir / f"{key}.json")
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-# ---------------------------------------------------------------- writers
-
-
-def _write_file(path: Path, write: Callable[[TextIO], object]) -> None:
-    """Write one output file through `write(fh)` and print its path.
-
-    The text goes to a per-process temp file beside `path`, renamed into
-    place once `write` returns, so the file appears complete or not at all;
-    the temp file is removed whatever `write` raises, as `cache_store`
-    removes its own."""
+def _write_atomic(path: Path, write: Callable[[TextIO], object]) -> None:
+    """Write `path` through `write(fh)`: to a per-process temp file beside
+    it (its directory made), renamed into place once `write` returns, so a
+    reader sees the old file or the whole new one; the temp file is removed
+    whatever `write` raises."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -456,6 +439,20 @@ def _write_file(path: Path, write: Callable[[TextIO], object]) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def cache_store(cache_dir: Path, key: str, records: list[dict[str, str]]) -> None:
+    """Store `records` under `key`, checksum line last, atomically."""
+    body = json.dumps({"records": records}, sort_keys=True)
+    _write_atomic(cache_dir / f"{key}.json", lambda fh: fh.write(f"{body}\nsha256:{_sha256(body)}"))
+
+
+# ---------------------------------------------------------------- writers
+
+
+def _write_file(path: Path, write: Callable[[TextIO], object]) -> None:
+    """Write one output file atomically through `write(fh)` and print its path."""
+    _write_atomic(path, write)
     print(path)
 
 

@@ -16,6 +16,7 @@ __all__ = [
     "MIN_GRID_POINTS",
     "DEFAULT_GRID_POINTS",
     "DEFAULT_RHO_FLOOR",
+    "grid_intervals",
     "certified_states",
     "SolverError",
     "ScaleOutOfRange",
@@ -28,6 +29,17 @@ MIN_GRID_POINTS = 512
 DEFAULT_GRID_POINTS = 4096
 # a well holding less probability than this carries no effective nodes
 DEFAULT_RHO_FLOOR = 0.01
+
+
+def grid_intervals(points: int) -> int:
+    """`points` rounded up to a multiple of 4: the intervals of every grid
+    (ValueError below MIN_GRID_POINTS).  The x grid's samples are then odd,
+    as composite Simpson needs, and the p >= 0 half-line's intervals even,
+    so p = 0 is a panel boundary and an even function's integral over the
+    whole window is twice `simpson` over the half-line."""
+    if points < MIN_GRID_POINTS:
+        raise ValueError(f"points must be >= {MIN_GRID_POINTS}")
+    return points + -points % 4
 
 
 def certified_states(n_basis: int) -> int:

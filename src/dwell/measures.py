@@ -129,13 +129,14 @@ def well_occupancy(
     return p_i, p_ii, below, above
 
 
-def _shannon_onicescu(rho: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray]:
-    """(S, E) of each row of the densities rho, `simpson` integrals at the
-    step dx; raise unless every row integrates to 1 within tolerance."""
+def _shannon_onicescu(rho: np.ndarray, dx: float, space: str) -> tuple[np.ndarray, np.ndarray]:
+    """(S, E) of each row of the `space` densities rho (row n: state n),
+    `simpson` integrals at step dx; raise unless every row integrates to 1 within tolerance."""
     totals = simpson(rho, dx)
     bad = np.abs(totals - 1.0) > NORMALIZATION_TOL
     if np.any(bad):
-        raise NotNormalized(f"density integrates to {totals[np.argmax(bad)]:.8f}")
+        n = int(np.argmax(bad))
+        raise NotNormalized(f"the {space} density of state {n} integrates to {totals[n]:.8f}")
     shannon = -rho * np.log(np.where(rho > 0.0, rho, 1.0))
     return simpson(shannon, dx), simpson(rho * rho, dx)
 
@@ -165,11 +166,11 @@ def info_measures(
     window's Simpson sum and bit-exact under p -> -p.  I_x needs no grid:
     psi(x) is real, so it is 4 <p^2> (`StateReport.i_x`).
     """
-    s_x, e_x = _shannon_onicescu(psi_x * psi_x, xgrid.dx)
+    s_x, e_x = _shannon_onicescu(psi_x * psi_x, xgrid.dx, "position")
     a, b, da, db = psi_p
     rho = a * a + b * b
     p_step = 2.0 * pgrid.dx  # the half-line's Simpson sums, doubled
-    s_p, e_p = _shannon_onicescu(rho, p_step)
+    s_p, e_p = _shannon_onicescu(rho, p_step, "momentum")
     drho = 2.0 * (a * da + b * db)
     # at a node rho'^2 / rho tends to 4 |psi'|^2, where it peaks; a density
     # below eps^2 of its row's peak is that narrow a spike, taken at its limit

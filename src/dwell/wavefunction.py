@@ -16,9 +16,7 @@ phi_l(p; s) with the dual scale s = 1/(4 sigma).  Those phases are real for
 even l and imaginary for odd l, and h_l has the parity of l, so psi_t = a +
 i b with a even and b odd in p: the p >= 0 half-line that
 `build_momentum_grid` returns holds the whole state exactly, and rho_p is
-even.  Every grid has a multiple of 4 intervals, so the half-line has an
-even number and p = 0 is a panel boundary: an integral of an even function
-over the whole window is twice `simpson` over the half-line.
+even (see `defaults.grid_intervals` for the integrals over the half-line).
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import DEFAULT_GRID_POINTS, DEFAULT_RHO_FLOOR, MIN_GRID_POINTS
+from .defaults import DEFAULT_GRID_POINTS, DEFAULT_RHO_FLOOR, grid_intervals
 from .potential import QuarticPotential, WellGeometry, critical_points, turning_points
 from .spectrum import Spectrum
 
@@ -117,19 +115,15 @@ def build_grid(
 ) -> UniformGrid:
     """Position grid spanning all turning points at e_max plus decay padding.
 
-    `points` is the number of intervals, rounded up to a multiple of 4 as
-    in `build_momentum_grid` (so the samples, points + 1, are odd and
-    composite Simpson applies exactly).  A double well's barrier lies on an
-    even sample, a boundary of `simpson`'s panels: the window is moved by
-    at most one interval, which the padding absorbs wherever it is wider,
-    and a symmetric well's window, whose barrier is its middle sample, is
-    not moved at all.  The window is not rounded: its edges and step come
-    from the turning points and decay lengths alone, so the grid of
-    4^j V(2^j x) is V's scaled by 2^-j, bit for bit.
+    The grid has `grid_intervals(points)` intervals.  A double well's
+    barrier lies on an even sample, a boundary of `simpson`'s panels: the
+    window is moved by at most one interval, which the padding absorbs
+    wherever it is wider, and a symmetric well's window, whose barrier is
+    its middle sample, is not moved at all.  The window is not rounded:
+    its edges and step come from the turning points and decay lengths
+    alone, so the grid of 4^j V(2^j x) is V's scaled by 2^-j, bit for bit.
     """
-    if points < MIN_GRID_POINTS:
-        raise ValueError(f"points must be >= {MIN_GRID_POINTS}")
-    points += -points % 4
+    points = grid_intervals(points)
     tps = turning_points(pot, e_max)
     if not tps:
         raise ValueError("e_max lies below the potential minimum")
@@ -152,10 +146,8 @@ def build_momentum_grid(
     pot: QuarticPotential, e_max: float, points: int = DEFAULT_GRID_POINTS
 ) -> UniformGrid:
     """The p >= 0 half of a momentum window [-p_max, p_max] sized from the
-    maximal momentum variance: the samples k dx, k = 0..points/2, of its
-    `points` intervals.  `points` is rounded up to a multiple of 4, so the
-    half-line has an even number of intervals, and the integral of an even
-    function over the whole window is twice `simpson` over the half-line.
+    maximal momentum variance: the samples k dx, k = 0..m/2, of its m =
+    `grid_intervals(points)` intervals.
 
     Every state below e_max satisfies <p^2> <= e_max - V_min, so extending
     the grid to 6 of those standard deviations keeps the unrepresented
@@ -163,9 +155,7 @@ def build_momentum_grid(
     ~1e-4 outside for deep wells).  The window is not rounded, so the grid
     of 4^j V(2^j x) is V's scaled by 2^j, bit for bit.
     """
-    if points < MIN_GRID_POINTS:
-        raise ValueError(f"points must be >= {MIN_GRID_POINTS}")
-    points += -points % 4
+    points = grid_intervals(points)
     v_min = critical_points(pot).global_minimum[1]
     if e_max <= v_min:
         raise ValueError("e_max lies below the potential minimum")

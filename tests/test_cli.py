@@ -469,6 +469,21 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     assert not rules & {"dwell.report", "dwell.phasespace", *openssl}
 
 
+def test_grid_point_counts_that_round_alike_share_one_cache_entry_per_point(tmp_path):
+    # 514 and 515 read as 516 intervals, the count every grid uses, so the
+    # runs after the first are served from its cache without numpy
+    sweep = ["sweep", "--beta", "10", "--gamma", "0,0.5", "--states", "2", "--workers", "1",
+             "--cache-dir", "cache"]
+    rc, first = _imported(sweep + ["--grid-points", "514", "--outdir", "514"], tmp_path)
+    assert rc == 0 and "numpy" in first
+    for points in ("515", "516"):
+        rc, modules = _imported(sweep + ["--grid-points", points, "--outdir", points], tmp_path)
+        assert rc == 0 and "numpy" not in modules, points
+        assert ((tmp_path / points / "sweep.csv").read_bytes()
+                == (tmp_path / "514" / "sweep.csv").read_bytes())
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 2
+
+
 def test_import_dwell_loads_no_numpy_and_resolves_every_export():
     code = "\n".join([
         "import sys, dwell, dwell.cli",
@@ -645,6 +660,19 @@ def test_a_config_file_that_cannot_be_read_exits_2(tmp_path, capsys):
     assert len(errors) == 1 and errors[0].startswith("error: cannot read config file: ")
     assert str(missing) in errors[0]
     assert not (tmp_path / "out").exists()
+
+
+def test_a_config_file_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    # editors that save UTF-8 with a byte-order mark put U+FEFF before the first key
+    text = "beta = 30\ngamma = 4\nstates = 3\ngrid_points = 512\n"
+    results = []
+    for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text, encoding=encoding)
+        assert cfg.read_bytes().startswith(b"\xef\xbb\xbf") == (name == "bom")
+        rc = main(["solve", "--config", str(cfg), "--outdir", str(tmp_path / name)])
+        results.append((rc, capsys.readouterr().err, (tmp_path / name / "solve.csv").read_bytes()))
+    assert results[0] == results[1] and results[0][0] == 0
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -1207,6 +1235,10 @@ def test_validate_rules_runs_where_the_probe_finds_no_sharp_gap_minima(tmp_path)
     (["sweep", "--gamma", "1:2", "--no-cache"], "--gamma: range must be start:stop:step, got '1:2'"),
     (["solve", "--poly", "1,0,-10,0"], "--poly: expected 5 comma-separated values c4,c3,c2,c1,c0"),
     (["solve", "--format", "xml"], "--format: expected one of csv, json, got 'xml'"),
+    # the range is checked on the count as given, before it is rounded up
+    (["sweep", "--grid-points", "511", "--no-cache"],
+     "--grid-points: must be in [512, 65536], got 511"),
+    (["solve", "--grid-points", "65537"], "--grid-points: must be in [512, 65536], got 65537"),
 ])
 def test_non_finite_and_out_of_range_settings_exit_2(tmp_path, capsys, monkeypatch,
                                                      argv, message):
@@ -1411,7 +1443,8 @@ def test_a_point_that_fails_while_it_is_solved_is_solved_again_next_run(tmp_path
         rows = read_rows(tmp_path / "sweep.csv")
         good, bad = [r for r in rows if r["beta"] == "1"], [r for r in rows if r["beta"] == "400"]
         assert len(good) == 8 and all(r["error"] == "" and r["energy"] for r in good)
-        assert len(bad) == 1 and bad[0]["error"].startswith("density integrates to ")
+        assert len(bad) == 1
+        assert bad[0]["error"].startswith("the momentum density of state 0 integrates to ")
         assert bad[0]["energy"] == ""
 
 

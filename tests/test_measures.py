@@ -98,10 +98,17 @@ def test_oscillator_ground_state_saturates_bounds():
 def test_not_normalized_raises():
     grid, psi, _ = gaussian_row(0.5)
     pgrid, (a, b, da, db) = gaussian_half_line(0.5)
-    with pytest.raises(NotNormalized):
+    with pytest.raises(NotNormalized,
+                       match=r"^the position density of state 0 integrates to 1\.01"):
         info_measures(grid, 1.01**0.5 * psi, pgrid, (a, b, da, db))
-    with pytest.raises(NotNormalized):
+    with pytest.raises(NotNormalized,
+                       match=r"^the momentum density of state 0 integrates to 1\.01"):
         info_measures(grid, psi, pgrid, (1.01**0.5 * a, b, 1.01**0.5 * da, db))
+    # the message names the first row, that is the state, whose density fails
+    two = np.concatenate([psi, 1.01**0.5 * psi])
+    p_two = tuple(np.concatenate([part, part]) for part in (a, b, da, db))
+    with pytest.raises(NotNormalized, match=r"^the position density of state 1 integrates to "):
+        info_measures(grid, two, pgrid, p_two)
 
 
 def test_zero_density_regions_are_harmless():

@@ -29,6 +29,7 @@ from dwell import (
     well_occupancy,
 )
 from dwell.basis import BasisSpec
+from dwell.defaults import grid_intervals
 from dwell.spectrum import Spectrum
 from dwell.wavefunction import (
     HERMITE_BLOCK,
@@ -341,6 +342,9 @@ def test_grid_point_minimum_enforced():
         build_grid(pot, 10.0, 100)
     with pytest.raises(ValueError):
         build_momentum_grid(pot, 10.0, 100)
+    with pytest.raises(ValueError):
+        grid_intervals(511)
+    assert grid_intervals(512) == 512
 
 
 @pytest.mark.parametrize("e_max", [-25.0, -30.0])
@@ -500,7 +504,8 @@ def test_every_grid_has_a_multiple_of_4_intervals(points):
         pot = QuarticPotential.from_well_params(1.0, beta, 0.0)
         e_top = well_solve(1.0, beta, 0.0).energy(7)
         grid, pgrid = build_grid(pot, e_top, points), build_momentum_grid(pot, e_top, points)
-        assert grid.n_points == points + (-points % 4) == 2 * pgrid.n_points
+        assert grid.n_points == grid_intervals(points) == points + (-points % 4)
+        assert grid.n_points == 2 * pgrid.n_points
         assert grid.n_points % 4 == 0 and pgrid.n_points % 2 == 0
         assert grid.x0 == -grid.x_max
 
