@@ -29,7 +29,11 @@ integral in x was furthest from 4 <p^2>), `solve --poly 1,0,-10,0.5,0`,
 4` (x^4 - 20 x^2 + 3 x at scale 2^16, a potential far from unit scale),
 `solve --poly 3,-4,0,0,0 --states 4` (V' = 12 x^2 (x - 1): a double root
 of V' that is an inflection, not an extremum), `solve --poly 1,0,0,0,0
---states 4` (V' has a triple root at the single minimum), three sweeps
+--states 4` (V' has a triple root at the single minimum), `solve --states
+40` and `validate-rules --alphas 1 --gamma 3 --states 34` (each asks for
+more states than the default basis certifies, the second through the one
+extra state a gamma check solves: exit 2 before any solve, so the
+refusal's exit code and message are compared), three sweeps
 of the error rows and the JSON records: `sweep --alpha -1` (every point
 fails before it is solved, and the command exits 3), `sweep --alpha 0.01
 --beta 1,400` (beta 400 fails while it is solved, beta 1 does not, so the
@@ -49,17 +53,18 @@ REV from before the CLI rounded `--grid-points` where it reads it, that
 sweep's cross-tree cache re-run differs once, on purpose: its cache key is
 now 516's, so it finds nothing of REV's 514 entries and writes its own.
 
-Exit codes, stdout (with the output and cache directories replaced by
-placeholders) and every file a command writes are compared.  A differing
+Exit codes, stdout and stderr (each with the output and cache directories
+replaced by placeholders) and every file a command writes are compared.  A differing
 CSV file gets one line per changed column, and a differing JSON file one
 line per changed key path (list positions read [*], and a key that only
 one file has reads (absent) in the other): the values changed and the
 largest absolute and relative change.  Any other differing file gets
 one line.
 Each sweep also runs again against the cache it filled, in both trees, and
-must repeat its exit code, stdout and files.  It then runs once more, in
-this checkout against the cache that REV's run filled (a cross-tree cache
-re-run): it must repeat REV's exit code, stdout and files and leave every
+must repeat its exit code, stdout, stderr and files.  It then runs once
+more, in this checkout against the cache that REV's run filled (a
+cross-tree cache re-run): it must repeat REV's exit code, stdout, stderr
+and files and leave every
 file of that cache as it was (names and st_mtime_ns), which shows that
 cache keys and checksum lines did not move.  The script exits 0 only when
 nothing differs.
@@ -134,6 +139,9 @@ def commands() -> list[tuple[str, list[str]]]:
                  ["solve", "--poly", "3,-4,0,0,0", "--states", "4", *out]))
     cmds.append(("solve-poly-pure-quartic",
                  ["solve", "--poly", "1,0,0,0,0", "--states", "4", *out]))
+    cmds.append(("solve-states-40", ["solve", "--states", "40", *out]))
+    cmds.append(("rules-gamma-check-states-34",
+                 ["validate-rules", "--alphas", "1", "--gamma", "3", "--states", "34", *out]))
     sweep = ["sweep", "--workers", "1", "--cache-dir", "{cache}", *out]
     cmds.append(("sweep-error-rows",
                  [*sweep, "--alpha", "-1", "--beta", "10", "--gamma", "0,1", "--states", "2"]))
@@ -160,16 +168,19 @@ def commands() -> list[tuple[str, list[str]]]:
     return cmds
 
 
-def run(tree: Path, argv: list[str], outdir: Path, cache: Path) -> tuple[int, str]:
-    """Exit code and normalized stdout of `python -m dwell argv` on tree."""
+def run(tree: Path, argv: list[str], outdir: Path, cache: Path) -> tuple[int, str, str]:
+    """Exit code and normalized stdout and stderr of `python -m dwell argv`
+    on tree."""
     argv = [a.format(outdir=outdir, cache=cache) for a in argv]
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "dwell", *argv],
         cwd=outdir.parent, env=env, capture_output=True, text=True,
     )
-    stdout = proc.stdout.replace(str(outdir), "{outdir}").replace(str(cache), "{cache}")
-    return proc.returncode, stdout
+    def normalized(text: str) -> str:
+        return text.replace(str(outdir), "{outdir}").replace(str(cache), "{cache}")
+
+    return proc.returncode, normalized(proc.stdout), normalized(proc.stderr)
 
 
 def _cache_files(cache: Path) -> dict[str, int]:
@@ -282,13 +293,16 @@ def compare_outputs(a: Path, b: Path) -> list[str]:
     return lines
 
 
-def compare(a: tuple[int, str], b: tuple[int, str], dir_a: Path, dir_b: Path) -> list[str]:
-    """Differences in exit code, stdout and files between two runs."""
+def compare(a: tuple[int, str, str], b: tuple[int, str, str], dir_a: Path,
+            dir_b: Path) -> list[str]:
+    """Differences in exit code, stdout, stderr and files between two runs."""
     lines = []
     if a[0] != b[0]:
         lines.append(f"exit code {a[0]} against {b[0]}")
     if a[1] != b[1]:
         lines.append("stdout differs")
+    if a[2] != b[2]:
+        lines.append("stderr differs")
     return lines + compare_outputs(dir_a, dir_b)
 
 

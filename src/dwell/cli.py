@@ -222,8 +222,8 @@ SETTINGS: dict[str, Setting] = {
 def read_config_file(path: Path, command: str) -> dict[str, tuple[str, str]]:
     """Flat key=value lines; '#' starts a comment.  Returns each key's
     source (file, line and key) and text.  Any setting that `command`
-    reads may be a key, and any other key is an error here; the values are
-    converted and checked by `build_config`, as a flag's are."""
+    reads may be a key, once; any other key is an error here.  The values
+    are converted and checked by `build_config`, as a flag's are."""
     try:
         text = path.read_text(encoding="utf-8-sig")  # a leading byte-order mark is not text
     except OSError as exc:
@@ -243,6 +243,8 @@ def read_config_file(path: Path, command: str) -> dict[str, tuple[str, str]]:
             raise ConfigError(f"{where}: unknown key {key!r}")
         if command not in setting.commands:
             raise ConfigError(f"{where}: {command} does not read {key!r}")
+        if key in entries:
+            raise ConfigError(f"{entries[key][0]} is set again at line {lineno}")
         entries[key] = (f"{where}: {key}", value.strip())
     return entries
 
@@ -539,24 +541,17 @@ def _solved(payloads: list[tuple], workers: int) -> Iterator[list[dict[str, str]
         yield from pool.map(_sweep_worker, payloads)
 
 
-# solved points whose cache entries are written together, after their rows:
-# a file created right after a point's numerical work takes about 0.5 ms
-# longer than one created right after another (the kernel's file paths have
-# gone cold), so an entry per point slowed a 30-point cold sweep by 10 ms
-STORE_BATCH = 8
-
-
 def cmd_sweep(cfg: argparse.Namespace) -> int:
     """cartesian (beta, gamma) sweep with cache
 
     Points whose rows are known without a solve (a potential that fails, a
     cache hit) are sorted out first, so that a pool starts with every point
     to solve.  The rows are then written through one `write_records` in
-    point order, each point's as soon as it is done, so the sweep holds a
-    few points' rows however many it solves; the output file appears whole
-    at the end.  Solved points' cache entries follow their rows, STORE_BATCH
-    points at a time; a cache write that fails keeps the rows coming and
-    ends the sweep with that error.
+    point order, each point's as soon as it is done, so the sweep holds one
+    point's rows however many it solves; the output file appears whole at
+    the end.  A solved point's cache entry is written right after its rows,
+    before the next point is solved.  After a cache write fails no other is
+    tried; the rows keep coming and the sweep ends with that error.
     """
     points = sorted({(b, g) for b in cfg.beta for g in cfg.gamma})
     cache_dir = cfg.cache_dir if cfg.cache_dir is not None else os.environ.get(CACHE_DIR_ENV)
@@ -580,22 +575,10 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     any_ok = False
     store_error: OSError | None = None
 
-    def store(entries: list[tuple[str, list[dict[str, str]]]]) -> None:
-        """Write and forget `entries`; after one write fails, none is tried."""
-        nonlocal store_error
-        for key, recs in entries:
-            if store_error is None:
-                try:
-                    cache_store(cache_dir, key, recs)
-                except OSError as exc:
-                    store_error = exc
-        entries.clear()
-
     def rows() -> Iterator[dict[str, str]]:
-        """Each point's rows, then its cache entry among the unstored."""
-        nonlocal any_ok
+        """Each point's rows, then a solved point's cache entry."""
+        nonlocal any_ok, store_error
         solved = _solved(payloads, workers)
-        unstored: list[tuple[str, list[dict[str, str]]]] = []
         try:
             for recs, key in plan:
                 fresh = recs is None
@@ -605,11 +588,11 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
                 if recs[0]["error"]:
                     continue
                 any_ok = True
-                if fresh and key is not None:
-                    unstored.append((key, recs))
-                if len(unstored) == STORE_BATCH:
-                    store(unstored)
-            store(unstored)
+                if fresh and key is not None and store_error is None:
+                    try:
+                        cache_store(cache_dir, key, recs)
+                    except OSError as exc:
+                        store_error = exc
         finally:
             solved.close()  # shuts a pool down
 

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -675,6 +676,19 @@ def test_a_config_file_with_a_byte_order_mark_reads_as_without(tmp_path, capsys)
     assert results[0] == results[1] and results[0][0] == 0
 
 
+@pytest.mark.parametrize("first, second, key", [
+    ("beta=10", "beta = 20", "beta"),
+    ("grid_points=1024", "grid-points=2048", "grid_points"),
+])
+def test_a_key_given_twice_in_a_config_file_exits_2(tmp_path, capsys, first, second, key):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(f"{first}\nstates = 2\n{second}\n", encoding="utf-8")
+    assert main(["solve", "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {cfg}:1: {key} is set again at line 3"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "job.cfg"
     cfg.write_text(
@@ -1114,26 +1128,65 @@ def test_a_path_that_cannot_be_written_exits_3(tmp_path, capsys, argv, command):
     assert len(err) == 1 and err[0].startswith(f"error: {command} failed: ")
 
 
-def test_a_cache_that_cannot_be_written_keeps_the_rows(tmp_path, capsys):
-    # the sweep writes its rows before its cache entries
+def test_a_cache_that_cannot_be_written_keeps_the_rows(tmp_path, capsys, monkeypatch):
+    # the sweep writes its rows before its cache entries, and tries no
+    # other cache write after one fails
+    stored = []
+    cache_store = cli.cache_store
+
+    def counted(cache_dir, key, records):
+        stored.append(key)
+        return cache_store(cache_dir, key, records)
+
+    monkeypatch.setattr(cli, "cache_store", counted)
     file = tmp_path / "afile"
     file.touch()
     argv = ["sweep", "--beta", "10", "--gamma", "0,0.5", "--states", "2", "--grid-points", "512",
             "--workers", "1"]
     assert main(argv + ["--outdir", str(tmp_path / "out"), "--cache-dir", str(file / "c")]) == 3
     assert capsys.readouterr().err.startswith("error: sweep failed: ")
+    assert len(stored) == 1
     assert main(argv + ["--outdir", str(tmp_path / "ref"), "--no-cache"]) == 0
     assert (tmp_path / "out/sweep.csv").read_bytes() == (tmp_path / "ref/sweep.csv").read_bytes()
 
 
-def test_a_sweep_holds_a_few_points_at_a_time(tmp_path):
-    # each point's rows are written as soon as it is solved, and its cache
-    # entry at most STORE_BATCH points later, so the traced peak stops
-    # growing with the points after STORE_BATCH of them: 1 to STORE_BATCH
-    # points adds the rows held for a batch (about 24 KB a point), and
-    # STORE_BATCH to 4 STORE_BATCH points adds less (a sweep that held every
-    # row to the end added about 24 KB a point all the way)
+def test_a_sweep_stores_each_point_before_it_solves_the_next(tmp_path, monkeypatch):
+    calls = []
+    point_records, cache_store = cli.point_records, cli.cache_store
+
+    def solving(*payload):
+        calls.append("solve")
+        return point_records(*payload)
+
+    def storing(*args):
+        calls.append("store")
+        return cache_store(*args)
+
+    monkeypatch.setattr(cli, "point_records", solving)
+    monkeypatch.setattr(cli, "cache_store", storing)
+    assert main(["sweep", "--beta", "10", "--gamma", "0,1,2", "--states", "2",
+                 "--grid-points", "512", "--workers", "1", "--outdir", str(tmp_path)]) == 0
+    assert calls == ["solve", "store"] * 3
+
+
+def test_a_sweep_holds_a_few_points_at_a_time(tmp_path, monkeypatch):
+    # each point's rows are written as soon as it is solved and its cache
+    # entry right after them, so the traced peak hardly grows with the
+    # points: against one point, 8 points add less than 3 points' rows and
+    # 32 points less than 31/4 (a sweep that held 8 points' rows for a
+    # batched store added more than both)
     import tracemalloc
+
+    held = []
+    point_records = cli.point_records
+
+    def measured(*payload):
+        before = tracemalloc.get_traced_memory()[0]
+        recs = point_records(*payload)
+        held.append(tracemalloc.get_traced_memory()[0] - before)
+        return recs
+
+    monkeypatch.setattr(cli, "point_records", measured)
 
     def traced_peak(beta, points, name):
         argv = ["sweep", "--beta", beta, "--gamma", f"0:{0.25 * (points - 1)!r}:0.25",
@@ -1146,13 +1199,14 @@ def test_a_sweep_holds_a_few_points_at_a_time(tmp_path):
         finally:
             tracemalloc.stop()
 
-    batch = cli.STORE_BATCH
-    traced_peak("20", 4 * batch, "warm-up")  # imports and first-call caches
-    one, few, many = (traced_peak("10", points, f"points{points}")
-                      for points in (1, batch, 4 * batch))
-    assert len(read_rows(tmp_path / f"points{4 * batch}/sweep.csv")) == 8 * 4 * batch
-    assert len(list((tmp_path / f"points{4 * batch}/cache").glob("*.json"))) == 4 * batch
-    assert many - few < few - one, (one, few, many)
+    traced_peak("20", 32, "warm-up")  # imports and first-call caches
+    held.clear()
+    one, few, many = (traced_peak("10", points, f"points{points}") for points in (1, 8, 32))
+    rows = statistics.median(held)  # what one point's returned rows hold
+    assert len(read_rows(tmp_path / "points32/sweep.csv")) == 8 * 32
+    assert len(list((tmp_path / "points32/cache").glob("*.json"))) == 32
+    assert few - one < 3 * rows, (one, few, many, rows)
+    assert many - one < 31 * rows / 4, (one, few, many, rows)
 
 
 def test_an_interrupted_sweep_leaves_no_output_file(tmp_path, monkeypatch):
@@ -1173,6 +1227,26 @@ def test_an_interrupted_sweep_leaves_no_output_file(tmp_path, monkeypatch):
               "--workers", "1", "--no-cache", "--outdir", str(outdir)])
     assert solved == [0.0, 1.0]
     assert list(outdir.iterdir()) == []
+
+
+def test_an_interrupted_sweep_keeps_the_entries_of_the_points_it_finished(tmp_path, monkeypatch):
+    solved = []
+    point_records = cli.point_records
+
+    def interrupted(*payload):
+        solved.append(payload[2])
+        if len(solved) == 3:
+            raise KeyboardInterrupt
+        return point_records(*payload)
+
+    monkeypatch.setattr(cli, "point_records", interrupted)
+    outdir = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        main(["sweep", "--beta", "10", "--gamma", "0,1,2", "--states", "2", "--grid-points", "512",
+              "--workers", "1", "--outdir", str(outdir)])
+    assert solved == [0.0, 1.0, 2.0]
+    assert len(list((outdir / "cache").glob("*.json"))) == 2
+    assert not (outdir / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("alpha", ["-1", "0"])

@@ -58,3 +58,13 @@ def test_outputs_equal_as_data_but_not_as_bytes_still_differ(tmp_path):
     assert identity.compare_outputs(tmp_path / "a", tmp_path / "b") == [
         "r.csv: differs", "r.json: differs",
     ]
+
+
+def test_runs_differ_by_exit_code_stdout_and_stderr(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    run = (2, "", "error: states=40 exceeds\n")
+    assert identity.compare(run, run, tmp_path / "a", tmp_path / "b") == []
+    assert identity.compare(run, (3, "out\n", "error: other\n"), tmp_path / "a", tmp_path / "b") == [
+        "exit code 2 against 3", "stdout differs", "stderr differs",
+    ]
