@@ -11,8 +11,11 @@ validate-rules commands at seeds 0, 7 and 13, `validate-rules --alphas
 far from unit scale, 2e-6 and 2e6, where an absolute tolerance would show),
 `validate-rules --n-basis 9 --states 5 --beta 10,20` (without a gamma check
 it solves nothing, so neither the certified band nor the single beta
-applies), tables 1-5, `table 3 --n-basis 12` (a basis that certifies 5 of the
-table's 11 states: exit 2 before any solve), `phase-space --contours`,
+applies), `validate-rules --alphas 1 --beta 5 --gamma 0:7:0.125 --states 8`
+(a shallow well, whose states sit nearest the occupancy thresholds: there
+the occupancies read from the band in closed form and those of a grid
+split differ the most), tables 1-5, `table 3 --n-basis 12` (a basis that
+certifies 5 of the table's 11 states: exit 2 before any solve), `phase-space --contours`,
 `phase-space --beta 8 --gamma 2 --states 8 --contours` (asymmetric
 states of one and two lobes and above the barrier, whose actions take the
 one Gauss-Legendre rule over every kind of interval),
@@ -114,6 +117,9 @@ def commands() -> list[tuple[str, list[str]]]:
                  ["validate-rules", "--alphas", "1e-12,1e12", "--states", "6", *out]))
     cmds.append(("rules-no-gamma-check",
                  ["validate-rules", "--n-basis", "9", "--states", "5", "--beta", "10,20", *out]))
+    cmds.append(("rules-shallow-well",
+                 ["validate-rules", "--alphas", "1", "--beta", "5", "--gamma", "0:7:0.125",
+                  "--states", "8", *out]))
     cmds += [(f"table-{n}", ["table", str(n), *out]) for n in range(1, 6)]
     cmds.append(("table-3-n-basis-12", ["table", "3", "--n-basis", "12", *out]))
     cmds.append(("phase-space-contours", ["phase-space", "--contours", *out]))

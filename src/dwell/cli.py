@@ -200,7 +200,7 @@ SETTINGS: dict[str, Setting] = {
                        DEFAULT_N_BASIS, COMMANDS),
     "states": Setting(_int_at_least(1), DEFAULT_N_STATES, (SOLVE, SWEEP, RULES, PHASE)),
     "grid_points": Setting(lambda text: grid_intervals(_GRID_RANGE(text)), DEFAULT_GRID_POINTS,
-                           (SOLVE, SWEEP, RULES, TABLE)),  # rounded, so the key is the grids' count
+                           (SOLVE, SWEEP, TABLE)),  # rounded, so the key is the grids' count
     "rel_tol": Setting(_checked(_finite, lambda v: v > 0.0, "positive"), DEGENERACY_REL_TOL,
                        (RULES,)),
     "rho_floor": Setting(_checked(_finite, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
@@ -615,8 +615,7 @@ def cmd_validate_rules(cfg: argparse.Namespace) -> int:
 
         for block in blocks:
             report = validate_rules(block["alpha"], beta, cfg.gamma, n_max=cfg.states - 1,
-                                    n_basis=cfg.n_basis, grid_points=cfg.grid_points,
-                                    rel_tol=cfg.rel_tol)
+                                    n_basis=cfg.n_basis, rel_tol=cfg.rel_tol)
             points = [{**asdict(p), "participates": p.participates, "pairs_match": p.pairs_match,
                        "occupancy_agreement": p.occupancy_agreement} for p in report.points]
             block |= {"beta": beta, "occupancy_agreement": report.occupancy_agreement,

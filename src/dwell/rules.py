@@ -30,7 +30,12 @@ runs once per basis size, on the alpha-1 well, in 32 solves shared by every
 alpha, and each alpha scales its transitions by sqrt(alpha).  The
 predictions are plain functions of k: `predict_degeneracy(k, n_max)` and
 `predict_occupancy(k, n)`; `validate_rules` evaluates them at
-k = gamma / (2 sqrt(alpha)).
+k = gamma / (2 sqrt(alpha)), against the pairs of each point's spectrum and
+the occupancies read from its coefficients in closed form
+(`band_occupancy`): no state is sampled on a grid.  The sweep keeps the
+grid split of `measures.well_occupancy`, which holds a suppressed well's
+probability to its own relative precision; the closed form lives here,
+in the module a sweep never loads, so the sweep's imports do not grow.
 """
 
 from __future__ import annotations
@@ -41,11 +46,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import DEFAULT_GRID_POINTS, DEFAULT_N_BASIS, DEGENERACY_REL_TOL, SolverError
-from .measures import Occupancy, classify_occupancy, uncertainties, well_occupancy
-from .potential import QuarticPotential, critical_points, delta_gamma
-from .spectrum import quasi_degenerate_pairs, solve
-from .wavefunction import build_grid, wavefunctions
+from .defaults import DEFAULT_N_BASIS, DEGENERACY_REL_TOL, SolverError
+from .measures import Occupancy, classify_occupancy, uncertainties
+from .potential import QuarticPotential, WellGeometry, WellSide, critical_points, delta_gamma
+from .spectrum import Spectrum, quasi_degenerate_pairs, solve
+from .wavefunction import HERMITE_BLOCK, _hermite_blocks
 
 __all__ = [
     "DeltaGammaEstimate",
@@ -55,6 +60,7 @@ __all__ = [
     "predict_degeneracy",
     "predict_occupancy",
     "estimate_delta_gamma",
+    "band_occupancy",
     "validate_rules",
 ]
 
@@ -280,11 +286,57 @@ class RuleValidationReport:
         )
 
 
+def _overlaps_below(n: int, t_b: float) -> np.ndarray:
+    """M[l, m] = int_{-inf}^{t_b} h_l h_m dt of the normalized Hermite
+    functions h_0..h_{n-1}, in closed form from their values at t_b.
+
+    h_n'' = (t^2 - 2n - 1) h_n makes (h_l' h_m - h_l h_m')' = 2 (m - l) h_l h_m,
+    and h_n' = sqrt(2n) h_{n-1} - t h_n turns the Wronskian into values:
+    for l != m, M[l, m] = (h_l g_m - g_l h_m)(t_b) / (2 (l - m)) with
+    g_n = sqrt(2n) h_{n-1}.  On the diagonal M[0, 0] = erfc(-t_b) / 2 and
+    M[l, l] = M[l-1, l-1] - h_l h_{l-1}(t_b) / sqrt(2l).
+    """
+    h = np.empty(n)
+    work = np.empty((HERMITE_BLOCK + 2, 1))
+    for l0, rows in _hermite_blocks(np.array([t_b]), n, work):
+        h[l0 : l0 + len(rows)] = rows[:, 0]
+    l = np.arange(n)
+    g = np.zeros(n)
+    g[1:] = np.sqrt(2.0 * l[1:]) * h[:-1]
+    diff = l[:, None] - l
+    np.fill_diagonal(diff, 1)
+    overlaps = (np.outer(h, g) - np.outer(g, h)) / (2.0 * diff)
+    steps = np.zeros(n)
+    steps[1:] = h[1:] * h[:-1] / np.sqrt(2.0 * l[1:])
+    np.fill_diagonal(overlaps, 0.5 * math.erfc(-t_b) - np.cumsum(steps))
+    return overlaps
+
+
+def band_occupancy(spec: Spectrum, geometry: WellGeometry) -> np.ndarray:
+    """p_well_I of every state of `spec`, one entry per state, from its
+    coefficients alone: no grid.
+
+    With t = sqrt(2 sigma) x the basis functions are (2 sigma)^(1/4) h_l(t),
+    so a state's probability left of the barrier t_b is the quadratic form
+    c^T M c of the partial overlaps M (`_overlaps_below`).  Well I is the
+    deeper side, by the rule of `measures.well_occupancy`, and a single well
+    gives 1 for every state.  The form is exact up to rounding, about 1e-16
+    absolute: ample for `classify_occupancy`, but a suppressed well's
+    probability far below that needs the grid split of `well_occupancy`,
+    which keeps each side's relative precision.
+    """
+    c = spec.coefficients
+    if not geometry.is_double_well:
+        return np.ones(c.shape[1])
+    t_b = math.sqrt(2.0 * spec.basis.sigma) * geometry.barrier[0]
+    below = np.sum(c * (_overlaps_below(len(c), t_b) @ c), axis=0)
+    return 1.0 - below if geometry.deeper_well_side is WellSide.RIGHT else below
+
+
 def measured_occupancies(
     pot: QuarticPotential,
     n_max: int,
     n_basis: int = DEFAULT_N_BASIS,
-    grid_points: int = DEFAULT_GRID_POINTS,
     rel_tol: float = DEGENERACY_REL_TOL,
 ) -> tuple[tuple[Occupancy, ...], tuple[tuple[int, int], ...]]:
     """Occupancies of states 0..n_max and the detected quasi-degenerate pairs
@@ -292,17 +344,16 @@ def measured_occupancies(
 
     States 0..n_max + 1 are solved, so that a pair (n_max, n_max + 1) is
     seen, and a basis that does not certify n_max + 1 raises BasisTooSmall.
-    The pairs come from that whole spectrum.  Every solved state is sampled
-    on the grid built at the top energy, and states 0..n_max are
-    classified.  A doublet split below solver resolution comes out of
-    `solve` as its two equal-<x> states, so its occupancy is read from its
-    own densities like every other state's.
+    The pairs come from that whole spectrum.  States 0..n_max are
+    classified by their probability in well I, read from their
+    coefficients in closed form (`band_occupancy`), exact up to
+    rounding: no grid is built.  A doublet split below solver resolution
+    comes out of `solve` as its two equal-<x> states, so its occupancy is
+    read from its own coefficients like every other state's.
     """
     spec = solve(pot, n_basis=n_basis, n_states=n_max + 2)
     pairs = tuple(quasi_degenerate_pairs(spec, rel_tol=rel_tol))
-    grid = build_grid(pot, spec.energy(n_max + 1), grid_points)
-    psi = wavefunctions(spec, grid, None)[0]
-    p_well_I = well_occupancy(grid, psi, critical_points(pot))[0]
+    p_well_I = band_occupancy(spec, critical_points(pot))
     return tuple(map(classify_occupancy, p_well_I[: n_max + 1])), pairs
 
 
@@ -312,7 +363,6 @@ def validate_rules(
     gamma_grid,
     n_max: int = 5,
     n_basis: int = DEFAULT_N_BASIS,
-    grid_points: int = DEFAULT_GRID_POINTS,
     rel_tol: float = DEGENERACY_REL_TOL,
 ) -> RuleValidationReport:
     """Compare rule predictions at k = gamma / delta_gamma, delta_gamma =
@@ -329,7 +379,7 @@ def validate_rules(
         k = gamma / interval
         occs, pairs = measured_occupancies(
             QuarticPotential.from_well_params(alpha, beta, gamma),
-            n_max, n_basis=n_basis, grid_points=grid_points, rel_tol=rel_tol,
+            n_max, n_basis=n_basis, rel_tol=rel_tol,
         )
         points.append(
             RulePoint(

@@ -737,7 +737,7 @@ def test_table_2_3_4_reference_values(tmp_path):
 def test_validate_rules_report(tmp_path):
     rc = main([
         "validate-rules", "--alphas", "1", "--beta", "20", "--gamma", "1,3",
-        "--states", "6", "--grid-points", "2048", "--outdir", str(tmp_path),
+        "--states", "6", "--outdir", str(tmp_path),
     ])
     assert rc == 0
     doc = json.loads((tmp_path / "validate_rules.json").read_text(encoding="utf-8"))
@@ -748,8 +748,7 @@ def test_validate_rules_report(tmp_path):
 
 
 def test_validate_rules_json_layout(tmp_path):
-    argv = ["validate-rules", "--alphas", "1", "--beta", "20", "--states", "4",
-            "--grid-points", "512"]
+    argv = ["validate-rules", "--alphas", "1", "--beta", "20", "--states", "4"]
     docs = {}
     for name, gamma in (("estimate", []), ("rules", ["--gamma", "1,2"])):
         assert main(argv + gamma + ["--outdir", str(tmp_path / name)]) == 0
@@ -848,9 +847,19 @@ def test_a_flag_without_its_value_still_exits_2(tmp_path, capsys):
     assert "expected one argument" in capsys.readouterr().err
 
 
+def test_validate_rules_takes_no_grid_points_flag(tmp_path, capsys):
+    # its occupancies come from the band, so it builds no grid to size
+    with pytest.raises(SystemExit) as exc:
+        main(["validate-rules", "--alphas", "1", "--beta", "20", "--gamma", "1",
+              "--grid-points", "512", "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid-points 512" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_validate_rules_reads_gammas_from_config(tmp_path):
     cfg = tmp_path / "rules.cfg"
-    cfg.write_text("beta = 20\ngamma = 1,3\nstates = 4\ngrid_points = 1024\n",
+    cfg.write_text("beta = 20\ngamma = 1,3\nstates = 4\n",
                    encoding="utf-8")
     rc = main([
         "validate-rules", "--alphas", "1", "--config", str(cfg),
@@ -1527,6 +1536,8 @@ def test_a_point_that_fails_while_it_is_solved_is_solved_again_next_run(tmp_path
     ("sweep", "poly = 1,0,-10,0.5,0", "sweep does not read 'poly'"),
     ("solve", "workers = 2", "solve does not read 'workers'"),
     ("validate-rules", "alpha = 2", "validate-rules does not read 'alpha'"),
+    # its occupancies come from the band, so it builds no grid to size
+    ("validate-rules", "grid_points = 512", "validate-rules does not read 'grid_points'"),
     ("phase-space", "contour = true", "unknown key 'contour'"),
     ("solve", "beta 20", "expected key=value, got 'beta 20'"),
 ])
@@ -1559,12 +1570,12 @@ def test_each_command_takes_only_the_flags_it_reads():
         "solve": sorted(point + ["--format", "--grid-points", "--poly", "--rho-floor"]),
         "sweep": sorted(point + ["--cache-dir", "--format", "--grid-points", "--no-cache",
                                  "--rho-floor", "--workers"]),
-        "validate-rules": ["--alphas", "--beta", "--config", "--gamma", "--grid-points",
-                           "--n-basis", "--outdir", "--rel-tol", "--states"],
+        "validate-rules": ["--alphas", "--beta", "--config", "--gamma", "--n-basis",
+                           "--outdir", "--rel-tol", "--states"],
         "table": ["--config", "--grid-points", "--n-basis", "--outdir"],
         "phase-space": sorted(point + ["--contours"]),
     }
-    assert sum(map(len, flags.values())) == 48
+    assert sum(map(len, flags.values())) == 47
 
 
 def _csv_and_json_cells(outdir: Path):

@@ -1,22 +1,31 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
+from scipy.integrate import quad
+from scipy.special import eval_hermite
 
+from conftest import confining_quartics
 from dwell import (
     BasisTooSmall,
     NoTransitionsFound,
     Occupancy,
     QuarticPotential,
     SolverError,
+    build_grid,
+    critical_points,
     estimate_delta_gamma,
+    mirror,
     predict_degeneracy,
     predict_occupancy,
     solve,
     validate_rules,
+    wavefunctions,
+    well_occupancy,
 )
-from dwell import phasespace, rules
-from dwell.rules import PROBE_STATES
+from dwell import measures, phasespace, rules, wavefunction
+from dwell.rules import PROBE_STATES, _overlaps_below, band_occupancy
 
 I, II, BOTH = Occupancy.WELL_I, Occupancy.WELL_II, Occupancy.BOTH
 
@@ -252,6 +261,97 @@ def test_rule_validation_localized_grid():
     assert report.pairs_agreement == 1.0
     for p in report.points:
         assert p.detected_pairs == ()
+
+
+# the double wells that validate-rules reads: alpha, beta and k = gamma / (2 sqrt(alpha))
+rule_wells = st.builds(
+    lambda alpha, beta, k: QuarticPotential.from_well_params(
+        alpha, beta, 2.0 * math.sqrt(alpha) * k),
+    st.floats(0.5, 2.0), st.floats(2.0, 40.0),
+    st.one_of(st.integers(-4, 4).map(float), st.floats(-4.0, 4.0)),
+)
+
+
+def hermite_function(l, t):
+    """h_l(t) from scipy's Hermite polynomial, for the quadrature reference."""
+    norm = math.pi**-0.25 / math.sqrt(2.0**l * math.factorial(l))
+    return norm * eval_hermite(l, t) * math.exp(-0.5 * t * t)
+
+
+@pytest.mark.parametrize("t_b", [-2.5, -0.4, 0.0, 1.3])
+def test_partial_overlaps_match_quadrature(t_b):
+    reference = np.array([
+        [quad(lambda t: hermite_function(l, t) * hermite_function(m, t), -np.inf, t_b,
+              epsabs=1e-14, epsrel=1e-13)[0] for m in range(12)]
+        for l in range(12)
+    ])
+    np.testing.assert_allclose(_overlaps_below(12, t_b), reference, rtol=0.0, atol=1e-14)
+
+
+def test_partial_overlaps_tend_to_the_identity_far_right():
+    # past the top function's turning point sqrt(2 n + 1) = 14.1 every h_l
+    # decays, so M loses its off-diagonal entries and its diagonal reaches 1
+    gaps = [np.abs(_overlaps_below(100, t_b) - np.eye(100)).max() for t_b in (16.0, 20.0, 24.0)]
+    assert gaps[0] < 1e-8 and gaps[1] < 1e-25 and gaps[2] < 1e-50
+    assert gaps == sorted(gaps, reverse=True)
+    assert np.array_equal(_overlaps_below(100, 40.0), np.eye(100))
+    assert np.array_equal(_overlaps_below(100, -40.0), np.zeros((100, 100)))
+
+
+@given(pot=rule_wells, n_states=st.integers(1, 9))
+def test_band_occupancy_matches_a_fine_grid_over_both_wells(pot, n_states):
+    # the reference is the grid split on 65536 intervals, over the window
+    # of 16 times the energy range up to the top state or the barrier: a
+    # window at the top state alone leaves up to 9e-5 of a shallow well's
+    # density outside it.  Over 4500 such wells the two differed by at most
+    # 4.8e-15
+    geometry = critical_points(pot)
+    assume(geometry.is_double_well)
+    spec = solve(pot, 100, n_states)
+    v_min = geometry.global_minimum[1]
+    e_max = v_min + 16.0 * (max(spec.energy(n_states - 1), geometry.barrier[1]) - v_min)
+    grid = build_grid(pot, e_max, 65536)
+    reference = well_occupancy(grid, wavefunctions(spec, grid, None)[0], geometry)[0]
+    np.testing.assert_allclose(band_occupancy(spec, geometry), reference, rtol=0.0, atol=5e-14)
+
+
+@given(pot=confining_quartics(symmetric=True))
+def test_band_occupancy_splits_symmetric_wells_in_half(pot):
+    # every state has a parity and the barrier is at t = 0, where M holds
+    # 1/2 on its diagonal and 0 between functions of one parity
+    geometry = critical_points(pot)
+    assume(geometry.is_double_well)
+    np.testing.assert_allclose(band_occupancy(solve(pot, 100, 8), geometry), 0.5,
+                               rtol=0.0, atol=1e-14)
+
+
+@given(pot=rule_wells, n_states=st.integers(1, 9))
+def test_band_occupancy_is_mirror_symmetric(pot, n_states):
+    # well I is the deeper one on either side; measured at most 2.1e-15
+    # apart over 3000 wells
+    assume(critical_points(pot).is_double_well)
+    p_i = [band_occupancy(solve(v, 100, n_states), critical_points(v)) for v in (pot, mirror(pot))]
+    np.testing.assert_allclose(p_i[0], p_i[1], rtol=0.0, atol=1e-14)
+
+
+def test_band_occupancy_of_a_single_well_is_1():
+    pot = QuarticPotential.from_well_params(1.0, 1.0, 10.0)
+    assert not critical_points(pot).is_double_well
+    assert np.array_equal(band_occupancy(solve(pot, 100, 4), critical_points(pot)), np.ones(4))
+
+
+def test_rule_validation_samples_no_state_on_a_grid(monkeypatch):
+    # the occupancies are quadratic forms of the coefficients
+    # (`measures.band_occupancy`), so no grid is built or sampled
+    def no_grid(*args, **kwargs):
+        raise AssertionError("sampled on a grid")
+
+    for module, name in ((wavefunction, "build_grid"), (wavefunction, "wavefunctions"),
+                         (measures, "well_occupancy")):
+        monkeypatch.setattr(module, name, no_grid)
+    assert not {"build_grid", "wavefunctions", "well_occupancy"} & set(vars(rules))
+    report = validate_rules(1.0, 20.0, [1.0, 2.0, 3.0, -5.0], n_max=5)
+    assert report.occupancy_agreement == report.pairs_agreement == 1.0
 
 
 def test_rule_validation_at_negative_gamma():

@@ -60,8 +60,9 @@ def check_against_oracle(pot, n_basis, n_states):
     n_max=st.integers(0, 8),
 )
 def test_rules_and_reports_measure_the_same_occupancies(alpha, beta, k, n_max):
-    # both solve states 0..n_max + 1 and sample them all on the grid built
-    # at the top one
+    # both solve states 0..n_max + 1; the reports split each state's density
+    # on the grid built at the top one, the rules read the same split from
+    # the band in closed form, and the two classify alike
     pot = QuarticPotential.from_well_params(alpha, beta, 2.0 * np.sqrt(alpha) * k)
     reports = state_reports(pot, n_states=n_max + 2)
     measured = rules.measured_occupancies(pot, n_max)[0]
